@@ -1,6 +1,6 @@
 # Convenience targets for the DSN 2001 reproduction.
 
-.PHONY: install test lint lint-changed bench bench-quick bench-smoke bench-figures chaos-smoke chaos-adversarial-smoke trace-smoke serve-smoke metrics-smoke figures examples clean
+.PHONY: install test lint lint-changed bench bench-quick bench-smoke bench-layered-check bench-figures chaos-smoke chaos-adversarial-smoke trace-smoke serve-smoke metrics-smoke figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -31,6 +31,10 @@ bench-smoke:      ## CI perf gate: quick workloads, fail on >20% regression
 	cp BENCH_core.json /tmp/repro-bench-smoke.json
 	PYTHONPATH=src python benchmarks/perf/run_bench.py --quick \
 		--output /tmp/repro-bench-smoke.json --fail-on-regression
+
+bench-layered-check: ## the frozen layered benchmark still runs against this tree
+	python3 benchmarks/layered/bench.py --check
+	PYTHONPATH=src python -m pytest benchmarks/layered -q
 
 bench-figures:    ## regenerate every paper figure + the extra studies
 	pytest benchmarks/ --benchmark-only -s

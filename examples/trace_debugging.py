@@ -73,9 +73,9 @@ def main() -> None:
         report.per_member.items(), key=lambda item: item[1]
     )
     worst = next(p for p in processes if p.node_id == worst_id)
-    missing = sorted(
-        set(m for m in votes if m not in worst.result.members)
-    )
+    # Coverage masks hold hierarchy ranks; covered_ids names the members.
+    covered = set(worst.covered_ids(worst.result.members))
+    missing = sorted(m for m in votes if m not in covered)
     lost_to = [
         event for event in tracer.of_kind("send_lost")
         if event.node == worst_id or event.peer == worst_id

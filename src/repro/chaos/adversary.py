@@ -34,6 +34,7 @@ from typing import Any
 from repro.chaos.pow import pow_admitted
 from repro.core.aggregates import AggregateState
 from repro.core.gridbox import SubtreeId
+from repro.core.intervals import IntervalMask
 from repro.core.messages import (
     AggregateReport,
     Dissemination,
@@ -338,7 +339,11 @@ class TamperPlanner:
             if sample is None:
                 continue
             kind, key, state, dest = sample
-            planted = AggregateState(state.payload, frozenset((identity,)))
+            # Coverage slots are ranks 0..N-1 or member ids <= the
+            # maximum: either way ``identity`` names no member's vote.
+            planted = AggregateState(
+                state.payload, IntervalMask.single(identity)
+            )
             self._register(planted, "sybil")
             if kind == _GOSSIP:
                 # Hash the fake identity into an occupied grid box and

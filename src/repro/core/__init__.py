@@ -32,6 +32,7 @@ from repro.core.hierarchical_gossip import (
     build_hierarchical_gossip_group,
     rounds_per_phase_for,
 )
+from repro.core.intervals import IntervalMask
 from repro.core.messages import (
     AggregateReport,
     Dissemination,
@@ -68,6 +69,7 @@ __all__ = [
     "HashFunction",
     "StaticHash",
     "TopologicalHash",
+    "IntervalMask",
     "GossipParams",
     "HierarchicalGossipProcess",
     "build_hierarchical_gossip_group",

@@ -10,20 +10,30 @@ histogram (all constant-size).
 
 Section 2 additionally imposes the **no-double-counting constraint**: no
 member's vote may be included twice in any aggregate.  We enforce this
-mechanically — every :class:`AggregateState` carries the (frozen) set of
-member ids whose votes it covers, and :meth:`AggregateFunction.merge`
-raises :class:`DoubleCountError` on overlap.  The member set is
-*simulation-side bookkeeping* used for the completeness metric and safety
-checking; a real deployment ships only the constant-size ``payload``
-(plus a count where the function needs one), which is what the network
-models charge for (see :meth:`AggregateState.wire_size`).
+mechanically — every :class:`AggregateState` carries the coverage of its
+payload as an :class:`~repro.core.intervals.IntervalMask` over vote
+*slots*, and :meth:`AggregateFunction.merge` raises
+:class:`DoubleCountError` on overlap.  A slot is whatever integer the
+vote was lifted at: the hierarchical protocol lifts at the member's
+hierarchy rank (:meth:`GridAssignment.rank_of
+<repro.core.gridbox.GridAssignment.rank_of>`), which makes a complete
+subtree one range and keeps the mask — like the payload — constant-size
+up to the loss-induced exception count; baselines and hand-built states
+lift at the member id.  The mask is part of the state a deployment
+ships (:mod:`repro.net.codec` puts it on the wire); the simulated
+network models still charge for the payload only (see
+:meth:`AggregateState.wire_size`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
+
+from repro.core.intervals import IntervalMask
 
 __all__ = [
     "DoubleCountError",
@@ -59,29 +69,15 @@ class DoubleCountError(Exception):
 #: :class:`repro.sanitize.SanitizerError`.
 _SANITIZE_HOOK = None
 
-#: Identity-keyed memo of *disjoint* member-mask unions.  Every member of
-#: a subtree composes the same shared child ``AggregateState`` masks, so
-#: at N members the naive per-member unions cost O(N^2) total — the
-#: simulator's top cost at N >= 8192.  Keyed on the sorted ``id()``s of
-#: the input frozensets; the value holds the inputs, pinning those ids
-#: for the entry's lifetime, so a hit always refers to the same objects
-#: (same union, same disjointness).  When full, the oldest half is
-#: evicted (dict insertion order): a prior run's entries can never hit
-#: again — its pinned masks are unreachable from new states — so they
-#: age out first while the current run's hot entries survive.
-_MASK_UNION_CACHE: dict[tuple, tuple[list, frozenset]] = {}
-_MASK_UNION_LIMIT = 4096
-
 
 def clear_mask_union_cache() -> None:
-    """Drop all memoized mask unions (and unpin their frozensets).
+    """No-op kept for one frozen importer.
 
-    Entries are keyed on object identity, so one run's entries are pure
-    dead weight to the next run in the same process — they crowd out the
-    live working set and force rebuild churn.  Run entry points call
-    this; results never depend on it (the cache is a pure memo).
+    The mask-union memo this cleared is gone (interval masks merge in
+    O(ranges)); ``benchmarks/layered/layers.py`` and ``micro.py`` still
+    import the name and may not be edited in the PR that removed the
+    memo.  Delete together with those imports.
     """
-    _MASK_UNION_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -89,22 +85,28 @@ class AggregateState:
     """A partial evaluation of an aggregate over a set of member votes.
 
     ``payload`` is the constant-size algebraic value (e.g. ``(sum, count)``
-    for the average); ``members`` records whose votes are covered —
-    immutable so states can be shared freely between simulated processes.
+    for the average); ``members`` is the set of vote slots it covers, an
+    :class:`~repro.core.intervals.IntervalMask` (any iterable of ints is
+    accepted and converted) — immutable so states can be shared freely
+    between simulated processes.
     """
 
     payload: Any
-    members: frozenset[int]
+    members: IntervalMask
+
+    def __post_init__(self) -> None:
+        if type(self.members) is not IntervalMask:
+            object.__setattr__(self, "members", IntervalMask(self.members))
 
     def covers(self) -> int:
         """Number of member votes included in this partial aggregate."""
-        return len(self.members)
+        return self.members.count
 
     def wire_size(self, float_size: int = 8) -> int:
         """Abstract byte-size of this state on the wire.
 
         Counts only the constant-size payload (flattened floats/ints), not
-        the bookkeeping member set — matching the paper's assumption that a
+        the coverage mask — matching the paper's assumption that a
         composable function's output is about the size of a vote.
 
         The default-size result is memoized on the instance: states are
@@ -135,8 +137,8 @@ class AggregateFunction:
     """Base class for a composable aggregate.
 
     Subclasses implement the payload algebra (`_lift`, `_combine`,
-    `_finalize`); this base class wraps it with the member-set tracking and
-    the no-double-counting guard.
+    `_finalize`); this base class wraps it with the coverage-mask tracking
+    and the no-double-counting guard.
     """
 
     #: Registry name; subclasses override.
@@ -155,7 +157,7 @@ class AggregateFunction:
     # -- public API -------------------------------------------------------
     def lift(self, member_id: int, vote: float) -> AggregateState:
         """The aggregate of the single-vote set ``{member_id: vote}``."""
-        return AggregateState(self._lift(vote), frozenset((member_id,)))
+        return AggregateState(self._lift(vote), IntervalMask.single(member_id))
 
     def merge(self, a: AggregateState, b: AggregateState) -> AggregateState:
         """Combine two partial aggregates over *disjoint* vote sets.
@@ -163,63 +165,41 @@ class AggregateFunction:
         This is the paper's combiner ``g``.  Raises
         :class:`DoubleCountError` if the vote sets overlap.
         """
-        if _SANITIZE_HOOK is not None:
-            _SANITIZE_HOOK(self, a, b)
-        overlap = a.members & b.members
-        if overlap:
-            raise DoubleCountError(
-                f"{self.name}: members {sorted(overlap)[:5]} would be "
-                f"counted twice"
-            )
-        return AggregateState(
-            self._combine(a.payload, b.payload), a.members | b.members
-        )
+        return self.merge_all((a, b))
 
-    def merge_all(self, states: list[AggregateState]) -> AggregateState:
-        """Fold :meth:`merge` over a non-empty list of states.
+    def merge_all(self, states: Iterable[AggregateState]) -> AggregateState:
+        """Fold the combiner over a non-empty series of states, in order.
 
-        Without the sanitizer hook a fast path folds the payloads in the
-        same pairwise order but unions all member masks at once, checking
-        disjointness by cardinality (the sum of sizes equals the union's
-        size iff the masks are pairwise disjoint) — the pairwise
-        frozenset unions are the simulator's top cost at N >= 8192.  The
-        payload fold order is identical, so results are byte-identical;
-        on overlap it re-runs pairwise so the :class:`DoubleCountError`
-        is raised at the same pair with the same message.
+        One fold for every caller: the payloads combine pairwise left to
+        right, the masks union the same way, and the first pair that
+        shares a slot raises :class:`DoubleCountError`.  ``states`` is
+        consumed one at a time (:meth:`over` streams a whole vote map
+        through without holding it), and the running aggregate is only
+        materialized as a state when the sanitizer hook wants to
+        inspect it.  A single state is returned as it is.
         """
-        if not states:
+        iterator = iter(states)
+        first = next(iterator, None)
+        if first is None:
             raise ValueError(f"{self.name}: cannot merge zero states")
-        if len(states) == 1:
-            return states[0]
-        if _SANITIZE_HOOK is not None:
-            result = states[0]
-            for state in states[1:]:
-                result = self.merge(result, state)
-            return result
+        hook = _SANITIZE_HOOK
         combine = self._combine
-        payload = states[0].payload
-        for state in states[1:]:
+        payload = first.payload
+        members = first.members
+        merged = None
+        for state in iterator:
+            if hook is not None:
+                hook(self, AggregateState(payload, members), state)
+            merged = members.union_disjoint(state.members)
+            if merged is None:
+                twice = list(islice(members & state.members, 5))
+                raise DoubleCountError(
+                    f"{self.name}: members {twice} would be counted twice"
+                )
             payload = combine(payload, state.payload)
-        masks = [state.members for state in states]
-        key = tuple(sorted(map(id, masks)))
-        hit = _MASK_UNION_CACHE.get(key)
-        if hit is not None:
-            return AggregateState(payload, hit[1])
-        total = sum(len(mask) for mask in masks)
-        members = frozenset().union(*masks)
-        if len(members) != total:
-            # Overlap somewhere: reproduce the exact pairwise failure.
-            result = states[0]
-            for state in states[1:]:
-                result = self.merge(result, state)
-            raise AssertionError(
-                f"{self.name}: mask cardinality mismatch but pairwise "
-                f"merge succeeded"
-            )  # pragma: no cover - unreachable
-        if len(_MASK_UNION_CACHE) >= _MASK_UNION_LIMIT:
-            for stale in list(_MASK_UNION_CACHE)[: _MASK_UNION_LIMIT // 2]:
-                del _MASK_UNION_CACHE[stale]
-        _MASK_UNION_CACHE[key] = (masks, members)
+            members = merged
+        if merged is None:
+            return first
         return AggregateState(payload, members)
 
     def finalize(self, state: AggregateState) -> float:
@@ -229,7 +209,7 @@ class AggregateFunction:
     def over(self, votes: dict[int, float]) -> AggregateState:
         """Directly aggregate a vote map (reference/oracle evaluation)."""
         return self.merge_all(
-            [self.lift(member, vote) for member, vote in votes.items()]
+            self.lift(member, vote) for member, vote in votes.items()
         )
 
     def __repr__(self) -> str:
@@ -465,7 +445,7 @@ class DistinctCountAggregate(AggregateFunction):
             1 << self._rho(member_id, bucket)
             for bucket in range(self.buckets)
         )
-        return AggregateState(bitmaps, frozenset((member_id,)))
+        return AggregateState(bitmaps, IntervalMask.single(member_id))
 
     def _combine(self, a, b):
         return tuple(x | y for x, y in zip(a, b))
@@ -496,7 +476,7 @@ class TopKAggregate(AggregateFunction):
     Finalizes to the k-th largest vote (the selection threshold); the
     full leaderboard is available via :meth:`leaders`.
 
-    Note the member set still tracks *all* covered votes (completeness /
+    Note the coverage mask still tracks *all* covered votes (completeness /
     double-count accounting), while the payload keeps only the top k.
     """
 
@@ -514,7 +494,7 @@ class TopKAggregate(AggregateFunction):
 
     def lift(self, member_id: int, vote: float) -> AggregateState:
         return AggregateState(
-            ((float(vote), int(member_id)),), frozenset((member_id,))
+            ((float(vote), int(member_id)),), IntervalMask.single(member_id)
         )
 
     def _combine(self, a, b):
@@ -573,7 +553,7 @@ class ProductAggregate(AggregateFunction):
             function.lift(member_id, component).payload
             for function, component in zip(self.functions, votes)
         )
-        return AggregateState(payload, frozenset((member_id,)))
+        return AggregateState(payload, IntervalMask.single(member_id))
 
     def _combine(self, a, b):
         return tuple(

@@ -215,6 +215,16 @@ class GridAssignment:
         # waits on the same key set each phase.
         self._box_key_sets: dict[int, frozenset[int]] = {}
         self._child_key_sets: dict[SubtreeId, frozenset[SubtreeId]] = {}
+        # Hierarchy rank (see members_by_rank): members in (box address,
+        # id) order, each member's position, and the first rank of every
+        # box (one extra entry closes the last box).
+        ordered: list[int] = []
+        self._box_rank_start = [0]
+        for box in range(hierarchy.num_boxes):
+            ordered.extend(sorted(self._members_of_box.get(box, ())))
+            self._box_rank_start.append(len(ordered))
+        self._by_rank = tuple(ordered)
+        self._rank_of = {member: rank for rank, member in enumerate(ordered)}
 
     @property
     def member_ids(self) -> tuple[int, ...]:
@@ -253,6 +263,38 @@ class GridAssignment:
             and peer in self._box_of
             and hierarchy.contains(subtree, self._box_of[peer])
         ]
+
+    # -- hierarchy rank ------------------------------------------------------
+    def members_by_rank(self) -> tuple[int, ...]:
+        """Members in ``(box address, member id)`` order (shared tuple).
+
+        A member's *rank* is its position in this order.  Subtree
+        prefixes are the most significant address digits, so the boxes
+        of any subtree are one contiguous address range and its members
+        one contiguous rank range: coverage masks over ranks
+        (:class:`~repro.core.intervals.IntervalMask`) hold a complete
+        subtree as a single interval.  Computed once per assignment —
+        every process of a run shares it, and runs share it through
+        :func:`shared_dense_assignment`.
+        """
+        return self._by_rank
+
+    def rank_of(self, member_id: int) -> int:
+        """Position of a member in ``(box address, member id)`` order."""
+        return self._rank_of[member_id]
+
+    def member_at(self, rank: int) -> int:
+        """Inverse of :meth:`rank_of` (``IndexError`` outside the ranks)."""
+        if rank < 0:
+            raise IndexError(f"rank {rank} is negative")
+        return self._by_rank[rank]
+
+    def subtree_rank_range(self, subtree: SubtreeId) -> range:
+        """Ranks of the members inside ``subtree``: one contiguous range."""
+        length, value = subtree
+        width = self.hierarchy.k ** (self.hierarchy.digits - length)
+        starts = self._box_rank_start
+        return range(starts[value * width], starts[(value + 1) * width])
 
     def _groups_at(self, prefix_length: int) -> dict[int, tuple[int, ...]]:
         """Members grouped by their box's ``prefix_length``-digit prefix."""

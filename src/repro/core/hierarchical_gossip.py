@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import repro.sanitize as sanitize
 from repro.core.aggregates import AggregateFunction, AggregateState
 from repro.core.gridbox import GridAssignment
+from repro.core.intervals import IntervalMask
 from repro.core.messages import GossipBatch, GossipValue
 from repro.core.observe import (
     PhaseEvent,
@@ -286,6 +287,25 @@ class HierarchicalGossipProcess(AggregationProcess):
     @property
     def num_phases(self) -> int:
         return self.assignment.hierarchy.num_phases
+
+    @property
+    def slot(self) -> int:
+        """Votes are lifted at hierarchy rank, not member id: a complete
+        subtree's coverage is then one interval (see ``GridAssignment``)."""
+        return self.assignment.rank_of(self.node_id)
+
+    def covered_ids(self, mask: IntervalMask) -> list[int]:
+        """Member ids behind ``mask``'s ranks, in rank order.
+
+        A slot past the last rank is no member of this run (a Sybil
+        identity minted above the membership); it is reported as itself.
+        """
+        by_rank = self.assignment.members_by_rank()
+        ids: list[int] = []
+        for lo, hi in mask.intervals():
+            ids.extend(by_rank[lo:hi + 1])
+            ids.extend(range(max(lo, len(by_rank)), hi + 1))
+        return ids
 
     def _expected_keys(self, phase: int) -> frozenset:
         """Keys whose values this member needs to compose phase ``phase``.
@@ -810,7 +830,9 @@ class HierarchicalGossipProcess(AggregationProcess):
         """
         if not sanitize.ACTIVE:
             return self.function.merge_all(list(self.known.values()))
-        with sanitize.composing(self.node_id, ctx.round, self.phase):
+        with sanitize.composing(
+            self.node_id, ctx.round, self.phase, self.covered_ids
+        ):
             composed = self.function.merge_all(list(self.known.values()))
         sanitize.check_compose(self, ctx.round, self.phase, composed)
         return composed

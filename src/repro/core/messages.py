@@ -4,10 +4,10 @@ Every payload knows its abstract ``wire_size`` so the network models can
 enforce the paper's constant-message-size constraint (Section 2).  Sizes
 are in abstract "vote-sized units" scaled by 8 bytes per scalar: an id or
 phase number costs :data:`ID_SIZE` and an aggregate payload costs its
-flattened scalar count — the member-set bookkeeping inside
-:class:`~repro.core.aggregates.AggregateState` is *not* charged (it exists
-only so the simulator can measure completeness and police double
-counting).
+flattened scalar count — the coverage mask inside
+:class:`~repro.core.aggregates.AggregateState` (a few interval bounds)
+is *not* charged here; the real wire carries and counts it
+(:mod:`repro.net.codec`).
 """
 
 from __future__ import annotations

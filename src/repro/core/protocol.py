@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.core.aggregates import AggregateFunction, AggregateState
+from repro.core.intervals import IntervalMask
 from repro.sim.engine import Process
 
 __all__ = ["AggregationProcess", "CompletenessReport", "measure_completeness"]
@@ -57,9 +59,27 @@ class AggregationProcess(Process):
             return None
         return self.coverage_fraction < 1.0
 
+    @property
+    def slot(self) -> int:
+        """The slot this member's vote occupies in coverage masks.
+
+        The member id unless the protocol numbers votes differently (the
+        hierarchical protocol uses hierarchy rank); whatever it is, every
+        member of one run must use the same numbering.
+        """
+        return self.node_id
+
     def own_state(self) -> AggregateState:
-        """This member's vote as a single-member aggregate."""
-        return self.function.lift(self.node_id, self.vote)
+        """This member's vote as a single-member aggregate at its slot."""
+        state = self.function.lift(self.node_id, self.vote)
+        slot = self.slot
+        if slot == self.node_id:
+            return state
+        return AggregateState(state.payload, IntervalMask.single(slot))
+
+    def covered_ids(self, mask: IntervalMask) -> list[int]:
+        """Ids of the members whose votes ``mask`` covers, in slot order."""
+        return list(mask)
 
     def completeness(self, group_size: int) -> float | None:
         """Fraction of the initial votes covered by :attr:`result`."""
@@ -122,12 +142,21 @@ class CompletenessReport:
 def measure_completeness(
     processes: list[AggregationProcess], group_size: int
 ) -> CompletenessReport:
-    """Collect the completeness report for a finished run."""
+    """Collect the completeness report for a finished run.
+
+    Surviving members are counted per coverage interval from one prefix
+    sum over slot space — O(N * intervals), not O(N * covered members).
+    """
     report = CompletenessReport(group_size=group_size)
-    survivors = {
-        process.node_id for process in processes if process.alive
-    }
-    report.survivors = len(survivors)
+    alive_slots = [process.slot for process in processes if process.alive]
+    report.survivors = len(alive_slots)
+    # alive_below[s] = surviving members whose slot is < s; coverage past
+    # the last survivor's slot (crashed members, foreign slots) adds none.
+    width = max(alive_slots, default=-1) + 1
+    flags = [0] * width
+    for slot in alive_slots:
+        flags[slot] = 1
+    alive_below = [0, *accumulate(flags)]
     for process in processes:
         if not process.alive:
             report.crashed += 1
@@ -138,8 +167,11 @@ def measure_completeness(
         report.per_member_initial[process.node_id] = (
             process.result.covers() / group_size
         )
-        included_survivors = len(process.result.members & survivors)
+        included_survivors = sum(
+            alive_below[min(hi + 1, width)] - alive_below[min(lo, width)]
+            for lo, hi in process.result.members.intervals()
+        )
         report.per_member[process.node_id] = (
-            included_survivors / len(survivors) if survivors else 0.0
+            included_survivors / len(alive_slots) if alive_slots else 0.0
         )
     return report

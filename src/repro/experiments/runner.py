@@ -19,7 +19,7 @@ from repro.baselines.flat_gossip import build_flat_gossip_group
 from repro.chaos.adversary import AdversarialSummary
 from repro.baselines.flood import build_flood_group
 from repro.baselines.leader_election import build_leader_election_group
-from repro.core.aggregates import clear_mask_union_cache, get_aggregate
+from repro.core.aggregates import get_aggregate
 from repro.core.gridbox import (
     GridAssignment,
     GridBoxHierarchy,
@@ -370,12 +370,6 @@ def run_once(
             telemetry.registry = registry
     if telemetry is None and config.collect_telemetry:
         telemetry = RunTelemetry.compact()
-    # The mask-union memo is identity-keyed, so a previous run's entries
-    # (in the same process: run_many serial legs, persistent pool
-    # workers) are pure dead weight that crowds out this run's working
-    # set — measured ~3x slower second runs at n=8192.  Dropping them is
-    # free and can never change results.
-    clear_mask_union_cache()
     rngs = RngRegistry(seed=config.seed)
     votes = _make_votes(config, rngs)
     function = get_aggregate(config.aggregate)

@@ -3,7 +3,7 @@
 Frame layout (one datagram = one frame)::
 
     offset 0   2 bytes   magic  b"RA"
-    offset 2   1 byte    wire version (currently 1)
+    offset 2   1 byte    wire version (currently 2)
     offset 3   ...       UTF-8 JSON body
 
 The body is ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
@@ -21,14 +21,21 @@ Protocol payloads (:class:`~repro.core.messages.GossipValue` /
 * ``AggregateState.payload`` is a float or an arbitrarily nested tuple
   of scalars; tuples are encoded as JSON arrays and re-tupled on decode
   (Python's float repr round-trips exactly through JSON).
-* ``AggregateState.members`` — the simulator-side completeness/double-
-  counting bookkeeping — is shipped as a sorted id list.  A real
-  deployment would not pay for it (the network models never charge for
-  it either), but the cross-runtime harness needs it to measure
-  coverage, so the wire keeps it.
+* ``AggregateState.members`` — the coverage mask — is shipped as its
+  canonical interval list ``"v": [lo0, hi0, lo1, hi1, ...]`` of closed
+  slot ranges (:class:`~repro.core.intervals.IntervalMask`).  Slots are
+  hierarchy ranks, which both ends derive from the shared grid
+  assignment, so a complete subtree is one pair whatever its size and
+  the state stays constant-size up to the loss-induced exceptions.
+  Decoding accepts the canonical spelling only (sorted, disjoint,
+  coalesced, non-negative, no booleans), so ``decode(encode(m)) == m``
+  and ``encode(decode(frame)) == frame`` both hold.
 * Keys are member ids (phase 1) or
   :class:`~repro.core.gridbox.SubtreeId` prefixes (later phases),
   tagged ``{"m": id}`` / ``{"s": [length, value]}``.
+
+Version 1 shipped ``"v"`` as the sorted member-id list; the two are not
+interoperable and a version-1 frame is rejected at the version byte.
 """
 
 from __future__ import annotations
@@ -39,11 +46,13 @@ from typing import Any
 
 from repro.core.aggregates import AggregateState
 from repro.core.gridbox import SubtreeId
+from repro.core.intervals import IntervalMask
 from repro.core.messages import GossipBatch, GossipValue
 
 __all__ = [
     "MAGIC",
     "WIRE_VERSION",
+    "MAX_DATAGRAM_BYTES",
     "CodecError",
     "Join",
     "Welcome",
@@ -57,7 +66,10 @@ __all__ = [
 #: Frame magic: every datagram of this runtime starts with these bytes.
 MAGIC = b"RA"
 #: Current wire version; a frame with any other version byte is rejected.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
+#: Largest UDP payload over IPv4 (65535 - 8 UDP - 20 IP header bytes): a
+#: frame beyond it cannot be one datagram, so senders must not emit it.
+MAX_DATAGRAM_BYTES = 65507
 
 _HEADER = MAGIC + bytes([WIRE_VERSION])
 
@@ -140,15 +152,12 @@ def _decode_key(record: Any) -> Any:
     if not isinstance(record, dict):
         raise CodecError("gossip key is not a tagged object")
     if "m" in record:
-        member = record["m"]
-        if not isinstance(member, int):
-            raise CodecError("member key is not an int")
-        return member
+        return _require_int(record, "m")
     if "s" in record:
         prefix = record["s"]
         if (
             not isinstance(prefix, list) or len(prefix) != 2
-            or not all(isinstance(part, int) for part in prefix)
+            or type(prefix[0]) is not int or type(prefix[1]) is not int
         ):
             raise CodecError("subtree key is not [length, value]")
         return SubtreeId(prefix[0], prefix[1])
@@ -158,22 +167,22 @@ def _decode_key(record: Any) -> Any:
 def _encode_state(state: AggregateState) -> dict:
     return {
         "p": _encode_scalar_tree(state.payload),
-        "v": sorted(state.members),
+        "v": list(state.members.bounds),
     }
 
 
 def _decode_state(record: Any) -> AggregateState:
     if not isinstance(record, dict) or "p" not in record or "v" not in record:
         raise CodecError("aggregate state is not {p, v}")
-    members = record["v"]
-    if (
-        not isinstance(members, list)
-        or not all(isinstance(member, int) for member in members)
-    ):
-        raise CodecError("aggregate member set is not an id list")
+    bounds = record["v"]
+    if not isinstance(bounds, list):
+        raise CodecError("aggregate coverage is not an interval list")
+    try:
+        members = IntervalMask.from_bounds(bounds)
+    except ValueError as exc:
+        raise CodecError(f"aggregate coverage: {exc}") from None
     return AggregateState(
-        payload=_decode_scalar_tree(record["p"]),
-        members=frozenset(members),
+        payload=_decode_scalar_tree(record["p"]), members=members
     )
 
 
@@ -200,7 +209,7 @@ def _encode_payload(payload: GossipValue | GossipBatch) -> dict:
 
 def _require_int(record: dict, key: str) -> int:
     value = record.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:  # bool is an int subclass: rejected too
         raise CodecError(f"field {key!r} is not an int")
     return value
 
@@ -266,7 +275,7 @@ def encode(message: Join | Welcome | Ping | Pong | Gossip) -> bytes:
 def _decode_addr(record: Any) -> tuple[str, int]:
     if (
         not isinstance(record, list) or len(record) != 2
-        or not isinstance(record[0], str) or not isinstance(record[1], int)
+        or not isinstance(record[0], str) or type(record[1]) is not int
     ):
         raise CodecError("address is not [host, port]")
     return (record[0], record[1])

@@ -40,9 +40,11 @@ from repro.core.hierarchical_gossip import (
     GossipParams,
     HierarchicalGossipProcess,
 )
+from repro.core.messages import GossipBatch, GossipValue
 from repro.core.observe import PhaseSink
 from repro.net.bootstrap import Address, AddressBook
 from repro.net.codec import (
+    MAX_DATAGRAM_BYTES,
     CodecError,
     Gossip,
     Join,
@@ -111,7 +113,11 @@ class NodeStats:
     """Per-node datagram accounting (the net analogue of EngineStats)."""
 
     datagrams_received: int = 0
+    #: Inbound frames dropped: not decodable, or gossip whose coverage
+    #: names a rank outside the group.
     frames_rejected: int = 0
+    #: Outbound frames over :data:`MAX_DATAGRAM_BYTES`, dropped unsent.
+    frames_oversize: int = 0
     gossip_dropped_unstarted: int = 0
     messages_sent: int = 0
     bytes_sent: int = 0
@@ -155,7 +161,12 @@ class _NodeMetrics:
         self._rx = {k: rx.labels(node, k) for k in _FRAME_KINDS}
         self.rx_rejected = registry.counter(
             "repro_net_rx_rejected_total",
-            "Inbound frames rejected by the codec",
+            "Inbound frames rejected (codec or out-of-group coverage)",
+            ("node",),
+        ).labels(node)
+        self.tx_oversize = registry.counter(
+            "repro_net_tx_oversize_total",
+            "Outbound frames over the datagram limit, dropped unsent",
             ("node",),
         ).labels(node)
         self.gossip_dropped = registry.counter(
@@ -359,6 +370,13 @@ class NetNode:
     def _transmit(
         self, data: bytes, address: Address, kind: str = "gossip"
     ) -> None:
+        if len(data) > MAX_DATAGRAM_BYTES:
+            # One frame is one datagram; a transport would refuse or
+            # truncate this one, so it is loss — counted, never silent.
+            self.stats.frames_oversize += 1
+            if self.metrics is not None:
+                self.metrics.tx_oversize.inc()
+            return
         self.stats.messages_sent += 1
         self.stats.bytes_sent += len(data)
         if self.metrics is not None:
@@ -417,6 +435,11 @@ class NetNode:
 
     # -- inbound -------------------------------------------------------
 
+    def _reject_frame(self) -> None:
+        self.stats.frames_rejected += 1
+        if self.metrics is not None:
+            self.metrics.rx_rejected.inc()
+
     def datagram_received(self, data: bytes, address: Address) -> None:
         """Decode and route one inbound datagram; never raises on
         hostile input (malformed frames are counted and dropped)."""
@@ -424,9 +447,7 @@ class NetNode:
         try:
             message = decode(data)
         except CodecError:
-            self.stats.frames_rejected += 1
-            if self.metrics is not None:
-                self.metrics.rx_rejected.inc()
+            self._reject_frame()
             return
         if isinstance(message, Join):
             if self.metrics is not None:
@@ -466,6 +487,9 @@ class NetNode:
         elif isinstance(message, Gossip):
             if self.metrics is not None:
                 self.metrics.rx("gossip")
+            if not _coverage_in_group(message.payload, self.config.group_size):
+                self._reject_frame()
+                return
             self.liveness.record_heard(message.src, self.tick_count)
             if not self.started:
                 self.stats.gossip_dropped_unstarted += 1
@@ -515,6 +539,22 @@ class NetNode:
         return self.process.terminated
 
 
+def _coverage_in_group(
+    payload: GossipValue | GossipBatch, group_size: int
+) -> bool:
+    """Whether every coverage mask in ``payload`` names ranks below
+    ``group_size`` only (a rank past the group is no member's vote)."""
+    if isinstance(payload, GossipValue):
+        entries: tuple = ((payload.key, payload.state),)
+    else:
+        entries = payload.entries
+    for __, state in entries:
+        bounds = state.members.bounds
+        if bounds and bounds[-1] >= group_size:
+            return False
+    return True
+
+
 def net_stats_record(nodes) -> dict:
     """Group-level liveness/codec accounting, JSON-ready.
 
@@ -530,6 +570,7 @@ def net_stats_record(nodes) -> dict:
             n.stats.datagrams_received for n in nodes
         ),
         "frames_rejected": sum(n.stats.frames_rejected for n in nodes),
+        "frames_oversize": sum(n.stats.frames_oversize for n in nodes),
         "joins_sent": sum(n.stats.joins_sent for n in nodes),
         "gossip_dropped_unstarted": sum(
             n.stats.gossip_dropped_unstarted for n in nodes

@@ -20,7 +20,7 @@ structured report naming the offending member, round and phase:
   claiming fewer is vote loss mislabeled as coverage.
 * **Mass conservation** — at every phase compose, the payload of
   sum-like aggregates is re-derived from the run's ground-truth votes
-  over exactly the state's membership mask (the flow-updating /
+  over exactly the members the state's mask covers (the flow-updating /
   mass-distribution correctness lens of Almeida et al.); a mismatch
   beyond float-fold tolerance means votes were altered, duplicated or
   fabricated in flight.
@@ -52,6 +52,7 @@ from repro.core.aggregates import (
     DoubleCountError,
 )
 from repro.core.gridbox import SubtreeId
+from repro.core.intervals import IntervalMask
 
 __all__ = [
     "SanitizerViolation",
@@ -140,8 +141,9 @@ class ForgedContribution(SanitizerError):
 # -- run-scoped state ---------------------------------------------------
 #: Ground truth of the current run: (votes, function), set by begin_run.
 _GROUND_TRUTH: tuple[Mapping[int, float], AggregateFunction] | None = None
-#: (member, round, phase) of the compose in progress, for merge reports.
-_COMPOSE_CONTEXT: tuple[int, int, int] | None = None
+#: (member, round, phase, slot -> member-id translation) of the compose
+#: in progress, for merge reports.
+_COMPOSE_CONTEXT: tuple[int, int, int, Callable | None] | None = None
 #: The run's :class:`~repro.chaos.adversary.TamperPlanner` (detection
 #: scoring ground truth), set by :func:`set_adversary`.
 _ADVERSARY: Any = None
@@ -248,11 +250,19 @@ def end_run() -> None:
 
 
 @contextmanager
-def composing(member: int, round_number: int, phase: int) -> Iterator[None]:
-    """Attribute merge-level violations to a member/round/phase."""
+def composing(
+    member: int, round_number: int, phase: int,
+    covered_ids: Callable[[IntervalMask], list[int]] | None = None,
+) -> Iterator[None]:
+    """Attribute merge-level violations to a member/round/phase.
+
+    ``covered_ids`` is the composing process's slot-to-member-id
+    translation (``AggregationProcess.covered_ids``), so a double count
+    is reported by member id; without it slots are reported as they are.
+    """
     global _COMPOSE_CONTEXT
     previous = _COMPOSE_CONTEXT
-    _COMPOSE_CONTEXT = (member, round_number, phase)
+    _COMPOSE_CONTEXT = (member, round_number, phase, covered_ids)
     try:
         yield
     finally:
@@ -260,7 +270,7 @@ def composing(member: int, round_number: int, phase: int) -> Iterator[None]:
 
 
 def _located(kind: str, detail: str) -> SanitizerViolation:
-    member, round_number, phase = _COMPOSE_CONTEXT or (None, None, None)
+    member, round_number, phase, __ = _COMPOSE_CONTEXT or (None,) * 4
     return SanitizerViolation(
         kind=kind, detail=detail, member=member, round=round_number,
         phase=phase,
@@ -291,9 +301,11 @@ def _on_merge(
     """Pre-merge invariant checks (installed as the aggregates hook)."""
     overlap = a.members & b.members
     if overlap:
+        covered_ids = _COMPOSE_CONTEXT[3] if _COMPOSE_CONTEXT else None
+        twice = sorted(covered_ids(overlap) if covered_ids else overlap)
         raise DoubleCountViolation(_located(
             "double-count",
-            f"{function.name}: members {sorted(overlap)[:5]} appear in "
+            f"{function.name}: members {twice[:5]} appear in "
             f"both merge operands — some vote would be counted twice "
             f"(Section 2 no-double-counting violation)",
         ))
@@ -309,9 +321,21 @@ def _on_merge(
 
 
 # -- compose/phase checks (called from the gossip protocol) -------------
+def _covered_ids(process, state: AggregateState) -> list[int]:
+    """Ids of the members ``state`` covers, translated by ``process``.
+
+    Masks hold vote slots; which member a slot stands for is the
+    protocol's choice (``AggregationProcess.covered_ids``: hierarchy
+    rank for hierarchical gossip, the id itself elsewhere — also the
+    fallback for stand-in processes that do not say).
+    """
+    covered_ids = getattr(process, "covered_ids", None)
+    return covered_ids(state.members) if covered_ids else list(state.members)
+
+
 def _expected_mass(
     function: AggregateFunction,
-    members: frozenset[int],
+    members: list[int],
     votes: Mapping[int, float],
 ):
     """Ground-truth payload for sum-like aggregates, else None."""
@@ -352,16 +376,17 @@ def check_compose(
     """
     member = process.node_id
     function: AggregateFunction = process.function
+    covered = _covered_ids(process, state)
     if _GROUND_TRUTH is not None:
         votes, __ = _GROUND_TRUTH
-        foreign = [m for m in sorted(state.members) if m not in votes]
+        foreign = sorted(m for m in covered if m not in votes)
     else:
         votes = None
         known = getattr(
             getattr(process, "assignment", None), "member_ids", None
         )
         foreign = (
-            [m for m in sorted(state.members) if m not in known]
+            sorted(m for m in covered if m not in known)
             if known is not None else []
         )
     if foreign:
@@ -376,7 +401,7 @@ def check_compose(
         ))
     if votes is None:
         return
-    expected = _expected_mass(function, state.members, votes)
+    expected = _expected_mass(function, covered, votes)
     if expected is not None and _mass_mismatch(expected, state.payload):
         raise SanitizerError(SanitizerViolation(
             kind="mass-conservation",
@@ -445,8 +470,9 @@ def _screen_violation(
         universe = getattr(
             getattr(process, "assignment", None), "member_ids", None
         )
+    covered = _covered_ids(process, state)
     if universe is not None:
-        foreign = [m for m in sorted(state.members) if m not in universe]
+        foreign = sorted(m for m in covered if m not in universe)
         if foreign:
             return ForgedContribution(SanitizerViolation(
                 kind="foreign-member",
@@ -458,8 +484,8 @@ def _screen_violation(
                 member=member, round=round_number, phase=phase,
             ))
     claimed = _claimed_members(process, key)
-    if claimed is not None and not state.members <= claimed:
-        extras = sorted(state.members - claimed)
+    if claimed is not None and not claimed.issuperset(covered):
+        extras = sorted(set(covered) - claimed)
         return DoubleCountViolation(SanitizerViolation(
             kind="double-count",
             detail=(
@@ -481,7 +507,7 @@ def _screen_violation(
             member=member, round=round_number, phase=phase,
         ))
     if votes is not None:
-        expected = _expected_mass(function, state.members, votes)
+        expected = _expected_mass(function, covered, votes)
         if expected is not None and _mass_mismatch(expected, state.payload):
             return ForgedContribution(SanitizerViolation(
                 kind="mass-conservation",

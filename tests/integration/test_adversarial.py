@@ -4,6 +4,7 @@ compilation of the new events, and the cross-baseline robustness
 matrix's determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -67,6 +68,14 @@ class TestDetectionOracle:
             assert error.violation.member is not None
             assert error.violation.round is not None
             assert error.violation.phase is not None
+            # Named by member id (masks hold hierarchy ranks): the
+            # victim is a genuine member other than the key it was
+            # re-filed under.
+            keyed, victim = re.search(
+                r"keyed (\d+) covers members \[(\d+)\]",
+                error.violation.detail,
+            ).groups()
+            assert keyed != victim and 0 <= int(victim) < 64
 
     def test_clean_run_same_seed_stays_silent(self):
         # The control arm arms the oracle (rate 0.0 keeps the screen on
@@ -104,6 +113,12 @@ class TestDetectionOracle:
             if error.violation.kind == "foreign-member"
         ]
         assert foreign
+        for error in foreign:
+            # Sybil identities are minted above the membership: 64 on.
+            (identity,) = re.search(
+                r"covers ids \[(\d+)\]", error.violation.detail
+            ).groups()
+            assert int(identity) >= 64
 
     def test_pow_throttles_but_never_weakens_detection(self):
         open_result = run_once(with_params(n=64, campaign="sybil-storm",

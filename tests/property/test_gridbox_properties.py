@@ -126,3 +126,44 @@ def test_topological_hash_prefix_refines(seed, k, digits):
 def test_fair_hash_box_always_in_range(member, salt, boxes):
     h = FairHash(salt=salt)
     assert 0 <= h.box_of(member, boxes) < boxes
+
+
+@given(
+    params=hierarchy_params,
+    salt=st.integers(0, 50),
+    member_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60)
+def test_hierarchy_rank_makes_every_subtree_one_interval(
+    params, salt, member_seed
+):
+    """Rank = position in (box address, member id) order: a bijection
+    onto ``range(n)`` under which any subtree, at any height, is one
+    contiguous rank range — what lets a coverage mask hold a complete
+    subtree as a single interval."""
+    n, k = params
+    n = min(n, 600)
+    h = GridBoxHierarchy(n, k)
+    # Sparse, unordered ids: rank must not lean on ids being dense.
+    ids = [(member_seed + 7919 * i) % 100_003 for i in range(n)]
+    assignment = GridAssignment(h, dict.fromkeys(ids), FairHash(salt=salt))
+    members = assignment.member_ids
+    by_rank = assignment.members_by_rank()
+    assert sorted(by_rank) == sorted(members)
+    assert list(by_rank) == sorted(
+        members, key=lambda m: (assignment.box_of(m), m)
+    )
+    for rank, member in enumerate(by_rank):
+        assert assignment.rank_of(member) == rank
+        assert assignment.member_at(rank) == member
+    for phase in range(1, h.num_phases + 1):
+        seen = 0
+        for member in members[:: max(1, len(members) // 7)]:
+            subtree = assignment.subtree_of(member, phase)
+            ranks = assignment.subtree_rank_range(subtree)
+            inside = assignment.members_in_subtree(subtree)
+            assert ranks.step == 1 and len(ranks) == len(inside)
+            assert sorted(map(assignment.rank_of, inside)) == list(ranks)
+            seen += 1
+        assert seen
+    assert assignment.subtree_rank_range(h.root()) == range(len(members))

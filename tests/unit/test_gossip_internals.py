@@ -7,7 +7,7 @@ drain, cascading advancement, and the global deadline arithmetic.
 
 import pytest
 
-from repro.core.aggregates import AverageAggregate
+from repro.core.aggregates import AggregateState, AverageAggregate
 from repro.core.gridbox import GridAssignment, GridBoxHierarchy, SubtreeId
 from repro.core.hashing import StaticHash
 from repro.core.hierarchical_gossip import (
@@ -24,6 +24,16 @@ F = AverageAggregate()
 def _assignment():
     hierarchy = GridBoxHierarchy(8, 2)
     return GridAssignment(hierarchy, VOTES, StaticHash(BOXES))
+
+
+def _over(*members):
+    """The aggregate of these members' votes as the protocol holds it:
+    each vote lifted at its owner's hierarchy rank, not its id."""
+    rank_of = _assignment().rank_of
+    return F.merge_all([
+        AggregateState(F.lift(m, VOTES[m]).payload, {rank_of(m)})
+        for m in members
+    ])
 
 
 def _process(member=7, **param_overrides):
@@ -69,7 +79,7 @@ class TestPeerSampling:
     def test_phase2_pool_is_height2_subtree(self):
         process = _process(7)
         process.phase = 2
-        process.known = {SubtreeId(2, 0): F.over({7: 7.0, 3: 3.0, 8: 8.0})}
+        process.known = {SubtreeId(2, 0): _over(7, 3, 8)}
         ctx = FakeCtx()
         for __ in range(80):
             process._gossip(ctx)
@@ -87,7 +97,7 @@ class TestPeerSampling:
 class TestBatching:
     def test_batch_carries_whole_known_below_cap(self):
         process = _process(7)
-        process.known[3] = F.lift(3, 3.0)
+        process.known[3] = _over(3)
         ctx = FakeCtx()
         process._gossip(ctx)
         __, payload = ctx.sent[0]
@@ -96,8 +106,8 @@ class TestBatching:
 
     def test_batch_capped_at_max_batch(self):
         process = _process(7, max_batch=1)
-        process.known[3] = F.lift(3, 3.0)
-        process.known[8] = F.lift(8, 8.0)
+        process.known[3] = _over(3)
+        process.known[8] = _over(8)
         ctx = FakeCtx()
         process._gossip(ctx)
         __, payload = ctx.sent[0]
@@ -122,14 +132,14 @@ class TestBuffering:
 
     def test_drain_on_advance(self):
         process = _process(7, early_bump=True)
-        future_state = F.over({6: 6.0, 5: 5.0})
+        future_state = _over(6, 5)
         process.on_message(
             None, self._msg(GossipValue(2, SubtreeId(2, 1), future_state))
         )
         assert SubtreeId(2, 1) in process._future[2]
         # complete phase 1
-        process.known[3] = F.lift(3, 3.0)
-        process.known[8] = F.lift(8, 8.0)
+        process.known[3] = _over(3)
+        process.known[8] = _over(8)
         ctx = FakeCtx()
         process.phase_rounds = 1
         process._maybe_advance(ctx)
@@ -138,31 +148,30 @@ class TestBuffering:
 
     def test_cascade_to_result_at_deadline(self):
         process = _process(7, early_bump=True)
-        process.known[3] = F.lift(3, 3.0)
-        process.known[8] = F.lift(8, 8.0)
+        process.known[3] = _over(3)
+        process.known[8] = _over(8)
         process.on_message(
             None,
-            self._msg(GossipValue(2, SubtreeId(2, 1), F.over({6: 6.0,
-                                                              5: 5.0}))),
+            self._msg(GossipValue(2, SubtreeId(2, 1), _over(6, 5))),
         )
         process.on_message(
             None,
-            self._msg(GossipValue(3, SubtreeId(1, 1), F.over({2: 2.0,
-                                                              4: 4.0,
-                                                              1: 1.0}))),
+            self._msg(GossipValue(3, SubtreeId(1, 1), _over(2, 4, 1))),
         )
         deadline = process.num_phases * process.rounds_per_phase
         ctx = FakeCtx(round_number=deadline)
         process.phase_rounds = 1
         process._maybe_advance(ctx)
         assert process.result is not None
-        assert process.result.members == frozenset(VOTES)
+        assert sorted(
+            process.covered_ids(process.result.members)
+        ) == sorted(VOTES)
         assert ctx.terminated
 
     def test_early_bump_blocked_without_full_coverage(self):
         process = _process(7, early_bump=True)
-        process.known[3] = F.lift(3, 3.0)
-        process.known[8] = F.lift(8, 8.0)
+        process.known[3] = _over(3)
+        process.known[8] = _over(8)
         ctx = FakeCtx()
         process.phase_rounds = 1
         process._maybe_advance(ctx)
@@ -170,7 +179,7 @@ class TestBuffering:
         # sibling 01 aggregate, but covering only one of its two members
         process.on_message(
             None, self._msg(GossipValue(2, SubtreeId(2, 1),
-                                        F.over({6: 6.0})))
+                                        _over(6)))
         )
         process._maybe_advance(ctx)
         assert process.phase == 2  # partial version: wait for timeout

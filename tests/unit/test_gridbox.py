@@ -173,6 +173,21 @@ class TestAssignment:
         assert a.has_member(7)
         assert not a.has_member(99)
 
+    def test_rank_is_box_address_then_member_id(self):
+        # Figure 1: box 00 = {3, 7, 8}, 01 = {5, 6}, 10 = {2, 4}, 11 = {1}.
+        h, a = self._figure1_assignment()
+        assert a.members_by_rank() == (3, 7, 8, 5, 6, 2, 4, 1)
+        assert [a.rank_of(m) for m in (3, 7, 8, 1)] == [0, 1, 2, 7]
+        assert a.member_at(3) == 5
+        assert a.subtree_rank_range(h.subtree_of(1, 1)) == range(3, 5)
+        assert a.subtree_rank_range(h.subtree_of(1, 2)) == range(0, 5)
+        assert a.subtree_rank_range(h.root()) == range(0, 8)
+        for rank in (-1, 8):
+            with pytest.raises(IndexError):
+                a.member_at(rank)
+        with pytest.raises(KeyError):
+            a.rank_of(99)
+
 
 class TestSubtreeId:
     def test_tuple_semantics(self):

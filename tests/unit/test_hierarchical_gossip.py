@@ -81,7 +81,12 @@ class TestLosslessCorrectness:
         for process in processes:
             assert process.result is not None
             assert function.finalize(process.result) == pytest.approx(expected)
-            assert process.result.members == frozenset(votes)
+            # Coverage is held in hierarchy-rank slots; Figure 1's ids
+            # are 1..8, so translate before comparing.
+            assert process.result.members == frozenset(range(len(votes)))
+            assert sorted(
+                process.covered_ids(process.result.members)
+            ) == sorted(votes)
 
     def test_exact_sum(self):
         votes, __, assignment = _figure1_world()
@@ -95,7 +100,9 @@ class TestLosslessCorrectness:
         params = GossipParams(batch_values=False, rounds_per_phase=12)
         processes, __ = _run(votes, function, assignment, params)
         for process in processes:
-            assert process.result.members == frozenset(votes)
+            assert sorted(
+                process.covered_ids(process.result.members)
+            ) == sorted(votes)
 
     def test_fair_hash_group(self):
         votes = {i: float(i % 5) for i in range(50)}
@@ -114,6 +121,14 @@ class TestLosslessCorrectness:
         expected = sum(votes.values()) / 50
         for process in processes:
             assert function.finalize(process.result) == pytest.approx(expected)
+            # Votes are lifted at hierarchy rank, so complete coverage —
+            # of the group, and of each subtree on the way up — is one
+            # interval however the hash scattered the ids.
+            assert process.slot == assignment.rank_of(process.node_id)
+            assert process.own_state().members.bounds == (
+                process.slot, process.slot,
+            )
+            assert process.result.members.bounds == (0, 49)
 
     def test_runs_finish_by_global_deadline(self):
         votes, function, assignment = _figure1_world()

@@ -109,7 +109,8 @@ class TestLoopbackFeed:
     def test_report_net_record_is_json_ready(self, loopback):
         __, report = loopback
         expected_keys = {
-            "datagrams_received", "frames_rejected", "joins_sent",
+            "datagrams_received", "frames_rejected", "frames_oversize",
+            "joins_sent",
             "gossip_dropped_unstarted", "sends_rejected", "pings_sent",
             "pongs_received", "mean_rtt_ticks", "suspected_peers",
         }

@@ -81,3 +81,32 @@ class TestMeasureCompleteness:
         report = measure_completeness(processes, group_size=2)
         assert report.mean_completeness == 1.0          # all survivors in
         assert report.mean_completeness_initial == 0.5  # dead vote missing
+
+    def test_interval_counting_equals_the_per_member_set_intersection(self):
+        """The prefix-sum count per coverage interval is the old
+        ``len(result.members & survivors)``, bit for bit — including
+        coverage past the last survivor (crashed or foreign slots) and
+        masks shredded into many intervals."""
+        import random
+
+        rng = random.Random(7)
+        size = 60
+        processes = []
+        for node_id in range(size):
+            covered = [m for m in range(size + 5) if rng.random() < 0.7]
+            processes.append(_process(
+                node_id, result_members=covered or [node_id],
+                alive=rng.random() < 0.8,
+            ))
+        processes[3].result = None
+        report = measure_completeness(processes, group_size=size)
+        survivors = {p.node_id for p in processes if p.alive}
+        assert report.survivors == len(survivors)
+        for process in processes:
+            if not process.alive or process.result is None:
+                assert process.node_id not in report.per_member
+                continue
+            expected = len(set(process.result.members) & survivors)
+            assert report.per_member[process.node_id] == (
+                expected / len(survivors)
+            )

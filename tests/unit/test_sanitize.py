@@ -132,52 +132,95 @@ class TestMergeChecks:
 
 
 class TestComposeChecks:
+    """Ground-truth checks, for both ways a protocol numbers its votes.
+
+    The ``ids`` world lifts a vote at its member id (baselines,
+    stand-ins); the ``ranks`` world is a real hierarchical-gossip member,
+    whose masks hold hierarchy ranks (here 3 -> 0, 1 -> 1, 2 -> 2) that
+    the sanitizer must translate back before consulting the votes.
+    """
+
     VOTES = {1: 1.0, 2: 2.0, 3: 4.0}
+
+    def _worlds(self):
+        """``(process factory, member ids -> mask slots)`` per world."""
+        yield _StubProcess, frozenset
+        assignment = GridAssignment(
+            GridBoxHierarchy(3, 2), self.VOTES,
+            StaticHash({3: 0, 1: 1, 2: 1}),
+        )
+        assert [assignment.rank_of(m) for m in (1, 2, 3)] == [1, 2, 0]
+
+        def process(node_id=1, function=None):
+            (member,) = build_hierarchical_gossip_group(
+                {node_id: self.VOTES[node_id]}, function, assignment,
+                GossipParams(fanout_m=1),
+            )
+            return member
+
+        yield process, lambda ids: {assignment.rank_of(m) for m in ids}
 
     def test_mass_conservation_catches_tampered_payload(
         self, clean_sanitizer
     ):
         function = SumAggregate()
         sanitize.begin_run(self.VOTES, function)
-        tampered = AggregateState(
-            payload=99.0, members=frozenset(self.VOTES)
-        )
-        with pytest.raises(sanitize.SanitizerError) as caught:
-            sanitize.check_compose(
-                _StubProcess(node_id=2, function=function), 4, 2, tampered
+        for process, slots in self._worlds():
+            tampered = AggregateState(
+                payload=99.0, members=slots(self.VOTES)
             )
-        violation = caught.value.violation
-        assert violation.kind == "mass-conservation"
-        assert (violation.member, violation.round, violation.phase) == (
-            2, 4, 2,
-        )
+            with pytest.raises(sanitize.SanitizerError) as caught:
+                sanitize.check_compose(
+                    process(node_id=2, function=function), 4, 2, tampered
+                )
+            violation = caught.value.violation
+            assert violation.kind == "mass-conservation"
+            assert (violation.member, violation.round, violation.phase) == (
+                2, 4, 2,
+            )
+            assert "ground-truth recomputation 7.0" in violation.detail
 
     def test_exact_mass_passes(self, clean_sanitizer):
         function = SumAggregate()
         sanitize.begin_run(self.VOTES, function)
-        good = AggregateState(payload=7.0, members=frozenset(self.VOTES))
-        sanitize.check_compose(_StubProcess(function=function), 0, 1, good)
+        for process, slots in self._worlds():
+            member = process(function=function)
+            good = AggregateState(payload=7.0, members=slots(self.VOTES))
+            sanitize.check_compose(member, 0, 1, good)
+            # A strict subset: right only if each slot finds its own vote.
+            part = AggregateState(payload=5.0, members=slots({3, 1}))
+            sanitize.check_compose(member, 0, 1, part)
+            wrong = AggregateState(payload=5.0, members=slots({3, 2}))
+            with pytest.raises(sanitize.SanitizerError) as caught:
+                sanitize.check_compose(member, 0, 1, wrong)
+            assert "recomputation 6.0" in caught.value.violation.detail
 
     def test_fold_order_float_drift_is_tolerated(self, clean_sanitizer):
         function = SumAggregate()
         sanitize.begin_run(self.VOTES, function)
-        drifted = AggregateState(
-            payload=7.0 * (1.0 + 1e-9), members=frozenset(self.VOTES)
-        )
-        sanitize.check_compose(_StubProcess(function=function), 0, 1, drifted)
+        for process, slots in self._worlds():
+            drifted = AggregateState(
+                payload=7.0 * (1.0 + 1e-9), members=slots(self.VOTES)
+            )
+            sanitize.check_compose(
+                process(function=function), 0, 1, drifted
+            )
 
     def test_foreign_member_is_rejected(self, clean_sanitizer):
+        """A Sybil identity sits above every slot in use and names
+        itself, whichever way the genuine votes are numbered."""
         function = SumAggregate()
         sanitize.begin_run(self.VOTES, function)
-        foreign = AggregateState(
-            payload=1.0, members=frozenset({1, 999})
-        )
-        with pytest.raises(sanitize.SanitizerError) as caught:
-            sanitize.check_compose(_StubProcess(function=function), 0, 1,
-                                   foreign)
-        violation = caught.value.violation
-        assert violation.kind == "foreign-member"
-        assert "999" in violation.detail
+        for process, slots in self._worlds():
+            foreign = AggregateState(
+                payload=1.0, members=slots({1}) | {999}
+            )
+            with pytest.raises(sanitize.SanitizerError) as caught:
+                sanitize.check_compose(process(function=function), 0, 1,
+                                       foreign)
+            violation = caught.value.violation
+            assert violation.kind == "foreign-member"
+            assert "ids [999]" in violation.detail
 
 
 class TestPhaseClock:
@@ -226,7 +269,7 @@ class TestPlantedDoubleCountInProtocol:
             # A buggy protocol implementation re-admitting its own vote
             # under a second key: classic double count.
             original_on_start(ctx)
-            target.known["planted"] = function.lift(7, votes[7])
+            target.known["planted"] = target.own_state()
 
         target.on_start = planted_on_start
         engine = SimulationEngine(
@@ -244,7 +287,10 @@ class TestPlantedDoubleCountInProtocol:
         assert violation.member in {3, 7, 8}
         assert violation.phase == 1
         assert violation.round is not None
-        assert "7" in violation.detail  # the double-counted member
+        # The double-counted member, by id: its vote sits at hierarchy
+        # rank 1 in the mask, and the report translates it back.
+        assert assignment.rank_of(7) == 1
+        assert "members [7]" in violation.detail
         assert f"member {violation.member}" in violation.report()
         assert "phase 1" in violation.report()
 
