@@ -32,6 +32,10 @@ Canonical workloads:
   it would measure a different regime.  Runs on the array-stepped
   engine (``engine="auto"``); the checksum pins bit-identity against
   the object-stepped history.
+* ``chaos_n1024``       — the four ``make chaos-smoke`` campaigns at
+  N=1024, 2 seeded runs per cell, ``jobs=1`` (full bench only): the
+  robustness harness with compact telemetry attached, i.e. the path
+  every ``repro chaos`` cell and ``collect_telemetry`` sweep takes.
 * ``n65536``            — one N=65536/K=8 run *to convergence* (full
   bench only): wall time, rounds, completeness and peak RSS of the
   regime the array-stepped engine and the interval masks exist for.
@@ -367,6 +371,41 @@ def bench_n65536() -> dict:
     }
 
 
+#: The ``make chaos-smoke`` campaign set.
+CHAOS_SMOKE_CAMPAIGNS = (
+    "paper-iid", "crash-storm", "rack-failure", "partition-heal",
+)
+
+
+def bench_chaos_n1024() -> dict:
+    """The chaos-smoke robustness matrix at N=1024, serial.
+
+    Full-bench only.  Every run carries compact telemetry (the harness
+    sets ``collect_telemetry``); the checksum is over the rendered
+    report, which is byte-deterministic per seed.
+    """
+    from repro.experiments.robustness import robustness_matrix
+
+    start = time.perf_counter()
+    report = robustness_matrix(
+        campaigns=CHAOS_SMOKE_CAMPAIGNS, ns=(1024,), runs=2, seed=0,
+        jobs=1,
+    )
+    seconds = time.perf_counter() - start
+    return {
+        "workload": "chaos_n1024",
+        "config": {"campaigns": list(CHAOS_SMOKE_CAMPAIGNS), "n": 1024,
+                   "k": 4, "fanout_m": 6, "runs_per_cell": 2, "seed": 0,
+                   "ucastl": 0.25, "pf": 0.001, "jobs": 1,
+                   "collect_telemetry": True},
+        "seconds": round(seconds, 3),
+        "bound_violations": len(report.violations),
+        "checksum": hashlib.sha256(
+            report.render().encode()
+        ).hexdigest()[:16],
+    }
+
+
 #: Rounds executed by the million-member smoke (enough to exercise the
 #: full send/deliver/advance block path — deliveries land from round 2
 #: — without running the whole protocol horizon).  The cap is no longer
@@ -484,6 +523,15 @@ def main(argv=None) -> int:
           f"checksum {entry['checksum']})", flush=True)
     entries.append(entry)
     if not args.quick:
+        # Before n65536: run after it in the same process this
+        # workload measured 12 s instead of 5-6 s (the heap that run
+        # leaves behind is billed to whatever follows).
+        print("[bench] chaos_n1024 robustness matrix ...", flush=True)
+        entry = bench_chaos_n1024()
+        print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "
+              f"{entry['bound_violations']} bound violation(s) "
+              f"(checksum {entry['checksum']})", flush=True)
+        entries.append(entry)
         print("[bench] n65536 to convergence ...", flush=True)
         entry = bench_n65536()
         print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "

@@ -154,7 +154,10 @@ def aggregate_once(
         build_hierarchical_gossip_group,
         get_aggregate,
     )
-    from repro.core.protocol import measure_completeness as _measure
+    from repro.core.protocol import (
+        measure_completeness as _measure,
+        measure_estimates,
+    )
     from repro.experiments import with_params
     from repro.experiments.runner import RunResult as _RunResult
     from repro.sim.engine import SimulationEngine
@@ -180,11 +183,9 @@ def aggregate_once(
     engine.run()
     report = _measure(processes, group_size=len(votes))
     true_value = function.finalize(function.over(votes))
-    errors = [
-        abs(function.finalize(process.result) - true_value)
-        for process in processes
-        if process.alive and process.result is not None
-    ]
+    mean_error, mean_coverage, __ = measure_estimates(
+        processes, report, true_value
+    )
     return _RunResult(
         config=with_params(
             n=len(votes), k=k, ucastl=ucastl, pf=pf, fanout_m=fanout_m,
@@ -197,6 +198,6 @@ def aggregate_once(
         bytes_sent=engine.network.stats.bytes_sent,
         crashes=engine.stats.crashes,
         true_value=true_value,
-        mean_estimate_error=(sum(errors) / len(errors)) if errors
-        else float("nan"),
+        mean_estimate_error=mean_error,
+        mean_coverage=mean_coverage,
     )

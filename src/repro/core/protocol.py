@@ -18,7 +18,12 @@ from repro.core.aggregates import AggregateFunction, AggregateState
 from repro.core.intervals import IntervalMask
 from repro.sim.engine import Process
 
-__all__ = ["AggregationProcess", "CompletenessReport", "measure_completeness"]
+__all__ = [
+    "AggregationProcess",
+    "CompletenessReport",
+    "measure_completeness",
+    "measure_estimates",
+]
 
 
 class AggregationProcess(Process):
@@ -175,3 +180,36 @@ def measure_completeness(
             included_survivors / len(alive_slots) if alive_slots else 0.0
         )
     return report
+
+
+def measure_estimates(
+    processes: list[AggregationProcess],
+    report: CompletenessReport,
+    true_value: float,
+) -> tuple[float, float, dict[int, float]]:
+    """Mean absolute error, mean coverage and per-member estimates.
+
+    All three are taken over exactly ``report.per_member``'s member set
+    (survivors that finalized), so they can never drift from the
+    survivor-relative completeness metric.  Coverage is the member's
+    self-assessed :attr:`~AggregationProcess.coverage_fraction`, falling
+    back to ``result.covers() / group_size`` for protocols that do not
+    self-assess.  Both means are ``nan`` when no member qualifies.
+    """
+    estimates: dict[int, float] = {}
+    coverages = []
+    for process in processes:
+        if process.node_id not in report.per_member:
+            continue
+        estimates[process.node_id] = process.function.finalize(
+            process.result
+        )
+        coverage = process.coverage_fraction
+        if coverage is None:
+            coverage = process.completeness(report.group_size)
+        coverages.append(coverage)
+    if not estimates:
+        return float("nan"), float("nan"), estimates
+    errors = [abs(value - true_value) for value in estimates.values()]
+    count = len(estimates)
+    return sum(errors) / count, sum(coverages) / count, estimates

@@ -70,7 +70,8 @@ class RunConfig:
     #: bump-up / timeout counters collected during the run and returned
     #: on ``RunResult.telemetry`` as a picklable summary — the flag (not
     #: an object) so it survives the ``ParallelRunner`` worker boundary.
-    #: Never changes results: telemetry draws no randomness.
+    #: Never changes results (telemetry draws no randomness) nor engine
+    #: selection (the compact shape attaches no tracer).
     collect_telemetry: bool = False
     #: Round-engine selection: ``"auto"`` uses the array-stepped engine
     #: when the configuration supports it (bit-identical results, much

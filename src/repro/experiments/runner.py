@@ -35,6 +35,7 @@ from repro.core.protocol import (
     AggregationProcess,
     CompletenessReport,
     measure_completeness,
+    measure_estimates,
 )
 from repro.experiments.params import RunConfig
 from repro.obs.export import run_result_record
@@ -274,14 +275,15 @@ def _array_engine_reason(
 
     The array engine is bit-identical to the object engine on supported
     configurations (the cross-engine golden suite pins it), so "auto"
-    selection never changes results — only speed.
+    selection never changes results — only speed.  The only telemetry
+    that matters here is a :class:`~repro.sim.trace.Tracer`: its stored
+    per-message events exist only under per-message dispatch.  Compact
+    telemetry, round metrics and phase sinks run on either engine.
     """
     if config.protocol != "hierarchical_gossip":
         return f"protocol {config.protocol!r} has no array stepper"
-    if telemetry is not None and (
-        telemetry.tracer is not None or telemetry.metrics is not None
-    ):
-        return "message tracing / round metrics need per-message dispatch"
+    if telemetry is not None and telemetry.tracer is not None:
+        return "a tracer that stores engine events needs per-message dispatch"
     from repro.core.array_stepper import unsupported_reason
 
     return unsupported_reason(processes[0].params)
@@ -309,24 +311,23 @@ def _make_engine(
     )
     if choice == "array" and reason is not None:
         raise ValueError(f"engine='array' is unsupported here: {reason}")
+    common = dict(
+        network=network,
+        failure_model=failure_model,
+        rngs=rngs,
+        max_rounds=max_rounds,
+        metrics=telemetry.metrics if telemetry is not None else None,
+    )
     if reason is None:
         from repro.core.array_stepper import HierarchicalArrayStepper
         from repro.sim.array_engine import ArraySteppedEngine
 
         return ArraySteppedEngine(
-            stepper=HierarchicalArrayStepper(),
-            network=network,
-            failure_model=failure_model,
-            rngs=rngs,
-            max_rounds=max_rounds,
+            stepper=HierarchicalArrayStepper(), **common
         )
     return SimulationEngine(
-        network=network,
-        failure_model=failure_model,
-        rngs=rngs,
-        max_rounds=max_rounds,
         tracer=telemetry.tracer if telemetry is not None else None,
-        metrics=telemetry.metrics if telemetry is not None else None,
+        **common,
     )
 
 
@@ -348,9 +349,10 @@ def run_once(
     ``telemetry`` attaches a :class:`~repro.obs.telemetry.RunTelemetry`
     to the run: the engine gets its tracer/metrics, hierarchical-gossip
     processes its phase sink, and :meth:`RunTelemetry.finish` is called
-    with the run's identity so the trace can be exported self-contained.
-    When ``None`` but ``config.collect_telemetry`` is set, a compact
-    (counters-only) telemetry is attached instead — that path works
+    with the finished engine and the run's identity so the trace can be
+    exported self-contained.  When ``None`` but
+    ``config.collect_telemetry`` is set, a compact telemetry (phase
+    counters only, no tracer) is attached instead — that path works
     inside ``ParallelRunner`` workers, with the summary pickled back on
     ``RunResult.telemetry``.  Either way the aggregation results are
     byte-identical to an untelemetered run (golden-tested).
@@ -456,27 +458,14 @@ def _run_built(
             sanitize.clear_adversary()
     with telemetry.profile("measure") if telemetry is not None else nullcontext():
         report = measure_completeness(processes, group_size=config.n)
-        # Error is averaged over report.per_member's member set so the
-        # two survivor-relative metrics can never drift apart (see
-        # RunResult).
-        measured = report.per_member.keys()
-        errors = []
-        coverages = []
-        for process in processes:
-            if process.node_id not in measured:
-                continue
-            errors.append(
-                abs(process.function.finalize(process.result) - true_value)
-            )
-            coverage = getattr(process, "coverage_fraction", None)
-            if coverage is None:
-                coverage = process.result.covers() / config.n
-            coverages.append(coverage)
+        mean_error, mean_coverage, __ = measure_estimates(
+            processes, report, true_value
+        )
     summary: TelemetrySummary | None = None
     if telemetry is not None:
         telemetry.finish(
             config=config,
-            rounds=engine.stats.rounds_executed,
+            engine=engine,
             assignment=getattr(processes[0], "assignment", None),
         )
         if telemetry.attach_summary:
@@ -490,12 +479,10 @@ def _run_built(
         bytes_sent=network.stats.bytes_sent,
         crashes=engine.stats.crashes,
         true_value=true_value,
-        mean_estimate_error=(sum(errors) / len(errors)) if errors else
-        float("nan"),
+        mean_estimate_error=mean_error,
         recoveries=engine.stats.recoveries,
         messages_rejected=network.stats.rejected_bandwidth,
-        mean_coverage=(sum(coverages) / len(coverages)) if coverages else
-        float("nan"),
+        mean_coverage=mean_coverage,
         telemetry=summary,
         adversarial=planner.summary if planner is not None else None,
     )

@@ -29,8 +29,9 @@ from repro.core.hierarchical_gossip import (
     GossipParams,
     build_hierarchical_gossip_group,
 )
-from repro.core.observe import PhaseEvent, PhaseSink
-from repro.core.protocol import measure_completeness
+from repro.core.observe import PhaseSink
+from repro.core.protocol import measure_completeness, measure_estimates
+from repro.obs.metrics import TeePhaseSink
 from repro.obs.phase import PhaseTrace
 from repro.sim.engine import SimulationEngine
 from repro.sim.failures import CrashWithoutRecovery, NoFailures
@@ -84,17 +85,6 @@ class EpochResult:
     @property
     def estimate_error(self) -> float:
         return abs(self.mean_estimate - self.true_value)
-
-
-class _TeeSink(PhaseSink):
-    """Forward every phase event to several sinks (internal + caller's)."""
-
-    def __init__(self, *sinks: PhaseSink):
-        self.sinks = sinks
-
-    def emit(self, event: PhaseEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
 
 
 class MonitoringSession:
@@ -167,7 +157,8 @@ class MonitoringSession:
         params = GossipParams(rounds_factor_c=self.rounds_factor_c)
         counts = PhaseTrace(store_events=False)
         sink: PhaseSink = (
-            counts if phase_sink is None else _TeeSink(counts, phase_sink)
+            counts if phase_sink is None
+            else TeePhaseSink(counts, phase_sink)
         )
         processes = build_hierarchical_gossip_group(
             votes, self.function, assignment, params, phase_sink=sink
@@ -200,11 +191,8 @@ class MonitoringSession:
 
         report = measure_completeness(processes, group_size=len(votes))
         true_value = self.function.finalize(self.function.over(votes))
-        estimates = [
-            self.function.finalize(p.result)
-            for p in processes
-            if p.alive and p.result is not None
-        ]
+        __, __, by_member = measure_estimates(processes, report, true_value)
+        estimates = list(by_member.values())
         mean_estimate = (
             sum(estimates) / len(estimates) if estimates else float("nan")
         )

@@ -26,7 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.aggregates import get_aggregate
-from repro.core.protocol import CompletenessReport, measure_completeness
+from repro.core.protocol import (
+    CompletenessReport,
+    measure_completeness,
+    measure_estimates,
+)
 from repro.net.bootstrap import Address
 from repro.net.node import (
     NetNode,
@@ -176,20 +180,9 @@ def run_loopback_group(
     function = get_aggregate(aggregate)
     votes = make_votes(nodes[0].config)
     true_value = function.finalize(function.over(votes))
-    measured = report.per_member.keys()
-    errors = []
-    coverages = []
-    estimates: dict[int, float] = {}
-    for process in processes:
-        if process.node_id not in measured:
-            continue
-        estimate = process.function.finalize(process.result)
-        estimates[process.node_id] = estimate
-        errors.append(abs(estimate - true_value))
-        coverage = getattr(process, "coverage_fraction", None)
-        if coverage is None:
-            coverage = process.result.covers() / group_size
-        coverages.append(coverage)
+    mean_error, mean_coverage, estimates = measure_estimates(
+        processes, report, true_value
+    )
     return NetRunReport(
         config=NetRunConfigView(
             protocol="hierarchical_gossip",
@@ -208,10 +201,8 @@ def run_loopback_group(
         bytes_sent=sum(n.stats.bytes_sent for n in nodes),
         crashes=0,
         true_value=true_value,
-        mean_estimate_error=(sum(errors) / len(errors)) if errors else
-        float("nan"),
-        mean_coverage=(sum(coverages) / len(coverages)) if coverages else
-        float("nan"),
+        mean_estimate_error=mean_error,
+        mean_coverage=mean_coverage,
         messages_rejected=sum(n.stats.sends_rejected for n in nodes),
         estimates=estimates,
         converged=converged,

@@ -135,7 +135,7 @@ def _status_line(nodes: list[NetNode]) -> str:
 def _final_report(args: argparse.Namespace, nodes: list[NetNode]) -> dict:
     """A ``repro-run/1`` record for group mode (JSON output)."""
     from repro.core.aggregates import get_aggregate
-    from repro.core.protocol import measure_completeness
+    from repro.core.protocol import measure_completeness, measure_estimates
     from repro.net.node import make_votes
     from repro.obs.export import run_result_record
 
@@ -144,17 +144,9 @@ def _final_report(args: argparse.Namespace, nodes: list[NetNode]) -> dict:
     function = get_aggregate(args.aggregate)
     votes = make_votes(nodes[0].config)
     true_value = function.finalize(function.over(votes))
-    errors = [
-        abs(p.function.finalize(p.result) - true_value)
-        for p in processes
-        if p.node_id in report.per_member
-    ]
-    coverages = [
-        p.coverage_fraction
-        for p in processes
-        if p.node_id in report.per_member
-        and p.coverage_fraction is not None
-    ]
+    mean_error, mean_coverage, __ = measure_estimates(
+        processes, report, true_value
+    )
     result = NetRunReport(
         config=NetRunConfigView(
             protocol="hierarchical_gossip",
@@ -173,10 +165,8 @@ def _final_report(args: argparse.Namespace, nodes: list[NetNode]) -> dict:
         bytes_sent=sum(n.stats.bytes_sent for n in nodes),
         crashes=0,
         true_value=true_value,
-        mean_estimate_error=(sum(errors) / len(errors)) if errors else
-        float("nan"),
-        mean_coverage=(sum(coverages) / len(coverages)) if coverages else
-        float("nan"),
+        mean_estimate_error=mean_error,
+        mean_coverage=mean_coverage,
         messages_rejected=sum(n.stats.sends_rejected for n in nodes),
         net=net_stats_record(nodes),
     )

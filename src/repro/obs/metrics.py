@@ -13,10 +13,9 @@ Both substrates feed one vocabulary:
 * the **simulator** through its existing hook points — a
   :class:`MetricsPhaseSink` behind the protocol's ``phase_sink``
   (teed next to :class:`~repro.obs.phase.PhaseTrace` by
-  :class:`~repro.obs.telemetry.RunTelemetry`), a
-  :class:`RegistryRoundMetrics` behind the engine's per-round
-  snapshots, and :func:`feed_run_record`/:func:`feed_summary` for
-  end-of-run totals.  Feeding draws no randomness and mutates no
+  :class:`~repro.obs.telemetry.RunTelemetry`), and
+  :func:`feed_run_record`/:func:`feed_round_samples`/
+  :func:`feed_summary` for end-of-run totals and round samples.  Feeding draws no randomness and mutates no
   simulation state, so a registry-enabled run stays byte-identical to
   a disabled one (golden-tested, exactly like traced-vs-untraced);
 * the **live runtime** (:mod:`repro.net.node`) through per-datagram
@@ -40,8 +39,8 @@ import math
 from bisect import bisect_left
 from typing import Any, Iterable
 
-from repro.core.observe import PhaseEvent, PhaseSink
-from repro.sim.metrics import RoundMetrics, RoundSample
+from repro.core.observe import PHASE_EVENT_KINDS, PhaseEvent, PhaseSink
+from repro.sim.metrics import RoundSample
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -52,7 +51,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsPhaseSink",
     "TeePhaseSink",
-    "RegistryRoundMetrics",
     "observe_phase_event",
     "observe_round",
     "feed_run_record",
@@ -485,23 +483,6 @@ class TeePhaseSink(PhaseSink):
             sink.emit(event)
 
 
-class RegistryRoundMetrics(RoundMetrics):
-    """A :class:`RoundMetrics` that streams each sample as it is taken.
-
-    Drop-in for the engine's ``metrics`` hook point: the sample list
-    stays identical to the plain collector's, and every snapshot also
-    updates the registry's live per-round gauges.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        super().__init__()
-        self.registry = registry
-
-    def snapshot(self, engine: Any) -> None:
-        super().snapshot(engine)
-        observe_round(self.registry, self.samples[-1])
-
-
 # -- end-of-run feeds --------------------------------------------------
 
 #: ``repro-run/1`` counter keys folded in by :func:`feed_run_record`.
@@ -568,10 +549,7 @@ def feed_summary(registry: MetricsRegistry, summary: Any) -> None:
         "Protocol phase events by kind",
         labelnames=("kind",),
     )
-    for kind in (
-        "phase_enter", "representative_elected", "subtree_complete",
-        "bump_up_early", "bump_up_timeout", "finalize",
-    ):
+    for kind in PHASE_EVENT_KINDS:
         count = getattr(summary, kind, 0)
         if count:
             events.labels(kind).inc(count)

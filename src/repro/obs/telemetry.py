@@ -10,13 +10,14 @@ into a run.  Two shapes:
 * **Full** (``RunTelemetry()``) — stores events for JSONL export
   (:mod:`repro.obs.export`), reports (:mod:`repro.obs.report`) and the
   ``repro trace`` CLI.
-* **Compact** (``RunTelemetry.compact()``) — counters only, no event
-  storage.  This is what ``RunConfig.collect_telemetry=True`` attaches
-  inside :class:`~repro.experiments.parallel.ParallelRunner` workers;
-  its :class:`TelemetrySummary` is a small frozen dataclass that pickles
+* **Compact** (``RunTelemetry.compact()``) — phase counters only: no
+  tracer, no round metrics, no event storage, so ``engine='auto'``
+  keeps the array-stepped engine when the protocol knobs allow.  This
+  is what ``RunConfig.collect_telemetry=True`` attaches inside
+  :class:`~repro.experiments.parallel.ParallelRunner` workers; its
+  :class:`TelemetrySummary` is a small frozen dataclass that pickles
   back across the worker boundary, so sweeps and chaos campaigns can
-  aggregate phase/bump-up/timeout statistics instead of dropping worker
-  telemetry on the floor.
+  aggregate phase/bump-up/timeout statistics.
 * **Metrics-only** (``RunTelemetry.metrics_only(registry)``) — no
   tracer, no round metrics and no phase sink, just a
   :class:`~repro.obs.metrics.MetricsRegistry` fed from the end-of-run
@@ -30,6 +31,10 @@ into a run.  Two shapes:
   telemetry with ``registry`` set streams phase events into the
   registry live through the teed sink.
 
+The summary's engine totals (sends, deliveries, crashes, ...) are not
+counted by telemetry at all: :meth:`RunTelemetry.finish` reads them from
+the finished engine's own ``EngineStats`` / ``NetworkStats``.
+
 Neither shape draws randomness or mutates simulation state, so results
 are byte-identical with telemetry attached or not (golden-tested).
 Wall-clock profiling (:mod:`repro.obs.profiling`) is opt-in via the
@@ -42,11 +47,10 @@ import dataclasses
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 
-from repro.core.observe import PhaseSink
+from repro.core.observe import PHASE_EVENT_KINDS, PhaseSink
 from repro.obs.metrics import (
     MetricsPhaseSink,
     MetricsRegistry,
-    RegistryRoundMetrics,
     TeePhaseSink,
     feed_round_samples,
     feed_run_record,
@@ -83,7 +87,7 @@ class TelemetrySummary:
     phase_timeouts: tuple[tuple[int, int], ...] = ()
     phase_early: tuple[tuple[int, int], ...] = ()
     dropped_phase_events: int = 0
-    # -- engine events (see repro.sim.trace) ---------------------------
+    # -- engine totals, read from the engine's books at finish() -------
     sends: int = 0
     sends_lost: int = 0
     sends_rejected: int = 0
@@ -174,6 +178,8 @@ class RunTelemetry:
     config_record: dict | None = None
     result_record: dict | None = None
     rounds: int = 0
+    #: The summary's seven engine totals, read from the finished engine.
+    engine_totals: dict[str, int] = field(default_factory=dict, init=False)
     #: (group_size, k) of the Grid Box Hierarchy, when the protocol has
     #: one — lets the explain query reconstruct subtree membership.
     hierarchy: tuple[int, int] | None = None
@@ -185,13 +191,13 @@ class RunTelemetry:
     def compact(cls) -> "RunTelemetry":
         """Counters-only shape: cheap to run, cheap to pickle back.
 
-        No engine events or phase events are stored (counters keep
-        counting) and no per-round metrics samples are taken — exactly
-        what a ``ParallelRunner`` worker should pay for a sweep that
-        only wants aggregate statistics.
+        No tracer, no per-round metrics samples and no stored phase
+        events (phase counters keep counting) — exactly what a
+        ``ParallelRunner`` worker should pay for a sweep that only
+        wants aggregate statistics.
         """
         return cls(
-            tracer=Tracer(max_events=0),
+            tracer=None,
             metrics=None,
             phase_trace=PhaseTrace(store_events=False),
         )
@@ -240,15 +246,17 @@ class RunTelemetry:
         self,
         config=None,
         result_record: dict | None = None,
-        rounds: int | None = None,
+        engine=None,
         assignment=None,
     ) -> None:
         """Record the finished run's identity for exports and reports.
 
         ``config`` is any dataclass (``RunConfig`` in practice —
         duck-typed so this package never imports ``repro.experiments``);
-        ``assignment`` a :class:`~repro.core.gridbox.GridAssignment` or
-        ``None`` for protocols without a hierarchy.
+        ``engine`` the finished round engine, whose stats become the
+        summary's round and engine totals; ``assignment`` a
+        :class:`~repro.core.gridbox.GridAssignment` or ``None`` for
+        protocols without a hierarchy.
         """
         import repro.sanitize as sanitize
 
@@ -264,16 +272,22 @@ class RunTelemetry:
                 # Pure observation: the record is already final, so the
                 # feed can never change results (golden-tested).
                 feed_run_record(self.registry, result_record)
-                if self.metrics is not None and not isinstance(
-                    self.metrics, RegistryRoundMetrics
-                ):
-                    # A RegistryRoundMetrics already streamed its
-                    # samples live; replaying would double-count.
+                if self.metrics is not None:
                     feed_round_samples(
                         self.registry, self.metrics.samples
                     )
-        if rounds is not None:
-            self.rounds = rounds
+        if engine is not None:
+            stats, wire = engine.stats, engine.network.stats
+            self.rounds = stats.rounds_executed
+            self.engine_totals = {
+                "sends": wire.delivered_planned,
+                "sends_lost": wire.dropped,
+                "sends_rejected": wire.rejected_bandwidth,
+                "delivers": stats.messages_delivered,
+                "crashes": stats.crashes,
+                "recoveries": stats.recoveries,
+                "terminates": engine.terminated_count,
+            }
         if assignment is not None:
             hierarchy = assignment.hierarchy
             self.hierarchy = (hierarchy.group_size, hierarchy.k)
@@ -286,29 +300,16 @@ class RunTelemetry:
     def summary(self) -> TelemetrySummary:
         """The compact picklable aggregate of this run."""
         phase = self.phase_trace
-        engine = self.tracer.counts if self.tracer is not None else {}
         return TelemetrySummary(
             runs=1,
             rounds=self.rounds,
-            phase_enter=phase.counts.get("phase_enter", 0),
-            representative_elected=phase.counts.get(
-                "representative_elected", 0
-            ),
-            subtree_complete=phase.counts.get("subtree_complete", 0),
-            bump_up_early=phase.counts.get("bump_up_early", 0),
-            bump_up_timeout=phase.counts.get("bump_up_timeout", 0),
-            finalize=phase.counts.get("finalize", 0),
+            **{kind: phase.counts.get(kind, 0)
+               for kind in PHASE_EVENT_KINDS},
             incomplete_finalizes=phase.incomplete_finalizes,
             phase_timeouts=tuple(sorted(phase.phase_timeouts.items())),
             phase_early=tuple(sorted(phase.phase_early.items())),
             dropped_phase_events=phase.dropped_events,
-            sends=engine.get("send", 0),
-            sends_lost=engine.get("send_lost", 0),
-            sends_rejected=engine.get("send_rejected", 0),
-            delivers=engine.get("deliver", 0),
-            crashes=engine.get("crash", 0),
-            recoveries=engine.get("recover", 0),
-            terminates=engine.get("terminate", 0),
+            **self.engine_totals,
             dropped_engine_events=(
                 self.tracer.dropped_events
                 if self.tracer is not None else 0

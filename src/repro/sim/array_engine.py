@@ -58,9 +58,9 @@ class ArraySteppedEngine(SimulationEngine):
     ``stepper`` drives the per-round protocol step (sends + phase
     advances) over all members at once; everything else — failure
     application, round bus, termination bookkeeping, ``run()`` — is the
-    base engine's.  Tracing is unsupported (the block paths do not emit
-    per-message trace events); attach a tracer to the object-stepped
-    engine instead.
+    base engine's, round ``metrics`` included.  Tracing is unsupported
+    (the block paths do not emit per-message trace events); attach a
+    tracer to the object-stepped engine instead.
     """
 
     def __init__(self, stepper: Any, **kwargs):
@@ -180,19 +180,10 @@ class ArraySteppedEngine(SimulationEngine):
         """
         if len(src_ids) == 0:
             return
-        rejected_before = self.network.stats.rejected_bandwidth
         planned = self.network.plan_delivery_block(
             src_ids, dest_ids, sizes, slots, self.round, self.rngs
         )
-        # Bandwidth-cap rejections are decided (and counted into the
-        # network stats) during planning on both branches below; mirror
-        # the delta into the engine stats so object/array runs report
-        # identical ``sends_rejected`` (the object path counts in
-        # ``_submit``).
         if planned is not None:
-            self.stats.sends_rejected += (
-                self.network.stats.rejected_bandwidth - rejected_before
-            )
             delivered, delivery_round = planned
             if delivered.any():
                 if delivery_round > self.round + 1:
@@ -217,10 +208,7 @@ class ArraySteppedEngine(SimulationEngine):
                 size=size, sent_round=self.round,
             )
             outcome = network.plan_delivery(message, rngs)
-            if outcome is Network.REJECTED:
-                self.stats.sends_rejected += 1
-                continue
-            if outcome is None:
+            if outcome is None or outcome is Network.REJECTED:
                 continue
             bucket = per_round.get(outcome)
             if bucket is None:

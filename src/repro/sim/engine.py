@@ -85,11 +85,6 @@ class EngineStats:
     messages_delivered: int = 0
     crashes: int = 0
     recoveries: int = 0
-    #: Sends refused outright by the sender's per-round bandwidth cap
-    #: (``Context.send`` returned False).  Kept here as well as in
-    #: ``NetworkStats.rejected_bandwidth`` so a capped sender is visible
-    #: in run-level accounting even when callers drop the bool.
-    sends_rejected: int = 0
 
 
 class Context:
@@ -252,7 +247,7 @@ class SimulationEngine:
                           sent_round=self.round)
         delivery_round = self.network.plan_delivery(message, self.rngs)
         if delivery_round is Network.REJECTED:
-            self.stats.sends_rejected += 1
+            # Counted by the network (``NetworkStats.rejected_bandwidth``).
             self._trace("send_rejected", src, dest)
             return False
         if delivery_round is not None:

@@ -8,7 +8,8 @@ and for the round-by-round summaries the examples print.
 
 Tracing is off by default and costs one predicate per event when on;
 ``max_events`` caps memory for long runs (counters keep counting after
-the cap).
+the cap).  Run-level totals do not need a tracer: the engine's
+``EngineStats`` and the network's ``NetworkStats`` already hold them.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class Tracer:
         self.predicate = predicate
         self.events: list[TraceEvent] = []
         self.counts: Counter = Counter()
-        #: Events past the cap.  ``max_events=0`` is the counters-only
-        #: shape (nothing was meant to be stored), so it stays 0 there.
+        #: Events past the cap.  ``max_events=0`` stores nothing by
+        #: request (counting only), so it stays 0 there.
         self.dropped_events = 0
 
     def record(self, event: TraceEvent) -> None:

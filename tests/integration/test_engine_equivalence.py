@@ -20,6 +20,7 @@ from repro.experiments.parallel import run_many
 from repro.experiments.params import with_params
 from repro.experiments.runner import run_once
 from repro.obs.export import run_result_record
+from repro.obs.telemetry import RunTelemetry
 
 
 def _records(config):
@@ -88,6 +89,40 @@ def test_equivalent_on_campaigns(campaign):
     _assert_identical(with_params(n=128, campaign=campaign, seed=0))
 
 
+@pytest.mark.parametrize("campaign", campaign_names())
+def test_equivalent_on_campaigns_with_compact_telemetry(campaign):
+    # Compact telemetry attaches no tracer, so the array engine takes
+    # it; the record compared includes the whole telemetry summary.
+    config = with_params(
+        n=128, campaign=campaign, seed=0, collect_telemetry=True
+    )
+    got = _records(config)
+    assert got["object"][0]["telemetry"] is not None
+    assert got["array"] == got["object"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(
+            with_params(n=200, k=8, pf=0.01, max_sends_per_round=1, seed=2),
+            id="bandwidth-capped",
+        ),
+        pytest.param(
+            with_params(n=128, partl=0.6, seed=0), id="partitioned"
+        ),
+    ],
+)
+def test_round_metrics_samples_identical(config):
+    samples = {}
+    for engine in ("object", "array"):
+        telemetry = RunTelemetry(tracer=None)
+        run_once(replace(config, engine=engine), telemetry=telemetry)
+        samples[engine] = telemetry.metrics.samples
+    assert len(samples["object"]) > 0
+    assert samples["array"] == samples["object"]
+
+
 def test_equivalent_across_job_counts():
     configs = [with_params(n=128, seed=seed) for seed in range(4)]
     serial = [run_result_record(r) for r in run_many(configs, jobs=1)]
@@ -114,6 +149,8 @@ def test_forced_array_engine_rejects_unsupported():
         run_once(with_params(n=64, engine="array", batch_values=False))
     with pytest.raises(ValueError, match="protocol"):
         run_once(with_params(n=64, engine="array", protocol="flood"))
+    with pytest.raises(ValueError, match="stores engine events"):
+        run_once(with_params(n=64, engine="array"), telemetry=RunTelemetry())
 
 
 def test_auto_falls_back_silently_on_unsupported():

@@ -3,10 +3,10 @@
 Regression for the silent-rejection bug: ``Context.send`` returning
 False (per-round bandwidth cap) used to vanish — no engine counter, no
 metrics row, no trace report line — so a capped run looked merely
-lossy.  Now the engine counts ``sends_rejected``, per-round metrics
-carry ``messages_rejected``, RunResult/repro-run/1 export it, and the
-phase report names the cap; the object and array engines must agree
-exactly.
+lossy.  Now the network counts ``rejected_bandwidth`` (the one counter:
+the engine keeps no copy), per-round metrics carry
+``messages_rejected``, RunResult/repro-run/1 export it, and the phase
+report names the cap; the object and array engines must agree exactly.
 """
 
 import math
@@ -49,7 +49,7 @@ class TestRejectionAccounting:
             object_result.completeness, array_result.completeness
         )
 
-    def test_engine_stats_mirror_network_stats(self):
+    def test_rejections_are_counted_once_by_the_network(self):
         from repro.sim.engine import SimulationEngine
         from repro.sim.network import LossyNetwork
         from repro.sim.rng import RngRegistry
@@ -62,8 +62,8 @@ class TestRejectionAccounting:
             engine._submit(0, 3, "c", 1),
         ]
         assert submitted == [True, False, False]
-        assert engine.stats.sends_rejected == 2
         assert network.stats.rejected_bandwidth == 2
+        assert not hasattr(engine.stats, "sends_rejected")
 
 
 class TestRejectionSurfacing:

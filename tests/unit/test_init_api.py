@@ -45,3 +45,13 @@ class TestAggregateOnce:
         result = repro.aggregate_once({42: 3.0}, seed=0)
         assert result.completeness == 1.0
         assert result.true_value == 3.0
+
+    def test_record_carries_mean_coverage(self):
+        # Regression: aggregate_once used to leave mean_coverage at its
+        # nan default (JSON null) even at completeness 1.0.
+        from repro.obs.export import run_result_record
+
+        result = repro.aggregate_once({i: float(i) for i in range(64)})
+        assert result.completeness == 1.0
+        assert result.mean_coverage == 1.0
+        assert run_result_record(result)["mean_coverage"] == 1.0

@@ -21,7 +21,7 @@ from repro.obs.telemetry import (
     TelemetrySummary,
     merge_summaries,
 )
-from repro.sim.trace import TraceEvent, Tracer
+from repro.sim.trace import KINDS as TRACE_KINDS, TraceEvent, Tracer
 
 
 def _event(kind="phase_enter", member=0, round=0, phase=1, **kwargs):
@@ -181,9 +181,11 @@ class TestTelemetrySummary:
 class TestRunTelemetry:
     def test_compact_shape_stores_nothing(self):
         telemetry = RunTelemetry.compact()
-        assert telemetry.tracer.max_events == 0
+        assert telemetry.tracer is None
         assert telemetry.metrics is None
-        assert telemetry.phase_trace.max_events == 0
+        telemetry.phase_trace.emit(_event(kind="finalize"))
+        assert telemetry.phase_trace.events == []
+        assert telemetry.phase_trace.counts["finalize"] == 1
 
     def test_profile_is_noop_without_profiler(self):
         telemetry = RunTelemetry.compact()
@@ -191,15 +193,82 @@ class TestRunTelemetry:
             pass  # must not raise
 
     def test_summary_reflects_collected_events(self):
+        # Phase events are counted by the sink; the engine totals are
+        # read from the finished engine's own books.
+        from types import SimpleNamespace
+
+        from repro.sim.engine import EngineStats
+        from repro.sim.network import NetworkStats
+
         telemetry = RunTelemetry.compact()
         telemetry.phase_trace.emit(_event(kind="bump_up_timeout", phase=2))
-        telemetry.tracer.record(TraceEvent(0, "send", 0))
-        telemetry.rounds = 7
+        telemetry.finish(engine=SimpleNamespace(
+            stats=EngineStats(
+                rounds_executed=7, messages_delivered=3, crashes=1,
+                recoveries=1,
+            ),
+            network=SimpleNamespace(stats=NetworkStats(
+                sent=5, dropped=1, rejected_bandwidth=2,
+            )),
+            terminated_count=4,
+        ))
         summary = telemetry.summary()
         assert summary.bump_up_timeout == 1
         assert summary.phase_timeout_map() == {2: 1}
-        assert summary.sends == 1
         assert summary.rounds == 7
+        assert (summary.sends, summary.sends_lost, summary.sends_rejected,
+                summary.delivers, summary.crashes, summary.recoveries,
+                summary.terminates) == (4, 1, 2, 3, 1, 1, 4)
+
+    @pytest.mark.parametrize(
+        "overrides, exercised",
+        [
+            pytest.param(
+                dict(n=64, seed=2, pf=0.01, max_sends_per_round=1),
+                lambda result: result.telemetry.sends_rejected,
+                id="capped",
+            ),
+            pytest.param(
+                dict(n=128, seed=3, campaign="churn"),
+                lambda result: result.telemetry.recoveries,
+                id="churn",
+            ),
+            pytest.param(
+                dict(n=128, seed=0, campaign="tamper-forge"),
+                lambda result: result.adversarial.injected_total,
+                id="tamper",
+            ),
+        ],
+    )
+    def test_compact_summary_equals_full_run_summary(
+        self, overrides, exercised
+    ):
+        # The full run's tracer counts every engine event as it happens:
+        # that count is the oracle for the totals compact telemetry reads
+        # off the engine's books instead.
+        from repro.experiments.params import with_params
+        from repro.experiments.runner import run_once
+
+        full = RunTelemetry()
+        expected = run_once(with_params(**overrides), telemetry=full)
+        counted = full.tracer.counts
+        summary = expected.telemetry
+        assert (summary.dropped_engine_events,
+                summary.dropped_phase_events) == (0, 0)
+        assert {
+            "send": summary.sends,
+            "send_lost": summary.sends_lost,
+            "send_rejected": summary.sends_rejected,
+            "deliver": summary.delivers,
+            "crash": summary.crashes,
+            "recover": summary.recoveries,
+            "terminate": summary.terminates,
+        } == {kind: counted.get(kind, 0) for kind in TRACE_KINDS}
+        assert exercised(expected) > 0  # the config hits its counter
+        compact = run_once(
+            with_params(collect_telemetry=True, **overrides)
+        )
+        assert compact.telemetry == summary
 
     def test_finish_records_config_duck_typed(self):
         import dataclasses

@@ -7,6 +7,7 @@ from repro.core.protocol import (
     AggregationProcess,
     CompletenessReport,
     measure_completeness,
+    measure_estimates,
 )
 
 F = AverageAggregate()
@@ -110,3 +111,33 @@ class TestMeasureCompleteness:
             assert report.per_member[process.node_id] == (
                 expected / len(survivors)
             )
+
+
+class TestMeasureEstimates:
+    def test_means_cover_exactly_the_measured_member_set(self):
+        processes = [
+            _process(0, result_members=[0, 1]),
+            _process(1, result_members=[0, 1, 2, 3]),
+            _process(2, result_members=[2], alive=False),  # crashed
+            _process(3),                                    # unfinished
+        ]
+        processes[0].coverage_fraction = 0.75  # self-assessed
+        report = measure_completeness(processes, group_size=4)
+        error, coverage, estimates = measure_estimates(
+            processes, report, true_value=3.0
+        )
+        assert estimates == {0: 1.0, 1: 1.0}
+        assert error == 2.0
+        # member 1 did not self-assess: falls back to covers() / N = 1.0
+        assert coverage == pytest.approx((0.75 + 1.0) / 2)
+
+    def test_nobody_measured_is_nan(self):
+        import math
+
+        processes = [_process(0, alive=False), _process(1)]
+        report = measure_completeness(processes, group_size=2)
+        error, coverage, estimates = measure_estimates(
+            processes, report, true_value=1.0
+        )
+        assert math.isnan(error) and math.isnan(coverage)
+        assert estimates == {}
