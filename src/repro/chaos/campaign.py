@@ -89,8 +89,9 @@ class ChaosNetwork(Network):
     ``current_loss``, ``current_extra_latency`` and the active partition
     before each round's sends; between mutations the model behaves like
     :class:`~repro.sim.network.LossyNetwork` at ``base_loss``.  Latency
-    may vary mid-run, so :attr:`fixed_latency` is ``None`` and the engine
-    schedules deliveries on its heap (deterministic order regardless).
+    may vary mid-run, so :attr:`fixed_latency` is ``None``; it is still
+    uniform within a round, so send blocks plan as blocks, and arrival
+    order stays (delivery round, send order) as for every model.
     """
 
     def __init__(self, base_loss: float = 0.25, **kwargs):

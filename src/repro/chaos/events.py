@@ -193,9 +193,9 @@ class LatencyBurst(FaultEvent):
     """A window of added delivery latency (queueing spike).
 
     Messages *sent* during ``[start, stop)`` take ``extra_rounds``
-    additional rounds to deliver.  Latency varies mid-run, so a compiled
-    campaign network always uses the engine's heap scheduler (delivery
-    order is still deterministic).
+    additional rounds to deliver, so a message sent after the burst can
+    overtake one sent inside it; arrival order is (delivery round, send
+    order), as for every latency model.
     """
 
     start: float

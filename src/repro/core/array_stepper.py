@@ -36,9 +36,11 @@ The cross-engine golden suite pins all of this.
 
 Supported configurations — enforced by :meth:`bind` and summarized by
 :func:`unsupported_reason`: batch-mode hierarchical gossip without
-push-pull, with every member an active representative and without
-adaptive deadlines.  Everything else (networks, failure models, chaos
-campaigns, partial views, start waves, phase sinks) is supported.
+push-pull.  Everything else (networks, failure models, chaos campaigns,
+partial views, start waves, phase sinks, partial representation with
+final-phase retransmission, adaptive deadlines) is supported: the
+candidate set above is a superset of every timeout, extended or not,
+and ``_maybe_advance`` runs the real ``_maybe_extend``.
 """
 
 from __future__ import annotations
@@ -63,19 +65,13 @@ def unsupported_reason(params: GossipParams) -> str | None:
 
     ``None`` means supported.  Each unsupported knob changes what
     happens *inside* the round step in ways the batched path does not
-    replicate: single-value gossip draws per-destination values,
-    push-pull sends from inside message delivery, partial
-    representation skips senders phase-dependently, and adaptive
-    deadlines make phase timeouts state-dependent.
+    replicate: single-value gossip draws per-destination values, and
+    push-pull sends from inside message delivery.
     """
     if not params.batch_values:
         return "single-value gossip (batch_values=False)"
     if params.push_pull:
         return "push-pull replies send during delivery"
-    if params.representative_fraction < 1.0:
-        return "partial representation (representative_fraction < 1)"
-    if params.adaptive_deadlines:
-        return "adaptive deadlines make timeouts state-dependent"
     return None
 
 
@@ -131,6 +127,11 @@ class HierarchicalArrayStepper:
         self._spread = bool((self._start > 0).any())
         self._started = np.zeros(n, dtype=bool)
         self._cand = np.zeros(n, dtype=bool)
+        #: Per-row ``_is_representative()`` of the current phase, and the
+        #: final-phase rounds at which sidelined members send anyway.
+        self._all_rep = first.params.representative_fraction >= 1.0
+        self._is_rep = np.ones(n, dtype=bool)
+        self._retransmit_rounds = sorted(first._retransmit_rounds)
         #: Rows whose cached payload is stale (known changed, phase
         #: changed, or the member is over the batch cap and redraws a
         #: subset every round).
@@ -188,6 +189,7 @@ class HierarchicalArrayStepper:
             self._pool_size[row] = len(pool) - 1
         self._phase[row] = proc.phase
         self._phase_rounds[row] = proc.phase_rounds
+        self._is_rep[row] = proc._is_representative()
         self._needs_payload[row] = True
 
     # -- one round -------------------------------------------------------
@@ -204,7 +206,14 @@ class HierarchicalArrayStepper:
         if self._spread:
             stepped &= self._start <= round_number
         # ---- sends: member-major, picks in draw order ----------------
-        rows = np.flatnonzero(stepped & (self._pool_size >= 1))
+        senders = stepped & (self._pool_size >= 1)
+        if not self._all_rep:
+            # ``_gossip``'s gate: a representative, or ``_retransmit_due``.
+            senders &= self._is_rep | (
+                (self._phase >= self._num_phases)
+                & np.isin(self._phase_rounds, self._retransmit_rounds)
+            )
+        rows = np.flatnonzero(senders)
         if len(rows):
             pool_sizes = self._pool_size[rows]
             counts = np.minimum(self._fanout, pool_sizes)

@@ -259,11 +259,11 @@ class HierarchicalGossipProcess(AggregationProcess):
         #: Senders reuse one cached :class:`GossipBatch` object across
         #: rounds (and across their M gossipees), so a receiver sees the
         #: same object many times; re-absorbing it is a provable no-op
-        #: (see :meth:`on_message`), so it is skipped.  The dict *pins*
-        #: its payloads (values are the objects themselves), which is
-        #: what makes the ``id`` key sound — a pinned object's id cannot
-        #: be recycled.  Cleared on every phase entry; capped so
-        #: adversarial single-value traffic cannot grow it unboundedly.
+        #: (see :meth:`absorb_payloads`), so it is skipped.  The dict
+        #: *pins* its payloads (values are the objects themselves),
+        #: which is what makes the ``id`` key sound — a pinned object's
+        #: id cannot be recycled.  Cleared on every phase entry; capped
+        #: so adversarial single-value traffic cannot grow it unboundedly.
         self._seen_payloads: dict[int, object] = {}
         #: (phase, verdict) memo for :meth:`_is_representative` — the
         #: role is stable for the whole phase, so hash it once.
@@ -496,74 +496,36 @@ class HierarchicalGossipProcess(AggregationProcess):
 
     def on_message(self, ctx: Context, message: Message) -> None:
         payload = message.payload
-        if self.result is not None:
-            return
-        if isinstance(payload, GossipValue):
-            entries: tuple = ((payload.key, payload.state),)
-            phase = payload.phase
-        elif isinstance(payload, GossipBatch):
-            entries = payload.entries
-            phase = payload.phase
-            if (
-                self.params.push_pull
-                and not payload.reply
-                and phase == self.phase
-                and self.known
-            ):
-                answer = GossipBatch(
-                    self.phase, self._batch_entries(None), reply=True
-                )
-                ctx.send(message.src, answer, size=answer.wire_size())
-        else:
-            return
-        if phase < self.phase:
-            return  # stale: that phase is already composed here
-        if phase == self.phase:
-            bucket = self.known
-            self._phase_received += 1
-        else:
-            bucket = self._future.setdefault(phase, {})
-        if isinstance(payload, GossipBatch):
-            # Absorbed-payload dedupe: the sender reuses one batch object
-            # while its ``known`` is unchanged, so the same object often
-            # arrives many times within a phase.  Re-absorbing it is a
-            # no-op — ``_accept`` keeps an existing entry unless the
-            # offered version *strictly* improves coverage, and an
-            # already-absorbed entry cannot improve on itself — so the
-            # entry loop is skipped.  ``_phase_received`` (above) still
-            # counts the delivery: it measures network health, not
-            # novelty.  This must run *after* the push-pull reply so a
-            # repeated request still pulls our state.
-            seen = self._seen_payloads
-            if seen.get(id(payload)) is payload:
-                return
-            if len(seen) < self._SEEN_CAP:
-                seen[id(payload)] = payload
-        screen = sanitize.SCREEN
-        for key, state in entries:
-            if screen is not None and not screen(
-                self, ctx.round, phase, key, state
-            ):
-                continue  # quarantined: adversarial content detected
-            self._accept(bucket, key, state)
+        if (
+            self.params.push_pull
+            and self.result is None
+            and isinstance(payload, GossipBatch)
+            and not payload.reply
+            and payload.phase == self.phase
+            and self.known
+        ):
+            # Reply before absorbing, so a repeated (deduped) request
+            # still pulls our state.
+            answer = GossipBatch(
+                self.phase, self._batch_entries(None), reply=True
+            )
+            ctx.send(message.src, answer, size=answer.wire_size())
+        self.absorb_payloads((payload,), ctx.round)
 
     def absorb_payloads(
-        self, payloads: Iterable[object], round_number: int = 0
+        self, payloads: Iterable[object], round_number: int
     ) -> bool:
-        """Batched :meth:`on_message` over one round's arrived payloads.
+        """Admit arrived payloads (paper step II); True if ``known`` changed.
 
-        The array-stepped engine's merge entry point: applies each
-        payload exactly as a per-message ``on_message`` call would (same
-        stale / current / future routing, same dedupe, same
-        ``_phase_received`` accounting, same adversarial admission
-        screen — ``round_number`` is the engine round, for detection
-        attribution) and reports whether ``known`` changed — the
-        engine's advance-candidate signal.  Valid only
-        for push-free configurations (no push-pull replies are
-        generated here); the engine's fast-path gate guarantees that.
-        Phase advancement is *not* attempted — the engine drives
-        :meth:`_maybe_advance` in the round step, exactly like the
-        object-stepped engine does.
+        The one admission routine: :meth:`on_message` passes its single
+        payload, the array-stepped engine a receiver's whole round of
+        arrivals.  A past-phase payload is ignored (that phase is
+        already composed here), a future-phase one is buffered, and per
+        key the most-complete value wins (:meth:`_accept`) — after the
+        adversarial admission screen (``round_number``, the engine
+        round, attributes a detection).  The return value is the array
+        engine's advance-candidate signal; advancing is the round
+        step's job (:meth:`_maybe_advance`) on both engines.
         """
         if self.result is not None:
             return False
@@ -584,10 +546,16 @@ class HierarchicalGossipProcess(AggregationProcess):
                 continue
             if phase == my_phase:
                 bucket = self.known
+                # Counts the delivery even when deduped below: it
+                # measures network health, not novelty.
                 self._phase_received += 1
             else:
                 bucket = self._future.setdefault(phase, {})
             if isinstance(payload, GossipBatch):
+                # Dedupe (see ``_seen_payloads``): re-absorbing a
+                # batch is a no-op — ``_accept`` replaces an entry only
+                # for *strictly* better coverage, and an absorbed entry
+                # cannot improve on itself — so skip the entry loop.
                 if seen.get(id(payload)) is payload:
                     continue
                 if len(seen) < self._SEEN_CAP:

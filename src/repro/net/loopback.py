@@ -40,7 +40,12 @@ from repro.net.node import (
 )
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["NetRunConfigView", "NetRunReport", "run_loopback_group"]
+__all__ = [
+    "NetRunConfigView",
+    "NetRunReport",
+    "group_report",
+    "run_loopback_group",
+]
 
 
 @dataclass(frozen=True)
@@ -174,22 +179,31 @@ def run_loopback_group(
         ticks += 1
         if done:
             break
-    converged = all(node.terminated for node in nodes)
+    return group_report(nodes, ticks)
+
+
+def group_report(nodes: list[NetNode], ticks: int) -> NetRunReport:
+    """Measure a whole hosted group after ``ticks`` ticks.
+
+    The one report tail of the net runtime: the loopback harness and
+    ``repro serve --json`` both end here, so both speak ``repro-run/1``
+    with the same books.
+    """
+    config = nodes[0].config
     processes = [node.process for node in nodes]
-    report = measure_completeness(processes, group_size=group_size)
-    function = get_aggregate(aggregate)
-    votes = make_votes(nodes[0].config)
-    true_value = function.finalize(function.over(votes))
+    report = measure_completeness(processes, group_size=config.group_size)
+    function = get_aggregate(config.aggregate)
+    true_value = function.finalize(function.over(make_votes(config)))
     mean_error, mean_coverage, estimates = measure_estimates(
         processes, report, true_value
     )
     return NetRunReport(
         config=NetRunConfigView(
             protocol="hierarchical_gossip",
-            n=group_size,
-            k=k,
-            seed=seed,
-            aggregate=aggregate,
+            n=config.group_size,
+            k=config.k,
+            seed=config.seed,
+            aggregate=config.aggregate,
         ),
         report=report,
         rounds=ticks,
@@ -205,6 +219,6 @@ def run_loopback_group(
         mean_coverage=mean_coverage,
         messages_rejected=sum(n.stats.sends_rejected for n in nodes),
         estimates=estimates,
-        converged=converged,
+        converged=all(node.terminated for node in nodes),
         net=net_stats_record(nodes),
     )

@@ -478,10 +478,15 @@ class NetNode:
                     encode(Pong(src=self.config.node_id)), peer, "pong"
                 )
         elif isinstance(message, Pong):
+            counted = self.liveness.pongs_received
             rtt = self.liveness.record_pong(message.src, self.tick_count)
             if self.metrics is not None:
                 self.metrics.rx("pong")
-                self.metrics.pongs_received.inc()
+                # ``record_pong`` alone judges "a pong from a peer":
+                # the registry counts exactly what the run record does.
+                self.metrics.pongs_received.inc(
+                    self.liveness.pongs_received - counted
+                )
                 if rtt is not None:
                     self.metrics.ping_rtt.observe(rtt)
         elif isinstance(message, Gossip):

@@ -31,8 +31,8 @@ import sys
 from repro import shutdown
 from repro.net.clock import RoundTicker
 from repro.net.exposition import MetricsServer, start_metrics_server
-from repro.net.loopback import NetRunConfigView, NetRunReport
-from repro.net.node import NetNode, NodeConfig, net_stats_record
+from repro.net.loopback import group_report
+from repro.net.node import NetNode, NodeConfig
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["run_serve"]
@@ -132,45 +132,12 @@ def _status_line(nodes: list[NetNode]) -> str:
     )
 
 
-def _final_report(args: argparse.Namespace, nodes: list[NetNode]) -> dict:
+def _final_report(nodes: list[NetNode]) -> dict:
     """A ``repro-run/1`` record for group mode (JSON output)."""
-    from repro.core.aggregates import get_aggregate
-    from repro.core.protocol import measure_completeness, measure_estimates
-    from repro.net.node import make_votes
     from repro.obs.export import run_result_record
 
-    processes = [node.process for node in nodes]
-    report = measure_completeness(processes, group_size=args.members)
-    function = get_aggregate(args.aggregate)
-    votes = make_votes(nodes[0].config)
-    true_value = function.finalize(function.over(votes))
-    mean_error, mean_coverage, __ = measure_estimates(
-        processes, report, true_value
-    )
-    result = NetRunReport(
-        config=NetRunConfigView(
-            protocol="hierarchical_gossip",
-            n=args.members,
-            k=args.k,
-            seed=args.run_seed,
-            aggregate=args.aggregate,
-        ),
-        report=report,
-        rounds=max((node.tick_count for node in nodes), default=0),
-        messages_sent=sum(n.stats.messages_sent for n in nodes),
-        messages_dropped=sum(
-            n.stats.gossip_dropped_unstarted + n.stats.frames_rejected
-            for n in nodes
-        ),
-        bytes_sent=sum(n.stats.bytes_sent for n in nodes),
-        crashes=0,
-        true_value=true_value,
-        mean_estimate_error=mean_error,
-        mean_coverage=mean_coverage,
-        messages_rejected=sum(n.stats.sends_rejected for n in nodes),
-        net=net_stats_record(nodes),
-    )
-    return run_result_record(result)
+    ticks = max((node.tick_count for node in nodes), default=0)
+    return run_result_record(group_report(nodes, ticks))
 
 
 async def _serve(args: argparse.Namespace) -> int:
@@ -236,10 +203,10 @@ async def _serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         if args.json and args.node is None:
-            print(json.dumps(_final_report(args, nodes), sort_keys=True))
+            print(json.dumps(_final_report(nodes), sort_keys=True))
         return 0
     if args.json and args.node is None:
-        print(json.dumps(_final_report(args, nodes), sort_keys=True))
+        print(json.dumps(_final_report(nodes), sort_keys=True))
     else:
         for node in nodes:
             process = node.process

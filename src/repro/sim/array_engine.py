@@ -12,14 +12,17 @@ batched array paths:
   through :meth:`~repro.sim.network.Network.plan_delivery_block` — one
   vectorized loss/latency/bandwidth decision instead of one
   ``plan_delivery`` call per message.  Models that cannot block-plan
-  (per-message latency, opaque loss hooks) fall back to per-message
-  planning *in send order*, which consumes the loss stream identically.
-* **Deliveries** — pending messages are stored as per-round record
-  chunks (destination ids, sender rows, payload table) instead of a
-  heap; :meth:`_deliver_due` masks dead receivers, groups by receiver
-  with a stable sort, and applies each receiver's arrivals with one
-  batched merge call (``absorb_payloads``) instead of one ``on_message``
-  dispatch per message.
+  (per-message latency, opaque loss hooks) get the block submitted
+  through the base engine's scalar ``_submit``, *in send order*, which
+  consumes the loss stream identically.
+* **Deliveries** — a planned block is queued in the base engine's one
+  message store as a single record chunk (destination ids, sender rows,
+  payload table), in send order among the scalar messages the store
+  also holds (injections, per-message-planned sends);
+  :meth:`_deliver_due` masks a chunk's dead receivers, groups by
+  receiver with a stable sort, and applies each receiver's arrivals
+  with one ``absorb_payloads`` call — the admission routine
+  ``on_message`` itself runs — instead of one dispatch per message.
 
 **Equivalence contract** — for the protocol configurations the stepper
 accepts, a run on this engine is *bit-identical* to the object-stepped
@@ -47,7 +50,7 @@ from typing import Any
 import numpy as np
 
 from repro.sim.engine import Process, SimulationEngine
-from repro.sim.network import Message, Network
+from repro.sim.network import Message
 
 __all__ = ["ArraySteppedEngine"]
 
@@ -69,9 +72,6 @@ class ArraySteppedEngine(SimulationEngine):
                 "ArraySteppedEngine does not emit per-message traces; "
                 "use the object-stepped SimulationEngine for traced runs"
             )
-        # Keep stray scalar sends (none in supported configurations, but
-        # the Context.send path stays functional) on the base heap.
-        kwargs.setdefault("fifo_fast_path", False)
         super().__init__(**kwargs)
         self._stepper = stepper
         #: Members in registration order; ``row`` indexes these arrays.
@@ -82,8 +82,6 @@ class ArraySteppedEngine(SimulationEngine):
         self._dense_rows = False
         self._sorted_ids: np.ndarray | None = None
         self._id_order: np.ndarray | None = None
-        #: delivery round -> [(dest ids, sender rows, payload-by-row)].
-        self._pending: dict[int, list[tuple]] = {}
         #: Rows whose process state changed in this round's deliveries.
         self._changed_rows: list[int] = []
 
@@ -136,28 +134,11 @@ class ArraySteppedEngine(SimulationEngine):
         if self.terminated_rows is not None:
             self.terminated_rows[self._row_of(process.node_id)] = True
 
-    def _apply_failures(self) -> None:
-        # Same semantics as the base loop, with the per-round alive /
-        # crashed scans replaced by mask selections.  ``tolist`` hands
-        # the failure model plain Python ints (campaign models index and
-        # hash them).
-        if self.failure_model.is_null:
-            return
+    def _liveness_ids(self) -> tuple[list[int], list[int]]:
+        # Mask selections instead of two scans; ``tolist`` hands the
+        # failure model plain Python ints (campaign models hash them).
         alive = self.alive_rows
-        alive_ids = self.row_ids[alive].tolist()
-        crashed_ids = self.row_ids[~alive].tolist()
-        crashed, recovered = self.failure_model.step(
-            self.round, alive_ids, crashed_ids,
-            self.rngs.stream("failures"),
-        )
-        for node_id in sorted(crashed):
-            process = self.processes[node_id]
-            if process.alive:
-                self._crash(process)
-        for node_id in sorted(recovered):
-            process = self.processes[node_id]
-            if not process.alive:
-                self._recover(process)
+        return self.row_ids[alive].tolist(), self.row_ids[~alive].tolist()
 
     # -- batched transport ----------------------------------------------
     def submit_block(
@@ -183,109 +164,72 @@ class ArraySteppedEngine(SimulationEngine):
         planned = self.network.plan_delivery_block(
             src_ids, dest_ids, sizes, slots, self.round, self.rngs
         )
-        if planned is not None:
-            delivered, delivery_round = planned
-            if delivered.any():
-                if delivery_round > self.round + 1:
-                    payloads_by_row = list(payloads_by_row)
-                self._pending.setdefault(delivery_round, []).append(
-                    (dest_ids[delivered], src_rows[delivered],
-                     payloads_by_row)
-                )
+        if planned is None:
+            # Per-message models (jitter latency, opaque loss hooks):
+            # the base engine's scalar path, in send order — the loss
+            # stream is consumed exactly as the object engine would.
+            for src, dest, size, row in zip(
+                src_ids.tolist(), dest_ids.tolist(),
+                sizes.tolist(), src_rows.tolist(),
+            ):
+                self._submit(src, dest, payloads_by_row[row], size)
             return
-        # Per-message fallback (jitter latency, opaque loss hooks):
-        # plan in send order — the loss stream is consumed exactly as
-        # the object-stepped engine would.
-        network = self.network
-        rngs = self.rngs
-        per_round: dict[int, tuple[list[int], list[int]]] = {}
-        for src, dest, size, row in zip(
-            src_ids.tolist(), dest_ids.tolist(),
-            sizes.tolist(), src_rows.tolist(),
-        ):
-            message = Message(
-                src=src, dest=dest, payload=payloads_by_row[row],
-                size=size, sent_round=self.round,
-            )
-            outcome = network.plan_delivery(message, rngs)
-            if outcome is None or outcome is Network.REJECTED:
-                continue
-            bucket = per_round.get(outcome)
-            if bucket is None:
-                bucket = per_round[outcome] = ([], [])
-            bucket[0].append(dest)
-            bucket[1].append(row)
-        for delivery_round in sorted(per_round):
-            dests, rows = per_round[delivery_round]
-            table = payloads_by_row
+        delivered, delivery_round = planned
+        if delivered.any():
             if delivery_round > self.round + 1:
-                table = list(table)
-            self._pending.setdefault(delivery_round, []).append(
-                (np.array(dests, dtype=np.int64),
-                 np.array(rows, dtype=np.int64), table)
+                payloads_by_row = list(payloads_by_row)
+            self._enqueue(
+                delivery_round,
+                (dest_ids[delivered], src_rows[delivered], payloads_by_row),
             )
 
-    def _drain_injected(self) -> None:
-        """Queue injected messages as head-of-round delivery chunks.
-
-        The object engine enqueues injections before the round's genuine
-        sends; mirroring that here means prepend-by-construction — the
-        drain runs before ``stepper.step`` appends genuine chunks for the
-        same delivery round, so injected chunks sit first in the list and
-        are absorbed first.  Each injection becomes a singleton chunk (its
-        payload table is just ``[payload]`` indexed by pseudo-row 0).
-        """
-        for delivery_round, message in self.network.take_injected():
-            if delivery_round <= self.round:
-                raise ValueError(
-                    f"injected delivery round {delivery_round} is not in "
-                    f"the future (current round {self.round})"
-                )
-            self._pending.setdefault(delivery_round, []).append(
-                (np.array([message.dest], dtype=np.int64),
-                 np.array([0], dtype=np.int64), [message.payload])
-            )
+    def _receive(self, receiver: Process, message: Message) -> None:
+        # A scalar arrival (an injection, a per-message-planned send) is
+        # a one-payload block: same admission, same changed-row signal.
+        if receiver.absorb_payloads((message.payload,), self.round):
+            self._changed_rows.append(self._row_of(message.dest))
 
     def _deliver_due(self) -> None:
-        chunks = self._pending.pop(self.round, None)
-        if chunks:
-            alive = self.alive_rows
-            procs = self.row_procs
-            stats = self.stats
-            changed = self._changed_rows
-            for dest_ids, src_rows, payloads_by_row in chunks:
-                rows = self._rows_of(dest_ids)
-                mask = alive[rows]
-                if not mask.all():
-                    # Paper model: messages to crashed members vanish.
-                    rows = rows[mask]
-                    src_rows = src_rows[mask]
-                count = len(rows)
-                if count == 0:
-                    continue
-                stats.messages_delivered += count
-                # Group arrivals by receiver; the stable sort preserves
-                # each receiver's arrival (= send) order, which is all
-                # that per-message dispatch ordered (receivers never
-                # touch each other's state during delivery).
-                order = np.argsort(rows, kind="stable")
-                rows_sorted = rows[order]
-                src_list = src_rows[order].tolist()
-                starts = np.flatnonzero(
-                    np.r_[True, rows_sorted[1:] != rows_sorted[:-1]]
-                )
-                bounds = np.append(starts, count).tolist()
-                for i, start in enumerate(starts.tolist()):
-                    row = int(rows_sorted[start])
-                    payloads = [
-                        payloads_by_row[r]
-                        for r in src_list[start:bounds[i + 1]]
-                    ]
-                    if procs[row].absorb_payloads(payloads, self.round):
-                        changed.append(row)
-        # Stray scalar sends (Context.send outside the block path) live
-        # on the base heap; drain it too.  No-op when empty.
-        super()._deliver_due()
+        for item in self._pending.pop(self.round, ()):
+            if isinstance(item, Message):
+                self._dispatch(item)
+            else:
+                self._deliver_block(*item)
+
+    def _deliver_block(
+        self, dest_ids: np.ndarray, src_rows: np.ndarray,
+        payloads_by_row: list,
+    ) -> None:
+        rows = self._rows_of(dest_ids)
+        mask = self.alive_rows[rows]
+        if not mask.all():
+            # Paper model: messages to crashed members vanish.
+            rows = rows[mask]
+            src_rows = src_rows[mask]
+        count = len(rows)
+        if count == 0:
+            return
+        self.stats.messages_delivered += count
+        # Group arrivals by receiver; the stable sort preserves each
+        # receiver's arrival (= send) order, which is all that
+        # per-message dispatch ordered (receivers never touch each
+        # other's state during delivery).
+        order = np.argsort(rows, kind="stable")
+        rows_sorted = rows[order]
+        src_list = src_rows[order].tolist()
+        starts = np.flatnonzero(
+            np.r_[True, rows_sorted[1:] != rows_sorted[:-1]]
+        )
+        bounds = np.append(starts, count).tolist()
+        procs = self.row_procs
+        changed = self._changed_rows
+        for i, start in enumerate(starts.tolist()):
+            row = int(rows_sorted[start])
+            payloads = [
+                payloads_by_row[r] for r in src_list[start:bounds[i + 1]]
+            ]
+            if procs[row].absorb_payloads(payloads, self.round):
+                changed.append(row)
 
     def _step_processes(self) -> None:
         changed = self._changed_rows

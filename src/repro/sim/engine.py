@@ -9,6 +9,10 @@ engine reproduces that model:
   messages whose latency expires this round to live processes, and
   (3) lets every live, unterminated process take a step (``on_round``),
   during which it may send messages through the network model.
+* Messages in flight live in one store, ``_pending[delivery round]``,
+  appended in send order and popped whole when the round begins: under
+  every latency model arrivals are ordered by (delivery round, send
+  order).  Both round engines use it.
 * Message loss, latency, partitions and per-sender bandwidth caps are
   delegated to the :class:`~repro.sim.network.Network`.
 * Crash injection is delegated to a
@@ -26,7 +30,6 @@ message-level accounting trustworthy.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
@@ -160,7 +163,6 @@ class SimulationEngine:
         max_rounds: int = 100_000,
         tracer: Tracer | None = None,
         metrics: RoundMetrics | None = None,
-        fifo_fast_path: bool = True,
         round_bus: RoundBus | None = None,
     ):
         self.network = network
@@ -193,21 +195,14 @@ class SimulationEngine:
         #: the previous per-round ``list(...)`` copy); invalidated by
         #: add_process.
         self._round_order: tuple[Process, ...] | None = None
-        self._inbox: list[tuple[int, int, Message]] = []  # (round, seq, msg) heap
+        #: The one store of messages in flight: delivery round -> items
+        #: in send order.  A bucket is popped whole when its round
+        #: begins, so arrival order is (delivery round, send order) for
+        #: every latency model.
+        self._pending: dict[int, list] = {}
         self._seq = 0
         self._scheduled: list[tuple[int, int, Callable[[], None]]] = []
         self._ctx = Context(self)
-        # Constant-latency networks deliver in send order (the delivery
-        # round is the monotonic current round plus a constant), so a
-        # plain FIFO replaces the heap — same order, no log-N scheduling
-        # cost.  ``fifo_fast_path=False`` forces the heap (the
-        # determinism tests pin that both paths behave identically).
-        self._fifo: deque[tuple[int, Message]] | None = (
-            deque()
-            if fifo_fast_path
-            and getattr(network, "fixed_latency", None) is not None
-            else None
-        )
 
     # -- setup ---------------------------------------------------------
     def add_process(self, process: Process) -> None:
@@ -258,25 +253,14 @@ class SimulationEngine:
             self._trace("send_lost", src, dest)
         return True
 
-    def _enqueue(self, delivery_round: int, message: Message) -> None:
-        fifo = self._fifo
-        if fifo is not None:
-            if fifo and delivery_round < fifo[-1][0]:
-                # The network produced an out-of-order delivery round
-                # after all (a custom plan_delivery): migrate to the heap
-                # — appending in FIFO order with fresh sequence numbers
-                # preserves the delivery order exactly.
-                self._fifo = None
-                for queued_round, queued in fifo:
-                    self._seq += 1
-                    heapq.heappush(
-                        self._inbox, (queued_round, self._seq, queued)
-                    )
-            else:
-                fifo.append((delivery_round, message))
-                return
-        self._seq += 1
-        heapq.heappush(self._inbox, (delivery_round, self._seq, message))
+    def _enqueue(self, delivery_round: int, item: Any) -> None:
+        """Queue ``item`` (in send order) for the start of ``delivery_round``."""
+        if delivery_round <= self.round:
+            raise ValueError(
+                f"delivery round {delivery_round} is not in the future "
+                f"(current round {self.round})"
+            )
+        self._pending.setdefault(delivery_round, []).append(item)
 
     def _dispatch(self, message: Message) -> None:
         receiver = self.processes.get(message.dest)
@@ -285,6 +269,10 @@ class SimulationEngine:
         self.stats.messages_delivered += 1
         if self.tracer is not None:
             self._trace("deliver", message.dest, message.src)
+        self._receive(receiver, message)
+
+    def _receive(self, receiver: Process, message: Message) -> None:
+        """Hand one arrived message to its live receiver."""
         self._ctx.current = receiver
         receiver.on_message(self._ctx, message)
         self._ctx.current = None
@@ -299,33 +287,19 @@ class SimulationEngine:
         in both engines.
         """
         for delivery_round, message in self.network.take_injected():
-            if delivery_round <= self.round:
-                raise ValueError(
-                    f"injected delivery round {delivery_round} is not in "
-                    f"the future (current round {self.round})"
-                )
             self._enqueue(delivery_round, message)
 
     def _deliver_due(self) -> None:
-        current = self.round
-        # Re-read self._fifo each step: a send from inside on_message may
-        # migrate the queue to the heap mid-drain (see _enqueue).
-        while (fifo := self._fifo) is not None:
-            if not fifo or fifo[0][0] > current:
-                return
-            self._dispatch(fifo.popleft()[1])
-        while self._inbox and self._inbox[0][0] <= self.round:
-            __, __, message = heapq.heappop(self._inbox)
+        # A send from inside on_message lands in a later round's bucket
+        # (see _enqueue), never in the one being drained.
+        for message in self._pending.pop(self.round, ()):
             self._dispatch(message)
 
     def _apply_failures(self) -> None:
         if self.failure_model.is_null:
             return  # draws nothing, crashes nobody: skip the scans
-        alive_ids = [p.node_id for p in self.processes.values() if p.alive]
         crashed, recovered = self.failure_model.step(
-            self.round, alive_ids,
-            [p.node_id for p in self.processes.values() if not p.alive],
-            self.rngs.stream("failures"),
+            self.round, *self._liveness_ids(), self.rngs.stream("failures"),
         )
         # The failure model returns *sets*; apply them in sorted id order
         # so crash/recovery callbacks and trace events never depend on
@@ -338,6 +312,12 @@ class SimulationEngine:
             process = self.processes[node_id]
             if not process.alive:
                 self._recover(process)
+
+    def _liveness_ids(self) -> tuple[list[int], list[int]]:
+        """(alive ids, crashed ids) in registration order."""
+        processes = self.processes.values()
+        return ([p.node_id for p in processes if p.alive],
+                [p.node_id for p in processes if not p.alive])
 
     # -- liveness transition hooks (subclasses mirror them into their
     # own bookkeeping, e.g. the array engine's per-member masks) --------

@@ -158,9 +158,9 @@ class Network:
         """``latency_rounds`` when delivery delay is deterministic.
 
         ``None`` for models that override :meth:`latency` (jitter,
-        multihop): their delay varies per message.  A fixed latency lets
-        the engine schedule deliveries on a FIFO queue instead of a heap
-        — with monotonic send rounds, arrival order equals send order.
+        multihop): their delay varies per message.  A fixed latency is
+        what lets a whole send block share one delivery round (see
+        :meth:`block_latency_rounds`).
         """
         if type(self).latency is Network.latency:
             return self.latency_rounds

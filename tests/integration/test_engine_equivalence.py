@@ -41,6 +41,29 @@ def _assert_identical(config):
     assert got["array"] == got["object"]
 
 
+#: The hardening knobs the stepper runs as they are (no per-message
+#: engine needed): adaptive deadlines, partial representation.
+HARDENED_CONFIGS = [
+    pytest.param(
+        with_params(n=128, ucastl=0.6, adaptive_deadlines=True, seed=0),
+        id="adaptive",
+    ),
+    pytest.param(
+        with_params(n=128, representative_fraction=0.5, seed=1),
+        id="representatives-0.5",
+    ),
+    pytest.param(
+        with_params(n=256, representative_fraction=0.5, final_retransmit=2,
+                    view_size=50, seed=0),
+        id="representatives+final-retransmit+partial-views",
+    ),
+    pytest.param(
+        with_params(n=128, adaptive_deadlines=True, campaign="crash-storm",
+                    seed=0),
+        id="adaptive+crash-storm",
+    ),
+]
+
 BASIC_CONFIGS = [
     pytest.param(with_params(seed=seed), id=f"paper-defaults-seed{seed}")
     for seed in range(3)
@@ -69,7 +92,7 @@ BASIC_CONFIGS = [
     pytest.param(
         with_params(n=128, aggregate="min", seed=1), id="min-aggregate"
     ),
-]
+] + HARDENED_CONFIGS
 
 
 @pytest.mark.parametrize("config", BASIC_CONFIGS)
@@ -142,6 +165,30 @@ def test_equivalent_under_sanitizer():
     assert got["array"] == got["object"]
 
 
+@pytest.mark.parametrize("config", HARDENED_CONFIGS)
+def test_auto_runs_hardened_configs_on_the_array_engine(config, monkeypatch):
+    from repro.experiments import runner as runner_mod
+    from repro.sim.array_engine import ArraySteppedEngine
+    from repro.sim.engine import SimulationEngine
+
+    built = []
+    make_engine = runner_mod._make_engine
+
+    def recording(*args):
+        built.append(make_engine(*args))
+        return built[-1]
+
+    monkeypatch.setattr(runner_mod, "_make_engine", recording)
+    streams = {}
+    for engine in ("auto", "object"):
+        telemetry = RunTelemetry(tracer=None, metrics=None)
+        run_once(replace(config, engine=engine), telemetry=telemetry)
+        streams[engine] = telemetry.phase_trace.events
+    assert [type(e) for e in built] == [ArraySteppedEngine, SimulationEngine]
+    assert len(streams["object"]) > 0
+    assert streams["auto"] == streams["object"]  # whole phase-event stream
+
+
 def test_forced_array_engine_rejects_unsupported():
     with pytest.raises(ValueError, match="push-pull"):
         run_once(with_params(n=64, engine="array", push_pull=True))
@@ -163,8 +210,8 @@ def test_auto_falls_back_silently_on_unsupported():
 
 # -- phase-event byte-identity ------------------------------------------
 
-def _phase_events(config, engine):
-    """Run a manually assembled world, recording every phase event."""
+def _hand_built_run(config, engine, network=None):
+    """Run a manually assembled world; returns (phase events, books)."""
     from repro.core.observe import PhaseSink
     from repro.experiments import runner as runner_mod
     from repro.sim.rng import RngRegistry
@@ -180,7 +227,8 @@ def _phase_events(config, engine):
     processes, max_rounds = runner_mod._build_processes(
         config, votes, rngs, phase_sink=Recorder()
     )
-    network = runner_mod._make_network(config)
+    if network is None:
+        network = runner_mod._make_network(config)
     failure_model = runner_mod._make_failures(config)
     world = runner_mod._make_engine(
         replace(config, engine=engine), None, processes, network,
@@ -188,7 +236,11 @@ def _phase_events(config, engine):
     )
     world.add_processes(processes)
     world.run()
-    return events
+    books = (
+        world.stats, network.stats,
+        [(p.node_id, p.alive, p.result) for p in processes],
+    )
+    return events, books
 
 
 @pytest.mark.parametrize(
@@ -201,7 +253,28 @@ def _phase_events(config, engine):
     ],
 )
 def test_phase_event_streams_identical(config):
-    object_events = _phase_events(config, "object")
-    array_events = _phase_events(config, "array")
+    object_events, __ = _hand_built_run(config, "object")
+    array_events, __ = _hand_built_run(config, "array")
     assert len(object_events) > 0
     assert array_events == object_events
+
+
+def test_equivalent_on_jitter_network():
+    # Per-message latency cannot be block-planned: the array engine
+    # submits its send block through the scalar path, message by
+    # message, and must still match the object engine end to end.
+    from repro.sim.network import JitterNetwork
+
+    config = with_params(n=128, pf=0.002, seed=3)
+    runs = {
+        engine: _hand_built_run(
+            config, engine,
+            JitterNetwork(ucastl=0.2, mean_extra_latency=1.5,
+                          max_message_size=config.max_message_size),
+        )
+        for engine in ("object", "array")
+    }
+    events, (engine_stats, network_stats, members) = runs["object"]
+    assert len(events) > 0 and engine_stats.messages_delivered > 0
+    assert any(result is not None for __, __, result in members)
+    assert runs["array"] == runs["object"]

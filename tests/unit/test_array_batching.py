@@ -260,9 +260,10 @@ class TestArrayEngineGuards:
         assert "push-pull" in unsupported_reason(
             GossipParams(push_pull=True)
         )
-        assert "representation" in unsupported_reason(
-            GossipParams(representative_fraction=0.5)
-        )
-        assert "deadlines" in unsupported_reason(
+        # The hardening knobs run on the stepper as they are.
+        assert unsupported_reason(
             GossipParams(adaptive_deadlines=True)
-        )
+        ) is None
+        assert unsupported_reason(
+            GossipParams(representative_fraction=0.5, final_retransmit=2)
+        ) is None

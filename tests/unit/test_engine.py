@@ -108,6 +108,39 @@ class TestMessaging:
         stats = engine.run()
         assert stats.messages_delivered == 0
 
+    def test_injected_unknown_destination_vanishes_on_both_engines(self):
+        from repro.core.aggregates import AverageAggregate
+        from repro.core.array_stepper import HierarchicalArrayStepper
+        from repro.core.gridbox import GridAssignment, GridBoxHierarchy
+        from repro.core.hashing import FairHash
+        from repro.core.hierarchical_gossip import (
+            build_hierarchical_gossip_group,
+        )
+        from repro.sim.array_engine import ArraySteppedEngine
+        from repro.sim.network import Message
+
+        def delivered(engine_of, inject):
+            votes = {m: float(m) for m in range(16)}
+            network = LossyNetwork(ucastl=0.2, max_message_size=1 << 20)
+            engine = engine_of(network=network, rngs=RngRegistry(3))
+            engine.add_processes(build_hierarchical_gossip_group(
+                votes, AverageAggregate(),
+                GridAssignment(GridBoxHierarchy(16, 4), votes, FairHash()),
+            ))
+            if inject:
+                network.inject(2, Message(src=0, dest=1_000_000, payload=None))
+            return engine.run().messages_delivered
+
+        def array_engine(**kwargs):
+            return ArraySteppedEngine(
+                stepper=HierarchicalArrayStepper(), **kwargs
+            )
+
+        baseline = delivered(SimulationEngine, inject=False)
+        assert baseline > 0
+        assert delivered(SimulationEngine, inject=True) == baseline
+        assert delivered(array_engine, inject=True) == baseline
+
     def test_messages_to_crashed_member_vanish(self):
         engine = _engine(failures=ScheduledFailures(crash_at={0: [1]}))
         a, b = Echo(0, target=1, rounds=3), Echo(1, rounds=3)

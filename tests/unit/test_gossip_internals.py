@@ -134,7 +134,8 @@ class TestBuffering:
         process = _process(7, early_bump=True)
         future_state = _over(6, 5)
         process.on_message(
-            None, self._msg(GossipValue(2, SubtreeId(2, 1), future_state))
+            FakeCtx(),
+            self._msg(GossipValue(2, SubtreeId(2, 1), future_state)),
         )
         assert SubtreeId(2, 1) in process._future[2]
         # complete phase 1
@@ -151,11 +152,11 @@ class TestBuffering:
         process.known[3] = _over(3)
         process.known[8] = _over(8)
         process.on_message(
-            None,
+            FakeCtx(),
             self._msg(GossipValue(2, SubtreeId(2, 1), _over(6, 5))),
         )
         process.on_message(
-            None,
+            FakeCtx(),
             self._msg(GossipValue(3, SubtreeId(1, 1), _over(2, 4, 1))),
         )
         deadline = process.num_phases * process.rounds_per_phase
@@ -178,8 +179,7 @@ class TestBuffering:
         assert process.phase == 2
         # sibling 01 aggregate, but covering only one of its two members
         process.on_message(
-            None, self._msg(GossipValue(2, SubtreeId(2, 1),
-                                        _over(6)))
+            ctx, self._msg(GossipValue(2, SubtreeId(2, 1), _over(6)))
         )
         process._maybe_advance(ctx)
         assert process.phase == 2  # partial version: wait for timeout

@@ -17,6 +17,15 @@ from repro.sim.network import LossyNetwork, Network
 from repro.sim.rng import RngRegistry
 
 
+class _StubContext:
+    """What ``on_message`` needs of a context outside an engine."""
+
+    round = 0
+
+
+_CTX = _StubContext()
+
+
 def _figure1_world(function=None):
     """The paper's Figure 1 example: 8 members, K=2, fixed boxes."""
     function = function or AverageAggregate()
@@ -191,7 +200,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = stale
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert 3 not in process.known
 
     def test_future_phase_buffered(self):
@@ -203,7 +212,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = future
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert process._future[3][SubtreeId(1, 1)] is state
 
     def test_current_phase_accepted(self):
@@ -214,7 +223,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = GossipValue(1, 3, vote)
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert process.known[3] is vote
 
     def test_batch_accepted(self):
@@ -226,7 +235,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = batch
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert set(process.known) == {7, 3, 8}
 
     def test_coverage_preference_upgrades(self):
@@ -242,11 +251,11 @@ class TestMessageHandling:
             def __init__(self, payload):
                 self.payload = payload
 
-        process.on_message(None, Msg(GossipValue(2, key, small)))
-        process.on_message(None, Msg(GossipValue(2, key, big)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, small)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, big)))
         assert process.known[key] is big
         # And never downgrades:
-        process.on_message(None, Msg(GossipValue(2, key, small)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, small)))
         assert process.known[key] is big
 
     def test_first_wins_ablation(self):
@@ -262,8 +271,8 @@ class TestMessageHandling:
             def __init__(self, payload):
                 self.payload = payload
 
-        process.on_message(None, Msg(GossipValue(2, key, small)))
-        process.on_message(None, Msg(GossipValue(2, key, big)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, small)))
+        process.on_message(_CTX, Msg(GossipValue(2, key, big)))
         assert process.known[key] is small
 
     def test_unknown_payload_ignored(self):
@@ -273,7 +282,7 @@ class TestMessageHandling:
         class FakeMessage:
             payload = "garbage"
 
-        process.on_message(None, FakeMessage())
+        process.on_message(_CTX, FakeMessage())
         assert set(process.known) == {7}
 
 

@@ -127,6 +127,31 @@ class TestLoopbackFeed:
         assert plain.messages_sent == registered.messages_sent
         assert plain.net == registered.net
 
+    def test_registry_equals_record_under_hostile_ping_pong(self):
+        """Pings and pongs naming a ``src`` outside the group (or the
+        node itself) must move the registry and the run record alike."""
+        from repro.net.codec import Ping, Pong, encode
+        from repro.net.node import NetNode, NodeConfig, net_stats_record
+
+        registry = MetricsRegistry()
+        node = NetNode(
+            NodeConfig(node_id=0, group_size=4),
+            transport_send=lambda data, addr: None, registry=registry,
+        )
+        node.liveness.record_ping_sent(1, tick=0)
+        for src in (1, 1, 0, 4, 10 ** 6):  # answer, stray, self, 2x alien
+            node.datagram_received(encode(Pong(src=src)), ("x", 1))
+            node.datagram_received(encode(Ping(src=src)), ("x", 1))
+        record = net_stats_record([node])
+        assert record["pongs_received"] == 2
+        pongs = registry.counter(
+            "repro_net_pongs_received_total", labelnames=("node",)
+        )
+        assert pongs.value == record["pongs_received"]
+        rtt = registry.snapshot()["metrics"]["repro_net_ping_rtt_ticks"]
+        assert sum(sample["count"] for sample in rtt["samples"]) == 1
+        assert record["frames_rejected"] == 0
+
 
 class TestLivenessRtt:
     def test_ping_pong_round_trip(self):
