@@ -36,6 +36,10 @@ Canonical workloads:
   N=1024, 2 seeded runs per cell, ``jobs=1`` (full bench only): the
   robustness harness with compact telemetry attached, i.e. the path
   every ``repro chaos`` cell and ``collect_telemetry`` sweep takes.
+* ``pushpull_n2048``    — one N=2048/K=4 push-pull run with compact
+  telemetry (full bench only): the layered benchmark's ``sim_slowpath``
+  config through ``run_once`` — request/reply gossip, whose replies the
+  array engine plans as blocks during delivery.
 * ``n65536``            — one N=65536/K=8 run *to convergence* (full
   bench only): wall time, rounds, completeness and peak RSS of the
   regime the array-stepped engine and the interval masks exist for.
@@ -371,6 +375,32 @@ def bench_n65536() -> dict:
     }
 
 
+def bench_pushpull_n2048() -> dict:
+    """The layered benchmark's ``sim_slowpath`` config, through ``run_once``.
+
+    Full-bench only.  Push-pull doubles the traffic (every same-phase
+    batch is answered) and compact telemetry rides along, as in every
+    ``repro chaos`` cell; the checksum is engine-independent.
+    """
+    config = with_params(
+        n=2048, k=4, push_pull=True, collect_telemetry=True, seed=0
+    )
+    start = time.perf_counter()
+    result = run_once(config)
+    seconds = time.perf_counter() - start
+    return {
+        "workload": "pushpull_n2048",
+        "config": {"n": 2048, "k": 4, "seed": 0, "ucastl": 0.25,
+                   "pf": 0.001, "push_pull": True,
+                   "collect_telemetry": True, "engine": "auto"},
+        "seconds": round(seconds, 3),
+        "rounds": result.rounds,
+        "messages_sent": result.messages_sent,
+        "incompleteness": result.incompleteness,
+        "checksum": _checksum([result]),
+    }
+
+
 #: The ``make chaos-smoke`` campaign set.
 CHAOS_SMOKE_CAMPAIGNS = (
     "paper-iid", "crash-storm", "rack-failure", "partition-heal",
@@ -523,9 +553,15 @@ def main(argv=None) -> int:
           f"checksum {entry['checksum']})", flush=True)
     entries.append(entry)
     if not args.quick:
-        # Before n65536: run after it in the same process this
-        # workload measured 12 s instead of 5-6 s (the heap that run
+        # Both before n65536: run after it in the same process
+        # chaos_n1024 measured 12 s instead of 5-6 s (the heap that run
         # leaves behind is billed to whatever follows).
+        print("[bench] pushpull_n2048 request/reply run ...", flush=True)
+        entry = bench_pushpull_n2048()
+        print(f"[bench]   {entry['workload']}: {entry['seconds']}s "
+              f"({entry['messages_sent']} messages, "
+              f"checksum {entry['checksum']})", flush=True)
+        entries.append(entry)
         print("[bench] chaos_n1024 robustness matrix ...", flush=True)
         entry = bench_chaos_n1024()
         print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "

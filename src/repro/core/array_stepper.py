@@ -31,16 +31,21 @@ assembled in member (row) order with picks in draw order, so the shared
 network loss stream is consumed in the object engine's exact send
 order.  Running all sends before all advances is order-equivalent
 because a member's advance mutates only its own state and sends
-nothing (the configurations this stepper accepts have no push-pull).
-The cross-engine golden suite pins all of this.
+nothing: the one send a member makes outside its own gossip step is a
+push-pull reply, and on both engines that is planned during *delivery*
+— before the round bus, so before any member steps — by
+``absorb_payloads`` and the engine, never here.  All the step owes the
+replies is ``engine.window_sends``: each sender's attempts this round,
+which the next delivery's replies continue under a bandwidth cap.  The
+cross-engine golden suite pins all of this.
 
 Supported configurations — enforced by :meth:`bind` and summarized by
-:func:`unsupported_reason`: batch-mode hierarchical gossip without
-push-pull.  Everything else (networks, failure models, chaos campaigns,
-partial views, start waves, phase sinks, partial representation with
-final-phase retransmission, adaptive deadlines) is supported: the
-candidate set above is a superset of every timeout, extended or not,
-and ``_maybe_advance`` runs the real ``_maybe_extend``.
+:func:`unsupported_reason`: batch-mode hierarchical gossip.  Everything
+else (networks, failure models, chaos campaigns, partial views, start
+waves, phase sinks, push-pull, partial representation with final-phase
+retransmission, adaptive deadlines) is supported: the candidate set
+above is a superset of every timeout, extended or not, and
+``_maybe_advance`` runs the real ``_maybe_extend``.
 """
 
 from __future__ import annotations
@@ -63,15 +68,12 @@ _NO_SELF = np.iinfo(np.int64).max
 def unsupported_reason(params: GossipParams) -> str | None:
     """Why these protocol params cannot run on the array stepper.
 
-    ``None`` means supported.  Each unsupported knob changes what
-    happens *inside* the round step in ways the batched path does not
-    replicate: single-value gossip draws per-destination values, and
-    push-pull sends from inside message delivery.
+    ``None`` means supported.  The one unsupported knob changes what
+    happens *inside* the round step in a way the batched path does not
+    replicate: single-value gossip draws per-destination values.
     """
     if not params.batch_values:
         return "single-value gossip (batch_values=False)"
-    if params.push_pull:
-        return "push-pull replies send during delivery"
     return None
 
 
@@ -245,8 +247,9 @@ class HierarchicalArrayStepper:
                 sizes[row] = size
                 # Over the batch cap the object engine rebuilds (and
                 # redraws the subset) every round — mirror that.
-                self._needs_payload[row] = proc._batch_cache is None
+                self._needs_payload[row] = proc._batch_cache.push is None
             src_rows = np.repeat(rows, counts)
+            engine.window_sends[rows] = counts
             engine.submit_block(
                 engine.row_ids[src_rows],
                 dest_flat,

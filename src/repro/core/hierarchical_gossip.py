@@ -192,6 +192,23 @@ class GossipParams:
         )
 
 
+class _PayloadMemo:
+    """The payloads built from one state of ``known``.
+
+    ``version`` is the ``_known_version`` both were built at: ``push``
+    is the round batch and its wire size (absent while ``known`` is over
+    the batch cap — a fresh random subset goes out every round),
+    ``reply`` the push-pull answer.
+    """
+
+    __slots__ = ("version", "push", "reply")
+
+    def __init__(self, version: int):
+        self.version = version
+        self.push: tuple[GossipBatch, int] | None = None
+        self.reply: GossipBatch | None = None
+
+
 class HierarchicalGossipProcess(AggregationProcess):
     """One group member executing Hierarchical Gossiping."""
 
@@ -250,11 +267,11 @@ class HierarchicalGossipProcess(AggregationProcess):
         #: avoids a registry lookup every round).
         self._sampler: BlockedSampler | None = None
         #: Monotone counter bumped on every mutation of ``known``; lets
-        #: the batch payload (and its wire size) be reused across rounds
-        #: in which nothing new arrived.
+        #: the batch payload (and its wire size) and the push-pull reply
+        #: be reused for as long as nothing new arrived.
         self._known_version = 0
-        #: (version, payload, wire size) of the last batch built, or None.
-        self._batch_cache: tuple[int, GossipBatch, int] | None = None
+        #: The payloads last built from ``known`` (see :meth:`_memo`).
+        self._batch_cache: _PayloadMemo | None = None
         #: Payload objects already absorbed this phase, keyed by ``id``.
         #: Senders reuse one cached :class:`GossipBatch` object across
         #: rounds (and across their M gossipees), so a receiver sees the
@@ -495,25 +512,16 @@ class HierarchicalGossipProcess(AggregationProcess):
             self._known_version += 1
 
     def on_message(self, ctx: Context, message: Message) -> None:
-        payload = message.payload
-        if (
-            self.params.push_pull
-            and self.result is None
-            and isinstance(payload, GossipBatch)
-            and not payload.reply
-            and payload.phase == self.phase
-            and self.known
-        ):
-            # Reply before absorbing, so a repeated (deduped) request
-            # still pulls our state.
-            answer = GossipBatch(
-                self.phase, self._batch_entries(None), reply=True
-            )
+        answers: list[tuple[int, GossipBatch]] = []
+        self.absorb_payloads((message.payload,), ctx.round, answers)
+        for __, answer in answers:
             ctx.send(message.src, answer, size=answer.wire_size())
-        self.absorb_payloads((payload,), ctx.round)
 
     def absorb_payloads(
-        self, payloads: Iterable[object], round_number: int
+        self,
+        payloads: Iterable[object],
+        round_number: int,
+        answers: list[tuple[int, GossipBatch]] | None = None,
     ) -> bool:
         """Admit arrived payloads (paper step II); True if ``known`` changed.
 
@@ -526,6 +534,14 @@ class HierarchicalGossipProcess(AggregationProcess):
         round, attributes a detection).  The return value is the array
         engine's advance-candidate signal; advancing is the round
         step's job (:meth:`_maybe_advance`) on both engines.
+
+        It is also the one place a push-pull reply is decided: a
+        non-reply batch of this member's current phase is answered with
+        the member's state as it stands *before* that batch is absorbed
+        (so a repeated, deduped request still pulls), appended to
+        ``answers`` as ``(position in payloads, answer)`` for the caller
+        to send to that payload's sender.  ``answers=None`` (or
+        push-pull off) answers nothing.
         """
         if self.result is not None:
             return False
@@ -533,10 +549,18 @@ class HierarchicalGossipProcess(AggregationProcess):
         my_phase = self.phase
         seen = self._seen_payloads
         screen = sanitize.SCREEN
-        for payload in payloads:
+        pulled = answers if self.params.push_pull else None
+        for position, payload in enumerate(payloads):
             if isinstance(payload, GossipBatch):
                 phase = payload.phase
                 entries = payload.entries
+                if (
+                    pulled is not None
+                    and phase == my_phase
+                    and not payload.reply
+                    and self.known
+                ):
+                    pulled.append((position, self._pull_reply()))
             elif isinstance(payload, GossipValue):
                 phase = payload.phase
                 entries = ((payload.key, payload.state),)
@@ -695,18 +719,39 @@ class HierarchicalGossipProcess(AggregationProcess):
         gossip targets, matching the object engine's draw order (targets
         first, then any batch-subset doubles).
         """
-        cached = self._batch_cache
-        if cached is not None and cached[0] == self._known_version:
-            return cached[1], cached[2]
+        memo = self._memo()
+        if memo.push is not None:
+            return memo.push
         payload = GossipBatch(self.phase, self._batch_entries(sampler))
-        size = payload.wire_size()  # invariant across the picks
+        built = (payload, payload.wire_size())  # invariant across the picks
         cap = self.params.max_batch or self.assignment.hierarchy.k
-        self._batch_cache = (
-            (self._known_version, payload, size)
-            if len(self.known) <= cap
-            else None  # over the cap: fresh random subset per round
-        )
-        return payload, size
+        if len(self.known) <= cap:  # over it: a fresh random subset per round
+            memo.push = built
+        return built
+
+    def _memo(self) -> _PayloadMemo:
+        """The payload memo of the current ``known`` (emptied when stale)."""
+        memo = self._batch_cache
+        if memo is None:
+            memo = self._batch_cache = _PayloadMemo(self._known_version)
+        elif memo.version != self._known_version:
+            memo.version = self._known_version
+            memo.push = memo.reply = None
+        return memo
+
+    def _pull_reply(self) -> GossipBatch:
+        """The push-pull answer: this member's current-phase state.
+
+        One object per state of ``known``, shared by every request that
+        state answers — a requester that gets it twice skips it through
+        ``_seen_payloads`` like any repeated batch.
+        """
+        memo = self._memo()
+        if memo.reply is None:
+            memo.reply = GossipBatch(
+                self.phase, self._batch_entries(None), reply=True
+            )
+        return memo.reply
 
     def _gossip(self, ctx: Context) -> None:
         """Steps I(a)/II(a): push one known value to ``M`` random peers."""

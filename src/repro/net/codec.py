@@ -233,10 +233,13 @@ def _decode_payload(record: Any) -> GossipValue | GossipBatch:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise CodecError("batch entry is not [key, state]")
             decoded.append((_decode_key(entry[0]), _decode_state(entry[1])))
+        reply = record.get("reply")
+        if type(reply) is not bool:  # always written; 1 and "no" are not it
+            raise CodecError("field 'reply' is not a boolean")
         return GossipBatch(
             phase=_require_int(record, "phase"),
             entries=tuple(decoded),
-            reply=bool(record.get("reply", False)),
+            reply=reply,
         )
     raise CodecError(f"unknown gossip payload kind {kind!r}")
 

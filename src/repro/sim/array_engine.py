@@ -23,6 +23,17 @@ batched array paths:
   receiver with a stable sort, and applies each receiver's arrivals
   with one ``absorb_payloads`` call — the admission routine
   ``on_message`` itself runs — instead of one dispatch per message.
+* **Answers** — a receiver may answer an arrival (push-pull gossip):
+  ``absorb_payloads`` appends ``(position, answer)`` pairs, and the
+  chunk's answers are put back into the arrival order of their
+  requests and sent as one more :meth:`submit_block`, right after the
+  chunk.  That is where per-message dispatch sends them, so the loss
+  stream, the next round's bucket order (answers before the step's
+  sends) and the per-message fallback see the same sequence; under a
+  bandwidth cap they count against the window the previous step's
+  sends opened (``window_sends``), which ``begin_round`` closes only
+  after delivery.  A scalar arrival is answered by a scalar
+  ``_submit``, exactly as ``on_message`` does it.
 
 **Equivalence contract** — for the protocol configurations the stepper
 accepts, a run on this engine is *bit-identical* to the object-stepped
@@ -84,6 +95,10 @@ class ArraySteppedEngine(SimulationEngine):
         self._id_order: np.ndarray | None = None
         #: Rows whose process state changed in this round's deliveries.
         self._changed_rows: list[int] = []
+        #: Per row, send attempts since the network's last
+        #: ``begin_round`` — the bandwidth window a reply sent during
+        #: delivery continues (the stepper records each round's sends).
+        self.window_sends = np.zeros(0, dtype=np.int64)
 
     # -- row bookkeeping ------------------------------------------------
     def _bind_rows(self) -> None:
@@ -104,6 +119,7 @@ class ArraySteppedEngine(SimulationEngine):
         self.terminated_rows = np.fromiter(
             (p.terminated for p in procs), dtype=bool, count=n
         )
+        self.window_sends = np.zeros(n, dtype=np.int64)
 
     def _rows_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Member rows for an array of node ids (vectorized)."""
@@ -185,9 +201,54 @@ class ArraySteppedEngine(SimulationEngine):
 
     def _receive(self, receiver: Process, message: Message) -> None:
         # A scalar arrival (an injection, a per-message-planned send) is
-        # a one-payload block: same admission, same changed-row signal.
-        if receiver.absorb_payloads((message.payload,), self.round):
+        # a one-payload block: same admission, same changed-row signal —
+        # and a scalar answer, sent as ``on_message`` sends it (to a
+        # forged sender too: planned, then dropped by ``_dispatch``).
+        answers: list = []
+        if receiver.absorb_payloads((message.payload,), self.round, answers):
             self._changed_rows.append(self._row_of(message.dest))
+        for __, answer in answers:
+            self._submit(
+                message.dest, message.src, answer, answer.wire_size()
+            )
+
+    def _answer(
+        self, answers: list, answered: list[tuple[int, int, int]],
+        order: np.ndarray, sender_ids: np.ndarray,
+    ) -> None:
+        """Send what receivers answered to one delivered chunk, as a block.
+
+        ``answers`` holds every receiver's ``(position, answer)`` pairs,
+        receiver after receiver; ``answered`` names each such receiver
+        as (row, index of its first arrival in the receiver-sorted
+        chunk, number of answers).  ``order[i]`` is the chunk index of
+        sorted arrival ``i`` and ``sender_ids[i]`` who sent it.  The
+        answers go out in the arrival order of their requests — where
+        per-message dispatch sends them.
+        """
+        rows, starts, counts = np.array(answered, dtype=np.int64).T
+        total = len(answers)
+        positions, payloads = zip(*answers)
+        asked = np.repeat(starts, counts) + np.array(positions)
+        by_arrival = np.argsort(order[asked])
+        # A receiver's k-th answer here is its k-th attempt on top of
+        # what it already sent in the open bandwidth window.
+        first = np.cumsum(counts) - counts
+        slots = (
+            np.repeat(self.window_sends[rows] - first, counts)
+            + np.arange(total)
+        )
+        self.window_sends[rows] += counts
+        sizes = np.fromiter(
+            (payload.wire_size() for payload in payloads),
+            dtype=np.int64, count=total,
+        )
+        self.submit_block(
+            self.row_ids[np.repeat(rows, counts)[by_arrival]],
+            sender_ids[asked[by_arrival]],
+            sizes[by_arrival], slots[by_arrival], by_arrival,
+            list(payloads),
+        )
 
     def _deliver_due(self) -> None:
         for item in self._pending.pop(self.round, ()):
@@ -216,24 +277,37 @@ class ArraySteppedEngine(SimulationEngine):
         # other's state during delivery).
         order = np.argsort(rows, kind="stable")
         rows_sorted = rows[order]
-        src_list = src_rows[order].tolist()
+        src_sorted = src_rows[order]
+        src_list = src_sorted.tolist()
         starts = np.flatnonzero(
             np.r_[True, rows_sorted[1:] != rows_sorted[:-1]]
         )
         bounds = np.append(starts, count).tolist()
         procs = self.row_procs
         changed = self._changed_rows
+        answers: list = []
+        #: (row, first sorted index, answer count) per answering receiver.
+        answered: list[tuple[int, int, int]] = []
+        answer_count = 0
         for i, start in enumerate(starts.tolist()):
             row = int(rows_sorted[start])
             payloads = [
                 payloads_by_row[r] for r in src_list[start:bounds[i + 1]]
             ]
-            if procs[row].absorb_payloads(payloads, self.round):
+            if procs[row].absorb_payloads(payloads, self.round, answers):
                 changed.append(row)
+            if len(answers) != answer_count:
+                answered.append((row, start, len(answers) - answer_count))
+                answer_count = len(answers)
+        if answers:
+            # Only a stepper block is ever answered (an answer is not a
+            # request), and its ``src_rows`` are member rows.
+            self._answer(answers, answered, order, self.row_ids[src_sorted])
 
     def _step_processes(self) -> None:
         changed = self._changed_rows
         self._changed_rows = []
+        self.window_sends[:] = 0  # ``begin_round`` just fired
         self._stepper.step(self, changed)
 
     # -- run -------------------------------------------------------------

@@ -64,6 +64,37 @@ HARDENED_CONFIGS = [
     ),
 ]
 
+#: Push-pull: replies are planned during delivery, as a second block
+#: right after the chunk that asked (see ``ArraySteppedEngine``).
+PUSH_PULL_CONFIGS = [
+    pytest.param(
+        with_params(n=128, ucastl=0.4, push_pull=True, seed=0),
+        id="push-pull-lossy",
+    ),
+    pytest.param(
+        with_params(n=128, start_spread=4, push_pull=True, seed=1),
+        id="push-pull+start-spread",
+    ),
+    pytest.param(
+        with_params(n=128, k=2, pf=0.01, push_pull=True, seed=2),
+        id="push-pull+crashes-k2",
+    ),
+    pytest.param(
+        with_params(n=128, adaptive_deadlines=True,
+                    representative_fraction=0.5, final_retransmit=2,
+                    push_pull=True, seed=0),
+        id="push-pull+hardened",
+    ),
+] + [
+    # A reply is charged to the window the previous step's sends
+    # opened (``begin_round`` fires after delivery).
+    pytest.param(
+        with_params(n=128, max_sends_per_round=cap, push_pull=True, seed=1),
+        id=f"push-pull+bandwidth-cap-{cap}",
+    )
+    for cap in (2, 3)
+]
+
 BASIC_CONFIGS = [
     pytest.param(with_params(seed=seed), id=f"paper-defaults-seed{seed}")
     for seed in range(3)
@@ -92,12 +123,21 @@ BASIC_CONFIGS = [
     pytest.param(
         with_params(n=128, aggregate="min", seed=1), id="min-aggregate"
     ),
-] + HARDENED_CONFIGS
+] + HARDENED_CONFIGS + PUSH_PULL_CONFIGS
 
 
 @pytest.mark.parametrize("config", BASIC_CONFIGS)
 def test_equivalent_on_basic_configs(config):
     _assert_identical(config)
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_push_pull_replies_hit_the_bandwidth_cap(cap):
+    # The capped pairs above compare something: replies are rejected.
+    capped = with_params(n=128, max_sends_per_round=cap, push_pull=True,
+                         seed=1, engine="array")
+    push_only = run_once(replace(capped, push_pull=False))
+    assert run_once(capped).messages_rejected > push_only.messages_rejected
 
 
 def test_campaign_registry_is_covered():
@@ -112,16 +152,29 @@ def test_equivalent_on_campaigns(campaign):
     _assert_identical(with_params(n=128, campaign=campaign, seed=0))
 
 
+def _assert_identical_with_telemetry(config):
+    got = _records(replace(config, collect_telemetry=True))
+    assert got["object"][0]["telemetry"] is not None
+    assert got["array"] == got["object"]
+
+
 @pytest.mark.parametrize("campaign", campaign_names())
 def test_equivalent_on_campaigns_with_compact_telemetry(campaign):
     # Compact telemetry attaches no tracer, so the array engine takes
     # it; the record compared includes the whole telemetry summary.
-    config = with_params(
-        n=128, campaign=campaign, seed=0, collect_telemetry=True
+    _assert_identical_with_telemetry(
+        with_params(n=128, campaign=campaign, seed=0)
     )
-    got = _records(config)
-    assert got["object"][0]["telemetry"] is not None
-    assert got["array"] == got["object"]
+
+
+@pytest.mark.parametrize("campaign", campaign_names())
+def test_equivalent_on_campaigns_with_push_pull(campaign):
+    # Tamper and Sybil campaigns plan per message, so every request
+    # there arrives as a scalar ``Message`` and is answered through the
+    # array engine's ``_receive``; the others answer chunk by chunk.
+    _assert_identical_with_telemetry(
+        with_params(n=128, campaign=campaign, seed=0, push_pull=True)
+    )
 
 
 @pytest.mark.parametrize(
@@ -153,10 +206,9 @@ def test_equivalent_across_job_counts():
     assert serial == parallel
 
 
-def test_equivalent_under_sanitizer():
+def _assert_identical_under_sanitizer(config):
     from repro import sanitize
 
-    config = with_params(n=128, seed=0)
     sanitize.enable()
     try:
         got = _records(config)
@@ -165,7 +217,19 @@ def test_equivalent_under_sanitizer():
     assert got["array"] == got["object"]
 
 
-@pytest.mark.parametrize("config", HARDENED_CONFIGS)
+def test_equivalent_under_sanitizer():
+    _assert_identical_under_sanitizer(with_params(n=128, seed=0))
+
+
+def test_equivalent_under_sanitizer_with_push_pull():
+    _assert_identical_under_sanitizer(
+        with_params(n=128, seed=0, push_pull=True)
+    )
+
+
+@pytest.mark.parametrize(
+    "config", HARDENED_CONFIGS + PUSH_PULL_CONFIGS[:1]
+)
 def test_auto_runs_hardened_configs_on_the_array_engine(config, monkeypatch):
     from repro.experiments import runner as runner_mod
     from repro.sim.array_engine import ArraySteppedEngine
@@ -190,8 +254,6 @@ def test_auto_runs_hardened_configs_on_the_array_engine(config, monkeypatch):
 
 
 def test_forced_array_engine_rejects_unsupported():
-    with pytest.raises(ValueError, match="push-pull"):
-        run_once(with_params(n=64, engine="array", push_pull=True))
     with pytest.raises(ValueError, match="single-value"):
         run_once(with_params(n=64, engine="array", batch_values=False))
     with pytest.raises(ValueError, match="protocol"):
@@ -202,9 +264,11 @@ def test_forced_array_engine_rejects_unsupported():
 
 def test_auto_falls_back_silently_on_unsupported():
     object_result = run_once(
-        with_params(n=64, engine="object", push_pull=True)
+        with_params(n=64, engine="object", batch_values=False)
     )
-    auto_result = run_once(with_params(n=64, engine="auto", push_pull=True))
+    auto_result = run_once(
+        with_params(n=64, engine="auto", batch_values=False)
+    )
     assert run_result_record(auto_result) == run_result_record(object_result)
 
 
@@ -250,6 +314,10 @@ def _hand_built_run(config, engine, network=None):
         pytest.param(
             with_params(n=128, start_spread=4, seed=1), id="start-spread"
         ),
+        pytest.param(
+            with_params(n=128, ucastl=0.4, push_pull=True, seed=0),
+            id="push-pull",
+        ),
     ],
 )
 def test_phase_event_streams_identical(config):
@@ -260,12 +328,22 @@ def test_phase_event_streams_identical(config):
 
 
 def test_equivalent_on_jitter_network():
+    _assert_identical_on_jitter(with_params(n=128, pf=0.002, seed=3))
+
+
+def test_equivalent_on_jitter_network_with_push_pull():
+    _assert_identical_on_jitter(
+        with_params(n=128, pf=0.002, seed=3, push_pull=True)
+    )
+
+
+def _assert_identical_on_jitter(config):
     # Per-message latency cannot be block-planned: the array engine
-    # submits its send block through the scalar path, message by
-    # message, and must still match the object engine end to end.
+    # submits its send block (and its block of pull replies) through
+    # the scalar path, message by message, and must still match the
+    # object engine end to end.
     from repro.sim.network import JitterNetwork
 
-    config = with_params(n=128, pf=0.002, seed=3)
     runs = {
         engine: _hand_built_run(
             config, engine,

@@ -257,10 +257,9 @@ class TestArrayEngineGuards:
         assert "single-value" in unsupported_reason(
             GossipParams(batch_values=False)
         )
-        assert "push-pull" in unsupported_reason(
-            GossipParams(push_pull=True)
-        )
-        # The hardening knobs run on the stepper as they are.
+        # Single-value gossip is the one clause left: push-pull and the
+        # hardening knobs run on the stepper as they are.
+        assert unsupported_reason(GossipParams(push_pull=True)) is None
         assert unsupported_reason(
             GossipParams(adaptive_deadlines=True)
         ) is None

@@ -50,6 +50,34 @@ def _engine(network=None, failures=None, max_rounds=100):
     )
 
 
+def _gossip_world(network, array, push_pull=False):
+    """A 16-member hierarchical gossip group on either round engine."""
+    from repro.core.aggregates import AverageAggregate
+    from repro.core.array_stepper import HierarchicalArrayStepper
+    from repro.core.gridbox import GridAssignment, GridBoxHierarchy
+    from repro.core.hashing import FairHash
+    from repro.core.hierarchical_gossip import (
+        GossipParams,
+        build_hierarchical_gossip_group,
+    )
+    from repro.sim.array_engine import ArraySteppedEngine
+
+    votes = {m: float(m) for m in range(16)}
+    assignment = GridAssignment(GridBoxHierarchy(16, 4), votes, FairHash())
+    if array:
+        engine = ArraySteppedEngine(
+            stepper=HierarchicalArrayStepper(), network=network,
+            rngs=RngRegistry(3),
+        )
+    else:
+        engine = SimulationEngine(network=network, rngs=RngRegistry(3))
+    engine.add_processes(build_hierarchical_gossip_group(
+        votes, AverageAggregate(), assignment,
+        GossipParams(push_pull=push_pull),
+    ))
+    return engine, assignment
+
+
 class TestLifecycle:
     def test_on_start_called_once(self):
         engine = _engine()
@@ -109,37 +137,48 @@ class TestMessaging:
         assert stats.messages_delivered == 0
 
     def test_injected_unknown_destination_vanishes_on_both_engines(self):
-        from repro.core.aggregates import AverageAggregate
-        from repro.core.array_stepper import HierarchicalArrayStepper
-        from repro.core.gridbox import GridAssignment, GridBoxHierarchy
-        from repro.core.hashing import FairHash
-        from repro.core.hierarchical_gossip import (
-            build_hierarchical_gossip_group,
-        )
-        from repro.sim.array_engine import ArraySteppedEngine
         from repro.sim.network import Message
 
-        def delivered(engine_of, inject):
-            votes = {m: float(m) for m in range(16)}
+        def delivered(array, inject):
             network = LossyNetwork(ucastl=0.2, max_message_size=1 << 20)
-            engine = engine_of(network=network, rngs=RngRegistry(3))
-            engine.add_processes(build_hierarchical_gossip_group(
-                votes, AverageAggregate(),
-                GridAssignment(GridBoxHierarchy(16, 4), votes, FairHash()),
-            ))
+            engine, __ = _gossip_world(network, array)
             if inject:
                 network.inject(2, Message(src=0, dest=1_000_000, payload=None))
             return engine.run().messages_delivered
 
-        def array_engine(**kwargs):
-            return ArraySteppedEngine(
-                stepper=HierarchicalArrayStepper(), **kwargs
-            )
-
-        baseline = delivered(SimulationEngine, inject=False)
+        baseline = delivered(array=False, inject=False)
         assert baseline > 0
-        assert delivered(SimulationEngine, inject=True) == baseline
-        assert delivered(array_engine, inject=True) == baseline
+        assert delivered(array=False, inject=True) == baseline
+        assert delivered(array=True, inject=True) == baseline
+
+    def test_pull_request_from_a_forged_sender_is_answered_to_nobody(self):
+        # The reply is planned like any send (it is in ``sent``) and
+        # then finds no receiver — on both engines, block path or not.
+        from repro.core.messages import GossipBatch
+        from repro.sim.network import Message
+
+        def books(array, inject):
+            network = Network(max_message_size=1 << 20)  # lossless
+            engine, assignment = _gossip_world(network, array, push_pull=True)
+            if inject:
+                # Round 1: nobody in a shared box has left phase 1 yet.
+                victim = next(
+                    m for m in assignment.member_ids
+                    if len(assignment.members_of_box(assignment.box_of(m)))
+                    > 1
+                )
+                network.inject(1, Message(
+                    src=1_000_000, dest=victim, payload=GossipBatch(1, ()),
+                    size=8,
+                ))
+            stats = engine.run()
+            return stats.messages_delivered, network.stats.sent
+
+        delivered, sent = books(array=False, inject=False)
+        assert books(array=True, inject=False) == (delivered, sent)
+        # One more delivery (the forgery) and one more send (its answer).
+        for array in (False, True):
+            assert books(array, inject=True) == (delivered + 1, sent + 1)
 
     def test_messages_to_crashed_member_vanish(self):
         engine = _engine(failures=ScheduledFailures(crash_at={0: [1]}))

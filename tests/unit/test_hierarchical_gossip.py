@@ -286,6 +286,124 @@ class TestMessageHandling:
         assert set(process.known) == {7}
 
 
+class _SendLog(_StubContext):
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dest, payload, size=1):
+        self.sent.append((dest, payload, size))
+        return True
+
+
+class _From:
+    def __init__(self, src, payload):
+        self.src = src
+        self.payload = payload
+
+
+class TestPushPullReplies:
+    """One place decides a pull reply: ``absorb_payloads``."""
+
+    def _process(self, **params):
+        votes, function, assignment = _figure1_world()
+        process = HierarchicalGossipProcess(
+            7, votes[7], function, assignment, tuple(votes),
+            GossipParams(push_pull=True, **params),
+        )
+        process.on_start(_CTX)
+        return process
+
+    @staticmethod
+    def _fresh_answer(process):
+        cap = process.params.max_batch or process.assignment.hierarchy.k
+        return GossipBatch(
+            process.phase, tuple(process.known.items())[:cap], reply=True
+        )
+
+    def test_memoized_answer_equals_a_fresh_one_at_every_request(self):
+        # max_batch=2 puts ``known`` over the cap by the last request:
+        # the reply is then its first ``cap`` entries.
+        process = self._process(max_batch=2)
+        f = AverageAggregate()
+        requests = [
+            GossipBatch(1, ((3, f.lift(3, 3.0)),)),
+            GossipBatch(1, ((3, f.lift(3, 3.0)),)),   # nothing new
+            GossipBatch(1, ((8, f.lift(8, 8.0)),)),
+            GossipBatch(1, ((8, f.lift(8, 8.0)),)),
+        ]
+        ctx = _SendLog()
+        for request in requests:
+            expected = self._fresh_answer(process)  # before the absorb
+            process.on_message(ctx, _From(3, request))
+            dest, answer, size = ctx.sent[-1]
+            assert (dest, answer, size) == (3, expected, expected.wire_size())
+        assert len(ctx.sent) == len(requests)
+        # One object per state of ``known``: request 2 changed nothing.
+        assert ctx.sent[1][1] is not ctx.sent[0][1]
+        assert ctx.sent[2][1] is ctx.sent[1][1]
+        assert len(process.known) == 3 and len(ctx.sent[3][1].entries) == 2
+
+    def test_request_is_answered_before_it_is_absorbed(self):
+        process = self._process()
+        f = AverageAggregate()
+        answers = []
+        changed = process.absorb_payloads(
+            [GossipBatch(1, ((3, f.lift(3, 3.0)),)),
+             GossipValue(1, 8, f.lift(8, 8.0)),
+             GossipBatch(1, ((3, f.lift(3, 3.0)),))],
+            0, answers,
+        )
+        assert changed
+        assert [position for position, __ in answers] == [0, 2]
+        assert [key for key, __ in answers[0][1].entries] == [7]
+        assert [key for key, __ in answers[1][1].entries] == [7, 3]
+
+    def test_only_current_phase_requests_are_answered(self):
+        process = self._process()
+        f = AverageAggregate()
+        key = SubtreeId(2, 1)
+        answers = []
+        process.absorb_payloads(
+            [GossipBatch(1, ((3, f.lift(3, 3.0)),), reply=True),
+             GossipBatch(2, ((key, f.over({5: 5.0})),)),
+             GossipValue(1, 8, f.lift(8, 8.0)),
+             "garbage"],
+            0, answers,
+        )
+        assert answers == []
+        # Nobody collecting, push-pull off, or a result already: silent.
+        request = GossipBatch(1, ((3, f.lift(3, 3.0)),))
+        assert process.absorb_payloads([request], 0) is False
+        process.params = GossipParams()
+        process.absorb_payloads([request], 0, answers)
+        process.params = GossipParams(push_pull=True)
+        process.result = process.own_state()
+        process.absorb_payloads([request], 0, answers)
+        assert answers == []
+
+    def test_deduped_delivery_still_counts_and_still_pulls(self):
+        process = self._process()
+        request = GossipBatch(1, ((3, AverageAggregate().lift(3, 3.0)),))
+        ctx = _SendLog()
+        for __ in range(3):
+            process.on_message(ctx, _From(3, request))
+        assert process._phase_received == 3
+        assert len(ctx.sent) == 3
+        # A shared reply reaching one requester twice is the same skip.
+        requester = self._process()
+        reply = ctx.sent[-1][1]
+        for __ in range(2):
+            requester.on_message(ctx, _From(7, reply))
+        assert requester._phase_received == 2
+        assert len(ctx.sent) == 3  # a reply is never re-answered
+
+    def test_instance_attribute_count_is_pinned(self):
+        # CPython keeps up to 30 instance attributes inline; one more
+        # moves every member to a dict and costs ~40% of group setup.
+        # A new memo belongs in an existing record (``_batch_cache``).
+        assert len(vars(self._process())) <= 30
+
+
 class TestExpectedKeys:
     def test_phase1_is_box(self):
         process_view = _figure1_world()

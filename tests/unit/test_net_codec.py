@@ -225,6 +225,19 @@ class TestHostileInput:
         with pytest.raises(CodecError):
             decode(MAGIC + bytes([WIRE_VERSION]) + body.encode())
 
+    @pytest.mark.parametrize("reply", ['"no"', "1", "0", "[0]", "null"])
+    def test_non_boolean_reply_flag_rejects(self, reply):
+        # decode∘encode is the identity: a truthy non-boolean decoded as
+        # ``reply=True`` would re-encode to a different frame.
+        for flag in (b"true", b"false"):
+            batch = GossipBatch(1, (), reply=flag == b"true")
+            frame = encode(Gossip(src=1, sent_round=0, payload=batch))
+            assert encode(decode(frame)) == frame
+            field = b'"reply":' + flag
+            assert frame.count(field) == 1
+            with pytest.raises(CodecError, match="not a boolean"):
+                decode(frame.replace(field, b'"reply":' + reply.encode()))
+
     def test_non_json_body_rejects(self):
         with pytest.raises(CodecError):
             decode(MAGIC + bytes([WIRE_VERSION]) + b"\xff\xfe not json")
@@ -246,6 +259,8 @@ class TestHostileInput:
         '"phase":1,"key":{"m":1},"state":{"p":1.0,"v":"all"}}}',
         '{"t":"gossip","src":1,"round":0,"payload":{"k":"batch",'
         '"phase":1,"entries":[[1]]}}',
+        '{"t":"gossip","src":1,"round":0,"payload":{"k":"batch",'
+        '"phase":1,"entries":[]}}',              # reply flag missing
     ])
     def test_structurally_invalid_records_reject(self, body):
         data = MAGIC + bytes([WIRE_VERSION]) + body.encode()
