@@ -146,58 +146,13 @@ def aggregate_once(
     message counts, true value, estimate error).  Member ids may be
     arbitrary integers; completeness is relative to ``len(votes)``.
     """
-    from repro.core import (
-        FairHash,
-        GossipParams,
-        GridAssignment,
-        GridBoxHierarchy,
-        build_hierarchical_gossip_group,
-        get_aggregate,
-    )
-    from repro.core.protocol import (
-        measure_completeness as _measure,
-        measure_estimates,
-    )
     from repro.experiments import with_params
-    from repro.experiments.runner import RunResult as _RunResult
-    from repro.sim.engine import SimulationEngine
-    from repro.sim.failures import CrashWithoutRecovery, NoFailures
-    from repro.sim.network import LossyNetwork
+    from repro.experiments.runner import _run_votes
     from repro.sim.rng import RngRegistry
 
-    function = get_aggregate(aggregate)
-    hierarchy = GridBoxHierarchy(len(votes), k)
-    assignment = GridAssignment(hierarchy, votes, FairHash(salt=seed))
-    params = GossipParams(fanout_m=fanout_m, rounds_factor_c=rounds_factor_c)
-    processes = build_hierarchical_gossip_group(
-        votes, function, assignment, params
+    config = with_params(
+        n=len(votes), k=k, ucastl=ucastl, pf=pf, fanout_m=fanout_m,
+        rounds_factor_c=rounds_factor_c, aggregate=aggregate, seed=seed,
+        hash_salt=seed,
     )
-    engine = SimulationEngine(
-        network=LossyNetwork(ucastl=ucastl, max_message_size=1 << 20),
-        failure_model=CrashWithoutRecovery(pf) if pf > 0 else NoFailures(),
-        rngs=RngRegistry(seed=seed),
-        max_rounds=params.resolve_rounds(len(votes)) * hierarchy.num_phases
-        + 50,
-    )
-    engine.add_processes(processes)
-    engine.run()
-    report = _measure(processes, group_size=len(votes))
-    true_value = function.finalize(function.over(votes))
-    mean_error, mean_coverage, __ = measure_estimates(
-        processes, report, true_value
-    )
-    return _RunResult(
-        config=with_params(
-            n=len(votes), k=k, ucastl=ucastl, pf=pf, fanout_m=fanout_m,
-            rounds_factor_c=rounds_factor_c, aggregate=aggregate, seed=seed,
-        ),
-        report=report,
-        rounds=engine.stats.rounds_executed,
-        messages_sent=engine.network.stats.sent,
-        messages_dropped=engine.network.stats.dropped,
-        bytes_sent=engine.network.stats.bytes_sent,
-        crashes=engine.stats.crashes,
-        true_value=true_value,
-        mean_estimate_error=mean_error,
-        mean_coverage=mean_coverage,
-    )
+    return _run_votes(config, RngRegistry(seed), votes)

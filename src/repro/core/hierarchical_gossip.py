@@ -191,6 +191,17 @@ class GossipParams:
             group_size, self.rounds_factor_c, self.fanout_m
         )
 
+    def round_budget(
+        self, group_size: int, num_phases: int, start_spread: int = 0
+    ) -> int:
+        """Rounds by which every member has finished: the latest start,
+        then ``num_phases`` phases, each with the extension it may
+        lawfully borrow under adaptive deadlines."""
+        rounds = self.resolve_rounds(group_size)
+        return start_spread + num_phases * (
+            rounds + self.extension_budget(rounds)
+        )
+
 
 class _PayloadMemo:
     """The payloads built from one state of ``known``.

@@ -17,13 +17,29 @@ from itertools import accumulate
 from repro.core.aggregates import AggregateFunction, AggregateState
 from repro.core.intervals import IntervalMask
 from repro.sim.engine import Process
+from repro.sim.rng import RngRegistry
 
 __all__ = [
     "AggregationProcess",
     "CompletenessReport",
+    "draw_votes",
     "measure_completeness",
     "measure_estimates",
 ]
+
+
+def draw_votes(
+    rngs: RngRegistry, group_size: int, low: float, high: float
+) -> dict[int, float]:
+    """Uniform votes for members ``0..group_size-1`` from ``rngs``.
+
+    The one vote draw of both substrates (one ``random(n)`` block on the
+    ``votes`` stream): the experiment runner draws the whole map, a live
+    node derives the same map locally and keeps only its own vote —
+    which is what makes the cross-runtime aggregate comparable.
+    """
+    draws = rngs.stream("votes").random(group_size)
+    return dict(enumerate((low + (high - low) * draws).tolist()))
 
 
 class AggregationProcess(Process):

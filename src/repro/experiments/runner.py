@@ -34,6 +34,7 @@ from repro.core.observe import PhaseSink
 from repro.core.protocol import (
     AggregationProcess,
     CompletenessReport,
+    draw_votes,
     measure_completeness,
     measure_estimates,
 )
@@ -116,12 +117,7 @@ class RunResult:
 
 
 def _make_votes(config: RunConfig, rngs: RngRegistry) -> dict[int, float]:
-    # One block draw: Generator.random(n) yields the same doubles as n
-    # scalar calls, so votes are bit-identical to the old scalar loop.
-    draws = rngs.stream("votes").random(config.n)
-    span = config.vote_high - config.vote_low
-    votes = (config.vote_low + span * draws).tolist()
-    return dict(enumerate(votes))
+    return draw_votes(rngs, config.n, config.vote_low, config.vote_high)
 
 
 def _make_network(config: RunConfig) -> LossyNetwork | PartitionedNetwork:
@@ -152,17 +148,6 @@ def _hierarchy_size(config: RunConfig) -> int:
     return config.n_estimate if config.n_estimate is not None else config.n
 
 
-def _gossip_round_budget(config: RunConfig) -> tuple[int, int]:
-    """(rounds per phase, number of phases) for the configured hierarchy."""
-    hierarchy = GridBoxHierarchy(_hierarchy_size(config), config.k)
-    params = GossipParams(
-        fanout_m=config.fanout_m,
-        rounds_factor_c=config.rounds_factor_c,
-        rounds_per_phase=config.rounds_per_phase,
-    )
-    return params.resolve_rounds(_hierarchy_size(config)), hierarchy.num_phases
-
-
 def _build_processes(
     config: RunConfig, votes: dict[int, float], rngs: RngRegistry,
     phase_sink: PhaseSink | None = None,
@@ -171,14 +156,21 @@ def _build_processes(
     function = get_aggregate(config.aggregate)
     slack = _HORIZON_SLACK
     if config.protocol in ("hierarchical_gossip", "leader_election"):
-        # Memoized across runs: the runner's membership is always the
-        # dense ``range(n)`` and FairHash placement is captured by its
-        # salt, so repeated seeded runs of a sweep point share one
-        # assignment instead of re-hashing N members per run.
-        assignment = shared_dense_assignment(
-            _hierarchy_size(config), config.k, config.n,
-            FairHash(salt=config.hash_salt),
-        )
+        placement = FairHash(salt=config.hash_salt)
+        if list(votes) == list(range(config.n)):
+            # Memoized across runs: the runner's membership is the
+            # dense ``range(n)`` and FairHash placement is captured by
+            # its salt, so repeated seeded runs of a sweep point share
+            # one assignment instead of re-hashing N members per run.
+            assignment = shared_dense_assignment(
+                _hierarchy_size(config), config.k, config.n, placement
+            )
+        else:
+            # A caller's own member ids (``aggregate_once``).
+            assignment = GridAssignment(
+                GridBoxHierarchy(_hierarchy_size(config), config.k),
+                votes, placement,
+            )
         hierarchy = assignment.hierarchy
     if config.protocol == "hierarchical_gossip":
         params = GossipParams(
@@ -212,12 +204,10 @@ def _build_processes(
             view_of=view_of, start_round_of=start_round_of,
             phase_sink=phase_sink,
         )
-        rpp, phases = _gossip_round_budget(config)
-        # Adaptive deadlines may lawfully borrow up to the per-phase
-        # extension budget in every phase; give the engine that room.
-        extension = params.extension_budget(rpp) * phases
-        return (processes,
-                rpp * phases + config.start_spread + extension + slack)
+        budget = params.round_budget(
+            hierarchy.group_size, hierarchy.num_phases, config.start_spread
+        )
+        return processes, budget + slack
     if config.protocol == "flood":
         processes = build_flood_group(votes, function, fanout=config.fanout_m)
         return processes, math.ceil(config.n / config.fanout_m) + slack
@@ -235,13 +225,17 @@ def _build_processes(
         rpp = processes[0].rounds_per_phase
         return processes, 2 * rpp * hierarchy.num_phases + slack
     if config.protocol == "flat_gossip":
-        rpp, phases = _gossip_round_budget(config)
+        # The same round budget as the hierarchy it is compared against.
+        size = _hierarchy_size(config)
+        budget = GossipParams(
+            fanout_m=config.fanout_m,
+            rounds_factor_c=config.rounds_factor_c,
+            rounds_per_phase=config.rounds_per_phase,
+        ).round_budget(size, GridBoxHierarchy(size, config.k).num_phases)
         processes = build_flat_gossip_group(
-            votes, function,
-            total_rounds=rpp * phases,
-            fanout=config.fanout_m,
+            votes, function, total_rounds=budget, fanout=config.fanout_m,
         )
-        return processes, rpp * phases + slack
+        return processes, budget + slack
     raise ValueError(
         f"unknown protocol {config.protocol!r}; known: {PROTOCOLS}"
     )
@@ -331,11 +325,15 @@ def _make_engine(
     )
 
 
-def _campaign_horizon(config: RunConfig, max_rounds: int) -> int:
-    """The nominal protocol window campaign timeline fractions map onto."""
-    if config.protocol in ("hierarchical_gossip", "flat_gossip"):
-        rpp, phases = _gossip_round_budget(config)
-        return rpp * phases
+def _campaign_horizon(
+    config: RunConfig, processes, max_rounds: int
+) -> int:
+    """The nominal protocol window campaign timeline fractions map onto
+    (for the hierarchy: its phases alone, without start spread or
+    deadline extensions)."""
+    if config.protocol == "hierarchical_gossip":
+        first = processes[0]
+        return first.rounds_per_phase * first.num_phases
     return max(1, max_rounds - _HORIZON_SLACK)
 
 
@@ -363,8 +361,6 @@ def run_once(
     :meth:`RunTelemetry.metrics_only`, so engine auto-selection and the
     returned result are untouched — the registry is pure observation.
     """
-    from repro import sanitize
-
     if registry is not None:
         if telemetry is None:
             telemetry = RunTelemetry.metrics_only(registry)
@@ -373,7 +369,19 @@ def run_once(
     if telemetry is None and config.collect_telemetry:
         telemetry = RunTelemetry.compact()
     rngs = RngRegistry(seed=config.seed)
-    votes = _make_votes(config, rngs)
+    return _run_votes(config, rngs, _make_votes(config, rngs), telemetry)
+
+
+def _run_votes(
+    config: RunConfig,
+    rngs: RngRegistry,
+    votes: dict[int, float],
+    telemetry: RunTelemetry | None = None,
+) -> RunResult:
+    """:func:`run_once` from the point the votes exist (``aggregate_once``
+    brings its own): install them as the sanitizer's ground truth, run."""
+    from repro import sanitize
+
     function = get_aggregate(config.aggregate)
     # Adversarial campaigns are meaningless without the detection oracle,
     # so the sanitizer is force-enabled for them (and restored after).
@@ -420,7 +428,7 @@ def _run_built(
             from repro.chaos import get_campaign
 
             compiled = get_campaign(config.campaign).compile(
-                horizon=_campaign_horizon(config, max_rounds),
+                horizon=_campaign_horizon(config, processes, max_rounds),
                 base_loss=config.ucastl,
                 base_pf=config.pf,
                 box_groups=_box_groups(config, votes, processes),

@@ -172,7 +172,7 @@ class MonitoringSession:
             ),
             rngs=rngs,
             max_rounds=(
-                params.resolve_rounds(len(votes)) * hierarchy.num_phases + 50
+                params.round_budget(len(votes), hierarchy.num_phases) + 50
             ),
         )
         engine.add_processes(processes)

@@ -21,7 +21,12 @@ that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 __all__ = ["LivenessView"]
+
+#: Ping→pong round trips in ticks; loopback is 2 (one tick each way).
+RTT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 class LivenessView:
@@ -43,6 +48,9 @@ class LivenessView:
         self.pongs_received = 0
         self.rtt_count = 0
         self.rtt_total = 0
+        #: RTTs per :data:`RTT_BUCKETS` bound (non-cumulative; the
+        #: trailing slot is the overflow bucket).
+        self.rtt_counts = [0] * (len(RTT_BUCKETS) + 1)
         self.last_rtt: int | None = None
         #: peer id -> tick of the most recent un-answered ping to it.
         self._ping_sent_at: dict[int, int] = {}
@@ -74,6 +82,7 @@ class LivenessView:
         rtt = tick - sent
         self.rtt_count += 1
         self.rtt_total += rtt
+        self.rtt_counts[bisect_left(RTT_BUCKETS, rtt)] += 1
         self.last_rtt = rtt
         return rtt
 

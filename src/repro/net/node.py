@@ -42,6 +42,7 @@ from repro.core.hierarchical_gossip import (
 )
 from repro.core.messages import GossipBatch, GossipValue
 from repro.core.observe import PhaseSink
+from repro.core.protocol import draw_votes
 from repro.net.bootstrap import Address, AddressBook
 from repro.net.codec import (
     MAX_DATAGRAM_BYTES,
@@ -54,7 +55,7 @@ from repro.net.codec import (
     decode,
     encode,
 )
-from repro.net.liveness import LivenessView
+from repro.net.liveness import RTT_BUCKETS, LivenessView
 from repro.obs.metrics import (
     MetricsPhaseSink,
     MetricsRegistry,
@@ -75,8 +76,9 @@ __all__ = [
 #: Wire frame kinds, the ``type`` label of the tx/rx counters.
 _FRAME_KINDS = ("gossip", "join", "welcome", "ping", "pong")
 
-#: Ping→pong round trips in ticks; loopback is 2 (one tick each way).
-_RTT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+#: The two label sets of the ``repro_net_*`` families.
+_PER_NODE = ("node",)
+_PER_TYPE = ("node", "type")
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,19 @@ class NodeConfig:
             )
 
 
+def _per_kind() -> dict[str, int]:
+    return dict.fromkeys(_FRAME_KINDS, 0)
+
+
 @dataclass
 class NodeStats:
-    """Per-node datagram accounting (the net analogue of EngineStats)."""
+    """Per-node datagram accounting (the net analogue of EngineStats).
+
+    With :class:`~repro.net.liveness.LivenessView`'s ping/pong/RTT
+    tallies this is the node's only ledger: the metrics registry, the
+    ``net`` run record and ``repro top`` all read it through
+    :data:`_LEDGER`.
+    """
 
     datagrams_received: int = 0
     #: Inbound frames dropped: not decodable, or gossip whose coverage
@@ -119,127 +131,30 @@ class NodeStats:
     #: Outbound frames over :data:`MAX_DATAGRAM_BYTES`, dropped unsent.
     frames_oversize: int = 0
     gossip_dropped_unstarted: int = 0
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    joins_sent: int = 0
     #: Gossip sends dropped because the destination had no address
     #: (the net analogue of the engine's send-rejection counter).
     sends_rejected: int = 0
+    #: Datagrams and bytes handed to the transport, and decoded frames
+    #: received, by frame kind.
+    tx: dict[str, int] = field(default_factory=_per_kind)
+    tx_bytes: dict[str, int] = field(default_factory=_per_kind)
+    rx: dict[str, int] = field(default_factory=_per_kind)
 
+    @property
+    def messages_sent(self) -> int:
+        return sum(self.tx.values())
 
-class _NodeMetrics:
-    """Pre-resolved registry children for one node's hot paths.
-
-    Child handles are looked up once at construction so the per-datagram
-    cost with a registry attached is a dict lookup plus an ``inc`` —
-    and exactly zero when no registry is installed (the node holds
-    ``None`` instead of this object).
-    """
-
-    def __init__(self, registry: MetricsRegistry, node_id: int):
-        self.registry = registry
-        node = str(node_id)
-        tx = registry.counter(
-            "repro_net_tx_total",
-            "Datagrams transmitted by frame type",
-            ("node", "type"),
-        )
-        tx_bytes = registry.counter(
-            "repro_net_tx_bytes_total",
-            "Bytes transmitted by frame type",
-            ("node", "type"),
-        )
-        rx = registry.counter(
-            "repro_net_rx_total",
-            "Datagrams received by frame type",
-            ("node", "type"),
-        )
-        self._tx = {k: tx.labels(node, k) for k in _FRAME_KINDS}
-        self._tx_bytes = {
-            k: tx_bytes.labels(node, k) for k in _FRAME_KINDS
-        }
-        self._rx = {k: rx.labels(node, k) for k in _FRAME_KINDS}
-        self.rx_rejected = registry.counter(
-            "repro_net_rx_rejected_total",
-            "Inbound frames rejected (codec or out-of-group coverage)",
-            ("node",),
-        ).labels(node)
-        self.tx_oversize = registry.counter(
-            "repro_net_tx_oversize_total",
-            "Outbound frames over the datagram limit, dropped unsent",
-            ("node",),
-        ).labels(node)
-        self.gossip_dropped = registry.counter(
-            "repro_net_gossip_dropped_unstarted_total",
-            "Gossip dropped before the process started",
-            ("node",),
-        ).labels(node)
-        self.sends_rejected = registry.counter(
-            "repro_net_sends_rejected_total",
-            "Gossip sends dropped for want of an address",
-            ("node",),
-        ).labels(node)
-        self.joins_sent = registry.counter(
-            "repro_net_joins_sent_total",
-            "Bootstrap joins sent",
-            ("node",),
-        ).labels(node)
-        self.pings_sent = registry.counter(
-            "repro_net_pings_sent_total",
-            "Liveness pings sent",
-            ("node",),
-        ).labels(node)
-        self.pongs_received = registry.counter(
-            "repro_net_pongs_received_total",
-            "Liveness pongs received",
-            ("node",),
-        ).labels(node)
-        self.ping_rtt = registry.histogram(
-            "repro_net_ping_rtt_ticks",
-            "Ping-to-pong round trip in ticks",
-            ("node",),
-            buckets=_RTT_BUCKETS,
-        ).labels(node)
-        self.round_gauge = registry.gauge(
-            "repro_net_round",
-            "This node's tick count (its protocol round clock)",
-            ("node",),
-        ).labels(node)
-        self.suspected = registry.gauge(
-            "repro_net_suspected_peers",
-            "Peers currently suspected by the liveness view",
-            ("node",),
-        ).labels(node)
-        self.started_gauge = registry.gauge(
-            "repro_net_started",
-            "1 once the protocol process has started",
-            ("node",),
-        ).labels(node)
-        self.terminated_gauge = registry.gauge(
-            "repro_net_terminated",
-            "1 once the process finalized its estimate",
-            ("node",),
-        ).labels(node)
-
-    def tx(self, kind: str, size: int) -> None:
-        self._tx[kind].inc()
-        self._tx_bytes[kind].inc(size)
-
-    def rx(self, kind: str) -> None:
-        self._rx[kind].inc()
+    @property
+    def bytes_sent(self) -> int:
+        return sum(self.tx_bytes.values())
 
 
 def make_votes(config: NodeConfig) -> dict[int, float]:
-    """The group's vote map under this seed.
-
-    Must stay draw-for-draw identical to the experiment runner's
-    ``_make_votes`` (one ``random(n)`` block on the ``votes`` stream):
-    every member derives the full map locally and keeps only its own
-    vote, which is what makes the cross-runtime aggregate comparable.
-    """
-    draws = RngRegistry(config.seed).stream("votes").random(config.group_size)
-    span = config.vote_high - config.vote_low
-    return dict(enumerate((config.vote_low + span * draws).tolist()))
+    """The group's vote map under this seed (the runner's own draw)."""
+    return draw_votes(
+        RngRegistry(config.seed), config.group_size,
+        config.vote_low, config.vote_high,
+    )
 
 
 class NetContext:
@@ -312,10 +227,6 @@ class NetNode:
         self.transport_send = transport_send
         self.seeds = tuple(seeds)
         self.stats = NodeStats()
-        self.metrics = (
-            _NodeMetrics(registry, config.node_id)
-            if registry is not None else None
-        )
         if registry is not None:
             # Phase events stream into the registry alongside whatever
             # sink the caller installed (TeePhaseSink drops Nones).
@@ -346,6 +257,41 @@ class NetNode:
             phase_sink=phase_sink,
         )
         self.ctx = NetContext(self)
+        if registry is not None:
+            self._publish_ledger(registry)
+
+    def _publish_ledger(self, registry: MetricsRegistry) -> None:
+        """Register this node's series (zero-valued from tick 0) and a
+        collector that copies the ledger into them on every read."""
+        node = str(self.config.node_id)
+        series: list[tuple[Callable, Any]] = []
+        for name, help, kind, labels, read, __ in _LEDGER:
+            family = getattr(registry, kind)(name, help, labels)
+            child: Any = family.labels(node) if labels is _PER_NODE else {
+                frame: family.labels(node, frame) for frame in _FRAME_KINDS
+            }
+            series.append((read, child))
+        rtt = registry.histogram(
+            "repro_net_ping_rtt_ticks",
+            "Ping-to-pong round trip in ticks",
+            _PER_NODE,
+            buckets=RTT_BUCKETS,
+        ).labels(node)
+
+        def collect() -> None:
+            for read, child in series:
+                value = read(self)
+                if isinstance(value, dict):
+                    for frame, count in value.items():
+                        child[frame].value = count
+                else:
+                    child.value = value
+            liveness = self.liveness
+            rtt.counts[:] = liveness.rtt_counts
+            rtt.sum = liveness.rtt_total
+            rtt.count = liveness.rtt_count
+
+        registry.add_collector(collect)
 
     # -- identity ------------------------------------------------------
 
@@ -362,8 +308,10 @@ class NetNode:
     def max_ticks(self) -> int:
         """The simulator's round horizon for this configuration — a live
         node still un-converged past this many ticks will never be."""
-        rpp = self.process.params.resolve_rounds(self.config.group_size)
-        return 2 * rpp * self.process.num_phases + 50
+        budget = self.process.params.round_budget(
+            self.config.group_size, self.process.num_phases
+        )
+        return 2 * budget + 50
 
     # -- outbound ------------------------------------------------------
 
@@ -374,13 +322,9 @@ class NetNode:
             # One frame is one datagram; a transport would refuse or
             # truncate this one, so it is loss — counted, never silent.
             self.stats.frames_oversize += 1
-            if self.metrics is not None:
-                self.metrics.tx_oversize.inc()
             return
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += len(data)
-        if self.metrics is not None:
-            self.metrics.tx(kind, len(data))
+        self.stats.tx[kind] += 1
+        self.stats.tx_bytes[kind] += len(data)
         self.transport_send(data, address)
 
     def _send_gossip(self, dest: int, payload: Any) -> None:
@@ -390,8 +334,6 @@ class NetNode:
             # the process has not started, so nothing gossips.  Treat a
             # race (dest rebooted, book refresh in flight) as wire loss.
             self.stats.sends_rejected += 1
-            if self.metrics is not None:
-                self.metrics.sends_rejected.inc()
             return
         self._transmit(
             encode(
@@ -415,9 +357,6 @@ class NetNode:
             Join(node_id=self.config.node_id, host=own[0], port=own[1])
         )
         for seed in self.seeds:
-            self.stats.joins_sent += 1
-            if self.metrics is not None:
-                self.metrics.joins_sent.inc()
             self._transmit(join, seed, "join")
 
     def _send_probe(self) -> None:
@@ -427,31 +366,24 @@ class NetNode:
         address = self.book.address_of(target)
         if address is not None:
             self.liveness.record_ping_sent(target, self.tick_count)
-            if self.metrics is not None:
-                self.metrics.pings_sent.inc()
             self._transmit(
                 encode(Ping(src=self.config.node_id)), address, "ping"
             )
 
     # -- inbound -------------------------------------------------------
 
-    def _reject_frame(self) -> None:
-        self.stats.frames_rejected += 1
-        if self.metrics is not None:
-            self.metrics.rx_rejected.inc()
-
     def datagram_received(self, data: bytes, address: Address) -> None:
         """Decode and route one inbound datagram; never raises on
         hostile input (malformed frames are counted and dropped)."""
-        self.stats.datagrams_received += 1
+        stats = self.stats
+        stats.datagrams_received += 1
         try:
             message = decode(data)
         except CodecError:
-            self._reject_frame()
+            stats.frames_rejected += 1
             return
         if isinstance(message, Join):
-            if self.metrics is not None:
-                self.metrics.rx("join")
+            stats.rx["join"] += 1
             if 0 <= message.node_id < self.config.group_size:
                 self.book.record(
                     message.node_id, (message.host, message.port)
@@ -465,12 +397,10 @@ class NetNode:
                     "welcome",
                 )
         elif isinstance(message, Welcome):
-            if self.metrics is not None:
-                self.metrics.rx("welcome")
+            stats.rx["welcome"] += 1
             self.book.merge(message.book)
         elif isinstance(message, Ping):
-            if self.metrics is not None:
-                self.metrics.rx("ping")
+            stats.rx["ping"] += 1
             self.liveness.record_heard(message.src, self.tick_count)
             peer = self.book.address_of(message.src)
             if peer is not None:
@@ -478,28 +408,16 @@ class NetNode:
                     encode(Pong(src=self.config.node_id)), peer, "pong"
                 )
         elif isinstance(message, Pong):
-            counted = self.liveness.pongs_received
-            rtt = self.liveness.record_pong(message.src, self.tick_count)
-            if self.metrics is not None:
-                self.metrics.rx("pong")
-                # ``record_pong`` alone judges "a pong from a peer":
-                # the registry counts exactly what the run record does.
-                self.metrics.pongs_received.inc(
-                    self.liveness.pongs_received - counted
-                )
-                if rtt is not None:
-                    self.metrics.ping_rtt.observe(rtt)
+            stats.rx["pong"] += 1
+            self.liveness.record_pong(message.src, self.tick_count)
         elif isinstance(message, Gossip):
-            if self.metrics is not None:
-                self.metrics.rx("gossip")
+            stats.rx["gossip"] += 1
             if not _coverage_in_group(message.payload, self.config.group_size):
-                self._reject_frame()
+                stats.frames_rejected += 1
                 return
             self.liveness.record_heard(message.src, self.tick_count)
             if not self.started:
-                self.stats.gossip_dropped_unstarted += 1
-                if self.metrics is not None:
-                    self.metrics.gossip_dropped.inc()
+                stats.gossip_dropped_unstarted += 1
                 return
             if not self.process.alive:
                 return
@@ -532,15 +450,6 @@ class NetNode:
         if not self.process.terminated and self.process.alive:
             self.process.on_round(self.ctx)
         self.tick_count += 1
-        if self.metrics is not None:
-            self.metrics.round_gauge.set(self.tick_count)
-            self.metrics.suspected.set(
-                len(self.liveness.suspected(self.tick_count))
-            )
-            self.metrics.started_gauge.set(1 if self.started else 0)
-            self.metrics.terminated_gauge.set(
-                1 if self.process.terminated else 0
-            )
         return self.process.terminated
 
 
@@ -560,6 +469,57 @@ def _coverage_in_group(
     return True
 
 
+#: The ledger, one row per scalar ``repro_net_*`` family: ``(family,
+#: help, registry kind, label names, read(node), key in the run
+#: record's ``net`` object or None)``.  A ``_PER_TYPE`` row reads a
+#: dict: one series per frame kind.  The RTT histogram is the one
+#: family that is not a scalar; :meth:`NetNode._publish_ledger` copies
+#: it.
+_LEDGER: tuple[
+    tuple[str, str, str, tuple[str, ...], Callable[[NetNode], Any],
+          str | None], ...
+] = (
+    ("repro_net_tx_total", "Datagrams transmitted by frame type",
+     "counter", _PER_TYPE, lambda n: n.stats.tx, None),
+    ("repro_net_tx_bytes_total", "Bytes transmitted by frame type",
+     "counter", _PER_TYPE, lambda n: n.stats.tx_bytes, None),
+    ("repro_net_rx_total", "Datagrams received by frame type",
+     "counter", _PER_TYPE, lambda n: n.stats.rx, None),
+    ("repro_net_rx_rejected_total",
+     "Inbound frames rejected (codec or out-of-group coverage)",
+     "counter", _PER_NODE, lambda n: n.stats.frames_rejected,
+     "frames_rejected"),
+    ("repro_net_tx_oversize_total",
+     "Outbound frames over the datagram limit, dropped unsent",
+     "counter", _PER_NODE, lambda n: n.stats.frames_oversize,
+     "frames_oversize"),
+    ("repro_net_gossip_dropped_unstarted_total",
+     "Gossip dropped before the process started",
+     "counter", _PER_NODE, lambda n: n.stats.gossip_dropped_unstarted,
+     "gossip_dropped_unstarted"),
+    ("repro_net_sends_rejected_total",
+     "Gossip sends dropped for want of an address",
+     "counter", _PER_NODE, lambda n: n.stats.sends_rejected, "sends_rejected"),
+    ("repro_net_joins_sent_total", "Bootstrap joins sent",
+     "counter", _PER_NODE, lambda n: n.stats.tx["join"], "joins_sent"),
+    ("repro_net_pings_sent_total", "Liveness pings sent",
+     "counter", _PER_NODE, lambda n: n.liveness.pings_sent, "pings_sent"),
+    ("repro_net_pongs_received_total", "Liveness pongs received",
+     "counter", _PER_NODE, lambda n: n.liveness.pongs_received,
+     "pongs_received"),
+    ("repro_net_round", "This node's tick count (its protocol round clock)",
+     "gauge", _PER_NODE, lambda n: n.tick_count, None),
+    ("repro_net_suspected_peers",
+     "Peers currently suspected by the liveness view",
+     "gauge", _PER_NODE, lambda n: len(n.liveness.suspected(n.tick_count)),
+     "suspected_peers"),
+    ("repro_net_started", "1 once the protocol process has started",
+     "gauge", _PER_NODE, lambda n: int(n.started), None),
+    ("repro_net_terminated", "1 once the process finalized its estimate",
+     "gauge", _PER_NODE, lambda n: int(n.process.terminated), None),
+)
+
+
 def net_stats_record(nodes) -> dict:
     """Group-level liveness/codec accounting, JSON-ready.
 
@@ -568,27 +528,15 @@ def net_stats_record(nodes) -> dict:
     runs carry ``"net": null`` so both substrates emit the same keys.
     """
     nodes = list(nodes)
-    rtt_count = sum(n.liveness.rtt_count for n in nodes)
-    rtt_total = sum(n.liveness.rtt_total for n in nodes)
-    return {
+    record = {
         "datagrams_received": sum(
             n.stats.datagrams_received for n in nodes
         ),
-        "frames_rejected": sum(n.stats.frames_rejected for n in nodes),
-        "frames_oversize": sum(n.stats.frames_oversize for n in nodes),
-        "joins_sent": sum(n.stats.joins_sent for n in nodes),
-        "gossip_dropped_unstarted": sum(
-            n.stats.gossip_dropped_unstarted for n in nodes
-        ),
-        "sends_rejected": sum(n.stats.sends_rejected for n in nodes),
-        "pings_sent": sum(n.liveness.pings_sent for n in nodes),
-        "pongs_received": sum(
-            n.liveness.pongs_received for n in nodes
-        ),
-        "mean_rtt_ticks": (
-            rtt_total / rtt_count if rtt_count else None
-        ),
-        "suspected_peers": sum(
-            len(n.liveness.suspected(n.tick_count)) for n in nodes
-        ),
     }
+    for __, __, __, __, read, key in _LEDGER:
+        if key is not None:
+            record[key] = sum(read(n) for n in nodes)
+    rtt_count = sum(n.liveness.rtt_count for n in nodes)
+    rtt_total = sum(n.liveness.rtt_total for n in nodes)
+    record["mean_rtt_ticks"] = rtt_total / rtt_count if rtt_count else None
+    return record

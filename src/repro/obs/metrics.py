@@ -18,9 +18,11 @@ Both substrates feed one vocabulary:
   :func:`feed_summary` for end-of-run totals and round samples.  Feeding draws no randomness and mutates no
   simulation state, so a registry-enabled run stays byte-identical to
   a disabled one (golden-tested, exactly like traced-vs-untraced);
-* the **live runtime** (:mod:`repro.net.node`) through per-datagram
-  counters, liveness RTT histograms and per-tick gauges, exposed over
-  HTTP by :mod:`repro.net.exposition` and read by ``repro top``.
+* the **live runtime** (:mod:`repro.net.node`) through a collector
+  (:meth:`MetricsRegistry.add_collector`) that copies each node's own
+  ledger — datagram counts, liveness RTT tallies, round and state —
+  into its families on every read, exposed over HTTP by
+  :mod:`repro.net.exposition` and read by ``repro top``.
 
 :func:`observe_phase_event` and :func:`observe_round` are the
 registered *metric sites* of lint rule REP009: both simulation engines
@@ -37,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.core.observe import PHASE_EVENT_KINDS, PhaseEvent, PhaseSink
 from repro.sim.metrics import RoundSample
@@ -337,6 +339,17 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
+        self._collectors: list[Callable[[], None]] = []
+
+    def add_collector(self, collect: Callable[[], None]) -> None:
+        """Call ``collect()`` before every snapshot or render.
+
+        For a source that keeps its own books: ``collect`` copies them
+        into children it registered, so the hot path pays nothing and
+        every read is exact.  Values read off a child directly are only
+        as fresh as the last snapshot.
+        """
+        self._collectors.append(collect)
 
     def _get(
         self,
@@ -409,6 +422,8 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """The canonical ``repro-metrics/1`` snapshot (JSON-ready)."""
+        for collect in self._collectors:
+            collect()
         return {
             "schema": METRICS_SCHEMA,
             "metrics": {
@@ -423,6 +438,8 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition (format 0.0.4)."""
+        for collect in self._collectors:
+            collect()
         lines: list[str] = []
         for name in sorted(self._families):
             lines.extend(self._families[name].prometheus_lines())

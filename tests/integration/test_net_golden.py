@@ -25,26 +25,47 @@ from repro.obs.export import RUN_SCHEMA, run_result_record
 LOSSLESS = dict(ucastl=0.0, pf=0.0)
 
 
-def _pair(n, seed, rounds_factor_c=1.0):
+def _pair(n, seed, rounds_factor_c=1.0, k=4):
     """(simulated result, loopback net report) under one seed."""
     sim = run_once(with_params(
-        n=n, seed=seed, rounds_factor_c=rounds_factor_c, **LOSSLESS,
+        n=n, k=k, seed=seed, rounds_factor_c=rounds_factor_c, **LOSSLESS,
     ))
     net = run_loopback_group(
-        n, seed=seed, rounds_factor_c=rounds_factor_c,
+        n, k=k, seed=seed, rounds_factor_c=rounds_factor_c,
     )
     return sim, net
 
 
+def _assert_agree(sim, net):
+    assert net.converged
+    assert net.rounds == sim.rounds
+    assert net.completeness == sim.completeness
+    assert net.mean_estimate_error == sim.mean_estimate_error
+    assert net.true_value == sim.true_value
+
+
 class TestSimulatorOracle:
-    @pytest.mark.parametrize("n,seed", [(16, 3), (32, 0), (64, 11)])
-    def test_lossless_runs_agree_exactly(self, n, seed):
-        sim, net = _pair(n, seed)
-        assert net.converged
-        assert net.rounds == sim.rounds
-        assert net.completeness == sim.completeness
-        assert net.mean_estimate_error == sim.mean_estimate_error
-        assert net.true_value == sim.true_value
+    @pytest.mark.parametrize("n,seed,k", [
+        pytest.param(16, 3, 4, id="16-3"),
+        pytest.param(32, 0, 4, id="32-0"),
+        pytest.param(64, 11, 4, id="64-11"),
+        *(pytest.param(128, seed, 8, id=f"128-{seed}-k8")
+          for seed in range(4)),
+    ])
+    def test_lossless_runs_agree_exactly(self, n, seed, k):
+        _assert_agree(*_pair(n, seed, k=k))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_short_budget_at_n128_k8_is_the_protocols(self, seed):
+        """N=128/K=8 is 8 boxes of ~16 members and 2 phases of 5 rounds
+        at M=2 (b = 2 < 4, outside Theorem 1): lossless runs stop short
+        of completeness 1.0 on *both* substrates, by the same amount,
+        and C=1.5 repairs both — the round budget, not the wire."""
+        sim, net = _pair(128, seed, k=8)
+        assert net.completeness == sim.completeness < 1.0
+        sim, net = _pair(128, seed, rounds_factor_c=1.5, k=8)
+        _assert_agree(sim, net)
+        assert net.completeness == 1.0
 
     def test_every_member_finalizes_a_finite_estimate(self):
         __, net = _pair(32, 5)

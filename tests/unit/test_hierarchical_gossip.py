@@ -81,6 +81,16 @@ class TestGossipParams:
         with pytest.raises(ValueError):
             GossipParams(rounds_per_phase=0).resolve_rounds(100)
 
+    def test_round_budget_is_phases_plus_spread_plus_extension(self):
+        plain = GossipParams(rounds_per_phase=6)
+        assert plain.round_budget(1000, num_phases=3) == 18
+        assert plain.round_budget(1000, 3, start_spread=4) == 22
+        # Every phase may borrow ceil(0.5 * 6) = 3 rounds.
+        hardened = GossipParams(rounds_per_phase=6, adaptive_deadlines=True)
+        assert hardened.round_budget(1000, 3, start_spread=4) == 31
+        # ceil(C log N) when no override is set: ceil(ln 512) = 7.
+        assert GossipParams().round_budget(512, 3) == 21
+
 
 class TestLosslessCorrectness:
     def test_exact_average_on_figure1(self):

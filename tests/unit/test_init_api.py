@@ -55,3 +55,33 @@ class TestAggregateOnce:
         assert result.completeness == 1.0
         assert result.mean_coverage == 1.0
         assert run_result_record(result)["mean_coverage"] == 1.0
+
+    def test_result_config_names_the_hash_salt_it_used(self):
+        # The hierarchy is hashed with FairHash(salt=seed); the record
+        # used to claim hash_salt 0.
+        result = repro.aggregate_once({i: 1.0 for i in range(16)}, seed=5)
+        assert result.config.hash_salt == result.config.seed == 5
+
+    def test_installs_the_callers_votes_as_sanitizer_ground_truth(
+        self, monkeypatch
+    ):
+        from repro import sanitize
+
+        installed = []
+        real_begin = sanitize.begin_run
+
+        def recording_begin(votes, function):
+            installed.append(dict(votes))
+            real_begin(votes, function)
+
+        monkeypatch.setattr(sanitize, "begin_run", recording_begin)
+        was_active = sanitize.ACTIVE
+        if not was_active:
+            sanitize.enable()
+        try:
+            votes = {7 * i + 3: float(i) for i in range(20)}
+            repro.aggregate_once(votes, seed=1)
+        finally:
+            if not was_active:
+                sanitize.disable()
+        assert installed == [votes]

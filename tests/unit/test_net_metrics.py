@@ -36,6 +36,15 @@ NET_FAMILIES = (
 )
 
 
+def _samples(registry, family):
+    """``{label tuple: value}`` of one family, read the way every
+    consumer does: through ``snapshot()`` (which runs the collectors)."""
+    return {
+        tuple(sample["labels"]): sample["value"]
+        for sample in registry.snapshot()["metrics"][family]["samples"]
+    }
+
+
 @pytest.fixture(scope="module")
 def loopback():
     """One 16-node loopback run with a shared registry attached."""
@@ -66,22 +75,18 @@ class TestPinnedFamilies:
 class TestLoopbackFeed:
     def test_tx_counters_match_the_report(self, loopback):
         registry, report = loopback
-        tx = registry.counter(
-            "repro_net_tx_total", labelnames=("node", "type")
-        )
         by_kind: dict[str, float] = {}
-        for (__, kind), child in tx._children.items():
-            by_kind[kind] = by_kind.get(kind, 0) + child.value
+        for (__, kind), value in _samples(
+            registry, "repro_net_tx_total"
+        ).items():
+            by_kind[kind] = by_kind.get(kind, 0) + value
         # stats.messages_sent counts every transmitted frame — gossip,
         # probes and handshakes alike — so the registry total must too.
         assert sum(by_kind.values()) == report.messages_sent
         assert by_kind["gossip"] > 0
         assert by_kind["ping"] == report.net["pings_sent"]
-        tx_bytes = registry.counter(
-            "repro_net_tx_bytes_total", labelnames=("node", "type")
-        )
         assert sum(
-            child.value for child in tx_bytes._children.values()
+            _samples(registry, "repro_net_tx_bytes_total").values()
         ) == report.bytes_sent
 
     def test_rtt_histogram_saw_the_two_tick_loopback(self, loopback):
@@ -144,13 +149,135 @@ class TestLoopbackFeed:
             node.datagram_received(encode(Ping(src=src)), ("x", 1))
         record = net_stats_record([node])
         assert record["pongs_received"] == 2
-        pongs = registry.counter(
-            "repro_net_pongs_received_total", labelnames=("node",)
-        )
-        assert pongs.value == record["pongs_received"]
+        pongs = _samples(registry, "repro_net_pongs_received_total")
+        assert pongs == {("0",): record["pongs_received"]}
         rtt = registry.snapshot()["metrics"]["repro_net_ping_rtt_ticks"]
         assert sum(sample["count"] for sample in rtt["samples"]) == 1
         assert record["frames_rejected"] == 0
+
+
+class TestOneLedger:
+    """Every reader of a node's counts — registry, run record, the
+    ``NodeStats`` attributes — sees the same number, because there is
+    one count and a table (``node._LEDGER``) of how to read it."""
+
+    @staticmethod
+    def _node(registry, group_size=4):
+        from repro.net.node import NetNode, NodeConfig
+
+        sent = []
+        node = NetNode(
+            NodeConfig(node_id=0, group_size=group_size),
+            transport_send=lambda data, addr: sent.append(data),
+            registry=registry,
+        )
+        node.register_self(("127.0.0.1", 9000))
+        return node, sent
+
+    @staticmethod
+    def _gossip(members):
+        from repro.core.aggregates import AggregateState
+        from repro.core.messages import GossipBatch
+        from repro.net.codec import Gossip, encode
+
+        return encode(Gossip(src=1, sent_round=0, payload=GossipBatch(
+            phase=1,
+            entries=((1, AggregateState((5.0, len(members)), members)),),
+        )))
+
+    def test_every_reader_agrees_on_a_mixed_frame_sequence(self):
+        from repro.core.aggregates import AggregateState
+        from repro.core.gridbox import SubtreeId
+        from repro.core.intervals import IntervalMask
+        from repro.core.messages import GossipValue
+        from repro.net.codec import Join, Ping, Pong, Welcome, encode
+        from repro.net.node import _LEDGER, net_stats_record
+
+        registry = MetricsRegistry()
+        node, sent = self._node(registry, group_size=100_000)
+        peer = ("127.0.0.1", 9001)
+        rx = lambda data: node.datagram_received(data, peer)  # noqa: E731
+
+        node.seeds = (peer,)
+        node.tick()  # book incomplete: one join, no round
+        rx(self._gossip({1}))  # valid, but the process has not started
+        rx(encode(Join(node_id=1, host=peer[0], port=peer[1])))  # welcomed
+        rx(encode(Join(node_id=100_000, host="h", port=1)))  # no such id
+        rx(encode(Welcome(book={2: ("127.0.0.1", 9002)})))
+        rx(b"")
+        rx(b"not a frame")
+        node.liveness.record_ping_sent(1, tick=0)
+        for src in (1, 1, 0, 100_000, 10 ** 9):  # answer, stray, self, alien
+            rx(encode(Pong(src=src)))
+            rx(encode(Ping(src=src)))
+        node.started = True
+        node.process.on_start(node.ctx)
+        rx(self._gossip({1}))  # valid, delivered
+        rx(self._gossip({100_000}))  # coverage past the group
+        forged = AggregateState(
+            (1.0, 30_000), IntervalMask(range(0, 60_000, 2))
+        )
+        node.ctx.send(1, GossipValue(3, SubtreeId(0, 0), forged))  # oversize
+        honest = GossipValue(1, 0, AggregateState((1.0, 1), {0}))
+        node.ctx.send(1, honest)
+        node.ctx.send(7, honest)  # member 7 has no address
+        node.tick()  # a real round: probe + gossip
+
+        record = net_stats_record([node])
+        snapshot = registry.snapshot()["metrics"]
+        for family, __, kind, labels, read, key in _LEDGER:
+            expected = read(node)
+            got = {
+                tuple(sample["labels"]): sample["value"]
+                for sample in snapshot[family]["samples"]
+            }
+            assert snapshot[family]["type"] == kind
+            assert snapshot[family]["labels"] == list(labels)
+            if isinstance(expected, dict):
+                assert got == {
+                    ("0", frame): count for frame, count in expected.items()
+                }, family
+            else:
+                assert got == {("0",): expected}, family
+                if key is not None:
+                    assert record[key] == expected, family
+        stats = node.stats
+        assert stats.messages_sent == sum(stats.tx.values()) == len(sent)
+        assert stats.bytes_sent == sum(map(len, sent))
+        assert stats.datagrams_received == record["datagrams_received"]
+        assert stats.datagrams_received == sum(stats.rx.values()) + 2
+        # ...and the counts are the ones the sequence should produce.
+        assert stats.rx == {
+            "gossip": 3, "join": 2, "welcome": 1, "ping": 5, "pong": 5,
+        }
+        assert stats.frames_rejected == 3  # two undecodable + coverage
+        assert stats.gossip_dropped_unstarted == 1
+        assert stats.frames_oversize == 1
+        assert stats.sends_rejected >= 1
+        assert stats.tx["gossip"] >= 1
+        assert record["joins_sent"] == stats.tx["join"] == 1
+        assert stats.tx["welcome"] == 1
+        assert stats.tx["pong"] == 3  # srcs with an address: 1, 1, self
+        assert record["pongs_received"] == 2
+        rtt = snapshot["repro_net_ping_rtt_ticks"]["samples"]
+        assert [s["count"] for s in rtt] == [node.liveness.rtt_count] == [1]
+
+    def test_a_datagram_after_the_last_tick_is_in_the_next_snapshot(self):
+        """``serve --linger``: the ticker has stopped, frames still
+        arrive, and ``/metrics`` must keep counting them."""
+        from repro.net.codec import Ping, encode
+
+        registry = MetricsRegistry()
+        node, __ = self._node(registry)
+        for peer in range(1, 4):
+            node.book.record(peer, ("127.0.0.1", 9000 + peer))
+        node.tick()
+        before = _samples(registry, "repro_net_rx_total")[("0", "ping")]
+        pongs = _samples(registry, "repro_net_tx_total")[("0", "pong")]
+        node.datagram_received(encode(Ping(src=2)), ("127.0.0.1", 9002))
+        assert _samples(registry, "repro_net_rx_total")[
+            ("0", "ping")] == before + 1
+        assert 'type="pong"} %d' % (pongs + 1) in registry.render_prometheus()
 
 
 class TestLivenessRtt:

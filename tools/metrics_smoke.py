@@ -10,7 +10,10 @@ Starts a 4-node ``repro serve`` group with ``--metrics-port`` and
    every node is up, converged, and has nonzero gossip counters;
 3. SIGTERMs the group and asserts the clean-stop contract (exit 0)
    plus the final ``repro-run/1`` record carrying the net stats the
-   engines report (``messages_rejected``, ``net.pings_sent``, ...).
+   engines report (``messages_rejected``, ``net.pings_sent``, ...);
+4. asserts that the ping, pong and rejected-frame counters scraped in
+   step 1 sum to the record's ``net`` object: one ledger, read over
+   HTTP and in the report, checked end to end over real UDP.
 
 Ports are derived from the PID so parallel CI jobs cannot collide.
 """
@@ -119,7 +122,10 @@ def main() -> int:
         wait_for_convergence()
         for node in range(MEMBERS):
             check_prometheus_text(METRICS_PORT + node)
+        snapshots = [
             check_json_snapshot(METRICS_PORT + node)
+            for node in range(MEMBERS)
+        ]
         print(f"exposition ok: {MEMBERS} nodes serving both formats")
 
         top = subprocess.run(
@@ -163,6 +169,22 @@ def main() -> int:
         fail(f"final report lacks liveness stats: {net!r}")
     print("final report ok: repro-run/1 with net/liveness stats, "
           "clean SIGTERM exit")
+    # The ticker stopped at convergence, so nothing was sent between
+    # the scrape and the report: both read the same final ledger.
+    for family, key in (
+        ("repro_net_pings_sent_total", "pings_sent"),
+        ("repro_net_pongs_received_total", "pongs_received"),
+        ("repro_net_rx_rejected_total", "frames_rejected"),
+    ):
+        scraped = sum(
+            sample["value"]
+            for snapshot in snapshots
+            for sample in snapshot["metrics"][family]["samples"]
+        )
+        if scraped != net[key]:
+            fail(f"{family} scraped {scraped}, report says "
+                 f"net.{key} = {net[key]}")
+    print("one ledger ok: scraped counters equal the report's net object")
     print("metrics smoke ok")
     return 0
 
