@@ -40,6 +40,11 @@ Canonical workloads:
   telemetry (full bench only): the layered benchmark's ``sim_slowpath``
   config through ``run_once`` — request/reply gossip, whose replies the
   array engine plans as blocks during delivery.
+* ``net_loopback_n512`` — 512 real ``NetNode``s, K=8, over the lossless
+  in-memory router to termination (``--quick``: 128): the net
+  substrate's wall time plus what it put on the wire — frames by kind,
+  bytes per member per round, gossip frame sizes, and a sha256 over the
+  frames in send order (so a codec change shows as a new digest).
 * ``n65536``            — one N=65536/K=8 run *to convergence* (full
   bench only): wall time, rounds, completeness and peak RSS of the
   regime the array-stepped engine and the interval masks exist for.
@@ -375,6 +380,73 @@ def bench_n65536() -> dict:
     }
 
 
+def bench_net_loopback(quick: bool) -> dict:
+    """One lossless loopback group to termination: the net substrate.
+
+    The layered benchmark's ``net_loopback`` config through
+    ``run_loopback_group``, with every datagram handed to the router
+    kept in send order.  Only the run is timed; the frames are decoded
+    afterwards (through the public ``decode``, so the entry reads any
+    wire version) to count them by kind.
+    """
+    from unittest import mock
+
+    from repro.net import codec, loopback
+
+    n = 128 if quick else 512
+    # The quick group runs for ~0.2 s, too short to gate at 20% on one
+    # sample: time it three times and keep the best (the frames are
+    # the same every time; the last run's are kept).
+    repeats = 3 if quick else 1
+    frames: list[bytes] = []
+
+    class RecordingRouter(loopback.LoopbackRouter):
+        def sender_for(self, address):
+            send = super().sender_for(address)
+
+            def transport_send(data, dest):
+                frames.append(data)
+                send(data, dest)
+            return transport_send
+
+    seconds = float("inf")
+    with mock.patch.object(loopback, "LoopbackRouter", RecordingRouter):
+        for __ in range(repeats):
+            frames.clear()
+            start = time.perf_counter()
+            report = loopback.run_loopback_group(n, k=8, seed=0)
+            seconds = min(seconds, time.perf_counter() - start)
+    by_kind: dict[str, int] = {}
+    gossip_sizes = []
+    digest = hashlib.sha256()
+    for frame in frames:
+        kind = type(codec.decode(frame)).__name__.lower()
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        if kind == "gossip":
+            gossip_sizes.append(len(frame))
+        digest.update(len(frame).to_bytes(4, "big") + frame)
+    if report.bytes_sent != sum(map(len, frames)):
+        raise AssertionError("the run record's bytes_sent is not the "
+                             "sum of the frames the router carried")
+    return {
+        "workload": f"net_loopback_n{n}",
+        "config": {"n": n, "k": 8, "seed": 0, "fanout_m": 2,
+                   "ucastl": 0.0, "pf": 0.0, "router": "loopback"},
+        "seconds": round(seconds, 3),
+        "timed_runs": repeats,
+        "wire_version": codec.WIRE_VERSION,
+        "rounds": report.rounds,
+        "completeness": report.completeness,
+        "frames": dict(sorted(by_kind.items())),
+        "bytes_per_member_round": round(
+            report.bytes_sent / n / report.rounds, 2),
+        "gossip_frame_bytes_mean": round(
+            sum(gossip_sizes) / len(gossip_sizes), 1),
+        "gossip_frame_bytes_max": max(gossip_sizes),
+        "frames_sha256": digest.hexdigest()[:16],
+    }
+
+
 def bench_pushpull_n2048() -> dict:
     """The layered benchmark's ``sim_slowpath`` config, through ``run_once``.
 
@@ -551,6 +623,15 @@ def main(argv=None) -> int:
     print(f"[bench]   {entry['workload']}: {entry['seconds']}s "
           f"({entry['messages_sent']} messages, "
           f"checksum {entry['checksum']})", flush=True)
+    entries.append(entry)
+    print("[bench] net loopback group ...", flush=True)
+    entry = bench_net_loopback(args.quick)
+    print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "
+          f"{entry['rounds']} rounds, "
+          f"{entry['bytes_per_member_round']} B/member/round, gossip "
+          f"frames mean {entry['gossip_frame_bytes_mean']} / max "
+          f"{entry['gossip_frame_bytes_max']} B "
+          f"(frames {entry['frames_sha256']})", flush=True)
     entries.append(entry)
     if not args.quick:
         # Both before n65536: run after it in the same process

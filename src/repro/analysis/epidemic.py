@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "logistic_infected",
@@ -103,6 +102,8 @@ def phase1_completeness(n: int, k: int, b: float) -> float:
     """
     if not (n >= 1 and 2 <= k <= n):
         raise ValueError(f"need 2 <= K <= N, got N={n}, K={k}")
+    from scipy import stats  # ~0.5 s to import: only where used
+
     sizes = np.arange(0, n + 1)
     weights = stats.binom.pmf(sizes, n, k / n)
     terms = np.ones_like(weights)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.validation import discrete_epidemic
 from repro.core.gridbox import GridBoxHierarchy
@@ -63,6 +62,8 @@ def _phase1_completeness(
     ``s`` votes circulating and at most ``max_batch`` per message, each
     vote's effective rate is ``b * min(1, max_batch / s)``.
     """
+    from scipy import stats  # ~0.5 s to import: only where used
+
     sizes = np.arange(1, min(n, 12 * max(1, n // num_boxes) + 12) + 1)
     weights = stats.binom.pmf(sizes, n, 1.0 / num_boxes)
     # condition on the box being non-empty and renormalize by vote mass:

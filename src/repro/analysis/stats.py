@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["Summary", "summarize", "loglog_slope", "semilog_slope", "is_monotone"]
 
@@ -46,6 +45,8 @@ def summarize(samples: Sequence[float], confidence: float = 0.95) -> Summary:
     sem = float(values.std(ddof=1) / math.sqrt(values.size))
     if sem == 0.0:
         return Summary(mean, 0.0, mean, mean, int(values.size))
+    from scipy import stats as sps  # ~0.5 s to import: only where used
+
     t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, values.size - 1))
     return Summary(
         mean=mean,

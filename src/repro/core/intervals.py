@@ -13,8 +13,9 @@ in, plain integers out.  What makes it *short* is the caller's choice of
 slots: :class:`~repro.core.gridbox.GridAssignment` numbers members by
 hierarchy rank, so a complete subtree's coverage is one range
 (Section 6.1: a subtree is a prefix range of box addresses) and a lossy
-one is a few.  The flat tuple is also the wire form
-(:mod:`repro.net.codec`), validated by :meth:`IntervalMask.from_bounds`.
+one is a few.  The wire form (:mod:`repro.net.codec`) is the flat
+tuple as gap/span deltas, which can spell nothing but a canonical one;
+:meth:`IntervalMask.from_bounds` validates any other outside input.
 """
 
 from __future__ import annotations

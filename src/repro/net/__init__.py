@@ -4,7 +4,7 @@ The protocols in :mod:`repro.core` are written against the explicit
 runtime contract of :mod:`repro.core.runtime`; this package is the
 second substrate implementing it, next to the discrete-event simulator:
 
-* :mod:`repro.net.codec` — versioned, deterministic JSON wire framing
+* :mod:`repro.net.codec` — versioned, canonical binary wire framing
   for the protocol payloads and the control plane (join/welcome,
   ping/pong).
 * :mod:`repro.net.bootstrap` — the address book and seed-based join.

@@ -1,52 +1,64 @@
-"""Versioned wire codec for the UDP runtime.
+"""Versioned binary wire codec for the UDP runtime.
 
-Frame layout (one datagram = one frame)::
+One datagram is one frame: a four-byte header, then unsigned LEB128
+varints (``uv``: seven bits per byte, low group first, high bit set on
+every byte but the last) and raw bytes where noted::
 
-    offset 0   2 bytes   magic  b"RA"
-    offset 2   1 byte    wire version (currently 2)
-    offset 3   ...       UTF-8 JSON body
+    header   "R" "A"  version (3)  kind
+    join     kind 1   uv id, address
+    welcome  kind 2   uv n, n x (uv id delta, address)
+    ping     kind 3   uv src
+    pong     kind 4   uv src
+    gossip   kind 5   uv src, uv round | flags, uv phase, entries
 
-The body is ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
-of a single record whose ``"t"`` key names the message type, so a given
-message object always encodes to the same bytes — the loopback golden
-harness relies on that determinism, and version negotiation stays a
-one-byte check.  :func:`decode` never raises anything but
-:class:`CodecError` on hostile input (truncated frames, wrong magic or
-version, malformed JSON, structurally invalid records); the fuzz tests
-in ``tests/unit/test_net_codec.py`` pin that contract.
+    address  uv length, that many UTF-8 bytes of host, uv port
+    flags    0 = one value (a single entry follows)
+             1 = batch     (uv n, then n entries)    3 = batch, reply
+    entry    key, payload tree, coverage
+    key      uv 0, uv member id   or   uv prefix_length + 1, uv prefix_value
+    tree     one tag byte, then
+             0 float (8 bytes, IEEE-754 little-endian)  3 False
+             1 int >= 0 (uv n)                          4 True
+             2 int < 0  (uv -1 - n)                     5 tuple (uv n, n trees)
+    coverage uv n, n x (uv gap, uv span)
 
-Protocol payloads (:class:`~repro.core.messages.GossipValue` /
-:class:`~repro.core.messages.GossipBatch`) cross the wire losslessly:
+Canonical by construction where it can be: a coverage range is ``lo =
+previous hi + 2 + gap``, ``hi = lo + span`` (the first ``lo`` is its
+``gap``) and a welcome id is ``previous id + 1 + delta``, so an
+unsorted, overlapping, uncoalesced, negative or repeated spelling does
+not exist.  What bytes can still spell twice or wrongly :func:`decode`
+rejects — a zero-padded varint or one past :data:`_MAX_UV_BITS`, an
+unknown kind/flags/tag, a count or length past the end, nesting beyond
+:data:`_MAX_DEPTH`, truncation, trailing bytes — so every message has
+one spelling
+(``encode(decode(f)) == f``; ``decode(encode(m)) == m`` with exact
+types, floats bit for bit) and :func:`decode` raises only
+:class:`CodecError` on any byte string (docs/NET.md has the rule table;
+``tests/property/test_codec_properties.py`` pins it).
 
-* ``AggregateState.payload`` is a float or an arbitrarily nested tuple
-  of scalars; tuples are encoded as JSON arrays and re-tupled on decode
-  (Python's float repr round-trips exactly through JSON).
-* ``AggregateState.members`` — the coverage mask — is shipped as its
-  canonical interval list ``"v": [lo0, hi0, lo1, hi1, ...]`` of closed
-  slot ranges (:class:`~repro.core.intervals.IntervalMask`).  Slots are
-  hierarchy ranks, which both ends derive from the shared grid
-  assignment, so a complete subtree is one pair whatever its size and
-  the state stays constant-size up to the loss-induced exceptions.
-  Decoding accepts the canonical spelling only (sorted, disjoint,
-  coalesced, non-negative, no booleans), so ``decode(encode(m)) == m``
-  and ``encode(decode(frame)) == frame`` both hold.
-* Keys are member ids (phase 1) or
-  :class:`~repro.core.gridbox.SubtreeId` prefixes (later phases),
-  tagged ``{"m": id}`` / ``{"s": [length, value]}``.
+The coverage (:class:`~repro.core.intervals.IntervalMask` over
+hierarchy ranks) travels with every state — the codec knows nothing of
+the grid assignment — at two to six bytes per complete subtree of any
+size: Section 2's constant message size, plus one ``(gap, span)`` per
+loss-induced exception.  A gossip frame after its ``round`` names
+neither sender nor tick, so :class:`~repro.net.node.NetNode` keeps that
+part (``_gossip_body``) while it re-sends a payload and only prefixes
+it per tick (``_gossip_frame``).
 
-Version 1 shipped ``"v"`` as the sorted member-id list; the two are not
-interoperable and a version-1 frame is rejected at the version byte.
+Versions: 1 shipped coverage as a sorted id list in a JSON body, 2 as a
+JSON interval list.  Neither is decoded; any version byte but 3 is
+rejected there.
 """
 
 from __future__ import annotations
 
-import json
+import struct
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.aggregates import AggregateState
 from repro.core.gridbox import SubtreeId
-from repro.core.intervals import IntervalMask
+from repro.core.intervals import IntervalMask, _make
 from repro.core.messages import GossipBatch, GossipValue
 
 __all__ = [
@@ -66,12 +78,20 @@ __all__ = [
 #: Frame magic: every datagram of this runtime starts with these bytes.
 MAGIC = b"RA"
 #: Current wire version; a frame with any other version byte is rejected.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 #: Largest UDP payload over IPv4 (65535 - 8 UDP - 20 IP header bytes): a
 #: frame beyond it cannot be one datagram, so senders must not emit it.
 MAX_DATAGRAM_BYTES = 65507
 
-_HEADER = MAGIC + bytes([WIRE_VERSION])
+_PREFIX = MAGIC + bytes([WIRE_VERSION])
+#: Deepest payload tuple nesting accepted (the repo's aggregates reach
+#: 3): bounds the decoder's recursion on hostile input.
+_MAX_DEPTH = 16
+#: Longest varint accepted or emitted, 147 groups: any integer a float64
+#: can equal fits, and a hostile one costs no more than honest bytes do.
+_MAX_UV_BITS = 7 * 147
+_UV_LIMIT = 1 << _MAX_UV_BITS
+_F64 = struct.Struct("<d")
 
 
 class CodecError(Exception):
@@ -126,208 +146,276 @@ class Gossip:
 
 # -- encoding -------------------------------------------------------------
 
-def _encode_scalar_tree(value: Any) -> Any:
-    """Payload scalars/tuples -> JSON-safe (tuples become arrays)."""
-    if isinstance(value, tuple):
-        return [_encode_scalar_tree(item) for item in value]
-    return value
+_KINDS = {Join: 1, Welcome: 2, Ping: 3, Pong: 4, Gossip: 5}
 
 
-def _decode_scalar_tree(value: Any) -> Any:
-    """Inverse of :func:`_encode_scalar_tree` (arrays become tuples)."""
-    if isinstance(value, list):
-        return tuple(_decode_scalar_tree(item) for item in value)
-    return value
+def _put_uv(out: bytearray, value: int) -> None:
+    if type(value) is not int or not 0 <= value < _UV_LIMIT:  # nor a bool
+        shown = hex(value)[:40] if type(value) is int else repr(value)
+        raise CodecError(
+            f"{shown} is not an unsigned integer under 2**{_MAX_UV_BITS}"
+        )
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
 
 
-def _encode_key(key: Any) -> dict:
-    if isinstance(key, SubtreeId):
-        return {"s": [key.prefix_length, key.prefix_value]}
-    if isinstance(key, int):
-        return {"m": key}
-    raise CodecError(f"unencodable gossip key {key!r}")
-
-
-def _decode_key(record: Any) -> Any:
-    if not isinstance(record, dict):
-        raise CodecError("gossip key is not a tagged object")
-    if "m" in record:
-        return _require_int(record, "m")
-    if "s" in record:
-        prefix = record["s"]
-        if (
-            not isinstance(prefix, list) or len(prefix) != 2
-            or type(prefix[0]) is not int or type(prefix[1]) is not int
-        ):
-            raise CodecError("subtree key is not [length, value]")
-        return SubtreeId(prefix[0], prefix[1])
-    raise CodecError(f"unknown gossip key tag {sorted(record)!r}")
-
-
-def _encode_state(state: AggregateState) -> dict:
-    return {
-        "p": _encode_scalar_tree(state.payload),
-        "v": list(state.members.bounds),
-    }
-
-
-def _decode_state(record: Any) -> AggregateState:
-    if not isinstance(record, dict) or "p" not in record or "v" not in record:
-        raise CodecError("aggregate state is not {p, v}")
-    bounds = record["v"]
-    if not isinstance(bounds, list):
-        raise CodecError("aggregate coverage is not an interval list")
+def _put_address(out: bytearray, address: tuple[str, int]) -> None:
+    host, port = address
     try:
-        members = IntervalMask.from_bounds(bounds)
-    except ValueError as exc:
-        raise CodecError(f"aggregate coverage: {exc}") from None
-    return AggregateState(
-        payload=_decode_scalar_tree(record["p"]), members=members
-    )
+        raw = host.encode("utf-8")
+    except (AttributeError, UnicodeEncodeError):
+        raise CodecError(f"host {host!r} is not UTF-8 text") from None
+    _put_uv(out, len(raw))
+    out += raw
+    _put_uv(out, port)
 
 
-def _encode_payload(payload: GossipValue | GossipBatch) -> dict:
+def _put_tree(out: bytearray, value: Any, depth: int = 0) -> None:
+    if isinstance(value, float):  # numpy.float64 too: the same 8 bytes
+        out.append(0)
+        out += _F64.pack(value)
+    elif type(value) is int:
+        out.append(1 if value >= 0 else 2)
+        _put_uv(out, value if value >= 0 else -1 - value)
+    elif type(value) is bool:
+        out.append(4 if value else 3)
+    elif type(value) is tuple and depth < _MAX_DEPTH:
+        out.append(5)
+        _put_uv(out, len(value))
+        for item in value:
+            _put_tree(out, item, depth + 1)
+    else:
+        raise CodecError(
+            f"unencodable payload value {value!r} at depth {depth}"
+        )
+
+
+def _put_entry(out: bytearray, key: Any, state: AggregateState) -> None:
+    if isinstance(key, SubtreeId):
+        if type(key[0]) is not int or key[0] < 0:
+            raise CodecError(f"{key!r} has no unsigned prefix length")
+        _put_uv(out, key[0] + 1)  # 0 tags a member id
+        _put_uv(out, key[1])
+    else:
+        out.append(0)
+        _put_uv(out, key)
+    _put_tree(out, state.payload)
+    members = state.members
+    _put_uv(out, len(members.bounds) // 2)
+    hi = -2
+    for lo, next_hi in members.intervals():
+        _put_uv(out, lo - hi - 2)
+        _put_uv(out, next_hi - lo)
+        hi = next_hi
+
+
+def _gossip_body(payload: GossipValue | GossipBatch) -> bytes:
+    """The sender-independent tail of a gossip frame: flags, phase and
+    entries."""
+    out = bytearray()
     if isinstance(payload, GossipValue):
-        return {
-            "k": "value",
-            "phase": payload.phase,
-            "key": _encode_key(payload.key),
-            "state": _encode_state(payload.state),
-        }
-    if isinstance(payload, GossipBatch):
-        return {
-            "k": "batch",
-            "phase": payload.phase,
-            "reply": payload.reply,
-            "entries": [
-                [_encode_key(key), _encode_state(state)]
-                for key, state in payload.entries
-            ],
-        }
-    raise CodecError(f"unencodable gossip payload {type(payload).__name__}")
+        out.append(0)
+        _put_uv(out, payload.phase)
+        _put_entry(out, payload.key, payload.state)
+    elif isinstance(payload, GossipBatch) and type(payload.reply) is bool:
+        out.append(3 if payload.reply else 1)
+        _put_uv(out, payload.phase)
+        _put_uv(out, len(payload.entries))
+        for key, state in payload.entries:
+            _put_entry(out, key, state)
+    else:
+        raise CodecError(f"unencodable gossip payload {payload!r}")
+    return bytes(out)
 
 
-def _require_int(record: dict, key: str) -> int:
-    value = record.get(key)
-    if type(value) is not int:  # bool is an int subclass: rejected too
-        raise CodecError(f"field {key!r} is not an int")
-    return value
-
-
-def _decode_payload(record: Any) -> GossipValue | GossipBatch:
-    if not isinstance(record, dict):
-        raise CodecError("gossip payload is not an object")
-    kind = record.get("k")
-    if kind == "value":
-        return GossipValue(
-            phase=_require_int(record, "phase"),
-            key=_decode_key(record.get("key")),
-            state=_decode_state(record.get("state")),
-        )
-    if kind == "batch":
-        entries = record.get("entries")
-        if not isinstance(entries, list):
-            raise CodecError("batch entries is not a list")
-        decoded = []
-        for entry in entries:
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise CodecError("batch entry is not [key, state]")
-            decoded.append((_decode_key(entry[0]), _decode_state(entry[1])))
-        reply = record.get("reply")
-        if type(reply) is not bool:  # always written; 1 and "no" are not it
-            raise CodecError("field 'reply' is not a boolean")
-        return GossipBatch(
-            phase=_require_int(record, "phase"),
-            entries=tuple(decoded),
-            reply=reply,
-        )
-    raise CodecError(f"unknown gossip payload kind {kind!r}")
+def _gossip_frame(src: int, sent_round: int, body: bytes) -> bytes:
+    """The datagram ``src`` sends at ``sent_round`` around a
+    :func:`_gossip_body`."""
+    out = bytearray(_PREFIX + b"\x05")
+    _put_uv(out, src)
+    _put_uv(out, sent_round)
+    return bytes(out) + body
 
 
 def encode(message: Join | Welcome | Ping | Pong | Gossip) -> bytes:
     """One wire message -> one framed datagram."""
-    if isinstance(message, Join):
-        body: dict = {
-            "t": "join", "id": message.node_id,
-            "addr": [message.host, message.port],
-        }
-    elif isinstance(message, Welcome):
-        body = {
-            "t": "welcome",
-            "book": {
-                str(node_id): [host, port]
-                for node_id, (host, port) in sorted(message.book.items())
-            },
-        }
-    elif isinstance(message, Ping):
-        body = {"t": "ping", "src": message.src}
-    elif isinstance(message, Pong):
-        body = {"t": "pong", "src": message.src}
-    elif isinstance(message, Gossip):
-        body = {
-            "t": "gossip", "src": message.src, "round": message.sent_round,
-            "payload": _encode_payload(message.payload),
-        }
-    else:
+    kind = _KINDS.get(type(message))
+    if kind is None:
         raise CodecError(f"unencodable message {type(message).__name__}")
-    return _HEADER + json.dumps(
-        body, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    if kind == 5:
+        return _gossip_frame(
+            message.src, message.sent_round, _gossip_body(message.payload)
+        )
+    out = bytearray(_PREFIX)
+    out.append(kind)
+    if kind >= 3:
+        _put_uv(out, message.src)
+    elif kind == 1:
+        _put_uv(out, message.node_id)
+        _put_address(out, (message.host, message.port))
+    else:
+        book = message.book
+        if not all(type(node_id) is int for node_id in book):
+            raise CodecError("welcome book ids are not integers")
+        _put_uv(out, len(book))
+        previous = -1
+        for node_id in sorted(book):
+            _put_uv(out, node_id - previous - 1)
+            _put_address(out, book[node_id])
+            previous = node_id
+    return bytes(out)
 
 
-def _decode_addr(record: Any) -> tuple[str, int]:
-    if (
-        not isinstance(record, list) or len(record) != 2
-        or not isinstance(record[0], str) or type(record[1]) is not int
-    ):
-        raise CodecError("address is not [host, port]")
-    return (record[0], record[1])
+# -- decoding -------------------------------------------------------------
+
+def _uv(data: bytes, pos: int) -> tuple[int, int]:
+    """The varint at ``pos`` -> ``(value, next pos)``."""
+    value = data[pos]
+    pos += 1
+    if value < 0x80:
+        return value, pos
+    value &= 0x7F
+    shift = 7
+    while shift < _MAX_UV_BITS:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if not byte:
+                raise CodecError("varint is not minimal-length")
+            return value, pos
+        shift += 7
+    raise CodecError(f"varint wider than {_MAX_UV_BITS} bits")
+
+
+def _count(data: bytes, pos: int, what: str, each: int = 1) -> tuple[int, int]:
+    """A ``uv`` count of things at least ``each`` bytes long, refused
+    before anything is allocated if the rest of the frame cannot hold
+    them."""
+    count, pos = _uv(data, pos)
+    if count * each > len(data) - pos:
+        raise CodecError(f"{what} of {count} exceeds the bytes left")
+    return count, pos
+
+
+def _address(data: bytes, pos: int) -> tuple[tuple[str, int], int]:
+    length, pos = _count(data, pos, "host")
+    try:
+        host = data[pos:pos + length].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CodecError("host is not UTF-8 text") from None
+    port, pos = _uv(data, pos + length)
+    return (host, port), pos
+
+
+def _tree(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
+    tag = data[pos]
+    pos += 1
+    if tag == 0:
+        return _F64.unpack_from(data, pos)[0], pos + 8
+    if tag == 1:
+        return _uv(data, pos)
+    if tag == 2:
+        value, pos = _uv(data, pos)
+        return -1 - value, pos
+    if tag == 3 or tag == 4:
+        return tag == 4, pos
+    if tag != 5:
+        raise CodecError(f"unknown payload tag {tag}")
+    if depth == _MAX_DEPTH:
+        raise CodecError(f"payload nests deeper than {_MAX_DEPTH}")
+    count, pos = _count(data, pos, "tuple")
+    items = []
+    for __ in range(count):
+        item, pos = _tree(data, pos, depth + 1)
+        items.append(item)
+    return tuple(items), pos
+
+
+def _entry(data: bytes, pos: int) -> tuple[Any, AggregateState, int]:
+    key: Any
+    tag, pos = _uv(data, pos)
+    key, pos = _uv(data, pos)
+    if tag:
+        key = SubtreeId(tag - 1, key)
+    payload, pos = _tree(data, pos, 0)
+    ranges, pos = _count(data, pos, "coverage", each=2)
+    bounds = []
+    slots = ranges  # one per range, plus each span
+    hi = -2
+    for __ in range(ranges):
+        gap, pos = _uv(data, pos)
+        span, pos = _uv(data, pos)
+        lo = hi + 2 + gap
+        hi = lo + span
+        bounds += (lo, hi)
+        slots += span
+    # Canonical whatever the deltas, so no validation walk (from_bounds
+    # would add an eighth to decode): the mask module's own wrapper.
+    members = _make(IntervalMask, tuple(bounds), slots)
+    return key, AggregateState(payload, members), pos
+
+
+def _truncated(data: bytes) -> CodecError:
+    return CodecError(f"truncated frame ({len(data)} bytes)")
+
+
+def _decode(data: bytes) -> Join | Welcome | Ping | Pong | Gossip:
+    if data[:3] != _PREFIX:
+        if len(data) < 3:
+            raise _truncated(data)
+        if data[:2] != MAGIC:
+            raise CodecError("bad frame magic")
+        raise CodecError(f"wire version {data[2]} is not {WIRE_VERSION}")
+    kind = data[3]
+    message: Join | Welcome | Ping | Pong | Gossip
+    if kind == 5:
+        src, pos = _uv(data, 4)
+        sent_round, pos = _uv(data, pos)
+        flags = data[pos]
+        phase, pos = _uv(data, pos + 1)
+        if flags == 0:
+            key, state, pos = _entry(data, pos)
+            message = Gossip(src, sent_round, GossipValue(phase, key, state))
+        elif flags == 1 or flags == 3:
+            count, pos = _count(data, pos, "batch")
+            entries = []
+            for __ in range(count):
+                key, state, pos = _entry(data, pos)
+                entries.append((key, state))
+            batch = GossipBatch(phase, tuple(entries), flags == 3)
+            message = Gossip(src, sent_round, batch)
+        else:
+            raise CodecError(f"unknown gossip flags {flags}")
+    elif kind == 3 or kind == 4:
+        src, pos = _uv(data, 4)
+        message = Ping(src) if kind == 3 else Pong(src)
+    elif kind == 1:
+        node_id, pos = _uv(data, 4)
+        (host, port), pos = _address(data, pos)
+        message = Join(node_id, host, port)
+    elif kind == 2:
+        count, pos = _count(data, 4, "book")
+        book = {}
+        node_id = -1
+        for __ in range(count):
+            delta, pos = _uv(data, pos)
+            node_id += delta + 1
+            book[node_id], pos = _address(data, pos)
+        message = Welcome(book)
+    else:
+        raise CodecError(f"unknown frame kind {kind}")
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes")
+    return message
 
 
 def decode(data: bytes) -> Join | Welcome | Ping | Pong | Gossip:
     """One datagram -> one wire message; :class:`CodecError` on anything
     that is not a well-formed frame of :data:`WIRE_VERSION`."""
-    if len(data) < len(_HEADER):
-        raise CodecError(f"truncated frame ({len(data)} bytes)")
-    if data[: len(MAGIC)] != MAGIC:
-        raise CodecError("bad frame magic")
-    version = data[len(MAGIC)]
-    if version != WIRE_VERSION:
-        raise CodecError(
-            f"wire version {version} is not {WIRE_VERSION}"
-        )
     try:
-        body = json.loads(data[len(_HEADER):].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CodecError(f"malformed frame body: {exc}") from None
-    if not isinstance(body, dict):
-        raise CodecError("frame body is not an object")
-    kind = body.get("t")
-    if kind == "join":
-        host, port = _decode_addr(body.get("addr"))
-        return Join(node_id=_require_int(body, "id"), host=host, port=port)
-    if kind == "welcome":
-        raw = body.get("book")
-        if not isinstance(raw, dict):
-            raise CodecError("welcome book is not an object")
-        book: dict[int, tuple[str, int]] = {}
-        for key, addr in raw.items():
-            try:
-                node_id = int(key)
-            except (TypeError, ValueError):
-                raise CodecError(
-                    f"welcome book key {key!r} is not an id"
-                ) from None
-            book[node_id] = _decode_addr(addr)
-        return Welcome(book=book)
-    if kind == "ping":
-        return Ping(src=_require_int(body, "src"))
-    if kind == "pong":
-        return Pong(src=_require_int(body, "src"))
-    if kind == "gossip":
-        return Gossip(
-            src=_require_int(body, "src"),
-            sent_round=_require_int(body, "round"),
-            payload=_decode_payload(body.get("payload")),
-        )
-    raise CodecError(f"unknown message type {kind!r}")
+        return _decode(data)
+    except (IndexError, struct.error):  # a read ran past the last byte
+        raise _truncated(data) from None

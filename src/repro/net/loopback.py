@@ -24,6 +24,7 @@ epidemic redundancy).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.aggregates import get_aggregate
 from repro.core.protocol import (
@@ -111,6 +112,7 @@ class LoopbackRouter:
         return batch
 
 
+@lru_cache(maxsize=1 << 16)  # one tuple per id, not one per book entry
 def loopback_address(node_id: int) -> Address:
     return ("loopback", node_id)
 

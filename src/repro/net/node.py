@@ -54,6 +54,8 @@ from repro.net.codec import (
     Welcome,
     decode,
     encode,
+    _gossip_body,
+    _gossip_frame,
 )
 from repro.net.liveness import RTT_BUCKETS, LivenessView
 from repro.obs.metrics import (
@@ -239,6 +241,11 @@ class NetNode:
         )
         self.started = False
         self.tick_count = 0
+        #: The last gossip payload framed: ``(payload, its body, the
+        #: tick of the frame, the frame)``.  The M gossipees of a tick
+        #: get the one frame; a batch re-sent on a later tick (``known``
+        #: unchanged) keeps its body and is only re-prefixed.
+        self._framed: tuple[Any, bytes, int, bytes] = (None, b"", -1, b"")
         votes = make_votes(config)
         assignment = shared_dense_assignment(
             config.group_size, config.k, config.group_size,
@@ -335,17 +342,15 @@ class NetNode:
             # race (dest rebooted, book refresh in flight) as wire loss.
             self.stats.sends_rejected += 1
             return
-        self._transmit(
-            encode(
-                Gossip(
-                    src=self.config.node_id,
-                    sent_round=self.tick_count,
-                    payload=payload,
-                )
-            ),
-            address,
-            "gossip",
-        )
+        framed, body, tick, frame = self._framed
+        if framed is not payload:
+            body = _gossip_body(payload)
+            tick = -1
+        if tick != self.tick_count:
+            tick = self.tick_count
+            frame = _gossip_frame(self.config.node_id, tick, body)
+            self._framed = (payload, body, tick, frame)
+        self._transmit(frame, address, "gossip")
 
     def _send_joins(self) -> None:
         own = self.book.address_of(self.config.node_id)
@@ -391,11 +396,8 @@ class NetNode:
                 self.liveness.record_heard(message.node_id, self.tick_count)
                 # Answer with the current book — possibly partial; the
                 # joiner keeps re-joining until its copy is complete.
-                self._transmit(
-                    encode(Welcome(book=self.book.as_dict())),
-                    address,
-                    "welcome",
-                )
+                for frame in _welcome_frames(self.book.as_dict()):
+                    self._transmit(frame, address, "welcome")
         elif isinstance(message, Welcome):
             stats.rx["welcome"] += 1
             self.book.merge(message.book)
@@ -451,6 +453,19 @@ class NetNode:
             self.process.on_round(self.ctx)
         self.tick_count += 1
         return self.process.terminated
+
+
+def _welcome_frames(book: dict[int, Address]) -> list[bytes]:
+    """``book`` as Welcome frames of one datagram each: a book too big
+    for one is halved by id until every part fits (the joiner merges
+    them in any order)."""
+    frame = encode(Welcome(book=book))
+    if len(frame) <= MAX_DATAGRAM_BYTES or len(book) == 1:
+        return [frame]
+    ids = sorted(book)
+    lower = {node_id: book[node_id] for node_id in ids[:len(ids) // 2]}
+    upper = {node_id: book[node_id] for node_id in ids[len(ids) // 2:]}
+    return _welcome_frames(lower) + _welcome_frames(upper)
 
 
 def _coverage_in_group(

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-import networkx as nx
-
 __all__ = ["AdHocNetwork"]
 
 
@@ -31,6 +29,8 @@ class AdHocNetwork:
             raise ValueError("radio radius must be positive")
         self.positions = dict(positions)
         self.radius = radius
+        import networkx as nx  # heavy, and only ad-hoc scenarios need it
+
         self.graph = nx.Graph()
         self.graph.add_nodes_from(self.positions)
         members = sorted(self.positions)
@@ -44,12 +44,16 @@ class AdHocNetwork:
 
     def is_connected(self) -> bool:
         """Whether every sensor can route to every other."""
+        import networkx as nx
+
         return nx.is_connected(self.graph) if len(self.graph) else False
 
     def largest_component(self) -> set[int]:
         """Node ids of the biggest connected component."""
         if not len(self.graph):
             return set()
+        import networkx as nx
+
         return set(max(nx.connected_components(self.graph), key=len))
 
     def hops(self, src: int, dest: int) -> int | None:
@@ -58,6 +62,8 @@ class AdHocNetwork:
             return 0
         table = self._hops_cache.get(src)
         if table is None:
+            import networkx as nx
+
             table = nx.single_source_shortest_path_length(self.graph, src)
             self._hops_cache[src] = table
         return table.get(dest)

@@ -1,5 +1,10 @@
 """Tests for the top-level package API surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -20,6 +25,29 @@ class TestPublicSurface:
             "build_mib_group", "measure_completeness",
         ):
             assert name in repro.__all__
+
+
+class TestImportCost:
+    def test_running_a_simulation_loads_no_scipy_networkx_or_matplotlib(self):
+        """They cost ~1 s and ~80 MiB to import and serve three call
+        sites (``binom.pmf`` x2, ``t.ppf``) and one class, none on the
+        path of a run: each is imported where it is used."""
+        code = (
+            "import sys, repro, repro.cli, repro.experiments.runner, "
+            "repro.net.node\n"
+            "repro.run_once(repro.with_params(n=32, seed=1))\n"
+            "print(sorted({'scipy', 'networkx', 'matplotlib'} "
+            "& set(sys.modules)))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={
+                "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+                "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+            },
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
 
 class TestAggregateOnce:

@@ -215,7 +215,7 @@ class TestOneLedger:
         rx(self._gossip({1}))  # valid, delivered
         rx(self._gossip({100_000}))  # coverage past the group
         forged = AggregateState(
-            (1.0, 30_000), IntervalMask(range(0, 60_000, 2))
+            (1.0, 40_000), IntervalMask(range(0, 80_000, 2))
         )
         node.ctx.send(1, GossipValue(3, SubtreeId(0, 0), forged))  # oversize
         honest = GossipValue(1, 0, AggregateState((1.0, 1), {0}))
