@@ -65,10 +65,12 @@ means the parallel executor changed the numbers, which is a bug.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -159,6 +161,34 @@ def _checksum(results) -> str:
         sort_keys=True,
     ).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _collections() -> list[int]:
+    """Cyclic-collector passes so far, per generation."""
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+def _footprint(collections_before: list[int]) -> dict:
+    """Memory fields of an entry, read right after its timed region.
+
+    ``peak_rss_mb`` is the process high-water mark so far (entries run
+    in one process, smallest first, so each large workload sets its
+    own); ``gc_collections`` the collector passes per generation since
+    ``collections_before``.
+    """
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {
+        "peak_rss_mb": round(peak_kb / 1024.0, 1),
+        "gc_collections": [
+            after - before for before, after
+            in zip(collections_before, _collections())
+        ],
+    }
+
+
+def _footprint_text(entry: dict) -> str:
+    return (f"peak RSS {entry['peak_rss_mb']} MB, collections "
+            f"{'/'.join(map(str, entry['gc_collections']))}")
 
 
 def _sweep_configs(kind: str, quick: bool):
@@ -265,6 +295,7 @@ def bench_large(quick: bool) -> dict:
     """
     configs = [with_params(n=8192, k=8, seed=0).with_seed(offset)
                for offset in range(2)]
+    collections = _collections()
     start = time.perf_counter()
     results = run_many(configs, jobs=1)
     seconds = time.perf_counter() - start
@@ -277,6 +308,7 @@ def bench_large(quick: bool) -> dict:
         "rounds": [r.rounds for r in results],
         "messages_sent": sum(r.messages_sent for r in results),
         "incompleteness": max(r.incompleteness for r in results),
+        **_footprint(collections),
         "checksum": _checksum(results),
     }
 
@@ -359,13 +391,11 @@ def bench_n65536() -> dict:
     ``peak_rss_mb`` is the process high-water mark, which this workload
     sets (the earlier ones peak far lower).
     """
-    import resource
-
     config = with_params(n=65536, k=8, seed=0)
+    collections = _collections()
     start = time.perf_counter()
     result = run_once(config)
     seconds = time.perf_counter() - start
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {
         "workload": "n65536",
         "config": {"n": 65536, "k": 8, "seed": 0, "ucastl": 0.25,
@@ -375,7 +405,7 @@ def bench_n65536() -> dict:
         "messages_sent": result.messages_sent,
         "completeness": result.completeness,
         "unfinished": result.report.unfinished,
-        "peak_rss_mb": round(peak_rss_mb, 1),
+        **_footprint(collections),
         "checksum": _checksum([result]),
     }
 
@@ -413,9 +443,11 @@ def bench_net_loopback(quick: bool) -> dict:
     with mock.patch.object(loopback, "LoopbackRouter", RecordingRouter):
         for __ in range(repeats):
             frames.clear()
+            collections = _collections()
             start = time.perf_counter()
             report = loopback.run_loopback_group(n, k=8, seed=0)
             seconds = min(seconds, time.perf_counter() - start)
+            footprint = _footprint(collections)  # the last run's
     by_kind: dict[str, int] = {}
     gossip_sizes = []
     digest = hashlib.sha256()
@@ -443,6 +475,7 @@ def bench_net_loopback(quick: bool) -> dict:
         "gossip_frame_bytes_mean": round(
             sum(gossip_sizes) / len(gossip_sizes), 1),
         "gossip_frame_bytes_max": max(gossip_sizes),
+        **footprint,
         "frames_sha256": digest.hexdigest()[:16],
     }
 
@@ -457,6 +490,7 @@ def bench_pushpull_n2048() -> dict:
     config = with_params(
         n=2048, k=4, push_pull=True, collect_telemetry=True, seed=0
     )
+    collections = _collections()
     start = time.perf_counter()
     result = run_once(config)
     seconds = time.perf_counter() - start
@@ -469,6 +503,7 @@ def bench_pushpull_n2048() -> dict:
         "rounds": result.rounds,
         "messages_sent": result.messages_sent,
         "incompleteness": result.incompleteness,
+        **_footprint(collections),
         "checksum": _checksum([result]),
     }
 
@@ -488,6 +523,7 @@ def bench_chaos_n1024() -> dict:
     """
     from repro.experiments.robustness import robustness_matrix
 
+    collections = _collections()
     start = time.perf_counter()
     report = robustness_matrix(
         campaigns=CHAOS_SMOKE_CAMPAIGNS, ns=(1024,), runs=2, seed=0,
@@ -502,6 +538,7 @@ def bench_chaos_n1024() -> dict:
                    "collect_telemetry": True},
         "seconds": round(seconds, 3),
         "bound_violations": len(report.violations),
+        **_footprint(collections),
         "checksum": hashlib.sha256(
             report.render().encode()
         ).hexdigest()[:16],
@@ -525,8 +562,6 @@ def bench_n1m_smoke() -> dict:
     group in laptop-class memory (``peak_rss_mb``) and steps it; it is
     not a full protocol run (``--n1m`` opt-in, minutes of wall-clock).
     """
-    import resource
-
     from repro.experiments import runner as runner_mod
     from repro.sim.rng import RngRegistry
 
@@ -542,10 +577,10 @@ def bench_n1m_smoke() -> dict:
     )
     engine.add_processes(processes)
     build_seconds = time.perf_counter() - start
+    collections = _collections()
     start = time.perf_counter()
     stats = engine.run(until=lambda: engine.round >= N1M_SMOKE_ROUNDS)
     step_seconds = time.perf_counter() - start
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {
         "workload": "n1m_smoke",
         "config": {"n": 1_000_000, "k": 16, "seed": 0, "ucastl": 0.25,
@@ -556,7 +591,7 @@ def bench_n1m_smoke() -> dict:
         "step_seconds": round(step_seconds, 3),
         "rounds": stats.rounds_executed,
         "messages_sent": engine.network.stats.sent,
-        "peak_rss_mb": round(peak_rss_mb, 1),
+        **_footprint(collections),
     }
 
 
@@ -622,7 +657,8 @@ def main(argv=None) -> int:
     entry = bench_large(args.quick)
     print(f"[bench]   {entry['workload']}: {entry['seconds']}s "
           f"({entry['messages_sent']} messages, "
-          f"checksum {entry['checksum']})", flush=True)
+          f"checksum {entry['checksum']}), {_footprint_text(entry)}",
+          flush=True)
     entries.append(entry)
     print("[bench] net loopback group ...", flush=True)
     entry = bench_net_loopback(args.quick)
@@ -631,7 +667,8 @@ def main(argv=None) -> int:
           f"{entry['bytes_per_member_round']} B/member/round, gossip "
           f"frames mean {entry['gossip_frame_bytes_mean']} / max "
           f"{entry['gossip_frame_bytes_max']} B "
-          f"(frames {entry['frames_sha256']})", flush=True)
+          f"(frames {entry['frames_sha256']}), {_footprint_text(entry)}",
+          flush=True)
     entries.append(entry)
     if not args.quick:
         # Both before n65536: run after it in the same process
@@ -641,20 +678,21 @@ def main(argv=None) -> int:
         entry = bench_pushpull_n2048()
         print(f"[bench]   {entry['workload']}: {entry['seconds']}s "
               f"({entry['messages_sent']} messages, "
-              f"checksum {entry['checksum']})", flush=True)
+              f"checksum {entry['checksum']}), {_footprint_text(entry)}",
+              flush=True)
         entries.append(entry)
         print("[bench] chaos_n1024 robustness matrix ...", flush=True)
         entry = bench_chaos_n1024()
         print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "
               f"{entry['bound_violations']} bound violation(s) "
-              f"(checksum {entry['checksum']})", flush=True)
+              f"(checksum {entry['checksum']}), {_footprint_text(entry)}",
+              flush=True)
         entries.append(entry)
         print("[bench] n65536 to convergence ...", flush=True)
         entry = bench_n65536()
         print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "
               f"{entry['rounds']} rounds to completeness "
-              f"{entry['completeness']}, peak RSS "
-              f"{entry['peak_rss_mb']} MB "
+              f"{entry['completeness']}, {_footprint_text(entry)} "
               f"(checksum {entry['checksum']})", flush=True)
         entries.append(entry)
     if args.n1m:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any
 
@@ -80,7 +80,7 @@ def clear_mask_union_cache() -> None:
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggregateState:
     """A partial evaluation of an aggregate over a set of member votes.
 
@@ -93,6 +93,10 @@ class AggregateState:
 
     payload: Any
     members: IntervalMask
+    #: Memo of the default-size :meth:`wire_size`; not part of the value.
+    _wire_size: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if type(self.members) is not IntervalMask:
@@ -113,10 +117,8 @@ class AggregateState:
         immutable and re-sent every gossip round, and the payload walk
         dominated the simulator's send path before caching.
         """
-        if float_size == 8:
-            cached = self.__dict__.get("_wire_size")
-            if cached is not None:
-                return cached
+        if float_size == 8 and self._wire_size is not None:
+            return self._wire_size
         payload = self.payload
         if isinstance(payload, tuple):
             size = float_size * max(1, _flat_len(payload))

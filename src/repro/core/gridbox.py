@@ -210,6 +210,8 @@ class GridAssignment:
         # Lazily built per-prefix-length groupings shared by all processes
         # (performance: avoids per-member subtree scans each round).
         self._prefix_groups: dict[int, dict[int, tuple[int, ...]]] = {}
+        # Per prefix length, each member's index in its group's tuple.
+        self._prefix_positions: dict[int, dict[int, int]] = {}
         # Shared expected-key frozensets (one per box / subtree instead of
         # one per member): every complete-view member of the same subtree
         # waits on the same key set each phase.
@@ -302,10 +304,14 @@ class GridAssignment:
         if groups is None:
             shift = self.hierarchy.k ** (self.hierarchy.digits - prefix_length)
             raw: dict[int, list[int]] = {}
+            positions: dict[int, int] = {}
             for member_id, box in self._box_of.items():
-                raw.setdefault(box // shift, []).append(member_id)
+                ids = raw.setdefault(box // shift, [])
+                positions[member_id] = len(ids)
+                ids.append(member_id)
             groups = {value: tuple(ids) for value, ids in raw.items()}
             self._prefix_groups[prefix_length] = groups
+            self._prefix_positions[prefix_length] = positions
         return groups
 
     def members_in_subtree(self, subtree: SubtreeId) -> tuple[int, ...]:
@@ -316,6 +322,15 @@ class GridAssignment:
         """
         length, value = subtree
         return self._groups_at(length).get(value, ())
+
+    def pool_and_position(
+        self, member_id: int, phase: int
+    ) -> tuple[tuple[int, ...], int]:
+        """:meth:`members_in_subtree` of the member's height-``phase``
+        subtree, and the member's index in that (id-ordered) tuple."""
+        length, value = self.subtree_of(member_id, phase)
+        pool = self._groups_at(length)[value]
+        return pool, self._prefix_positions[length][member_id]
 
     def occupied_children(self, subtree: SubtreeId) -> tuple[SubtreeId, ...]:
         """Child subtrees of ``subtree`` that contain at least one member."""

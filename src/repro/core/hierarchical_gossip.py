@@ -223,9 +223,6 @@ class _PayloadMemo:
 class HierarchicalGossipProcess(AggregationProcess):
     """One group member executing Hierarchical Gossiping."""
 
-    #: Bound on :attr:`_seen_payloads` (absorbed-payload dedupe).
-    _SEEN_CAP = 4096
-
     def __init__(
         self,
         node_id: int,
@@ -283,16 +280,6 @@ class HierarchicalGossipProcess(AggregationProcess):
         self._known_version = 0
         #: The payloads last built from ``known`` (see :meth:`_memo`).
         self._batch_cache: _PayloadMemo | None = None
-        #: Payload objects already absorbed this phase, keyed by ``id``.
-        #: Senders reuse one cached :class:`GossipBatch` object across
-        #: rounds (and across their M gossipees), so a receiver sees the
-        #: same object many times; re-absorbing it is a provable no-op
-        #: (see :meth:`absorb_payloads`), so it is skipped.  The dict
-        #: *pins* its payloads (values are the objects themselves),
-        #: which is what makes the ``id`` key sound — a pinned object's
-        #: id cannot be recycled.  Cleared on every phase entry; capped
-        #: so adversarial single-value traffic cannot grow it unboundedly.
-        self._seen_payloads: dict[int, object] = {}
         #: (phase, verdict) memo for :meth:`_is_representative` — the
         #: role is stable for the whole phase, so hash it once.
         self._rep_cache: tuple[int, bool] | None = None
@@ -405,10 +392,7 @@ class HierarchicalGossipProcess(AggregationProcess):
         if cached is not None:
             return cached
         if self._complete_view:
-            pool = self.assignment.members_in_subtree(
-                self.assignment.subtree_of(self.node_id, phase)
-            )
-            result = (pool, pool.index(self.node_id))
+            result = self.assignment.pool_and_position(self.node_id, phase)
         else:
             pool = tuple(
                 self.assignment.peers_in_subtree(
@@ -502,25 +486,8 @@ class HierarchicalGossipProcess(AggregationProcess):
     def on_start(self, ctx: Context) -> None:
         self.known = {self.node_id: self.own_state()}
         self._known_version += 1
-        self._seen_payloads.clear()
         self._start_round = max(ctx.round, self.start_round)
         self._emit_phase_enter(ctx)
-
-    def _accept(
-        self, bucket: dict[object, AggregateState], key: object,
-        state: AggregateState,
-    ) -> None:
-        """Admit ``state`` for ``key``: most-complete version wins (or the
-        first received, under the ``prefer_coverage=False`` ablation)."""
-        current = bucket.get(key)
-        if current is None:
-            bucket[key] = state
-        elif self.params.prefer_coverage and state.covers() > current.covers():
-            bucket[key] = state
-        else:
-            return
-        if bucket is self.known:
-            self._known_version += 1
 
     def on_message(self, ctx: Context, message: Message) -> None:
         answers: list[tuple[int, GossipBatch]] = []
@@ -538,29 +505,38 @@ class HierarchicalGossipProcess(AggregationProcess):
 
         The one admission routine: :meth:`on_message` passes its single
         payload, the array-stepped engine a receiver's whole round of
-        arrivals.  A past-phase payload is ignored (that phase is
-        already composed here), a future-phase one is buffered, and per
-        key the most-complete value wins (:meth:`_accept`) — after the
-        adversarial admission screen (``round_number``, the engine
-        round, attributes a detection).  The return value is the array
-        engine's advance-candidate signal; advancing is the round
-        step's job (:meth:`_maybe_advance`) on both engines.
+        arrivals, :meth:`_maybe_advance` the values it had buffered for
+        the phase it enters.  A past-phase payload is ignored (that
+        phase is already composed here), a future-phase one is
+        buffered, and per key the most-complete value wins (or the
+        first received, under the ``prefer_coverage=False`` ablation) —
+        after the adversarial admission screen (``round_number``, the
+        engine round, attributes a detection).  An entry this member
+        already holds is skipped before the screen: admitting a state
+        over itself changes nothing, so a batch that arrives again
+        costs one identity test per entry and is never kept.  The
+        return value is the array engine's advance-candidate signal;
+        advancing is the round step's job (:meth:`_maybe_advance`) on
+        both engines.
 
         It is also the one place a push-pull reply is decided: a
         non-reply batch of this member's current phase is answered with
         the member's state as it stands *before* that batch is absorbed
-        (so a repeated, deduped request still pulls), appended to
-        ``answers`` as ``(position in payloads, answer)`` for the caller
-        to send to that payload's sender.  ``answers=None`` (or
-        push-pull off) answers nothing.
+        (so a repeated request still pulls), appended to ``answers`` as
+        ``(position in payloads, answer)`` for the caller to send to
+        that payload's sender.  ``answers=None`` (or push-pull off)
+        answers nothing.
         """
         if self.result is not None:
             return False
         version_before = self._known_version
         my_phase = self.phase
-        seen = self._seen_payloads
+        known = self.known
+        future = self._future
         screen = sanitize.SCREEN
+        prefer_coverage = self.params.prefer_coverage
         pulled = answers if self.params.push_pull else None
+        received = 0
         for position, payload in enumerate(payloads):
             if isinstance(payload, GossipBatch):
                 phase = payload.phase
@@ -569,7 +545,7 @@ class HierarchicalGossipProcess(AggregationProcess):
                     pulled is not None
                     and phase == my_phase
                     and not payload.reply
-                    and self.known
+                    and known
                 ):
                     pulled.append((position, self._pull_reply()))
             elif isinstance(payload, GossipValue):
@@ -580,27 +556,28 @@ class HierarchicalGossipProcess(AggregationProcess):
             if phase < my_phase:
                 continue
             if phase == my_phase:
-                bucket = self.known
-                # Counts the delivery even when deduped below: it
-                # measures network health, not novelty.
-                self._phase_received += 1
+                bucket = known
+                # Every delivery counts, novel or not: this measures
+                # network health for the adaptive deadline.
+                received += 1
             else:
-                bucket = self._future.setdefault(phase, {})
-            if isinstance(payload, GossipBatch):
-                # Dedupe (see ``_seen_payloads``): re-absorbing a
-                # batch is a no-op — ``_accept`` replaces an entry only
-                # for *strictly* better coverage, and an absorbed entry
-                # cannot improve on itself — so skip the entry loop.
-                if seen.get(id(payload)) is payload:
-                    continue
-                if len(seen) < self._SEEN_CAP:
-                    seen[id(payload)] = payload
+                bucket = future.setdefault(phase, {})
             for key, state in entries:
+                current = bucket.get(key)
+                if current is state:
+                    continue
                 if screen is not None and not screen(
                     self, round_number, phase, key, state
                 ):
                     continue  # quarantined: adversarial content detected
-                self._accept(bucket, key, state)
+                if current is None or (
+                    prefer_coverage
+                    and state.members.count > current.members.count
+                ):
+                    bucket[key] = state
+                    if bucket is known:
+                        self._known_version += 1
+        self._phase_received += received
         return self._known_version != version_before
 
     def on_round(self, ctx: Context) -> None:
@@ -754,8 +731,8 @@ class HierarchicalGossipProcess(AggregationProcess):
         """The push-pull answer: this member's current-phase state.
 
         One object per state of ``known``, shared by every request that
-        state answers — a requester that gets it twice skips it through
-        ``_seen_payloads`` like any repeated batch.
+        state answers — a requester that gets it twice finds every
+        entry already held, like any repeated batch.
         """
         memo = self._memo()
         if memo.reply is None:
@@ -875,10 +852,7 @@ class HierarchicalGossipProcess(AggregationProcess):
                 )
             self.phase += 1
             self.phase_rounds = 0
-            self._phase_received = 0
             self._phase_extension = 0
-            if self._seen_payloads:
-                self._seen_payloads.clear()
             if self.phase > self.num_phases:
                 # Graceful degradation: the estimate is reported together
                 # with the fraction of the group it demonstrably covers,
@@ -894,8 +868,13 @@ class HierarchicalGossipProcess(AggregationProcess):
                 return
             self.known = {completed_subtree: composed}
             self._known_version += 1
-            for key, state in self._future.pop(self.phase, {}).items():
-                self._accept(self.known, key, state)
+            buffered = self._future.pop(self.phase, None)
+            if buffered:
+                self.absorb_payloads(
+                    (GossipBatch(self.phase, tuple(buffered.items())),),
+                    ctx.round,
+                )
+            self._phase_received = 0  # the flush above is no delivery
             self._emit_phase_enter(ctx)
 
 

@@ -12,7 +12,7 @@ is *not* charged here; the real wire carries and counts it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.aggregates import AggregateState
@@ -30,7 +30,7 @@ __all__ = [
 ID_SIZE = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GossipValue:
     """One gossiped value (paper steps I(a)/II(a)).
 
@@ -48,7 +48,7 @@ class GossipValue:
         return 2 * ID_SIZE + self.state.wire_size()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GossipBatch:
     """All values the sender holds for its current phase.
 
@@ -64,12 +64,16 @@ class GossipBatch:
     entries: tuple[tuple[Any, AggregateState], ...]
     #: True for the answer half of a push-pull exchange (never re-answered).
     reply: bool = False
+    #: Memo of :meth:`wire_size`; not part of the value.
+    _wire_size: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def wire_size(self) -> int:
         # Memoized: one batch object is sent to every gossipee of a
         # round (and its entry states persist across rounds), so the
         # entry walk would otherwise repeat per send.
-        cached = self.__dict__.get("_wire_size")
+        cached = self._wire_size
         if cached is None:
             cached = ID_SIZE + sum(
                 ID_SIZE + state.wire_size() for __, state in self.entries

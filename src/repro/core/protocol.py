@@ -14,6 +14,8 @@ import statistics
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+import numpy as np
+
 from repro.core.aggregates import AggregateFunction, AggregateState
 from repro.core.intervals import IntervalMask
 from repro.sim.engine import Process
@@ -23,23 +25,31 @@ __all__ = [
     "AggregationProcess",
     "CompletenessReport",
     "draw_votes",
+    "vote_block",
     "measure_completeness",
     "measure_estimates",
 ]
 
 
+def vote_block(
+    rngs: RngRegistry, group_size: int, low: float, high: float
+) -> np.ndarray:
+    """Uniform votes of members ``0..group_size-1`` as one float64 array.
+
+    The one vote draw of both substrates (one ``random(n)`` block on the
+    ``votes`` stream): the experiment runner keeps the whole block
+    (:func:`draw_votes`), a live node derives the same block locally and
+    keeps only its own entry — which is what makes the cross-runtime
+    aggregate comparable.
+    """
+    return low + (high - low) * rngs.stream("votes").random(group_size)
+
+
 def draw_votes(
     rngs: RngRegistry, group_size: int, low: float, high: float
 ) -> dict[int, float]:
-    """Uniform votes for members ``0..group_size-1`` from ``rngs``.
-
-    The one vote draw of both substrates (one ``random(n)`` block on the
-    ``votes`` stream): the experiment runner draws the whole map, a live
-    node derives the same map locally and keeps only its own vote —
-    which is what makes the cross-runtime aggregate comparable.
-    """
-    draws = rngs.stream("votes").random(group_size)
-    return dict(enumerate((low + (high - low) * draws).tolist()))
+    """:func:`vote_block` as a ``{member id: vote}`` map."""
+    return dict(enumerate(vote_block(rngs, group_size, low, high).tolist()))
 
 
 class AggregationProcess(Process):

@@ -100,7 +100,7 @@ class CodecError(Exception):
 
 # -- wire message types ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Join:
     """Bootstrap request: "I am ``node_id`` at ``(host, port)``"."""
 
@@ -109,28 +109,28 @@ class Join:
     port: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Welcome:
     """Bootstrap reply: the responder's current address book."""
 
     book: dict[int, tuple[str, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ping:
     """Liveness probe."""
 
     src: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pong:
     """Liveness probe answer."""
 
     src: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gossip:
     """One protocol payload in flight.
 

@@ -42,7 +42,7 @@ from repro.core.hierarchical_gossip import (
 )
 from repro.core.messages import GossipBatch, GossipValue
 from repro.core.observe import PhaseSink
-from repro.core.protocol import draw_votes
+from repro.core.protocol import draw_votes, vote_block
 from repro.net.bootstrap import Address, AddressBook
 from repro.net.codec import (
     MAX_DATAGRAM_BYTES,
@@ -246,17 +246,22 @@ class NetNode:
         #: get the one frame; a batch re-sent on a later tick (``known``
         #: unchanged) keeps its body and is only re-prefixed.
         self._framed: tuple[Any, bytes, int, bytes] = (None, b"", -1, b"")
-        votes = make_votes(config)
+        # This member's entry of the group's vote block (``make_votes``
+        # is the whole block as a map; a node needs one float of it).
+        votes = vote_block(
+            RngRegistry(config.seed), config.group_size,
+            config.vote_low, config.vote_high,
+        )
         assignment = shared_dense_assignment(
             config.group_size, config.k, config.group_size,
             FairHash(salt=config.hash_salt),
         )
         self.process = HierarchicalGossipProcess(
             node_id=config.node_id,
-            vote=votes[config.node_id],
+            vote=float(votes[config.node_id]),
             function=get_aggregate(config.aggregate),
             assignment=assignment,
-            view=tuple(votes),
+            view=assignment.member_ids,
             params=GossipParams(
                 fanout_m=config.fanout_m,
                 rounds_factor_c=config.rounds_factor_c,

@@ -29,6 +29,7 @@ message-level accounting trustworthy.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -393,24 +394,35 @@ class SimulationEngine:
 
         ``until``, when given, is checked at each round boundary and stops
         the run early when it returns True.
+
+        The cyclic collector is paused for the run and the caller's
+        setting restored on the way out: a run allocates no reference
+        cycles (``test_run_leaves_no_cyclic_garbage`` guards that), so a
+        collection frees nothing and only re-walks the members' state.
         """
-        for process in self.processes.values():
-            self._ctx.current = process
-            process.on_start(self._ctx)
-            self._ctx.current = None
-        while self.round < self.max_rounds:
-            if (until() if until is not None else self._all_done()):
-                break
-            while self._scheduled and self._scheduled[0][0] <= self.round:
-                __, __, callback = heapq.heappop(self._scheduled)
-                callback()
-            self._apply_failures()
-            self._deliver_due()
-            self.round_bus.emit(self.round)
-            self._drain_injected()
-            self._step_processes()
-            if self.metrics is not None:
-                self.metrics.snapshot(self)
-            self.round += 1
-            self.stats.rounds_executed = self.round
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for process in self.processes.values():
+                self._ctx.current = process
+                process.on_start(self._ctx)
+                self._ctx.current = None
+            while self.round < self.max_rounds:
+                if (until() if until is not None else self._all_done()):
+                    break
+                while self._scheduled and self._scheduled[0][0] <= self.round:
+                    __, __, callback = heapq.heappop(self._scheduled)
+                    callback()
+                self._apply_failures()
+                self._deliver_due()
+                self.round_bus.emit(self.round)
+                self._drain_injected()
+                self._step_processes()
+                if self.metrics is not None:
+                    self.metrics.snapshot(self)
+                self.round += 1
+                self.stats.rounds_executed = self.round
+        finally:
+            if collecting:
+                gc.enable()
         return self.stats

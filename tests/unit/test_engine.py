@@ -1,5 +1,7 @@
 """Unit tests for the round-based simulation engine."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import Process, SimulationEngine
@@ -307,3 +309,79 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         assert self._run(5) != self._run(6)
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic collector and puts the caller's
+    setting back, whatever that was and however the run ends."""
+
+    class Probe(Process):
+        def __init__(self, node_id, fail=False):
+            super().__init__(node_id)
+            self.fail = fail
+            self.collecting = None
+
+        def on_round(self, ctx):
+            self.collecting = gc.isenabled()
+            if self.fail:
+                raise RuntimeError("mid-run failure")
+            ctx.terminate()
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        collecting = gc.isenabled()
+        yield
+        (gc.enable if collecting else gc.disable)()
+
+    @pytest.mark.parametrize("caller_collecting", [True, False])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_paused_inside_and_restored_after(self, caller_collecting, fail):
+        (gc.enable if caller_collecting else gc.disable)()
+        engine = _engine()
+        probe = self.Probe(0, fail=fail)
+        engine.add_process(probe)
+        if fail:
+            with pytest.raises(RuntimeError, match="mid-run"):
+                engine.run()
+        else:
+            engine.run()
+        assert probe.collecting is False
+        assert gc.isenabled() is caller_collecting
+
+    #: The premise of the pause: a run leaves nothing only the cyclic
+    #: collector could free.  Both engines, request/reply gossip, both
+    #: telemetry depths, and the campaigns that crash, reboot and forge.
+    CONFIGS = {
+        "array": dict(engine="array"),
+        "object": dict(engine="object"),
+        "push-pull": dict(push_pull=True),
+        "compact-telemetry": dict(collect_telemetry=True),
+        "full-telemetry": dict(full_telemetry=True),
+        "crash-storm": dict(campaign="crash-storm"),
+        "churn": dict(campaign="churn"),
+        "tamper-forge": dict(campaign="tamper-forge"),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_run_leaves_no_cyclic_garbage(self, name, monkeypatch):
+        from repro.experiments.params import with_params
+        from repro.experiments.runner import run_once
+        from repro.obs.telemetry import RunTelemetry
+
+        params = dict(self.CONFIGS[name])
+        telemetry = RunTelemetry() if params.pop("full_telemetry", 0) else None
+        unreachable = []
+        real_run = SimulationEngine.run
+
+        def measured_run(engine, until=None):
+            gc.collect()  # whatever building the world left behind
+            stats = real_run(engine, until)
+            unreachable.append(gc.collect())
+            return stats
+
+        monkeypatch.setattr(SimulationEngine, "run", measured_run)
+        result = run_once(
+            with_params(n=256, seed=1, **params), telemetry=telemetry
+        )
+        assert result.rounds > 0
+        assert unreachable == [0]

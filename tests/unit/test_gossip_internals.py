@@ -147,6 +147,27 @@ class TestBuffering:
         assert process.phase == 3  # cascaded: buffered sibling completed 2
         assert ctx.terminated is False  # final phase awaits deadline
 
+    def test_drain_is_an_admission_not_a_delivery(self):
+        # The buffer is flushed through ``absorb_payloads``: a buffered
+        # version of the member's own child subtree that covers more
+        # than its own compose wins, and the flush leaves the new
+        # phase's delivery count (the adaptive-deadline signal) at zero.
+        process = _process(7, early_bump=True)
+        own_child, sibling = SubtreeId(2, 0), SubtreeId(2, 1)
+        fuller = _over(7, 3, 8)
+        for key, state in ((sibling, _over(6)), (own_child, fuller)):
+            process.on_message(
+                FakeCtx(), self._msg(GossipValue(2, key, state))
+            )
+        process.phase_rounds = process.rounds_per_phase  # timeout: 7 alone
+        version = process._known_version
+        process._maybe_advance(FakeCtx())
+        assert process.phase == 2
+        assert list(process.known) == [own_child, sibling]
+        assert process.known[own_child] is fuller
+        assert process._known_version > version
+        assert process._phase_received == 0
+
     def test_cascade_to_result_at_deadline(self):
         process = _process(7, early_bump=True)
         process.known[3] = _over(3)

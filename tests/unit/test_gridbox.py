@@ -147,6 +147,21 @@ class TestAssignment:
         assert a.members_in_subtree(subtree) is a.members_in_subtree(subtree)
         assert set(a.members_in_subtree(subtree)) == {7, 3, 8, 6, 5}
 
+    def test_pool_and_position_is_the_shared_tuple_and_its_index(self):
+        h, figure1 = self._figure1_assignment()
+        dense = GridAssignment(GridBoxHierarchy(200, 4), range(200), FairHash())
+        for assignment in (figure1, dense):
+            hierarchy = assignment.hierarchy
+            for member in assignment.member_ids:
+                for phase in range(1, hierarchy.num_phases + 1):
+                    pool, position = assignment.pool_and_position(
+                        member, phase
+                    )
+                    assert pool is assignment.members_in_subtree(
+                        assignment.subtree_of(member, phase)
+                    )
+                    assert position == pool.index(member)
+
     def test_occupied_children(self):
         h = GridBoxHierarchy(8, 2)
         boxes = {1: 0, 2: 0, 3: 3}  # box 1 and 2 empty

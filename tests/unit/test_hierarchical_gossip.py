@@ -1,5 +1,7 @@
 """Unit tests for the Hierarchical Gossiping protocol process."""
 
+import weakref
+
 import pytest
 
 from repro.core.aggregates import AverageAggregate, SumAggregate
@@ -395,8 +397,12 @@ class TestPushPullReplies:
         process = self._process()
         request = GossipBatch(1, ((3, AverageAggregate().lift(3, 3.0)),))
         ctx = _SendLog()
-        for __ in range(3):
+        process.on_message(ctx, _From(3, request))
+        known, version = dict(process.known), process._known_version
+        for __ in range(2):
             process.on_message(ctx, _From(3, request))
+        assert process.known == known
+        assert process._known_version == version
         assert process._phase_received == 3
         assert len(ctx.sent) == 3
         # A shared reply reaching one requester twice is the same skip.
@@ -406,6 +412,24 @@ class TestPushPullReplies:
             requester.on_message(ctx, _From(7, reply))
         assert requester._phase_received == 2
         assert len(ctx.sent) == 3  # a reply is never re-answered
+
+    def test_an_absorbed_batch_is_not_kept(self):
+        # A member's state is bounded by K values per phase (paper
+        # 6.3), not by the traffic it received: only admitted states
+        # outlive the call, never the batch that carried them.
+        class Tracked(GossipBatch):  # the slotted class has no weakref
+            pass
+
+        process = self._process()
+        f = AverageAggregate()
+        novel = Tracked(1, ((3, f.lift(3, 3.0)),))
+        repeat = Tracked(1, tuple(process.known.items()))
+        later = Tracked(2, ((SubtreeId(2, 1), f.over({5: 5.0})),))
+        refs = [weakref.ref(batch) for batch in (novel, repeat, later)]
+        process.absorb_payloads([novel, repeat, later], 0, [])
+        del novel, repeat, later
+        assert [ref() for ref in refs] == [None, None, None]
+        assert 3 in process.known and 2 in process._future
 
     def test_instance_attribute_count_is_pinned(self):
         # CPython keeps up to 30 instance attributes inline; one more

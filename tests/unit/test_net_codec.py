@@ -534,6 +534,46 @@ class TestNodeDropsBadFrames:
         assert [sample["value"] for sample in rejected] == [2]
 
 
+class TestNodeKeepsNoPayload:
+    def test_a_decoded_batch_dies_with_the_datagram_that_carried_it(
+        self, monkeypatch
+    ):
+        # Every datagram decodes to a new payload object; a node that
+        # kept them (a dedupe memo did) grew with its inbound traffic.
+        import dataclasses
+        import weakref
+
+        from repro.net import node as node_module
+
+        class Tracked(GossipBatch):  # the slotted class has no weakref
+            pass
+
+        refs = []
+
+        def tracking_decode(data):
+            message = decode(data)
+            payload = Tracked(
+                message.payload.phase, message.payload.entries
+            )
+            refs.append(weakref.ref(payload))
+            return dataclasses.replace(message, payload=payload)
+
+        monkeypatch.setattr(node_module, "decode", tracking_decode)
+        node = node_module.NetNode(
+            node_module.NodeConfig(node_id=0, group_size=4),
+            transport_send=lambda data, addr: None,
+        )
+        node.started = True
+        node.process.on_start(node.ctx)
+        frame = encode(Gossip(src=1, sent_round=0, payload=GossipBatch(
+            phase=1, entries=((1, _state((5.0, 1), {1})),),
+        )))
+        for __ in range(3):
+            node.datagram_received(frame, ("x", 1))
+        assert node.stats.rx["gossip"] == 3 and 1 in node.process.known
+        assert [ref() for ref in refs] == [None, None, None]
+
+
 class TestDatagramLimit:
     def test_oversize_frame_is_dropped_unsent_and_counted(self):
         from repro.net.node import NetNode, NodeConfig, net_stats_record

@@ -54,6 +54,21 @@ class TestContextConformance:
         assert not isinstance(Half(), Context)
 
 
+class TestNetNodeInputs:
+    def test_vote_and_view_are_the_group_draw_and_the_shared_membership(
+        self
+    ):
+        from repro.net.node import make_votes
+
+        for node_id in (0, 3):
+            config = NodeConfig(node_id=node_id, group_size=4, seed=5)
+            process = NetNode(config, lambda data, addr: None).process
+            assert process.vote == make_votes(config)[node_id]
+            assert type(process.vote) is float
+            assert process.view is process.assignment.member_ids
+            assert process.view == tuple(make_votes(config))
+
+
 class TestProcessConformance:
     def test_hierarchical_gossip_process_matches_group_process(self):
         votes = {i: float(i) for i in range(8)}
