@@ -1,6 +1,6 @@
 # Convenience targets for the DSN 2001 reproduction.
 
-.PHONY: install test lint lint-changed bench bench-quick bench-smoke bench-layered-check bench-figures chaos-smoke chaos-adversarial-smoke trace-smoke serve-smoke metrics-smoke figures examples clean
+.PHONY: install test lint bench bench-quick bench-smoke bench-layered-check bench-figures chaos-smoke chaos-adversarial-smoke trace-smoke serve-smoke metrics-smoke figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -17,9 +17,6 @@ lint:             ## determinism/invariant lint (REP rules) + mypy when installe
 	else \
 		echo "mypy not installed locally; skipping type check (CI runs it)"; \
 	fi
-
-lint-changed:     ## incremental lint: only files touched since HEAD
-	PYTHONPATH=src python -m repro lint --changed HEAD src/
 
 bench:            ## wall-clock perf harness -> BENCH_core.json
 	PYTHONPATH=src python benchmarks/perf/run_bench.py

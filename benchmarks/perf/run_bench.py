@@ -58,6 +58,10 @@ Usage::
     python benchmarks/perf/run_bench.py --quick   # CI smoke (small sizes)
     python benchmarks/perf/run_bench.py --jobs 8  # force a worker count
 
+Every record also carries ``loc``: non-blank source lines per package
+under ``src/repro`` and in total, so the size trajectory sits beside
+the timings.
+
 The serial and parallel legs assert checksum equality: a nonzero exit
 means the parallel executor changed the numbers, which is a bug.
 """
@@ -148,6 +152,26 @@ def _git_revision() -> str:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+def _source_loc() -> dict[str, int]:
+    """Non-blank source lines per package under ``src/repro`` and in
+    all of it (ROADMAP aim 2) — counted as the layered benchmark's
+    ``diagnostics.loc`` counts them."""
+    def lines(paths) -> int:
+        return sum(
+            1 for path in paths
+            for line in path.read_text().splitlines() if line.strip()
+        )
+
+    root = REPO_ROOT / "src" / "repro"
+    loc = {
+        package.name: lines(package.rglob("*.py"))
+        for package in sorted(root.iterdir())
+        if package.is_dir() and package.name != "__pycache__"
+    }
+    loc["total"] = lines(root.rglob("*.py"))
+    return loc
 
 
 def _checksum(results) -> str:
@@ -711,6 +735,7 @@ def main(argv=None) -> int:
         "available_cores": len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "quick": args.quick,
+        "loc": _source_loc(),
         "entries": entries,
     }
     output = pathlib.Path(args.output)

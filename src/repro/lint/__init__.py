@@ -4,20 +4,17 @@
 guard the codebase's two load-bearing properties — byte-determinism
 across ``--jobs`` counts and the paper's no-double-counting constraint —
 at commit time instead of leaving them to end-to-end golden tests.
-The per-file AST rules (REP001-REP006, :mod:`repro.lint.rules`) are
-joined by whole-program graph rules (REP007-REP009 and interprocedural
-REP002, :mod:`repro.lint.graph_rules`) built on a cached module index
-(:mod:`repro.lint.project`).  See ``docs/STATIC_ANALYSIS.md`` for the
-rule catalogue and rationale, and :mod:`repro.sanitize` for the
-matching runtime checks.
+The per-file AST rules (REP001-REP006 and REP010,
+:mod:`repro.lint.rules`) are joined by one whole-program rule, the
+import-layering spec (REP007, :mod:`repro.lint.graph_rules`), whose
+``LAYERS`` table also decides which units REP002 holds to determinism.
+See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the closure
+argument and the table of planted defects each guard catches, and
+:mod:`repro.sanitize` for the matching runtime checks.
 """
 
-from repro.lint.engine import LintEngine, LintResult, Suppressions
-from repro.lint.graph_rules import (
-    ALL_PROJECT_RULES,
-    ProjectRule,
-    project_rules_by_code,
-)
+from repro.lint.engine import LintEngine, LintResult
+from repro.lint.graph_rules import ALL_PROJECT_RULES, LAYERS, LayeringRule
 from repro.lint.project import LintCache, ProjectIndex, summarize_module
 from repro.lint.rules import ALL_RULES, Rule, rules_by_code
 from repro.lint.violations import (
@@ -31,15 +28,14 @@ __all__ = [
     "ALL_PROJECT_RULES",
     "ALL_RULES",
     "JSON_SCHEMA_VERSION",
+    "LAYERS",
+    "LayeringRule",
     "LintCache",
     "LintEngine",
     "LintResult",
     "ProjectIndex",
-    "ProjectRule",
     "Rule",
-    "Suppressions",
     "Violation",
-    "project_rules_by_code",
     "render_json",
     "render_text",
     "rules_by_code",

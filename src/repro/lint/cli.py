@@ -4,49 +4,29 @@ Kept separate from :mod:`repro.cli` so the linter stays importable (and
 testable) without the experiment stack, and so ``repro.cli`` only pays
 for the import when the verb is actually used.
 
-Beyond the original flags, the whole-program analyzer adds:
-
-* ``--select`` (alias ``--rules``) — run only the named rule codes;
-  project rules (REP007-REP009) are selectable like any other.
-* ``--no-cache`` / ``--cache FILE`` — the content-hash cache (default
-  ``.repro-lint-cache.json`` in the cwd) that makes warm runs skip
-  parsing; delete the file or pass ``--no-cache`` to force cold.
-* ``--changed [REF]`` — git-aware incremental mode: analyze the whole
-  tree (project rules need the full graph) but report only violations
-  in files changed vs ``REF`` (default HEAD) or untracked.
-* ``--baseline FILE`` / ``--write-baseline FILE`` — snapshot current
-  violations and filter known ones on later runs, for incremental
-  adoption of new rules on a dirty tree.
+Options: ``--format text|json``, ``--select`` (alias ``--rules``) to run
+only the named rule codes, ``--list-rules``, and ``--cache FILE`` — a
+content-hash cache that lets a second run over an unchanged tree skip
+parsing.  A run without ``--cache`` reads and writes no cache.
 
 Exit codes: 0 = no unsuppressed violations, 1 = violations found
-(including unparsable files), 2 = usage error (unknown rule, missing
-path, malformed suppression/baseline file, git failure).
+(including unparsable files), 2 = usage error (unknown rule or option,
+missing path, a directory with no python files).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
-from repro.lint.engine import LintEngine, LintResult, Suppressions
-from repro.lint.graph_rules import ALL_PROJECT_RULES, project_rules_by_code
+from repro.lint.engine import LintEngine
+from repro.lint.graph_rules import ALL_PROJECT_RULES
 from repro.lint.project import LintCache
-from repro.lint.rules import ALL_RULES, rules_by_code
+from repro.lint.rules import ALL_RULES
 from repro.lint.violations import render_json, render_text
 
 __all__ = ["add_lint_arguments", "run_lint", "main"]
-
-#: Suppression file picked up automatically when present in the cwd.
-DEFAULT_SUPPRESSION_FILE = ".reprolint"
-
-#: Content-hash cache written next to wherever lint runs.
-DEFAULT_CACHE_FILE = ".repro-lint-cache.json"
-
-BASELINE_SCHEMA = "repro-lint-baseline/1"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -61,37 +41,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select", "--rules", dest="select", default=None,
         metavar="CODES",
-        help="comma-separated rule codes to run (default: all; "
-             "project rules REP007-REP009 included)",
+        help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--suppressions", default=None, metavar="FILE",
-        help=f"suppression file ('CODE path-glob' lines; default: "
-             f"./{DEFAULT_SUPPRESSION_FILE} when present)",
-    )
-    parser.add_argument(
-        "--cache", default=DEFAULT_CACHE_FILE, metavar="FILE",
-        help=f"content-hash cache file (default: ./{DEFAULT_CACHE_FILE})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk cache for this run",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None,
-        metavar="REF",
-        help="report only violations in files changed vs REF "
-             "(default HEAD) or untracked; the full tree is still "
-             "analyzed so project rules see the whole graph",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="filter violations recorded in this baseline snapshot",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write the current violations as a baseline snapshot "
-             "and exit 0",
+        "--cache", default=None, metavar="FILE",
+        help="content-hash cache file: unchanged files are not "
+             "re-parsed on the next run (default: no cache)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -101,88 +56,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _known_codes() -> dict[str, str]:
     """Code -> summary over per-file and project rules."""
-    known = {rule.code: rule.summary for rule in ALL_RULES}
-    for rule in ALL_PROJECT_RULES:
-        known.setdefault(rule.code, rule.summary)
-    return known
-
-
-def _changed_files(ref: str) -> set[Path] | str:
-    """Resolved paths changed vs ``ref`` plus untracked files, or an
-    error message string when git is unavailable."""
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as error:
-        detail = getattr(error, "stderr", "") or str(error)
-        return f"--changed requires git: {detail.strip()}"
-    root = Path(top)
     return {
-        (root / name).resolve()
-        for name in (diff + untracked).splitlines()
-        if name.strip()
+        rule.code: rule.summary for rule in (*ALL_RULES, *ALL_PROJECT_RULES)
     }
-
-
-def _load_baseline(path: Path) -> Counter | str:
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except OSError:
-        return f"baseline file not found: {path}"
-    except ValueError as error:
-        return f"malformed baseline file {path}: {error}"
-    if document.get("schema") != BASELINE_SCHEMA:
-        return (
-            f"baseline file {path}: expected schema "
-            f"{BASELINE_SCHEMA!r}, got {document.get('schema')!r}"
-        )
-    return Counter(
-        (entry["code"], entry["path"], entry["message"])
-        for entry in document.get("violations", [])
-    )
-
-
-def _apply_baseline(result: LintResult, baseline: Counter) -> None:
-    """Drop violations recorded in the baseline (line-drift tolerant:
-    matched on code+path+message, consumed as a multiset)."""
-    remaining = Counter(baseline)
-    kept = []
-    for violation in result.violations:
-        key = (violation.code, violation.path, violation.message)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            result.baselined += 1
-        else:
-            kept.append(violation)
-    result.violations = kept
-
-
-def _write_baseline(path: Path, result: LintResult) -> None:
-    document = {
-        "schema": BASELINE_SCHEMA,
-        "violations": [
-            {
-                "code": violation.code,
-                "path": violation.path,
-                "message": violation.message,
-            }
-            for violation in result.violations
-        ],
-    }
-    path.write_text(
-        json.dumps(document, indent=2, sort_keys=False) + "\n",
-        encoding="utf-8",
-    )
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -207,72 +83,15 @@ def run_lint(args: argparse.Namespace) -> int:
             requested.append(code)
         select = frozenset(requested)
 
-    suppression_path = (
-        Path(args.suppressions)
-        if args.suppressions is not None
-        else Path(DEFAULT_SUPPRESSION_FILE)
-    )
-    suppressions = None
-    if suppression_path.exists():
-        try:
-            suppressions = Suppressions.load(suppression_path)
-        except ValueError as error:
-            print(f"repro lint: {error}", file=sys.stderr)
-            return 2
-    elif args.suppressions is not None:
-        print(
-            f"repro lint: suppression file not found: {suppression_path}",
-            file=sys.stderr,
-        )
-        return 2
-
-    changed: set[Path] | None = None
-    if args.changed is not None:
-        found = _changed_files(args.changed)
-        if isinstance(found, str):
-            print(f"repro lint: {found}", file=sys.stderr)
-            return 2
-        changed = found
-
-    baseline: Counter | None = None
-    if args.baseline is not None:
-        loaded = _load_baseline(Path(args.baseline))
-        if isinstance(loaded, str):
-            print(f"repro lint: {loaded}", file=sys.stderr)
-            return 2
-        baseline = loaded
-
-    cache = (
-        None if args.no_cache else LintCache(Path(args.cache))
-    )
-    engine = LintEngine(
-        suppressions=suppressions, cache=cache, select=select,
-    )
+    cache = LintCache(Path(args.cache)) if args.cache is not None else None
+    engine = LintEngine(cache=cache, select=select)
     try:
-        result = engine.check_paths(
-            [Path(path) for path in args.paths], changed=changed,
-        )
+        result = engine.check_paths([Path(path) for path in args.paths])
     except FileNotFoundError as error:
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
 
-    if baseline is not None:
-        _apply_baseline(result, baseline)
-    if args.write_baseline is not None:
-        _write_baseline(Path(args.write_baseline), result)
-        print(
-            f"repro lint: wrote {len(result.violations)} violation(s) "
-            f"to baseline {args.write_baseline}"
-        )
-        return 0
-
-    stats = {
-        "graph": result.graph_stats,
-        "timings": result.timings,
-        "cache": result.cache_info,
-        "baselined": result.baselined,
-        "changed_files": result.changed_files,
-    }
+    stats = {"graph": result.graph_stats, "cache": result.cache_info}
     renderer = render_json if args.format == "json" else render_text
     print(renderer(result.violations, result.checked_files,
                    result.suppressed, stats=stats))

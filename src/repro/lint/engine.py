@@ -1,39 +1,27 @@
-"""The ``repro lint`` engine: walk files, run rules, apply suppressions.
+"""The ``repro lint`` engine: walk files, run rules, apply pragmas.
 
-Since the whole-program pass (:mod:`repro.lint.project`) the engine
-runs in two layers:
+The engine runs in two layers:
 
 * **Per-file** — parse each module once, run the AST rules
-  (REP001-REP006) and build the module's whole-program summary.  All
-  of this is pure in the file's content, so it is cached on disk keyed
-  by content hash (:class:`repro.lint.project.LintCache`): a warm run
-  re-parses nothing.  Raw (pre-suppression) violations are what gets
-  cached, so pragma/suppression changes never invalidate entries.
-* **Project** — link the summaries into a
-  :class:`~repro.lint.project.ProjectIndex` and run the graph rules
-  (REP007-REP009, interprocedural REP002).  These depend on every
-  file, so their violations are recomputed each run (from cached
-  summaries — still cheap) and never cached.
+  (REP001-REP006, REP010) and collect the module's imports.  All of
+  this is pure in the file's content, so with ``--cache FILE`` it is
+  kept on disk keyed by content hash
+  (:class:`repro.lint.project.LintCache`).  Raw (pre-pragma) violations
+  are what gets cached, so pragma changes never invalidate entries.
+* **Project** — link the import digests into a
+  :class:`~repro.lint.project.ProjectIndex` and run the layering rule
+  (REP007).  It depends on every file, so its violations are recomputed
+  each run and never cached.
 
-Two suppression mechanisms, both scoped as narrowly as possible:
-
-* **Inline pragma** — ``# repro-lint: ok`` on the offending line silences
-  every rule for that line; ``# repro-lint: ok[REP001,REP003]`` silences
-  only the named rules.  Use for individually justified exceptions where
-  the justification fits in the same comment.
-* **Suppression file** — one ``CODE path-glob`` entry per line
-  (``#`` comments and blank lines ignored); ``*`` as the code matches
-  every rule.  Globs are matched with :mod:`fnmatch` against the
-  posix-style path the report prints.  Use for known, baselined
-  exceptions that are too broad for inline pragmas.
-
-``--changed`` mode restricts *reporting* to a set of files while still
-analyzing the whole tree (project rules need the full graph); the
-dropped violations are out of scope, not suppressed.
+One suppression mechanism: the **inline pragma**.  ``# repro-lint: ok``
+on the offending line silences every rule for that line;
+``# repro-lint: ok[REP001,REP003]`` silences only the named rules.  The
+justification goes in the same comment.
 
 Exit-code contract (see :func:`repro.lint.cli.main`): 0 = clean,
 1 = violations (including files that fail to parse, reported as
-``REP000``), 2 = usage errors such as a nonexistent path.
+``REP000``), 2 = usage errors such as a path that does not exist or a
+directory with no python files under it.
 """
 
 from __future__ import annotations
@@ -41,14 +29,12 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
 from pathlib import Path
 
-from repro.lint.graph_rules import ALL_PROJECT_RULES, ProjectRule
+from repro.lint.graph_rules import ALL_PROJECT_RULES
 from repro.lint.project import (
     LintCache,
     ProjectIndex,
-    Stopwatch,
     module_name_for,
     source_hash,
     summarize_module,
@@ -56,7 +42,7 @@ from repro.lint.project import (
 from repro.lint.rules import ALL_RULES, Rule
 from repro.lint.violations import Violation
 
-__all__ = ["LintEngine", "LintResult", "Suppressions", "parse_pragmas"]
+__all__ = ["LintEngine", "LintResult", "parse_pragmas"]
 
 #: ``# repro-lint: ok`` / ``# repro-lint: ok[REP001, REP004]``
 _PRAGMA = re.compile(
@@ -99,43 +85,6 @@ def _pragmas_from_json(
     }
 
 
-class Suppressions:
-    """Parsed suppression file: ``(code, path-glob)`` entries."""
-
-    def __init__(self, entries: list[tuple[str, str]] | None = None):
-        self.entries = list(entries) if entries is not None else []
-
-    @classmethod
-    def load(cls, path: Path) -> "Suppressions":
-        entries: list[tuple[str, str]] = []
-        for line_number, raw in enumerate(
-            path.read_text().splitlines(), start=1
-        ):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2 or (
-                parts[0] != "*" and not re.fullmatch(r"REP\d{3}", parts[0])
-            ):
-                raise ValueError(
-                    f"{path}:{line_number}: expected 'CODE path-glob' "
-                    f"(CODE = REPnnn or *), got {raw!r}"
-                )
-            entries.append((parts[0], parts[1]))
-        return cls(entries)
-
-    def matches(self, violation: Violation) -> bool:
-        for code, glob in self.entries:
-            if code not in ("*", violation.code):
-                continue
-            if fnmatch(violation.path, glob) or fnmatch(
-                violation.path, f"*/{glob}"
-            ):
-                return True
-        return False
-
-
 @dataclass
 class LintResult:
     """Everything one lint invocation produced."""
@@ -143,16 +92,10 @@ class LintResult:
     violations: list[Violation] = field(default_factory=list)
     checked_files: int = 0
     suppressed: int = 0
-    #: Violations filtered by an explicit ``--baseline`` snapshot.
-    baselined: int = 0
     #: ``ProjectIndex.stats()`` when the project pass ran.
     graph_stats: dict | None = None
-    #: Phase / per-project-rule wall times, seconds.
-    timings: dict[str, float] = field(default_factory=dict)
     #: ``{"enabled": bool, "hits": int, "misses": int}`` when caching.
     cache_info: dict | None = None
-    #: In ``--changed`` mode: how many files the report covers.
-    changed_files: int | None = None
 
     @property
     def clean(self) -> bool:
@@ -165,27 +108,23 @@ class LintEngine:
     def __init__(
         self,
         rules: tuple[Rule, ...] = ALL_RULES,
-        suppressions: Suppressions | None = None,
-        project_rules: tuple[ProjectRule, ...] = ALL_PROJECT_RULES,
         cache: LintCache | None = None,
         select: frozenset[str] | None = None,
     ):
         self.rules = tuple(rules)
-        self.project_rules = tuple(project_rules)
         self.cache = cache
         self.select = select
-        self.suppressions = suppressions if suppressions is not None else (
-            Suppressions()
-        )
 
     # -- file discovery -------------------------------------------------
     @staticmethod
     def discover(paths: list[Path]) -> list[Path]:
         """All ``*.py`` files under ``paths`` (files pass through).
 
-        Hidden directories and ``__pycache__`` are skipped.  Raises
-        :class:`FileNotFoundError` for a path that does not exist — a
-        mistyped path silently linting nothing would defeat the gate.
+        Hidden directories and ``__pycache__`` *below* a directory
+        argument are skipped.  Raises :class:`FileNotFoundError` for a
+        path that does not exist and for a directory with no python
+        file under it — a mistyped path silently linting nothing would
+        defeat the gate.
         """
         return [
             file_path
@@ -213,12 +152,16 @@ class LintEngine:
             if path.is_file():
                 add(path, path)
                 continue
-            for candidate in sorted(path.rglob("*.py")):
-                if any(
+            found = [
+                candidate for candidate in sorted(path.rglob("*.py"))
+                if not any(
                     part.startswith(".") or part == "__pycache__"
-                    for part in candidate.parts
-                ):
-                    continue
+                    for part in candidate.relative_to(path).parts
+                )
+            ]
+            if not found:
+                raise FileNotFoundError(f"no python files under: {path}")
+            for candidate in found:
                 add(candidate, path)
         return files
 
@@ -233,44 +176,26 @@ class LintEngine:
         result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
         return result
 
-    def check_paths(
-        self,
-        paths: list[Path],
-        changed: set[Path] | None = None,
-    ) -> LintResult:
-        """Lint every python file under ``paths``.
-
-        ``changed`` (resolved paths) restricts which files' violations
-        are *reported*; the whole tree is still analyzed so the project
-        rules see the full graph.
-        """
-        watch = Stopwatch()
+    def check_paths(self, paths: list[Path]) -> LintResult:
+        """Lint every python file under ``paths``."""
         result = LintResult()
         summaries: list[dict] = []
         pragmas_by_path: dict[str, dict] = {}
-        changed_paths: set[str] = set()
-        with watch.measure("analyze"):
-            for file_path, base in self._discover_with_bases(paths):
-                source = file_path.read_text(encoding="utf-8")
-                path_str = file_path.as_posix()
-                entry = self._entry_for(file_path, base, source, path_str)
-                result.checked_files += 1
-                pragmas = _pragmas_from_json(entry["pragmas"])
-                pragmas_by_path[path_str] = pragmas
-                if entry["summary"] is not None:
-                    summaries.append(entry["summary"])
-                if changed is None or file_path.resolve() in changed:
-                    changed_paths.add(path_str)
-                for raw in entry["violations"]:
-                    violation = Violation(**raw)
-                    if self.select and violation.code not in self.select:
-                        continue
-                    if violation.path not in changed_paths:
-                        continue
-                    self._file_violation(result, violation, pragmas)
-        self._project_pass(
-            result, summaries, pragmas_by_path, changed_paths, watch
-        )
+        for file_path, base in self._discover_with_bases(paths):
+            source = file_path.read_text(encoding="utf-8")
+            path_str = file_path.as_posix()
+            entry = self._entry_for(file_path, base, source, path_str)
+            result.checked_files += 1
+            pragmas = _pragmas_from_json(entry["pragmas"])
+            pragmas_by_path[path_str] = pragmas
+            if entry["summary"] is not None:
+                summaries.append(entry["summary"])
+            for raw in entry["violations"]:
+                violation = Violation(**raw)
+                if self.select and violation.code not in self.select:
+                    continue
+                self._file_violation(result, violation, pragmas)
+        self._project_pass(result, summaries, pragmas_by_path)
         if self.cache is not None:
             self.cache.save()
             result.cache_info = {
@@ -278,9 +203,6 @@ class LintEngine:
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
             }
-        if changed is not None:
-            result.changed_files = len(changed_paths)
-        result.timings = dict(watch.timings)
         result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
         return result
 
@@ -346,8 +268,6 @@ class LintEngine:
             violation.code in suppressed_codes
         ):
             result.suppressed += 1
-        elif self.suppressions.matches(violation):
-            result.suppressed += 1
         else:
             result.violations.append(violation)
 
@@ -356,22 +276,16 @@ class LintEngine:
         result: LintResult,
         summaries: list[dict],
         pragmas_by_path: dict[str, dict],
-        changed_paths: set[str],
-        watch: Stopwatch,
     ) -> None:
         rules = [
-            rule for rule in self.project_rules
+            rule for rule in ALL_PROJECT_RULES
             if self.select is None or rule.code in self.select
         ]
         if not rules or not summaries:
             return
-        with watch.measure("index"):
-            index = ProjectIndex(summaries)
+        index = ProjectIndex(summaries)
         result.graph_stats = index.stats()
         for rule in rules:
-            with watch.measure(f"rule:{rule.code}"):
-                for violation in rule.check(index):
-                    if violation.path not in changed_paths:
-                        continue
-                    pragmas = pragmas_by_path.get(violation.path, {})
-                    self._file_violation(result, violation, pragmas)
+            for violation in rule.check(index):
+                pragmas = pragmas_by_path.get(violation.path, {})
+                self._file_violation(result, violation, pragmas)

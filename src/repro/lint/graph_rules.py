@@ -1,73 +1,42 @@
-"""Project-wide (graph-powered) lint rules: REP007-REP010 + REP002.
+"""The layering spec (:data:`LAYERS`) and the rule that enforces it.
 
-These rules run over the linked :class:`repro.lint.project.ProjectIndex`
-rather than one file at a time, so they can see import edges, call
-edges and engine-path reachability:
+:data:`LAYERS` is the one table that says which code must be
+deterministic.  It names, per package unit, the other units it may
+import, and two things are read off it:
 
-* **REP007** — declarative architectural layering.  :data:`LAYERS`
-  names, per package unit, the other units it may import; every
-  intra-project import edge (including lazy function-level imports,
-  which the old CI grep missed) is checked against it.  The load-
-  bearing constraints: ``sim`` imports nothing (it is the substrate),
-  ``core`` sees only ``sim``/``sanitize``, and ``obs`` is a pure
-  consumer — nothing below the experiment layer may import it.
-* **REP008** — RNG stream discipline.  A *shared* named stream
-  (``rngs.stream(...)`` with constant key parts, as opposed to the
-  per-member streams keyed by node id) must consume the same number of
-  draws on every engine path, or the array engine's replay diverges
-  from the object oracle.  The rule flags branch-dependent draws on
-  shared streams in any function reachable from **both** engine paths,
-  except inside the stream-custodian modules
-  (:data:`STREAM_CUSTODIANS`) whose whole job is block-buffered draw
-  bookkeeping (e.g. ``Network._bulk_loss_draws``).
-* **REP009** — engine-parity paired sites.  The array engine is only
-  trustworthy because every observable side effect of the object path
-  has a counterpart on the array path: each ``PhaseEvent`` kind
-  emitted, the ``Network.plan_delivery``/``plan_delivery_block`` pair,
-  and each runtime-sanitizer hook form an equivalence class that must
-  be reachable from both engine paths or neither.
-* **REP010** — liveness-oracle containment.  ``Context.is_alive`` is
-  the simulator's omniscient process table; a real group member has no
-  such oracle, so only the measurement layers
-  (:data:`ORACLE_CONSUMER_UNITS`) may call it.  Protocol code that
-  branches on it would simulate an unimplementable algorithm.
-* **REP002** (interprocedural) — the per-file wall-clock/entropy rule
-  only sees direct calls; this pass propagates taint from banned
-  sources (``time.time``, ``os.environ``, ``uuid`` ...) backwards
-  through the call graph and flags any call *from* a deterministic
-  package (``sim``/``core``/``chaos``/``baselines``) *into* a tainted
-  function outside them — the helper-indirection escape.  Module-level
-  code never taints (``repro.sanitize`` reads its env gate once at
-  import by design).
-
-Engine-path roots are dotted *suffixes* (:data:`ENGINE_PATHS`) so the
-same registry matches both the real tree (``repro.sim.engine``) and
-the fixture corpus (``sim.engine``).  When either path has no root in
-the indexed files, REP008/REP009 are vacuously clean — linting a
-single file never trips them.
+* **REP007** — every intra-project import edge (including lazy
+  function-level imports) of a listed unit must stay inside the unit or
+  its allow-list.  The load-bearing constraints: ``sim`` imports nothing
+  (it is the substrate), ``core`` sees only ``sim``/``sanitize``, and
+  ``obs`` is a pure consumer — nothing below the experiment layer may
+  import it.
+* **REP002's scope** — :data:`DETERMINISTIC_UNITS`, the closure of the
+  simulation-critical units under their allow-lists.  Because a listed
+  unit can import *only* its allow-list, code in the closure cannot
+  reach a wall-clock read through a helper in another module: either
+  the helper is inside the closure, where the per-file REP002 flags the
+  read itself, or importing it is a REP007 breach.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.project import ProjectIndex
+from repro.lint.project import ProjectIndex, unit_of
 from repro.lint.violations import Violation
 
 __all__ = [
-    "ProjectRule",
     "ALL_PROJECT_RULES",
-    "project_rules_by_code",
+    "DETERMINISTIC_UNITS",
     "LAYERS",
-    "STREAM_CUSTODIANS",
-    "ENGINE_PATHS",
+    "LayeringRule",
 ]
 
 #: Allowed intra-project imports per package unit (the layering spec).
 #: A unit absent from this map (``cli``, ``repro``'s root re-exports,
-#: ``__main__``) is unconstrained as an *importer*; any unit listed
-#: here is protected as an import *target* — importing it from a unit
-#: whose allow-list omits it is a REP007 violation.
+#: ``__main__``) is unconstrained as an *importer*; a listed unit may
+#: import its own modules and the units named here, nothing else of the
+#: project.
 LAYERS: dict[str, frozenset[str]] = {
     # the deterministic substrate: imports nothing project-internal
     "sim": frozenset(),
@@ -95,72 +64,29 @@ LAYERS: dict[str, frozenset[str]] = {
     "lint": frozenset(),
 }
 
-#: Modules whose whole job is shared-stream draw bookkeeping; REP008
-#: does not second-guess their internal block-refill branches.
-STREAM_CUSTODIANS = (
-    "sim/network.py", "sim/rng.py", "sim/failures.py", "sim/sampling.py",
+
+def _import_closure(roots: frozenset[str]) -> frozenset[str]:
+    """``roots`` plus every unit they may (transitively) import."""
+    closure: set[str] = set()
+    frontier = sorted(roots)
+    while frontier:
+        unit = frontier.pop()
+        if unit not in closure:
+            closure.add(unit)
+            frontier.extend(LAYERS[unit])
+    return frozenset(closure)
+
+
+#: The units a simulated run executes: the simulation-critical packages
+#: and everything their allow-lists let them import.  A run must be
+#: byte-identical from its seed, so REP002 bans wall-clock and entropy
+#: reads in all of them.
+DETERMINISTIC_UNITS = _import_closure(
+    frozenset({"sim", "core", "chaos", "baselines"})
 )
 
-#: Engine-path entry points, as dotted function suffixes.  The
-#: object path is the reference oracle; the array path is the
-#: vectorized replay.  ``HierarchicalArrayStepper`` appears explicitly
-#: because ``ArraySteppedEngine._stepper`` is duck-typed.
-ENGINE_PATHS: dict[str, tuple[str, ...]] = {
-    "object": (
-        "sim.engine.SimulationEngine.run",
-        "sim.engine.SimulationEngine._step_processes",
-        "sim.engine.SimulationEngine._dispatch",
-        "sim.engine.SimulationEngine._submit",
-    ),
-    "array": (
-        "sim.array_engine.ArraySteppedEngine.run",
-        "sim.array_engine.ArraySteppedEngine._step_processes",
-        "sim.array_engine.ArraySteppedEngine._deliver_due",
-        "sim.array_engine.ArraySteppedEngine.submit_block",
-        "core.array_stepper.HierarchicalArrayStepper.step",
-        "core.array_stepper.HierarchicalArrayStepper.bind",
-    ),
-}
 
-#: REP009 equivalence classes beyond the per-kind ``PhaseEvent`` ones.
-_PLAN_CLASS = frozenset({"plan_delivery", "plan_delivery_block"})
-_HOOK_CLASSES = ("SCREEN", "check_compose", "check_phase_bump",
-                 "composing")
-
-
-def unit_of(module: str) -> str:
-    """The layering unit of a dotted module name.
-
-    ``repro``-anchored names use the segment after the package root
-    (``repro.sim.engine`` -> ``sim``, ``repro.sanitize`` ->
-    ``sanitize``); corpus-style names use their first segment.
-    """
-    parts = module.split(".")
-    if "repro" in parts:
-        anchor = len(parts) - 1 - parts[::-1].index("repro")
-        rest = parts[anchor + 1:]
-        return rest[0] if rest else "repro"
-    return parts[0]
-
-
-class ProjectRule:
-    """Base class: one lint rule over the whole project index."""
-
-    code = "REP000"
-    summary = "abstract project rule"
-
-    def check(self, index: ProjectIndex) -> Iterator[Violation]:
-        raise NotImplementedError
-
-    def violation(
-        self, path: str, line: int, message: str
-    ) -> Violation:
-        return Violation(
-            code=self.code, path=path, line=line, col=0, message=message,
-        )
-
-
-class LayeringRule(ProjectRule):
+class LayeringRule:
     """REP007: the declarative import-layering spec."""
 
     code = "REP007"
@@ -170,244 +96,27 @@ class LayeringRule(ProjectRule):
         for importer, imported, line in index.import_edges:
             importer_unit = unit_of(importer)
             imported_unit = unit_of(imported)
-            if importer_unit == imported_unit:
-                continue
             allowed = LAYERS.get(importer_unit)
             if allowed is None:
                 continue  # unconstrained importer (cli, package root)
-            if imported_unit not in LAYERS:
-                continue  # target is not a layered unit
-            if imported_unit in allowed:
+            if imported_unit == importer_unit or imported_unit in allowed:
                 continue
             permitted = ", ".join(sorted(allowed)) or "nothing"
-            yield self.violation(
-                index.path_of(importer), line,
-                f"'{importer_unit}' must not import '{imported_unit}' "
-                f"(module {imported}); the layering spec allows "
-                f"'{importer_unit}' to import only: {permitted}. "
-                f"Move the dependency below the line or invert it by "
-                f"injecting the collaborator from the composition root",
+            yield Violation(
+                code=self.code,
+                path=index.path_of(importer),
+                line=line,
+                col=0,
+                message=(
+                    f"'{importer_unit}' must not import "
+                    f"'{imported_unit}' (module {imported}); the "
+                    f"layering spec allows '{importer_unit}' to import "
+                    f"only: {permitted}. Move the dependency below the "
+                    f"line or invert it by injecting the collaborator "
+                    f"from the composition root"
+                ),
             )
 
 
-class _EnginePathMixin:
-    """Shared reachability plumbing for REP008/REP009."""
-
-    @staticmethod
-    def engine_paths(index: ProjectIndex) -> dict[str, set[str]] | None:
-        """Reachable-function sets per engine path, or None if the
-        indexed files do not contain both engine entry points."""
-        reachable: dict[str, set[str]] = {}
-        for name, roots in ENGINE_PATHS.items():
-            if not any(index.find_functions(root) for root in roots):
-                return None
-            reachable[name] = index.reachable(roots)
-        return reachable
-
-
-class StreamDisciplineRule(ProjectRule, _EnginePathMixin):
-    """REP008: no branch-dependent draws on shared streams."""
-
-    code = "REP008"
-    summary = (
-        "branch-dependent draw on a shared RNG stream in a function "
-        "on both engine paths"
-    )
-
-    def check(self, index: ProjectIndex) -> Iterator[Violation]:
-        paths = self.engine_paths(index)
-        if paths is None:
-            return
-        both = paths["object"] & paths["array"]
-        for fq in sorted(both):
-            info = index.functions[fq]
-            module_path = index.path_of(info["module"])
-            if module_path.endswith(STREAM_CUSTODIANS):
-                continue
-            for draw in info["draws"]:
-                if not draw["conditional"]:
-                    continue
-                stream = draw["stream"] or "<shared>"
-                yield self.violation(
-                    module_path, draw["line"],
-                    f"draw '.{draw['method']}()' on shared stream "
-                    f"'{stream}' is branch-dependent inside '{fq}', "
-                    f"which both engine paths execute — the draw count "
-                    f"diverges between object and array replay. Hoist "
-                    f"the draw out of the branch, consume-and-discard "
-                    f"on the untaken path, or key the stream per member",
-                )
-
-
-class EngineParityRule(ProjectRule, _EnginePathMixin):
-    """REP009: paired observable sites across the two engine paths."""
-
-    code = "REP009"
-    summary = (
-        "observable site (PhaseEvent / plan_delivery* / sanitizer hook "
-        "/ metric site) present on one engine path but not the other"
-    )
-
-    def check(self, index: ProjectIndex) -> Iterator[Violation]:
-        paths = self.engine_paths(index)
-        if paths is None:
-            return
-        sites = {
-            name: self._sites(index, reached)
-            for name, reached in paths.items()
-        }
-        labels = sorted(set(sites["object"]) | set(sites["array"]))
-        for label in labels:
-            has_object = label in sites["object"]
-            has_array = label in sites["array"]
-            if has_object == has_array:
-                continue
-            present, absent = (
-                ("object", "array") if has_object else ("array", "object")
-            )
-            where = min(sites[present][label])
-            yield self.violation(
-                where[0], where[1],
-                f"{label} is reachable on the {present} engine path "
-                f"but has no counterpart on the {absent} path — the "
-                f"engines' observable behaviour diverges. Emit/call it "
-                f"on the {absent} path too (see the paired-site "
-                f"registry in repro.lint.graph_rules)",
-            )
-
-    @staticmethod
-    def _sites(
-        index: ProjectIndex, reached: set[str]
-    ) -> dict[str, list[tuple[str, int]]]:
-        """Equivalence-class label -> site locations, over ``reached``."""
-        found: dict[str, list[tuple[str, int]]] = {}
-
-        def add(label: str, module: str, line: int) -> None:
-            found.setdefault(label, []).append(
-                (index.path_of(module), line)
-            )
-
-        for fq in sorted(reached):
-            info = index.functions[fq]
-            module = info["module"]
-            for emit in info["phase_emits"]:
-                add(f"phase event '{emit['kind']}'", module, emit["line"])
-            for plan in info["plan_calls"]:
-                if plan["name"] in _PLAN_CLASS:
-                    add("network planning (plan_delivery*)",
-                        module, plan["line"])
-            for hook in info["sanitize_hooks"]:
-                if hook["name"] in _HOOK_CLASSES:
-                    add(f"sanitizer hook '{hook['name']}'",
-                        module, hook["line"])
-            # .get: summaries cached before the metric-site class
-            # existed lack the key (the cache schema bump evicts them,
-            # but stay tolerant of hand-fed summaries in tests).
-            for call in info.get("metric_calls", ()):
-                add(f"metric site '{call['name']}'",
-                    module, call["line"])
-        return found
-
-
-class InterproceduralWallClockRule(ProjectRule):
-    """REP002 (interprocedural): taint through the call graph."""
-
-    code = "REP002"
-    summary = (
-        "call from a deterministic package reaches a wall-clock/entropy "
-        "source through helper indirection"
-    )
-
-    def check(self, index: ProjectIndex) -> Iterator[Violation]:
-        taint = index.taint_map()
-        if not taint:
-            return
-        seen: set[tuple[str, int, str]] = set()
-        for fq in sorted(index.functions):
-            info = index.functions[fq]
-            if not index.module_is_deterministic(info["module"]):
-                continue
-            caller_path = index.path_of(info["module"])
-            for call in info["calls"]:
-                for target, _ in index.resolve_call(
-                    fq, info["cls"], call
-                ):
-                    if target not in taint:
-                        continue
-                    target_info = index.functions[target]
-                    if index.module_is_deterministic(
-                        target_info["module"]
-                    ):
-                        # its own call sites are checked in turn; direct
-                        # sources are the per-file REP002's job
-                        continue
-                    key = (caller_path, call["line"], target)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    source = taint[target][0]
-                    chain = " -> ".join(
-                        index.taint_chain(target, taint) + [source]
-                    )
-                    yield self.violation(
-                        caller_path, call["line"],
-                        f"call to '{target}' from the deterministic "
-                        f"package reaches nondeterminism source "
-                        f"'{source}' ({chain}) — the per-file pass "
-                        f"cannot see through this indirection. Pass the "
-                        f"value in from the composition root instead",
-                    )
-
-
-#: Units whose job is *measuring* runs; only they may consult the
-#: simulator's ``is_alive`` liveness oracle (REP010).
-ORACLE_CONSUMER_UNITS = frozenset({"obs", "sanitize", "experiments"})
-
-
-class OracleLivenessRule(ProjectRule):
-    """REP010: protocol code must not consult the liveness oracle.
-
-    ``Context.is_alive`` answers from the simulator's global process
-    table — knowledge no real group member has (the UDP runtime can
-    only return its ping-based *guess*).  A protocol that branches on
-    it simulates an impossible algorithm: its measured completeness
-    stops being evidence about the paper's failure-detector-free
-    design.  Only the measurement layers (:data:`ORACLE_CONSUMER_UNITS`)
-    may call it; everything else gets flagged, whichever object the
-    call is made on.
-    """
-
-    code = "REP010"
-    summary = (
-        "liveness-oracle call (is_alive) outside the measurement layers"
-    )
-
-    def check(self, index: ProjectIndex) -> Iterator[Violation]:
-        for fq in sorted(index.functions):
-            info = index.functions[fq]
-            module = info["module"]
-            if unit_of(module) in ORACLE_CONSUMER_UNITS:
-                continue
-            for call in info.get("oracle_calls", ()):
-                yield self.violation(
-                    index.path_of(module), call["line"],
-                    f"'{fq}' consults the is_alive liveness oracle; "
-                    f"only the measurement layers "
-                    f"({', '.join(sorted(ORACLE_CONSUMER_UNITS))}) may "
-                    f"— a real process group has no such oracle, so "
-                    f"protocol behaviour must not depend on it. Derive "
-                    f"the decision from received messages instead",
-                )
-
-
-ALL_PROJECT_RULES: tuple[ProjectRule, ...] = (
-    InterproceduralWallClockRule(),
-    LayeringRule(),
-    StreamDisciplineRule(),
-    EngineParityRule(),
-    OracleLivenessRule(),
-)
-
-
-def project_rules_by_code() -> dict[str, ProjectRule]:
-    return {rule.code: rule for rule in ALL_PROJECT_RULES}
+#: Rules that run once over the linked :class:`ProjectIndex`.
+ALL_PROJECT_RULES = (LayeringRule(),)

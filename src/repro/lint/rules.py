@@ -1,4 +1,5 @@
-"""Repo-specific determinism and invariant lint rules (REP001-REP006).
+"""Repo-specific determinism and invariant lint rules, one file at a time
+(REP001-REP006, REP010).
 
 Each rule is a small, self-contained AST pass.  They encode the two
 load-bearing guarantees of this reproduction — byte-determinism across
@@ -12,9 +13,10 @@ end-to-end golden tests:
   cannot replay, so adding one silently changes every later draw.
 * **REP002** — no wall-clock or other nondeterminism sources
   (``time.time``, ``datetime.now``, ``os.urandom``, ``os.environ``
-  branching, ``id()``-based ordering, ``uuid``/``secrets``) in the
-  simulation-critical packages (``sim/``, ``core/``, ``chaos/``,
-  ``baselines/``).
+  branching, ``id()``-based ordering, ``uuid``/``secrets``) in any unit
+  a simulated run executes: ``sim``, ``core``, ``chaos``, ``baselines``
+  and whatever the layering spec lets those import
+  (:data:`repro.lint.graph_rules.DETERMINISTIC_UNITS`).
 * **REP003** — no order-sensitive iteration over unordered ``set`` /
   ``frozenset`` / ``dict.keys()``-view expressions: elements reaching
   RNG draws, message emission or serialization in hash order make runs
@@ -34,9 +36,12 @@ end-to-end golden tests:
   order — which is exactly the history/hash-order dependence REP003
   guards against, smuggled in through a tie.  A tuple key with a stable
   secondary component breaks ties deterministically and is exempt.
+* **REP010** — ``Context.is_alive`` is the simulator's omniscient
+  process table; a real group member has no such oracle, so only the
+  measurement layers (:data:`ORACLE_CONSUMER_UNITS`) may call it.
 
 Every rule supports the ``# repro-lint: ok`` / ``# repro-lint: ok[CODE]``
-inline pragma and the suppression file (see :mod:`repro.lint.engine`).
+inline pragma (see :mod:`repro.lint.engine`).
 """
 
 from __future__ import annotations
@@ -44,12 +49,10 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator, Sequence
 
+from repro.lint.graph_rules import DETERMINISTIC_UNITS
 from repro.lint.violations import Violation
 
 __all__ = ["Rule", "ALL_RULES", "rules_by_code"]
-
-#: Path segments marking the simulation-critical packages (REP002 scope).
-DETERMINISM_DIRS = frozenset({"sim", "core", "chaos", "baselines"})
 
 #: The one sanctioned raw-RNG construction site (REP001 allowlist).
 RNG_MODULE_SUFFIXES = ("repro/sim/rng.py",)
@@ -78,8 +81,12 @@ class Rule:
         )
 
 
-def _path_segments(path: str) -> tuple[str, ...]:
-    return tuple(part for part in path.split("/") if part)
+def _path_units(path: str) -> frozenset[str]:
+    """The layering-unit names on a posix path: its directories and the
+    file's own stem (``repro/sanitize.py`` is the unit ``sanitize``)."""
+    return frozenset(
+        part.removesuffix(".py") for part in path.split("/") if part
+    )
 
 
 class ImportMap:
@@ -159,10 +166,10 @@ class RawRngRule(Rule):
 
 
 class WallClockRule(Rule):
-    """REP002: nondeterminism sources in simulation-critical packages."""
+    """REP002: nondeterminism sources in code a simulated run executes."""
 
     code = "REP002"
-    summary = "wall-clock / nondeterminism source in a deterministic package"
+    summary = "wall-clock / nondeterminism source in a deterministic unit"
 
     _BANNED_CALLS = frozenset({
         "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
@@ -176,7 +183,7 @@ class WallClockRule(Rule):
     _BANNED_PREFIXES = ("secrets.",)
 
     def applies_to(self, path: str) -> bool:
-        return bool(DETERMINISM_DIRS.intersection(_path_segments(path)))
+        return bool(DETERMINISTIC_UNITS & _path_units(path))
 
     def check(self, tree, path):
         imports = ImportMap(tree)
@@ -666,7 +673,7 @@ class FloatKeySortRule(Rule):
     _SCOPE = frozenset({"sim", "core", "chaos"})
 
     def applies_to(self, path: str) -> bool:
-        return bool(self._SCOPE.intersection(_path_segments(path)))
+        return bool(self._SCOPE & _path_units(path))
 
     def check(self, tree, path):
         imports = ImportMap(tree)
@@ -724,6 +731,50 @@ class FloatKeySortRule(Rule):
         return False
 
 
+#: Units whose job is *measuring* runs; only they may consult the
+#: simulator's ``is_alive`` liveness oracle (REP010).
+ORACLE_CONSUMER_UNITS = frozenset({"obs", "sanitize", "experiments"})
+
+
+class OracleLivenessRule(Rule):
+    """REP010: protocol code must not consult the liveness oracle.
+
+    ``Context.is_alive`` answers from the simulator's global process
+    table — knowledge no real group member has (the UDP runtime can
+    only return its ping-based *guess*).  A protocol that branches on
+    it simulates an impossible algorithm: its measured completeness
+    stops being evidence about the paper's failure-detector-free
+    design.  Only the measurement layers (:data:`ORACLE_CONSUMER_UNITS`)
+    may call it; everything else gets flagged, whichever object the
+    call is made on.
+    """
+
+    code = "REP010"
+    summary = (
+        "liveness-oracle call (is_alive) outside the measurement layers"
+    )
+
+    def applies_to(self, path: str) -> bool:
+        return not ORACLE_CONSUMER_UNITS & _path_units(path)
+
+    def check(self, tree, path):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "is_alive"
+            ):
+                yield self.violation(
+                    node, path,
+                    f"call to the is_alive liveness oracle; only the "
+                    f"measurement layers "
+                    f"({', '.join(sorted(ORACLE_CONSUMER_UNITS))}) may "
+                    f"— a real process group has no such oracle, so "
+                    f"protocol behaviour must not depend on it. Derive "
+                    f"the decision from received messages instead",
+                )
+
+
 ALL_RULES: tuple[Rule, ...] = (
     RawRngRule(),
     WallClockRule(),
@@ -731,6 +782,7 @@ ALL_RULES: tuple[Rule, ...] = (
     TruthinessOnOptionalRule(),
     MutableSharedStateRule(),
     FloatKeySortRule(),
+    OracleLivenessRule(),
 )
 
 

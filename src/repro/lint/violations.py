@@ -4,15 +4,11 @@ A violation is one rule firing at one source location.  The engine
 collects them across files and renders either a human-readable text
 report (one ``path:line:col: CODE message`` line each, grep- and
 editor-friendly) or a machine-readable JSON document with a stable
-schema (``repro-lint/2``) for CI tooling.
+schema (``repro-lint/3``) for CI tooling.
 
-``repro-lint/2`` extends the original document with the whole-program
-analyzer's bookkeeping: ``graph`` (module/class/function/edge counts
-from the project index), ``timings`` (per-phase and per-project-rule
-wall time), ``cache`` (content-hash cache hits/misses) and
-``baselined`` (violations filtered by a ``--baseline`` snapshot).
-The original keys are unchanged, so a ``repro-lint/1`` consumer that
-ignores unknown keys keeps working.
+Beside the violations the document carries ``graph`` (module and
+import-edge counts from the project index) and ``cache`` (content-hash
+cache hits/misses, ``null`` without ``--cache``).
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 __all__ = ["Violation", "render_text", "render_json", "JSON_SCHEMA_VERSION"]
 
 #: Bumped whenever the JSON document shape changes incompatibly.
-JSON_SCHEMA_VERSION = "repro-lint/2"
+JSON_SCHEMA_VERSION = "repro-lint/3"
 
 
 @dataclass(frozen=True)
@@ -55,18 +51,8 @@ def _stat_lines(stats: dict | None) -> list[str]:
     if graph:
         lines.append(
             f"graph: {graph.get('modules', 0)} modules, "
-            f"{graph.get('functions', 0)} functions, "
-            f"{graph.get('import_edges', 0)} import edges, "
-            f"{graph.get('call_sites', 0)} call sites"
+            f"{graph.get('import_edges', 0)} import edges"
         )
-    if stats.get("changed_files") is not None:
-        lines.append(
-            f"reporting restricted to {stats['changed_files']} "
-            f"changed file(s)"
-        )
-    if stats.get("baselined"):
-        lines.append(f"baseline: {stats['baselined']} known violation(s) "
-                     f"filtered")
     return lines
 
 
@@ -93,7 +79,7 @@ def render_json(
     suppressed: int = 0,
     stats: dict | None = None,
 ) -> str:
-    """The JSON report (schema ``repro-lint/2``)."""
+    """The JSON report (schema ``repro-lint/3``)."""
     stats = stats if stats is not None else {}
     counts: dict[str, int] = {}
     for violation in violations:
@@ -114,14 +100,6 @@ def render_json(
             for violation in violations
         ],
         "graph": stats.get("graph"),
-        "timings": {
-            name: round(seconds, 6)
-            for name, seconds in sorted(
-                (stats.get("timings") or {}).items()
-            )
-        },
         "cache": stats.get("cache"),
-        "baselined": stats.get("baselined", 0),
-        "changed_files": stats.get("changed_files"),
     }
     return json.dumps(document, indent=2, sort_keys=False)

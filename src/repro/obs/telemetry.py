@@ -5,7 +5,7 @@
 :class:`~repro.sim.metrics.RoundMetrics`, the protocol-level
 :class:`~repro.obs.phase.PhaseTrace` and the sanitizer outcome into one
 handle that :func:`repro.experiments.runner.run_once` knows how to wire
-into a run.  Two shapes:
+into a run.  Three shapes:
 
 * **Full** (``RunTelemetry()``) — stores events for JSONL export
   (:mod:`repro.obs.export`), reports (:mod:`repro.obs.report`) and the
@@ -35,7 +35,7 @@ The summary's engine totals (sends, deliveries, crashes, ...) are not
 counted by telemetry at all: :meth:`RunTelemetry.finish` reads them from
 the finished engine's own ``EngineStats`` / ``NetworkStats``.
 
-Neither shape draws randomness or mutates simulation state, so results
+None of them draws randomness or mutates simulation state, so results
 are byte-identical with telemetry attached or not (golden-tested).
 Wall-clock profiling (:mod:`repro.obs.profiling`) is opt-in via the
 ``profiler`` argument and never touches ``sim``/``core``/``chaos``.

@@ -20,6 +20,7 @@ from repro.experiments.parallel import run_many
 from repro.experiments.params import with_params
 from repro.experiments.runner import run_once
 from repro.obs.export import run_result_record
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
 
 
@@ -190,13 +191,18 @@ def test_equivalent_on_campaigns_with_push_pull(campaign):
     ],
 )
 def test_round_metrics_samples_identical(config):
-    samples = {}
+    samples, snapshots = {}, {}
     for engine in ("object", "array"):
-        telemetry = RunTelemetry(tracer=None)
+        telemetry = RunTelemetry(tracer=None, registry=MetricsRegistry())
         run_once(replace(config, engine=engine), telemetry=telemetry)
         samples[engine] = telemetry.metrics.samples
+        snapshots[engine] = telemetry.registry.snapshot_json()
     assert len(samples["object"]) > 0
     assert samples["array"] == samples["object"]
+    # Every registry feed point (live phase events, round samples, the
+    # end-of-run record) fires the same on both engine paths.
+    assert "repro_phase_events_total" in snapshots["object"]
+    assert snapshots["array"] == snapshots["object"]
 
 
 def test_equivalent_across_job_counts():

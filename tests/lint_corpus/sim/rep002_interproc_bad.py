@@ -1,11 +1,12 @@
-"""Interprocedural REP002 corpus: the escape the per-file pass misses.
+"""REP007 corpus: the helper-indirection escape, closed by layering.
 
-``stamp`` looks harmless at this call site — the per-file rule only
-bans direct calls to known nondeterminism sources, and stays silent
-here (pinned by a unit test).  The whole-program pass propagates taint
-``time.time -> timeutil._now -> timeutil.stamp`` through the call
-graph and flags the call below.  Expected: 1 REP002 violation, from
-the project rule only.
+``stamp`` looks harmless at this call site, and linting this file
+**alone** is clean: the per-file REP002 only bans direct calls to known
+nondeterminism sources.  ``timeutil`` hides a ``time.time()`` read, but
+nothing has to look inside it — ``sim`` may import only its allow-list
+and ``timeutil`` is not on it, so when the corpus is linted as one
+project the import itself is the finding.  Expected: 1 REP007
+violation, from the directory run only.
 """
 
 from timeutil import stamp

@@ -1,13 +1,9 @@
-"""REP007 clean twin: same-unit imports are always allowed, and
-imports of modules outside the layered units are unconstrained.
-Expected: 0 violations.
+"""REP007 clean twin: imports inside the importer's own unit are always
+allowed, whatever the allow-list says.  Expected: 0 violations.
 """
 
-from sim.observe import PhaseSink
+from sim.rep002_clean import stamp
 
 
-def collect(events):
-    sink = PhaseSink()
-    for event in events:
-        sink.emit(event)
-    return sink.events
+def stamps(rounds, rngs, mode):
+    return [stamp(round_number, rngs, mode) for round_number in rounds]

@@ -1,8 +1,8 @@
-"""Corpus support for the interprocedural REP002 fixture: a helper
-module *outside* the deterministic packages hiding a wall-clock read
-behind one level of indirection.  The per-file REP002 never looks at
-this file (no ``sim``/``core``/``chaos``/``baselines`` path segment);
-only the call-graph taint pass connects it back to its callers.
+"""Corpus support for ``sim/rep002_interproc_bad.py``: a helper module
+*outside* every layering unit hiding a wall-clock read behind one level
+of indirection.  The per-file REP002 never looks at this file (no
+deterministic unit on its path); what keeps deterministic code away
+from it is REP007 — no constrained unit lists ``timeutil``.
 """
 
 import time

@@ -1,4 +1,4 @@
-"""Engine-level tests: pragmas, suppression files, discovery, reports.
+"""Engine-level tests: pragmas, discovery, reports.
 
 The rule logic itself is covered in ``test_lint_rules.py``; here the
 subject is the machinery around it — how violations are silenced,
@@ -8,13 +8,13 @@ CI gate consumes.
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.lint import (
     JSON_SCHEMA_VERSION,
     LintEngine,
-    Suppressions,
     Violation,
     render_json,
     render_text,
@@ -69,54 +69,6 @@ class TestPragmas:
         assert result.suppressed == 1
 
 
-class TestSuppressions:
-    def test_load_parses_entries_and_ignores_comments(self, tmp_path):
-        path = tmp_path / ".reprolint"
-        path.write_text(
-            "# baseline\n"
-            "\n"
-            "REP001 legacy/*.py  # trailing comment\n"
-            "* generated/schema.py\n"
-        )
-        suppressions = Suppressions.load(path)
-        assert suppressions.entries == [
-            ("REP001", "legacy/*.py"),
-            ("*", "generated/schema.py"),
-        ]
-
-    @pytest.mark.parametrize(
-        "line", ["REP001", "BADCODE foo.py", "rep001 foo.py"]
-    )
-    def test_load_rejects_malformed_lines(self, tmp_path, line):
-        path = tmp_path / ".reprolint"
-        path.write_text(line + "\n")
-        with pytest.raises(ValueError):
-            Suppressions.load(path)
-
-    def test_matches_code_and_glob(self):
-        suppressions = Suppressions([("REP001", "legacy/*.py")])
-        assert suppressions.matches(_violation(path="legacy/old.py"))
-        assert suppressions.matches(_violation(path="src/legacy/old.py"))
-        assert not suppressions.matches(_violation(path="src/new.py"))
-        assert not suppressions.matches(
-            _violation(code="REP002", path="legacy/old.py")
-        )
-
-    def test_star_code_matches_every_rule(self):
-        suppressions = Suppressions([("*", "legacy/*.py")])
-        assert suppressions.matches(_violation(code="REP005",
-                                               path="legacy/old.py"))
-
-    def test_engine_counts_file_suppressions(self):
-        engine = LintEngine(
-            suppressions=Suppressions([("REP001", "src/repro/sim/x.py")])
-        )
-        result = engine.check_source(RNG_SOURCE, "src/repro/sim/x.py")
-        assert result.violations == []
-        assert result.suppressed == 1
-        assert result.clean
-
-
 class TestDiscovery:
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -131,6 +83,25 @@ class TestDiscovery:
         (tmp_path / ".hidden" / "mod.py").write_text("x = 1\n")
         found = LintEngine.discover([tmp_path])
         assert found == [tmp_path / "pkg" / "mod.py"]
+
+    def test_hidden_filter_looks_below_the_lint_root_only(
+        self, tmp_path, monkeypatch
+    ):
+        # A checkout under ``~/.cache/`` or a root spelled ``../src``
+        # has a dot-part in its *prefix*; that must not hide the tree.
+        root = tmp_path / ".cache" / "checkout" / "src"
+        root.mkdir(parents=True)
+        (root / "mod.py").write_text("x = 1\n")
+        assert LintEngine.discover([root]) == [root / "mod.py"]
+        monkeypatch.chdir(root)
+        assert LintEngine.discover([Path("../src")]) == [
+            Path("../src/mod.py")
+        ]
+
+    def test_directory_without_python_files_raises(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("nothing to lint\n")
+        with pytest.raises(FileNotFoundError, match="no python files"):
+            LintEngine.discover([tmp_path])
 
     def test_explicit_file_passes_through(self, tmp_path):
         target = tmp_path / "one.py"
@@ -155,7 +126,7 @@ class TestReports:
     def test_json_report_schema(self):
         violations = [_violation(), _violation(code="REP004", line=9)]
         document = json.loads(render_json(violations, 7, suppressed=1))
-        assert document["schema"] == JSON_SCHEMA_VERSION == "repro-lint/2"
+        assert document["schema"] == JSON_SCHEMA_VERSION == "repro-lint/3"
         assert document["checked_files"] == 7
         assert document["suppressed"] == 1
         assert document["counts"] == {"REP001": 1, "REP004": 1}

@@ -1,4 +1,5 @@
-"""Per-rule tests for the ``repro lint`` static checks (REP001–REP006).
+"""Per-rule tests for the per-file ``repro lint`` checks (REP001–REP006,
+REP010).
 
 Each rule is exercised twice: against the committed fixture corpus in
 ``tests/lint_corpus`` (violation counts pinned, clean twins must stay
@@ -24,6 +25,7 @@ CORPUS_EXPECTATIONS = [
     ("rep004_bad.py", "REP004", 3),
     ("rep005_bad.py", "REP005", 5),
     ("sim/rep006_bad.py", "REP006", 4),
+    ("sim/rep010_bad.py", "REP010", 1),
 ]
 
 CLEAN_FILES = [
@@ -33,6 +35,7 @@ CLEAN_FILES = [
     "rep004_clean.py",
     "rep005_clean.py",
     "sim/rep006_clean.py",
+    "obs/rep010_clean.py",
     "suppressed.py",
 ]
 
@@ -126,6 +129,22 @@ class TestWallClockRule:
         for directory in ("sim", "core", "chaos", "baselines"):
             path = f"src/repro/{directory}/module.py"
             assert lint(source, path=path) == ["REP002"], directory
+
+    def test_scope_is_the_import_closure_of_those_dirs(self):
+        # What a deterministic unit may import is deterministic too:
+        # ``core`` may import ``sanitize``, ``chaos`` may import
+        # ``topology`` (LAYERS), so a clock read there is a finding.
+        source = """
+            import time
+
+            def stamp():
+                return time.time()
+            """
+        assert lint(source, path="src/repro/sanitize.py") == ["REP002"]
+        assert lint(source, path="src/repro/topology/regions.py") == [
+            "REP002"
+        ]
+        assert lint(source, path="src/repro/obs/profiling.py") == []
 
     def test_ignored_outside_restricted_dirs(self):
         source = """
@@ -321,3 +340,32 @@ class TestFloatKeySortRule:
             assert lint(source, path=path) == ["REP006"], directory
         assert lint(source, path="src/repro/experiments/module.py") == []
         assert lint(source, path="src/repro/baselines/module.py") == []
+
+
+class TestOracleLivenessRule:
+    SOURCE = """
+        def skip_dead(ctx, target):
+            return None if not ctx.is_alive(target) else target
+        """
+
+    def test_flags_oracle_calls_in_protocol_code(self):
+        for path in ("src/repro/core/module.py", "src/repro/net/node.py",
+                     "src/repro/cli.py"):
+            assert lint(self.SOURCE, path=path) == ["REP010"], path
+
+    def test_measurement_units_may_ask(self):
+        for path in ("src/repro/obs/report.py", "src/repro/sanitize.py",
+                     "src/repro/experiments/runner.py"):
+            assert lint(self.SOURCE, path=path) == [], path
+
+    def test_defining_or_reading_the_attribute_is_clean(self):
+        assert lint(
+            """
+            class Context:
+                def is_alive(self, node_id):
+                    return self.alive[node_id]
+
+            def probe(ctx):
+                return ctx.is_alive
+            """
+        ) == []

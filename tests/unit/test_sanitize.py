@@ -18,6 +18,7 @@ import pytest
 
 from repro import sanitize
 from repro.core import aggregates
+from repro.core.array_stepper import HierarchicalArrayStepper
 from repro.core.aggregates import (
     AggregateState,
     AverageAggregate,
@@ -32,6 +33,7 @@ from repro.core.hierarchical_gossip import (
 )
 from repro.experiments.params import RunConfig
 from repro.experiments.runner import run_once
+from repro.sim.array_engine import ArraySteppedEngine
 from repro.sim.engine import SimulationEngine
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
@@ -255,8 +257,19 @@ class TestPlantedDoubleCountInProtocol:
         assignment = GridAssignment(hierarchy, votes, StaticHash(boxes))
         return votes, function, assignment
 
+    @pytest.mark.parametrize("make_engine", [
+        pytest.param(SimulationEngine, id="object"),
+        # The block path composes through the same hooks: a stepper that
+        # advanced phases around them would let this run finish.
+        pytest.param(
+            lambda **kwargs: ArraySteppedEngine(
+                stepper=HierarchicalArrayStepper(), **kwargs
+            ),
+            id="array",
+        ),
+    ])
     def test_planted_double_count_names_member_and_phase(
-        self, clean_sanitizer
+        self, clean_sanitizer, make_engine
     ):
         votes, function, assignment = self._figure1_world()
         processes = build_hierarchical_gossip_group(
@@ -272,7 +285,7 @@ class TestPlantedDoubleCountInProtocol:
             target.known["planted"] = target.own_state()
 
         target.on_start = planted_on_start
-        engine = SimulationEngine(
+        engine = make_engine(
             network=Network(max_message_size=1 << 20),
             rngs=RngRegistry(seed=0),
             max_rounds=200,
