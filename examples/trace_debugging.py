@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Observability tour: tracing, per-round metrics, and ASCII rendering.
+"""Observability tour: tracing, per-round metrics, and a load profile.
 
 Shows the debugging workflow a protocol developer uses with this library:
 attach a Tracer and RoundMetrics to a faulty run, then drill into *why* a
@@ -27,7 +27,6 @@ from repro.sim import (
     SimulationEngine,
     Tracer,
 )
-from repro.viz import render_box_occupancy, render_hierarchy
 
 
 def main() -> None:
@@ -37,9 +36,10 @@ def main() -> None:
     assignment = GridAssignment(hierarchy, votes, FairHash(salt=5))
 
     print("== the hierarchy under test ==")
-    print(render_hierarchy(assignment, max_members_per_box=4))
-    print()
-    print(render_box_occupancy(assignment))
+    print(hierarchy)
+    for box in range(hierarchy.num_boxes):
+        members = ", ".join(f"M{m}" for m in assignment.members_of_box(box))
+        print(f"  box {hierarchy.format_address(box)}: {members}")
     print()
 
     # A hostile run: 35% loss plus a mid-run crash of three members.

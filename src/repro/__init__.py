@@ -62,11 +62,6 @@ _EXPORTS = {
     "RunResult": "repro.experiments",
     "run_once": "repro.experiments",
     "with_params": "repro.experiments",
-    "MibProcess": "repro.mib",
-    "build_mib_group": "repro.mib",
-    "EpochResult": "repro.monitoring",
-    "MonitoringSession": "repro.monitoring",
-    "Trigger": "repro.monitoring",
 }
 
 __version__ = "1.0.0"
@@ -95,11 +90,6 @@ __all__ = [
     "RunResult",
     "run_once",
     "with_params",
-    "MibProcess",
-    "build_mib_group",
-    "EpochResult",
-    "MonitoringSession",
-    "Trigger",
     "aggregate_once",
     "__version__",
 ]

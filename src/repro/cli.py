@@ -133,17 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_trace_arguments(trace_parser)
 
-    show_parser = sub.add_parser(
-        "show-hierarchy", help="render the Grid Box Hierarchy for a group"
-    )
-    show_parser.add_argument("--n", type=int, default=32)
-    show_parser.add_argument("--k", type=int, default=4)
-    show_parser.add_argument("--salt", type=int, default=0)
-    show_parser.add_argument(
-        "--occupancy", action="store_true",
-        help="also show the box-occupancy histogram",
-    )
-
     chaos_parser = sub.add_parser(
         "chaos",
         help="sweep chaos campaigns against the Theorem 1 bound",
@@ -239,20 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.lint.cli import add_lint_arguments
 
     add_lint_arguments(lint_parser)
-
-    monitor_parser = sub.add_parser(
-        "monitor", help="run a periodic monitoring session"
-    )
-    monitor_parser.add_argument("--n", type=int, default=200)
-    monitor_parser.add_argument("--epochs", type=int, default=5)
-    monitor_parser.add_argument("--ucastl", type=float, default=0.25)
-    monitor_parser.add_argument("--pf", type=float, default=0.001)
-    monitor_parser.add_argument("--seed", type=int, default=0)
-    monitor_parser.add_argument(
-        "--trigger-above", type=float, default=None, metavar="T",
-        help="count members whose epoch estimate exceeds this threshold "
-             "(the paper's release-coolant actuation pattern)",
-    )
 
     serve_parser = sub.add_parser(
         "serve",
@@ -417,22 +392,6 @@ def _run_single(args: argparse.Namespace) -> int:
     return 0
 
 
-def _show_hierarchy(args: argparse.Namespace) -> int:
-    from repro.core import FairHash, GridAssignment, GridBoxHierarchy
-    from repro.viz import render_box_occupancy, render_hierarchy
-
-    hierarchy = GridBoxHierarchy(args.n, args.k)
-    assignment = GridAssignment(
-        hierarchy, range(args.n), FairHash(salt=args.salt)
-    )
-    print(hierarchy)
-    print(render_hierarchy(assignment))
-    if args.occupancy:
-        print()
-        print(render_box_occupancy(assignment))
-    return 0
-
-
 def _run_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import CAMPAIGNS, campaign_names
     from repro.experiments.robustness import robustness_matrix
@@ -512,38 +471,6 @@ def _run_chaos_matrix(
     return 0
 
 
-def _run_monitor(args: argparse.Namespace) -> int:
-    from repro.monitoring import MonitoringSession, Trigger
-
-    def sample(epoch, members, rng):
-        return {m: 20.0 + epoch + float(rng.normal(0, 1)) for m in members}
-
-    session = MonitoringSession(
-        group_size=args.n, sample_votes=sample,
-        ucastl=args.ucastl, pf=args.pf, seed=args.seed,
-    )
-    trigger = None
-    if args.trigger_above is not None:
-        trigger = Trigger("above", args.trigger_above, direction="above")
-        session.add_trigger(trigger)
-    header = (f"{'epoch':>5} {'alive':>6} {'true':>8} {'estimate':>9} "
-              f"{'completeness':>12} {'msgs':>7} {'timeouts':>8}")
-    if trigger is not None:
-        header += f" {'fired':>6}"
-    print(header)
-    for result in session.run_epochs(args.epochs):
-        line = (
-            f"{result.epoch:>5} {result.group_size:>6} "
-            f"{result.true_value:>8.3f} {result.mean_estimate:>9.3f} "
-            f"{result.mean_completeness:>12.5f} {result.messages:>7} "
-            f"{result.phase_timeouts:>8}"
-        )
-        if trigger is not None:
-            line += f" {result.trigger_counts[trigger.name]:>6}"
-        print(line)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     # SIGTERM runs registered cleanups, then exits 143; atexit alone
     # never fires on a signal death, so pools used to leak (see
@@ -563,6 +490,30 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "lint":
+        from repro.lint.cli import run_lint
+
+        return run_lint(args)
+    if args.command == "serve":
+        from repro.net.serve import run_serve
+
+        return run_serve(args)
+    if args.command == "top":
+        from repro.net.top import run_top
+
+        return run_top(args)
+    # The remaining verbs build RunConfigs; parameters no world can be
+    # built from are a usage error (argparse's exit 2), not a traceback.
+    from repro.experiments.params import ConfigError
+
+    try:
+        return _dispatch_runs(args)
+    except ConfigError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch_runs(args: argparse.Namespace) -> int:
     if args.command == "list":
         from repro.experiments.figures import ALL_FIGURES
 
@@ -577,24 +528,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.obs.cli import run_trace
 
         return run_trace(args, _config_from_args, run_once)
-    if args.command == "show-hierarchy":
-        return _show_hierarchy(args)
     if args.command == "chaos":
         return _run_chaos(args)
-    if args.command == "lint":
-        from repro.lint.cli import run_lint
-
-        return run_lint(args)
-    if args.command == "monitor":
-        return _run_monitor(args)
-    if args.command == "serve":
-        from repro.net.serve import run_serve
-
-        return run_serve(args)
-    if args.command == "top":
-        from repro.net.top import run_top
-
-        return run_top(args)
     return _run_figure(args.command, args)
 
 

@@ -410,8 +410,8 @@ def shared_dense_assignment(
     Hash functions whose placement is not captured by a hashable value
     (positions tables, static maps) return ``None`` from ``cache_key()``
     and are never cached.  Only dense ``range(n_members)`` memberships
-    are served — the one-shot runner's setting; monitoring epochs with
-    shrinking memberships build their own assignments.
+    are served — the runner's and the net nodes' setting; a caller with
+    its own member ids (``aggregate_once``) builds its own assignment.
     """
     hash_key = hash_function.cache_key()
     if hash_key is None:

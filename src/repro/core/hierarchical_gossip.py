@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import repro.sanitize as sanitize
 from repro.core.aggregates import AggregateFunction, AggregateState
@@ -175,6 +175,16 @@ class GossipParams:
             raise ValueError(
                 f"final_retransmit must be >= 0, got {self.final_retransmit}"
             )
+
+    @classmethod
+    def from_config(cls, config: object) -> "GossipParams":
+        """The params a run or node config carries: every field of this
+        class that ``config`` has (``RunConfig`` / ``NodeConfig`` take
+        those fields' defaults from here), the rest at their defaults."""
+        return cls(**{
+            f.name: getattr(config, f.name)
+            for f in fields(cls) if hasattr(config, f.name)
+        })
 
     def extension_budget(self, rounds_per_phase: int) -> int:
         """Max extra rounds one phase may borrow under adaptive deadlines."""

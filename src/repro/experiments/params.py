@@ -15,7 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["RunConfig", "PAPER_DEFAULTS", "with_params"]
+from repro.core.hierarchical_gossip import GossipParams
+
+__all__ = ["ConfigError", "RunConfig", "PAPER_DEFAULTS", "with_params"]
+
+
+class ConfigError(ValueError):
+    """A run was asked for with parameters no world can be built from
+    (the CLI reports it as a usage error instead of a traceback)."""
 
 
 @dataclass(frozen=True)
@@ -28,18 +35,20 @@ class RunConfig:
     hash_salt: int = 0
     # Protocol selection and knobs
     protocol: str = "hierarchical_gossip"
-    fanout_m: int = 2
-    rounds_factor_c: float = 1.0
-    rounds_per_phase: int | None = None
-    early_bump: bool = True
-    batch_values: bool = True
-    independent_values: bool = False
-    prefer_coverage: bool = True
-    push_pull: bool = False
-    representative_fraction: float = 1.0
+    #: The protocol knobs are GossipParams' own fields and defaults;
+    #: ``GossipParams.from_config`` reads them back by name.
+    fanout_m: int = GossipParams.fanout_m
+    rounds_factor_c: float = GossipParams.rounds_factor_c
+    rounds_per_phase: int | None = GossipParams.rounds_per_phase
+    early_bump: bool = GossipParams.early_bump
+    batch_values: bool = GossipParams.batch_values
+    independent_values: bool = GossipParams.independent_values
+    prefer_coverage: bool = GossipParams.prefer_coverage
+    push_pull: bool = GossipParams.push_pull
+    representative_fraction: float = GossipParams.representative_fraction
     #: Hardening knobs (see GossipParams; defaults = paper protocol).
-    adaptive_deadlines: bool = False
-    final_retransmit: int = 0
+    adaptive_deadlines: bool = GossipParams.adaptive_deadlines
+    final_retransmit: int = GossipParams.final_retransmit
     committee_size: int = 1
     # Extensions (paper Sections 2 and 6.1 side claims):
     #: hierarchy sized by this estimate of N instead of the true N
@@ -79,6 +88,14 @@ class RunConfig:
     #: ``"object"`` / ``"array"`` force one — forcing ``"array"`` on an
     #: unsupported configuration raises instead of silently degrading.
     engine: str = "auto"
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ConfigError(f"group size n must be >= 1, got {self.n}")
+        if self.start_spread < 0:
+            raise ConfigError(
+                f"start_spread must be >= 0 rounds, got {self.start_spread}"
+            )
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)

@@ -11,7 +11,7 @@ the measurements the paper reports.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from repro.baselines.centralized import build_centralized_group
@@ -38,7 +38,7 @@ from repro.core.protocol import (
     measure_completeness,
     measure_estimates,
 )
-from repro.experiments.params import RunConfig
+from repro.experiments.params import ConfigError, RunConfig
 from repro.obs.export import run_result_record
 from repro.obs.telemetry import RunTelemetry, TelemetrySummary
 from repro.sim.engine import SimulationEngine
@@ -173,19 +173,7 @@ def _build_processes(
             )
         hierarchy = assignment.hierarchy
     if config.protocol == "hierarchical_gossip":
-        params = GossipParams(
-            fanout_m=config.fanout_m,
-            rounds_factor_c=config.rounds_factor_c,
-            rounds_per_phase=config.rounds_per_phase,
-            early_bump=config.early_bump,
-            batch_values=config.batch_values,
-            independent_values=config.independent_values,
-            prefer_coverage=config.prefer_coverage,
-            push_pull=config.push_pull,
-            representative_fraction=config.representative_fraction,
-            adaptive_deadlines=config.adaptive_deadlines,
-            final_retransmit=config.final_retransmit,
-        )
+        params = GossipParams.from_config(config)
         view_of = None
         if config.view_size is not None:
             membership = GroupMembership(tuple(votes))
@@ -227,11 +215,9 @@ def _build_processes(
     if config.protocol == "flat_gossip":
         # The same round budget as the hierarchy it is compared against.
         size = _hierarchy_size(config)
-        budget = GossipParams(
-            fanout_m=config.fanout_m,
-            rounds_factor_c=config.rounds_factor_c,
-            rounds_per_phase=config.rounds_per_phase,
-        ).round_budget(size, GridBoxHierarchy(size, config.k).num_phases)
+        budget = GossipParams.from_config(config).round_budget(
+            size, GridBoxHierarchy(size, config.k).num_phases
+        )
         processes = build_flat_gossip_group(
             votes, function, total_rounds=budget, fanout=config.fanout_m,
         )
@@ -409,6 +395,16 @@ def _run_votes(
             sanitize.disable()
 
 
+@contextmanager
+def _config_errors():
+    """A ``ValueError`` while the world is being built is the config's
+    fault: re-raise it as :class:`ConfigError` (still a ``ValueError``)."""
+    try:
+        yield
+    except ValueError as error:
+        raise ConfigError(str(error)) from error
+
+
 def _run_built(
     config: RunConfig,
     rngs: RngRegistry,
@@ -417,7 +413,8 @@ def _run_built(
     telemetry: RunTelemetry | None = None,
 ) -> RunResult:
     true_value = function.finalize(function.over(votes))
-    with telemetry.profile("build") if telemetry is not None else nullcontext():
+    with (telemetry.profile("build") if telemetry is not None
+          else nullcontext()), _config_errors():
         processes, max_rounds = _build_processes(
             config, votes, rngs,
             phase_sink=(telemetry.phase_sink() if telemetry is not None

@@ -44,8 +44,6 @@ LAYERS: dict[str, frozenset[str]] = {
     "sanitize": frozenset({"core"}),
     "topology": frozenset({"sim"}),
     "analysis": frozenset({"core", "sim"}),
-    "mib": frozenset({"core", "sim"}),
-    "viz": frozenset({"core"}),
     "baselines": frozenset({"core", "sanitize", "sim"}),
     "chaos": frozenset({"core", "sim", "topology"}),
     # process-exit callbacks: stdlib-only, imports nothing internal
@@ -53,12 +51,11 @@ LAYERS: dict[str, frozenset[str]] = {
     # obs is a pure consumer of the layers below the experiment stack
     # (its metrics registry is what net's exposition endpoint serves)
     "obs": frozenset({"core", "sanitize", "sim"}),
-    "monitoring": frozenset({"core", "obs", "sanitize", "sim"}),
     # the live UDP runtime: hosts core protocols, reports through obs
     "net": frozenset({"core", "obs", "sanitize", "shutdown", "sim"}),
     "experiments": frozenset({
-        "analysis", "baselines", "chaos", "core", "mib", "monitoring",
-        "obs", "sanitize", "shutdown", "sim", "topology",
+        "analysis", "baselines", "chaos", "core", "obs", "sanitize",
+        "shutdown", "sim", "topology",
     }),
     # the linter itself never imports the runtime it checks
     "lint": frozenset(),

@@ -98,8 +98,8 @@ class NodeConfig:
     k: int = 4
     seed: int = 0
     aggregate: str = "average"
-    fanout_m: int = 2
-    rounds_factor_c: float = 1.0
+    fanout_m: int = GossipParams.fanout_m
+    rounds_factor_c: float = GossipParams.rounds_factor_c
     hash_salt: int = 0
     vote_low: float = 0.0
     vote_high: float = 100.0
@@ -262,10 +262,7 @@ class NetNode:
             function=get_aggregate(config.aggregate),
             assignment=assignment,
             view=assignment.member_ids,
-            params=GossipParams(
-                fanout_m=config.fanout_m,
-                rounds_factor_c=config.rounds_factor_c,
-            ),
+            params=GossipParams.from_config(config),
             phase_sink=phase_sink,
         )
         self.ctx = NetContext(self)

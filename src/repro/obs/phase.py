@@ -60,15 +60,6 @@ class PhaseTrace(PhaseSink):
         elif self.store_events:
             self.dropped_events += 1
 
-    def reset(self) -> None:
-        """Clear events and counters for reuse across runs/epochs."""
-        self.events.clear()
-        self.counts.clear()
-        self.phase_timeouts.clear()
-        self.phase_early.clear()
-        self.incomplete_finalizes = 0
-        self.dropped_events = 0
-
     # -- queries ---------------------------------------------------------
     def of_kind(self, kind: str) -> list[PhaseEvent]:
         return [event for event in self.events if event.kind == kind]

@@ -15,7 +15,7 @@ from repro.sim.failures import (
     NoFailures,
     ScheduledFailures,
 )
-from repro.sim.group import CompleteViews, GroupMembership, PartialViews
+from repro.sim.group import GroupMembership, PartialViews
 from repro.sim.metrics import RoundMetrics, RoundSample
 from repro.sim.network import (
     JitterNetwork,
@@ -43,7 +43,6 @@ __all__ = [
     "ScheduledFailures",
     "ComposedFailures",
     "GroupMembership",
-    "CompleteViews",
     "PartialViews",
     "Network",
     "JitterNetwork",

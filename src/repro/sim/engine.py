@@ -30,7 +30,6 @@ message-level accounting trustworthy.
 from __future__ import annotations
 
 import gc
-import heapq
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
@@ -73,12 +72,6 @@ class Process:
 
     def on_message(self, ctx: "Context", message: Message) -> None:
         """Called for each message delivered to this (live) process."""
-
-    def on_crash(self, ctx: "Context") -> None:
-        """Called when the failure model crashes this process."""
-
-    def on_recover(self, ctx: "Context") -> None:
-        """Called if a crash-recovery failure model revives this process."""
 
 
 @dataclass
@@ -201,8 +194,6 @@ class SimulationEngine:
         #: begins, so arrival order is (delivery round, send order) for
         #: every latency model.
         self._pending: dict[int, list] = {}
-        self._seq = 0
-        self._scheduled: list[tuple[int, int, Callable[[], None]]] = []
         self._ctx = Context(self)
 
     # -- setup ---------------------------------------------------------
@@ -222,13 +213,6 @@ class SimulationEngine:
     def add_processes(self, processes: Iterable[Process]) -> None:
         for process in processes:
             self.add_process(process)
-
-    def schedule(self, at_round: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at the start of ``at_round`` (engine-level event)."""
-        if at_round < self.round:
-            raise ValueError("cannot schedule in the past")
-        self._seq += 1
-        heapq.heappush(self._scheduled, (at_round, self._seq, callback))
 
     # -- internals -----------------------------------------------------
     def _trace(self, kind: str, node: int, peer: int | None = None,
@@ -303,7 +287,7 @@ class SimulationEngine:
             self.round, *self._liveness_ids(), self.rngs.stream("failures"),
         )
         # The failure model returns *sets*; apply them in sorted id order
-        # so crash/recovery callbacks and trace events never depend on
+        # so crash/recovery bookkeeping and trace events never depend on
         # hash-iteration order (REP003 discipline).
         for node_id in sorted(crashed):
             process = self.processes[node_id]
@@ -329,9 +313,6 @@ class SimulationEngine:
             self._active_count -= 1
         self.stats.crashes += 1
         self._trace("crash", process.node_id)
-        self._ctx.current = process
-        process.on_crash(self._ctx)
-        self._ctx.current = None
 
     def _recover(self, process: Process) -> None:
         process.alive = True
@@ -340,9 +321,6 @@ class SimulationEngine:
             self._active_count += 1
         self.stats.recoveries += 1
         self._trace("recover", process.node_id)
-        self._ctx.current = process
-        process.on_recover(self._ctx)
-        self._ctx.current = None
 
     def _note_terminate(self, process: Process) -> None:
         """Bookkeeping for a process that just terminated (see Context)."""
@@ -410,9 +388,6 @@ class SimulationEngine:
             while self.round < self.max_rounds:
                 if (until() if until is not None else self._all_done()):
                     break
-                while self._scheduled and self._scheduled[0][0] <= self.round:
-                    __, __, callback = heapq.heappop(self._scheduled)
-                    callback()
                 self._apply_failures()
                 self._deliver_due()
                 self.round_bus.emit(self.round)

@@ -75,9 +75,8 @@ class CrashWithoutRecovery(FailureModel):
 class CrashRecovery(CrashWithoutRecovery):
     """Crash w.p. ``pf``; each crashed member recovers w.p. ``pr`` per round.
 
-    Recovery models a rebooting sensor: the process resumes with whatever
-    state its ``on_recover`` callback restores (our protocol processes keep
-    their state, i.e. no amnesia, matching a persisted vote).
+    Recovery models a rebooting sensor: the process resumes with the
+    state it crashed with (no amnesia, matching a persisted vote).
     """
 
     def __init__(self, pf: float, pr: float):

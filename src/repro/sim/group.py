@@ -5,11 +5,10 @@ group members it knows about.  The analysis assumes complete views; the
 Hierarchical Gossiping protocol only needs each member's view to cover its
 own grid box and sibling subtrees well enough to pick gossipees.
 
-We support:
-
-* :class:`CompleteViews` — everyone knows everyone (paper's simulations);
-* :class:`PartialViews` — each member knows a random fixed-size subset
-  (always including itself), used in robustness extension experiments.
+Everyone knowing everyone (the paper's simulations) is the protocol's
+default and needs no object; :class:`PartialViews` gives each member a
+random fixed-size subset (always including itself), used in robustness
+extension experiments.
 
 Views are static for the duration of a one-shot aggregation run, matching
 the paper (no failure detection is required or used).
@@ -22,7 +21,7 @@ from collections.abc import Sequence
 from repro.sim.rng import RngRegistry
 from repro.sim.sampling import BlockedSampler
 
-__all__ = ["GroupMembership", "CompleteViews", "PartialViews"]
+__all__ = ["GroupMembership", "PartialViews"]
 
 
 class GroupMembership:
@@ -57,16 +56,6 @@ class GroupMembership:
 
     def index_of(self, member_id: int) -> int:
         return self._index[member_id]
-
-
-class CompleteViews:
-    """Every member's view is the full membership."""
-
-    def __init__(self, membership: GroupMembership):
-        self.membership = membership
-
-    def view_of(self, member_id: int) -> tuple[int, ...]:
-        return self.membership.member_ids
 
 
 class PartialViews:

@@ -45,15 +45,6 @@ class RoundMetrics:
     _last_rejected: int = 0
     _last_per_sender: dict[int, int] = field(default_factory=dict)
 
-    def reset(self) -> None:
-        """Clear samples and delta baselines for reuse across runs."""
-        self.samples.clear()
-        self._last_sent = 0
-        self._last_bytes = 0
-        self._last_dropped = 0
-        self._last_rejected = 0
-        self._last_per_sender = {}
-
     def snapshot(self, engine) -> None:
         """Record the round that just executed (engine callback)."""
         stats = engine.network.stats

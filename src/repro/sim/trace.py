@@ -72,12 +72,6 @@ class Tracer:
         elif self.max_events > 0:
             self.dropped_events += 1
 
-    def reset(self) -> None:
-        """Clear events and counters for reuse across runs/epochs."""
-        self.events.clear()
-        self.counts.clear()
-        self.dropped_events = 0
-
     # -- queries ---------------------------------------------------------
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [event for event in self.events if event.kind == kind]

@@ -1,8 +1,15 @@
 """Integration tests for the command-line interface."""
 
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro.cli import FIGURE_IDS, build_parser, main
 
 
 class TestParser:
@@ -23,6 +30,23 @@ class TestParser:
         from repro.experiments.figures import ALL_FIGURES
 
         assert FIGURE_IDS == tuple(ALL_FIGURES)
+
+    def test_verb_set_is_pinned(self):
+        (sub,) = (
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert tuple(sub.choices) == (
+            "list", *FIGURE_IDS, "run", "trace", "chaos", "lint", "serve",
+            "top",
+        )
+
+    @pytest.mark.parametrize("verb", ["monitor", "show-hierarchy"])
+    def test_deleted_verbs_are_usage_errors(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_run_arguments(self):
         args = build_parser().parse_args(
@@ -72,3 +96,53 @@ class TestMain:
         assert main(["fig8", "--runs", "1", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "rounds/phase" in out
+
+
+class TestBadRunParameters:
+    """Parameters no world can be built from: one ``repro: error:`` line
+    on stderr and argparse's exit status 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--n", "0"], "group size n must be >= 1, got 0"),
+        (["run", "--k", "1"], "K must be at least 2"),
+        (["run", "--ucastl", "1.5"], "ucastl must be a probability"),
+        (["run", "--c", "0"], "C must be positive"),
+        (["run", "--fanout", "5", "--n", "3"], "exceeds the group size"),
+        (["run", "--start-spread", "-3"], "start_spread must be >= 0"),
+        (["trace", "--n", "0"], "group size n must be >= 1, got 0"),
+        (["chaos", "--n", "0"], "group size n must be >= 1, got 0"),
+        (["chaos", "--n", "16", "--k", "1", "--runs", "1",
+          "--campaign", "crash-storm"], "K must be at least 2"),
+    ])
+    def test_reported_as_a_usage_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_exit_status_of_the_real_process(self):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--n", "0"],
+            capture_output=True, text=True,
+            env={
+                "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+                "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+            },
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert completed.stderr == (
+            "repro: error: group size n must be >= 1, got 0\n"
+        )
+
+    def test_a_failure_inside_the_simulation_still_raises(self, monkeypatch):
+        from repro.sim.engine import SimulationEngine
+
+        def broken_run(self, until=None):
+            raise ValueError("not the config's fault")
+
+        monkeypatch.setattr(SimulationEngine, "run", broken_run)
+        with pytest.raises(ValueError, match="not the config's fault"):
+            main(["run", "--n", "16", "--engine", "object"])

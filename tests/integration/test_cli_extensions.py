@@ -5,48 +5,6 @@ import pytest
 from repro.cli import main
 
 
-class TestShowHierarchy:
-    def test_renders_tree(self, capsys):
-        assert main(["show-hierarchy", "--n", "16", "--k", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "GridBoxHierarchy" in out
-        assert "subtree" in out
-        assert "box" in out
-
-    def test_occupancy_flag(self, capsys):
-        assert main([
-            "show-hierarchy", "--n", "32", "--k", "4", "--occupancy",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "members:" in out
-
-    def test_salt_changes_layout(self, capsys):
-        main(["show-hierarchy", "--n", "16", "--salt", "0"])
-        first = capsys.readouterr().out
-        main(["show-hierarchy", "--n", "16", "--salt", "1"])
-        second = capsys.readouterr().out
-        assert first != second
-
-
-class TestMonitorCommand:
-    def test_epoch_table(self, capsys):
-        assert main([
-            "monitor", "--n", "48", "--epochs", "2",
-            "--ucastl", "0", "--pf", "0",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "epoch" in out
-        assert out.count("\n") >= 3  # header + 2 epochs
-
-    def test_faulty_monitoring_still_reports(self, capsys):
-        assert main([
-            "monitor", "--n", "48", "--epochs", "2",
-            "--ucastl", "0.3", "--pf", "0.01", "--seed", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "1" in out
-
-
 class TestExtensionFigures:
     def test_approx_n_via_cli(self, capsys):
         assert main(["approx-n", "--runs", "1"]) == 0

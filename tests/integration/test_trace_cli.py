@@ -11,9 +11,7 @@ import pytest
 from repro.cli import main
 from repro.experiments.params import with_params
 from repro.experiments.runner import run_once
-from repro.monitoring import MonitoringSession
 from repro.obs.export import load_trace, validate_trace_lines, write_trace
-from repro.obs.phase import PhaseTrace
 from repro.obs.report import explain, render_phase_report
 from repro.obs.telemetry import RunTelemetry
 
@@ -360,43 +358,6 @@ class TestRunJsonCli:
         for key in ("completeness", "messages_sent", "rounds",
                     "true_value", "crashes"):
             assert run_record[key] == trace_record[key]
-
-
-class TestMonitoringTelemetry:
-    def _session(self, **kwargs):
-        def sample(epoch, members, rng):
-            return {m: float(rng.random()) for m in members}
-
-        defaults = dict(group_size=64, sample_votes=sample, seed=0)
-        defaults.update(kwargs)
-        return MonitoringSession(**defaults)
-
-    def test_epoch_counts_phase_timeouts(self):
-        # Even a clean network sees a few timeouts (randomized gossip may
-        # miss a representative inside the phase window; the value still
-        # arrives by other paths), so the signal is monotone, not zero.
-        lossy = self._session(ucastl=0.5).run_epoch()
-        clean = self._session(ucastl=0.0).run_epoch()
-        assert lossy.phase_timeouts > clean.phase_timeouts
-
-    def test_phase_sink_receives_events_without_changing_results(self):
-        base = self._session(ucastl=0.3).run_epoch()
-        sink = PhaseTrace()
-        observed = self._session(ucastl=0.3).run_epoch(phase_sink=sink)
-        assert observed.mean_completeness == base.mean_completeness
-        assert observed.messages == base.messages
-        assert observed.phase_timeouts == base.phase_timeouts
-        assert sink.counts["finalize"] > 0
-        assert sum(sink.phase_timeouts.values()) == base.phase_timeouts
-
-    def test_monitor_cli_shows_timeouts_and_triggers(self, capsys):
-        assert main([
-            "monitor", "--n", "32", "--epochs", "2", "--ucastl", "0.4",
-            "--trigger-above", "20.0",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "timeouts" in out
-        assert "fired" in out
 
 
 class TestChaosTelemetry:

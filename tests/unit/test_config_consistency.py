@@ -1,45 +1,16 @@
-"""Guards against drift between the two layers of configuration.
+"""The protocol knobs have one source: ``GossipParams``.
 
-``GossipParams`` (protocol-level) and ``RunConfig`` (experiment-level)
-deliberately duplicate the protocol knobs; these tests fail if a default
-changes in one place but not the other, or if the runner stops
-forwarding a knob.
+``RunConfig`` / ``NodeConfig`` take the mirrored fields' defaults from
+``GossipParams`` itself and ``GossipParams.from_config`` reads them back
+by name, so there is no copy to drift; what is left to check is that
+every knob a config carries reaches the process.
 """
 
-import dataclasses
+from dataclasses import replace
 
-from repro.core.hierarchical_gossip import GossipParams
-from repro.experiments.params import PAPER_DEFAULTS, RunConfig, with_params
+from repro.experiments.params import with_params
 from repro.experiments.runner import _build_processes
 from repro.sim.rng import RngRegistry
-
-MIRRORED_FIELDS = {
-    "fanout_m",
-    "rounds_factor_c",
-    "rounds_per_phase",
-    "early_bump",
-    "batch_values",
-    "independent_values",
-    "prefer_coverage",
-    "push_pull",
-    "representative_fraction",
-    "adaptive_deadlines",
-    "final_retransmit",
-}
-
-
-class TestDefaultsMatch:
-    def test_mirrored_defaults_identical(self):
-        params = GossipParams()
-        for field in MIRRORED_FIELDS:
-            assert getattr(PAPER_DEFAULTS, field) == getattr(params, field), (
-                f"default for {field} drifted between RunConfig and "
-                f"GossipParams"
-            )
-
-    def test_runconfig_has_all_mirrored_fields(self):
-        names = {f.name for f in dataclasses.fields(RunConfig)}
-        assert MIRRORED_FIELDS <= names
 
 
 class TestRunnerForwarding:
@@ -63,3 +34,26 @@ class TestRunnerForwarding:
         params = processes[0].params
         for field, value in overrides.items():
             assert getattr(params, field) == value, field
+
+    def test_flat_gossip_budget_is_the_hierarchys(self):
+        config = with_params(
+            n=16, protocol="flat_gossip", rounds_per_phase=9,
+            adaptive_deadlines=True,
+        )
+        votes = {i: 1.0 for i in range(16)}
+        twin = replace(config, protocol="hierarchical_gossip")
+        __, flat_horizon = _build_processes(config, votes, RngRegistry(0))
+        __, horizon = _build_processes(twin, votes, RngRegistry(0))
+        assert flat_horizon == horizon
+
+    def test_node_config_knobs_reach_the_net_process(self):
+        from repro.core.hierarchical_gossip import GossipParams
+        from repro.net.node import NetNode, NodeConfig
+
+        config = NodeConfig(
+            node_id=0, group_size=8, fanout_m=3, rounds_factor_c=1.7
+        )
+        node = NetNode(config, transport_send=lambda data, address: None)
+        assert node.process.params == GossipParams(
+            fanout_m=3, rounds_factor_c=1.7
+        )

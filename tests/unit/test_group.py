@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.group import CompleteViews, GroupMembership, PartialViews
+from repro.sim.group import GroupMembership, PartialViews
 from repro.sim.rng import RngRegistry
 
 
@@ -25,14 +25,6 @@ class TestGroupMembership:
         assert 9 in group
         assert 7 not in group
         assert group.index_of(2) == 2
-
-
-class TestCompleteViews:
-    def test_everyone_sees_everyone(self):
-        group = GroupMembership.of_size(4)
-        views = CompleteViews(group)
-        for member in group:
-            assert views.view_of(member) == group.member_ids
 
 
 class TestPartialViews:

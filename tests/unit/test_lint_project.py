@@ -179,6 +179,11 @@ class TestRealTree:
         for rule in ALL_PROJECT_RULES:
             assert list(rule.check(real_index)) == [], rule.code
 
+    def test_layers_names_only_units_that_exist(self, real_index):
+        # A row for a deleted package (mib, viz, monitoring) is dead spec.
+        units = {unit_of(module) for module in real_index.summaries}
+        assert set(LAYERS).union(*LAYERS.values()) <= units
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):

@@ -76,17 +76,6 @@ class TestPhaseTrace:
         trace.emit(_event(kind="finalize", coverage=None))
         assert trace.incomplete_finalizes == 1
 
-    def test_reset(self):
-        trace = PhaseTrace(max_events=1)
-        trace.emit(_event(kind="bump_up_timeout"))
-        trace.emit(_event(kind="finalize", coverage=0.5))
-        trace.reset()
-        assert trace.events == []
-        assert not trace.counts
-        assert not trace.phase_timeouts
-        assert trace.incomplete_finalizes == 0
-        assert trace.dropped_events == 0
-
     def test_member_queries(self):
         trace = PhaseTrace()
         trace.emit(_event(member=1, kind="bump_up_timeout", phase=1))
@@ -134,15 +123,6 @@ class TestTracerCapAndPredicate:
         assert tracer.events == []
         assert tracer.dropped_events == 0
         assert tracer.counts["send"] == 5
-
-    def test_reset(self):
-        tracer = Tracer(max_events=1)
-        tracer.record(TraceEvent(0, "send", 0))
-        tracer.record(TraceEvent(0, "send", 1))
-        tracer.reset()
-        assert tracer.events == []
-        assert not tracer.counts
-        assert tracer.dropped_events == 0
 
 
 class TestTelemetrySummary:

@@ -85,8 +85,8 @@ class TestSignalExit:
         """A SIGTERM'd CLI verb exits 143, not the default -15."""
         script = textwrap.dedent("""
             import sys
-            sys.argv = ["repro", "monitor", "--n", "64", "--epochs",
-                        "999999"]
+            sys.argv = ["repro", "chaos", "--campaign", "paper-iid",
+                        "--n", "256", "--runs", "2000"]
             from repro.cli import main
             print("ready", flush=True)
             sys.exit(main())
