@@ -314,10 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_figure(figure_id: str, args: argparse.Namespace) -> int:
     from repro.experiments.figures import ALL_FIGURES
+    from repro.experiments.params import ConfigError
 
     figure_fn = ALL_FIGURES[figure_id]
     kwargs = {}
     if args.runs is not None:
+        if args.runs < 1:
+            raise ConfigError(f"runs must be >= 1, got {args.runs}")
         kwargs["runs"] = args.runs
     if args.seed is not None:
         kwargs["seed"] = args.seed

@@ -1,27 +1,53 @@
-"""Vectorized round stepping for :class:`HierarchicalGossipProcess` groups.
+"""Columnar round stepping for :class:`HierarchicalGossipProcess` groups.
 
 :class:`HierarchicalArrayStepper` plugs into
-:class:`~repro.sim.array_engine.ArraySteppedEngine` and computes one
-gossip round for *all* members as array operations:
+:class:`~repro.sim.array_engine.ArraySteppedEngine` and keeps what a
+round reads and writes as columns, one *row* per member.  The paper
+keeps per-member state constant — at most ``K`` child aggregates per
+phase (Section 6.3) — and a row is exactly that:
 
-* gossip-target selection is Floyd's k-subset algorithm vectorized over
-  member blocks grouped by draw count, consuming each member's
-  ``process/<id>/gossip`` stream through a shared
-  :class:`~repro.sim.sampling.SamplerBank` — the same doubles, in the
-  same per-member order, as the object engine's per-member
-  :class:`~repro.sim.sampling.BlockedSampler`;
-* batch payloads are rebuilt (object-side, via
-  ``build_round_payload``) only for members whose ``known`` changed —
-  exactly the rounds the object engine rebuilds its batch cache — and
-  *after* that member's target draws, preserving within-member draw
-  order;
-* phase advancement runs the real object-side ``_maybe_advance`` (same
-  compose, sanitizer checks and phase events), but only on *candidate*
-  members — those whose state could have completed a phase this round:
-  deliveries changed their ``known``, their phase timed out, they took
-  their first step (singleton boxes complete instantly), or the global
-  final-phase deadline arrived.  Everyone else provably cannot advance,
-  so skipping them changes nothing.
+* **Known values** — a row's current-phase ``known`` is a key *slot*
+  per value (phase 1: the member's hierarchy rank minus its box's first
+  rank; phase ``i > 1``: the child subtree's digit), the id of the value
+  in one run-wide table of :class:`~repro.core.aggregates.AggregateState`
+  objects (coverage count and wire size are columns of that table), and
+  the slots in insertion order.  Counts and ranges travel upward, never
+  member objects.
+* **Admission** (:meth:`~HierarchicalArrayStepper.admit`) — a delivered
+  chunk is admitted in *waves*: wave ``w`` takes the ``w``-th same-phase
+  arrival of every receiver at once.  That is ``absorb_payloads``'
+  sequential rule exactly: a past-phase value is ignored; per key a
+  strictly greater coverage wins (the first arrival, under
+  ``prefer_coverage=False``); a key keeps the position of its first
+  insertion; every same-phase arrival counts toward ``_phase_received``;
+  a push-pull answer is the receiver's row as it stood before the wave.
+* **Payloads** (:class:`RowSnapshots`) — a send block carries snapshots
+  of the sender rows, not ``GossipBatch`` objects.  A row over the batch
+  cap sends a Floyd subset drawn from its gossip stream after its target
+  draws; wire sizes are sums over the state-size column.
+* **Advance** — completion is an array test (every expected slot is
+  held and every held count covers that child's members), so the
+  process's own ``_maybe_advance`` runs only for rows that can bump, time
+  out or reach the final deadline.  Compose, phase events and sanitizer
+  checks stay the process's code.
+
+**The process is a view.**  A row's ``known`` dict is made current
+(materialised) only where process code reads it — before
+``_maybe_advance`` and before object admission — and read back when
+that code changed it, above all at a phase boundary.  In between, the
+dict is stale.  These arrivals keep the process's own admission
+(``absorb_payloads`` on the materialised row):
+
+* future-phase arrivals — they land in the process's phase buffer, which
+  only its next phase entry reads;
+* scalar arrivals (injections, per-message-planned sends) — payload
+  objects from outside the block path, possibly forged;
+* every arrival of a row that holds a key with no slot (a forged or
+  Sybil identity), until its next phase — such a row also sends payload
+  objects (``build_round_payload``), and every receiver of one admits
+  that chunk the same way;
+* every arrival while :data:`repro.sanitize.SCREEN` is armed — the
+  screen must inspect each entry in arrival order.
 
 **Bit-identity argument.**  Per-member gossip streams are independent,
 so batching target draws across members never changes any member's
@@ -29,36 +55,40 @@ values.  Within a member, the object engine draws targets first, then
 any batch-subset doubles — the stepper does the same.  Sends are
 assembled in member (row) order with picks in draw order, so the shared
 network loss stream is consumed in the object engine's exact send
-order.  Running all sends before all advances is order-equivalent
-because a member's advance mutates only its own state and sends
-nothing: the one send a member makes outside its own gossip step is a
-push-pull reply, and on both engines that is planned during *delivery*
-— before the round bus, so before any member steps — by
-``absorb_payloads`` and the engine, never here.  All the step owes the
-replies is ``engine.window_sends``: each sender's attempts this round,
-which the next delivery's replies continue under a bandwidth cap.  The
-cross-engine golden suite pins all of this.
+order.  Receivers never touch each other's state during delivery, so
+admitting them side by side in waves is admitting them one after the
+other; within a receiver the waves keep arrival order.  Running all
+sends before all advances is order-equivalent because a member's
+advance mutates only its own state and sends nothing: the one send a
+member makes outside its own gossip step is a push-pull reply, and on
+both engines that is planned during *delivery* — before any member
+steps.  Skipping ``_maybe_advance`` on a row that is neither complete,
+timed out nor at its deadline skips a call that returns without
+effect.  The cross-engine golden suite pins all of this.
 
 Supported configurations — enforced by :meth:`bind` and summarized by
 :func:`unsupported_reason`: batch-mode hierarchical gossip.  Everything
 else (networks, failure models, chaos campaigns, partial views, start
 waves, phase sinks, push-pull, partial representation with final-phase
-retransmission, adaptive deadlines) is supported: the candidate set
-above is a superset of every timeout, extended or not, and
-``_maybe_advance`` runs the real ``_maybe_extend``.
+retransmission, adaptive deadlines) is supported.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
+import repro.sanitize as sanitize
+from repro.core.gridbox import SubtreeId
 from repro.core.hierarchical_gossip import (
     GossipParams,
     HierarchicalGossipProcess,
 )
+from repro.core.messages import ID_SIZE, GossipBatch
 from repro.sim.sampling import BANK_BLOCK, SamplerBank
 
-__all__ = ["HierarchicalArrayStepper", "unsupported_reason"]
+__all__ = ["HierarchicalArrayStepper", "RowSnapshots", "unsupported_reason"]
 
 #: Own-index sentinel for members whose pool already excludes them
 #: (partial views): no pick ever reaches it, so no shift is applied.
@@ -77,6 +107,125 @@ def unsupported_reason(params: GossipParams) -> str | None:
     return None
 
 
+def _floyd(uniforms: np.ndarray, sizes: np.ndarray, count: int) -> np.ndarray:
+    """Floyd's ``count``-subset of ``range(sizes[i])`` for every row ``i``.
+
+    ``uniforms`` holds each row's next ``count`` doubles; int64
+    truncation makes the picks, in pick order, bit-identical to the
+    scalar ``BlockedSampler.pick_distinct``.
+    """
+    picks = np.empty((len(sizes), count), dtype=np.int64)
+    for step in range(count):
+        j = sizes - count + step
+        t = (uniforms[:, step] * (j + 1)).astype(np.int64)
+        if step:
+            collided = (picks[:, :step] == t[:, None]).any(axis=1)
+            picks[:, step] = np.where(collided, j, t)
+        else:
+            picks[:, 0] = t
+    return picks
+
+
+def _room(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array``, doubled until it has at least ``rows`` rows."""
+    while len(array) < rows:
+        array = np.concatenate((array, array))
+    return array
+
+
+def _starts(rows: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``rows`` begins."""
+    return np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+
+
+class RowSnapshots:
+    """The payload table of one send block: row ``i`` is one payload.
+
+    A row is a member's current-phase ``known`` when the block was
+    built: its ``phase``, the key ``base`` its slots count from, the
+    first ``length`` of ``(slots, sids)`` (the entries in insertion
+    order; padding is state 0) and the wire size.  ``owner[i]`` is the
+    member row it came from; ``reply`` marks a table of push-pull
+    answers.  A row flagged ``opaque`` is a payload object instead (its
+    member holds a key with no slot).  :meth:`payloads` returns rows as
+    payload objects, each built from its snapshot on first use.
+    """
+
+    __slots__ = (
+        "_stepper", "reply", "owner", "phase", "base", "length", "slots",
+        "sids", "sizes", "opaque", "_objects", "__weakref__",
+    )
+
+    def __init__(self, stepper, reply, owner, phase, base, length, slots,
+                 sids, sizes, objects=None):
+        self._stepper = stepper
+        self.reply = reply
+        self.owner = owner
+        self.phase = phase
+        self.base = base
+        self.length = length
+        self.slots = slots
+        self.sids = sids
+        self.sizes = sizes
+        self.opaque = None
+        if objects:
+            self.opaque = np.zeros(len(phase), dtype=bool)
+            self.opaque[list(objects)] = True
+        self._objects = objects if objects is not None else {}
+
+    def payloads(self, rows: list[int]) -> list[GossipBatch]:
+        """These rows as ``GossipBatch`` objects (memoized per table)."""
+        objects = self._objects
+        missing = [row for row in dict.fromkeys(rows) if row not in objects]
+        if missing:
+            objects.update(zip(missing, self._stepper._batches(self, missing)))
+        return [objects[row] for row in rows]
+
+
+class _Answers:
+    """Push-pull answers to one chunk, gathered part by part."""
+
+    __slots__ = ("parts", "objects", "count")
+
+    def __init__(self) -> None:
+        #: ``(asked, rows, lengths, slots, sids)`` per part: the chunk
+        #: indices of the requests, the answering rows, their entries.
+        self.parts: list[tuple] = []
+        #: Answer index -> payload object (answers of object admission,
+        #: added with no entries).
+        self.objects: dict[int, GossipBatch] = {}
+        self.count = 0
+
+    def add(self, asked, rows, lengths, slots, sids, objects=()) -> None:
+        for index, payload in enumerate(objects, start=self.count):
+            self.objects[index] = payload
+        self.parts.append((asked, rows, lengths, slots, sids))
+        self.count += len(asked)
+
+    def result(self, stepper):
+        """``(asked, answering rows, RowSnapshots)`` in arrival-index
+        order, or ``None`` when nothing was answered."""
+        if not self.count:
+            return None
+        asked, rows, length, slots, sids = (
+            np.concatenate(column) for column in zip(*self.parts)
+        )
+        sizes = stepper._sizes(length, sids)
+        for index, payload in self.objects.items():
+            sizes[index] = payload.wire_size()
+        by_arrival = np.argsort(asked, kind="stable")
+        rank = np.empty_like(by_arrival)
+        rank[by_arrival] = np.arange(len(by_arrival))
+        rows = rows[by_arrival]
+        answers = stepper._table(
+            True, rows, stepper._phase[rows], stepper._base[rows],
+            length[by_arrival], slots[by_arrival], sids[by_arrival],
+            sizes[by_arrival],
+            {int(rank[i]): payload for i, payload in self.objects.items()},
+        )
+        return asked[by_arrival], rows, answers
+
+
 class HierarchicalArrayStepper:
     """One stepper instance drives one engine's member group."""
 
@@ -84,6 +233,7 @@ class HierarchicalArrayStepper:
         self._procs: list[HierarchicalGossipProcess] = []
         self._ctx = None
         self._bank: SamplerBank | None = None
+        self._ready = False
 
     # -- binding ---------------------------------------------------------
     def bind(self, engine) -> None:
@@ -103,43 +253,43 @@ class HierarchicalArrayStepper:
         for proc in procs:
             if (
                 proc.params is not first.params
+                or proc.assignment is not first.assignment
                 or proc.rounds_per_phase != first.rounds_per_phase
-                or proc.num_phases != first.num_phases
             ):
                 raise ValueError(
                     "array stepping requires a homogeneous group "
                     "(shared GossipParams and hierarchy)"
                 )
         n = len(procs)
+        params = first.params
+        assignment = first.assignment
+        hierarchy = assignment.hierarchy
         self._procs = procs
         self._ctx = engine._ctx
-        self._fanout = first.params.fanout_m
+        self._assignment = assignment
+        self._rank_of = assignment.rank_of
+        self._by_rank = assignment.members_by_rank()
+        self._k = hierarchy.k
+        self._digits = hierarchy.digits
+        self._fanout = params.fanout_m
+        self._cap = params.max_batch or hierarchy.k
+        self._prefer = params.prefer_coverage
+        self._push_pull = params.push_pull
+        self._early_bump = params.early_bump
         self._rpp = first.rounds_per_phase
         self._num_phases = first.num_phases
         self._deadline = self._num_phases * self._rpp
-        self._phase = np.fromiter(
-            (p.phase for p in procs), dtype=np.int64, count=n
-        )
-        self._phase_rounds = np.fromiter(
-            (p.phase_rounds for p in procs), dtype=np.int64, count=n
-        )
-        self._start = np.fromiter(
+        self._phase = np.ones(n, dtype=np.int64)
+        self._phase_rounds = np.zeros(n, dtype=np.int64)
+        self._start_round = np.fromiter(
             (p.start_round for p in procs), dtype=np.int64, count=n
         )
-        self._spread = bool((self._start > 0).any())
-        self._started = np.zeros(n, dtype=bool)
-        self._cand = np.zeros(n, dtype=bool)
+        self._spread = bool((self._start_round > 0).any())
         #: Per-row ``_is_representative()`` of the current phase, and the
         #: final-phase rounds at which sidelined members send anyway.
-        self._all_rep = first.params.representative_fraction >= 1.0
+        self._all_rep = params.representative_fraction >= 1.0
         self._is_rep = np.ones(n, dtype=bool)
         self._retransmit_rounds = sorted(first._retransmit_rounds)
-        #: Rows whose cached payload is stale (known changed, phase
-        #: changed, or the member is over the batch cap and redraws a
-        #: subset every round).
-        self._needs_payload = np.ones(n, dtype=bool)
-        self._payloads: list = [None] * n
-        self._sizes = np.zeros(n, dtype=np.int64)
         # Flattened gossipee pools: members of one subtree share one
         # pool tuple (the assignment caches them), so each distinct
         # tuple is materialized once into ``_pool_data`` and rows point
@@ -151,15 +301,72 @@ class HierarchicalArrayStepper:
         self._pool_data = np.empty(max(1024, 2 * n), dtype=np.int64)
         self._pool_used = 0
         self._segments: dict[int, tuple[int, tuple]] = {}
-        for row, proc in enumerate(procs):
-            self._refresh_row(row, proc)
-        self._needs_payload[:] = True
+        # Each row's grid box, the box's first rank and its size (the
+        # phase-1 key base and slot range).
+        spans: dict[int, range] = {}
+        self._box: list[int] = []
+        self._box_start: list[int] = []
+        self._box_size: list[int] = []
+        for proc in procs:
+            box = assignment.box_of(proc.node_id)
+            ranks = spans.get(box)
+            if ranks is None:
+                ranks = spans[box] = assignment.subtree_rank_range(
+                    SubtreeId(hierarchy.digits, box)
+                )
+            self._box.append(box)
+            self._box_start.append(ranks.start)
+            self._box_size.append(len(ranks))
+        width = max(self._k, max(self._box_size))
+        #: Entries a snapshot row can hold (batch cap, bounded by slots).
+        self._cols = min(self._cap, width)
+        # The columnar ``known``: per row and slot a state id (0 = not
+        # held), slots in insertion order, the count held, and the key
+        # base the slots count from.  ``_col`` rows are authoritative;
+        # the others hold a key with no slot and live in their process.
+        self._sid = np.zeros((n, width), dtype=np.int32)
+        self._order = np.zeros((n, width), dtype=np.min_scalar_type(width))
+        self._held = np.zeros(n, dtype=np.int32)
+        self._base = np.zeros(n, dtype=np.int32)
+        self._col = np.zeros(n, dtype=bool)
+        #: The process's ``known`` dict equals the row.
+        self._synced = np.zeros(n, dtype=bool)
+        #: The row changed since its last completion test.
+        self._touched = np.zeros(n, dtype=bool)
+        #: Same-phase arrivals not yet added to ``_phase_received``.
+        self._received = np.zeros(n, dtype=np.int32)
+        # The run-wide state table; id 0 is "no state".  A state stays
+        # until a sweep (:meth:`_sweep`) finds no row or queued table
+        # naming its id.
+        self._states: list = [None]
+        self._scount = np.zeros(max(1024, 2 * n), dtype=np.int32)
+        self._ssize = np.zeros(max(1024, 2 * n), dtype=np.int32)
+        self._free: list[int] = []
+        #: Payload tables built and not yet dropped by the engine.
+        self._tables: list[weakref.ref] = []
+        #: Registrations left before the next sweep.
+        self._sweep_in = max(1024, n // 2)
+        self._key_cache: dict[tuple[int, int], tuple] = {}
+        # Completion groups: one per shared expected-key set, as a slot
+        # mask and the coverage each slot's child needs.
+        self._group = np.zeros(n, dtype=np.int32)
+        self._groups: dict[tuple, int] = {}
+        self._group_pins: list[frozenset] = []
+        self._group_expected = np.zeros((64, width), dtype=bool)
+        self._group_need = np.zeros((64, width), dtype=np.int32)
+        self._ready = False
         rngs = engine.rngs
         self._bank = SamplerBank(
             (rngs.stream("process", p.node_id, "gossip") for p in procs),
-            block=max(BANK_BLOCK, self._fanout),
+            block=max(BANK_BLOCK, self._fanout, self._cols),
         )
 
+    def _begin(self) -> None:
+        """Read every process into its row (``on_start`` has run)."""
+        self._ready = True
+        self._enter(list(range(len(self._procs))))
+
+    # -- rows and the state table ---------------------------------------
     def _intern_pool(self, pool: tuple) -> int:
         """Segment offset of ``pool`` in the flat table (interned)."""
         segment = self._segments.get(id(pool))
@@ -179,34 +386,447 @@ class HierarchicalArrayStepper:
         self._segments[id(pool)] = (used, pool)
         return used
 
-    def _refresh_row(self, row: int, proc: HierarchicalGossipProcess) -> None:
-        """Resync one member's arrays after a phase change (or at bind)."""
-        pool, own_index = proc._peers_for_phase(proc.phase)
-        self._pool_offset[row] = self._intern_pool(pool)
-        if own_index is None:
-            self._own_index[row] = _NO_SELF
-            self._pool_size[row] = len(pool)
+    def _register(self, states: list) -> list[int]:
+        """Table ids for ``states`` (one new id each, freed ids first).
+
+        A state loaded twice gets two ids: admission compares coverage
+        counts, and both ids read back as the same object.
+        """
+        table = self._states
+        free = self._free
+        reused = free[max(0, len(free) - len(states)):]
+        del free[len(free) - len(reused):]
+        for sid, state in zip(reused, states):
+            table[sid] = state
+        start = len(table)
+        table.extend(states[len(reused):])
+        sids = reused + list(range(start, len(table)))
+        self._scount = _room(self._scount, len(table))
+        self._ssize = _room(self._ssize, len(table))
+        self._scount[sids] = [state.members.count for state in states]
+        self._ssize[sids] = [state.wire_size() for state in states]
+        self._sweep_in -= len(states)
+        return sids
+
+    def _table(self, *columns, **kwargs) -> RowSnapshots:
+        """A new payload table, tracked until the engine drops it."""
+        table = RowSnapshots(self, *columns, **kwargs)
+        self._tables.append(weakref.ref(table))
+        return table
+
+    def _sweep(self, engine) -> None:
+        """Free the table states that nothing can read any more.
+
+        A state id is read from a row of a live member and from a
+        payload table still queued (or being delivered); every other id
+        is dropped, so the table holds about what the object engine's
+        ``known`` dicts and payloads would.
+        """
+        states = self._states
+        live = np.zeros(len(states), dtype=bool)
+        live[self._sid[~engine.terminated_rows & self._col]] = True
+        tables = []
+        for ref in self._tables:
+            table = ref()
+            if table is not None:
+                live[table.sids] = True
+                tables.append(ref)
+        self._tables = tables
+        live[0] = True
+        self._free = np.flatnonzero(~live).tolist()
+        for sid in self._free:
+            states[sid] = None
+        self._sweep_in = max(1024, len(self._procs) // 2)
+
+    def _keys(self, phase: int, base: int) -> tuple:
+        """The keys of slots ``0, 1, ...`` for a phase and key base."""
+        keys = self._key_cache.get((phase, base))
+        if keys is None:
+            if phase == 1:
+                keys = self._by_rank[base:base + self._sid.shape[1]]
+            else:
+                length = self._digits + 2 - phase
+                keys = tuple(
+                    SubtreeId(length, base + digit)
+                    for digit in range(self._k)
+                )
+            self._key_cache[(phase, base)] = keys
+        return keys
+
+    def _slot_of(self, phase: int, base: int, limit: int, key) -> int | None:
+        """The slot of ``key`` in a row of this phase and base, if any."""
+        if phase == 1:
+            try:
+                slot = self._rank_of(key) - base
+            except KeyError:
+                return None
+        elif (
+            isinstance(key, tuple) and len(key) == 2
+            and key[0] == self._digits + 2 - phase and type(key[1]) is int
+        ):
+            slot = key[1] - base
         else:
-            self._own_index[row] = own_index
-            self._pool_size[row] = len(pool) - 1
-        self._phase[row] = proc.phase
-        self._phase_rounds[row] = proc.phase_rounds
-        self._is_rep[row] = proc._is_representative()
-        self._needs_payload[row] = True
+            return None
+        return slot if type(slot) is int and 0 <= slot < limit else None
+
+    def _group_of(
+        self, proc: HierarchicalGossipProcess, phase: int, base: int,
+        limit: int,
+    ) -> int:
+        """Completion group of a member entering ``phase``.
+
+        A complete view expects every member of its box / every occupied
+        child of its subtree, which ``(phase, base)`` names; a partial
+        view brings its own expected-key set.
+        """
+        key: tuple = (
+            (phase, base) if proc._complete_view
+            else ("view", id(proc._expected_keys(phase)))
+        )
+        group = self._groups.get(key)
+        if group is not None:
+            return group
+        expected = proc._expected_keys(phase)
+        group = self._groups[key] = len(self._group_pins)
+        self._group_pins.append(expected)
+        self._group_expected = _room(self._group_expected, group + 1)
+        self._group_need = _room(self._group_need, group + 1)
+        mask = self._group_expected[group]
+        mask[:] = False
+        # Expected keys are box members or child subtrees: all slotted.
+        mask[[self._slot_of(phase, base, limit, key) for key in expected]] = (
+            True
+        )
+        need = self._group_need[group]
+        need[:] = 0
+        if phase > 1 and proc._complete_view:
+            members_in = self._assignment.members_in_subtree
+            for digit, child in enumerate(self._keys(phase, base)):
+                need[digit] = len(members_in(child))
+        return group
+
+    def _enter(self, rows: list[int]) -> None:
+        """Resync rows whose process entered a phase (or at the start)."""
+        procs = self._procs
+        k = self._k
+        phases, rounds, offsets, sizes, owns, reps, bases, groups = (
+            [], [], [], [], [], [], [], []
+        )
+        for row in rows:
+            proc = procs[row]
+            phase = proc.phase
+            pool, own_index = proc._peers_for_phase(phase)
+            offsets.append(self._intern_pool(pool))
+            if own_index is None:
+                owns.append(_NO_SELF)
+                sizes.append(len(pool))
+            else:
+                owns.append(own_index)
+                sizes.append(len(pool) - 1)
+            phases.append(phase)
+            rounds.append(proc.phase_rounds)
+            reps.append(self._all_rep or proc._is_representative())
+            if phase == 1:
+                base = self._box_start[row]
+                limit = self._box_size[row]
+            else:
+                base = self._box[row] // k ** (phase - 1) * k
+                limit = k
+            bases.append(base)
+            groups.append(self._group_of(proc, phase, base, limit))
+        index = np.asarray(rows, dtype=np.int64)
+        self._pool_offset[index] = offsets
+        self._pool_size[index] = sizes
+        self._own_index[index] = owns
+        self._phase[index] = phases
+        self._phase_rounds[index] = rounds
+        self._is_rep[index] = reps
+        self._base[index] = bases
+        self._group[index] = groups
+        self._load(rows, phases, bases)
+
+    def _load(self, rows: list[int], phases=None, bases=None) -> None:
+        """Read these rows' ``known`` dicts into their columns.
+
+        A row holding a key with no slot stays with its process
+        (``_col`` False) until its next phase entry.
+        """
+        if phases is None:
+            phases = self._phase[rows].tolist()
+            bases = self._base[rows].tolist()
+        procs = self._procs
+        box_size = self._box_size
+        k = self._k
+        at_row: list[int] = []
+        at_pos: list[int] = []
+        at_slot: list[int] = []
+        at_state: list = []
+        held: list[int] = []
+        columnar: list[bool] = []
+        for row, phase, base in zip(rows, phases, bases):
+            limit = box_size[row] if phase == 1 else k
+            known = procs[row].known
+            slots = [self._slot_of(phase, base, limit, key) for key in known]
+            if None in slots:
+                columnar.append(False)
+                held.append(0)
+                continue
+            columnar.append(True)
+            held.append(len(slots))
+            at_row.extend([row] * len(slots))
+            at_pos.extend(range(len(slots)))
+            at_slot.extend(slots)
+            at_state.extend(known.values())
+        index = np.asarray(rows, dtype=np.int64)
+        self._sid[index] = 0
+        if at_row:
+            self._sid[at_row, at_slot] = self._register(at_state)
+            self._order[at_row, at_pos] = at_slot
+        self._held[index] = held
+        self._col[index] = columnar
+        self._synced[index] = True
+        self._touched[index] = True
+
+    def _sync(self, rows: np.ndarray) -> None:
+        """Make these rows' processes current before their own code
+        reads them: ``known`` rebuilt from the row where it changed,
+        the row's same-phase arrivals added to ``_phase_received``."""
+        procs = self._procs
+        stale = rows[self._col[rows] & ~self._synced[rows]]
+        if len(stale):
+            held = self._held[stale]
+            slots = self._order[stale, :int(held.max())]
+            sids = self._sid[stale[:, None], slots]
+            states = self._states
+            for row, count, phase, base, slot_row, sid_row in zip(
+                stale.tolist(), held.tolist(), self._phase[stale].tolist(),
+                self._base[stale].tolist(), slots.tolist(), sids.tolist(),
+            ):
+                keys = self._keys(phase, base)
+                proc = procs[row]
+                proc.known = {
+                    keys[slot]: states[sid]
+                    for slot, sid in zip(slot_row[:count], sid_row[:count])
+                }
+                proc._known_version += 1  # stale payload memos
+            self._synced[stale] = True
+        received = self._received[rows]
+        owed = np.flatnonzero(received)
+        if len(owed):
+            for row, count in zip(rows[owed].tolist(),
+                                  received[owed].tolist()):
+                procs[row]._phase_received += count
+            self._received[rows] = 0
+
+    def _batches(self, table: RowSnapshots, rows: list[int]) -> list:
+        """Snapshot rows as the payload objects they stand for."""
+        index = np.asarray(rows, dtype=np.int64)
+        states = self._states
+        reply = table.reply
+        built = []
+        for count, phase, base, slot_row, sid_row in zip(
+            table.length[index].tolist(), table.phase[index].tolist(),
+            table.base[index].tolist(), table.slots[index].tolist(),
+            table.sids[index].tolist(),
+        ):
+            keys = self._keys(phase, base)
+            built.append(GossipBatch(phase, tuple(
+                (keys[slot], states[sid])
+                for slot, sid in zip(slot_row[:count], sid_row[:count])
+            ), reply=reply))
+        return built
+
+    def _sizes(self, length: np.ndarray, sids: np.ndarray) -> np.ndarray:
+        """``GossipBatch.wire_size`` of snapshot rows (padding is 0)."""
+        return ID_SIZE * (1 + length) + self._ssize[sids].sum(axis=1)
+
+    def _complete(self, rows: np.ndarray) -> np.ndarray:
+        """``_phase_complete``'s early-bump test, for columnar rows."""
+        sids = self._sid[rows]
+        held = sids != 0
+        group = self._group[rows]
+        short = (self._group_expected[group] & ~held) | (
+            held & (self._scount[sids] < self._group_need[group])
+        )
+        return ~short.any(axis=1)
+
+    # -- delivery --------------------------------------------------------
+    def admit(self, engine, rows: np.ndarray, table_rows: np.ndarray,
+              table: RowSnapshots):
+        """Admit one delivered chunk; returns its push-pull answers.
+
+        ``rows`` are the live receivers grouped by receiver (arrival
+        order kept within each), ``table_rows`` the payload rows of
+        ``table`` that arrived.  Returns ``None`` or ``(asked, answering
+        rows, answers)``: ``asked`` indexes the request each answer
+        row of the ``answers`` table replies to, ascending.
+        """
+        if not self._ready:
+            self._begin()
+        answers = _Answers()
+        live = ~engine.terminated_rows[rows]
+        if (sanitize.SCREEN is not None or table.opaque is not None
+                or not self._col[rows].all()):
+            live &= ~self._admit_objects(
+                rows, table_rows, table, live, engine.round, answers
+            )
+        arrival_phase = table.phase[table_rows]
+        row_phase = self._phase[rows]
+        future = np.flatnonzero(live & (arrival_phase > row_phase))
+        if len(future):
+            self._buffer(rows[future], table_rows[future], table,
+                         engine.round)
+        same = np.flatnonzero(live & (arrival_phase == row_phase))
+        if len(same):
+            self._waves(rows[same], table_rows[same], table, same, answers)
+        return answers.result(self)
+
+    def receive(self, engine, row: int, payload, answers: list) -> None:
+        """Admit one scalar arrival through the process's own code."""
+        if not self._ready:
+            self._begin()
+        proc = self._procs[row]
+        if proc.result is not None:
+            return
+        self._sync(np.array([row]))
+        if (proc.absorb_payloads((payload,), engine.round, answers)
+                and self._col[row]):
+            self._load([row])
+
+    def _admit_objects(self, rows, table_rows, table, live, round_number,
+                       answers: _Answers) -> np.ndarray:
+        """Object admission of every live receiver that needs it, for
+        its whole share of the chunk; returns those arrivals' mask."""
+        starts = _starts(rows)
+        spans = np.diff(starts, append=len(rows))
+        chosen = live[starts]
+        if sanitize.SCREEN is None:
+            by_object = ~self._col[rows[starts]]
+            if table.opaque is not None:
+                by_object |= np.logical_or.reduceat(
+                    table.opaque[table_rows], starts
+                )
+            chosen &= by_object
+        receivers = rows[starts[chosen]]
+        self._sync(receivers)
+        procs = self._procs
+        changed = []
+        asked: list[int] = []
+        answering: list[int] = []
+        replies: list[GossipBatch] = []
+        for row, start, span in zip(receivers.tolist(),
+                                    starts[chosen].tolist(),
+                                    spans[chosen].tolist()):
+            got: list[tuple[int, GossipBatch]] = []
+            payloads = table.payloads(
+                table_rows[start:start + span].tolist()
+            )
+            if procs[row].absorb_payloads(payloads, round_number, got):
+                changed.append(row)
+            for position, answer in got:
+                asked.append(start + position)
+                answering.append(row)
+                replies.append(answer)
+        if replies:
+            empty = np.zeros((len(replies), self._cols), dtype=np.int32)
+            answers.add(
+                np.array(asked), np.array(answering),
+                np.zeros(len(replies), dtype=int), empty, empty, replies,
+            )
+        changed = [row for row in changed if self._col[row]]
+        if changed:
+            self._load(changed)
+        return np.repeat(chosen, spans)
+
+    def _buffer(self, rows, table_rows, table, round_number) -> None:
+        """Future-phase arrivals into their receivers' phase buffers."""
+        cuts = _starts(rows).tolist()
+        procs = self._procs
+        payloads = table.payloads(table_rows.tolist())
+        for start, stop in zip(cuts, cuts[1:] + [len(rows)]):
+            procs[int(rows[start])].absorb_payloads(
+                payloads[start:stop], round_number
+            )
+
+    def _waves(self, rows, table_rows, table, asked, answers) -> None:
+        """Admit same-phase arrivals (grouped by receiver, chunk indices
+        ``asked``) in waves: wave ``w`` is every receiver's ``w``-th."""
+        count = len(rows)
+        starts = _starts(rows)
+        spans = np.diff(starts, append=count)
+        self._received[rows[starts]] += spans
+        wave = np.arange(count) - np.repeat(starts, spans)
+        by_wave = np.argsort(wave, kind="stable")
+        rows, table_rows, asked = (
+            rows[by_wave], table_rows[by_wave], asked[by_wave]
+        )
+        slots = table.slots[table_rows]
+        sids = table.sids[table_rows]
+        valid = np.arange(slots.shape[1]) < table.length[table_rows][:, None]
+        counts = self._scount[sids]
+        # Rows are addressed as cells of the flattened columns.
+        first = rows * self._sid.shape[1]
+        cells = first[:, None] + slots
+        pulling = self._push_pull and not table.reply
+        changed = np.zeros(count, dtype=bool)
+        start = 0
+        for stop in np.cumsum(np.bincount(wave)).tolist():
+            if pulling:
+                self._pull(rows[start:stop], asked[start:stop], answers)
+            changed[start:stop] = self._wave(
+                rows[start:stop], first[start:stop], cells[start:stop],
+                slots[start:stop], sids[start:stop], valid[start:stop],
+                counts[start:stop],
+            )
+            start = stop
+        changed = rows[changed]
+        self._touched[changed] = True
+        self._synced[changed] = False
+
+    def _pull(self, rows, asked, answers: _Answers) -> None:
+        """Push-pull answers: each row's first entries, as they are now."""
+        length = np.minimum(self._held[rows], self._cols)
+        if not length.all():
+            kept = length > 0
+            rows, asked, length = rows[kept], asked[kept], length[kept]
+        slots = self._order[rows, :self._cols]
+        sids = self._sid[rows[:, None], slots]
+        sids[np.arange(self._cols) >= length[:, None]] = 0
+        answers.add(asked, rows, length, slots, sids)
+
+    def _wave(self, rows, first, cells, slots, sids, valid,
+              counts) -> np.ndarray:
+        """One arrival per row (rows distinct; ``first`` is each row's
+        first cell, ``cells`` its entries' cells); which rows changed."""
+        flat = self._sid.reshape(-1)
+        current = flat[cells]
+        empty = valid & (current == 0)
+        take = empty
+        if self._prefer:
+            take = empty | (valid & (counts > self._scount[current]))
+        changed = take.any(axis=1)
+        if not changed.any():
+            return changed
+        flat[cells[take]] = sids[take]
+        if empty.any():
+            # A new key goes after every key the row held, in entry order.
+            held = self._held[rows]
+            position = (first + held)[:, None] + empty.cumsum(axis=1) - 1
+            self._order.reshape(-1)[position[empty]] = slots[empty]
+            self._held[rows] = held + empty.sum(axis=1)
+        return changed
 
     # -- one round -------------------------------------------------------
-    def step(self, engine, changed_rows: list[int]) -> None:
+    def step(self, engine) -> None:
+        if not self._ready:
+            self._begin()
+        if self._sweep_in <= 0:
+            self._sweep(engine)
         procs = self._procs
         round_number = engine.round
-        candidates = self._cand
-        candidates[:] = False
-        if changed_rows:
-            changed = np.asarray(changed_rows, dtype=np.int64)
-            candidates[changed] = True
-            self._needs_payload[changed] = True
         stepped = engine.alive_rows & ~engine.terminated_rows
         if self._spread:
-            stepped &= self._start <= round_number
+            stepped &= self._start_round <= round_number
         # ---- sends: member-major, picks in draw order ----------------
         senders = stepped & (self._pool_size >= 1)
         if not self._all_rep:
@@ -233,61 +853,87 @@ class HierarchicalArrayStepper:
                     rows, ~drawing & (counts == count), int(count),
                     pool_sizes, offsets, dest_flat, draw=False,
                 )
-            # Payload rebuilds consume each member's stream *after* its
-            # target draws — the object engine's order.
-            bank = self._bank
-            payloads = self._payloads
-            sizes = self._sizes
-            for row in self._rebuild_rows(rows):
-                proc = procs[row]
-                payload, size = proc.build_round_payload(
-                    bank.row_sampler(row)
-                )
-                payloads[row] = payload
-                sizes[row] = size
-                # Over the batch cap the object engine rebuilds (and
-                # redraws the subset) every round — mirror that.
-                self._needs_payload[row] = proc._batch_cache.push is None
-            src_rows = np.repeat(rows, counts)
+            # Snapshots draw over-cap subsets *after* the target draws —
+            # the object engine's order within a member's stream.
+            table = self._snapshot(rows)
+            sender = np.repeat(np.arange(len(rows)), counts)
             engine.window_sends[rows] = counts
             engine.submit_block(
-                engine.row_ids[src_rows],
+                engine.row_ids[rows][sender],
                 dest_flat,
-                sizes[src_rows],
-                np.arange(total) - np.repeat(offsets, counts),
-                src_rows,
-                payloads,
+                table.sizes[sender],
+                np.arange(total) - offsets[sender],
+                sender,
+                table,
             )
         # ---- clocks and advance candidates ---------------------------
         self._phase_rounds[stepped] += 1
-        candidates |= ~self._started  # first step: singleton boxes
-        self._started |= stepped
         phases = self._phase
-        candidates |= (
-            (self._phase_rounds >= self._rpp)
-            & (phases < self._num_phases)
+        final = phases >= self._num_phases
+        candidates = (self._phase_rounds >= self._rpp) & ~final
+        candidates |= final & (
+            round_number - self._start_round + 1 >= self._deadline
         )
-        candidates |= (
-            (phases >= self._num_phases)
-            & (round_number - self._start + 1 >= self._deadline)
-        )
+        candidates |= ~self._col
+        if self._early_bump:
+            ready = np.flatnonzero(
+                self._touched & stepped & self._col & ~final
+            )
+            if len(ready):
+                candidates[ready[self._complete(ready)]] = True
+        self._touched &= ~stepped
         candidates &= stepped
+        rows = np.flatnonzero(candidates)
+        if not len(rows):
+            return
+        self._sync(rows)
         ctx = self._ctx
-        phase_rounds = self._phase_rounds
-        for row in np.flatnonzero(candidates).tolist():
+        moved: list[int] = []
+        for row, phase, rounds in zip(
+            rows.tolist(), phases[rows].tolist(),
+            self._phase_rounds[rows].tolist(),
+        ):
             proc = procs[row]
-            proc.phase_rounds = int(phase_rounds[row])
+            proc.phase_rounds = rounds
             ctx.current = proc
             proc._maybe_advance(ctx)
             ctx.current = None
-            if proc.terminated:
-                continue
-            if proc.phase != phases[row]:
-                self._refresh_row(row, proc)
+            if proc.result is None and proc.phase != phase:
+                moved.append(row)
+        if moved:
+            self._enter(moved)
 
-    def _rebuild_rows(self, sender_rows: np.ndarray) -> list[int]:
-        """Sender rows whose payload must be (re)built this round."""
-        return sender_rows[self._needs_payload[sender_rows]].tolist()
+    def _snapshot(self, rows: np.ndarray) -> RowSnapshots:
+        """The payload table of this round's senders ``rows``."""
+        cols = self._cols
+        held = self._held[rows]
+        columnar = self._col[rows]
+        length = np.where(columnar, np.minimum(held, cols), 0)
+        positions = np.empty((len(rows), cols), dtype=np.int64)
+        positions[:] = np.arange(cols)
+        over = columnar & (held > self._cap)
+        if over.any():
+            positions[over] = _floyd(
+                self._bank.draw_matrix(rows[over], cols), held[over], cols
+            )
+        slots = self._order[rows[:, None], positions]
+        sids = self._sid[rows[:, None], slots]
+        sids[np.arange(cols) >= length[:, None]] = 0
+        sizes = self._sizes(length, sids)
+        objects = None
+        if not columnar.all():
+            # Rows holding a key with no slot send their process's batch.
+            objects = {}
+            bank = self._bank
+            for i in np.flatnonzero(~columnar).tolist():
+                row = int(rows[i])
+                objects[i], sizes[i] = self._procs[row].build_round_payload(
+                    bank.row_sampler(row)
+                )
+        return self._table(
+            False, rows, self._phase[rows], self._base[rows], length,
+            slots, sids, sizes, objects,
+        )
 
     def _pick_targets(
         self,
@@ -302,26 +948,18 @@ class HierarchicalArrayStepper:
         """Fill ``dest_flat`` for the senders in ``selector``.
 
         ``draw=True`` runs Floyd's k-subset algorithm vectorized over
-        the block (``count`` doubles per member, int64 truncation —
-        bit-identical to the scalar ``pick_distinct``); ``draw=False``
-        is the full-pool case (``count == pool size``), which consumes
-        no randomness and targets every pool slot in order.
+        the block (``count`` doubles per member); ``draw=False`` is the
+        full-pool case (``count == pool size``), which consumes no
+        randomness and targets every pool slot in order.
         """
         group = rows[selector]
         if len(group) == 0:
             return
         if draw:
-            uniforms = self._bank.draw_matrix(group, count)
-            sizes = pool_sizes[selector]
-            picks = np.empty((len(group), count), dtype=np.int64)
-            for step in range(count):
-                j = sizes - count + step
-                t = (uniforms[:, step] * (j + 1)).astype(np.int64)
-                if step:
-                    collided = (picks[:, :step] == t[:, None]).any(axis=1)
-                    picks[:, step] = np.where(collided, j, t)
-                else:
-                    picks[:, 0] = t
+            picks = _floyd(
+                self._bank.draw_matrix(group, count),
+                pool_sizes[selector], count,
+            )
         else:
             picks = np.broadcast_to(
                 np.arange(count, dtype=np.int64), (len(group), count)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.core.aggregates import get_aggregate
 from repro.core.hierarchical_gossip import GossipParams
 
 __all__ = ["ConfigError", "RunConfig", "PAPER_DEFAULTS", "with_params"]
@@ -96,6 +97,15 @@ class RunConfig:
             raise ConfigError(
                 f"start_spread must be >= 0 rounds, got {self.start_spread}"
             )
+        try:
+            get_aggregate(self.aggregate)
+        except KeyError as error:
+            raise ConfigError(error.args[0]) from None
+        except TypeError as error:
+            raise ConfigError(
+                f"aggregate {self.aggregate!r} cannot be built by name: "
+                f"{error}"
+            ) from None
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)

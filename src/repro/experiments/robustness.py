@@ -35,7 +35,7 @@ from repro.analysis.epidemic import effective_contact_rate
 from repro.chaos import campaign_names, get_campaign
 from repro.chaos.adversary import AdversarialSummary, merge_adversarial
 from repro.experiments.parallel import run_many
-from repro.experiments.params import RunConfig, with_params
+from repro.experiments.params import ConfigError, RunConfig, with_params
 from repro.obs.telemetry import TelemetrySummary, merge_summaries
 
 __all__ = [
@@ -236,7 +236,7 @@ def robustness_matrix(
     if campaigns is None:
         campaigns = campaign_names()
     if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+        raise ConfigError(f"runs must be >= 1, got {runs}")
     grid: list[tuple[str, int, int, int]] = [
         (name, n, k, fanout)
         for name in campaigns
@@ -468,7 +468,7 @@ def robustness_comparison(
     if campaigns is None:
         campaigns = campaign_names()
     if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+        raise ConfigError(f"runs must be >= 1, got {runs}")
     grid: list[tuple[str, str]] = [
         (name, protocol)
         for name in campaigns

@@ -1,39 +1,44 @@
 """Array-stepped round engine: whole rounds as numpy block operations.
 
 :class:`ArraySteppedEngine` keeps :class:`~repro.sim.engine.SimulationEngine`'s
-round structure — failures, deliveries, round bus, metrics — but replaces
-the two O(N·messages) Python loops of the object-stepped engine with
-batched array paths:
+round structure — failures, deliveries, round bus, metrics — but hands
+the protocol's side of a round to a duck-typed *stepper* (e.g.
+``repro.core.array_stepper.HierarchicalArrayStepper``) that keeps every
+member's protocol state as columns, one *row* per member, instead of
+calling into one process object per member and message:
 
-* **Sends** — a duck-typed *stepper* (e.g.
-  ``repro.core.array_stepper.HierarchicalArrayStepper``) computes one
-  round's sends for *all* members as (member × destination) index blocks
-  and hands them to :meth:`submit_block`, which plans the whole block
-  through :meth:`~repro.sim.network.Network.plan_delivery_block` — one
+* **Sends** — the stepper computes one round's sends for *all* members
+  as (member × destination) index blocks and hands them to
+  :meth:`submit_block` with a *payload table* — row snapshots of the
+  senders, not payload objects.  The block is planned through
+  :meth:`~repro.sim.network.Network.plan_delivery_block` — one
   vectorized loss/latency/bandwidth decision instead of one
   ``plan_delivery`` call per message.  Models that cannot block-plan
   (per-message latency, opaque loss hooks) get the block submitted
-  through the base engine's scalar ``_submit``, *in send order*, which
-  consumes the loss stream identically.
+  through the base engine's scalar ``_submit``, *in send order*, with
+  each table row built into its payload object — the loss stream is
+  consumed identically.
 * **Deliveries** — a planned block is queued in the base engine's one
-  message store as a single record chunk (destination ids, sender rows,
-  payload table), in send order among the scalar messages the store
-  also holds (injections, per-message-planned sends);
-  :meth:`_deliver_due` masks a chunk's dead receivers, groups by
-  receiver with a stable sort, and applies each receiver's arrivals
-  with one ``absorb_payloads`` call — the admission routine
-  ``on_message`` itself runs — instead of one dispatch per message.
-* **Answers** — a receiver may answer an arrival (push-pull gossip):
-  ``absorb_payloads`` appends ``(position, answer)`` pairs, and the
-  chunk's answers are put back into the arrival order of their
-  requests and sent as one more :meth:`submit_block`, right after the
-  chunk.  That is where per-message dispatch sends them, so the loss
-  stream, the next round's bucket order (answers before the step's
-  sends) and the per-message fallback see the same sequence; under a
-  bandwidth cap they count against the window the previous step's
-  sends opened (``window_sends``), which ``begin_round`` closes only
-  after delivery.  A scalar arrival is answered by a scalar
-  ``_submit``, exactly as ``on_message`` does it.
+  message store as a single record chunk (destination ids, table rows,
+  table), in send order among the scalar messages the store also holds
+  (injections, per-message-planned sends).  :meth:`_deliver_block`
+  masks a chunk's dead receivers, groups the arrivals by receiver with
+  a stable sort, and the stepper admits the chunk in *waves*: wave ``w``
+  takes the ``w``-th arrival of every receiver at once, so receivers
+  are admitted side by side and each one's arrivals in arrival order —
+  the order per-message dispatch gives them.  A scalar arrival goes to
+  the stepper one at a time (:meth:`_receive`).
+* **Answers** — a receiver may answer an arrival (push-pull gossip).
+  The stepper returns a chunk's answers as one more table; they are put
+  back into the arrival order of their requests and sent as one more
+  :meth:`submit_block`, right after the chunk.  That is where
+  per-message dispatch sends them, so the loss stream, the next round's
+  bucket order (answers before the step's sends) and the per-message
+  fallback see the same sequence; under a bandwidth cap they count
+  against the window the previous step's sends opened
+  (``window_sends``), which ``begin_round`` closes only after delivery.
+  A scalar arrival is answered by a scalar ``_submit``, exactly as
+  ``on_message`` does it.
 
 **Equivalence contract** — for the protocol configurations the stepper
 accepts, a run on this engine is *bit-identical* to the object-stepped
@@ -42,14 +47,19 @@ gossip streams are independent, the shared loss stream is consumed in
 send order), same network stats, same protocol decisions, same phase
 events.  The cross-engine golden suite pins this.
 
-The stepper contract is two methods::
+The stepper contract::
 
-    stepper.bind(engine)                 # once, before round 0
-    stepper.step(engine, changed_rows)   # one round's sends + advances
+    stepper.bind(engine)                       # once, before round 0
+    stepper.step(engine)                       # one round's sends + advances
+    stepper.admit(engine, rows, table_rows, table)
+        # one delivered chunk, grouped by receiver; returns None or
+        # (asked, answering rows, answer table)
+    stepper.receive(engine, row, payload, answers)
+        # one scalar arrival; appends (position, answer) pairs
 
-where ``changed_rows`` lists the member rows whose protocol state
-changed during this round's deliveries (the stepper's advance-candidate
-signal).  Processes are identified by *row* — their position in
+A payload table has ``sizes`` (wire size per row), ``owner`` (the
+member row each payload came from) and ``payloads(rows)`` (those rows
+as payload objects).  Processes are identified by *row* — their position in
 registration order (``row_procs``); ``row_ids[row]`` maps back to node
 ids.
 """
@@ -70,11 +80,11 @@ class ArraySteppedEngine(SimulationEngine):
     """A :class:`SimulationEngine` whose round step is array-batched.
 
     ``stepper`` drives the per-round protocol step (sends + phase
-    advances) over all members at once; everything else — failure
-    application, round bus, termination bookkeeping, ``run()`` — is the
-    base engine's, round ``metrics`` included.  Tracing is unsupported
-    (the block paths do not emit per-message trace events); attach a
-    tracer to the object-stepped engine instead.
+    advances) and admission over all members at once; everything else —
+    failure application, round bus, termination bookkeeping, ``run()``
+    — is the base engine's, round ``metrics`` included.  Tracing is
+    unsupported (the block paths do not emit per-message trace events);
+    attach a tracer to the object-stepped engine instead.
     """
 
     def __init__(self, stepper: Any, **kwargs):
@@ -93,8 +103,6 @@ class ArraySteppedEngine(SimulationEngine):
         self._dense_rows = False
         self._sorted_ids: np.ndarray | None = None
         self._id_order: np.ndarray | None = None
-        #: Rows whose process state changed in this round's deliveries.
-        self._changed_rows: list[int] = []
         #: Per row, send attempts since the network's last
         #: ``begin_round`` — the bandwidth window a reply sent during
         #: delivery continues (the stepper records each round's sends).
@@ -163,17 +171,15 @@ class ArraySteppedEngine(SimulationEngine):
         dest_ids: np.ndarray,
         sizes: np.ndarray,
         slots: np.ndarray,
-        src_rows: np.ndarray,
-        payloads_by_row: list,
+        table_rows: np.ndarray,
+        table: Any,
     ) -> None:
-        """Plan one round's sends (in send order) and queue survivors.
+        """Plan one block of sends (in send order) and queue survivors.
 
-        ``payloads_by_row[src_rows[i]]`` is message ``i``'s payload; the
-        per-row table is shared across the block (senders fan one
-        payload out to many destinations).  It is snapshotted only when
-        delivery happens more than one round out — the stepper rebuilds
-        payloads *after* the next round's deliveries, so a one-round
-        latency never observes a rebuilt table.
+        Message ``i`` carries row ``table_rows[i]`` of the payload
+        ``table``; senders fan one row out to many destinations.  A
+        table is never changed once submitted, so it is queued as it is
+        whatever the delivery round.
         """
         if len(src_ids) == 0:
             return
@@ -184,70 +190,65 @@ class ArraySteppedEngine(SimulationEngine):
             # Per-message models (jitter latency, opaque loss hooks):
             # the base engine's scalar path, in send order — the loss
             # stream is consumed exactly as the object engine would.
-            for src, dest, size, row in zip(
+            for src, dest, size, payload in zip(
                 src_ids.tolist(), dest_ids.tolist(),
-                sizes.tolist(), src_rows.tolist(),
+                sizes.tolist(), table.payloads(table_rows.tolist()),
             ):
-                self._submit(src, dest, payloads_by_row[row], size)
+                self._submit(src, dest, payload, size)
             return
         delivered, delivery_round = planned
         if delivered.any():
-            if delivery_round > self.round + 1:
-                payloads_by_row = list(payloads_by_row)
             self._enqueue(
                 delivery_round,
-                (dest_ids[delivered], src_rows[delivered], payloads_by_row),
+                (dest_ids[delivered], table_rows[delivered], table),
             )
 
     def _receive(self, receiver: Process, message: Message) -> None:
         # A scalar arrival (an injection, a per-message-planned send) is
-        # a one-payload block: same admission, same changed-row signal —
-        # and a scalar answer, sent as ``on_message`` sends it (to a
-        # forged sender too: planned, then dropped by ``_dispatch``).
+        # admitted on its own — and answered by a scalar send, as
+        # ``on_message`` does it (to a forged sender too: planned, then
+        # dropped by ``_dispatch``).
         answers: list = []
-        if receiver.absorb_payloads((message.payload,), self.round, answers):
-            self._changed_rows.append(self._row_of(message.dest))
+        self._stepper.receive(
+            self, self._row_of(message.dest), message.payload, answers
+        )
         for __, answer in answers:
             self._submit(
                 message.dest, message.src, answer, answer.wire_size()
             )
 
     def _answer(
-        self, answers: list, answered: list[tuple[int, int, int]],
-        order: np.ndarray, sender_ids: np.ndarray,
+        self, asked: np.ndarray, answering: np.ndarray, answers: Any,
+        order: np.ndarray, requesters: np.ndarray,
     ) -> None:
         """Send what receivers answered to one delivered chunk, as a block.
 
-        ``answers`` holds every receiver's ``(position, answer)`` pairs,
-        receiver after receiver; ``answered`` names each such receiver
-        as (row, index of its first arrival in the receiver-sorted
-        chunk, number of answers).  ``order[i]`` is the chunk index of
-        sorted arrival ``i`` and ``sender_ids[i]`` who sent it.  The
-        answers go out in the arrival order of their requests — where
-        per-message dispatch sends them.
+        Answer ``i`` (row ``i`` of the ``answers`` table) is from member
+        row ``answering[i]`` to row ``requesters[i]``, in reply to
+        receiver-sorted arrival ``asked[i]`` (ascending, so a receiver's
+        answers are adjacent and in arrival order); ``order[j]`` is the
+        chunk index of sorted arrival ``j``.  The answers go out in the
+        arrival order of their requests — where per-message dispatch
+        sends them.
         """
-        rows, starts, counts = np.array(answered, dtype=np.int64).T
-        total = len(answers)
-        positions, payloads = zip(*answers)
-        asked = np.repeat(starts, counts) + np.array(positions)
-        by_arrival = np.argsort(order[asked])
+        total = len(asked)
+        firsts = np.flatnonzero(
+            np.r_[True, answering[1:] != answering[:-1]]
+        )
+        counts = np.diff(np.append(firsts, total))
         # A receiver's k-th answer here is its k-th attempt on top of
         # what it already sent in the open bandwidth window.
-        first = np.cumsum(counts) - counts
         slots = (
-            np.repeat(self.window_sends[rows] - first, counts)
-            + np.arange(total)
+            self.window_sends[answering]
+            + np.arange(total) - np.repeat(firsts, counts)
         )
-        self.window_sends[rows] += counts
-        sizes = np.fromiter(
-            (payload.wire_size() for payload in payloads),
-            dtype=np.int64, count=total,
-        )
+        self.window_sends[answering[firsts]] += counts
+        by_arrival = np.argsort(order[asked])
         self.submit_block(
-            self.row_ids[np.repeat(rows, counts)[by_arrival]],
-            sender_ids[asked[by_arrival]],
-            sizes[by_arrival], slots[by_arrival], by_arrival,
-            list(payloads),
+            self.row_ids[answering[by_arrival]],
+            self.row_ids[requesters[by_arrival]],
+            answers.sizes[by_arrival], slots[by_arrival], by_arrival,
+            answers,
         )
 
     def _deliver_due(self) -> None:
@@ -258,15 +259,14 @@ class ArraySteppedEngine(SimulationEngine):
                 self._deliver_block(*item)
 
     def _deliver_block(
-        self, dest_ids: np.ndarray, src_rows: np.ndarray,
-        payloads_by_row: list,
+        self, dest_ids: np.ndarray, table_rows: np.ndarray, table: Any,
     ) -> None:
         rows = self._rows_of(dest_ids)
         mask = self.alive_rows[rows]
         if not mask.all():
             # Paper model: messages to crashed members vanish.
             rows = rows[mask]
-            src_rows = src_rows[mask]
+            table_rows = table_rows[mask]
         count = len(rows)
         if count == 0:
             return
@@ -276,39 +276,20 @@ class ArraySteppedEngine(SimulationEngine):
         # per-message dispatch ordered (receivers never touch each
         # other's state during delivery).
         order = np.argsort(rows, kind="stable")
-        rows_sorted = rows[order]
-        src_sorted = src_rows[order]
-        src_list = src_sorted.tolist()
-        starts = np.flatnonzero(
-            np.r_[True, rows_sorted[1:] != rows_sorted[:-1]]
-        )
-        bounds = np.append(starts, count).tolist()
-        procs = self.row_procs
-        changed = self._changed_rows
-        answers: list = []
-        #: (row, first sorted index, answer count) per answering receiver.
-        answered: list[tuple[int, int, int]] = []
-        answer_count = 0
-        for i, start in enumerate(starts.tolist()):
-            row = int(rows_sorted[start])
-            payloads = [
-                payloads_by_row[r] for r in src_list[start:bounds[i + 1]]
-            ]
-            if procs[row].absorb_payloads(payloads, self.round, answers):
-                changed.append(row)
-            if len(answers) != answer_count:
-                answered.append((row, start, len(answers) - answer_count))
-                answer_count = len(answers)
-        if answers:
+        sorted_rows = table_rows[order]
+        answered = self._stepper.admit(self, rows[order], sorted_rows, table)
+        if answered is not None:
             # Only a stepper block is ever answered (an answer is not a
-            # request), and its ``src_rows`` are member rows.
-            self._answer(answers, answered, order, self.row_ids[src_sorted])
+            # request), and its table rows come from member rows.
+            asked, answering, answers = answered
+            self._answer(
+                asked, answering, answers, order,
+                table.owner[sorted_rows[asked]],
+            )
 
     def _step_processes(self) -> None:
-        changed = self._changed_rows
-        self._changed_rows = []
         self.window_sends[:] = 0  # ``begin_round`` just fired
-        self._stepper.step(self, changed)
+        self._stepper.step(self)
 
     # -- run -------------------------------------------------------------
     def run(self, until=None):

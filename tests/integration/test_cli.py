@@ -113,6 +113,13 @@ class TestBadRunParameters:
         (["chaos", "--n", "0"], "group size n must be >= 1, got 0"),
         (["chaos", "--n", "16", "--k", "1", "--runs", "1",
           "--campaign", "crash-storm"], "K must be at least 2"),
+        (["run", "--aggregate", "bogus"], "unknown aggregate 'bogus'"),
+        (["trace", "--aggregate", "bogus"], "unknown aggregate 'bogus'"),
+        (["run", "--aggregate", "histogram"], "cannot be built by name"),
+        (["fig8", "--runs", "0"], "runs must be >= 1, got 0"),
+        (["fig6", "--runs", "-2"], "runs must be >= 1, got -2"),
+        (["chaos", "--n", "16", "--runs", "0", "--campaign", "crash-storm"],
+         "runs must be >= 1, got 0"),
     ])
     def test_reported_as_a_usage_error(self, argv, message, capsys):
         assert main(argv) == 2
