@@ -42,9 +42,11 @@ chaos-smoke:      ## small deterministic chaos-campaign matrix + bound check
 		--campaign rack-failure --campaign partition-heal \
 		--n 64 --runs 2 --seed 0 --jobs auto --assert-bound
 
-chaos-adversarial-smoke: ## adversarial campaigns: detection + matrix byte-identity
+chaos-adversarial-smoke: ## adversarial campaigns: detection, structural admission, matrix byte-identity
 	REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest -x -q \
-		tests/integration/test_adversarial.py
+		tests/integration/test_adversarial.py \
+		tests/unit/test_net_codec.py::TestNodeDropsBadFrames \
+		tests/integration/test_engine_equivalence.py::test_forged_keys_are_refused_on_both_engines
 	PYTHONPATH=src python -m repro chaos --matrix \
 		--campaign tamper-forge --campaign tamper-replay \
 		--campaign sybil-storm --campaign region-outage \

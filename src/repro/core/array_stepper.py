@@ -33,21 +33,22 @@ phase (Section 6.3) — and a row is exactly that:
 
 **The process is a view.**  A row's ``known`` dict is made current
 (materialised) only where process code reads it — before
-``_maybe_advance`` and before object admission — and read back when
-that code changed it, above all at a phase boundary.  In between, the
-dict is stale.  These arrivals keep the process's own admission
-(``absorb_payloads`` on the materialised row):
+``_maybe_advance`` and before the process's own admission — and read
+back when that code changed it, above all at a phase boundary.  In
+between, the dict is stale.  Admission has two shapes:
 
-* future-phase arrivals — they land in the process's phase buffer, which
-  only its next phase entry reads;
-* scalar arrivals (injections, per-message-planned sends) — payload
-  objects from outside the block path, possibly forged;
-* every arrival of a row that holds a key with no slot (a forged or
-  Sybil identity), until its next phase — such a row also sends payload
-  objects (``build_round_payload``), and every receiver of one admits
-  that chunk the same way;
-* every arrival while :data:`repro.sanitize.SCREEN` is armed — the
-  screen must inspect each entry in arrival order.
+* waves, for same-phase chunk arrivals — snapshots of rows that were
+  themselves admitted;
+* ``absorb_payloads`` on the materialised row, for future-phase
+  arrivals (they land in the phase buffer, which only the next phase
+  entry reads) and scalar ones (injections, per-message-planned sends:
+  objects from outside the block path, possibly forged).
+
+Structural admission (``absorb_payloads`` refuses any entry its
+hierarchy does not place under its key) means every held key has a
+slot.  While :data:`repro.sanitize.SCREEN` is armed the engine
+dispatches a chunk as its messages (``per_message``), so the screen
+inspects each entry in arrival order.
 
 **Bit-identity argument.**  Per-member gossip streams are independent,
 so batching target draws across members never changes any member's
@@ -146,18 +147,17 @@ class RowSnapshots:
     first ``length`` of ``(slots, sids)`` (the entries in insertion
     order; padding is state 0) and the wire size.  ``owner[i]`` is the
     member row it came from; ``reply`` marks a table of push-pull
-    answers.  A row flagged ``opaque`` is a payload object instead (its
-    member holds a key with no slot).  :meth:`payloads` returns rows as
-    payload objects, each built from its snapshot on first use.
+    answers.  :meth:`payloads` returns rows as payload objects, each
+    built from its snapshot on first use.
     """
 
     __slots__ = (
         "_stepper", "reply", "owner", "phase", "base", "length", "slots",
-        "sids", "sizes", "opaque", "_objects", "__weakref__",
+        "sids", "sizes", "_objects", "__weakref__",
     )
 
     def __init__(self, stepper, reply, owner, phase, base, length, slots,
-                 sids, sizes, objects=None):
+                 sids, sizes):
         self._stepper = stepper
         self.reply = reply
         self.owner = owner
@@ -167,11 +167,7 @@ class RowSnapshots:
         self.slots = slots
         self.sids = sids
         self.sizes = sizes
-        self.opaque = None
-        if objects:
-            self.opaque = np.zeros(len(phase), dtype=bool)
-            self.opaque[list(objects)] = True
-        self._objects = objects if objects is not None else {}
+        self._objects: dict[int, GossipBatch] = {}
 
     def payloads(self, rows: list[int]) -> list[GossipBatch]:
         """These rows as ``GossipBatch`` objects (memoized per table)."""
@@ -180,50 +176,6 @@ class RowSnapshots:
         if missing:
             objects.update(zip(missing, self._stepper._batches(self, missing)))
         return [objects[row] for row in rows]
-
-
-class _Answers:
-    """Push-pull answers to one chunk, gathered part by part."""
-
-    __slots__ = ("parts", "objects", "count")
-
-    def __init__(self) -> None:
-        #: ``(asked, rows, lengths, slots, sids)`` per part: the chunk
-        #: indices of the requests, the answering rows, their entries.
-        self.parts: list[tuple] = []
-        #: Answer index -> payload object (answers of object admission,
-        #: added with no entries).
-        self.objects: dict[int, GossipBatch] = {}
-        self.count = 0
-
-    def add(self, asked, rows, lengths, slots, sids, objects=()) -> None:
-        for index, payload in enumerate(objects, start=self.count):
-            self.objects[index] = payload
-        self.parts.append((asked, rows, lengths, slots, sids))
-        self.count += len(asked)
-
-    def result(self, stepper):
-        """``(asked, answering rows, RowSnapshots)`` in arrival-index
-        order, or ``None`` when nothing was answered."""
-        if not self.count:
-            return None
-        asked, rows, length, slots, sids = (
-            np.concatenate(column) for column in zip(*self.parts)
-        )
-        sizes = stepper._sizes(length, sids)
-        for index, payload in self.objects.items():
-            sizes[index] = payload.wire_size()
-        by_arrival = np.argsort(asked, kind="stable")
-        rank = np.empty_like(by_arrival)
-        rank[by_arrival] = np.arange(len(by_arrival))
-        rows = rows[by_arrival]
-        answers = stepper._table(
-            True, rows, stepper._phase[rows], stepper._base[rows],
-            length[by_arrival], slots[by_arrival], sids[by_arrival],
-            sizes[by_arrival],
-            {int(rank[i]): payload for i, payload in self.objects.items()},
-        )
-        return asked[by_arrival], rows, answers
 
 
 class HierarchicalArrayStepper:
@@ -301,12 +253,11 @@ class HierarchicalArrayStepper:
         self._pool_data = np.empty(max(1024, 2 * n), dtype=np.int64)
         self._pool_used = 0
         self._segments: dict[int, tuple[int, tuple]] = {}
-        # Each row's grid box, the box's first rank and its size (the
-        # phase-1 key base and slot range).
+        # Each row's grid box and the box's first rank (the phase-1 key
+        # base); the largest box bounds the phase-1 slots.
         spans: dict[int, range] = {}
         self._box: list[int] = []
         self._box_start: list[int] = []
-        self._box_size: list[int] = []
         for proc in procs:
             box = assignment.box_of(proc.node_id)
             ranks = spans.get(box)
@@ -316,19 +267,16 @@ class HierarchicalArrayStepper:
                 )
             self._box.append(box)
             self._box_start.append(ranks.start)
-            self._box_size.append(len(ranks))
-        width = max(self._k, max(self._box_size))
+        width = max(self._k, max(map(len, spans.values())))
         #: Entries a snapshot row can hold (batch cap, bounded by slots).
         self._cols = min(self._cap, width)
         # The columnar ``known``: per row and slot a state id (0 = not
         # held), slots in insertion order, the count held, and the key
-        # base the slots count from.  ``_col`` rows are authoritative;
-        # the others hold a key with no slot and live in their process.
+        # base the slots count from.
         self._sid = np.zeros((n, width), dtype=np.int32)
         self._order = np.zeros((n, width), dtype=np.min_scalar_type(width))
         self._held = np.zeros(n, dtype=np.int32)
         self._base = np.zeros(n, dtype=np.int32)
-        self._col = np.zeros(n, dtype=bool)
         #: The process's ``known`` dict equals the row.
         self._synced = np.zeros(n, dtype=bool)
         #: The row changed since its last completion test.
@@ -424,7 +372,7 @@ class HierarchicalArrayStepper:
         """
         states = self._states
         live = np.zeros(len(states), dtype=bool)
-        live[self._sid[~engine.terminated_rows & self._col]] = True
+        live[self._sid[~engine.terminated_rows]] = True
         tables = []
         for ref in self._tables:
             table = ref()
@@ -453,25 +401,13 @@ class HierarchicalArrayStepper:
             self._key_cache[(phase, base)] = keys
         return keys
 
-    def _slot_of(self, phase: int, base: int, limit: int, key) -> int | None:
-        """The slot of ``key`` in a row of this phase and base, if any."""
-        if phase == 1:
-            try:
-                slot = self._rank_of(key) - base
-            except KeyError:
-                return None
-        elif (
-            isinstance(key, tuple) and len(key) == 2
-            and key[0] == self._digits + 2 - phase and type(key[1]) is int
-        ):
-            slot = key[1] - base
-        else:
-            return None
-        return slot if type(slot) is int and 0 <= slot < limit else None
+    def _slot_of(self, phase: int, base: int, key) -> int:
+        """The slot of a held ``key`` in a row of this phase and base
+        (admission placed it in the row's box or subtree)."""
+        return (self._rank_of(key) if phase == 1 else key[1]) - base
 
     def _group_of(
         self, proc: HierarchicalGossipProcess, phase: int, base: int,
-        limit: int,
     ) -> int:
         """Completion group of a member entering ``phase``.
 
@@ -494,9 +430,7 @@ class HierarchicalArrayStepper:
         mask = self._group_expected[group]
         mask[:] = False
         # Expected keys are box members or child subtrees: all slotted.
-        mask[[self._slot_of(phase, base, limit, key) for key in expected]] = (
-            True
-        )
+        mask[[self._slot_of(phase, base, key) for key in expected]] = True
         need = self._group_need[group]
         need[:] = 0
         if phase > 1 and proc._complete_view:
@@ -528,12 +462,10 @@ class HierarchicalArrayStepper:
             reps.append(self._all_rep or proc._is_representative())
             if phase == 1:
                 base = self._box_start[row]
-                limit = self._box_size[row]
             else:
                 base = self._box[row] // k ** (phase - 1) * k
-                limit = k
             bases.append(base)
-            groups.append(self._group_of(proc, phase, base, limit))
+            groups.append(self._group_of(proc, phase, base))
         index = np.asarray(rows, dtype=np.int64)
         self._pool_offset[index] = offsets
         self._pool_size[index] = sizes
@@ -546,32 +478,19 @@ class HierarchicalArrayStepper:
         self._load(rows, phases, bases)
 
     def _load(self, rows: list[int], phases=None, bases=None) -> None:
-        """Read these rows' ``known`` dicts into their columns.
-
-        A row holding a key with no slot stays with its process
-        (``_col`` False) until its next phase entry.
-        """
+        """Read these rows' ``known`` dicts into their columns."""
         if phases is None:
             phases = self._phase[rows].tolist()
             bases = self._base[rows].tolist()
         procs = self._procs
-        box_size = self._box_size
-        k = self._k
         at_row: list[int] = []
         at_pos: list[int] = []
         at_slot: list[int] = []
         at_state: list = []
         held: list[int] = []
-        columnar: list[bool] = []
         for row, phase, base in zip(rows, phases, bases):
-            limit = box_size[row] if phase == 1 else k
             known = procs[row].known
-            slots = [self._slot_of(phase, base, limit, key) for key in known]
-            if None in slots:
-                columnar.append(False)
-                held.append(0)
-                continue
-            columnar.append(True)
+            slots = [self._slot_of(phase, base, key) for key in known]
             held.append(len(slots))
             at_row.extend([row] * len(slots))
             at_pos.extend(range(len(slots)))
@@ -583,7 +502,6 @@ class HierarchicalArrayStepper:
             self._sid[at_row, at_slot] = self._register(at_state)
             self._order[at_row, at_pos] = at_slot
         self._held[index] = held
-        self._col[index] = columnar
         self._synced[index] = True
         self._touched[index] = True
 
@@ -592,7 +510,7 @@ class HierarchicalArrayStepper:
         reads them: ``known`` rebuilt from the row where it changed,
         the row's same-phase arrivals added to ``_phase_received``."""
         procs = self._procs
-        stale = rows[self._col[rows] & ~self._synced[rows]]
+        stale = rows[~self._synced[rows]]
         if len(stale):
             held = self._held[stale]
             slots = self._order[stale, :int(held.max())]
@@ -663,13 +581,7 @@ class HierarchicalArrayStepper:
         """
         if not self._ready:
             self._begin()
-        answers = _Answers()
         live = ~engine.terminated_rows[rows]
-        if (sanitize.SCREEN is not None or table.opaque is not None
-                or not self._col[rows].all()):
-            live &= ~self._admit_objects(
-                rows, table_rows, table, live, engine.round, answers
-            )
         arrival_phase = table.phase[table_rows]
         row_phase = self._phase[rows]
         future = np.flatnonzero(live & (arrival_phase > row_phase))
@@ -677,9 +589,24 @@ class HierarchicalArrayStepper:
             self._buffer(rows[future], table_rows[future], table,
                          engine.round)
         same = np.flatnonzero(live & (arrival_phase == row_phase))
-        if len(same):
-            self._waves(rows[same], table_rows[same], table, same, answers)
-        return answers.result(self)
+        if not len(same):
+            return None
+        # ``(asked, rows, lengths, slots, sids)`` per wave that pulled.
+        pulled: list[tuple] = []
+        self._waves(rows[same], table_rows[same], table, same, pulled)
+        if not pulled:
+            return None
+        asked, rows, length, slots, sids = (
+            np.concatenate(column) for column in zip(*pulled)
+        )
+        by_arrival = np.argsort(asked, kind="stable")
+        rows = rows[by_arrival]
+        length, sids = length[by_arrival], sids[by_arrival]
+        answers = self._table(
+            True, rows, self._phase[rows], self._base[rows], length,
+            slots[by_arrival], sids, self._sizes(length, sids),
+        )
+        return asked[by_arrival], rows, answers
 
     def receive(self, engine, row: int, payload, answers: list) -> None:
         """Admit one scalar arrival through the process's own code."""
@@ -689,54 +616,15 @@ class HierarchicalArrayStepper:
         if proc.result is not None:
             return
         self._sync(np.array([row]))
-        if (proc.absorb_payloads((payload,), engine.round, answers)
-                and self._col[row]):
+        if proc.absorb_payloads((payload,), engine.round, answers):
             self._load([row])
 
-    def _admit_objects(self, rows, table_rows, table, live, round_number,
-                       answers: _Answers) -> np.ndarray:
-        """Object admission of every live receiver that needs it, for
-        its whole share of the chunk; returns those arrivals' mask."""
-        starts = _starts(rows)
-        spans = np.diff(starts, append=len(rows))
-        chosen = live[starts]
-        if sanitize.SCREEN is None:
-            by_object = ~self._col[rows[starts]]
-            if table.opaque is not None:
-                by_object |= np.logical_or.reduceat(
-                    table.opaque[table_rows], starts
-                )
-            chosen &= by_object
-        receivers = rows[starts[chosen]]
-        self._sync(receivers)
-        procs = self._procs
-        changed = []
-        asked: list[int] = []
-        answering: list[int] = []
-        replies: list[GossipBatch] = []
-        for row, start, span in zip(receivers.tolist(),
-                                    starts[chosen].tolist(),
-                                    spans[chosen].tolist()):
-            got: list[tuple[int, GossipBatch]] = []
-            payloads = table.payloads(
-                table_rows[start:start + span].tolist()
-            )
-            if procs[row].absorb_payloads(payloads, round_number, got):
-                changed.append(row)
-            for position, answer in got:
-                asked.append(start + position)
-                answering.append(row)
-                replies.append(answer)
-        if replies:
-            empty = np.zeros((len(replies), self._cols), dtype=np.int32)
-            answers.add(
-                np.array(asked), np.array(answering),
-                np.zeros(len(replies), dtype=int), empty, empty, replies,
-            )
-        changed = [row for row in changed if self._col[row]]
-        if changed:
-            self._load(changed)
-        return np.repeat(chosen, spans)
+    @property
+    def per_message(self) -> bool:
+        """Whether a delivered chunk must reach admission message by
+        message: an armed :data:`repro.sanitize.SCREEN` inspects every
+        entry in arrival order, through :meth:`receive`."""
+        return sanitize.SCREEN is not None
 
     def _buffer(self, rows, table_rows, table, round_number) -> None:
         """Future-phase arrivals into their receivers' phase buffers."""
@@ -748,7 +636,7 @@ class HierarchicalArrayStepper:
                 payloads[start:stop], round_number
             )
 
-    def _waves(self, rows, table_rows, table, asked, answers) -> None:
+    def _waves(self, rows, table_rows, table, asked, pulled) -> None:
         """Admit same-phase arrivals (grouped by receiver, chunk indices
         ``asked``) in waves: wave ``w`` is every receiver's ``w``-th."""
         count = len(rows)
@@ -772,7 +660,7 @@ class HierarchicalArrayStepper:
         start = 0
         for stop in np.cumsum(np.bincount(wave)).tolist():
             if pulling:
-                self._pull(rows[start:stop], asked[start:stop], answers)
+                pulled.append(self._pull(rows[start:stop], asked[start:stop]))
             changed[start:stop] = self._wave(
                 rows[start:stop], first[start:stop], cells[start:stop],
                 slots[start:stop], sids[start:stop], valid[start:stop],
@@ -783,16 +671,14 @@ class HierarchicalArrayStepper:
         self._touched[changed] = True
         self._synced[changed] = False
 
-    def _pull(self, rows, asked, answers: _Answers) -> None:
-        """Push-pull answers: each row's first entries, as they are now."""
+    def _pull(self, rows, asked) -> tuple:
+        """Push-pull answers: each row's first entries, as they are now
+        (every live row holds at least its own value)."""
         length = np.minimum(self._held[rows], self._cols)
-        if not length.all():
-            kept = length > 0
-            rows, asked, length = rows[kept], asked[kept], length[kept]
         slots = self._order[rows, :self._cols]
         sids = self._sid[rows[:, None], slots]
         sids[np.arange(self._cols) >= length[:, None]] = 0
-        answers.add(asked, rows, length, slots, sids)
+        return asked, rows, length, slots, sids
 
     def _wave(self, rows, first, cells, slots, sids, valid,
               counts) -> np.ndarray:
@@ -874,11 +760,8 @@ class HierarchicalArrayStepper:
         candidates |= final & (
             round_number - self._start_round + 1 >= self._deadline
         )
-        candidates |= ~self._col
         if self._early_bump:
-            ready = np.flatnonzero(
-                self._touched & stepped & self._col & ~final
-            )
+            ready = np.flatnonzero(self._touched & stepped & ~final)
             if len(ready):
                 candidates[ready[self._complete(ready)]] = True
         self._touched &= ~stepped
@@ -907,11 +790,10 @@ class HierarchicalArrayStepper:
         """The payload table of this round's senders ``rows``."""
         cols = self._cols
         held = self._held[rows]
-        columnar = self._col[rows]
-        length = np.where(columnar, np.minimum(held, cols), 0)
+        length = np.minimum(held, cols)
         positions = np.empty((len(rows), cols), dtype=np.int64)
         positions[:] = np.arange(cols)
-        over = columnar & (held > self._cap)
+        over = held > self._cap
         if over.any():
             positions[over] = _floyd(
                 self._bank.draw_matrix(rows[over], cols), held[over], cols
@@ -919,20 +801,9 @@ class HierarchicalArrayStepper:
         slots = self._order[rows[:, None], positions]
         sids = self._sid[rows[:, None], slots]
         sids[np.arange(cols) >= length[:, None]] = 0
-        sizes = self._sizes(length, sids)
-        objects = None
-        if not columnar.all():
-            # Rows holding a key with no slot send their process's batch.
-            objects = {}
-            bank = self._bank
-            for i in np.flatnonzero(~columnar).tolist():
-                row = int(rows[i])
-                objects[i], sizes[i] = self._procs[row].build_round_payload(
-                    bank.row_sampler(row)
-                )
         return self._table(
             False, rows, self._phase[rows], self._base[rows], length,
-            slots, sids, sizes, objects,
+            slots, sids, self._sizes(length, sids),
         )
 
     def _pick_targets(

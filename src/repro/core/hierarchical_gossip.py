@@ -16,6 +16,13 @@ Each member runs ``log_K N`` phases over the Grid Box Hierarchy:
   the phase times out after ``rounds_per_phase`` gossip rounds.  Members
   therefore move through phases *asynchronously*; values received for a
   future phase are buffered, values for a past phase are ignored.
+* **Structural admission** — the hash function and N are well known, so
+  a receiver knows which keys its hierarchy places under each phase and
+  which ranks each may cover: a box member's own rank in phase 1, a
+  child subtree's rank range later.  An entry outside that is refused
+  (re-keyed duplicates, Sybil ids, keys from another subtree) with no
+  oracle's help, and a member holds at most its box's members or K
+  children per phase.
 * **Final phase** — after composing phase ``log_K N`` the member holds its
   estimate of the global aggregate and terminates.
 
@@ -36,7 +43,7 @@ from dataclasses import dataclass, fields
 
 import repro.sanitize as sanitize
 from repro.core.aggregates import AggregateFunction, AggregateState
-from repro.core.gridbox import GridAssignment
+from repro.core.gridbox import GridAssignment, SubtreeId
 from repro.core.intervals import IntervalMask
 from repro.core.messages import GossipBatch, GossipValue
 from repro.core.observe import (
@@ -257,6 +264,8 @@ class HierarchicalGossipProcess(AggregationProcess):
         nothing; emission draws no randomness, so traced runs are
         byte-identical to untraced ones."""
         super().__init__(node_id, vote, function)
+        #: First round this member acts in (``on_start`` moves it up to
+        #: the round it actually starts); its deadline counts from it.
         self.start_round = int(start_round)
         self.phase_sink = phase_sink
         self.assignment = assignment
@@ -302,6 +311,9 @@ class HierarchicalGossipProcess(AggregationProcess):
         #: Total extra rounds borrowed across all phases; slides the
         #: member's final deadline so late phases are not squeezed.
         self._deadline_extension = 0
+        #: Arrived entries refused because the hierarchy does not place
+        #: them under their key (see :meth:`_placed`).
+        self.refused = 0
         #: Final-phase retransmission checkpoints: phase rounds 1, 2, 4,
         #: ... (exponential backoff), at most ``final_retransmit`` of them.
         self._retransmit_rounds = frozenset(
@@ -496,7 +508,7 @@ class HierarchicalGossipProcess(AggregationProcess):
     def on_start(self, ctx: Context) -> None:
         self.known = {self.node_id: self.own_state()}
         self._known_version += 1
-        self._start_round = max(ctx.round, self.start_round)
+        self.start_round = max(ctx.round, self.start_round)
         self._emit_phase_enter(ctx)
 
     def on_message(self, ctx: Context, message: Message) -> None:
@@ -524,8 +536,12 @@ class HierarchicalGossipProcess(AggregationProcess):
         engine round, attributes a detection).  An entry this member
         already holds is skipped before the screen: admitting a state
         over itself changes nothing, so a batch that arrives again
-        costs one identity test per entry and is never kept.  The
-        return value is the array engine's advance-candidate signal;
+        costs one identity test per entry and is never kept.  An entry
+        about to be stored must be one the hierarchy places under its
+        key (:meth:`_placed`); one that is not is refused and counted
+        in :attr:`refused`, so ``known`` and the future buffer hold at
+        most a box's members or ``K`` children per phase.  The return
+        value is the array engine's advance-candidate signal;
         advancing is the round step's job (:meth:`_maybe_advance`) on
         both engines.
 
@@ -571,7 +587,7 @@ class HierarchicalGossipProcess(AggregationProcess):
                 # network health for the adaptive deadline.
                 received += 1
             else:
-                bucket = future.setdefault(phase, {})
+                bucket = future.get(phase, {})
             for key, state in entries:
                 current = bucket.get(key)
                 if current is state:
@@ -584,11 +600,52 @@ class HierarchicalGossipProcess(AggregationProcess):
                     prefer_coverage
                     and state.members.count > current.members.count
                 ):
+                    if not self._placed(phase, key, state):
+                        self.refused += 1
+                        continue
                     bucket[key] = state
                     if bucket is known:
                         self._known_version += 1
+                    else:
+                        future[phase] = bucket
         self._phase_received += received
         return self._known_version != version_before
+
+    def _placed(self, phase: int, key: object, state: AggregateState) -> bool:
+        """Whether the hierarchy places ``state`` under ``key`` in this
+        member's phase-``phase`` subtree (structural admission).
+
+        The hash and N are well known (Section 6.1), so the receiver
+        checks alone: a phase-1 key is a member of its grid box and the
+        state covers exactly that member's rank; a later key is a child
+        ``SubtreeId`` of its phase subtree and the state's ranks lie in
+        that child's rank range (empty for an unoccupied child).  A
+        re-keyed duplicate, a Sybil id or a key from another subtree
+        fails; a forged payload under the right key and mask does not.
+        """
+        assignment = self.assignment
+        bounds = state.members.bounds
+        if phase == 1:
+            box = assignment.box_key_set(assignment.box_of(self.node_id))
+            if key not in box:
+                return False
+            rank = assignment.rank_of(key)
+            return bounds == (rank, rank)
+        hierarchy = assignment.hierarchy
+        if type(key) is not SubtreeId or not 1 < phase <= hierarchy.num_phases:
+            return False
+        length, value = key
+        k = hierarchy.k
+        parent = assignment.box_of(self.node_id) // k ** (phase - 1)
+        if (
+            length != hierarchy.digits + 2 - phase
+            or type(value) is not int or value // k != parent
+        ):
+            return False
+        ranks = assignment.subtree_rank_range(key)
+        return bool(bounds) and (
+            ranks.start <= bounds[0] <= bounds[-1] < ranks.stop
+        )
 
     def on_round(self, ctx: Context) -> None:
         if self.result is not None or ctx.round < self.start_round:
@@ -614,7 +671,7 @@ class HierarchicalGossipProcess(AggregationProcess):
         missing — so the worst case grows by at most
         ``extension_budget * num_phases`` rounds, a constant factor.
         """
-        elapsed = ctx.round - self._start_round + 1
+        elapsed = ctx.round - self.start_round + 1
         deadline = (
             self.num_phases * self.rounds_per_phase + self._deadline_extension
         )
@@ -705,17 +762,16 @@ class HierarchicalGossipProcess(AggregationProcess):
             return False
         return self.phase_rounds in self._retransmit_rounds
 
-    def build_round_payload(
-        self, sampler: BlockedSampler | None
+    def _round_payload(
+        self, sampler: BlockedSampler
     ) -> tuple[GossipBatch, int]:
         """This round's batch payload and wire size (batch mode only).
 
         Reuses the batch (and its wire size) while ``known`` is
         unchanged — stream-safe because a batch within the cap consumes
-        no randomness either way.  The array-stepped engine calls this
-        directly with a bank row sampler *after* drawing the member's
-        gossip targets, matching the object engine's draw order (targets
-        first, then any batch-subset doubles).
+        no randomness either way.  Called after the gossip targets are
+        drawn: targets first, then any batch-subset doubles (the array
+        stepper's snapshots draw in the same order).
         """
         memo = self._memo()
         if memo.push is not None:
@@ -770,7 +826,7 @@ class HierarchicalGossipProcess(AggregationProcess):
         )
         if self.params.batch_values:
             payload: GossipBatch | GossipValue
-            payload, size = self.build_round_payload(sampler)
+            payload, size = self._round_payload(sampler)
         else:
             keys = list(self.known)
             if not self.params.independent_values:

@@ -40,7 +40,6 @@ from repro.core.hierarchical_gossip import (
     GossipParams,
     HierarchicalGossipProcess,
 )
-from repro.core.messages import GossipBatch, GossipValue
 from repro.core.observe import PhaseSink
 from repro.core.protocol import draw_votes, vote_block
 from repro.net.bootstrap import Address, AddressBook
@@ -127,8 +126,9 @@ class NodeStats:
     """
 
     datagrams_received: int = 0
-    #: Inbound frames dropped: not decodable, or gossip whose coverage
-    #: names a rank outside the group.
+    #: Inbound frames rejected: not decodable, or gossip in which the
+    #: process refused an entry its hierarchy does not place under its
+    #: key (structural admission; its other entries are still admitted).
     frames_rejected: int = 0
     #: Outbound frames over :data:`MAX_DATAGRAM_BYTES`, dropped unsent.
     frames_oversize: int = 0
@@ -416,16 +416,15 @@ class NetNode:
             self.liveness.record_pong(message.src, self.tick_count)
         elif isinstance(message, Gossip):
             stats.rx["gossip"] += 1
-            if not _coverage_in_group(message.payload, self.config.group_size):
-                stats.frames_rejected += 1
-                return
             self.liveness.record_heard(message.src, self.tick_count)
             if not self.started:
                 stats.gossip_dropped_unstarted += 1
                 return
-            if not self.process.alive:
+            process = self.process
+            if not process.alive:
                 return
-            self.process.on_message(
+            refused = process.refused
+            process.on_message(
                 self.ctx,
                 Message(
                     src=message.src,
@@ -434,6 +433,8 @@ class NetNode:
                     sent_round=message.sent_round,
                 ),
             )
+            if process.refused != refused:
+                stats.frames_rejected += 1
 
     # -- the round clock -----------------------------------------------
 
@@ -470,22 +471,6 @@ def _welcome_frames(book: dict[int, Address]) -> list[bytes]:
     return _welcome_frames(lower) + _welcome_frames(upper)
 
 
-def _coverage_in_group(
-    payload: GossipValue | GossipBatch, group_size: int
-) -> bool:
-    """Whether every coverage mask in ``payload`` names ranks below
-    ``group_size`` only (a rank past the group is no member's vote)."""
-    if isinstance(payload, GossipValue):
-        entries: tuple = ((payload.key, payload.state),)
-    else:
-        entries = payload.entries
-    for __, state in entries:
-        bounds = state.members.bounds
-        if bounds and bounds[-1] >= group_size:
-            return False
-    return True
-
-
 #: The ledger, one row per scalar ``repro_net_*`` family: ``(family,
 #: help, registry kind, label names, read(node), key in the run
 #: record's ``net`` object or None)``.  A ``_PER_TYPE`` row reads a
@@ -503,7 +488,7 @@ _LEDGER: tuple[
     ("repro_net_rx_total", "Datagrams received by frame type",
      "counter", _PER_TYPE, lambda n: n.stats.rx, None),
     ("repro_net_rx_rejected_total",
-     "Inbound frames rejected (codec or out-of-group coverage)",
+     "Inbound frames rejected (codec or structural admission)",
      "counter", _PER_NODE, lambda n: n.stats.frames_rejected,
      "frames_rejected"),
     ("repro_net_tx_oversize_total",

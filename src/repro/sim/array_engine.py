@@ -14,8 +14,8 @@ calling into one process object per member and message:
   :meth:`~repro.sim.network.Network.plan_delivery_block` — one
   vectorized loss/latency/bandwidth decision instead of one
   ``plan_delivery`` call per message.  Models that cannot block-plan
-  (per-message latency, opaque loss hooks) get the block submitted
-  through the base engine's scalar ``_submit``, *in send order*, with
+  (per-message latency, loss hooks without a block form) get the block
+  submitted through the base engine's scalar ``_submit``, *in send order*, with
   each table row built into its payload object — the loss stream is
   consumed identically.
 * **Deliveries** — a planned block is queued in the base engine's one
@@ -27,7 +27,9 @@ calling into one process object per member and message:
   takes the ``w``-th arrival of every receiver at once, so receivers
   are admitted side by side and each one's arrivals in arrival order —
   the order per-message dispatch gives them.  A scalar arrival goes to
-  the stepper one at a time (:meth:`_receive`).
+  the stepper one at a time (:meth:`_receive`), and so does every
+  message of a chunk while the stepper asks for ``per_message``
+  delivery (an armed admission screen).
 * **Answers** — a receiver may answer an arrival (push-pull gossip).
   The stepper returns a chunk's answers as one more table; they are put
   back into the arrival order of their requests and sent as one more
@@ -56,6 +58,7 @@ The stepper contract::
         # (asked, answering rows, answer table)
     stepper.receive(engine, row, payload, answers)
         # one scalar arrival; appends (position, answer) pairs
+    stepper.per_message                        # deliver chunks as messages
 
 A payload table has ``sizes`` (wire size per row), ``owner`` (the
 member row each payload came from) and ``payloads(rows)`` (those rows
@@ -187,7 +190,7 @@ class ArraySteppedEngine(SimulationEngine):
             src_ids, dest_ids, sizes, slots, self.round, self.rngs
         )
         if planned is None:
-            # Per-message models (jitter latency, opaque loss hooks):
+            # Per-message models (jitter latency, custom loss hooks):
             # the base engine's scalar path, in send order — the loss
             # stream is consumed exactly as the object engine would.
             for src, dest, size, payload in zip(
@@ -261,6 +264,15 @@ class ArraySteppedEngine(SimulationEngine):
     def _deliver_block(
         self, dest_ids: np.ndarray, table_rows: np.ndarray, table: Any,
     ) -> None:
+        if self._stepper.per_message:
+            # Each message on its own, in send order, as per-message
+            # dispatch delivers (and answers) it.
+            for src, dest, payload in zip(
+                self.row_ids[table.owner[table_rows]].tolist(),
+                dest_ids.tolist(), table.payloads(table_rows.tolist()),
+            ):
+                self._dispatch(Message(src=src, dest=dest, payload=payload))
+            return
         rows = self._rows_of(dest_ids)
         mask = self.alive_rows[rows]
         if not mask.all():

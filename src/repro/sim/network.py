@@ -427,7 +427,7 @@ class PartitionedNetwork(LossyNetwork):
         self.heal_at = heal_at
         self._healed = False
         #: Vectorized ``partition_of`` (node-id array -> label array).
-        #: Optional because ``partition_of`` is an opaque callable the
+        #: Optional because ``partition_of`` is an arbitrary callable the
         #: model cannot vectorize itself; without it the network simply
         #: opts out of block planning (``block_loss_probabilities`` is
         #: None) and the engine falls back to per-message planning —

@@ -129,9 +129,8 @@ class SamplerBank:
     refills preserve undrawn leftovers and consume the stream through
     ``Generator.random`` only, so the stream-compatibility guarantee
     makes the values independent of how refills are batched.  The array
-    engine draws gossip-target matrices for whole member blocks via
-    :meth:`draw_matrix` and hands single rows to payload builders via
-    :meth:`row_sampler`.
+    engine draws gossip-target and batch-subset matrices for whole
+    member blocks via :meth:`draw_matrix`.
     """
 
     __slots__ = ("_rngs", "_block", "_buf", "_pos")
@@ -178,31 +177,3 @@ class SamplerBank:
         out = self._buf[rows[:, None], starts[:, None] + np.arange(k)]
         pos[rows] = starts + k
         return out
-
-    def row_sampler(self, row: int) -> "BlockedSampler":
-        """A scalar :class:`BlockedSampler` view of one bank row."""
-        return _RowSampler(self, row)
-
-
-class _RowSampler(BlockedSampler):
-    """One :class:`SamplerBank` row behind the scalar sampler interface.
-
-    Shares the row's buffer position with the bank, so interleaving
-    matrix draws and scalar draws serves one continuous stream.
-    """
-
-    __slots__ = ("_bank", "_row")
-
-    def __init__(self, bank: SamplerBank, row: int):
-        self._bank = bank
-        self._row = row
-
-    def uniform(self) -> float:
-        bank = self._bank
-        row = self._row
-        pos = int(bank._pos[row])
-        if pos >= bank._block:
-            bank._refill(row)
-            pos = 0
-        bank._pos[row] = pos + 1
-        return bank._buf[row, pos]

@@ -414,15 +414,13 @@ def test_adversarial_campaign_under_sanitizer_admits_through_process(
 
 
 def test_screen_armed_on_the_block_path(monkeypatch):
-    # With the screen armed on a block-planned network, whole chunks go
-    # to object admission, answers included.
+    # With the screen armed on a block-planned network, every chunk is
+    # dispatched as its messages, answers included.
     from repro import sanitize
     from repro.chaos.adversary import TamperPlanner
-    from repro.core.array_stepper import HierarchicalArrayStepper
+    from repro.sim.array_engine import ArraySteppedEngine
 
-    by_object = _counting(
-        monkeypatch, HierarchicalArrayStepper, "_admit_objects"
-    )
+    by_message = _counting(monkeypatch, ArraySteppedEngine, "_receive")
     was_active = sanitize.ACTIVE
     sanitize.enable()
     sanitize.set_adversary(TamperPlanner([], [], []))
@@ -432,19 +430,18 @@ def test_screen_armed_on_the_block_path(monkeypatch):
         sanitize.clear_adversary()
         if not was_active:
             sanitize.disable()
-    assert by_object
+    assert by_message
     assert got["array"] == got["object"]
 
 
-def test_row_holding_a_key_with_no_slot(monkeypatch):
-    # A forged identity admitted without a screen: its receiver holds a
-    # key no slot can name, so that row (and every box mate its payload
-    # objects reach) stays with its process until its next phase.
-    from repro import sanitize
+def test_forged_keys_are_refused_on_both_engines(monkeypatch):
+    # A Sybil identity and a re-keyed duplicate, injected with no
+    # screen armed: the receiver's own admission refuses both, so the
+    # run is the run without them, on either engine.
     from repro.core.aggregates import AggregateState
-    from repro.core.array_stepper import HierarchicalArrayStepper
     from repro.core.gridbox import shared_dense_assignment
     from repro.core.hashing import FairHash
+    from repro.core.hierarchical_gossip import HierarchicalGossipProcess
     from repro.core.intervals import IntervalMask
     from repro.core.messages import GossipValue
     from repro.sim.network import LossyNetwork, Message
@@ -455,39 +452,52 @@ def test_row_holding_a_key_with_no_slot(monkeypatch):
         m for m in assignment.member_ids
         if len(assignment.members_of_box(assignment.box_of(m))) > 2
     )
+    first, second = [
+        m for m in assignment.members_of_box(assignment.box_of(victim))
+        if m != victim
+    ][:2]
+    sybil = 128 + 9
+    forgeries = [
+        GossipValue(1, sybil, AggregateState(
+            (50.0, 1), IntervalMask.single(sybil))),
+        # ``second``'s rank under ``first``'s key.
+        GossipValue(1, first, AggregateState(
+            (50.0, 1), IntervalMask.single(assignment.rank_of(second)))),
+    ]
 
-    def network():
+    def network(injected):
         lossy = LossyNetwork(ucastl=config.ucastl,
                              max_message_size=config.max_message_size)
-        sybil = 128 + 9
-        forged = AggregateState((50.0, 1), IntervalMask.single(sybil))
-        lossy.inject(2, Message(
-            src=sybil, dest=victim, payload=GossipValue(1, sybil, forged),
-            size=24,
-        ))
+        for payload in injected:
+            # At the head of round 1: the victim holds only its own vote.
+            lossy.inject(1, Message(
+                src=payload.key, dest=victim, payload=payload, size=24,
+            ))
         return lossy
 
-    by_object = _counting(
-        monkeypatch, HierarchicalArrayStepper, "_admit_objects"
-    )
-    # The sanitizer would stop the compose that counts the forged vote.
-    was_active = sanitize.ACTIVE
-    sanitize.disable()
-    try:
-        runs = {
-            engine: _hand_built_run(config, engine, network())
-            for engine in ("object", "array")
-        }
-    finally:
-        if was_active:
-            sanitize.enable()
-    assert by_object
-    __, (__, __, members) = runs["object"]
-    # The forged vote reached compositions: some estimate counts 129.
-    assert any(
-        result is not None and result.covers() > 128
-        for __, __, result in members
-    )
+    refused = []
+    placed = HierarchicalGossipProcess._placed
+
+    def recording(process, phase, key, state):
+        admitted = placed(process, phase, key, state)
+        if not admitted:
+            refused.append((process.node_id, key))
+        return admitted
+
+    monkeypatch.setattr(HierarchicalGossipProcess, "_placed", recording)
+    runs = {}
+    for engine in ("object", "array"):
+        __, (__, __, clean) = _hand_built_run(config, engine, network([]))
+        assert refused == []
+        runs[engine] = _hand_built_run(config, engine, network(forgeries))
+        assert refused == [(victim, sybil), (victim, first)]
+        refused.clear()
+        __, (__, __, members) = runs[engine]
+        assert all(
+            result is None or result.covers() <= 128
+            for __, __, result in members
+        )
+        assert members == clean
     assert runs["array"] == runs["object"]
 
 

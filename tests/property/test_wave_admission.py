@@ -42,30 +42,39 @@ MEMBER = next(
 
 
 def _keys(phase: int) -> list:
-    """The keys a phase-``phase`` payload to ``MEMBER`` can carry."""
+    """The keys a phase-``phase`` payload to ``MEMBER`` can carry: its
+    box mates, or the occupied children of its phase subtree."""
     if phase == 1:
         return list(ASSIGNMENT.members_of_box(ASSIGNMENT.box_of(MEMBER)))
     subtree = ASSIGNMENT.subtree_of(MEMBER, phase)
-    return list(ASSIGNMENT.hierarchy.child_subtrees(subtree))
+    return list(ASSIGNMENT.occupied_children(subtree))
 
 
-def _state(count: int, salt: int) -> AggregateState:
-    # Coverage counts are all admission reads; the slots are arbitrary.
-    return AggregateState(
-        (float(salt), count), IntervalMask(range(salt, salt + count))
-    )
+def _ranks(phase: int, key) -> range:
+    """The ranks a state under ``key`` may cover: the box mate's own in
+    phase 1, the child's rank range later."""
+    if phase == 1:
+        rank = ASSIGNMENT.rank_of(key)
+        return range(rank, rank + 1)
+    return ASSIGNMENT.subtree_rank_range(key)
 
 
-#: Per (phase, key index): three states, two of them with equal counts,
-#: so repeats (same object), ties and strict improvements all occur.
+def _state(ranks: range, salt: int) -> AggregateState:
+    return AggregateState((float(salt), len(ranks)), IntervalMask(ranks))
+
+
+#: Per (phase, key index): three states inside the key's ranks — in
+#: later phases two of them with equal counts, so repeats (same object),
+#: ties and strict improvements all occur (phase-1 states all tie).
 POOL = {
     (phase, index): [
-        _state(1, 1000 * phase + 10 * index),
-        _state(2, 1000 * phase + 10 * index + 3),
-        _state(2, 1000 * phase + 10 * index + 6),
+        _state(ranks[:1], 1000 * phase + 10 * index),
+        _state(ranks[:2], 1000 * phase + 10 * index + 3),
+        _state(ranks[-2:], 1000 * phase + 10 * index + 6),
     ]
     for phase in (1, 2, 3)
-    for index in range(len(_keys(phase)))
+    for index, key in enumerate(_keys(phase))
+    for ranks in [_ranks(phase, key)]
 }
 
 entries = st.lists(
@@ -101,7 +110,7 @@ def _world(params: GossipParams, phase: int):
     proc = group[MEMBER]
     if phase > 1:
         own = ASSIGNMENT.subtree_of(MEMBER, phase - 1)
-        proc.known = {own: _state(3, 7)}
+        proc.known = {own: _state(ASSIGNMENT.subtree_rank_range(own), 7)}
     proc.phase = twin.phase = phase
     twin.known = dict(proc.known)
     stepper._begin()
@@ -136,15 +145,11 @@ def _table(stepper, payloads):
             base = ASSIGNMENT.subtree_rank_range(
                 ASSIGNMENT.subtree_of(MEMBER, 1)
             ).start
-            limit = len(_keys(1))
         else:
             base = ASSIGNMENT.subtree_of(MEMBER, payload.phase)[1] * K
-            limit = K
         bases.append(base)
         for column, (key, state) in enumerate(payload.entries):
-            slots[row, column] = stepper._slot_of(
-                payload.phase, base, limit, key
-            )
+            slots[row, column] = stepper._slot_of(payload.phase, base, key)
             sids[row, column] = stepper._register([state])[0]
     replies = {p.reply for p in payloads}
     assert len(replies) == 1  # a table is all requests or all answers
@@ -198,6 +203,7 @@ def test_waves_admit_like_absorb_payloads(row_phase, prefer, push_pull,
                     a is b for (__, a), (__, b)
                     in zip(mine.entries, theirs.entries)
                 )
+    assert twin.refused == 0  # the pool holds only placed entries
     stepper._sync(np.array([MEMBER]))
     assert list(proc.known) == list(twin.known)
     assert all(proc.known[key] is twin.known[key] for key in twin.known)

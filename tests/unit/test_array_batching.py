@@ -60,24 +60,6 @@ class TestSamplerBank:
             ]
             assert served[row] == expected
 
-    def test_row_sampler_continues_the_same_stream(self):
-        bank = SamplerBank(_streams(2), block=8)
-        reference = [BlockedSampler(g, block=0) for g in _streams(2)]
-        drawn = bank.draw_matrix(np.arange(2, dtype=np.int64), 3)
-        for row in range(2):
-            for _ in range(3):
-                reference[row].uniform()
-            assert drawn[row].shape == (3,)
-        # Scalar continuation after a matrix draw: same stream position.
-        scalar = bank.row_sampler(1)
-        assert scalar.uniform() == reference[1].uniform()
-        assert scalar.pick_distinct(10, 2) == reference[1].pick_distinct(10, 2)
-        # And a matrix draw after the scalar detour stays aligned.
-        again = bank.draw_matrix(np.array([1], dtype=np.int64), 2)
-        assert again[0].tolist() == [
-            reference[1].uniform(), reference[1].uniform()
-        ]
-
     def test_subset_of_rows_leaves_others_untouched(self):
         bank = SamplerBank(_streams(4), block=8)
         reference = [BlockedSampler(g, block=0) for g in _streams(4)]

@@ -42,7 +42,6 @@ def _process(member=7, **param_overrides):
         member, VOTES[member], F, _assignment(), tuple(VOTES), params
     )
     process.known = {member: process.own_state()}
-    process._start_round = 0
     return process
 
 
@@ -219,7 +218,6 @@ class TestDeadline:
     def test_delayed_start_shifts_deadline(self):
         process = _process(7)
         process.start_round = 5
-        process._start_round = 5
 
         class Ctx:
             round = 5 + process.num_phases * process.rounds_per_phase - 1

@@ -4,7 +4,11 @@ import weakref
 
 import pytest
 
-from repro.core.aggregates import AverageAggregate, SumAggregate
+from repro.core.aggregates import (
+    AggregateState,
+    AverageAggregate,
+    SumAggregate,
+)
 from repro.core.gridbox import GridAssignment, GridBoxHierarchy, SubtreeId
 from repro.core.hashing import FairHash, StaticHash
 from repro.core.hierarchical_gossip import (
@@ -13,6 +17,7 @@ from repro.core.hierarchical_gossip import (
     build_hierarchical_gossip_group,
     rounds_per_phase_for,
 )
+from repro.core.intervals import IntervalMask
 from repro.core.messages import GossipBatch, GossipValue
 from repro.sim.engine import SimulationEngine
 from repro.sim.network import LossyNetwork, Network
@@ -28,14 +33,28 @@ class _StubContext:
 _CTX = _StubContext()
 
 
-def _figure1_world(function=None):
+def _figure1_world(function=None, boxes=None):
     """The paper's Figure 1 example: 8 members, K=2, fixed boxes."""
     function = function or AverageAggregate()
     votes = {m: float(m) for m in range(1, 9)}
-    boxes = {7: 0, 3: 0, 8: 0, 6: 1, 5: 1, 2: 2, 4: 2, 1: 3}
+    boxes = boxes or {7: 0, 3: 0, 8: 0, 6: 1, 5: 1, 2: 2, 4: 2, 1: 3}
     hierarchy = GridBoxHierarchy(8, 2)
     assignment = GridAssignment(hierarchy, votes, StaticHash(boxes))
     return votes, function, assignment
+
+
+def _lifted(*members):
+    """Figure 1's votes of ``members`` as the protocol holds them: each
+    lifted at its owner's hierarchy rank (box 0 holds ranks 0-2: 3, 7,
+    8; box 1 ranks 3-4: 5, 6; box 2 ranks 5-6: 2, 4; box 3 rank 7: 1)."""
+    votes, function, assignment = _figure1_world()
+    return function.merge_all([
+        AggregateState(
+            function.lift(m, votes[m]).payload,
+            IntervalMask.single(assignment.rank_of(m)),
+        )
+        for m in members
+    ])
 
 
 def _run(votes, function, assignment, params=None, network=None, seed=0,
@@ -207,7 +226,7 @@ class TestMessageHandling:
         process = self._process()
         process.known = {process.node_id: process.own_state()}
         process.phase = 2
-        stale = GossipValue(1, 3, AverageAggregate().lift(3, 3.0))
+        stale = GossipValue(1, 3, _lifted(3))
 
         class FakeMessage:
             payload = stale
@@ -218,7 +237,7 @@ class TestMessageHandling:
     def test_future_phase_buffered(self):
         process = self._process()
         process.known = {process.node_id: process.own_state()}
-        state = AverageAggregate().over({2: 2.0, 4: 4.0, 1: 1.0})
+        state = _lifted(2, 4, 1)  # boxes 2 and 3: child (1, 1) of the root
         future = GossipValue(3, SubtreeId(1, 1), state)
 
         class FakeMessage:
@@ -230,7 +249,7 @@ class TestMessageHandling:
     def test_current_phase_accepted(self):
         process = self._process()
         process.known = {process.node_id: process.own_state()}
-        vote = AverageAggregate().lift(3, 3.0)
+        vote = _lifted(3)
 
         class FakeMessage:
             payload = GossipValue(1, 3, vote)
@@ -241,8 +260,7 @@ class TestMessageHandling:
     def test_batch_accepted(self):
         process = self._process()
         process.known = {process.node_id: process.own_state()}
-        f = AverageAggregate()
-        batch = GossipBatch(1, ((3, f.lift(3, 3.0)), (8, f.lift(8, 8.0))))
+        batch = GossipBatch(1, ((3, _lifted(3)), (8, _lifted(8))))
 
         class FakeMessage:
             payload = batch
@@ -253,10 +271,9 @@ class TestMessageHandling:
     def test_coverage_preference_upgrades(self):
         process = self._process()
         process.phase = 2
-        f = AverageAggregate()
-        key = SubtreeId(2, 1)
-        small = f.over({5: 5.0})
-        big = f.over({5: 5.0, 6: 6.0})
+        key = SubtreeId(2, 1)  # box 1, a child of 7's phase-2 subtree
+        small = _lifted(5)
+        big = _lifted(5, 6)
         process.known = {}
 
         class Msg:
@@ -273,10 +290,9 @@ class TestMessageHandling:
     def test_first_wins_ablation(self):
         process = self._process(params=GossipParams(prefer_coverage=False))
         process.phase = 2
-        f = AverageAggregate()
         key = SubtreeId(2, 1)
-        small = f.over({5: 5.0})
-        big = f.over({5: 5.0, 6: 6.0})
+        small = _lifted(5)
+        big = _lifted(5, 6)
         process.known = {}
 
         class Msg:
@@ -336,12 +352,11 @@ class TestPushPullReplies:
         # max_batch=2 puts ``known`` over the cap by the last request:
         # the reply is then its first ``cap`` entries.
         process = self._process(max_batch=2)
-        f = AverageAggregate()
         requests = [
-            GossipBatch(1, ((3, f.lift(3, 3.0)),)),
-            GossipBatch(1, ((3, f.lift(3, 3.0)),)),   # nothing new
-            GossipBatch(1, ((8, f.lift(8, 8.0)),)),
-            GossipBatch(1, ((8, f.lift(8, 8.0)),)),
+            GossipBatch(1, ((3, _lifted(3)),)),
+            GossipBatch(1, ((3, _lifted(3)),)),   # nothing new
+            GossipBatch(1, ((8, _lifted(8)),)),
+            GossipBatch(1, ((8, _lifted(8)),)),
         ]
         ctx = _SendLog()
         for request in requests:
@@ -357,12 +372,11 @@ class TestPushPullReplies:
 
     def test_request_is_answered_before_it_is_absorbed(self):
         process = self._process()
-        f = AverageAggregate()
         answers = []
         changed = process.absorb_payloads(
-            [GossipBatch(1, ((3, f.lift(3, 3.0)),)),
-             GossipValue(1, 8, f.lift(8, 8.0)),
-             GossipBatch(1, ((3, f.lift(3, 3.0)),))],
+            [GossipBatch(1, ((3, _lifted(3)),)),
+             GossipValue(1, 8, _lifted(8)),
+             GossipBatch(1, ((3, _lifted(3)),))],
             0, answers,
         )
         assert changed
@@ -372,19 +386,18 @@ class TestPushPullReplies:
 
     def test_only_current_phase_requests_are_answered(self):
         process = self._process()
-        f = AverageAggregate()
         key = SubtreeId(2, 1)
         answers = []
         process.absorb_payloads(
-            [GossipBatch(1, ((3, f.lift(3, 3.0)),), reply=True),
-             GossipBatch(2, ((key, f.over({5: 5.0})),)),
-             GossipValue(1, 8, f.lift(8, 8.0)),
+            [GossipBatch(1, ((3, _lifted(3)),), reply=True),
+             GossipBatch(2, ((key, _lifted(5)),)),
+             GossipValue(1, 8, _lifted(8)),
              "garbage"],
             0, answers,
         )
         assert answers == []
         # Nobody collecting, push-pull off, or a result already: silent.
-        request = GossipBatch(1, ((3, f.lift(3, 3.0)),))
+        request = GossipBatch(1, ((3, _lifted(3)),))
         assert process.absorb_payloads([request], 0) is False
         process.params = GossipParams()
         process.absorb_payloads([request], 0, answers)
@@ -395,7 +408,7 @@ class TestPushPullReplies:
 
     def test_deduped_delivery_still_counts_and_still_pulls(self):
         process = self._process()
-        request = GossipBatch(1, ((3, AverageAggregate().lift(3, 3.0)),))
+        request = GossipBatch(1, ((3, _lifted(3)),))
         ctx = _SendLog()
         process.on_message(ctx, _From(3, request))
         known, version = dict(process.known), process._known_version
@@ -421,10 +434,9 @@ class TestPushPullReplies:
             pass
 
         process = self._process()
-        f = AverageAggregate()
-        novel = Tracked(1, ((3, f.lift(3, 3.0)),))
+        novel = Tracked(1, ((3, _lifted(3)),))
         repeat = Tracked(1, tuple(process.known.items()))
-        later = Tracked(2, ((SubtreeId(2, 1), f.over({5: 5.0})),))
+        later = Tracked(2, ((SubtreeId(2, 1), _lifted(5)),))
         refs = [weakref.ref(batch) for batch in (novel, repeat, later)]
         process.absorb_payloads([novel, repeat, later], 0, [])
         del novel, repeat, later
@@ -432,10 +444,85 @@ class TestPushPullReplies:
         assert 3 in process.known and 2 in process._future
 
     def test_instance_attribute_count_is_pinned(self):
-        # CPython keeps up to 30 instance attributes inline; one more
-        # moves every member to a dict and costs ~40% of group setup.
-        # A new memo belongs in an existing record (``_batch_cache``).
-        assert len(vars(self._process())) <= 30
+        # CPython 3.11 keeps up to 29 instance attributes inline; one
+        # more moves every member to a dict and costs ~40% of group
+        # setup.  A new memo belongs in an existing record
+        # (``_batch_cache``).
+        assert len(vars(self._process())) <= 29
+
+
+class TestStructuralAdmission:
+    """A receiver stores only what its hierarchy places under a key."""
+
+    def _process(self, member=7, boxes=None):
+        votes, function, assignment = _figure1_world(boxes=boxes)
+        process = HierarchicalGossipProcess(
+            member, votes[member], function, assignment, tuple(votes),
+            GossipParams(),
+        )
+        process.on_start(_CTX)
+        return process
+
+    def test_phase1_takes_a_box_mate_at_its_own_rank(self):
+        process = self._process()
+        process.absorb_payloads([GossipBatch(1, (
+            (3, _lifted(8)),        # 8's vote re-keyed as box mate 3
+            (5, _lifted(5)),        # a genuine vote from another box
+            (9, AggregateState((9.0, 1), IntervalMask.single(8))),  # Sybil
+            (8, _lifted(8, 3)),     # a box mate's key over two ranks
+        ))], 0)
+        assert list(process.known) == [7] and process.refused == 4
+        process.absorb_payloads([GossipValue(1, 3, _lifted(3))], 0)
+        assert list(process.known) == [7, 3] and process.refused == 4
+
+    def test_later_phases_take_a_child_inside_its_rank_range(self):
+        process = self._process()
+        process.phase = 2  # subtree (1, 0): children (2, 0) and (2, 1)
+        process.known = {}
+        process.absorb_payloads([GossipBatch(2, (
+            (SubtreeId(2, 2), _lifted(2, 4)),   # a cousin, not a child
+            (SubtreeId(1, 0), _lifted(5)),      # the wrong height
+            (SubtreeId(2, 1), _lifted(5, 2)),   # a rank outside box 1
+            ((2, 1), _lifted(5)),               # not a SubtreeId
+            (5, _lifted(5)),                    # a member key in phase 2
+        ))], 0)
+        assert process.known == {} and process.refused == 5
+        process.absorb_payloads(
+            [GossipValue(2, SubtreeId(2, 1), _lifted(6))], 0
+        )
+        assert list(process.known) == [SubtreeId(2, 1)]
+
+    def test_an_unoccupied_child_admits_nothing(self):
+        # Box 3 left empty: 1 moves into box 2.
+        boxes = {7: 0, 3: 0, 8: 0, 6: 1, 5: 1, 2: 2, 4: 2, 1: 2}
+        process = self._process(member=2, boxes=boxes)
+        assert SubtreeId(2, 3) not in process._expected_keys(2)
+        stray = AggregateState((1.0, 1), IntervalMask.single(7))
+        process.absorb_payloads([GossipValue(2, SubtreeId(2, 3), stray)], 0)
+        assert process._future == {} and process.refused == 1
+
+    def test_the_future_buffer_is_bounded(self):
+        """10 000 forged future-phase keys and a phase past the last
+        leave at most K entries per buffered phase."""
+        process = self._process()
+        k = process.assignment.hierarchy.k
+        whole = _lifted(*range(1, 9))
+        forged = []
+        for index in range(10_000):
+            phase = 2 + index % 2
+            key = SubtreeId(4 - phase, index // 2)
+            forged.append(GossipValue(phase, key, whole))
+        forged.append(GossipValue(process.num_phases + 1, SubtreeId(0, 0),
+                                  whole))
+        process.absorb_payloads(forged, 0)
+        assert set(process._future) <= {2, 3}
+        assert all(len(held) <= k for held in process._future.values())
+        assert process.refused == len(forged)
+        # A genuine child aggregate still finds its place.
+        process.absorb_payloads(
+            [GossipValue(3, SubtreeId(1, 1), _lifted(2, 4, 1))], 0
+        )
+        assert list(process._future[3]) == [SubtreeId(1, 1)]
 
 
 class TestExpectedKeys:

@@ -513,25 +513,73 @@ class TestNodeDropsBadFrames:
         )
         node.started = True
         node.process.on_start(node.ctx)
+        # N=4, K=4: member 2 is node 0's one box mate.
+        rank = node.process.assignment.rank_of(2)
+        assert node.process._expected_keys(1) == {0, 2}
 
         def gossip(members):
             return encode(Gossip(
-                src=1, sent_round=0,
+                src=2, sent_round=0,
                 payload=GossipBatch(phase=1, entries=(
-                    (1, _state((5.0, 1), {1})),
                     (2, _state((5.0, len(members)), members)),
                 )),
             ))
 
-        node.datagram_received(gossip({3}), ("x", 1))  # last rank: fine
-        assert node.stats.frames_rejected == 0
-        assert 2 in node.process.known
         node.datagram_received(gossip({4}), ("x", 1))  # no such rank
-        node.datagram_received(gossip({2, 3, 4, 5}), ("x", 1))
+        node.datagram_received(gossip({1, 2, 3, 4}), ("x", 1))
+        assert node.stats.frames_rejected == node.process.refused == 2
+        assert list(node.process.known) == [0]
+        node.datagram_received(gossip({rank}), ("x", 1))  # 2's own vote
         assert node.stats.frames_rejected == 2
+        assert 2 in node.process.known
         rejected = registry.snapshot()["metrics"][
             "repro_net_rx_rejected_total"]["samples"]
         assert [sample["value"] for sample in rejected] == [2]
+
+    def test_a_rekeyed_duplicate_is_refused_and_the_mean_stays_exact(
+        self, monkeypatch
+    ):
+        """A box mate's vote re-presented under another box mate's key
+        names only ranks inside the group, and used to be admitted: the
+        member's phase-1 compose then counted that vote twice and its
+        tick raised ``DoubleCountError``."""
+        from repro.core.gridbox import shared_dense_assignment
+        from repro.core.hashing import FairHash
+        from repro.net.loopback import (
+            LoopbackRouter,
+            loopback_address,
+            run_loopback_group,
+        )
+        from repro.net.node import NodeConfig, make_votes
+
+        assignment = shared_dense_assignment(16, 4, 16, FairHash(salt=0))
+        # N=16, K=4: node 0 shares its box with 2 and 6 (and 8, 12).
+        assert {0, 2, 6} <= set(assignment.members_of_box(
+            assignment.box_of(0)))
+        vote = make_votes(NodeConfig(node_id=0, group_size=16))[6]
+        forged = encode(Gossip(src=2, sent_round=0, payload=GossipBatch(
+            phase=1, entries=((2, AggregateState(
+                (vote, 1), IntervalMask.single(assignment.rank_of(6)),
+            )),),
+        )))
+        take = LoopbackRouter.take
+
+        def take_with_forgery(router):
+            batch = take(router)
+            if batch and not sent:
+                # Ahead of the first gossip, before 2's genuine vote.
+                sent.append(forged)
+                batch.insert(0, (forged, loopback_address(0),
+                                 loopback_address(2)))
+            return batch
+
+        sent: list[bytes] = []
+        monkeypatch.setattr(LoopbackRouter, "take", take_with_forgery)
+        report = run_loopback_group(16, k=4, seed=0)
+        assert sent and report.converged
+        assert report.net["frames_rejected"] == 1
+        assert report.report.per_member[0] == 1.0
+        assert report.estimates[0] == pytest.approx(report.true_value)
 
 
 class TestNodeKeepsNoPayload:
@@ -565,12 +613,13 @@ class TestNodeKeepsNoPayload:
         )
         node.started = True
         node.process.on_start(node.ctx)
-        frame = encode(Gossip(src=1, sent_round=0, payload=GossipBatch(
-            phase=1, entries=((1, _state((5.0, 1), {1})),),
+        # N=4, K=4: member 2 is node 0's box mate, at rank 2.
+        frame = encode(Gossip(src=2, sent_round=0, payload=GossipBatch(
+            phase=1, entries=((2, _state((5.0, 1), {2})),),
         )))
         for __ in range(3):
             node.datagram_received(frame, ("x", 1))
-        assert node.stats.rx["gossip"] == 3 and 1 in node.process.known
+        assert node.stats.rx["gossip"] == 3 and 2 in node.process.known
         assert [ref() for ref in refs] == [None, None, None]
 
 

@@ -175,14 +175,24 @@ class TestOneLedger:
         return node, sent
 
     @staticmethod
-    def _gossip(members):
+    def _gossip(node, members=None):
+        """A phase-1 batch keyed by a box mate of ``node``: the mate's
+        own vote, or a state over ``members``."""
         from repro.core.aggregates import AggregateState
         from repro.core.messages import GossipBatch
         from repro.net.codec import Gossip, encode
 
+        assignment = node.process.assignment
+        mate = next(
+            member for member in assignment.members_of_box(
+                assignment.box_of(node.config.node_id)
+            ) if member != node.config.node_id
+        )
+        if members is None:
+            members = {assignment.rank_of(mate)}
         return encode(Gossip(src=1, sent_round=0, payload=GossipBatch(
             phase=1,
-            entries=((1, AggregateState((5.0, len(members)), members)),),
+            entries=((mate, AggregateState((5.0, len(members)), members)),),
         )))
 
     def test_every_reader_agrees_on_a_mixed_frame_sequence(self):
@@ -200,7 +210,7 @@ class TestOneLedger:
 
         node.seeds = (peer,)
         node.tick()  # book incomplete: one join, no round
-        rx(self._gossip({1}))  # valid, but the process has not started
+        rx(self._gossip(node))  # valid, but the process has not started
         rx(encode(Join(node_id=1, host=peer[0], port=peer[1])))  # welcomed
         rx(encode(Join(node_id=100_000, host="h", port=1)))  # no such id
         rx(encode(Welcome(book={2: ("127.0.0.1", 9002)})))
@@ -212,8 +222,8 @@ class TestOneLedger:
             rx(encode(Ping(src=src)))
         node.started = True
         node.process.on_start(node.ctx)
-        rx(self._gossip({1}))  # valid, delivered
-        rx(self._gossip({100_000}))  # coverage past the group
+        rx(self._gossip(node, {100_000}))  # coverage past the group
+        rx(self._gossip(node))  # valid, delivered
         forged = AggregateState(
             (1.0, 40_000), IntervalMask(range(0, 80_000, 2))
         )
@@ -250,7 +260,8 @@ class TestOneLedger:
         assert stats.rx == {
             "gossip": 3, "join": 2, "welcome": 1, "ping": 5, "pong": 5,
         }
-        assert stats.frames_rejected == 3  # two undecodable + coverage
+        assert stats.frames_rejected == 3  # two undecodable + refused
+        assert node.process.refused == 1
         assert stats.gossip_dropped_unstarted == 1
         assert stats.frames_oversize == 1
         assert stats.sends_rejected >= 1

@@ -280,9 +280,9 @@ class TestPlantedDoubleCountInProtocol:
 
         def planted_on_start(ctx):
             # A buggy protocol implementation re-admitting its own vote
-            # under a second key: classic double count.
+            # under a box mate's key: classic double count.
             original_on_start(ctx)
-            target.known["planted"] = target.own_state()
+            target.known[3] = target.own_state()
 
         target.on_start = planted_on_start
         engine = make_engine(
