@@ -23,6 +23,13 @@ lift at the member id.  The mask is part of the state a deployment
 ships (:mod:`repro.net.codec` puts it on the wire); the simulated
 network models still charge for the payload only (see
 :meth:`AggregateState.wire_size`).
+
+A fixed-width payload also has a *column form* (:attr:`AggregateFunction
+.columns`): one numpy array per payload scalar, many states side by
+side, combined by :meth:`AggregateFunction.combine_columns` with exactly
+the scalar operations of the combiner, so a column fold is bit-identical
+to :meth:`AggregateFunction.merge_all`'s.  The array stepper composes
+that way.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any
+
+import numpy as np
 
 from repro.core.intervals import IntervalMask
 
@@ -53,6 +62,7 @@ __all__ = [
     "AnyAggregate",
     "AllAggregate",
     "get_aggregate",
+    "AGGREGATE_NAMES",
     "AGGREGATE_REGISTRY",
     "clear_mask_union_cache",
 ]
@@ -146,6 +156,11 @@ class AggregateFunction:
     #: Registry name; subclasses override.
     name = "abstract"
 
+    #: The payload's column form: one numpy dtype per payload scalar, in
+    #: payload order (a one-column payload is the bare scalar); empty
+    #: for no fixed width — states then compose as objects.
+    columns: tuple[str, ...] = ()
+
     # -- payload algebra (subclass responsibility) -----------------------
     def _lift(self, vote: float) -> Any:
         raise NotImplementedError
@@ -208,6 +223,44 @@ class AggregateFunction:
         """Extract the function value from a partial aggregate."""
         return self._finalize(state.payload)
 
+    # -- column form (aggregates that declare ``columns``) -----------------
+    def combine_columns(self, a: list, b: list) -> list:
+        """:meth:`_combine` on columns: ``a[i]`` and ``b[i]`` hold the
+        ``i``-th payload scalar of many states.  The default runs
+        :meth:`_combine` itself, whose arithmetic is elementwise on
+        arrays; a combiner that compares overrides this."""
+        if len(a) == 1:
+            return [self._combine(a[0], b[0])]
+        return list(self._combine(tuple(a), tuple(b)))
+
+    def payload_columns(self, payloads: list) -> list:
+        """The payloads' scalars, one sequence per column."""
+        return [payloads] if len(self.columns) == 1 else list(zip(*payloads))
+
+    def column_payloads(self, columns: list) -> list:
+        """Column rows back as payloads of Python scalars."""
+        if len(columns) == 1:
+            return columns[0].tolist()
+        return list(zip(*(column.tolist() for column in columns)))
+
+    def fold_columns(self, table: list, ids, lengths) -> list:
+        """Fold row ``i``'s payloads — ids ``ids[i, :lengths[i]]`` into
+        the ``table`` columns — left to right, as :meth:`merge_all` does:
+        step ``j`` combines the running value of every row longer than
+        ``j`` with its ``j``-th payload.  No reassociation, so the bits
+        are the scalar fold's."""
+        folded = [column[ids[:, 0]] for column in table]
+        with np.errstate(all="ignore"):  # float arithmetic never warns
+            for step in range(1, int(lengths.max(initial=1))):
+                rows = np.flatnonzero(lengths > step)
+                values = self.combine_columns(
+                    [column[rows] for column in folded],
+                    [column[ids[rows, step]] for column in table],
+                )
+                for column, value in zip(folded, values):
+                    column[rows] = value
+        return folded
+
     def over(self, votes: dict[int, float]) -> AggregateState:
         """Directly aggregate a vote map (reference/oracle evaluation)."""
         return self.merge_all(
@@ -222,6 +275,7 @@ class SumAggregate(AggregateFunction):
     """Sum of votes."""
 
     name = "sum"
+    columns = ("f8",)
 
     def _lift(self, vote):
         return float(vote)
@@ -237,6 +291,7 @@ class CountAggregate(AggregateFunction):
     """Number of votes (member count — e.g. live-sensor census)."""
 
     name = "count"
+    columns = ("i8",)
 
     def _lift(self, vote):
         return 1
@@ -252,6 +307,7 @@ class AverageAggregate(AggregateFunction):
     """Arithmetic mean; payload is ``(sum, count)``."""
 
     name = "average"
+    columns = ("f8", "i8")
 
     def _lift(self, vote):
         return (float(vote), 1)
@@ -268,12 +324,16 @@ class MinAggregate(AggregateFunction):
     """Minimum vote."""
 
     name = "min"
+    columns = ("f8",)
 
     def _lift(self, vote):
         return float(vote)
 
     def _combine(self, a, b):
         return min(a, b)
+
+    def combine_columns(self, a, b):
+        return [np.where(b[0] < a[0], b[0], a[0])]  # min(a, b), NaN too
 
     def _finalize(self, payload):
         return payload
@@ -283,12 +343,16 @@ class MaxAggregate(AggregateFunction):
     """Maximum vote."""
 
     name = "max"
+    columns = ("f8",)
 
     def _lift(self, vote):
         return float(vote)
 
     def _combine(self, a, b):
         return max(a, b)
+
+    def combine_columns(self, a, b):
+        return [np.where(b[0] > a[0], b[0], a[0])]  # max(a, b), NaN too
 
     def _finalize(self, payload):
         return payload
@@ -298,6 +362,7 @@ class BoundsAggregate(AggregateFunction):
     """(min, max) envelope; finalizes to the range width."""
 
     name = "bounds"
+    columns = ("f8", "f8")
 
     def _lift(self, vote):
         vote = float(vote)
@@ -305,6 +370,12 @@ class BoundsAggregate(AggregateFunction):
 
     def _combine(self, a, b):
         return (min(a[0], b[0]), max(a[1], b[1]))
+
+    def combine_columns(self, a, b):
+        return [
+            np.where(b[0] < a[0], b[0], a[0]),
+            np.where(b[1] > a[1], b[1], a[1]),
+        ]
 
     def _finalize(self, payload):
         low, high = payload
@@ -326,6 +397,7 @@ class MeanVarianceAggregate(AggregateFunction):
     """
 
     name = "mean_variance"
+    columns = ("i8", "f8", "f8")
 
     def _lift(self, vote):
         return (1, float(vote), 0.0)
@@ -586,12 +658,16 @@ class AnyAggregate(AggregateFunction):
     """Logical OR over truthy votes (e.g. "any sensor over threshold?")."""
 
     name = "any"
+    columns = ("?",)
 
     def _lift(self, vote):
         return bool(vote)
 
     def _combine(self, a, b):
         return a or b
+
+    def combine_columns(self, a, b):
+        return [a[0] | b[0]]
 
     def _finalize(self, payload):
         return 1.0 if payload else 0.0
@@ -601,12 +677,16 @@ class AllAggregate(AggregateFunction):
     """Logical AND over truthy votes."""
 
     name = "all"
+    columns = ("?",)
 
     def _lift(self, vote):
         return bool(vote)
 
     def _combine(self, a, b):
         return a and b
+
+    def combine_columns(self, a, b):
+        return [a[0] & b[0]]
 
     def _finalize(self, payload):
         return 1.0 if payload else 0.0
@@ -627,6 +707,12 @@ AGGREGATE_REGISTRY: dict[str, type[AggregateFunction]] = {
     )
 }
 
+#: Every aggregate :func:`get_aggregate` builds from its name alone
+#: (``histogram`` needs its range, so it is not one of them).
+AGGREGATE_NAMES: tuple[str, ...] = tuple(sorted(
+    (*AGGREGATE_REGISTRY, TopKAggregate.name, DistinctCountAggregate.name)
+))
+
 
 def get_aggregate(name: str, **kwargs) -> AggregateFunction:
     """Instantiate a registered aggregate by name (CLI convenience)."""
@@ -639,9 +725,6 @@ def get_aggregate(name: str, **kwargs) -> AggregateFunction:
     try:
         cls = AGGREGATE_REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted([
-            *AGGREGATE_REGISTRY, HistogramAggregate.name,
-            TopKAggregate.name, DistinctCountAggregate.name,
-        ]))
+        known = ", ".join(AGGREGATE_NAMES)
         raise KeyError(f"unknown aggregate {name!r}; known: {known}") from None
     return cls(**kwargs)

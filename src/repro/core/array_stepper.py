@@ -6,90 +6,100 @@ round reads and writes as columns, one *row* per member.  The paper
 keeps per-member state constant — at most ``K`` child aggregates per
 phase (Section 6.3) — and a row is exactly that:
 
-* **Known values** — a row's current-phase ``known`` is a key *slot*
-  per value (phase 1: the member's hierarchy rank minus its box's first
-  rank; phase ``i > 1``: the child subtree's digit), the id of the value
-  in one run-wide table of :class:`~repro.core.aggregates.AggregateState`
-  objects (coverage count and wire size are columns of that table), and
-  the slots in insertion order.  Counts and ranges travel upward, never
-  member objects.
-* **Admission** (:meth:`~HierarchicalArrayStepper.admit`) — a delivered
-  chunk is admitted in *waves*: wave ``w`` takes the ``w``-th same-phase
-  arrival of every receiver at once.  That is ``absorb_payloads``'
-  sequential rule exactly: a past-phase value is ignored; per key a
-  strictly greater coverage wins (the first arrival, under
-  ``prefer_coverage=False``); a key keeps the position of its first
-  insertion; every same-phase arrival counts toward ``_phase_received``;
-  a push-pull answer is the receiver's row as it stood before the wave.
-* **Payloads** (:class:`RowSnapshots`) — a send block carries snapshots
-  of the sender rows, not ``GossipBatch`` objects.  A row over the batch
-  cap sends a Floyd subset drawn from its gossip stream after its target
-  draws; wire sizes are sums over the state-size column.
-* **Advance** — completion is an array test (every expected slot is
-  held and every held count covers that child's members), so the
-  process's own ``_maybe_advance`` runs only for rows that can bump, time
-  out or reach the final deadline.  Compose, phase events and sanitizer
-  checks stay the process's code.
+* **Known values** — per value a key *slot* (phase 1: hierarchy rank
+  minus the box's first rank; phase ``i > 1``: the child's digit), the
+  id of the value in one run-wide table of ``AggregateState`` objects
+  (coverage count, wire size and, for a fixed-width aggregate, the
+  payload scalars are columns of it), and the slots in insertion order.
+  Counts and ranges travel upward, never member objects.
+* **Admission** (:meth:`~HierarchicalArrayStepper.admit`) — wave ``w``
+  of a delivered chunk takes every receiver's ``w``-th same-phase
+  arrival: ``absorb_payloads``' rule side by side (strictly greater
+  coverage replaces, or first wins under ``prefer_coverage=False``; a
+  new key goes last; every arrival counts toward ``_phase_received``; a
+  push-pull answer is the row before its wave).  A future-phase arrival
+  goes to a columnar buffer — (row, phase, slot, state id) per entry.
+* **Payloads** (:class:`RowSnapshots`) — a send block carries sender
+  row snapshots; a row over the batch cap sends a Floyd subset drawn
+  after its target draws.
+* **Advance** (step II(b), :meth:`~HierarchicalArrayStepper._advance`)
+  — the process's bump-up rule in columns: a row bumps early when
+  complete outside the final phase, else at its timeout or the final
+  deadline unless adaptive deadlines extend it a round.  It composes — a
+  fixed-width aggregate as a column fold in insertion order, any other
+  by ``merge_all`` — with the held masks concatenated in slot order
+  (structural admission keeps children disjoint: no splice), then
+  finalises or enters the next phase: ``{own child: composed}``, pool,
+  key base and completion group from per-(phase, subtree) tables, its
+  buffer for that phase drained by the wave rule, and a second test in
+  the same round (the cascade).  Events go through the process's
+  emitters.
 
-**The process is a view.**  A row's ``known`` dict is made current
-(materialised) only where process code reads it — before
-``_maybe_advance`` and before the process's own admission — and read
-back when that code changed it, above all at a phase boundary.  In
-between, the dict is stale.  Admission has two shapes:
-
-* waves, for same-phase chunk arrivals — snapshots of rows that were
-  themselves admitted;
-* ``absorb_payloads`` on the materialised row, for future-phase
-  arrivals (they land in the phase buffer, which only the next phase
-  entry reads) and scalar ones (injections, per-message-planned sends:
-  objects from outside the block path, possibly forged).
-
-Structural admission (``absorb_payloads`` refuses any entry its
-hierarchy does not place under its key) means every held key has a
-slot.  While :data:`repro.sanitize.SCREEN` is armed the engine
-dispatches a chunk as its messages (``per_message``), so the screen
-inspects each entry in arrival order.
+**The process is a view.**  Phase, clock, extensions,
+``_phase_received``, ``known`` and future buffer are written back
+(:meth:`~HierarchicalArrayStepper._sync`) only before process code
+reads them — a scalar arrival (an injection, a per-message-planned
+send), admitted by ``absorb_payloads`` and read back — when a row
+finalises, and when the run ends.  Under the runtime sanitizer a
+bumping row composes through ``merge_all`` inside
+``sanitize.composing`` with the compose and phase-clock checks; while
+:data:`repro.sanitize.SCREEN` is armed the engine delivers chunks
+message by message (``per_message``).
 
 **Bit-identity argument.**  Per-member gossip streams are independent,
 so batching target draws across members never changes any member's
-values.  Within a member, the object engine draws targets first, then
-any batch-subset doubles — the stepper does the same.  Sends are
-assembled in member (row) order with picks in draw order, so the shared
-network loss stream is consumed in the object engine's exact send
-order.  Receivers never touch each other's state during delivery, so
-admitting them side by side in waves is admitting them one after the
-other; within a receiver the waves keep arrival order.  Running all
-sends before all advances is order-equivalent because a member's
-advance mutates only its own state and sends nothing: the one send a
-member makes outside its own gossip step is a push-pull reply, and on
-both engines that is planned during *delivery* — before any member
-steps.  Skipping ``_maybe_advance`` on a row that is neither complete,
-timed out nor at its deadline skips a call that returns without
-effect.  The cross-engine golden suite pins all of this.
+values; within a member, targets are drawn before batch-subset doubles,
+as the object engine does.  Sends are assembled in row order with picks
+in draw order, so the shared loss stream is consumed in the object
+engine's send order.  Receivers never touch each other's state during
+delivery, so waves are admission one receiver after the other.  An
+advance mutates only its own row and sends nothing (a push-pull reply
+is planned during delivery, on both engines), so advancing after all
+sends, and level by level — every row's first bump, then every
+cascading row's next — equals member by member.  The column fold runs
+the combiner's own scalar operations in fold order.  A buffer drained
+by the wave rule keeps per key the first value of greatest coverage, in
+first-arrival order: the process's buffer dict admitted over ``{own
+child: composed}``.  Events are emitted sorted by row, each row's in
+cascade order — the object engine's order.  The cross-engine suite pins
+this; ``tests/property/test_columnar_advance.py`` ties the advance to
+the process's own.
 
-Supported configurations — enforced by :meth:`bind` and summarized by
-:func:`unsupported_reason`: batch-mode hierarchical gossip.  Everything
-else (networks, failure models, chaos campaigns, partial views, start
-waves, phase sinks, push-pull, partial representation with final-phase
-retransmission, adaptive deadlines) is supported.
+Supported configurations (:meth:`bind`, :func:`unsupported_reason`):
+batch-mode hierarchical gossip, with any network, failure model, chaos
+campaign, view, start wave, phase sink or hardening knob.
 """
 
 from __future__ import annotations
 
 import weakref
+from operator import itemgetter
 
 import numpy as np
 
 import repro.sanitize as sanitize
+from repro.core.aggregates import AggregateState
 from repro.core.gridbox import SubtreeId
 from repro.core.hierarchical_gossip import (
     GossipParams,
     HierarchicalGossipProcess,
+    emit_bump,
+    emit_finalize,
+    emit_phase_enter,
+    is_representative,
 )
+from repro.core.intervals import IntervalMask
 from repro.core.messages import ID_SIZE, GossipBatch
+from repro.core.observe import format_subtree
 from repro.sim.sampling import BANK_BLOCK, SamplerBank
 
 __all__ = ["HierarchicalArrayStepper", "RowSnapshots", "unsupported_reason"]
+
+#: The process attributes a row keeps as columns, in ``_scalars`` order.
+_SCALARS = (
+    "phase", "phase_rounds", "_phase_extension", "_deadline_extension",
+    "_phase_received", "start_round",
+)
 
 #: Own-index sentinel for members whose pool already excludes them
 #: (partial views): no pick ever reaches it, so no shift is applied.
@@ -183,7 +193,6 @@ class HierarchicalArrayStepper:
 
     def __init__(self) -> None:
         self._procs: list[HierarchicalGossipProcess] = []
-        self._ctx = None
         self._bank: SamplerBank | None = None
         self._ready = False
 
@@ -207,18 +216,20 @@ class HierarchicalArrayStepper:
                 proc.params is not first.params
                 or proc.assignment is not first.assignment
                 or proc.rounds_per_phase != first.rounds_per_phase
+                or type(proc.function) is not type(first.function)
             ):
                 raise ValueError(
                     "array stepping requires a homogeneous group "
-                    "(shared GossipParams and hierarchy)"
+                    "(shared GossipParams, hierarchy and aggregate)"
                 )
         n = len(procs)
         params = first.params
         assignment = first.assignment
         hierarchy = assignment.hierarchy
         self._procs = procs
-        self._ctx = engine._ctx
-        self._assignment = assignment
+        self._ids = engine.row_ids
+        self._members = max(1, len(assignment.member_ids))
+        self._hierarchy = hierarchy
         self._rank_of = assignment.rank_of
         self._by_rank = assignment.members_by_rank()
         self._k = hierarchy.k
@@ -231,43 +242,54 @@ class HierarchicalArrayStepper:
         self._rpp = first.rounds_per_phase
         self._num_phases = first.num_phases
         self._deadline = self._num_phases * self._rpp
-        self._phase = np.ones(n, dtype=np.int64)
-        self._phase_rounds = np.zeros(n, dtype=np.int64)
-        self._start_round = np.fromiter(
-            (p.start_round for p in procs), dtype=np.int64, count=n
-        )
-        self._spread = bool((self._start_round > 0).any())
+        self._adaptive = params.adaptive_deadlines
+        self._budget = params.extension_budget(self._rpp)
+        self._function = first.function
+        self._sinks = any(proc.phase_sink is not None for proc in procs)
+        #: Per row, as its process has them (``_SCALARS``): phase, clock,
+        #: the rounds this phase and all phases borrowed under adaptive
+        #: deadlines, this phase's arrivals, and the first round.
+        self._scalars = np.zeros((len(_SCALARS), n), dtype=np.int64)
+        (self._phase, self._phase_rounds, self._pext, self._dext,
+         self._recv, self._start_round) = self._scalars
+        self._spread = False
         #: Per-row ``_is_representative()`` of the current phase, and the
         #: final-phase rounds at which sidelined members send anyway.
-        self._all_rep = params.representative_fraction >= 1.0
+        self._fraction = params.representative_fraction
+        self._all_rep = self._fraction >= 1.0
         self._is_rep = np.ones(n, dtype=bool)
         self._retransmit_rounds = sorted(first._retransmit_rounds)
-        # Flattened gossipee pools: members of one subtree share one
-        # pool tuple (the assignment caches them), so each distinct
-        # tuple is materialized once into ``_pool_data`` and rows point
-        # at its segment.  The segment dict pins the tuples, keeping
-        # ``id`` keys sound.
+        # The hierarchy as arrays: every member's box in the assignment's
+        # member order (its subtree pools list members in that order),
+        # each row's place in it, and the first rank of every box.
+        self._member_ids = np.asarray(assignment.member_ids, dtype=np.int64)
+        self._member_boxes = np.fromiter(
+            (assignment.box_of(m) for m in assignment.member_ids),
+            dtype=np.int64, count=len(self._member_ids),
+        )
+        by_id = np.argsort(self._member_ids, kind="stable")
+        self._member_index = by_id[
+            np.searchsorted(self._member_ids[by_id], self._ids)
+        ]
+        self._box = self._member_boxes[self._member_index]
+        box_sizes = np.bincount(
+            self._member_boxes, minlength=hierarchy.num_boxes
+        )
+        self._rank_start = np.concatenate(([0], np.cumsum(box_sizes)))
+        self._box_start = self._rank_start[self._box]
+        self._whole_view = np.fromiter(
+            (proc._complete_view for proc in procs), dtype=bool, count=n
+        )
+        # Flattened gossipee pools: a complete view's pool is a segment
+        # of its phase's table (every subtree's members in assignment
+        # order); a partial view's is copied in at each phase entry.
         self._pool_offset = np.zeros(n, dtype=np.int64)
         self._pool_size = np.zeros(n, dtype=np.int64)  # excludes self
         self._own_index = np.full(n, _NO_SELF, dtype=np.int64)
         self._pool_data = np.empty(max(1024, 2 * n), dtype=np.int64)
         self._pool_used = 0
-        self._segments: dict[int, tuple[int, tuple]] = {}
-        # Each row's grid box and the box's first rank (the phase-1 key
-        # base); the largest box bounds the phase-1 slots.
-        spans: dict[int, range] = {}
-        self._box: list[int] = []
-        self._box_start: list[int] = []
-        for proc in procs:
-            box = assignment.box_of(proc.node_id)
-            ranks = spans.get(box)
-            if ranks is None:
-                ranks = spans[box] = assignment.subtree_rank_range(
-                    SubtreeId(hierarchy.digits, box)
-                )
-            self._box.append(box)
-            self._box_start.append(ranks.start)
-        width = max(self._k, max(map(len, spans.values())))
+        self._phase_tables: dict[int, tuple] = {}
+        width = max(self._k, int(box_sizes.max()))
         #: Entries a snapshot row can hold (batch cap, bounded by slots).
         self._cols = min(self._cap, width)
         # The columnar ``known``: per row and slot a state id (0 = not
@@ -276,32 +298,40 @@ class HierarchicalArrayStepper:
         self._sid = np.zeros((n, width), dtype=np.int32)
         self._order = np.zeros((n, width), dtype=np.min_scalar_type(width))
         self._held = np.zeros(n, dtype=np.int32)
-        self._base = np.zeros(n, dtype=np.int32)
+        self._base = np.zeros(n, dtype=np.int64)
         #: The process's ``known`` dict equals the row.
         self._synced = np.zeros(n, dtype=bool)
         #: The row changed since its last completion test.
         self._touched = np.zeros(n, dtype=bool)
-        #: Same-phase arrivals not yet added to ``_phase_received``.
-        self._received = np.zeros(n, dtype=np.int32)
         # The run-wide state table; id 0 is "no state".  A state stays
-        # until a sweep (:meth:`_sweep`) finds no row or queued table
-        # naming its id.
+        # until a sweep (:meth:`_sweep`) finds no row, buffer entry or
+        # queued table naming its id.
         self._states: list = [None]
         self._scount = np.zeros(max(1024, 2 * n), dtype=np.int32)
         self._ssize = np.zeros(max(1024, 2 * n), dtype=np.int32)
+        self._pay = [
+            np.zeros(max(1024, 2 * n), dtype=dtype)
+            for dtype in self._function.columns
+        ]
         self._free: list[int] = []
         #: Payload tables built and not yet dropped by the engine.
         self._tables: list[weakref.ref] = []
         #: Registrations left before the next sweep.
         self._sweep_in = max(1024, n // 2)
+        #: The future buffer: (row, phase, slot, state id) per entry, in
+        #: arrival order, and the entries each row has in it.
+        self._future = np.zeros((1024, 4), dtype=np.int64)
+        self._future_used = 0
+        self._future_count = np.zeros(n, dtype=np.int64)
         self._key_cache: dict[tuple[int, int], tuple] = {}
-        # Completion groups: one per shared expected-key set, as a slot
-        # mask and the coverage each slot's child needs.
-        self._group = np.zeros(n, dtype=np.int32)
-        self._groups: dict[tuple, int] = {}
-        self._group_pins: list[frozenset] = []
-        self._group_expected = np.zeros((64, width), dtype=bool)
-        self._group_need = np.zeros((64, width), dtype=np.int32)
+        self._full_masks: dict[tuple[int, int], IntervalMask] = {}
+        self._labels: dict[tuple[int, int], str] = {}
+        # Completion groups: one per complete-view (phase, subtree) and
+        # per partial-view phase entry, as the coverage each slot needs —
+        # at least 1 where a value is expected, else 0.
+        self._group = np.zeros(n, dtype=np.int64)
+        self._group_count = 0
+        self._need = np.zeros((64, width), dtype=np.int32)
         self._ready = False
         rngs = engine.rngs
         self._bank = SamplerBank(
@@ -312,34 +342,41 @@ class HierarchicalArrayStepper:
     def _begin(self) -> None:
         """Read every process into its row (``on_start`` has run)."""
         self._ready = True
-        self._enter(list(range(len(self._procs))))
+        procs = self._procs
+        for column, name in zip(self._scalars, _SCALARS):
+            column[:] = [getattr(proc, name) for proc in procs]
+        self._spread = bool((self._start_round > 0).any())
+        rows = np.arange(len(procs))
+        self._place(rows)
+        self._load(rows.tolist())
+        for row, proc in enumerate(procs):
+            if any(proc._future.values()):
+                self._rebuffer(row)
+
+    def finish(self, engine) -> None:
+        """The run ended: write every unfinished row back into its
+        process (finished ones were written when they finalised)."""
+        if self._ready:
+            self._sync(np.flatnonzero(~engine.terminated_rows))
 
     # -- rows and the state table ---------------------------------------
-    def _intern_pool(self, pool: tuple) -> int:
-        """Segment offset of ``pool`` in the flat table (interned)."""
-        segment = self._segments.get(id(pool))
-        if segment is not None:
-            return segment[0]
-        size = len(pool)
+    def _add_pool(self, members) -> int:
+        """Offset of ``members`` appended to the flat pool table."""
         used = self._pool_used
-        data = self._pool_data
-        if used + size > len(data):
-            grown = np.empty(
-                max(2 * len(data), used + size), dtype=np.int64
-            )
-            grown[:used] = data[:used]
-            self._pool_data = data = grown
-        data[used:used + size] = pool
-        self._pool_used = used + size
-        self._segments[id(pool)] = (used, pool)
+        self._pool_used += len(members)
+        self._pool_data = _room(self._pool_data, self._pool_used)
+        self._pool_data[used:self._pool_used] = members
         return used
 
-    def _register(self, states: list) -> list[int]:
+    def _register(self, states: list, columns=None) -> list[int]:
         """Table ids for ``states`` (one new id each, freed ids first).
 
         A state loaded twice gets two ids: admission compares coverage
-        counts, and both ids read back as the same object.
+        counts, and both ids read back as the same object.  ``columns``
+        are the payload columns of states the stepper composed.
         """
+        if not states:
+            return []
         table = self._states
         free = self._free
         reused = free[max(0, len(free) - len(states)):]
@@ -352,7 +389,17 @@ class HierarchicalArrayStepper:
         self._scount = _room(self._scount, len(table))
         self._ssize = _room(self._ssize, len(table))
         self._scount[sids] = [state.members.count for state in states]
-        self._ssize[sids] = [state.wire_size() for state in states]
+        if columns is None:
+            self._ssize[sids] = [state.wire_size() for state in states]
+            if self._pay:
+                columns = self._function.payload_columns(
+                    [state.payload for state in states]
+                )
+        else:
+            self._ssize[sids] = states[0].wire_size()  # fixed width
+        for index, values in enumerate(columns or ()):
+            self._pay[index] = _room(self._pay[index], len(table))
+            self._pay[index][sids] = values
         self._sweep_in -= len(states)
         return sids
 
@@ -365,14 +412,15 @@ class HierarchicalArrayStepper:
     def _sweep(self, engine) -> None:
         """Free the table states that nothing can read any more.
 
-        A state id is read from a row of a live member and from a
-        payload table still queued (or being delivered); every other id
-        is dropped, so the table holds about what the object engine's
-        ``known`` dicts and payloads would.
+        A state id is read from a row of a live member, from the future
+        buffer and from a payload table still queued (or being
+        delivered); every other id is dropped, so the table holds about
+        what the object engine's ``known`` dicts and payloads would.
         """
         states = self._states
         live = np.zeros(len(states), dtype=bool)
         live[self._sid[~engine.terminated_rows]] = True
+        live[self._future[:self._future_used, 3]] = True
         tables = []
         for ref in self._tables:
             table = ref()
@@ -406,89 +454,104 @@ class HierarchicalArrayStepper:
         (admission placed it in the row's box or subtree)."""
         return (self._rank_of(key) if phase == 1 else key[1]) - base
 
-    def _group_of(
-        self, proc: HierarchicalGossipProcess, phase: int, base: int,
-    ) -> int:
-        """Completion group of a member entering ``phase``.
+    def _base_of(self, row: int, phase: int) -> int:
+        """The key base of ``row``'s phase-``phase`` slots."""
+        if phase == 1:
+            return int(self._box_start[row])
+        return int(self._box[row]) // self._k ** (phase - 1) * self._k
 
-        A complete view expects every member of its box / every occupied
-        child of its subtree, which ``(phase, base)`` names; a partial
-        view brings its own expected-key set.
-        """
-        key: tuple = (
-            (phase, base) if proc._complete_view
-            else ("view", id(proc._expected_keys(phase)))
-        )
-        group = self._groups.get(key)
-        if group is not None:
-            return group
-        expected = proc._expected_keys(phase)
-        group = self._groups[key] = len(self._group_pins)
-        self._group_pins.append(expected)
-        self._group_expected = _room(self._group_expected, group + 1)
-        self._group_need = _room(self._group_need, group + 1)
-        mask = self._group_expected[group]
-        mask[:] = False
-        # Expected keys are box members or child subtrees: all slotted.
-        mask[[self._slot_of(phase, base, key) for key in expected]] = True
-        need = self._group_need[group]
-        need[:] = 0
-        if phase > 1 and proc._complete_view:
-            members_in = self._assignment.members_in_subtree
-            for digit, child in enumerate(self._keys(phase, base)):
-                need[digit] = len(members_in(child))
-        return group
+    def _new_groups(self, count: int) -> int:
+        """The first of ``count`` fresh completion groups."""
+        first = self._group_count
+        self._group_count += count
+        self._need = _room(self._need, first + count)
+        self._need[first:first + count] = 0
+        return first
 
-    def _enter(self, rows: list[int]) -> None:
-        """Resync rows whose process entered a phase (or at the start)."""
-        procs = self._procs
+    def _phase_table(self, phase: int) -> tuple:
+        """Per subtree of ``phase``, for complete views: pool offset and
+        member count, every row's index in its pool, and the first
+        completion group (subtree ``v`` has group ``first + v``).  A pool
+        lists members in ``members_in_subtree``'s order, as the process's
+        does."""
+        table = self._phase_tables.get(phase)
+        if table is not None:
+            return table
         k = self._k
-        phases, rounds, offsets, sizes, owns, reps, bases, groups = (
-            [], [], [], [], [], [], [], []
+        subtree = self._member_boxes // k ** (phase - 1)
+        count = self._hierarchy.num_boxes // k ** (phase - 1)
+        order = np.argsort(subtree, kind="stable")
+        sizes = np.bincount(subtree, minlength=count)
+        starts = np.cumsum(sizes) - sizes
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order)) - np.repeat(starts, sizes)
+        first = self._new_groups(count)
+        need = self._need[first:first + count]
+        if phase == 1:  # every box member's vote
+            need[:] = np.arange(need.shape[1]) < sizes[:, None]
+        else:  # every occupied child, at its whole member count
+            need[:, :k] = np.bincount(
+                self._member_boxes // k ** (phase - 2), minlength=count * k
+            ).reshape(count, k)
+        table = self._phase_tables[phase] = (
+            self._add_pool(self._member_ids[order]) + starts, sizes,
+            position[self._member_index], first,
         )
-        for row in rows:
-            proc = procs[row]
-            phase = proc.phase
-            pool, own_index = proc._peers_for_phase(phase)
-            offsets.append(self._intern_pool(pool))
-            if own_index is None:
-                owns.append(_NO_SELF)
-                sizes.append(len(pool))
-            else:
-                owns.append(own_index)
-                sizes.append(len(pool) - 1)
-            phases.append(phase)
-            rounds.append(proc.phase_rounds)
-            reps.append(self._all_rep or proc._is_representative())
-            if phase == 1:
-                base = self._box_start[row]
-            else:
-                base = self._box[row] // k ** (phase - 1) * k
-            bases.append(base)
-            groups.append(self._group_of(proc, phase, base))
-        index = np.asarray(rows, dtype=np.int64)
-        self._pool_offset[index] = offsets
-        self._pool_size[index] = sizes
-        self._own_index[index] = owns
-        self._phase[index] = phases
-        self._phase_rounds[index] = rounds
-        self._is_rep[index] = reps
-        self._base[index] = bases
-        self._group[index] = groups
-        self._load(rows, phases, bases)
+        return table
 
-    def _load(self, rows: list[int], phases=None, bases=None) -> None:
+    def _place(self, rows: np.ndarray) -> None:
+        """Phase-entry columns of ``rows`` (their phase is set): key base,
+        gossipee pool, completion group and representative role — per
+        (phase, subtree) from the hierarchy's tables for complete views,
+        from each partial view's own lookups otherwise."""
+        k = self._k
+        phases = self._phase[rows]
+        for phase in np.unique(phases).tolist():
+            at = rows[phases == phase]
+            width = k ** (phase - 1)
+            subtree = self._box[at] // width
+            self._base[at] = (
+                self._box_start[at] if phase == 1 else subtree * k
+            )
+            whole = self._whole_view[at]
+            if whole.any():
+                offsets, sizes, position, first = self._phase_table(phase)
+                rows_in, subtree = at[whole], subtree[whole]
+                self._pool_offset[rows_in] = offsets[subtree]
+                self._pool_size[rows_in] = sizes[subtree] - 1
+                self._own_index[rows_in] = position[rows_in]
+                self._group[rows_in] = first + subtree
+            for row, base in zip(
+                at[~whole].tolist(), self._base[at[~whole]].tolist()
+            ):
+                # A partial view: its own pool (without itself) and
+                # expected keys — box members or child subtrees, slotted.
+                proc = self._procs[row]
+                pool, __ = proc._peers_for_phase(phase)
+                self._pool_offset[row] = self._add_pool(pool)
+                self._pool_size[row] = len(pool)
+                group = self._group[row] = self._new_groups(1)
+                self._need[group][[
+                    self._slot_of(phase, base, key)
+                    for key in proc._expected_keys(phase)
+                ]] = 1
+            if not self._all_rep:
+                self._is_rep[at] = [
+                    is_representative(member, phase, self._fraction)
+                    for member in self._ids[at].tolist()
+                ]
+
+    def _load(self, rows: list[int]) -> None:
         """Read these rows' ``known`` dicts into their columns."""
-        if phases is None:
-            phases = self._phase[rows].tolist()
-            bases = self._base[rows].tolist()
         procs = self._procs
         at_row: list[int] = []
         at_pos: list[int] = []
         at_slot: list[int] = []
         at_state: list = []
         held: list[int] = []
-        for row, phase, base in zip(rows, phases, bases):
+        for row, phase, base in zip(
+            rows, self._phase[rows].tolist(), self._base[rows].tolist()
+        ):
             known = procs[row].known
             slots = [self._slot_of(phase, base, key) for key in known]
             held.append(len(slots))
@@ -506,9 +569,9 @@ class HierarchicalArrayStepper:
         self._touched[index] = True
 
     def _sync(self, rows: np.ndarray) -> None:
-        """Make these rows' processes current before their own code
-        reads them: ``known`` rebuilt from the row where it changed,
-        the row's same-phase arrivals added to ``_phase_received``."""
+        """Write these rows into their processes before process code
+        reads them: ``known`` (rebuilt where the row changed), phase,
+        clock, extensions, ``_phase_received`` and the future buffer."""
         procs = self._procs
         stale = rows[~self._synced[rows]]
         if len(stale):
@@ -528,13 +591,13 @@ class HierarchicalArrayStepper:
                 }
                 proc._known_version += 1  # stale payload memos
             self._synced[stale] = True
-        received = self._received[rows]
-        owed = np.flatnonzero(received)
-        if len(owed):
-            for row, count in zip(rows[owed].tolist(),
-                                  received[owed].tolist()):
-                procs[row]._phase_received += count
-            self._received[rows] = 0
+        written = [procs[row] for row in rows.tolist()]
+        for name, column in zip(_SCALARS, self._scalars[:, rows].tolist()):
+            for proc, value in zip(written, column):
+                setattr(proc, name, value)
+        buffered = self._buffered(rows)
+        for row, proc in zip(rows.tolist(), written):
+            proc._future = buffered.get(row, {})
 
     def _batches(self, table: RowSnapshots, rows: list[int]) -> list:
         """Snapshot rows as the payload objects they stand for."""
@@ -561,12 +624,91 @@ class HierarchicalArrayStepper:
     def _complete(self, rows: np.ndarray) -> np.ndarray:
         """``_phase_complete``'s early-bump test, for columnar rows."""
         sids = self._sid[rows]
-        held = sids != 0
-        group = self._group[rows]
-        short = (self._group_expected[group] & ~held) | (
-            held & (self._scount[sids] < self._group_need[group])
+        need = self._need[self._group[rows]]
+        return ~np.where(sids != 0, self._scount[sids] < need, need > 0).any(
+            axis=1
         )
-        return ~short.any(axis=1)
+
+    def _missing(self, rows: np.ndarray) -> np.ndarray:
+        """Per row and slot: expected but not held."""
+        return (self._need[self._group[rows]] > 0) & (self._sid[rows] == 0)
+
+    # -- the future buffer -----------------------------------------------
+    def _buffer(self, rows, phases, slots, sids) -> None:
+        """Append future-phase entries, in arrival order."""
+        used = self._future_used
+        self._future_used += len(rows)
+        self._future = _room(self._future, self._future_used)
+        self._future[used:self._future_used] = np.column_stack(
+            (rows, phases, slots, sids)
+        )
+        np.add.at(self._future_count, rows, 1)
+
+    def _take(self, chosen: np.ndarray) -> np.ndarray:
+        """Remove the buffer entries ``chosen`` (a mask); their columns."""
+        log = self._future[:self._future_used]
+        taken, kept = log[chosen], log[~chosen]
+        self._future[:len(kept)] = kept
+        self._future_used = len(kept)
+        np.subtract.at(self._future_count, taken[:, 0], 1)
+        return taken.T
+
+    def _buffered(self, rows: np.ndarray) -> dict[int, dict]:
+        """These rows' buffer entries as ``absorb_payloads`` keeps them:
+        per row, ``{phase: {key: state}}``, keys in first-arrival order,
+        the first value of greatest coverage (or the first value, under
+        ``prefer_coverage=False``)."""
+        rows = rows[self._future_count[rows] > 0]
+        if not len(rows):
+            return {}
+        log = self._future[:self._future_used]
+        states = self._states
+        out: dict[int, dict] = {}
+        for row, phase, slot, sid in log[np.isin(log[:, 0], rows)].tolist():
+            bucket = out.setdefault(row, {}).setdefault(phase, {})
+            key = self._keys(phase, self._base_of(row, phase))[slot]
+            state = states[sid]
+            current = bucket.get(key)
+            if current is None or (
+                self._prefer and state.members.count > current.members.count
+            ):
+                bucket[key] = state
+        return out
+
+    def _rebuffer(self, row: int) -> None:
+        """Make the buffer hold ``row``'s process's future buffer."""
+        if self._future_count[row]:
+            self._take(self._future[:self._future_used, 0] == row)
+        entries = [
+            (phase, self._slot_of(phase, self._base_of(row, phase), key),
+             state)
+            for phase, bucket in self._procs[row]._future.items()
+            for key, state in bucket.items()
+        ]
+        phases, slots, states = zip(*entries)
+        self._buffer(
+            np.full(len(entries), row), phases, slots, self._register(states)
+        )
+
+    def _drain(self, rows: np.ndarray) -> None:
+        """Admit the buffered entries of the phase ``rows`` just entered,
+        in arrival order, one entry per wave — the wave rule, so the own
+        child's composed value yields only to strictly more coverage."""
+        rows = rows[self._future_count[rows] > 0]
+        if not len(rows):
+            return
+        entering = np.zeros(len(self._procs), dtype=bool)
+        entering[rows] = True
+        log = self._future[:self._future_used]
+        row, __, slot, sid = self._take(
+            entering[log[:, 0]] & (log[:, 1] == self._phase[log[:, 0]])
+        )
+        if len(row):
+            by_row = np.argsort(row, kind="stable")
+            self._waves(
+                row[by_row], slot[by_row, None], sid[by_row, None],
+                np.ones(len(row), dtype=np.int64),
+            )
 
     # -- delivery --------------------------------------------------------
     def admit(self, engine, rows: np.ndarray, table_rows: np.ndarray,
@@ -586,14 +728,24 @@ class HierarchicalArrayStepper:
         row_phase = self._phase[rows]
         future = np.flatnonzero(live & (arrival_phase > row_phase))
         if len(future):
-            self._buffer(rows[future], table_rows[future], table,
-                         engine.round)
+            arrived = table_rows[future]
+            length = table.length[arrived]
+            valid = np.arange(table.slots.shape[1]) < length[:, None]
+            self._buffer(
+                np.repeat(rows[future], length),
+                np.repeat(arrival_phase[future], length),
+                table.slots[arrived][valid], table.sids[arrived][valid],
+            )
         same = np.flatnonzero(live & (arrival_phase == row_phase))
         if not len(same):
             return None
         # ``(asked, rows, lengths, slots, sids)`` per wave that pulled.
-        pulled: list[tuple] = []
-        self._waves(rows[same], table_rows[same], table, same, pulled)
+        pulled = [] if self._push_pull and not table.reply else None
+        arrived = table_rows[same]
+        self._waves(
+            rows[same], table.slots[arrived], table.sids[arrived],
+            table.length[arrived], same, pulled,
+        )
         if not pulled:
             return None
         asked, rows, length, slots, sids = (
@@ -618,6 +770,9 @@ class HierarchicalArrayStepper:
         self._sync(np.array([row]))
         if proc.absorb_payloads((payload,), engine.round, answers):
             self._load([row])
+        self._recv[row] = proc._phase_received
+        if proc._future:
+            self._rebuffer(row)
 
     @property
     def per_message(self) -> bool:
@@ -626,41 +781,31 @@ class HierarchicalArrayStepper:
         entry in arrival order, through :meth:`receive`."""
         return sanitize.SCREEN is not None
 
-    def _buffer(self, rows, table_rows, table, round_number) -> None:
-        """Future-phase arrivals into their receivers' phase buffers."""
-        cuts = _starts(rows).tolist()
-        procs = self._procs
-        payloads = table.payloads(table_rows.tolist())
-        for start, stop in zip(cuts, cuts[1:] + [len(rows)]):
-            procs[int(rows[start])].absorb_payloads(
-                payloads[start:stop], round_number
-            )
-
-    def _waves(self, rows, table_rows, table, asked, pulled) -> None:
-        """Admit same-phase arrivals (grouped by receiver, chunk indices
-        ``asked``) in waves: wave ``w`` is every receiver's ``w``-th."""
+    def _waves(self, rows, slots, sids, length, asked=None,
+               pulled=None) -> None:
+        """Admit arrivals — receivers ``rows`` grouped, in arrival order;
+        the first ``length`` of each one's ``(slots, sids)`` — in waves:
+        wave ``w`` is every receiver's ``w``-th.  ``pulled`` collects the
+        push-pull answers to them (``asked``: their chunk indices)."""
         count = len(rows)
         starts = _starts(rows)
         spans = np.diff(starts, append=count)
-        self._received[rows[starts]] += spans
+        self._recv[rows[starts]] += spans
         wave = np.arange(count) - np.repeat(starts, spans)
         by_wave = np.argsort(wave, kind="stable")
-        rows, table_rows, asked = (
-            rows[by_wave], table_rows[by_wave], asked[by_wave]
-        )
-        slots = table.slots[table_rows]
-        sids = table.sids[table_rows]
-        valid = np.arange(slots.shape[1]) < table.length[table_rows][:, None]
+        rows, slots, sids = rows[by_wave], slots[by_wave], sids[by_wave]
+        valid = np.arange(slots.shape[1]) < length[by_wave][:, None]
         counts = self._scount[sids]
         # Rows are addressed as cells of the flattened columns.
         first = rows * self._sid.shape[1]
         cells = first[:, None] + slots
-        pulling = self._push_pull and not table.reply
         changed = np.zeros(count, dtype=bool)
         start = 0
         for stop in np.cumsum(np.bincount(wave)).tolist():
-            if pulling:
-                pulled.append(self._pull(rows[start:stop], asked[start:stop]))
+            if pulled is not None:
+                pulled.append(self._pull(
+                    rows[start:stop], asked[by_wave[start:stop]]
+                ))
             changed[start:stop] = self._wave(
                 rows[start:stop], first[start:stop], cells[start:stop],
                 slots[start:stop], sids[start:stop], valid[start:stop],
@@ -708,12 +853,15 @@ class HierarchicalArrayStepper:
             self._begin()
         if self._sweep_in <= 0:
             self._sweep(engine)
-        procs = self._procs
-        round_number = engine.round
         stepped = engine.alive_rows & ~engine.terminated_rows
         if self._spread:
-            stepped &= self._start_round <= round_number
-        # ---- sends: member-major, picks in draw order ----------------
+            stepped &= self._start_round <= engine.round
+        self._send(engine, stepped)
+        self._phase_rounds[stepped] += 1
+        self._advance(engine, stepped)
+
+    def _send(self, engine, stepped: np.ndarray) -> None:
+        """The stepped rows' gossip: member-major, picks in draw order."""
         senders = stepped & (self._pool_size >= 1)
         if not self._all_rep:
             # ``_gossip``'s gate: a representative, or ``_retransmit_due``.
@@ -722,69 +870,251 @@ class HierarchicalArrayStepper:
                 & np.isin(self._phase_rounds, self._retransmit_rounds)
             )
         rows = np.flatnonzero(senders)
-        if len(rows):
-            pool_sizes = self._pool_size[rows]
-            counts = np.minimum(self._fanout, pool_sizes)
-            total = int(counts.sum())
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            dest_flat = np.empty(total, dtype=np.int64)
-            drawing = counts < pool_sizes
-            for count in np.unique(counts[drawing]).tolist():
-                self._pick_targets(
-                    rows, drawing & (counts == count), int(count),
-                    pool_sizes, offsets, dest_flat, draw=True,
-                )
-            for count in np.unique(counts[~drawing]).tolist():
-                self._pick_targets(
-                    rows, ~drawing & (counts == count), int(count),
-                    pool_sizes, offsets, dest_flat, draw=False,
-                )
-            # Snapshots draw over-cap subsets *after* the target draws —
-            # the object engine's order within a member's stream.
-            table = self._snapshot(rows)
-            sender = np.repeat(np.arange(len(rows)), counts)
-            engine.window_sends[rows] = counts
-            engine.submit_block(
-                engine.row_ids[rows][sender],
-                dest_flat,
-                table.sizes[sender],
-                np.arange(total) - offsets[sender],
-                sender,
-                table,
-            )
-        # ---- clocks and advance candidates ---------------------------
-        self._phase_rounds[stepped] += 1
-        phases = self._phase
-        final = phases >= self._num_phases
-        candidates = (self._phase_rounds >= self._rpp) & ~final
-        candidates |= final & (
-            round_number - self._start_round + 1 >= self._deadline
-        )
-        if self._early_bump:
-            ready = np.flatnonzero(self._touched & stepped & ~final)
-            if len(ready):
-                candidates[ready[self._complete(ready)]] = True
-        self._touched &= ~stepped
-        candidates &= stepped
-        rows = np.flatnonzero(candidates)
         if not len(rows):
             return
-        self._sync(rows)
-        ctx = self._ctx
-        moved: list[int] = []
-        for row, phase, rounds in zip(
-            rows.tolist(), phases[rows].tolist(),
-            self._phase_rounds[rows].tolist(),
+        pool_sizes = self._pool_size[rows]
+        counts = np.minimum(self._fanout, pool_sizes)
+        total = int(counts.sum())
+        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        dest_flat = np.empty(total, dtype=np.int64)
+        drawing = counts < pool_sizes
+        for count in np.unique(counts[drawing]).tolist():
+            self._pick_targets(
+                rows, drawing & (counts == count), int(count),
+                pool_sizes, offsets, dest_flat, draw=True,
+            )
+        for count in np.unique(counts[~drawing]).tolist():
+            self._pick_targets(
+                rows, ~drawing & (counts == count), int(count),
+                pool_sizes, offsets, dest_flat, draw=False,
+            )
+        # Snapshots draw over-cap subsets *after* the target draws —
+        # the object engine's order within a member's stream.
+        table = self._snapshot(rows)
+        sender = np.repeat(np.arange(len(rows)), counts)
+        engine.window_sends[rows] = counts
+        engine.submit_block(
+            engine.row_ids[rows][sender],
+            dest_flat,
+            table.sizes[sender],
+            np.arange(total) - offsets[sender],
+            sender,
+            table,
+        )
+
+    # -- advance (step II(b)) --------------------------------------------
+    def _advance(self, engine, stepped: np.ndarray) -> None:
+        """Bump up every stepped row that may, cascading: a row that
+        entered a phase is tested again in the same round."""
+        round_number = engine.round
+        final = self._phase >= self._num_phases
+        candidates = self._at_limit(slice(None), final, round_number)
+        if self._early_bump:
+            candidates |= self._touched & ~final
+        self._touched &= ~stepped
+        rows = np.flatnonzero(candidates & stepped)
+        events: list | None = [] if self._sinks else None
+        while len(rows):
+            rows = rows[self._verdict(rows, round_number)]
+            if not len(rows):
+                break
+            if events is not None:
+                self._note_bumps(rows, round_number, events)
+            composed = self._compose(rows, round_number)
+            last = self._phase[rows] >= self._num_phases
+            if last.any():
+                self._finalize(
+                    engine, rows[last], composed[last], round_number, events
+                )
+            rows = rows[~last]
+            if len(rows):
+                self._enter(rows, composed[~last], round_number, events)
+        if events:
+            events.sort(key=itemgetter(0))  # stable: cascade order kept
+            for row, emit, args in events:
+                sink = self._procs[row].phase_sink
+                if sink is not None:
+                    emit(sink, *args)
+
+    def _at_limit(self, rows, final, round_number) -> np.ndarray:
+        """At the phase timeout, or in the final phase at the deadline —
+        each slid by the rounds adaptive deadlines borrowed."""
+        return np.where(
+            final,
+            round_number - self._start_round[rows] + 1
+            >= self._deadline + self._dext[rows],
+            self._phase_rounds[rows] >= self._rpp + self._pext[rows],
+        )
+
+    def _verdict(self, rows: np.ndarray, round_number: int) -> np.ndarray:
+        """Which of ``rows`` bump now (``_phase_complete``): early when
+        complete outside the final phase, else at their limit — unless
+        adaptive deadlines grant (and here give) one more round
+        (``_maybe_extend``: a value missing, few deliveries, budget)."""
+        final = self._phase[rows] >= self._num_phases
+        limit = self._at_limit(rows, final, round_number)
+        early = np.zeros(len(rows), dtype=bool)
+        if self._early_bump:
+            open_ = np.flatnonzero(~final)
+            early[open_] = self._complete(rows[open_])
+        limit &= ~early
+        if self._adaptive:
+            extend = (
+                limit & (self._pext[rows] < self._budget)
+                & self._missing(rows).any(axis=1)
+                & (2 * self._recv[rows]
+                   < self._fanout * np.maximum(1, self._phase_rounds[rows]))
+            )
+            self._pext[rows[extend]] += 1
+            self._dext[rows[extend]] += 1
+            limit &= ~extend
+        return early | limit
+
+    def _compose(self, rows: np.ndarray, round_number: int) -> np.ndarray:
+        """Each row's values composed (``_compose_known``); their ids.  A
+        lone value is its own composition; a fixed-width aggregate folds
+        its payload columns in insertion order; any other, and every row
+        under the runtime sanitizer, goes through :meth:`_merge`."""
+        held = self._held[rows]
+        ids = self._sid[rows[:, None], self._order[rows, :int(held.max())]]
+        composed = ids[:, 0].astype(np.int64)
+        if sanitize.ACTIVE or not self._pay:
+            many = (
+                np.arange(len(rows)) if sanitize.ACTIVE
+                else np.flatnonzero(held > 1)
+            )
+            composed[many] = self._register([
+                self._merge(rows[index], ids[index, :held[index]],
+                            round_number)
+                for index in many.tolist()
+            ])
+            return composed
+        many = np.flatnonzero(held > 1)
+        if not len(many):
+            return composed
+        ids, held = ids[many], held[many]
+        total = (self._scount[ids]
+                 * (np.arange(ids.shape[1]) < held[:, None])).sum(axis=1)
+        columns = self._function.fold_columns(self._pay, ids, held)
+        built = [
+            AggregateState(payload, mask) for payload, mask in zip(
+                self._function.column_payloads(columns),
+                self._masks(rows[many], total),
+            )
+        ]
+        composed[many] = self._register(built, columns)
+        return composed
+
+    def _merge(self, row: int, sids, round_number: int) -> AggregateState:
+        """``merge_all`` over one row's values in insertion order — under
+        the sanitizer in its compose context, with its checks."""
+        proc = self._procs[row]
+        values = [self._states[sid] for sid in sids]
+        if not sanitize.ACTIVE:
+            return proc.function.merge_all(values)
+        phase = int(self._phase[row])
+        with sanitize.composing(
+            proc.node_id, round_number, phase, proc.covered_ids
         ):
-            proc = procs[row]
-            proc.phase_rounds = rounds
-            ctx.current = proc
-            proc._maybe_advance(ctx)
-            ctx.current = None
-            if proc.result is None and proc.phase != phase:
-                moved.append(row)
-        if moved:
-            self._enter(moved)
+            composed = proc.function.merge_all(values)
+        sanitize.check_compose(proc, round_number, phase, composed)
+        sanitize.check_phase_bump(proc, round_number, phase, phase + 1)
+        return composed
+
+    def _masks(self, rows: np.ndarray, total: np.ndarray) -> list:
+        """The composed coverage of ``rows`` (``total`` ranks each): the
+        held masks in slot order, adjacent ranges merged, or — for a row
+        covering its whole subtree — that subtree's one range, shared."""
+        width = self._k ** (self._phase[rows] - 1)
+        first_box = self._box[rows] // width * width
+        start = self._rank_start[first_box]
+        stop = self._rank_start[first_box + width]
+        masks = []
+        for bounds, whole, sid_row in zip(
+            zip(start.tolist(), stop.tolist()),
+            (total == stop - start).tolist(), self._sid[rows].tolist(),
+        ):
+            if not whole:
+                masks.append(IntervalMask.concat(
+                    self._states[sid].members for sid in sid_row if sid
+                ))
+                continue
+            if bounds not in self._full_masks:
+                self._full_masks[bounds] = IntervalMask(range(*bounds))
+            masks.append(self._full_masks[bounds])
+        return masks
+
+    def _finalize(self, engine, rows, composed, round_number, events) -> None:
+        """The final phase composed: result, coverage and termination,
+        with the row written back into its process for good."""
+        self._sync(rows)
+        states = self._states
+        for row, sid in zip(rows.tolist(), composed.tolist()):
+            proc = self._procs[row]
+            proc.phase = self._num_phases + 1
+            proc.phase_rounds = proc._phase_extension = 0
+            proc.result = states[sid]
+            proc.coverage_fraction = proc.result.covers() / self._members
+            proc.terminated = True
+            engine._note_terminate(proc)
+            if events is not None:
+                events.append((row, emit_finalize, (
+                    self._at(row, round_number, self._num_phases),
+                    proc.coverage_fraction,
+                )))
+
+    def _enter(self, rows, composed, round_number, events) -> None:
+        """Move ``rows`` to their next phase holding ``{own child:
+        composed}``, place them and drain their buffer for it."""
+        phase = self._phase[rows] + 1
+        own = self._box[rows] // self._k ** (phase - 2) % self._k
+        self._phase[rows] = phase
+        self._phase_rounds[rows] = 0
+        self._pext[rows] = 0
+        self._sid[rows] = 0
+        self._sid[rows, own] = composed
+        self._order[rows, 0] = own
+        self._held[rows] = 1
+        self._synced[rows] = False
+        self._touched[rows] = True
+        self._place(rows)
+        self._drain(rows)
+        self._recv[rows] = 0  # the drain is no delivery
+        if events is not None:
+            for row, phase_now, elected in zip(
+                rows.tolist(), phase.tolist(),
+                (self._is_rep[rows] & (not self._all_rep)).tolist(),
+            ):
+                events.append((row, emit_phase_enter, (
+                    self._at(row, round_number, phase_now), elected,
+                )))
+
+    def _at(self, row: int, round_number: int, phase: int) -> tuple:
+        """Where ``row``'s phase-``phase`` events happen: member, round,
+        phase and formatted subtree (as the process's ``_at``)."""
+        value = int(self._box[row]) // self._k ** (phase - 1)
+        label = self._labels.get((phase, value))
+        if label is None:
+            label = self._labels[(phase, value)] = format_subtree(
+                self._hierarchy, SubtreeId(self._digits + 1 - phase, value)
+            )
+        return (int(self._ids[row]), round_number, phase, label)
+
+    def _note_bumps(self, rows, round_number, events) -> None:
+        """The bump events of ``rows``, as ``_emit_bump`` words them."""
+        phases = self._phase[rows]
+        timed_out = self._phase_rounds[rows] >= self._rpp + self._pext[rows]
+        for row, phase, base, missing, complete, expired in zip(
+            rows.tolist(), phases.tolist(), self._base[rows].tolist(),
+            self._missing(rows).tolist(), self._complete(rows).tolist(),
+            timed_out.tolist(),
+        ):
+            keys = self._keys(phase, base)
+            events.append((row, emit_bump, (
+                self._at(row, round_number, phase), self._hierarchy,
+                [keys[slot] for slot, gone in enumerate(missing) if gone],
+                complete, phase >= self._num_phases, expired,
+            )))
 
     def _snapshot(self, rows: np.ndarray) -> RowSnapshots:
         """The payload table of this round's senders ``rows``."""

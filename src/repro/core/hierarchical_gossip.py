@@ -83,6 +83,57 @@ def rounds_per_phase_for(group_size: int, c: float, fanout_m: int = 2) -> int:
     return max(floor, math.ceil(c * math.log(group_size)))
 
 
+def is_representative(member: int, phase: int, fraction: float) -> bool:
+    """Whether ``member`` actively gossips in ``phase``: always in phase
+    1 (votes exist nowhere else), else a deterministic hash of (member,
+    phase) selects ``fraction`` of the members."""
+    if fraction >= 1.0 or phase == 1:
+        return True
+    digest = hashlib.sha256(f"rep:{member}:{phase}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / float(1 << 64) < fraction
+
+
+# -- phase events: the process and the array stepper emit through these,
+# each event at (member, round, phase, formatted subtree) --------------
+def emit_phase_enter(sink: PhaseSink, at: tuple, elected: bool) -> None:
+    """``phase_enter``, then ``representative_elected`` if ``elected``
+    (only where the role is selective: past phase 1, fraction < 1)."""
+    sink.emit(PhaseEvent("phase_enter", *at))
+    if elected:
+        sink.emit(PhaseEvent("representative_elected", *at))
+
+
+def emit_bump(
+    sink: PhaseSink, at: tuple, hierarchy, missing: Iterable,
+    complete: bool, final: bool, timed_out: bool,
+) -> None:
+    """Record *why* a phase ended: early bump-up or timeout.
+
+    ``subtree_complete`` fires whenever the member knew every expected
+    value (``missing`` is empty) with full child coverage
+    (``complete``); intermediate phases additionally get exactly one of
+    ``bump_up_early`` (advanced before the nominal deadline, step II(b))
+    or ``bump_up_timeout`` (listing the ``missing`` keys).  The final
+    phase always serves until the global deadline, so it only emits
+    ``bump_up_timeout`` when values are actually missing — the timeout
+    counters stay a pure failure signal.
+    """
+    if complete:
+        sink.emit(PhaseEvent("subtree_complete", *at))
+    if missing and (timed_out or final):
+        sink.emit(PhaseEvent("bump_up_timeout", *at, missing=tuple(sorted(
+            format_key(hierarchy, key) for key in missing
+        ))))
+    elif not final:
+        sink.emit(PhaseEvent(
+            "bump_up_early" if not timed_out else "bump_up_timeout", *at
+        ))
+
+
+def emit_finalize(sink: PhaseSink, at: tuple, coverage: float) -> None:
+    sink.emit(PhaseEvent("finalize", *at, coverage=coverage))
+
+
 @dataclass(frozen=True)
 class GossipParams:
     """Tunable knobs of the protocol, with the paper's Section 7 defaults.
@@ -432,77 +483,36 @@ class HierarchicalGossipProcess(AggregationProcess):
             self.assignment.subtree_of(self.node_id, phase),
         )
 
+    def _at(self, ctx: Context, phase: int) -> tuple:
+        """Where this member's phase-``phase`` events happen."""
+        return (self.node_id, ctx.round, phase, self._subtree_label(phase))
+
     def _emit_phase_enter(self, ctx: Context) -> None:
-        sink = self.phase_sink
-        if sink is None:
-            return
-        sink.emit(PhaseEvent(
-            "phase_enter", self.node_id, ctx.round, self.phase,
-            subtree=self._subtree_label(self.phase),
-        ))
-        # Phase 1 is not an election — every member gossips its vote.
-        if (
-            self.params.representative_fraction < 1.0
-            and self.phase > 1
-            and self._is_representative()
-        ):
-            sink.emit(PhaseEvent(
-                "representative_elected", self.node_id, ctx.round,
-                self.phase, subtree=self._subtree_label(self.phase),
-            ))
+        if self.phase_sink is not None:
+            emit_phase_enter(
+                self.phase_sink, self._at(ctx, self.phase),
+                self.params.representative_fraction < 1.0
+                and self.phase > 1 and self._is_representative(),
+            )
 
     def _emit_bump(self, ctx: Context) -> None:
-        """Record *why* this phase ended: early bump-up or timeout.
-
-        ``subtree_complete`` fires whenever the member knew every
-        expected value (with full child coverage); intermediate phases
-        additionally get exactly one of ``bump_up_early`` (advanced
-        before the nominal deadline, step II(b)) or ``bump_up_timeout``
-        (``missing`` lists the keys that never arrived).  The final
-        phase always serves until the global deadline, so it only emits
-        ``bump_up_timeout`` when values are actually missing — the
-        timeout counters stay a pure failure signal.
-        """
-        sink = self.phase_sink
-        if sink is None:
+        if self.phase_sink is None:
             return
-        subtree = self._subtree_label(self.phase)
-        expected = self._expected_keys(self.phase)
-        missing = expected - self.known.keys()
-        if not missing and self._values_fully_cover():
-            sink.emit(PhaseEvent(
-                "subtree_complete", self.node_id, ctx.round, self.phase,
-                subtree=subtree,
-            ))
-        final = self.phase >= self.num_phases
-        timed_out = (
-            self.phase_rounds >= self.rounds_per_phase
-            + self._phase_extension
+        missing = self._expected_keys(self.phase) - self.known.keys()
+        emit_bump(
+            self.phase_sink, self._at(ctx, self.phase),
+            self.assignment.hierarchy, missing,
+            not missing and self._values_fully_cover(),
+            self.phase >= self.num_phases,
+            self.phase_rounds >= self.rounds_per_phase + self._phase_extension,
         )
-        if missing and (timed_out or final):
-            hierarchy = self.assignment.hierarchy
-            sink.emit(PhaseEvent(
-                "bump_up_timeout", self.node_id, ctx.round, self.phase,
-                subtree=subtree,
-                missing=tuple(sorted(
-                    format_key(hierarchy, key) for key in missing
-                )),
-            ))
-        elif not final:
-            sink.emit(PhaseEvent(
-                "bump_up_early" if not timed_out else "bump_up_timeout",
-                self.node_id, ctx.round, self.phase, subtree=subtree,
-            ))
 
     def _emit_finalize(self, ctx: Context) -> None:
-        sink = self.phase_sink
-        if sink is None:
-            return
-        sink.emit(PhaseEvent(
-            "finalize", self.node_id, ctx.round, self.num_phases,
-            subtree=self._subtree_label(self.num_phases),
-            coverage=self.coverage_fraction,
-        ))
+        if self.phase_sink is not None:
+            emit_finalize(
+                self.phase_sink, self._at(ctx, self.num_phases),
+                self.coverage_fraction,
+            )
 
     # -- engine callbacks ---------------------------------------------------
     def on_start(self, ctx: Context) -> None:
@@ -525,10 +535,10 @@ class HierarchicalGossipProcess(AggregationProcess):
     ) -> bool:
         """Admit arrived payloads (paper step II); True if ``known`` changed.
 
-        The one admission routine: :meth:`on_message` passes its single
-        payload, the array-stepped engine a receiver's whole round of
-        arrivals, :meth:`_maybe_advance` the values it had buffered for
-        the phase it enters.  A past-phase payload is ignored (that
+        The object engine's one admission routine: :meth:`on_message`
+        passes its single payload (the array stepper does so for a
+        scalar arrival), :meth:`_maybe_advance` the values it had
+        buffered for the phase it enters.  A past-phase payload is ignored (that
         phase is already composed here), a future-phase one is
         buffered, and per key the most-complete value wins (or the
         first received, under the ``prefer_coverage=False`` ablation) —
@@ -541,9 +551,8 @@ class HierarchicalGossipProcess(AggregationProcess):
         key (:meth:`_placed`); one that is not is refused and counted
         in :attr:`refused`, so ``known`` and the future buffer hold at
         most a box's members or ``K`` children per phase.  The return
-        value is the array engine's advance-candidate signal;
-        advancing is the round step's job (:meth:`_maybe_advance`) on
-        both engines.
+        value tells the array stepper to read ``known`` back into its
+        row; advancing is the round step's job, never admission's.
 
         It is also the one place a push-pull reply is decided: a
         non-reply batch of this member's current phase is answered with
@@ -741,11 +750,7 @@ class HierarchicalGossipProcess(AggregationProcess):
         cached = self._rep_cache
         if cached is not None and cached[0] == self.phase:
             return cached[1]
-        digest = hashlib.sha256(
-            f"rep:{self.node_id}:{self.phase}".encode()
-        ).digest()
-        draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        verdict = draw < fraction
+        verdict = is_representative(self.node_id, self.phase, fraction)
         self._rep_cache = (self.phase, verdict)
         return verdict
 
@@ -905,7 +910,9 @@ class HierarchicalGossipProcess(AggregationProcess):
         return composed
 
     def _maybe_advance(self, ctx: Context) -> None:
-        """Step II(b): compose and bump up, cascading if buffers allow."""
+        """Step II(b): compose and bump up, cascading if buffers allow.
+        The array stepper advances its rows by the same rule in columns
+        (``tests/property/test_columnar_advance.py`` ties the two)."""
         while self.result is None and self._phase_complete(ctx):
             self._emit_bump(ctx)
             composed = self._compose_known(ctx)

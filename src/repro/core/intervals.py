@@ -101,6 +101,23 @@ class IntervalMask(Set):
         return _make(cls, bounds, count)
 
     @classmethod
+    def concat(cls, masks: Iterable["IntervalMask"]) -> "IntervalMask":
+        """The union of ``masks`` given in ascending order, each wholly
+        past the one before: their ranges concatenated, adjacent ones
+        merged.  No overlap test — the caller guarantees the order (a
+        subtree's children, in digit order)."""
+        bounds: list[int] = []
+        count = 0
+        for mask in masks:
+            theirs = mask.bounds
+            if bounds and theirs and theirs[0] == bounds[-1] + 1:
+                bounds[-1:] = theirs[1:]
+            else:
+                bounds.extend(theirs)
+            count += mask.count
+        return _make(cls, tuple(bounds), count)
+
+    @classmethod
     def _from_iterable(cls, slots: Iterable[int]) -> "IntervalMask":
         return cls(slots)  # what the Set mixins build results with
 

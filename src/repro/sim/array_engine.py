@@ -9,15 +9,13 @@ calling into one process object per member and message:
 
 * **Sends** — the stepper computes one round's sends for *all* members
   as (member × destination) index blocks and hands them to
-  :meth:`submit_block` with a *payload table* — row snapshots of the
-  senders, not payload objects.  The block is planned through
-  :meth:`~repro.sim.network.Network.plan_delivery_block` — one
-  vectorized loss/latency/bandwidth decision instead of one
-  ``plan_delivery`` call per message.  Models that cannot block-plan
-  (per-message latency, loss hooks without a block form) get the block
-  submitted through the base engine's scalar ``_submit``, *in send order*, with
-  each table row built into its payload object — the loss stream is
-  consumed identically.
+  :meth:`submit_block` with a *payload table* of sender row snapshots.
+  :meth:`~repro.sim.network.Network.plan_delivery_block` plans it in
+  one vectorized loss/latency/bandwidth decision.  Models that cannot
+  block-plan (per-message latency, loss hooks without a block form) get
+  it through the base engine's scalar ``_submit``, *in send order*, each
+  table row built into its payload object — the loss stream is consumed
+  identically.
 * **Deliveries** — a planned block is queued in the base engine's one
   message store as a single record chunk (destination ids, table rows,
   table), in send order among the scalar messages the store also holds
@@ -53,6 +51,7 @@ The stepper contract::
 
     stepper.bind(engine)                       # once, before round 0
     stepper.step(engine)                       # one round's sends + advances
+    stepper.finish(engine)                     # once, after the last round
     stepper.admit(engine, rows, table_rows, table)
         # one delivered chunk, grouped by receiver; returns None or
         # (asked, answering rows, answer table)
@@ -62,9 +61,8 @@ The stepper contract::
 
 A payload table has ``sizes`` (wire size per row), ``owner`` (the
 member row each payload came from) and ``payloads(rows)`` (those rows
-as payload objects).  Processes are identified by *row* — their position in
-registration order (``row_procs``); ``row_ids[row]`` maps back to node
-ids.
+as payload objects).  A *row* is a process's position in registration
+order (``row_procs``); ``row_ids[row]`` is its node id.
 """
 
 from __future__ import annotations
@@ -307,4 +305,6 @@ class ArraySteppedEngine(SimulationEngine):
     def run(self, until=None):
         self._bind_rows()
         self._stepper.bind(self)
-        return super().run(until)
+        stats = super().run(until)
+        self._stepper.finish(self)
+        return stats

@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.chaos import campaign_names
+from repro.core.aggregates import AGGREGATE_NAMES
 from repro.experiments.parallel import run_many
 from repro.experiments.params import with_params
 from repro.experiments.runner import run_once
@@ -124,6 +125,12 @@ BASIC_CONFIGS = [
     pytest.param(
         with_params(n=128, aggregate="min", seed=1), id="min-aggregate"
     ),
+] + [
+    pytest.param(
+        with_params(n=128, ucastl=0.4, aggregate=name, seed=2),
+        id=f"{name}-aggregate",
+    )
+    for name in AGGREGATE_NAMES if name not in ("average", "min")
 ] + HARDENED_CONFIGS + PUSH_PULL_CONFIGS
 
 
@@ -542,3 +549,43 @@ def test_crash_recovery():
     __, (engine_stats, __, __) = runs["object"]
     assert engine_stats.crashes > 0 and engine_stats.recoveries > 0
     assert runs["array"] == runs["object"]
+
+
+@pytest.fixture
+def unsanitized():
+    """The runtime sanitizer off for one test (the suite arms it): a
+    bumping row then composes as columns, not through ``merge_all``."""
+    from repro import sanitize
+
+    was_active = sanitize.ACTIVE
+    sanitize.disable()
+    yield
+    if was_active:
+        sanitize.enable()
+
+
+@pytest.mark.parametrize("name", AGGREGATE_NAMES)
+def test_equivalent_composing_unsanitized(name, unsanitized):
+    # A fixed-width aggregate folds payload columns; top_k and
+    # distinct_count fold their states with ``merge_all``.
+    _assert_identical(with_params(n=128, ucastl=0.4, aggregate=name, seed=2))
+
+
+def test_array_run_calls_no_process_protocol_code(monkeypatch, unsanitized):
+    # Block delivery, wave admission, the columnar buffer and the
+    # columnar advance: no member's own admission or advance runs.
+    from repro.core.hierarchical_gossip import HierarchicalGossipProcess
+
+    advanced = _counting(
+        monkeypatch, HierarchicalGossipProcess, "_maybe_advance"
+    )
+    absorbed = _counting(
+        monkeypatch, HierarchicalGossipProcess, "absorb_payloads"
+    )
+    config = with_params(n=512, k=8)
+    array = run_result_record(run_once(replace(config, engine="array")))
+    assert (len(advanced), len(absorbed)) == (0, 0)
+    assert array == run_result_record(
+        run_once(replace(config, engine="object"))
+    )
+    assert advanced and absorbed

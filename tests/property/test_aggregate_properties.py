@@ -2,17 +2,21 @@
 
 These pin the invariants the protocol's correctness rests on: merging is
 associative and commutative on disjoint vote sets, composability holds for
-arbitrary partitions of a vote map, and the double-counting guard always
-fires on overlap.
+arbitrary partitions of a vote map, the double-counting guard always
+fires on overlap, and a fixed-width aggregate's column fold is its
+``merge_all`` bit for bit.
 """
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregates import (
+    AGGREGATE_NAMES,
     AGGREGATE_REGISTRY,
     DoubleCountError,
     get_aggregate,
@@ -139,3 +143,56 @@ def test_wire_size_constant_in_group_size(name, votes):
     single = f.lift(min(votes), votes[min(votes)])
     whole = f.over(votes)
     assert whole.wire_size() == single.wire_size()
+
+
+#: Votes that stress the column form: ties, signed zeros, infinities, NaN.
+edge_votes = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf,
+                     math.nan]),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+def _bits(value):
+    """A payload's exact content: float bits, and the type of the rest.
+
+    Every NaN reads the same: which NaN an operation returns depends on
+    the order the compiled code hands its operands to the FPU, which
+    neither CPython nor numpy fixes — only that it is a NaN.
+    """
+    if isinstance(value, tuple):
+        return tuple(_bits(item) for item in value)
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else struct.pack("<d", value)
+    return (type(value), value)
+
+
+@pytest.mark.parametrize("name", [
+    name for name in AGGREGATE_NAMES if get_aggregate(name).columns
+])
+@given(rows=st.lists(
+    st.lists(edge_votes, min_size=1, max_size=6), min_size=1, max_size=8,
+))
+@settings(max_examples=150)
+def test_column_fold_is_merge_all_bit_for_bit(name, rows):
+    """Each row's states folded as columns (left to right, the combiner's
+    own scalar operations) give ``merge_all``'s payload exactly."""
+    f = get_aggregate(name)
+    states = [
+        [f.lift(10 * row + column, vote) for column, vote in enumerate(votes)]
+        for row, votes in enumerate(rows)
+    ]
+    flat = [state for row in states for state in row]
+    table = [
+        np.array(values, dtype=dtype) for values, dtype in zip(
+            f.payload_columns([state.payload for state in flat]), f.columns
+        )
+    ]
+    lengths = np.array([len(row) for row in states])
+    ids = np.zeros((len(states), int(lengths.max())), dtype=np.int64)
+    first = np.cumsum(lengths) - lengths
+    for row, length in enumerate(lengths.tolist()):
+        ids[row, :length] = first[row] + np.arange(length)
+    folded = f.column_payloads(f.fold_columns(table, ids, lengths))
+    for payload, row in zip(folded, states):
+        assert _bits(payload) == _bits(f.merge_all(row).payload)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.aggregates import (
+    AGGREGATE_NAMES,
     AGGREGATE_REGISTRY,
     AllAggregate,
     AnyAggregate,
@@ -176,6 +177,17 @@ class TestRegistry:
     def test_unknown_name_raises_with_known_list(self):
         with pytest.raises(KeyError, match="average"):
             get_aggregate("median")
+
+    def test_unknown_name_offers_only_names_built_by_name(self):
+        # ``histogram`` needs its range: offering it sent users to a
+        # "cannot be built by name" error.
+        with pytest.raises(KeyError) as caught:
+            get_aggregate("median")
+        offered = caught.value.args[0].split("known: ")[1].split(", ")
+        assert offered == list(AGGREGATE_NAMES)
+        assert "histogram" not in offered
+        for name in offered:
+            assert get_aggregate(name).name == name
 
 
 class TestComposability:
