@@ -49,9 +49,11 @@ message by message (``per_message``).
 **Bit-identity argument.**  Per-member gossip streams are independent,
 so batching target draws across members never changes any member's
 values; within a member, targets are drawn before batch-subset doubles,
-as the object engine does.  Sends are assembled in row order with picks
-in draw order, so the shared loss stream is consumed in the object
-engine's send order.  Receivers never touch each other's state during
+as the object engine does.  The stepper claims the streams and keeps
+them as PCG64 columns (``SamplerBank``), which serve the doubles the
+process's own ``Generator`` would.  Sends are assembled in row order
+with picks in draw order, so the shared loss stream is consumed in the
+object engine's send order.  Receivers never touch each other's state during
 delivery, so waves are admission one receiver after the other.  An
 advance mutates only its own row and sends nothing (a push-pull reply
 is planned during delivery, on both engines), so advancing after all
@@ -91,7 +93,7 @@ from repro.core.hierarchical_gossip import (
 from repro.core.intervals import IntervalMask
 from repro.core.messages import ID_SIZE, GossipBatch
 from repro.core.observe import format_subtree
-from repro.sim.sampling import BANK_BLOCK, SamplerBank
+from repro.sim.sampling import SamplerBank
 
 __all__ = ["HierarchicalArrayStepper", "RowSnapshots", "unsupported_reason"]
 
@@ -333,10 +335,8 @@ class HierarchicalArrayStepper:
         self._group_count = 0
         self._need = np.zeros((64, width), dtype=np.int32)
         self._ready = False
-        rngs = engine.rngs
-        self._bank = SamplerBank(
-            (rngs.stream("process", p.node_id, "gossip") for p in procs),
-            block=max(BANK_BLOCK, self._fanout, self._cols),
+        self._bank = SamplerBank.seeded(
+            engine.rngs.claim(self._ids, "gossip")
         )
 
     def _begin(self) -> None:

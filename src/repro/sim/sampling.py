@@ -34,6 +34,14 @@ Floyd's algorithm (uniform k-subsets, k draws, no rejection)::
 Every k-subset is produced with probability 1/C(n, k); the insertion
 order is deterministic given the consumed doubles, which is all the
 simulator needs (gossip sends are unordered within a round).
+
+:class:`SamplerBank` serves the same doubles for a whole member group
+with no ``Generator`` at all: each member's stream is its PCG64 state
+and increment as four uint64 columns, seeded and stepped by the column
+kernel in :mod:`repro.sim.rng` bit for bit as ``Generator.random``
+would.  The array engine claims its members' gossip streams from the
+registry for the bank, so each stream has one owner — the bank on the
+array engine, a process's ``BlockedSampler`` on the object engine.
 """
 
 from __future__ import annotations
@@ -42,7 +50,11 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["BlockedSampler", "SamplerBank", "DEFAULT_BLOCK", "BANK_BLOCK"]
+from repro.sim.rng import pcg64_columns, pcg64_step
+
+__all__ = ["BlockedSampler", "SamplerBank", "DEFAULT_BLOCK"]
+
+_MASK64 = (1 << 64) - 1
 
 #: Doubles drawn per refill.  Large enough to amortize the Generator
 #: call across many rounds (a gossip round consumes ~3 doubles), small
@@ -113,67 +125,66 @@ class BlockedSampler:
         return picked
 
 
-#: Doubles per :class:`SamplerBank` row refill.  Smaller than
-#: :data:`DEFAULT_BLOCK` because a bank holds one buffer row per member
-#: (N rows at N >= 10^6); like every block size here it never affects
-#: the values drawn (stream-compatibility guarantee above).
-BANK_BLOCK = 64
+_U11, _U58, _U63 = np.uint64(11), np.uint64(58), np.uint64(63)
 
 
 class SamplerBank:
-    """Block-drawn uniform doubles over *many* per-member streams at once.
+    """Uniform doubles over *many* per-member PCG64 streams at once.
 
-    One row per member, each backed by its own ``Generator`` (the
-    registry's ``process/<id>/gossip`` stream).  A row's value sequence
-    is exactly what a per-member :class:`BlockedSampler` would produce —
-    refills preserve undrawn leftovers and consume the stream through
-    ``Generator.random`` only, so the stream-compatibility guarantee
-    makes the values independent of how refills are batched.  The array
+    One row per member; a row is its stream's PCG64 state and increment
+    as four uint64 columns (32 bytes, no ``Generator``).  A row serves
+    exactly the doubles ``Generator.random`` would: each draw steps the
+    128-bit LCG (:func:`~repro.sim.rng.pcg64_step`), takes the XSL-RR
+    output word and scales its top 53 bits by ``2**-53``.  The array
     engine draws gossip-target and batch-subset matrices for whole
     member blocks via :meth:`draw_matrix`.
+
+    :meth:`seeded` builds the bank from seeds (the array engine claims
+    its members' ``process/<id>/gossip`` seeds from the registry, so the
+    bank is their one owner); ``SamplerBank(generators)`` copies each
+    generator's PCG64 state instead, after which the bank and the
+    generator draw the same values independently.
     """
 
-    __slots__ = ("_rngs", "_block", "_buf", "_pos")
+    __slots__ = ("_hi", "_lo", "_inc_hi", "_inc_lo")
 
-    def __init__(self, generators, block: int = BANK_BLOCK):
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
-        self._rngs = list(generators)
-        self._block = block
-        rows = len(self._rngs)
-        self._buf = np.empty((rows, block), dtype=np.float64)
-        # Every row starts exhausted; the first draw refills it.
-        self._pos = np.full(rows, block, dtype=np.int64)
+    def __init__(self, generators):
+        states = [g.bit_generator.state["state"] for g in generators]
 
-    def _refill(self, row: int) -> None:
-        """Top the row's buffer back up to ``block`` undrawn doubles."""
-        buf, block = self._buf, self._block
-        pos = int(self._pos[row])
-        remaining = block - pos
-        if remaining:
-            # Undrawn leftovers stay at the front: every double the
-            # generator produced is eventually served in order.
-            buf[row, :remaining] = buf[row, pos:]
-        buf[row, remaining:] = self._rngs[row].random(pos)
-        self._pos[row] = 0
+        def column(key: str, shift: int) -> np.ndarray:
+            return np.fromiter(
+                (state[key] >> shift & _MASK64 for state in states),
+                dtype=np.uint64, count=len(states),
+            )
+
+        self._hi, self._lo = column("state", 64), column("state", 0)
+        self._inc_hi, self._inc_lo = column("inc", 64), column("inc", 0)
+
+    @classmethod
+    def seeded(cls, seeds) -> "SamplerBank":
+        """The bank whose row ``i`` serves ``default_rng(seeds[i])``."""
+        bank = cls.__new__(cls)
+        bank._hi, bank._lo, bank._inc_hi, bank._inc_lo = pcg64_columns(seeds)
+        return bank
 
     def draw_matrix(self, rows: np.ndarray, k: int) -> np.ndarray:
         """The next ``k`` doubles of each (distinct) row, as ``(m, k)``.
 
         Row ``i`` of the result holds ``rows[i]``'s next ``k`` stream
         values in draw order — exactly the doubles ``k`` scalar
-        ``uniform()`` calls on that member's sampler would return.
+        ``uniform()`` calls on that member's sampler would return.  Only
+        the requested rows advance.
         """
-        if k > self._block:
-            raise ValueError(
-                f"k={k} exceeds the bank block size {self._block}"
-            )
-        pos = self._pos
-        if k == 0 or len(rows) == 0:
-            return np.empty((len(rows), k), dtype=np.float64)
-        for row in rows[pos[rows] + k > self._block]:
-            self._refill(int(row))
-        starts = pos[rows]
-        out = self._buf[rows[:, None], starts[:, None] + np.arange(k)]
-        pos[rows] = starts + k
+        out = np.empty((len(rows), k), dtype=np.float64)
+        hi, lo = self._hi[rows], self._lo[rows]
+        inc_hi, inc_lo = self._inc_hi[rows], self._inc_lo[rows]
+        for step in range(k):
+            hi, lo = pcg64_step(hi, lo, inc_hi, inc_lo)
+            # XSL-RR: the halves xored, rotated right by the top 6 bits.
+            word = hi ^ lo
+            rot = hi >> _U58
+            word = word >> rot | word << (-rot & _U63)
+            out[:, step] = word >> _U11
+        out *= 2.0 ** -53
+        self._hi[rows], self._lo[rows] = hi, lo
         return out

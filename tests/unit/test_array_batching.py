@@ -6,8 +6,7 @@ end-to-end version):
 
 * :class:`~repro.sim.sampling.SamplerBank` serves every member row the
   exact double sequence a per-member scalar
-  :class:`~repro.sim.sampling.BlockedSampler` would serve, however
-  matrix draws and scalar draws interleave;
+  :class:`~repro.sim.sampling.BlockedSampler` would serve;
 * :meth:`~repro.sim.network.Network.plan_delivery_block` makes the same
   decisions, keeps the same statistics and consumes the loss stream at
   the same rate as per-message :meth:`plan_delivery` in send order —
@@ -36,47 +35,16 @@ def _streams(count, seed=7):
 
 
 class TestSamplerBank:
+    # Row subsets, draw sizes and the seed range are properties in
+    # tests/property/test_stream_columns.py.
     def test_matrix_rows_match_scalar_samplers(self):
         rows = 6
-        bank = SamplerBank(_streams(rows), block=8)
+        bank = SamplerBank(_streams(rows))
         reference = [BlockedSampler(g, block=0) for g in _streams(rows)]
         drawn = bank.draw_matrix(np.arange(rows, dtype=np.int64), 5)
         for row in range(rows):
             expected = [reference[row].uniform() for _ in range(5)]
             assert drawn[row].tolist() == expected
-
-    def test_refill_preserves_leftovers_across_draws(self):
-        # Draw counts chosen to straddle the block boundary repeatedly.
-        bank = SamplerBank(_streams(3), block=4)
-        reference = [BlockedSampler(g, block=0) for g in _streams(3)]
-        served = {row: [] for row in range(3)}
-        for k in (3, 2, 4, 1, 3):
-            drawn = bank.draw_matrix(np.arange(3, dtype=np.int64), k)
-            for row in range(3):
-                served[row].extend(drawn[row].tolist())
-        for row in range(3):
-            expected = [
-                reference[row].uniform() for _ in range(len(served[row]))
-            ]
-            assert served[row] == expected
-
-    def test_subset_of_rows_leaves_others_untouched(self):
-        bank = SamplerBank(_streams(4), block=8)
-        reference = [BlockedSampler(g, block=0) for g in _streams(4)]
-        bank.draw_matrix(np.array([1, 3], dtype=np.int64), 4)
-        for _ in range(4):
-            reference[1].uniform()
-            reference[3].uniform()
-        drawn = bank.draw_matrix(np.arange(4, dtype=np.int64), 2)
-        for row in range(4):
-            assert drawn[row].tolist() == [
-                reference[row].uniform(), reference[row].uniform()
-            ]
-
-    def test_draw_beyond_block_rejected(self):
-        bank = SamplerBank(_streams(1), block=4)
-        with pytest.raises(ValueError, match="block"):
-            bank.draw_matrix(np.array([0], dtype=np.int64), 5)
 
 
 def _send_block(senders, dests, size=1):

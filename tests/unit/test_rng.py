@@ -1,5 +1,8 @@
 """Unit tests for deterministic named RNG streams."""
 
+import numpy as np
+import pytest
+
 from repro.sim.rng import RngRegistry, derive_seed
 
 
@@ -53,3 +56,78 @@ class TestRngRegistry:
 
     def test_repr_mentions_seed(self):
         assert "seed=3" in repr(RngRegistry(seed=3))
+
+
+def _gossip_run(array: bool, n: int = 512):
+    """A finished n-member hierarchical gossip run on either engine."""
+    from repro.core.aggregates import AverageAggregate
+    from repro.core.array_stepper import HierarchicalArrayStepper
+    from repro.core.gridbox import GridAssignment, GridBoxHierarchy
+    from repro.core.hashing import FairHash
+    from repro.core.hierarchical_gossip import build_hierarchical_gossip_group
+    from repro.sim.array_engine import ArraySteppedEngine
+    from repro.sim.engine import SimulationEngine
+    from repro.sim.network import LossyNetwork
+
+    votes = {m: float(m) for m in range(n)}
+    assignment = GridAssignment(GridBoxHierarchy(n, 8), votes, FairHash())
+    kwargs = {
+        "network": LossyNetwork(ucastl=0.25, max_message_size=1 << 20),
+        "rngs": RngRegistry(5),
+    }
+    engine = (
+        ArraySteppedEngine(stepper=HierarchicalArrayStepper(), **kwargs)
+        if array else SimulationEngine(**kwargs)
+    )
+    processes = build_hierarchical_gossip_group(
+        votes, AverageAggregate(), assignment
+    )
+    engine.add_processes(processes)
+    engine.run()
+    return engine.rngs, processes
+
+
+class TestClaim:
+    def test_claimed_seeds_are_derived_seeds(self):
+        seeds = RngRegistry(seed=3).claim([4, 1], "gossip")
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [
+            derive_seed(3, "process", 4, "gossip"),
+            derive_seed(3, "process", 1, "gossip"),
+        ]
+
+    def test_claimed_stream_refused(self):
+        rngs = RngRegistry(seed=3)
+        rngs.claim([2, 7], "gossip")
+        with pytest.raises(ValueError, match="claimed"):
+            rngs.stream("process", 7, "gossip")
+        rngs.stream("process", 3, "gossip")  # not claimed
+        rngs.stream("process", 7, "send-order")  # another name path
+
+    def test_second_owner_refused(self):
+        rngs = RngRegistry(seed=3)
+        rngs.stream("process", 5, "gossip")
+        with pytest.raises(ValueError, match="owner"):
+            rngs.claim([4, 5], "gossip")
+        rngs.claim([4], "gossip")
+        with pytest.raises(ValueError, match="owner"):
+            rngs.claim([4], "gossip")
+        with pytest.raises(ValueError, match="owner"):
+            rngs.claim([6, 6], "gossip")
+
+    def test_array_engine_owns_gossip_streams(self):
+        rngs, processes = _gossip_run(array=True)
+        assert not [
+            key for key in rngs._streams
+            if key[:1] == ("process",) and key[2:] == ("gossip",)
+        ]
+        for proc in processes[:3]:
+            with pytest.raises(ValueError, match="claimed"):
+                rngs.stream("process", proc.node_id, "gossip")
+
+    def test_object_engine_keeps_generators(self):
+        rngs, processes = _gossip_run(array=False)
+        proc = next(p for p in processes if p._sampler is not None)
+        assert rngs.stream("process", proc.node_id, "gossip") is (
+            proc._sampler._rng
+        )
