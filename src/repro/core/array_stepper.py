@@ -19,6 +19,9 @@ phase (Section 6.3) — and a row is exactly that:
   new key goes last; every arrival counts toward ``_phase_received``; a
   push-pull answer is the row before its wave).  A future-phase arrival
   goes to a columnar buffer — (row, phase, slot, state id) per entry.
+  A scalar arrival (an injection, a per-message-planned send, any
+  message while the screen is armed) is admitted entry by entry
+  (:meth:`~HierarchicalArrayStepper.receive`).
 * **Payloads** (:class:`RowSnapshots`) — a send block carries sender
   row snapshots; a row over the batch cap sends a Floyd subset drawn
   after its target draws.
@@ -35,12 +38,12 @@ phase (Section 6.3) — and a row is exactly that:
   the same round (the cascade).  Events go through the process's
   emitters.
 
-**The process is a view.**  Phase, clock, extensions,
-``_phase_received``, ``known`` and future buffer are written back
-(:meth:`~HierarchicalArrayStepper._sync`) only before process code
-reads them — a scalar arrival (an injection, a per-message-planned
-send), admitted by ``absorb_payloads`` and read back — when a row
-finalises, and when the run ends.  Under the runtime sanitizer a
+**The row is the member's state.**  A row starts from its process's
+own vote and start round, and nothing is written back: a process keeps
+its static configuration, phase sink, sanitizer phase clock,
+``refused`` count and — from the round its row finalises — result,
+coverage, phase and termination.  Its ``known``, future buffer and
+clocks stay as ``on_start`` left them.  Under the runtime sanitizer a
 bumping row composes through ``merge_all`` inside
 ``sanitize.composing`` with the compose and phase-clock checks; while
 :data:`repro.sanitize.SCREEN` is armed the engine delivers chunks
@@ -91,17 +94,11 @@ from repro.core.hierarchical_gossip import (
     is_representative,
 )
 from repro.core.intervals import IntervalMask
-from repro.core.messages import ID_SIZE, GossipBatch
+from repro.core.messages import ID_SIZE, GossipBatch, GossipValue
 from repro.core.observe import format_subtree
 from repro.sim.sampling import SamplerBank
 
 __all__ = ["HierarchicalArrayStepper", "RowSnapshots", "unsupported_reason"]
-
-#: The process attributes a row keeps as columns, in ``_scalars`` order.
-_SCALARS = (
-    "phase", "phase_rounds", "_phase_extension", "_deadline_extension",
-    "_phase_received", "start_round",
-)
 
 #: Own-index sentinel for members whose pool already excludes them
 #: (partial views): no pick ever reaches it, so no shift is applied.
@@ -248,12 +245,12 @@ class HierarchicalArrayStepper:
         self._budget = params.extension_budget(self._rpp)
         self._function = first.function
         self._sinks = any(proc.phase_sink is not None for proc in procs)
-        #: Per row, as its process has them (``_SCALARS``): phase, clock,
-        #: the rounds this phase and all phases borrowed under adaptive
-        #: deadlines, this phase's arrivals, and the first round.
-        self._scalars = np.zeros((len(_SCALARS), n), dtype=np.int64)
+        #: Per row: phase, clock, the rounds this phase and all phases
+        #: borrowed under adaptive deadlines, this phase's arrivals, and
+        #: the first round.
         (self._phase, self._phase_rounds, self._pext, self._dext,
-         self._recv, self._start_round) = self._scalars
+         self._recv, self._start_round) = np.zeros((6, n), dtype=np.int64)
+        self._phase += 1
         self._spread = False
         #: Per-row ``_is_representative()`` of the current phase, and the
         #: final-phase rounds at which sidelined members send anyway.
@@ -301,8 +298,6 @@ class HierarchicalArrayStepper:
         self._order = np.zeros((n, width), dtype=np.min_scalar_type(width))
         self._held = np.zeros(n, dtype=np.int32)
         self._base = np.zeros(n, dtype=np.int64)
-        #: The process's ``known`` dict equals the row.
-        self._synced = np.zeros(n, dtype=bool)
         #: The row changed since its last completion test.
         self._touched = np.zeros(n, dtype=bool)
         # The run-wide state table; id 0 is "no state".  A state stays
@@ -334,30 +329,27 @@ class HierarchicalArrayStepper:
         self._group = np.zeros(n, dtype=np.int64)
         self._group_count = 0
         self._need = np.zeros((64, width), dtype=np.int32)
-        self._ready = False
         self._bank = SamplerBank.seeded(
             engine.rngs.claim(self._ids, "gossip")
         )
 
     def _begin(self) -> None:
-        """Read every process into its row (``on_start`` has run)."""
+        """Seed every row with its own vote — the state ``on_start``
+        lifted — from its start round."""
         self._ready = True
         procs = self._procs
-        for column, name in zip(self._scalars, _SCALARS):
-            column[:] = [getattr(proc, name) for proc in procs]
+        self._start_round[:] = [proc.start_round for proc in procs]
         self._spread = bool((self._start_round > 0).any())
         rows = np.arange(len(procs))
         self._place(rows)
-        self._load(rows.tolist())
-        for row, proc in enumerate(procs):
-            if any(proc._future.values()):
-                self._rebuffer(row)
-
-    def finish(self, engine) -> None:
-        """The run ended: write every unfinished row back into its
-        process (finished ones were written when they finalised)."""
-        if self._ready:
-            self._sync(np.flatnonzero(~engine.terminated_rows))
+        own = [self._rank_of(member) for member in self._ids.tolist()]
+        own = np.asarray(own, dtype=np.int64) - self._box_start
+        self._sid[rows, own] = self._register(
+            [proc.known[proc.node_id] for proc in procs]
+        )
+        self._order[rows, 0] = own
+        self._held[:] = 1
+        self._touched[:] = True
 
     # -- rows and the state table ---------------------------------------
     def _add_pool(self, members) -> int:
@@ -371,9 +363,10 @@ class HierarchicalArrayStepper:
     def _register(self, states: list, columns=None) -> list[int]:
         """Table ids for ``states`` (one new id each, freed ids first).
 
-        A state loaded twice gets two ids: admission compares coverage
-        counts, and both ids read back as the same object.  ``columns``
-        are the payload columns of states the stepper composed.
+        A state registered twice gets two ids: admission compares
+        coverage counts, and both ids read back as the same object.
+        ``columns`` are the payload columns of states the stepper
+        composed.
         """
         if not states:
             return []
@@ -450,7 +443,7 @@ class HierarchicalArrayStepper:
         return keys
 
     def _slot_of(self, phase: int, base: int, key) -> int:
-        """The slot of a held ``key`` in a row of this phase and base
+        """The slot of a placed ``key`` in a row of this phase and base
         (admission placed it in the row's box or subtree)."""
         return (self._rank_of(key) if phase == 1 else key[1]) - base
 
@@ -541,64 +534,6 @@ class HierarchicalArrayStepper:
                     for member in self._ids[at].tolist()
                 ]
 
-    def _load(self, rows: list[int]) -> None:
-        """Read these rows' ``known`` dicts into their columns."""
-        procs = self._procs
-        at_row: list[int] = []
-        at_pos: list[int] = []
-        at_slot: list[int] = []
-        at_state: list = []
-        held: list[int] = []
-        for row, phase, base in zip(
-            rows, self._phase[rows].tolist(), self._base[rows].tolist()
-        ):
-            known = procs[row].known
-            slots = [self._slot_of(phase, base, key) for key in known]
-            held.append(len(slots))
-            at_row.extend([row] * len(slots))
-            at_pos.extend(range(len(slots)))
-            at_slot.extend(slots)
-            at_state.extend(known.values())
-        index = np.asarray(rows, dtype=np.int64)
-        self._sid[index] = 0
-        if at_row:
-            self._sid[at_row, at_slot] = self._register(at_state)
-            self._order[at_row, at_pos] = at_slot
-        self._held[index] = held
-        self._synced[index] = True
-        self._touched[index] = True
-
-    def _sync(self, rows: np.ndarray) -> None:
-        """Write these rows into their processes before process code
-        reads them: ``known`` (rebuilt where the row changed), phase,
-        clock, extensions, ``_phase_received`` and the future buffer."""
-        procs = self._procs
-        stale = rows[~self._synced[rows]]
-        if len(stale):
-            held = self._held[stale]
-            slots = self._order[stale, :int(held.max())]
-            sids = self._sid[stale[:, None], slots]
-            states = self._states
-            for row, count, phase, base, slot_row, sid_row in zip(
-                stale.tolist(), held.tolist(), self._phase[stale].tolist(),
-                self._base[stale].tolist(), slots.tolist(), sids.tolist(),
-            ):
-                keys = self._keys(phase, base)
-                proc = procs[row]
-                proc.known = {
-                    keys[slot]: states[sid]
-                    for slot, sid in zip(slot_row[:count], sid_row[:count])
-                }
-                proc._known_version += 1  # stale payload memos
-            self._synced[stale] = True
-        written = [procs[row] for row in rows.tolist()]
-        for name, column in zip(_SCALARS, self._scalars[:, rows].tolist()):
-            for proc, value in zip(written, column):
-                setattr(proc, name, value)
-        buffered = self._buffered(rows)
-        for row, proc in zip(rows.tolist(), written):
-            proc._future = buffered.get(row, {})
-
     def _batches(self, table: RowSnapshots, rows: list[int]) -> list:
         """Snapshot rows as the payload objects they stand for."""
         index = np.asarray(rows, dtype=np.int64)
@@ -653,42 +588,28 @@ class HierarchicalArrayStepper:
         np.subtract.at(self._future_count, taken[:, 0], 1)
         return taken.T
 
-    def _buffered(self, rows: np.ndarray) -> dict[int, dict]:
-        """These rows' buffer entries as ``absorb_payloads`` keeps them:
-        per row, ``{phase: {key: state}}``, keys in first-arrival order,
-        the first value of greatest coverage (or the first value, under
-        ``prefer_coverage=False``)."""
-        rows = rows[self._future_count[rows] > 0]
-        if not len(rows):
-            return {}
+    def _values(self, row: int, phase: int, base: int) -> dict:
+        """What ``row`` holds for ``phase`` as ``absorb_payloads`` keeps
+        it — key -> state: its values in insertion order, or for a
+        future phase what its buffered entries resolve to (the drain's
+        rule, :meth:`_takes` in arrival order)."""
+        keys = self._keys(phase, base)
+        if phase == self._phase[row]:
+            slots = self._order[row, :self._held[row]].tolist()
+            return {
+                keys[slot]: self._states[sid]
+                for slot, sid in zip(slots, self._sid[row, slots].tolist())
+            }
+        resolved: dict = {}
+        if not self._future_count[row]:
+            return resolved
         log = self._future[:self._future_used]
-        states = self._states
-        out: dict[int, dict] = {}
-        for row, phase, slot, sid in log[np.isin(log[:, 0], rows)].tolist():
-            bucket = out.setdefault(row, {}).setdefault(phase, {})
-            key = self._keys(phase, self._base_of(row, phase))[slot]
-            state = states[sid]
-            current = bucket.get(key)
-            if current is None or (
-                self._prefer and state.members.count > current.members.count
-            ):
-                bucket[key] = state
-        return out
-
-    def _rebuffer(self, row: int) -> None:
-        """Make the buffer hold ``row``'s process's future buffer."""
-        if self._future_count[row]:
-            self._take(self._future[:self._future_used, 0] == row)
-        entries = [
-            (phase, self._slot_of(phase, self._base_of(row, phase), key),
-             state)
-            for phase, bucket in self._procs[row]._future.items()
-            for key, state in bucket.items()
-        ]
-        phases, slots, states = zip(*entries)
-        self._buffer(
-            np.full(len(entries), row), phases, slots, self._register(states)
-        )
+        chosen = (log[:, 0] == row) & (log[:, 1] == phase)
+        for slot, sid in log[chosen, 2:].tolist():
+            state = self._states[sid]
+            if self._takes(state, resolved.get(keys[slot])):
+                resolved[keys[slot]] = state
+        return resolved
 
     def _drain(self, rows: np.ndarray) -> None:
         """Admit the buffered entries of the phase ``rows`` just entered,
@@ -760,19 +681,78 @@ class HierarchicalArrayStepper:
         )
         return asked[by_arrival], rows, answers
 
-    def receive(self, engine, row: int, payload, answers: list) -> None:
-        """Admit one scalar arrival through the process's own code."""
+    def receive(self, engine, row: int, payload):
+        """Admit one scalar arrival into ``row``; returns its push-pull
+        answer, or None.
+
+        ``absorb_payloads``' rule, entry by entry, over what the row holds
+        for the payload's phase (:meth:`_values`): an identical value is
+        skipped, then come the screen, the take rule and the process's
+        ``_placed``, which counts a refusal in ``refused``.  A request is
+        answered with the row as it stands before the payload.
+        """
         if not self._ready:
             self._begin()
+        if isinstance(payload, GossipBatch):
+            entries, request = payload.entries, not payload.reply
+        elif isinstance(payload, GossipValue):
+            entries, request = ((payload.key, payload.state),), False
+        else:
+            return None
+        phase, answer = payload.phase, None
+        row_phase = self._phase[row]
+        if engine.terminated_rows[row] or phase < row_phase:
+            return None
+        values: dict = {}
+        if phase <= self._num_phases:  # no key is placed past the last
+            base = self._base_of(row, phase)
+            values = self._values(row, phase, base)
+        if phase == row_phase:
+            self._recv[row] += 1
+            if self._push_pull and request:
+                answer = GossipBatch(
+                    phase, tuple(values.items())[:self._cols], reply=True
+                )
         proc = self._procs[row]
-        if proc.result is not None:
-            return
-        self._sync(np.array([row]))
-        if proc.absorb_payloads((payload,), engine.round, answers):
-            self._load([row])
-        self._recv[row] = proc._phase_received
-        if proc._future:
-            self._rebuffer(row)
+        screen = sanitize.SCREEN
+        stored = []
+        for key, state in entries:
+            current = values.get(key)
+            if current is state:
+                continue
+            if screen is not None and not screen(
+                proc, engine.round, phase, key, state
+            ):
+                continue  # quarantined
+            if not self._takes(state, current):
+                continue
+            if not proc._placed(phase, key, state):
+                proc.refused += 1
+                continue
+            values[key] = state
+            stored.append((self._slot_of(phase, base, key), state))
+        if not stored:
+            return answer
+        slots, states = zip(*stored)
+        sids = self._register(list(states))
+        if phase > row_phase:
+            self._buffer(np.full(len(sids), row), np.full(len(sids), phase),
+                         slots, sids)
+            return answer
+        for slot, sid in zip(slots, sids):
+            if not self._sid[row, slot]:  # a new key goes last
+                self._order[row, self._held[row]] = slot
+                self._held[row] += 1
+            self._sid[row, slot] = sid
+        self._touched[row] = True
+        return answer
+
+    def _takes(self, state: AggregateState, current) -> bool:
+        """The take rule: a key not held, or — under
+        ``prefer_coverage`` — strictly more coverage than ``current``."""
+        return current is None or (
+            self._prefer and state.members.count > current.members.count
+        )
 
     @property
     def per_message(self) -> bool:
@@ -814,7 +794,6 @@ class HierarchicalArrayStepper:
             start = stop
         changed = rows[changed]
         self._touched[changed] = True
-        self._synced[changed] = False
 
     def _pull(self, rows, asked) -> tuple:
         """Push-pull answers: each row's first entries, as they are now
@@ -1045,14 +1024,12 @@ class HierarchicalArrayStepper:
         return masks
 
     def _finalize(self, engine, rows, composed, round_number, events) -> None:
-        """The final phase composed: result, coverage and termination,
-        with the row written back into its process for good."""
-        self._sync(rows)
+        """The final phase composed: the process gets its result,
+        coverage, the phase past the last, and terminates."""
         states = self._states
         for row, sid in zip(rows.tolist(), composed.tolist()):
             proc = self._procs[row]
             proc.phase = self._num_phases + 1
-            proc.phase_rounds = proc._phase_extension = 0
             proc.result = states[sid]
             proc.coverage_fraction = proc.result.covers() / self._members
             proc.terminated = True
@@ -1075,7 +1052,6 @@ class HierarchicalArrayStepper:
         self._sid[rows, own] = composed
         self._order[rows, 0] = own
         self._held[rows] = 1
-        self._synced[rows] = False
         self._touched[rows] = True
         self._place(rows)
         self._drain(rows)

@@ -536,9 +536,9 @@ class HierarchicalGossipProcess(AggregationProcess):
         """Admit arrived payloads (paper step II); True if ``known`` changed.
 
         The object engine's one admission routine: :meth:`on_message`
-        passes its single payload (the array stepper does so for a
-        scalar arrival), :meth:`_maybe_advance` the values it had
-        buffered for the phase it enters.  A past-phase payload is ignored (that
+        passes its single payload, :meth:`_maybe_advance` the values it
+        had buffered for the phase it enters (the array stepper applies
+        the rule to its rows itself).  A past-phase payload is ignored (that
         phase is already composed here), a future-phase one is
         buffered, and per key the most-complete value wins (or the
         first received, under the ``prefer_coverage=False`` ablation) —
@@ -550,9 +550,8 @@ class HierarchicalGossipProcess(AggregationProcess):
         about to be stored must be one the hierarchy places under its
         key (:meth:`_placed`); one that is not is refused and counted
         in :attr:`refused`, so ``known`` and the future buffer hold at
-        most a box's members or ``K`` children per phase.  The return
-        value tells the array stepper to read ``known`` back into its
-        row; advancing is the round step's job, never admission's.
+        most a box's members or ``K`` children per phase.  Advancing is
+        the round step's job, never admission's.
 
         It is also the one place a push-pull reply is decided: a
         non-reply batch of this member's current phase is answered with

@@ -27,7 +27,8 @@ calling into one process object per member and message:
   the order per-message dispatch gives them.  A scalar arrival goes to
   the stepper one at a time (:meth:`_receive`), and so does every
   message of a chunk while the stepper asks for ``per_message``
-  delivery (an armed admission screen).
+  delivery (an armed admission screen); the stepper admits it into the
+  receiver's row too.
 * **Answers** — a receiver may answer an arrival (push-pull gossip).
   The stepper returns a chunk's answers as one more table; they are put
   back into the arrival order of their requests and sent as one more
@@ -37,8 +38,8 @@ calling into one process object per member and message:
   fallback see the same sequence; under a bandwidth cap they count
   against the window the previous step's sends opened
   (``window_sends``), which ``begin_round`` closes only after delivery.
-  A scalar arrival is answered by a scalar ``_submit``, exactly as
-  ``on_message`` does it.
+  A scalar arrival's answer is the receiver's next attempt in that same
+  window, planned and sent as one message.
 
 **Equivalence contract** — for the protocol configurations the stepper
 accepts, a run on this engine is *bit-identical* to the object-stepped
@@ -51,12 +52,11 @@ The stepper contract::
 
     stepper.bind(engine)                       # once, before round 0
     stepper.step(engine)                       # one round's sends + advances
-    stepper.finish(engine)                     # once, after the last round
     stepper.admit(engine, rows, table_rows, table)
         # one delivered chunk, grouped by receiver; returns None or
         # (asked, answering rows, answer table)
-    stepper.receive(engine, row, payload, answers)
-        # one scalar arrival; appends (position, answer) pairs
+    stepper.receive(engine, row, payload)
+        # one scalar arrival; returns None or its answer payload
     stepper.per_message                        # deliver chunks as messages
 
 A payload table has ``sizes`` (wire size per row), ``owner`` (the
@@ -205,18 +205,28 @@ class ArraySteppedEngine(SimulationEngine):
             )
 
     def _receive(self, receiver: Process, message: Message) -> None:
-        # A scalar arrival (an injection, a per-message-planned send) is
-        # admitted on its own — and answered by a scalar send, as
-        # ``on_message`` does it (to a forged sender too: planned, then
-        # dropped by ``_dispatch``).
-        answers: list = []
-        self._stepper.receive(
-            self, self._row_of(message.dest), message.payload, answers
+        # A scalar arrival is admitted on its own.  Its answer is the
+        # receiver's next attempt in the bandwidth window its sends
+        # opened, as a chunk's answers are, and goes out as a message —
+        # to a forged sender too: planned, then dropped by ``_dispatch``.
+        row = self._row_of(message.dest)
+        answer = self._stepper.receive(self, row, message.payload)
+        if answer is None:
+            return
+        size = answer.wire_size()
+        slot = self.window_sends[row]
+        self.window_sends[row] += 1
+        planned = self.network.plan_delivery_block(
+            np.array([message.dest]), np.array([message.src]),
+            np.array([size]), np.array([slot]), self.round, self.rngs,
         )
-        for __, answer in answers:
-            self._submit(
-                message.dest, message.src, answer, answer.wire_size()
-            )
+        if planned is None:  # a per-message network counts the window
+            self._submit(message.dest, message.src, answer, size)
+        elif planned[0][0]:
+            self._enqueue(planned[1], Message(
+                src=message.dest, dest=message.src, payload=answer,
+                size=size, sent_round=self.round,
+            ))
 
     def _answer(
         self, asked: np.ndarray, answering: np.ndarray, answers: Any,
@@ -305,6 +315,4 @@ class ArraySteppedEngine(SimulationEngine):
     def run(self, until=None):
         self._bind_rows()
         self._stepper.bind(self)
-        stats = super().run(until)
-        self._stepper.finish(self)
-        return stats
+        return super().run(until)

@@ -235,13 +235,5 @@ class RngRegistry:
             map(seed_of, ids.tolist()), dtype=np.uint64, count=len(ids)
         )
 
-    def spawn(self, *names: str | int) -> "RngRegistry":
-        """Return a child registry rooted at a derived seed.
-
-        Useful for giving each of many repeated runs its own registry while
-        keeping a single top-level experiment seed.
-        """
-        return RngRegistry(derive_seed(self.seed, *names))
-
     def __repr__(self) -> str:
         return f"RngRegistry(seed={self.seed}, streams={len(self._streams)})"

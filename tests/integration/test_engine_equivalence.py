@@ -374,8 +374,8 @@ def _assert_identical_on_jitter(config):
 
 # -- boundaries of the columnar stepper ---------------------------------
 # The array stepper keeps member state as rows and admits arrivals in
-# waves; these runs cross each place where it falls back to the
-# process's own admission or has to build payload objects.
+# waves; these runs cross each place where it admits one message at a
+# time or has to build payload objects.
 
 def _counting(monkeypatch, owner, name):
     """Count the calls of ``owner.name`` for the rest of the test."""
@@ -407,8 +407,8 @@ def test_adversarial_campaign_under_sanitizer_admits_through_process(
     monkeypatch,
 ):
     # The sanitizer's screen is armed: every arrival (a scalar message,
-    # since the adversary snoops per message) is admitted by the
-    # process's own code on the materialised row, then read back.
+    # since the adversary snoops per message) is admitted into its row
+    # entry by entry, screened in the process's order.
     from repro.core.array_stepper import HierarchicalArrayStepper
 
     received = _counting(monkeypatch, HierarchicalArrayStepper, "receive")
@@ -420,9 +420,7 @@ def test_adversarial_campaign_under_sanitizer_admits_through_process(
     assert received
 
 
-def test_screen_armed_on_the_block_path(monkeypatch):
-    # With the screen armed on a block-planned network, every chunk is
-    # dispatched as its messages, answers included.
+def _assert_screen_armed_block_path(monkeypatch, **params):
     from repro import sanitize
     from repro.chaos.adversary import TamperPlanner
     from repro.sim.array_engine import ArraySteppedEngine
@@ -432,13 +430,27 @@ def test_screen_armed_on_the_block_path(monkeypatch):
     sanitize.enable()
     sanitize.set_adversary(TamperPlanner([], [], []))
     try:
-        got = _records(with_params(n=128, push_pull=True, seed=4))
+        got = _records(with_params(n=128, push_pull=True, seed=4, **params))
     finally:
         sanitize.clear_adversary()
         if not was_active:
             sanitize.disable()
     assert by_message
     assert got["array"] == got["object"]
+
+
+def test_screen_armed_on_the_block_path(monkeypatch):
+    # With the screen armed on a block-planned network, every chunk is
+    # dispatched as its messages, answers included.
+    _assert_screen_armed_block_path(monkeypatch)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_screen_armed_answer_shares_the_block_window(monkeypatch, cap):
+    # Under a bandwidth cap, an answer to a message dispatched from a
+    # chunk is the receiver's next send in the window its block-planned
+    # sends opened.
+    _assert_screen_armed_block_path(monkeypatch, max_sends_per_round=cap)
 
 
 def test_forged_keys_are_refused_on_both_engines(monkeypatch):
@@ -573,8 +585,13 @@ def test_equivalent_composing_unsanitized(name, unsanitized):
 
 def test_array_run_calls_no_process_protocol_code(monkeypatch, unsanitized):
     # Block delivery, wave admission, the columnar buffer and the
-    # columnar advance: no member's own admission or advance runs.
+    # columnar advance — and, for scalar arrivals (per-message jitter
+    # planning, a region outage, adversarial injections with the screen
+    # armed), admission into the row: no member's own admission or
+    # advance runs, and every run equals the object engine's.
+    from repro import sanitize
     from repro.core.hierarchical_gossip import HierarchicalGossipProcess
+    from repro.sim.network import JitterNetwork
 
     advanced = _counting(
         monkeypatch, HierarchicalGossipProcess, "_maybe_advance"
@@ -582,10 +599,31 @@ def test_array_run_calls_no_process_protocol_code(monkeypatch, unsanitized):
     absorbed = _counting(
         monkeypatch, HierarchicalGossipProcess, "absorb_payloads"
     )
-    config = with_params(n=512, k=8)
-    array = run_result_record(run_once(replace(config, engine="array")))
-    assert (len(advanced), len(absorbed)) == (0, 0)
-    assert array == run_result_record(
-        run_once(replace(config, engine="object"))
-    )
-    assert advanced and absorbed
+
+    def check(run):
+        advanced.clear()
+        absorbed.clear()
+        array = run("array")
+        assert (len(advanced), len(absorbed)) == (0, 0)
+        assert array == run("object")
+        assert advanced and absorbed
+
+    def records(config):
+        return lambda engine: run_result_record(
+            run_once(replace(config, engine=engine))
+        )
+
+    check(records(with_params(n=512, k=8)))
+    check(records(with_params(n=128, campaign="region-outage", seed=1)))
+    jitter = with_params(n=128, pf=0.002, push_pull=True, seed=3)
+    check(lambda engine: _hand_built_run(
+        jitter, engine,
+        JitterNetwork(ucastl=0.2, mean_extra_latency=1.5,
+                      max_message_size=jitter.max_message_size),
+    ))
+    sanitize.enable()
+    try:
+        for campaign in ("tamper-forge", "sybil-storm"):
+            check(records(with_params(n=128, campaign=campaign, seed=1)))
+    finally:
+        sanitize.disable()

@@ -10,9 +10,12 @@ extensions, deliveries this phase, buffered future values (the own
 child's among them, at more or less coverage than it will compose to) —
 with adaptive deadlines, early bump-up, coverage preference and the
 runtime sanitizer (which composes through ``merge_all`` instead of the
-column fold) each on and off, and advance it both ways.  The phase,
-clock, extensions, ``known`` (keys, order and states, bit for bit),
-future buffer, result, coverage and emitted events must match.
+column fold) each on and off, and advance it both ways: the row seeded
+from the twin process (``tests/stepper_rows.py``).  The row's phase,
+clock, extensions, ``known`` (keys, order and states, bit for bit) and
+future buffer must match the twin's, and so must the process's result,
+coverage, termination and emitted events.  A finalised row keeps its
+last phase and clock; its process gets the phase past the last.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from repro.core.observe import PhaseSink
 from repro.sim.array_engine import ArraySteppedEngine
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
+from tests.stepper_rows import read_row, seed_row
 
 N, K = 64, 4
 ASSIGNMENT = GridAssignment(GridBoxHierarchy(N, K), range(N), FairHash())
@@ -113,6 +117,7 @@ def _world(params: GossipParams):
     engine._stepper.bind(engine)
     for proc in group:
         proc.on_start(engine._ctx)
+    engine._stepper._begin()
     group_sink.events.clear()
     return engine, group[MEMBER], twin, group_sink, twin_sink
 
@@ -185,37 +190,40 @@ def _check_advance(phase, early_bump, adaptive, prefer, fraction, data):
     clock = max(0, rounds + extension + data.draw(st.integers(-3, 2)))
     borrowed = extension + data.draw(st.integers(0, 3))
     received = max(0, max(1, clock) + data.draw(st.integers(-2, 1)))
-    for process in (proc, twin):
-        process.phase = phase
-        process.known = dict(known)
-        process._future = {p: dict(bucket) for p, bucket in future.items()}
-        process.phase_rounds = clock
-        process._phase_extension = extension
-        process._deadline_extension = borrowed
-        process._phase_received = received
+    twin.phase = phase
+    twin.known = dict(known)
+    twin._future = {p: dict(bucket) for p, bucket in future.items()}
+    twin.phase_rounds = clock
+    twin._phase_extension = extension
+    twin._deadline_extension = borrowed
+    twin._phase_received = received
     engine.round = PHASES * rounds + data.draw(st.integers(-4, 6))
     stepper = engine._stepper
-    stepper._begin()
+    seed_row(stepper, MEMBER, twin)
 
     stepped = np.zeros(N, dtype=bool)
     stepped[MEMBER] = True
     stepper._advance(engine, stepped)
     twin._maybe_advance(Context(twin, engine.round))
 
-    if not proc.terminated:
-        stepper._sync(np.array([MEMBER]))
+    row = read_row(stepper, MEMBER)
     assert proc.terminated == twin.terminated
-    assert (proc.phase, proc.phase_rounds) == (twin.phase, twin.phase_rounds)
-    assert proc._phase_extension == twin._phase_extension
-    assert proc._deadline_extension == twin._deadline_extension
-    assert proc._phase_received == twin._phase_received
-    assert list(proc.known) == list(twin.known)
-    assert all(_same(proc.known[key], twin.known[key]) for key in twin.known)
-    assert list(proc._future) == list(twin._future)
+    if twin.terminated:
+        assert proc.phase == twin.phase
+    else:
+        assert (row.phase, row.phase_rounds) == (
+            twin.phase, twin.phase_rounds
+        )
+        assert row._phase_extension == twin._phase_extension
+    assert row._deadline_extension == twin._deadline_extension
+    assert row._phase_received == twin._phase_received
+    assert list(row.known) == list(twin.known)
+    assert all(_same(row.known[key], twin.known[key]) for key in twin.known)
+    assert list(row._future) == list(twin._future)
     for later, bucket in twin._future.items():
-        assert list(proc._future[later]) == list(bucket)
+        assert list(row._future[later]) == list(bucket)
         assert all(
-            _same(proc._future[later][key], state)
+            _same(row._future[later][key], state)
             for key, state in bucket.items()
         )
     assert (proc.result is None) == (twin.result is None)

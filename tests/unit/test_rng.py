@@ -47,13 +47,6 @@ class TestRngRegistry:
         b = RngRegistry(seed=5).stream("x")
         assert list(a.random(8)) != list(b.random(8))
 
-    def test_spawn_derives_new_registry(self):
-        root = RngRegistry(seed=0)
-        child_a = root.spawn("run", 1)
-        child_b = root.spawn("run", 2)
-        assert child_a.seed != child_b.seed
-        assert child_a.seed == root.spawn("run", 1).seed
-
     def test_repr_mentions_seed(self):
         assert "seed=3" in repr(RngRegistry(seed=3))
 

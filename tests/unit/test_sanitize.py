@@ -37,6 +37,7 @@ from repro.sim.array_engine import ArraySteppedEngine
 from repro.sim.engine import SimulationEngine
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
+from tests.stepper_rows import seed_row
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -257,19 +258,14 @@ class TestPlantedDoubleCountInProtocol:
         assignment = GridAssignment(hierarchy, votes, StaticHash(boxes))
         return votes, function, assignment
 
-    @pytest.mark.parametrize("make_engine", [
-        pytest.param(SimulationEngine, id="object"),
+    @pytest.mark.parametrize("array", [
+        pytest.param(False, id="object"),
         # The block path composes through the same hooks: a stepper that
         # advanced phases around them would let this run finish.
-        pytest.param(
-            lambda **kwargs: ArraySteppedEngine(
-                stepper=HierarchicalArrayStepper(), **kwargs
-            ),
-            id="array",
-        ),
+        pytest.param(True, id="array"),
     ])
     def test_planted_double_count_names_member_and_phase(
-        self, clean_sanitizer, make_engine
+        self, clean_sanitizer, array
     ):
         votes, function, assignment = self._figure1_world()
         processes = build_hierarchical_gossip_group(
@@ -285,11 +281,25 @@ class TestPlantedDoubleCountInProtocol:
             target.known[3] = target.own_state()
 
         target.on_start = planted_on_start
-        engine = make_engine(
+        world = dict(
             network=Network(max_message_size=1 << 20),
             rngs=RngRegistry(seed=0),
             max_rounds=200,
         )
+        if array:
+            # Rows start from each member's own vote: the same bug,
+            # planted in the target's row.
+            stepper = HierarchicalArrayStepper()
+            begin = stepper._begin
+
+            def planted_begin():
+                begin()
+                seed_row(stepper, processes.index(target), target)
+
+            stepper._begin = planted_begin
+            engine = ArraySteppedEngine(stepper=stepper, **world)
+        else:
+            engine = SimulationEngine(**world)
         engine.add_processes(processes)
         with pytest.raises(sanitize.DoubleCountViolation) as caught:
             engine.run()
