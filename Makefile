@@ -1,6 +1,6 @@
 # Convenience targets for the DSN 2001 reproduction.
 
-.PHONY: install test lint bench bench-quick bench-smoke bench-layered-check bench-figures chaos-smoke chaos-adversarial-smoke trace-smoke serve-smoke metrics-smoke figures examples clean
+.PHONY: install test lint bench bench-quick bench-smoke bench-layered-check bench-figures chaos-smoke chaos-adversarial-smoke trace-smoke serve-smoke serve-hostile-smoke metrics-smoke figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -67,6 +67,9 @@ serve-smoke:      ## 8 live localhost UDP nodes must converge, then exit clean
 		> /tmp/repro-serve-smoke.json
 	PYTHONPATH=src python -c "import json; r = json.load(open('/tmp/repro-serve-smoke.json')); assert r['completeness'] == 1.0, r"
 	@echo "serve smoke ok: 8 UDP nodes converged at completeness 1.0"
+
+serve-hostile-smoke: ## a live group survives Joins naming no socket address
+	python tools/hostile_join_smoke.py
 
 metrics-smoke:    ## live group exposes both metric formats; repro top reads them
 	python tools/metrics_smoke.py

@@ -11,7 +11,8 @@ every byte but the last) and raw bytes where noted::
     pong     kind 4   uv src
     gossip   kind 5   uv src, uv round | flags, uv phase, entries
 
-    address  uv length, that many UTF-8 bytes of host, uv port
+    address  uv length, that many ASCII bytes of host (no NUL), uv port
+             (0 .. 65535)
     flags    0 = one value (a single entry follows)
              1 = batch     (uv n, then n entries)    3 = batch, reply
     entry    key, payload tree, coverage
@@ -29,8 +30,8 @@ unsorted, overlapping, uncoalesced, negative or repeated spelling does
 not exist.  What bytes can still spell twice or wrongly :func:`decode`
 rejects — a zero-padded varint or one past :data:`_MAX_UV_BITS`, an
 unknown kind/flags/tag, a count or length past the end, nesting beyond
-:data:`_MAX_DEPTH`, truncation, trailing bytes — so every message has
-one spelling
+:data:`_MAX_DEPTH`, truncation, trailing bytes, an address no socket
+takes — so every message has one spelling
 (``encode(decode(f)) == f``; ``decode(encode(m)) == m`` with exact
 types, floats bit for bit) and :func:`decode` raises only
 :class:`CodecError` on any byte string (docs/NET.md has the rule table;
@@ -43,7 +44,10 @@ size: Section 2's constant message size, plus one ``(gap, span)`` per
 loss-induced exception.  A gossip frame after its ``round`` names
 neither sender nor tick, so :class:`~repro.net.node.NetNode` keeps that
 part (``_gossip_body``) while it re-sends a payload and only prefixes
-it per tick (``_gossip_frame``).
+it per tick (``_gossip_frame``); :func:`decode` keeps the last body it
+parsed from each ``src`` (:data:`_SLOTS`) and answers a byte-equal one
+with the very payload it decoded to, parsing (:func:`_gossip_payload`)
+only a body that differs and holding it only if the parse succeeds.
 
 Versions: 1 shipped coverage as a sorted id list in a JSON body, 2 as a
 JSON interval list.  Neither is decoded; any version byte but 3 is
@@ -92,6 +96,17 @@ _MAX_DEPTH = 16
 _MAX_UV_BITS = 7 * 147
 _UV_LIMIT = 1 << _MAX_UV_BITS
 _F64 = struct.Struct("<d")
+#: asyncio closes a transport whose ``sendto`` passes it (or a NUL host).
+_MAX_PORT = 0xFFFF
+#: Byte budget of the bodies in :data:`_SLOTS` (honest N=512 peaks at
+#: 78 kB); an insert that would pass it empties the table first.  Their
+#: objects weigh 24x their bytes honest, 47x at worst (12 MiB).
+_SLOT_BUDGET = 1 << 18
+#: ``src -> (body, payload)``: the last gossip body decoded from each
+#: sender, one table for all nodes of a process (payloads are frozen, so
+#: receivers share them as simulated ones do); ``_slot_bytes`` sums bodies.
+_SLOTS: dict[int, tuple[bytes, Any]] = {}
+_slot_bytes = 0
 
 
 class CodecError(Exception):
@@ -163,10 +178,11 @@ def _put_uv(out: bytearray, value: int) -> None:
 
 def _put_address(out: bytearray, address: tuple[str, int]) -> None:
     host, port = address
-    try:
-        raw = host.encode("utf-8")
-    except (AttributeError, UnicodeEncodeError):
-        raise CodecError(f"host {host!r} is not UTF-8 text") from None
+    if not isinstance(host, str) or not host.isascii() or "\x00" in host:
+        raise CodecError(f"host {host!r} is not ASCII text without NUL")
+    if type(port) is not int or not 0 <= port <= _MAX_PORT:
+        raise CodecError(f"port {port!r} is not 0..{_MAX_PORT}")
+    raw = host.encode()
     _put_uv(out, len(raw))
     out += raw
     _put_uv(out, port)
@@ -302,12 +318,13 @@ def _count(data: bytes, pos: int, what: str, each: int = 1) -> tuple[int, int]:
 
 def _address(data: bytes, pos: int) -> tuple[tuple[str, int], int]:
     length, pos = _count(data, pos, "host")
-    try:
-        host = data[pos:pos + length].decode("utf-8")
-    except UnicodeDecodeError:
-        raise CodecError("host is not UTF-8 text") from None
+    raw = data[pos:pos + length]
+    if not raw.isascii() or b"\x00" in raw:
+        raise CodecError("host is not ASCII text without NUL")
     port, pos = _uv(data, pos + length)
-    return (host, port), pos
+    if port > _MAX_PORT:
+        raise CodecError(f"port {port} is not 0..{_MAX_PORT}")
+    return (raw.decode(), port), pos
 
 
 def _tree(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
@@ -358,6 +375,41 @@ def _entry(data: bytes, pos: int) -> tuple[Any, AggregateState, int]:
     return key, AggregateState(payload, members), pos
 
 
+def _gossip_payload(body: bytes) -> GossipValue | GossipBatch:
+    """The inverse of :func:`_gossip_body`."""
+    flags = body[0]
+    phase, pos = _uv(body, 1)
+    payload: GossipValue | GossipBatch
+    if flags == 0:
+        key, state, pos = _entry(body, pos)
+        payload = GossipValue(phase, key, state)
+    elif flags == 1 or flags == 3:
+        count, pos = _count(body, pos, "batch")
+        entries = []
+        for __ in range(count):
+            key, state, pos = _entry(body, pos)
+            entries.append((key, state))
+        payload = GossipBatch(phase, tuple(entries), flags == 3)
+    else:
+        raise CodecError(f"unknown gossip flags {flags}")
+    if pos != len(body):
+        raise CodecError(f"{len(body) - pos} trailing bytes")
+    return payload
+
+
+def _hold(src: int, held: tuple[bytes, Any]) -> None:
+    """Make ``held`` the slot of ``src``, inside :data:`_SLOT_BUDGET`."""
+    global _slot_bytes
+    _slot_bytes -= len(_SLOTS.pop(src, (b"",))[0])
+    size = len(held[0])
+    if _slot_bytes + size > _SLOT_BUDGET:
+        _SLOTS.clear()
+        _slot_bytes = 0
+    if size <= _SLOT_BUDGET:
+        _SLOTS[src] = held
+        _slot_bytes += size
+
+
 def _truncated(data: bytes) -> CodecError:
     return CodecError(f"truncated frame ({len(data)} bytes)")
 
@@ -374,22 +426,13 @@ def _decode(data: bytes) -> Join | Welcome | Ping | Pong | Gossip:
     if kind == 5:
         src, pos = _uv(data, 4)
         sent_round, pos = _uv(data, pos)
-        flags = data[pos]
-        phase, pos = _uv(data, pos + 1)
-        if flags == 0:
-            key, state, pos = _entry(data, pos)
-            message = Gossip(src, sent_round, GossipValue(phase, key, state))
-        elif flags == 1 or flags == 3:
-            count, pos = _count(data, pos, "batch")
-            entries = []
-            for __ in range(count):
-                key, state, pos = _entry(data, pos)
-                entries.append((key, state))
-            batch = GossipBatch(phase, tuple(entries), flags == 3)
-            message = Gossip(src, sent_round, batch)
-        else:
-            raise CodecError(f"unknown gossip flags {flags}")
-    elif kind == 3 or kind == 4:
+        body = bytes(data[pos:])
+        held = _SLOTS.get(src)
+        if held is None or held[0] != body:
+            held = body, _gossip_payload(body)
+            _hold(src, held)
+        return Gossip(src, sent_round, held[1])
+    if kind == 3 or kind == 4:
         src, pos = _uv(data, 4)
         message = Ping(src) if kind == 3 else Pong(src)
     elif kind == 1:

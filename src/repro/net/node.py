@@ -246,6 +246,9 @@ class NetNode:
         #: get the one frame; a batch re-sent on a later tick (``known``
         #: unchanged) keeps its body and is only re-prefixed.
         self._framed: tuple[Any, bytes, int, bytes] = (None, b"", -1, b"")
+        # Probes and their answers never change: framed here, once.
+        self._ping = encode(Ping(src=config.node_id))
+        self._pong = encode(Pong(src=config.node_id))
         # This member's entry of the group's vote block (``make_votes``
         # is the whole block as a map; a node needs one float of it).
         votes = vote_block(
@@ -373,9 +376,7 @@ class NetNode:
         address = self.book.address_of(target)
         if address is not None:
             self.liveness.record_ping_sent(target, self.tick_count)
-            self._transmit(
-                encode(Ping(src=self.config.node_id)), address, "ping"
-            )
+            self._transmit(self._ping, address, "ping")
 
     # -- inbound -------------------------------------------------------
 
@@ -408,9 +409,7 @@ class NetNode:
             self.liveness.record_heard(message.src, self.tick_count)
             peer = self.book.address_of(message.src)
             if peer is not None:
-                self._transmit(
-                    encode(Pong(src=self.config.node_id)), peer, "pong"
-                )
+                self._transmit(self._pong, peer, "pong")
         elif isinstance(message, Pong):
             stats.rx["pong"] += 1
             self.liveness.record_pong(message.src, self.tick_count)

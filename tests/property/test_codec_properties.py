@@ -1,6 +1,6 @@
 """The wire codec's contract as properties (repro.net.codec, version 3).
 
-Two statements, over generated inputs rather than hand-picked frames:
+Three statements, over generated inputs rather than hand-picked frames:
 
 * ``decode(encode(m)) == m`` *with exact types* for every encodable
   message — an ``int`` count stays ``int``, a ``bool`` stays ``bool``, a
@@ -9,9 +9,12 @@ Two statements, over generated inputs rather than hand-picked frames:
 * for any byte string — random, or a valid frame damaged in every way a
   wire or an adversary can — ``decode`` either raises ``CodecError`` and
   nothing else, or returns a message that re-encodes to exactly those
-  bytes (one accepted spelling per message).
+  bytes (one accepted spelling per message);
+* the per-sender body slots change no decoded message, only which
+  object carries it, and never hold more than their byte budget.
 """
 
+import contextlib
 import dataclasses
 import math
 import struct
@@ -25,6 +28,7 @@ from repro.core.aggregates import AggregateState
 from repro.core.gridbox import SubtreeId
 from repro.core.intervals import IntervalMask
 from repro.core.messages import GossipBatch, GossipValue
+from repro.net import codec
 from repro.net.codec import (
     CodecError,
     Gossip,
@@ -36,6 +40,8 @@ from repro.net.codec import (
     encode,
     _gossip_body,
     _gossip_frame,
+    _gossip_payload,
+    _uv,
 )
 
 # -- message strategies -------------------------------------------------------
@@ -87,12 +93,15 @@ payloads = st.one_of(
     st.builds(GossipBatch, unsigned, st.lists(entries, max_size=9).map(tuple),
               st.booleans()),
 )
-hosts = st.text(max_size=40)  # any Unicode but lone surrogates
-addresses = st.tuples(hosts, unsigned)
+#: What ``sendto`` takes without a fatal error: ASCII hosts with no NUL,
+#: 16-bit ports (anything else is refused both ways, a unit test).
+hosts = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=40)
+ports = st.one_of(st.integers(0, 127), st.integers(0, 0xFFFF))
+addresses = st.tuples(hosts, ports)
 messages = st.one_of(
     st.builds(Ping, unsigned),
     st.builds(Pong, unsigned),
-    st.builds(Join, unsigned, hosts, unsigned),
+    st.builds(Join, unsigned, hosts, ports),
     st.builds(Welcome, st.dictionaries(unsigned, addresses, max_size=8)),
     st.builds(Gossip, unsigned, unsigned, payloads),
 )
@@ -243,3 +252,125 @@ def test_a_padded_varint_is_rejected_wherever_one_is_read(value):
     assert decode(exact).src == value
     with pytest.raises(CodecError, match="minimal"):
         decode(exact[:4] + padded)
+
+
+# -- the per-sender body slots ------------------------------------------------
+
+@contextlib.contextmanager
+def empty_slots():
+    """Decode against an empty slot table; the live one is put back."""
+    live, held = codec._SLOTS, codec._slot_bytes
+    codec._SLOTS, codec._slot_bytes = {}, 0
+    try:
+        yield codec._SLOTS
+    finally:
+        codec._SLOTS, codec._slot_bytes = live, held
+
+
+def table_free(frame: bytes):
+    """What a decoder without slots returns: ``decode``'s result for any
+    other frame, a full :func:`_gossip_payload` parse for gossip."""
+    if frame[:4] != b"RA\x03\x05":
+        return decode(frame)
+    try:
+        src, pos = _uv(frame, 4)
+        sent_round, pos = _uv(frame, pos)
+        return Gossip(src, sent_round, _gossip_payload(frame[pos:]))
+    except (IndexError, struct.error):
+        raise CodecError("truncated") from None
+
+
+def outcome(decoder, frame):
+    try:
+        return decoder(frame)
+    except CodecError:
+        return CodecError
+
+
+#: A few senders and a few payloads, so that sequences repeat frames,
+#: give one sender several bodies and several senders one body.
+senders = st.integers(0, 3) | st.integers(200, 1 << 20)
+frame_steps = st.one_of(
+    st.tuples(st.just("send"), senders, st.integers(0, 300), st.integers(0, 3)),
+    st.tuples(st.just("again"), st.integers(0, 50)),
+    st.tuples(st.just("flip"), st.integers(0, 50), st.integers(0, 1 << 12)),
+    st.tuples(st.just("cut"), st.integers(0, 50), st.integers(0, 1 << 8)),
+    st.tuples(st.just("junk"), st.integers(0, 50), st.binary(min_size=1, max_size=4)),
+)
+
+
+@settings(max_examples=120)
+@given(pool=st.lists(payloads, min_size=4, max_size=4),
+       steps=st.lists(frame_steps, max_size=40))
+def test_slots_change_no_message_and_survive_a_bad_frame(pool, steps):
+    sent: list[bytes] = []
+    with empty_slots() as slots:
+        for step in steps:
+            if step[0] == "send":
+                __, src, sent_round, which = step
+                frame = encode(Gossip(src, sent_round, pool[which]))
+                sent.append(frame)
+            elif not sent:
+                continue
+            else:
+                base = sent[step[1] % len(sent)]
+                if step[0] == "again":
+                    frame = base
+                elif step[0] == "flip":
+                    bit = step[2] % (8 * len(base))
+                    damaged = bytearray(base)
+                    damaged[bit // 8] ^= 1 << bit % 8
+                    frame = bytes(damaged)
+                elif step[0] == "cut":
+                    frame = base[:step[2] % len(base)]
+                else:
+                    frame = base + step[2]
+            before = dict(slots)
+            got = outcome(decode, frame)
+            expected = outcome(table_free, frame)
+            if got is CodecError or not isinstance(got, Gossip):
+                # A frame that fails, or is not gossip, leaves every
+                # slot as it was: a sender's next honest frame still hits.
+                assert got is expected or identical(got, expected)
+                assert slots.keys() == before.keys()
+                assert all(slots[src] is before[src] for src in slots)
+                continue
+            assert identical(got, expected)
+            assert encode(got) == frame
+            body = frame[len(frame) - len(_gossip_body(got.payload)):]
+            held = before.get(got.src)
+            if held is not None and held[0] == body:
+                assert got.payload is held[1]  # decoded once, not again
+            assert slots[got.src] == (body, got.payload)
+            assert slots[got.src][1] is got.payload
+            assert codec._slot_bytes == sum(len(b) for b, __ in slots.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 7_000), max_size=40))
+def test_a_flood_of_forged_senders_never_holds_past_the_budget(sizes):
+    flood = sizes + [7_000] * 8  # 63 kB bodies: twice the budget at least
+    with empty_slots() as slots:
+        for src, size in enumerate(flood):
+            # A valid value whose payload is ``size`` floats: 9 bytes each.
+            value = GossipValue(1, 0, AggregateState(
+                (0.5,) * size, IntervalMask.single(0)))
+            frame = encode(Gossip((1 << 40) + src, 0, value))
+            assert decode(frame).payload == value
+            assert codec._slot_bytes == sum(
+                len(body) for body, __ in slots.values())
+            assert codec._slot_bytes <= codec._SLOT_BUDGET
+            assert (1 << 40) + src in slots  # the newest body is held
+        assert len(slots) < len(flood)  # emptied on the way
+
+
+def test_a_body_past_the_budget_decodes_but_is_not_held():
+    big = GossipValue(1, 0, AggregateState(
+        (0.5,) * (codec._SLOT_BUDGET // 9 + 1), IntervalMask.single(0)))
+    frame = encode(Gossip(7, 0, big))
+    with empty_slots() as slots:
+        decode(encode(Gossip(7, 0, GossipValue(1, 0, AggregateState(
+            1.0, IntervalMask.single(0))))))
+        assert 7 in slots
+        assert decode(frame).payload == big
+        assert slots == {} and codec._slot_bytes == 0

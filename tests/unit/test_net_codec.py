@@ -582,45 +582,151 @@ class TestNodeDropsBadFrames:
         assert report.estimates[0] == pytest.approx(report.true_value)
 
 
+#: ``127.0.0.1`` as an address host (length 9), and port 70 000 as a
+#: varint: one past what a socket address holds.
+LOCALHOST = b"\x09127.0.0.1"
+PORT_70000 = b"\xf0\xa2\x04"
+
+
+class TestHostileAddresses:
+    """A ``Join`` or ``Welcome`` naming a port past 16 bits, or a host
+    with a NUL or outside ASCII, was written into the book; the node's
+    next ``sendto`` to that id then raised ``OverflowError`` or
+    ``TypeError``, which asyncio takes for a fatal write error: it
+    closed the live node's socket."""
+
+    HOSTILE = [
+        pytest.param(HEADER + b"\x01\x03" + LOCALHOST + PORT_70000,
+                     id="join-port-70000"),
+        pytest.param(HEADER + b"\x01\x03\x0a127.0.0.1\x00\x01",
+                     id="join-nul-host"),
+        pytest.param(HEADER + b"\x01\x03\x02\xc3\xa9\x01",
+                     id="join-non-ascii-host"),
+        pytest.param(HEADER + b"\x02\x01\x03" + LOCALHOST + PORT_70000,
+                     id="welcome-port-70000"),
+        pytest.param(HEADER + b"\x02\x01\x03\x02h\x00\x01",
+                     id="welcome-nul-host"),
+    ]
+
+    @pytest.mark.parametrize("frame", HOSTILE)
+    def test_decode_rejects_the_address(self, frame):
+        with pytest.raises(CodecError, match="port|NUL|ASCII"):
+            decode(frame)
+
+    @pytest.mark.parametrize("address", [
+        ("127.0.0.1", 1 << 16), ("127.0.0.1", -1), ("127.0.0.1", True),
+        ("127.0.0.1\x00", 9303), ("\xe9", 9303),
+    ])
+    def test_encode_refuses_the_address(self, address):
+        with pytest.raises(CodecError):
+            encode(Join(3, *address))
+        with pytest.raises(CodecError):
+            encode(Welcome({3: address}))
+
+    def test_the_edges_of_the_port_range_still_travel(self):
+        for port in (0, 0xFFFF):
+            assert decode(encode(Join(3, "h", port))) == Join(3, "h", port)
+        assert encode(Join(3, "127.0.0.1", 0xFFFF)) == (
+            HEADER + b"\x01\x03" + LOCALHOST + b"\xff\xff\x03")
+
+    def test_a_node_rejects_them_and_sends_only_to_socket_addresses(self):
+        from repro.net.node import NetNode, NodeConfig
+
+        sent = []
+        node = NetNode(
+            NodeConfig(node_id=0, group_size=8),
+            transport_send=lambda data, addr: sent.append(addr),
+        )
+        for peer in range(8):
+            node.book.record(peer, ("127.0.0.1", 9300 + peer))
+        book = node.book.as_dict()
+        for param in self.HOSTILE:
+            node.datagram_received(param.values[0], ("127.0.0.1", 9303))
+        assert node.stats.frames_rejected == len(self.HOSTILE)
+        assert node.book.as_dict() == book
+        for __ in range(12):  # gossip and probes reach every peer
+            node.tick()
+        assert {addr[1] for addr in sent} == set(range(9301, 9308))
+        for host, port in sent:
+            assert 0 <= port < 1 << 16
+            assert host.isascii() and "\x00" not in host
+
+
 class TestNodeKeepsNoPayload:
-    def test_a_decoded_batch_dies_with_the_datagram_that_carried_it(
-        self, monkeypatch
-    ):
-        # Every datagram decodes to a new payload object; a node that
-        # kept them (a dedupe memo did) grew with its inbound traffic.
-        import dataclasses
+    """The node keeps no payload and the codec keeps one per sender: the
+    last body it decoded from that sender (its slot).  A dedupe memo
+    that kept every payload grew with inbound traffic; the slot is
+    replaced, never added to."""
+
+    def test_one_payload_per_sender_decoded_once(self, monkeypatch):
         import weakref
 
+        from repro import sanitize
+        from repro.net import codec
         from repro.net import node as node_module
 
         class Tracked(GossipBatch):  # the slotted class has no weakref
             pass
 
-        refs = []
+        def batch(total):
+            return GossipBatch(phase=1, entries=((2, _state((total, 1), {2})),))
 
-        def tracking_decode(data):
-            message = decode(data)
-            payload = Tracked(
-                message.payload.phase, message.payload.entries
-            )
-            refs.append(weakref.ref(payload))
-            return dataclasses.replace(message, payload=payload)
-
-        monkeypatch.setattr(node_module, "decode", tracking_decode)
+        # N=4, K=4: member 2 is node 0's box mate, at rank 2.
+        frame = encode(Gossip(src=2, sent_round=0, payload=batch(5.0)))
+        later = encode(Gossip(src=2, sent_round=1, payload=batch(6.0)))
+        other = encode(Gossip(src=1, sent_round=1, payload=batch(5.0)))
+        monkeypatch.setattr(codec, "GossipBatch", Tracked)
+        monkeypatch.setattr(codec, "_SLOTS", {})
+        monkeypatch.setattr(codec, "_slot_bytes", 0)
+        screened = []
+        monkeypatch.setattr(sanitize, "SCREEN", lambda process, round_number,
+                            phase, key, state: screened.append(key) or True)
         node = node_module.NetNode(
             node_module.NodeConfig(node_id=0, group_size=4),
             transport_send=lambda data, addr: None,
         )
         node.started = True
         node.process.on_start(node.ctx)
-        # N=4, K=4: member 2 is node 0's box mate, at rank 2.
-        frame = encode(Gossip(src=2, sent_round=0, payload=GossipBatch(
-            phase=1, entries=((2, _state((5.0, 1), {2})),),
-        )))
+        refs = []
+
+        def tracking_decode(data):
+            message = decode(data)
+            refs.append(weakref.ref(message.payload))
+            return message
+
+        monkeypatch.setattr(node_module, "decode", tracking_decode)
         for __ in range(3):
             node.datagram_received(frame, ("x", 1))
         assert node.stats.rx["gossip"] == 3 and 2 in node.process.known
-        assert [ref() for ref in refs] == [None, None, None]
+        first = refs[0]()
+        assert type(first) is Tracked
+        assert all(ref() is first for ref in refs)  # one decoded object
+        assert screened == [2]  # the repeats are skipped before the screen
+        (body, held), = codec._SLOTS.values()
+        assert body == frame[6:] and held is first
+        del held
+        del first
+        node.datagram_received(other, ("x", 1))
+        node.datagram_received(later, ("x", 1))
+        assert refs[0]() is None  # replaced in its slot, kept nowhere
+        assert sorted(codec._SLOTS) == [1, 2]  # one payload per sender
+        assert codec._SLOTS[2][1] is refs[-1]()
+
+    def test_a_bad_frame_leaves_the_senders_slot_so_the_next_one_hits(
+        self, monkeypatch
+    ):
+        from repro.net import codec
+
+        monkeypatch.setattr(codec, "_SLOTS", {})
+        monkeypatch.setattr(codec, "_slot_bytes", 0)
+        frame = encode(Gossip(src=2, sent_round=0, payload=GossipBatch(
+            phase=1, entries=((2, _state((5.0, 1), {2})),))))
+        held = decode(frame).payload
+        for bad in (frame[:-1], frame + b"\x00", frame[:6] + b"\x02"):
+            with pytest.raises(CodecError):
+                decode(bad)
+            assert codec._SLOTS == {2: (frame[6:], held)}
+        assert decode(frame[:5] + b"\x07" + frame[6:]).payload is held
 
 
 class TestDatagramLimit:
@@ -776,3 +882,25 @@ class TestFramedOncePerTick:
         node.ctx.send(0, forged)
         node.ctx.send(1, forged)
         assert sent == [] and node.stats.frames_oversize == 2
+
+    def test_ping_and_pong_are_framed_once_per_node(self, monkeypatch):
+        from repro.net import node as node_module
+
+        encoded = []
+        encode_of = node_module.encode
+        monkeypatch.setattr(node_module, "encode",
+                            lambda message: encoded.append(message)
+                            or encode_of(message))
+        node, sent, __ = self._node(monkeypatch)
+        for __ in range(4):
+            node.tick()
+            node.datagram_received(encode(Ping(src=5)), ("127.0.0.1", 9005))
+        pings = [data for data in sent if data == encode(Ping(src=2))]
+        pongs = [data for data in sent if data == encode(Pong(src=2))]
+        assert len(pings) == node.stats.tx["ping"] > 0
+        assert len(pongs) == node.stats.tx["pong"] == 4
+        assert all(data is pings[0] for data in pings)
+        assert all(data is pongs[0] for data in pongs)
+        assert encoded == [Ping(src=2), Pong(src=2)]  # in __init__ only
+        assert node.stats.tx_bytes["ping"] == sum(map(len, pings))
+        assert node.stats.tx_bytes["pong"] == sum(map(len, pongs))
