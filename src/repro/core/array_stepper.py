@@ -35,8 +35,10 @@ phase (Section 6.3) — and a row is exactly that:
   finalises or enters the next phase: ``{own child: composed}``, pool,
   key base and completion group from per-(phase, subtree) tables, its
   buffer for that phase drained by the wave rule, and a second test in
-  the same round (the cascade).  Events go through the process's
-  emitters.
+  the same round (the cascade).  Its phase events leave as columns —
+  per level the bumps (:func:`bump_events`), finalizes and entries —
+  and each sink gets one :class:`~repro.core.observe.PhaseBlock` per
+  round: a counting sink never builds a ``PhaseEvent``.
 
 **The row is the member's state.**  A row starts from its process's
 own vote and start round, and nothing is written back: a process keeps
@@ -65,10 +67,10 @@ cascading row's next — equals member by member.  The column fold runs
 the combiner's own scalar operations in fold order.  A buffer drained
 by the wave rule keeps per key the first value of greatest coverage, in
 first-arrival order: the process's buffer dict admitted over ``{own
-child: composed}``.  Events are emitted sorted by row, each row's in
-cascade order — the object engine's order.  The cross-engine suite pins
-this; ``tests/property/test_columnar_advance.py`` ties the advance to
-the process's own.
+child: composed}``.  A block's events are sorted by row (stably), each
+row's in cascade order — the object engine's order.  The cross-engine
+suite pins this; ``tests/property/test_columnar_advance.py`` ties the
+advance to the process's own.
 
 Supported configurations (:meth:`bind`, :func:`unsupported_reason`):
 batch-mode hierarchical gossip, with any network, failure model, chaos
@@ -78,7 +80,7 @@ campaign, view, start wave, phase sink or hardening knob.
 from __future__ import annotations
 
 import weakref
-from operator import itemgetter
+from functools import partial
 
 import numpy as np
 
@@ -88,14 +90,21 @@ from repro.core.gridbox import SubtreeId
 from repro.core.hierarchical_gossip import (
     GossipParams,
     HierarchicalGossipProcess,
-    emit_bump,
-    emit_finalize,
-    emit_phase_enter,
+    bump_events,
     is_representative,
 )
 from repro.core.intervals import IntervalMask
 from repro.core.messages import ID_SIZE, GossipBatch, GossipValue
-from repro.core.observe import format_subtree
+from repro.core.observe import (
+    BUMP_UP_TIMEOUT,
+    FINALIZE,
+    PHASE_ENTER,
+    REPRESENTATIVE_ELECTED,
+    SUBTREE_COMPLETE,
+    PhaseBlock,
+    format_key,
+    format_subtree,
+)
 from repro.sim.sampling import SamplerBank
 
 __all__ = ["HierarchicalArrayStepper", "RowSnapshots", "unsupported_reason"]
@@ -141,6 +150,16 @@ def _room(array: np.ndarray, rows: int) -> np.ndarray:
     while len(array) < rows:
         array = np.concatenate((array, array))
     return array
+
+
+def _note(events: list, kinds, rows, phases, coverage=np.nan,
+          missing=-1) -> None:
+    """Append one chunk of event columns (scalars broadcast)."""
+    if len(rows):
+        events.append(tuple(
+            np.full(len(rows), column)
+            for column in (kinds, rows, phases, coverage, missing)
+        ))
 
 
 def _starts(rows: np.ndarray) -> np.ndarray:
@@ -244,7 +263,16 @@ class HierarchicalArrayStepper:
         self._adaptive = params.adaptive_deadlines
         self._budget = params.extension_budget(self._rpp)
         self._function = first.function
-        self._sinks = any(proc.phase_sink is not None for proc in procs)
+        sinks = {
+            id(proc.phase_sink): proc.phase_sink
+            for proc in procs if proc.phase_sink is not None
+        }
+        index = {key: at for at, key in enumerate(sinks)}
+        self._sinks = list(sinks.values())
+        #: Per row the index of its sink in ``_sinks`` (-1: none).
+        self._sink_of = np.array([
+            index.get(id(proc.phase_sink), -1) for proc in procs
+        ]) if sinks else None
         #: Per row: phase, clock, the rounds this phase and all phases
         #: borrowed under adaptive deadlines, this phase's arrivals, and
         #: the first round.
@@ -892,28 +920,24 @@ class HierarchicalArrayStepper:
             candidates |= self._touched & ~final
         self._touched &= ~stepped
         rows = np.flatnonzero(candidates & stepped)
+        # Event columns per chunk, and the missing slots timeouts list.
         events: list | None = [] if self._sinks else None
+        gone: list = []
         while len(rows):
             rows = rows[self._verdict(rows, round_number)]
             if not len(rows):
                 break
             if events is not None:
-                self._note_bumps(rows, round_number, events)
+                self._note_bumps(rows, events, gone)
             composed = self._compose(rows, round_number)
             last = self._phase[rows] >= self._num_phases
             if last.any():
-                self._finalize(
-                    engine, rows[last], composed[last], round_number, events
-                )
+                self._finalize(engine, rows[last], composed[last], events)
             rows = rows[~last]
             if len(rows):
-                self._enter(rows, composed[~last], round_number, events)
+                self._enter(rows, composed[~last], events)
         if events:
-            events.sort(key=itemgetter(0))  # stable: cascade order kept
-            for row, emit, args in events:
-                sink = self._procs[row].phase_sink
-                if sink is not None:
-                    emit(sink, *args)
+            self._emit(events, gone, round_number)
 
     def _at_limit(self, rows, final, round_number) -> np.ndarray:
         """At the phase timeout, or in the final phase at the deadline —
@@ -1023,24 +1047,24 @@ class HierarchicalArrayStepper:
             masks.append(self._full_masks[bounds])
         return masks
 
-    def _finalize(self, engine, rows, composed, round_number, events) -> None:
+    def _finalize(self, engine, rows, composed, events) -> None:
         """The final phase composed: the process gets its result,
         coverage, the phase past the last, and terminates."""
         states = self._states
-        for row, sid in zip(rows.tolist(), composed.tolist()):
+        coverage = self._scount[composed] / self._members
+        for row, sid, covered in zip(
+            rows.tolist(), composed.tolist(), coverage.tolist()
+        ):
             proc = self._procs[row]
             proc.phase = self._num_phases + 1
             proc.result = states[sid]
-            proc.coverage_fraction = proc.result.covers() / self._members
+            proc.coverage_fraction = covered
             proc.terminated = True
             engine._note_terminate(proc)
-            if events is not None:
-                events.append((row, emit_finalize, (
-                    self._at(row, round_number, self._num_phases),
-                    proc.coverage_fraction,
-                )))
+        if events is not None:
+            _note(events, FINALIZE, rows, self._num_phases, coverage)
 
-    def _enter(self, rows, composed, round_number, events) -> None:
+    def _enter(self, rows, composed, events) -> None:
         """Move ``rows`` to their next phase holding ``{own child:
         composed}``, place them and drain their buffer for it."""
         phase = self._phase[rows] + 1
@@ -1057,40 +1081,76 @@ class HierarchicalArrayStepper:
         self._drain(rows)
         self._recv[rows] = 0  # the drain is no delivery
         if events is not None:
-            for row, phase_now, elected in zip(
-                rows.tolist(), phase.tolist(),
-                (self._is_rep[rows] & (not self._all_rep)).tolist(),
-            ):
-                events.append((row, emit_phase_enter, (
-                    self._at(row, round_number, phase_now), elected,
-                )))
+            _note(events, PHASE_ENTER, rows, phase)
+            if not self._all_rep:
+                elected = self._is_rep[rows]
+                _note(events, REPRESENTATIVE_ELECTED, rows[elected],
+                      phase[elected])
 
-    def _at(self, row: int, round_number: int, phase: int) -> tuple:
-        """Where ``row``'s phase-``phase`` events happen: member, round,
-        phase and formatted subtree (as the process's ``_at``)."""
-        value = int(self._box[row]) // self._k ** (phase - 1)
+    # -- phase events ----------------------------------------------------
+    def _note_bumps(self, rows, events, gone) -> None:
+        """The bump events of ``rows`` (:func:`bump_events`); a timeout
+        with values missing indexes its missing slots, kept in ``gone``."""
+        phases = self._phase[rows]
+        missing = self._missing(rows)
+        short = missing.any(axis=1)
+        fires, closing = bump_events(
+            self._complete(rows), short, phases >= self._num_phases,
+            self._phase_rounds[rows] >= self._rpp + self._pext[rows],
+        )
+        _note(events, SUBTREE_COMPLETE, rows[fires], phases[fires])
+        listed = short & (closing == BUMP_UP_TIMEOUT)
+        index = np.full(len(rows), -1)
+        index[listed] = len(gone) + np.arange(np.count_nonzero(listed))
+        gone.extend(zip(
+            phases[listed].tolist(), self._base[rows[listed]].tolist(),
+            missing[listed],
+        ))
+        closes = closing >= 0
+        _note(events, closing[closes], rows[closes], phases[closes],
+              missing=index[closes])
+
+    def _emit(self, events: list, gone: list, round_number: int) -> None:
+        """Hand every sink its block of this round's events: sorted by
+        row (stably), so each row's stay in cascade order."""
+        kinds, rows, phases, coverage, missing = (
+            np.concatenate(column) for column in zip(*events)
+        )
+        order = np.argsort(rows, kind="stable")
+        columns = (
+            kinds[order], self._ids[rows[order]], phases[order],
+            self._box[rows[order]] // self._k ** (phases[order] - 1),
+            coverage[order], missing[order],
+        )
+        resolve = partial(self._resolve, gone)
+        sink_of = self._sink_of[rows[order]]
+        for index, sink in enumerate(self._sinks):
+            mine = sink_of == index
+            if mine.any():
+                sink.emit_block(PhaseBlock(
+                    round_number, *(column[mine] for column in columns),
+                    self._label, resolve,
+                ))
+
+    def _label(self, phase: int, value: int) -> str:
+        """The formatted phase-``phase`` subtree with prefix ``value`` (as
+        the process's ``_subtree_label``)."""
         label = self._labels.get((phase, value))
         if label is None:
             label = self._labels[(phase, value)] = format_subtree(
                 self._hierarchy, SubtreeId(self._digits + 1 - phase, value)
             )
-        return (int(self._ids[row]), round_number, phase, label)
+        return label
 
-    def _note_bumps(self, rows, round_number, events) -> None:
-        """The bump events of ``rows``, as ``_emit_bump`` words them."""
-        phases = self._phase[rows]
-        timed_out = self._phase_rounds[rows] >= self._rpp + self._pext[rows]
-        for row, phase, base, missing, complete, expired in zip(
-            rows.tolist(), phases.tolist(), self._base[rows].tolist(),
-            self._missing(rows).tolist(), self._complete(rows).tolist(),
-            timed_out.tolist(),
-        ):
-            keys = self._keys(phase, base)
-            events.append((row, emit_bump, (
-                self._at(row, round_number, phase), self._hierarchy,
-                [keys[slot] for slot, gone in enumerate(missing) if gone],
-                complete, phase >= self._num_phases, expired,
-            )))
+    def _resolve(self, gone: list, index: int) -> tuple[str, ...]:
+        """The sorted formatted keys of missing set ``index`` — (phase,
+        key base, missing slots) in ``gone`` — built only when asked."""
+        phase, base, slots = gone[index]
+        keys = self._keys(phase, base)
+        return tuple(sorted(
+            format_key(self._hierarchy, keys[slot])
+            for slot in np.flatnonzero(slots).tolist()
+        ))
 
     def _snapshot(self, rows: np.ndarray) -> RowSnapshots:
         """The payload table of this round's senders ``rows``."""

@@ -41,12 +41,16 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 import repro.sanitize as sanitize
 from repro.core.aggregates import AggregateFunction, AggregateState
 from repro.core.gridbox import GridAssignment, SubtreeId
 from repro.core.intervals import IntervalMask
 from repro.core.messages import GossipBatch, GossipValue
 from repro.core.observe import (
+    BUMP_UP_EARLY,
+    BUMP_UP_TIMEOUT,
     PhaseEvent,
     PhaseSink,
     format_key,
@@ -93,45 +97,32 @@ def is_representative(member: int, phase: int, fraction: float) -> bool:
     return int.from_bytes(digest[:8], "big") / float(1 << 64) < fraction
 
 
-# -- phase events: the process and the array stepper emit through these,
-# each event at (member, round, phase, formatted subtree) --------------
-def emit_phase_enter(sink: PhaseSink, at: tuple, elected: bool) -> None:
-    """``phase_enter``, then ``representative_elected`` if ``elected``
-    (only where the role is selective: past phase 1, fraction < 1)."""
-    sink.emit(PhaseEvent("phase_enter", *at))
-    if elected:
-        sink.emit(PhaseEvent("representative_elected", *at))
+# -- phase events: the process and the array stepper decide the bump
+# events by this rule -------------------------------------------------
+def bump_events(complete, missing, final, timed_out) -> tuple:
+    """Which events record *why* a phase ended — for one member or, over
+    arrays, for many: ``(fires, closing)``.
 
-
-def emit_bump(
-    sink: PhaseSink, at: tuple, hierarchy, missing: Iterable,
-    complete: bool, final: bool, timed_out: bool,
-) -> None:
-    """Record *why* a phase ended: early bump-up or timeout.
-
-    ``subtree_complete`` fires whenever the member knew every expected
-    value (``missing`` is empty) with full child coverage
-    (``complete``); intermediate phases additionally get exactly one of
-    ``bump_up_early`` (advanced before the nominal deadline, step II(b))
-    or ``bump_up_timeout`` (listing the ``missing`` keys).  The final
-    phase always serves until the global deadline, so it only emits
-    ``bump_up_timeout`` when values are actually missing — the timeout
-    counters stay a pure failure signal.
+    ``fires`` is whether ``subtree_complete`` fires: the member knew
+    every expected value with full child coverage (``complete``).
+    ``closing`` is the kind code (:data:`~repro.core.observe
+    .PHASE_EVENT_KINDS`) of the bump event that follows, or -1: an
+    intermediate phase ends with exactly one of ``bump_up_early``
+    (advanced before the nominal deadline, step II(b)) or
+    ``bump_up_timeout``; the final phase always serves until the global
+    deadline, so it only emits ``bump_up_timeout`` when values are
+    actually ``missing`` — the timeout counters stay a pure failure
+    signal.  A timeout lists the missing keys.
     """
-    if complete:
-        sink.emit(PhaseEvent("subtree_complete", *at))
-    if missing and (timed_out or final):
-        sink.emit(PhaseEvent("bump_up_timeout", *at, missing=tuple(sorted(
-            format_key(hierarchy, key) for key in missing
-        ))))
-    elif not final:
-        sink.emit(PhaseEvent(
-            "bump_up_early" if not timed_out else "bump_up_timeout", *at
-        ))
-
-
-def emit_finalize(sink: PhaseSink, at: tuple, coverage: float) -> None:
-    sink.emit(PhaseEvent("finalize", *at, coverage=coverage))
+    complete, missing, final, timed_out = (
+        np.asarray(column, dtype=bool)
+        for column in (complete, missing, final, timed_out)
+    )
+    closing = np.where(
+        (missing & (timed_out | final)) | (timed_out & ~final),
+        BUMP_UP_TIMEOUT, np.where(final, -1, BUMP_UP_EARLY),
+    )
+    return complete, closing
 
 
 @dataclass(frozen=True)
@@ -488,31 +479,45 @@ class HierarchicalGossipProcess(AggregationProcess):
         return (self.node_id, ctx.round, phase, self._subtree_label(phase))
 
     def _emit_phase_enter(self, ctx: Context) -> None:
-        if self.phase_sink is not None:
-            emit_phase_enter(
-                self.phase_sink, self._at(ctx, self.phase),
-                self.params.representative_fraction < 1.0
-                and self.phase > 1 and self._is_representative(),
-            )
-
-    def _emit_bump(self, ctx: Context) -> None:
+        """``phase_enter``, then ``representative_elected`` where the
+        role is selective (past phase 1, fraction < 1)."""
         if self.phase_sink is None:
             return
+        at = self._at(ctx, self.phase)
+        self.phase_sink.emit(PhaseEvent("phase_enter", *at))
+        if (self.params.representative_fraction < 1.0 and self.phase > 1
+                and self._is_representative()):
+            self.phase_sink.emit(PhaseEvent("representative_elected", *at))
+
+    def _emit_bump(self, ctx: Context) -> None:
+        """Why the phase ended (:func:`bump_events`)."""
+        if self.phase_sink is None:
+            return
+        at = self._at(ctx, self.phase)
         missing = self._expected_keys(self.phase) - self.known.keys()
-        emit_bump(
-            self.phase_sink, self._at(ctx, self.phase),
-            self.assignment.hierarchy, missing,
-            not missing and self._values_fully_cover(),
+        fires, closing = bump_events(
+            not missing and self._values_fully_cover(), bool(missing),
             self.phase >= self.num_phases,
             self.phase_rounds >= self.rounds_per_phase + self._phase_extension,
         )
+        if fires:
+            self.phase_sink.emit(PhaseEvent("subtree_complete", *at))
+        if closing == BUMP_UP_TIMEOUT:
+            self.phase_sink.emit(PhaseEvent(
+                "bump_up_timeout", *at, missing=tuple(sorted(
+                    format_key(self.assignment.hierarchy, key)
+                    for key in missing
+                )),
+            ))
+        elif closing == BUMP_UP_EARLY:
+            self.phase_sink.emit(PhaseEvent("bump_up_early", *at))
 
     def _emit_finalize(self, ctx: Context) -> None:
         if self.phase_sink is not None:
-            emit_finalize(
-                self.phase_sink, self._at(ctx, self.num_phases),
-                self.coverage_fraction,
-            )
+            self.phase_sink.emit(PhaseEvent(
+                "finalize", *self._at(ctx, self.num_phases),
+                coverage=self.coverage_fraction,
+            ))
 
     # -- engine callbacks ---------------------------------------------------
     def on_start(self, ctx: Context) -> None:

@@ -9,8 +9,15 @@ member advanced; this module defines the protocol-level vocabulary:
 
 * :class:`PhaseEvent` — one typed protocol event (see
   :data:`PHASE_EVENT_KINDS`);
+* :class:`PhaseBlock` — one round's events for one sink, as columns
+  (kind code, member, phase, subtree value, coverage); the array stepper
+  hands a sink one block per round, and only :meth:`PhaseBlock.events`
+  builds :class:`PhaseEvent` objects from it;
 * :class:`PhaseSink` — the minimal interface a protocol process emits
-  through.  The real collector lives in :mod:`repro.obs`
+  through.  ``emit_block`` defaults to emitting the block's events one
+  by one, so an emit-only sink sees the per-event stream unchanged; a
+  counting sink overrides it and never builds an event.  The real
+  collector lives in :mod:`repro.obs`
   (:class:`~repro.obs.phase.PhaseTrace`); this module deliberately knows
   nothing about it, so ``repro.core`` never imports ``repro.obs`` and the
   observability layer stays a pure consumer (checked in CI).
@@ -22,10 +29,16 @@ one — the golden test pins that.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PHASE_EVENT_KINDS",
+    "PhaseBlock",
     "PhaseEvent",
     "PhaseSink",
     "format_subtree",
@@ -55,6 +68,9 @@ PHASE_EVENT_KINDS = (
     "bump_up_timeout",
     "finalize",
 )
+#: Kind codes of :class:`PhaseBlock` columns (indices into the kinds).
+(PHASE_ENTER, REPRESENTATIVE_ELECTED, SUBTREE_COMPLETE, BUMP_UP_EARLY,
+ BUMP_UP_TIMEOUT, FINALIZE) = range(len(PHASE_EVENT_KINDS))
 
 
 @dataclass(frozen=True)
@@ -75,6 +91,50 @@ class PhaseEvent:
     coverage: float | None = None
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class PhaseBlock:
+    """One round's phase events for one sink, as columns.
+
+    Event ``i`` is ``PHASE_EVENT_KINDS[kinds[i]]`` of ``members[i]`` in
+    ``phases[i]``, on the subtree with value ``subtrees[i]`` of that
+    phase (:meth:`~repro.core.gridbox.GridAssignment.subtree_of`'s
+    ``prefix_value``); ``coverage[i]`` is a finalize's coverage (NaN
+    otherwise) and ``missing[i]`` indexes the missing-key sets of
+    ``bump_up_timeout`` events (-1 for none).  Events are in stream
+    order: by member row, each row's in cascade order.  ``label(phase,
+    value)`` formats a subtree and ``resolve(index)`` a missing set —
+    both only when :meth:`events` builds an event that needs one.
+    """
+
+    round: int
+    kinds: np.ndarray
+    members: np.ndarray
+    phases: np.ndarray
+    subtrees: np.ndarray
+    coverage: np.ndarray
+    missing: np.ndarray
+    label: Callable[[int, int], str]
+    resolve: Callable[[int], tuple[str, ...]]
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def events(self) -> Iterator[PhaseEvent]:
+        """The block's events, built one at a time in stream order."""
+        label, resolve = self.label, self.resolve
+        for kind, member, phase, value, coverage, missing in zip(
+            self.kinds.tolist(), self.members.tolist(),
+            self.phases.tolist(), self.subtrees.tolist(),
+            self.coverage.tolist(), self.missing.tolist(),
+        ):
+            yield PhaseEvent(
+                PHASE_EVENT_KINDS[kind], member, self.round, phase,
+                label(phase, value),
+                missing=resolve(missing) if missing >= 0 else (),
+                coverage=coverage if kind == FINALIZE else None,
+            )
+
+
 class PhaseSink:
     """Minimal interface protocol processes emit :class:`PhaseEvent`\\ s to.
 
@@ -85,6 +145,11 @@ class PhaseSink:
 
     def emit(self, event: PhaseEvent) -> None:
         raise NotImplementedError
+
+    def emit_block(self, block: PhaseBlock) -> None:
+        """Take one round's block; by default its events, one by one."""
+        for event in block.events():
+            self.emit(event)
 
 
 def format_subtree(hierarchy, subtree) -> str:

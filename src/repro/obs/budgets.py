@@ -133,8 +133,16 @@ def budget_report(document: TraceDocument) -> BudgetReport:
     """Compute the per-phase budget of a parsed trace.
 
     Raises ``ValueError`` when the trace has no stored phase events
-    (a compact trace cannot be budgeted — intervals are unknowable).
+    (a compact trace cannot be budgeted — intervals are unknowable) or
+    the storage cap dropped some: a phase whose entries were all
+    dropped would silently merge into the one before it.
     """
+    dropped = (document.summary or {}).get("dropped_phase_events", 0)
+    if dropped:
+        raise ValueError(
+            f"trace dropped {dropped} phase events beyond its storage cap "
+            f"(phase intervals are unknowable — re-run with a larger cap)"
+        )
     enters: dict[int, int] = {}
     event_counts: dict[int, int] = {}
     for event in document.phase_events:

@@ -24,11 +24,12 @@ Both substrates feed one vocabulary:
   into its families on every read, exposed over HTTP by
   :mod:`repro.net.exposition` and read by ``repro top``.
 
-:func:`observe_phase_event` and :func:`observe_round` are the
-registered *metric sites* of lint rule REP009: both simulation engines
-must reach them (through the ``phase_sink``/``RoundMetrics`` fan-out)
-or neither may — a registry that saw different events under the array
-engine would silently invalidate the parity guarantee.
+Both simulation engines must reach the phase and round families
+(through the ``phase_sink``/``RoundMetrics`` fan-out) or neither may — a
+registry that saw different events under the array engine would
+silently invalidate the parity guarantee.  The array engine's phase
+events arrive as one block per round
+(:meth:`MetricsPhaseSink.emit_block`: one increment per kind).
 
 The registry itself never reads a clock: every number it holds is an
 event count or a value handed to it.
@@ -36,12 +37,18 @@ event count or a value handed to it.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 from bisect import bisect_left
 from typing import Any, Callable, Iterable
 
-from repro.core.observe import PHASE_EVENT_KINDS, PhaseEvent, PhaseSink
+from repro.core.observe import (
+    PHASE_EVENT_KINDS,
+    PhaseBlock,
+    PhaseEvent,
+    PhaseSink,
+)
 from repro.sim.metrics import RoundSample
 
 __all__ = [
@@ -449,15 +456,19 @@ class MetricsRegistry:
 # -- the shared hook-point vocabulary ---------------------------------
 
 
-def observe_phase_event(
-    registry: MetricsRegistry, event: PhaseEvent
-) -> None:
-    """Count one protocol phase event (a REP009 metric site)."""
-    registry.counter(
+def _phase_events(registry: MetricsRegistry) -> Counter:
+    return registry.counter(
         "repro_phase_events_total",
         "Protocol phase events by kind",
         labelnames=("kind",),
-    ).labels(event.kind).inc()
+    )
+
+
+def observe_phase_event(
+    registry: MetricsRegistry, event: PhaseEvent
+) -> None:
+    """Count one protocol phase event."""
+    _phase_events(registry).labels(event.kind).inc()
 
 
 def observe_round(registry: MetricsRegistry, sample: RoundSample) -> None:
@@ -488,6 +499,13 @@ class MetricsPhaseSink(PhaseSink):
     def emit(self, event: PhaseEvent) -> None:
         observe_phase_event(self.registry, event)
 
+    def emit_block(self, block: PhaseBlock) -> None:
+        """One increment per kind the block holds, no event built."""
+        events = _phase_events(self.registry)
+        counts = collections.Counter(block.kinds.tolist())
+        for code, count in sorted(counts.items()):
+            events.labels(PHASE_EVENT_KINDS[code]).inc(count)
+
 
 class TeePhaseSink(PhaseSink):
     """Fan one phase-event stream out to several sinks, in order."""
@@ -498,6 +516,10 @@ class TeePhaseSink(PhaseSink):
     def emit(self, event: PhaseEvent) -> None:
         for sink in self.sinks:
             sink.emit(event)
+
+    def emit_block(self, block: PhaseBlock) -> None:
+        for sink in self.sinks:
+            sink.emit_block(block)
 
 
 # -- end-of-run feeds --------------------------------------------------
@@ -561,11 +583,7 @@ def feed_summary(registry: MetricsRegistry, summary: Any) -> None:
     cannot see those runs.  Do not feed a run both ways: the phase
     counters would double.
     """
-    events = registry.counter(
-        "repro_phase_events_total",
-        "Protocol phase events by kind",
-        labelnames=("kind",),
-    )
+    events = _phase_events(registry)
     for kind in PHASE_EVENT_KINDS:
         count = getattr(summary, kind, 0)
         if count:

@@ -15,8 +15,6 @@ seed, no timestamps.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.core.gridbox import GridBoxHierarchy
 from repro.core.observe import format_subtree
 from repro.obs.export import TraceDocument
@@ -37,16 +35,10 @@ def render_phase_report(telemetry: RunTelemetry) -> str:
             f"(ucastl={config.get('ucastl', '?')}, "
             f"pf={config.get('pf', '?')})"
         )
-    entered: Counter[int] = Counter()
-    complete: Counter[int] = Counter()
-    for event in trace.events:
-        if event.kind == "phase_enter":
-            entered[event.phase] += 1
-        elif event.kind == "subtree_complete":
-            complete[event.phase] += 1
-    phases = sorted(
-        set(entered) | set(trace.phase_early) | set(trace.phase_timeouts)
-    )
+    entered = trace.of_phase("phase_enter")
+    early, timeouts = trace.phase_early, trace.phase_timeouts
+    complete = trace.of_phase("subtree_complete")
+    phases = sorted(set(entered) | set(early) | set(timeouts))
     if phases:
         lines.append(
             f"{'phase':>5} {'entered':>8} {'early':>7} {'timeout':>8} "
@@ -55,12 +47,11 @@ def render_phase_report(telemetry: RunTelemetry) -> str:
         for phase in phases:
             lines.append(
                 f"{phase:>5} {entered.get(phase, 0):>8} "
-                f"{trace.phase_early.get(phase, 0):>7} "
-                f"{trace.phase_timeouts.get(phase, 0):>8} "
+                f"{early.get(phase, 0):>7} {timeouts.get(phase, 0):>8} "
                 f"{complete.get(phase, 0):>9}"
             )
     else:
-        # Counters-only trace (or a protocol without phase events).
+        # A protocol without phase events.
         lines.append(
             f"bump-ups: {trace.counts.get('bump_up_early', 0)} early, "
             f"{trace.counts.get('bump_up_timeout', 0)} timeout"

@@ -17,15 +17,19 @@ into a run.  Three shapes:
   :class:`~repro.experiments.parallel.ParallelRunner` workers; its
   :class:`TelemetrySummary` is a small frozen dataclass that pickles
   back across the worker boundary, so sweeps and chaos campaigns can
-  aggregate phase/bump-up/timeout statistics.
+  aggregate phase/bump-up/timeout statistics.  On the array engine its
+  :class:`~repro.obs.phase.PhaseTrace` counts each round's
+  :class:`~repro.core.observe.PhaseBlock` from its columns and builds
+  no event.
 * **Metrics-only** (``RunTelemetry.metrics_only(registry)``) — no
   tracer, no round metrics and no phase sink, just a
   :class:`~repro.obs.metrics.MetricsRegistry` fed from the end-of-run
-  record.  Every per-event hook stays detached (attaching a phase
-  sink makes the protocol compute event payloads — subtree labels,
-  missing sets — which costs far more than the bench guard's 3%
-  budget), so ``engine='auto'`` still picks the array-stepped engine
-  and the returned :class:`~repro.experiments.runner.RunResult` is
+  record.  Every per-event hook stays detached (an attached phase
+  sink still costs every member's phase-1 ``phase_enter`` event from
+  ``on_start`` and, on the array engine, one column block per round —
+  more than the bench guard's 3% budget), so ``engine='auto'`` still
+  picks the array-stepped engine and the returned
+  :class:`~repro.experiments.runner.RunResult` is
   byte-identical to an uninstrumented run's (``attach_summary`` is
   off, so even the ``telemetry`` field stays ``None``).  A *full*
   telemetry with ``registry`` set streams phase events into the

@@ -287,10 +287,17 @@ def test_auto_falls_back_silently_on_unsupported():
 
 # -- phase-event byte-identity ------------------------------------------
 
-def _hand_built_run(config, engine, network=None, failure_model=None):
-    """Run a manually assembled world; returns (phase events, books)."""
+def _hand_built_run(config, engine, network=None, failure_model=None,
+                    sinks=(), telemetry=None, sink_of=None):
+    """Run a manually assembled world; returns (phase events, books).
+
+    Every member's phase sink tees an emit-only recorder (whose events
+    are returned) and ``sinks``; ``sink_of(index, sink)`` may give
+    member ``index`` another.  ``telemetry`` reads the finished engine.
+    """
     from repro.core.observe import PhaseSink
     from repro.experiments import runner as runner_mod
+    from repro.obs.metrics import TeePhaseSink
     from repro.sim.rng import RngRegistry
 
     events = []
@@ -301,9 +308,13 @@ def _hand_built_run(config, engine, network=None, failure_model=None):
 
     rngs = RngRegistry(seed=config.seed)
     votes = runner_mod._make_votes(config, rngs)
+    sink = TeePhaseSink(Recorder(), *sinks) if sinks else Recorder()
     processes, max_rounds = runner_mod._build_processes(
-        config, votes, rngs, phase_sink=Recorder()
+        config, votes, rngs, phase_sink=sink
     )
+    if sink_of is not None:
+        for index, proc in enumerate(processes):
+            proc.phase_sink = sink_of(index, proc.phase_sink)
     if network is None:
         network = runner_mod._make_network(config)
     if failure_model is None:
@@ -314,6 +325,8 @@ def _hand_built_run(config, engine, network=None, failure_model=None):
     )
     world.add_processes(processes)
     world.run()
+    if telemetry is not None:
+        telemetry.finish(engine=world)
     books = (
         world.stats, network.stats,
         [(p.node_id, p.alive, p.result) for p in processes],
@@ -321,24 +334,137 @@ def _hand_built_run(config, engine, network=None, failure_model=None):
     return events, books
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        pytest.param(with_params(n=128, seed=0), id="defaults"),
-        pytest.param(
-            with_params(n=128, start_spread=4, seed=1), id="start-spread"
-        ),
-        pytest.param(
-            with_params(n=128, ucastl=0.4, push_pull=True, seed=0),
-            id="push-pull",
-        ),
-    ],
-)
+#: Every kind of run the phase-event stream can differ in: the
+#: representatives configs are the only ones with
+#: ``representative_elected``.
+STREAM_CONFIGS = [
+    pytest.param(with_params(n=128, seed=0), id="defaults"),
+    pytest.param(
+        with_params(n=128, start_spread=4, seed=1), id="start-spread"
+    ),
+    pytest.param(
+        with_params(n=128, ucastl=0.4, push_pull=True, seed=0),
+        id="push-pull",
+    ),
+    pytest.param(
+        with_params(n=160, k=2, pf=0.004, push_pull=True, seed=6),
+        id="k2-over-cap",
+    ),
+] + [
+    config for config in HARDENED_CONFIGS
+    if config.id != "adaptive+crash-storm"  # a campaign: run_once only
+]
+
+
+def _observed(config, engine, failure_model=None):
+    """One hand-built run seen by four sinks: an emit-only recorder, a
+    storing ``PhaseTrace`` capped a few events into the stepper's first
+    block, a compact one, and a telemetry's tee into a registry.  What
+    each of them saw, as comparable values."""
+    import json
+
+    from repro.obs.phase import PhaseTrace
+
+    telemetry = RunTelemetry(
+        tracer=None, metrics=None,
+        phase_trace=PhaseTrace(max_events=config.n + 7),
+        registry=MetricsRegistry(),
+    )
+    compact = PhaseTrace(store_events=False)
+    events, books = _hand_built_run(
+        config, engine, failure_model=failure_model,
+        sinks=(compact, telemetry.phase_sink()), telemetry=telemetry,
+    )
+    traces = [
+        (trace.counts, trace.phase_counts, trace.phase_timeouts,
+         trace.phase_early, trace.incomplete_finalizes,
+         trace.dropped_events, trace.events)
+        for trace in (telemetry.phase_trace, compact)
+    ]
+    return (
+        events, books, traces,
+        json.dumps(telemetry.summary().to_record(), sort_keys=True),
+        telemetry.registry.snapshot_json(),
+    )
+
+
+def _assert_streams_identical(config, failure_model=None):
+    got = {
+        engine: _observed(config, engine, failure_model)
+        for engine in ("object", "array")
+    }
+    events, __, ((counts, *__, dropped, stored), __), __, __ = (
+        got["object"]
+    )
+    assert len(events) > 0 and dropped > 0
+    assert len(stored) == config.n + 7
+    assert sum(counts.values()) == len(events)
+    if config.representative_fraction < 1:
+        assert counts["representative_elected"] > 0
+    assert got["array"] == got["object"]
+
+
+@pytest.mark.parametrize("config", STREAM_CONFIGS)
 def test_phase_event_streams_identical(config):
-    object_events, __ = _hand_built_run(config, "object")
-    array_events, __ = _hand_built_run(config, "array")
-    assert len(object_events) > 0
-    assert array_events == object_events
+    _assert_streams_identical(config)
+
+
+def test_phase_event_streams_identical_crash_recovery():
+    from repro.sim.failures import CrashRecovery
+
+    _assert_streams_identical(
+        with_params(n=128, push_pull=True, seed=3),
+        CrashRecovery(pf=0.02, pr=0.3),
+    )
+
+
+def test_phase_event_streams_identical_unsanitized(unsanitized):
+    _assert_streams_identical(
+        with_params(n=128, ucastl=0.4, push_pull=True, seed=0)
+    )
+
+
+def test_phase_blocks_reach_each_members_sink():
+    # One block per distinct sink: every third member has no sink, the
+    # others alternate between the shared tee and a second trace.
+    from repro.obs.phase import PhaseTrace
+
+    config = with_params(n=128, ucastl=0.4, seed=2)
+    seen = {}
+    for engine in ("object", "array"):
+        other = PhaseTrace()
+        events, __ = _hand_built_run(
+            config, engine, sink_of=lambda index, sink: (
+                None if index % 3 == 0 else sink if index % 3 == 1
+                else other
+            ),
+        )
+        seen[engine] = (events, other.events)
+    events, others = seen["object"]
+    assert events and others
+    assert not {e.member for e in events} & {e.member for e in others}
+    assert seen["array"] == seen["object"]
+
+
+def test_compact_array_run_builds_only_the_start_entries(monkeypatch):
+    # A counting sink takes the stepper's blocks as columns: the only
+    # PhaseEvents built are the phase-1 entries each process's on_start
+    # emits, one per member.
+    from repro.core.observe import PhaseEvent
+
+    built = []
+    init = PhaseEvent.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["kind"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PhaseEvent, "__init__", counted)
+    telemetry = RunTelemetry.compact()
+    run_once(with_params(n=256, ucastl=0.4, push_pull=True, seed=0,
+                         engine="array"), telemetry=telemetry)
+    assert sum(telemetry.phase_trace.counts.values()) > 3 * 256
+    assert built == ["phase_enter"] * 256
 
 
 def test_equivalent_on_jitter_network():

@@ -17,6 +17,7 @@ from repro.experiments.params import with_params
 from repro.experiments.runner import run_once
 from repro.obs.budgets import BUDGETS_SCHEMA, budget_report
 from repro.obs.export import TraceDocument, load_trace, write_trace
+from repro.obs.phase import PhaseTrace
 from repro.obs.telemetry import RunTelemetry
 from repro.sim.metrics import RoundSample
 
@@ -147,3 +148,15 @@ class TestAgainstRealRun:
         assert phases == sorted(phases)
         # The phase intervals tile the run's full round axis.
         assert report.total_rounds == result.rounds
+
+    def test_capped_trace_is_refused(self):
+        # A cap that drops events can drop every entry of a phase, which
+        # would merge it into the phase before: refuse instead.
+        telemetry = RunTelemetry(phase_trace=PhaseTrace(max_events=200))
+        run_once(with_params(n=128, seed=1, ucastl=0.4), telemetry=telemetry)
+        assert telemetry.phase_trace.dropped_events > 0
+        buffer = io.StringIO()
+        write_trace(telemetry, buffer)
+        buffer.seek(0)
+        with pytest.raises(ValueError, match="storage cap"):
+            budget_report(load_trace(buffer))

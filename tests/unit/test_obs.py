@@ -3,6 +3,7 @@ core-side phase-event vocabulary (repro.core.observe)."""
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -95,6 +96,43 @@ class TestPhaseTrace:
         # max_events=0 with storage on: the degenerate explicit cap.
         trace.emit(_event())
         assert "beyond cap" in trace.summary()
+
+
+class TestPhaseReport:
+    """The report's per-phase columns are counters: exact whether the
+    events were stored, capped or never stored at all."""
+
+    @staticmethod
+    def _table(text):
+        rows = {}
+        for line in text.splitlines():
+            cells = line.split()
+            if len(cells) == 5 and cells[0].isdigit():
+                rows[int(cells[0])] = [int(cell) for cell in cells[1:]]
+        return rows
+
+    @pytest.mark.parametrize("shape", ["compact", "capped"])
+    def test_entered_and_complete_are_exact(self, shape):
+        from repro.experiments.params import with_params
+        from repro.experiments.runner import run_once
+        from repro.obs.report import render_phase_report
+
+        telemetry = (
+            RunTelemetry.compact() if shape == "compact"
+            else RunTelemetry(phase_trace=PhaseTrace(max_events=50))
+        )
+        run_once(with_params(n=128, ucastl=0.6, seed=1), telemetry=telemetry)
+        trace = telemetry.phase_trace
+        rows = self._table(render_phase_report(telemetry))
+        assert len(rows) == 3
+        entered, early, timeout, complete = (
+            {phase: row[column] for phase, row in rows.items()}
+            for column in range(4)
+        )
+        assert sum(entered.values()) == trace.counts["phase_enter"] > 50
+        assert sum(complete.values()) == trace.counts["subtree_complete"] > 0
+        assert Counter(early) == trace.phase_early
+        assert Counter(timeout) == trace.phase_timeouts
 
 
 class TestTracerCapAndPredicate:
