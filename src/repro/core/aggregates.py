@@ -72,14 +72,6 @@ class DoubleCountError(Exception):
     """A merge would include some member's vote twice (Section 2 violation)."""
 
 
-#: Runtime-sanitizer merge hook, late-bound by :func:`repro.sanitize.enable`
-#: (late binding avoids an import cycle and keeps the disabled-path cost
-#: at one attribute test per merge).  When set, it is called with
-#: ``(function, a, b)`` before every merge and may raise
-#: :class:`repro.sanitize.SanitizerError`.
-_SANITIZE_HOOK = None
-
-
 def clear_mask_union_cache() -> None:
     """No-op kept for one frozen importer.
 
@@ -191,22 +183,18 @@ class AggregateFunction:
         right, the masks union the same way, and the first pair that
         shares a slot raises :class:`DoubleCountError`.  ``states`` is
         consumed one at a time (:meth:`over` streams a whole vote map
-        through without holding it), and the running aggregate is only
-        materialized as a state when the sanitizer hook wants to
-        inspect it.  A single state is returned as it is.
+        through without holding it).  A single state is returned as it
+        is.
         """
         iterator = iter(states)
         first = next(iterator, None)
         if first is None:
             raise ValueError(f"{self.name}: cannot merge zero states")
-        hook = _SANITIZE_HOOK
         combine = self._combine
         payload = first.payload
         members = first.members
         merged = None
         for state in iterator:
-            if hook is not None:
-                hook(self, AggregateState(payload, members), state)
             merged = members.union_disjoint(state.members)
             if merged is None:
                 twice = list(islice(members & state.members, 5))

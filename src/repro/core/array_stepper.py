@@ -19,9 +19,9 @@ phase (Section 6.3) — and a row is exactly that:
   new key goes last; every arrival counts toward ``_phase_received``; a
   push-pull answer is the row before its wave).  A future-phase arrival
   goes to a columnar buffer — (row, phase, slot, state id) per entry.
-  A scalar arrival (an injection, a per-message-planned send, any
-  message while the screen is armed) is admitted entry by entry
-  (:meth:`~HierarchicalArrayStepper.receive`).
+  A scalar arrival (an injection or a per-message-planned send: every
+  message of an adversarial run, whose screen is armed) is admitted
+  entry by entry (:meth:`~HierarchicalArrayStepper.receive`).
 * **Payloads** (:class:`RowSnapshots`) — a send block carries sender
   row snapshots; a row over the batch cap sends a Floyd subset drawn
   after its target draws.
@@ -45,11 +45,10 @@ own vote and start round, and nothing is written back: a process keeps
 its static configuration, phase sink, sanitizer phase clock,
 ``refused`` count and — from the round its row finalises — result,
 coverage, phase and termination.  Its ``known``, future buffer and
-clocks stay as ``on_start`` left them.  Under the runtime sanitizer a
-bumping row composes through ``merge_all`` inside
-``sanitize.composing`` with the compose and phase-clock checks; while
-:data:`repro.sanitize.SCREEN` is armed the engine delivers chunks
-message by message (``per_message``).
+clocks stay as ``on_start`` left them.  The runtime sanitizer checks
+each bumping row where the process checks itself: its held values
+before the compose, the composition and the phase clock after
+(:mod:`repro.sanitize`); the row composes as it would unsanitized.
 
 **Bit-identity argument.**  Per-member gossip streams are independent,
 so batching target draws across members never changes any member's
@@ -782,13 +781,6 @@ class HierarchicalArrayStepper:
             self._prefer and state.members.count > current.members.count
         )
 
-    @property
-    def per_message(self) -> bool:
-        """Whether a delivered chunk must reach admission message by
-        message: an armed :data:`repro.sanitize.SCREEN` inspects every
-        entry in arrival order, through :meth:`receive`."""
-        return sanitize.SCREEN is not None
-
     def _waves(self, rows, slots, sids, length, asked=None,
                pulled=None) -> None:
         """Admit arrivals — receivers ``rows`` grouped, in arrival order;
@@ -976,53 +968,55 @@ class HierarchicalArrayStepper:
     def _compose(self, rows: np.ndarray, round_number: int) -> np.ndarray:
         """Each row's values composed (``_compose_known``); their ids.  A
         lone value is its own composition; a fixed-width aggregate folds
-        its payload columns in insertion order; any other, and every row
-        under the runtime sanitizer, goes through :meth:`_merge`."""
+        its payload columns in insertion order; any other goes through
+        ``merge_all``.  Under the runtime sanitizer each row's held
+        values are checked before and its composition after — next to
+        the compose, never in its place."""
         held = self._held[rows]
         ids = self._sid[rows[:, None], self._order[rows, :int(held.max())]]
+        sanitized = sanitize.ACTIVE
+        if sanitized:
+            procs = [self._procs[row] for row in rows.tolist()]
+            phases = self._phase[rows].tolist()
+            for proc, phase, sids, count in zip(
+                procs, phases, ids.tolist(), held.tolist()
+            ):
+                sanitize.check_held(
+                    proc, round_number, phase,
+                    [self._states[sid] for sid in sids[:count]],
+                )
         composed = ids[:, 0].astype(np.int64)
-        if sanitize.ACTIVE or not self._pay:
-            many = (
-                np.arange(len(rows)) if sanitize.ACTIVE
-                else np.flatnonzero(held > 1)
-            )
-            composed[many] = self._register([
-                self._merge(rows[index], ids[index, :held[index]],
-                            round_number)
-                for index in many.tolist()
-            ])
-            return composed
         many = np.flatnonzero(held > 1)
-        if not len(many):
-            return composed
-        ids, held = ids[many], held[many]
+        if len(many):
+            composed[many] = self._fold(rows[many], ids[many], held[many])
+        if sanitized:
+            for proc, phase, sid in zip(procs, phases, composed.tolist()):
+                sanitize.check_compose(proc, round_number, phase,
+                                       self._states[sid])
+                sanitize.check_phase_bump(proc, round_number, phase,
+                                          phase + 1)
+        return composed
+
+    def _fold(self, rows: np.ndarray, ids: np.ndarray,
+              held: np.ndarray) -> list:
+        """Compose rows holding several values: ``ids[i, :held[i]]``."""
+        if not self._pay:
+            return self._register([
+                self._function.merge_all(
+                    [self._states[sid] for sid in sids[:count]]
+                )
+                for sids, count in zip(ids.tolist(), held.tolist())
+            ])
         total = (self._scount[ids]
                  * (np.arange(ids.shape[1]) < held[:, None])).sum(axis=1)
         columns = self._function.fold_columns(self._pay, ids, held)
         built = [
             AggregateState(payload, mask) for payload, mask in zip(
                 self._function.column_payloads(columns),
-                self._masks(rows[many], total),
+                self._masks(rows, total),
             )
         ]
-        composed[many] = self._register(built, columns)
-        return composed
-
-    def _merge(self, row: int, sids, round_number: int) -> AggregateState:
-        """``merge_all`` over one row's values in insertion order — under
-        the sanitizer in its compose context, with its checks."""
-        proc = self._procs[row]
-        values = [self._states[sid] for sid in sids]
-        if not sanitize.ACTIVE:
-            return proc.function.merge_all(values)
-        phase = int(self._phase[row])
-        with sanitize.composing(
-            proc.node_id, round_number, phase, proc.covered_ids
-        ):
-            composed = proc.function.merge_all(values)
-        sanitize.check_compose(proc, round_number, phase, composed)
-        sanitize.check_phase_bump(proc, round_number, phase, phase + 1)
-        return composed
+        return self._register(built, columns)
 
     def _masks(self, rows: np.ndarray, total: np.ndarray) -> list:
         """The composed coverage of ``rows`` (``total`` ranks each): the

@@ -898,19 +898,18 @@ class HierarchicalGossipProcess(AggregationProcess):
     def _compose_known(self, ctx: Context) -> AggregateState:
         """Compose the current phase's known values into one aggregate.
 
-        Under the runtime sanitizer (:mod:`repro.sanitize`) the merge
-        fold runs inside a compose context — a double count or
+        Under the runtime sanitizer (:mod:`repro.sanitize`) the held
+        values are checked before the merge fold — a double count or
         count-channel drift is reported with this member, round and
-        phase — and the composed state is checked for mass conservation
+        phase — and the composed state after it, for mass conservation
         against the run's ground-truth votes.
         """
-        if not sanitize.ACTIVE:
-            return self.function.merge_all(list(self.known.values()))
-        with sanitize.composing(
-            self.node_id, ctx.round, self.phase, self.covered_ids
-        ):
-            composed = self.function.merge_all(list(self.known.values()))
-        sanitize.check_compose(self, ctx.round, self.phase, composed)
+        held = list(self.known.values())
+        if sanitize.ACTIVE:
+            sanitize.check_held(self, ctx.round, self.phase, held)
+        composed = self.function.merge_all(held)
+        if sanitize.ACTIVE:
+            sanitize.check_compose(self, ctx.round, self.phase, composed)
         return composed
 
     def _maybe_advance(self, ctx: Context) -> None:

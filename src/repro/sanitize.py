@@ -2,47 +2,45 @@
 
 The static rules (:mod:`repro.lint`) catch nondeterminism *sources*; this
 module catches *invariant violations while they happen*, with a
-structured report naming the offending member, round and phase:
+structured report naming the offending member, round and phase.  Both
+engines call its checks at every phase bump, beside the compose they run
+anyway (``merge_all``, the array stepper's column fold) and never in its
+place, so a sanitized run takes the unsanitized code path:
 
-* **Membership-mask disjointness** — every
-  :meth:`repro.core.aggregates.AggregateFunction.merge` is intercepted
-  and re-checked before the merge runs; an overlap raises
-  :class:`DoubleCountViolation` (a subclass of both
-  :class:`SanitizerError` and the protocol's own
-  :class:`~repro.core.aggregates.DoubleCountError`) carrying the
-  composing member / round / phase when a compose is in progress.
-  This is the paper's Section 2 no-double-counting constraint, enforced
-  mechanically (the premise of Theorem 1's ``1 - 1/N`` bound).
-* **Count-channel conservation** — for count-bearing aggregates
-  (count, average, mean_variance, histogram) the payload's count channel
-  must equal the membership mask's size at every merge: a state claiming
-  more votes than its mask covers is a smuggled double count, one
-  claiming fewer is vote loss mislabeled as coverage.
-* **Mass conservation** — at every phase compose, the payload of
-  sum-like aggregates is re-derived from the run's ground-truth votes
-  over exactly the members the state's mask covers (the flow-updating /
-  mass-distribution correctness lens of Almeida et al.); a mismatch
-  beyond float-fold tolerance means votes were altered, duplicated or
+* :func:`check_held`, before the compose — every held mask lies inside
+  the member's phase subtree rank range (a foreign or Sybil vote lies
+  outside); the masks are pairwise disjoint, else
+  :class:`DoubleCountViolation` (also the protocol's own
+  :class:`~repro.core.aggregates.DoubleCountError`) names the ids
+  counted twice — the paper's Section 2 no-double-counting constraint,
+  the premise of Theorem 1's ``1 - 1/N`` bound; and a count-bearing
+  payload (count, average, mean_variance, histogram) counts exactly its
+  mask's votes: more is a smuggled double count, fewer is vote loss
+  mislabeled as coverage.
+* :func:`check_compose`, after it — **mass conservation**: a sum-like
+  composed payload is re-derived from the run's ground-truth votes over
+  exactly the members its mask covers (the flow-updating /
+  mass-distribution lens of Almeida et al.); a mismatch beyond
+  float-fold tolerance means votes were altered, duplicated or
   fabricated in flight.
-* **Monotone phase clock** — members may only advance ``phase -> phase+1``
-  and never move backwards or skip, mirroring the bump-up rule II(b).
+* :func:`check_phase_bump` — the **phase clock** steps ``phase ->
+  phase+1`` only, mirroring the bump-up rule II(b).
+
+With an adversary registered the admission screen :data:`SCREEN` also
+inspects every arriving contribution and scores detections.
 
 Enabled by ``REPRO_SANITIZE=1`` in the environment (read once at import)
 or :func:`enable`; the test suite turns it on by default (see
-``tests/conftest.py``).  When disabled the hooks cost one module-level
-attribute check per compose and nothing per merge.
-
-The sanitizer draws no randomness and mutates no simulation state, so
-enabling it never changes results — byte-determinism across ``--jobs``
-counts is preserved.
+``tests/conftest.py``).  When disabled a call site costs one module
+attribute check per compose.  The sanitizer draws no randomness and
+mutates no simulation state, so enabling it never changes results.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterator, Mapping
-from contextlib import contextmanager
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -64,7 +62,7 @@ __all__ = [
     "enabled",
     "begin_run",
     "end_run",
-    "composing",
+    "check_held",
     "check_compose",
     "check_phase_bump",
     "set_adversary",
@@ -73,7 +71,7 @@ __all__ = [
     "clear_detections",
 ]
 
-#: Fast-path flag: hook sites test this before doing any work.
+#: Fast-path flag: call sites test this before doing any work.
 ACTIVE = False
 
 #: Relative tolerance for float mass checks (merges fold in gossip order,
@@ -141,9 +139,6 @@ class ForgedContribution(SanitizerError):
 # -- run-scoped state ---------------------------------------------------
 #: Ground truth of the current run: (votes, function), set by begin_run.
 _GROUND_TRUTH: tuple[Mapping[int, float], AggregateFunction] | None = None
-#: (member, round, phase, slot -> member-id translation) of the compose
-#: in progress, for merge reports.
-_COMPOSE_CONTEXT: tuple[int, int, int, Callable | None] | None = None
 #: The run's :class:`~repro.chaos.adversary.TamperPlanner` (detection
 #: scoring ground truth), set by :func:`set_adversary`.
 _ADVERSARY: Any = None
@@ -165,24 +160,17 @@ def enabled() -> bool:
 
 
 def enable() -> None:
-    """Turn the sanitizer on (idempotent) and bind the merge hook."""
+    """Turn the sanitizer on (idempotent)."""
     global ACTIVE
-    from repro.core import aggregates
-
-    aggregates._SANITIZE_HOOK = _on_merge
     ACTIVE = True
     _rebind_screen()
 
 
 def disable() -> None:
-    """Turn the sanitizer off and unbind the merge hook."""
-    global ACTIVE, _GROUND_TRUTH, _COMPOSE_CONTEXT
-    from repro.core import aggregates
-
-    aggregates._SANITIZE_HOOK = None
+    """Turn the sanitizer off and drop the run's ground truth."""
+    global ACTIVE, _GROUND_TRUTH
     ACTIVE = False
     _GROUND_TRUTH = None
-    _COMPOSE_CONTEXT = None
     _rebind_screen()
 
 
@@ -234,11 +222,11 @@ def begin_run(
 ) -> None:
     """Install the ground truth of one run (member -> vote).
 
-    Mass-conservation and foreign-member checks are only possible while
-    a ground truth is installed; :func:`run_once
+    The mass-conservation checks need it, and the screen takes its
+    votes as the run's membership; :func:`run_once
     <repro.experiments.runner.run_once>` installs it for every run when
-    the sanitizer is active.  Checks degrade gracefully (mask-only)
-    without one.
+    the sanitizer is active.  Without one, :func:`check_compose` checks
+    nothing.
     """
     global _GROUND_TRUTH
     _GROUND_TRUTH = (dict(votes), function)
@@ -249,35 +237,7 @@ def end_run() -> None:
     _GROUND_TRUTH = None
 
 
-@contextmanager
-def composing(
-    member: int, round_number: int, phase: int,
-    covered_ids: Callable[[IntervalMask], list[int]] | None = None,
-) -> Iterator[None]:
-    """Attribute merge-level violations to a member/round/phase.
-
-    ``covered_ids`` is the composing process's slot-to-member-id
-    translation (``AggregationProcess.covered_ids``), so a double count
-    is reported by member id; without it slots are reported as they are.
-    """
-    global _COMPOSE_CONTEXT
-    previous = _COMPOSE_CONTEXT
-    _COMPOSE_CONTEXT = (member, round_number, phase, covered_ids)
-    try:
-        yield
-    finally:
-        _COMPOSE_CONTEXT = previous
-
-
-def _located(kind: str, detail: str) -> SanitizerViolation:
-    member, round_number, phase, __ = _COMPOSE_CONTEXT or (None,) * 4
-    return SanitizerViolation(
-        kind=kind, detail=detail, member=member, round=round_number,
-        phase=phase,
-    )
-
-
-# -- merge-level checks (bound into AggregateFunction.merge) ------------
+# -- compose/phase checks (called by both engines at every bump) --------
 def _count_channel(
     function: AggregateFunction, state: AggregateState
 ) -> int | None:
@@ -295,42 +255,16 @@ def _count_channel(
     return None
 
 
-def _on_merge(
-    function: AggregateFunction, a: AggregateState, b: AggregateState
-) -> None:
-    """Pre-merge invariant checks (installed as the aggregates hook)."""
-    overlap = a.members & b.members
-    if overlap:
-        covered_ids = _COMPOSE_CONTEXT[3] if _COMPOSE_CONTEXT else None
-        twice = sorted(covered_ids(overlap) if covered_ids else overlap)
-        raise DoubleCountViolation(_located(
-            "double-count",
-            f"{function.name}: members {twice[:5]} appear in "
-            f"both merge operands — some vote would be counted twice "
-            f"(Section 2 no-double-counting violation)",
-        ))
-    for state in (a, b):
-        counted = _count_channel(function, state)
-        if counted is not None and counted != state.covers():
-            raise SanitizerError(_located(
-                "count-channel",
-                f"{function.name}: payload counts {counted} vote(s) but "
-                f"the membership mask covers {state.covers()} — counts "
-                f"and mask drifted apart (double count or vote loss)",
-            ))
-
-
-# -- compose/phase checks (called from the gossip protocol) -------------
-def _covered_ids(process, state: AggregateState) -> list[int]:
-    """Ids of the members ``state`` covers, translated by ``process``.
-
-    Masks hold vote slots; which member a slot stands for is the
-    protocol's choice (``AggregationProcess.covered_ids``: hierarchy
-    rank for hierarchical gossip, the id itself elsewhere — also the
-    fallback for stand-in processes that do not say).
-    """
-    covered_ids = getattr(process, "covered_ids", None)
-    return covered_ids(state.members) if covered_ids else list(state.members)
+def _violation(
+    error: type[SanitizerError], process, round_number: int, phase: int,
+    kind: str, detail: str,
+) -> SanitizerError:
+    """``error`` for a violation of ``process``'s member at ``round`` and
+    ``phase``."""
+    return error(SanitizerViolation(
+        kind=kind, detail=detail, member=process.node_id,
+        round=round_number, phase=phase,
+    ))
 
 
 def _expected_mass(
@@ -366,53 +300,82 @@ def _mass_mismatch(expected, actual) -> bool:
     return abs(actual - expected) > MASS_RTOL * max(1.0, abs(expected))
 
 
+def check_held(
+    process, round_number: int, phase: int, held: Sequence[AggregateState]
+) -> None:
+    """Validate the values ``process`` is about to compose at a bump.
+
+    Every mask must lie inside the member's phase-``phase`` subtree rank
+    range, the masks must be pairwise disjoint, and a count channel must
+    count exactly its mask's votes.  ``process`` is the composing
+    hierarchical-gossip member: its id, assignment and rank-to-id
+    translation locate and name the offence.
+    """
+    name = process.function.name
+    assignment = process.assignment
+    ranks = assignment.subtree_rank_range(
+        assignment.subtree_of(process.node_id, phase)
+    )
+    union = None
+    for state in held:
+        mask = state.members
+        bounds = mask.bounds
+        if bounds and (bounds[0] < ranks.start or bounds[-1] >= ranks.stop):
+            outside = process.covered_ids(
+                IntervalMask(slot for slot in mask if slot not in ranks)
+            )
+            raise _violation(
+                SanitizerError, process, round_number, phase,
+                "foreign-member",
+                f"{name}: a held value covers ids {outside[:5]} outside "
+                f"this member's phase-{phase} subtree — foreign, Sybil or "
+                f"misplaced votes",
+            )
+        merged = mask if union is None else union.union_disjoint(mask)
+        if merged is None:
+            twice = sorted(process.covered_ids(union & mask))
+            raise _violation(
+                DoubleCountViolation, process, round_number, phase,
+                "double-count",
+                f"{name}: members {twice[:5]} appear in two held values — "
+                f"some vote would be counted twice (Section 2 "
+                f"no-double-counting violation)",
+            )
+        union = merged
+        counted = _count_channel(process.function, state)
+        if counted is not None and counted != mask.count:
+            raise _violation(
+                SanitizerError, process, round_number, phase,
+                "count-channel",
+                f"{name}: a held payload counts {counted} vote(s) but its "
+                f"membership mask covers {mask.count} — counts and mask "
+                f"drifted apart (double count or vote loss)",
+            )
+
+
 def check_compose(
     process, round_number: int, phase: int, state: AggregateState
 ) -> None:
-    """Validate a freshly composed aggregate against the ground truth.
-
-    ``process`` is the composing protocol process (supplies member id
-    and, for the foreign-member fallback, the grid assignment).
-    """
-    member = process.node_id
-    function: AggregateFunction = process.function
-    covered = _covered_ids(process, state)
-    if _GROUND_TRUTH is not None:
-        votes, __ = _GROUND_TRUTH
-        foreign = sorted(m for m in covered if m not in votes)
-    else:
-        votes = None
-        known = getattr(
-            getattr(process, "assignment", None), "member_ids", None
-        )
-        foreign = (
-            sorted(m for m in covered if m not in known)
-            if known is not None else []
-        )
-    if foreign:
-        raise SanitizerError(SanitizerViolation(
-            kind="foreign-member",
-            detail=(
-                f"{function.name}: composed mask includes ids "
-                f"{foreign[:5]} that are not members of this run — "
-                f"fabricated or cross-run votes"
-            ),
-            member=member, round=round_number, phase=phase,
-        ))
-    if votes is None:
+    """Validate a freshly composed aggregate against the ground truth:
+    its payload must be the one the run's votes give over exactly the
+    members its mask covers.  ``process`` is the composing process (its
+    id and rank-to-id translation); without an installed ground truth
+    (:func:`begin_run`) nothing is checked."""
+    if _GROUND_TRUTH is None:
         return
+    votes, __ = _GROUND_TRUTH
+    function: AggregateFunction = process.function
+    covered = process.covered_ids(state.members)
     expected = _expected_mass(function, covered, votes)
     if expected is not None and _mass_mismatch(expected, state.payload):
-        raise SanitizerError(SanitizerViolation(
-            kind="mass-conservation",
-            detail=(
-                f"{function.name}: composed payload {state.payload!r} "
-                f"!= ground-truth recomputation {expected!r} over the "
-                f"{state.covers()} covered vote(s) — votes were altered, "
-                f"duplicated or fabricated in flight"
-            ),
-            member=member, round=round_number, phase=phase,
-        ))
+        raise _violation(
+            SanitizerError, process, round_number, phase,
+            "mass-conservation",
+            f"{function.name}: composed payload {state.payload!r} != "
+            f"ground-truth recomputation {expected!r} over the "
+            f"{state.covers()} covered vote(s) — votes were altered, "
+            f"duplicated or fabricated in flight",
+        )
 
 
 def check_phase_bump(
@@ -421,15 +384,12 @@ def check_phase_bump(
     """Assert the member's phase clock only ever steps forward by one."""
     last = getattr(process, "_sanitize_phase_clock", from_phase)
     if to_phase != from_phase + 1 or from_phase != last:
-        raise SanitizerError(SanitizerViolation(
-            kind="phase-clock",
-            detail=(
-                f"phase clock must step monotonically by one "
-                f"(last composed phase {last}, now bumping "
-                f"{from_phase} -> {to_phase})"
-            ),
-            member=process.node_id, round=round_number, phase=from_phase,
-        ))
+        raise _violation(
+            SanitizerError, process, round_number, from_phase,
+            "phase-clock",
+            f"phase clock must step monotonically by one (last composed "
+            f"phase {last}, now bumping {from_phase} -> {to_phase})",
+        )
     process._sanitize_phase_clock = to_phase
 
 
@@ -457,8 +417,7 @@ def _claimed_members(process, key) -> frozenset[int] | None:
 
 
 def _screen_violation(
-    process, member: int, round_number: int, phase: int, key,
-    state: AggregateState,
+    process, round_number: int, phase: int, key, state: AggregateState,
 ) -> SanitizerError | None:
     """The violation an arriving contribution commits, or None if clean."""
     function: AggregateFunction = process.function
@@ -470,55 +429,47 @@ def _screen_violation(
         universe = getattr(
             getattr(process, "assignment", None), "member_ids", None
         )
-    covered = _covered_ids(process, state)
+    covered = process.covered_ids(state.members)
     if universe is not None:
         foreign = sorted(m for m in covered if m not in universe)
         if foreign:
-            return ForgedContribution(SanitizerViolation(
-                kind="foreign-member",
-                detail=(
-                    f"{function.name}: arriving contribution covers ids "
-                    f"{foreign[:5]} that are not members of this run — "
-                    f"Sybil or fabricated votes"
-                ),
-                member=member, round=round_number, phase=phase,
-            ))
+            return _violation(
+                ForgedContribution, process, round_number, phase,
+                "foreign-member",
+                f"{function.name}: arriving contribution covers ids "
+                f"{foreign[:5]} that are not members of this run — "
+                f"Sybil or fabricated votes",
+            )
     claimed = _claimed_members(process, key)
     if claimed is not None and not claimed.issuperset(covered):
         extras = sorted(set(covered) - claimed)
-        return DoubleCountViolation(SanitizerViolation(
-            kind="double-count",
-            detail=(
-                f"{function.name}: contribution keyed {key!r} covers "
-                f"members {extras[:5]} outside that key's legitimate set "
-                f"— admitting it would count their votes under two keys"
-            ),
-            member=member, round=round_number, phase=phase,
-        ))
+        return _violation(
+            DoubleCountViolation, process, round_number, phase,
+            "double-count",
+            f"{function.name}: contribution keyed {key!r} covers "
+            f"members {extras[:5]} outside that key's legitimate set "
+            f"— admitting it would count their votes under two keys",
+        )
     counted = _count_channel(function, state)
     if counted is not None and counted != state.covers():
-        return ForgedContribution(SanitizerViolation(
-            kind="count-channel",
-            detail=(
-                f"{function.name}: arriving payload counts {counted} "
-                f"vote(s) but its membership mask covers "
-                f"{state.covers()} — forged or corrupted in flight"
-            ),
-            member=member, round=round_number, phase=phase,
-        ))
+        return _violation(
+            ForgedContribution, process, round_number, phase,
+            "count-channel",
+            f"{function.name}: arriving payload counts {counted} "
+            f"vote(s) but its membership mask covers "
+            f"{state.covers()} — forged or corrupted in flight",
+        )
     if votes is not None:
         expected = _expected_mass(function, covered, votes)
         if expected is not None and _mass_mismatch(expected, state.payload):
-            return ForgedContribution(SanitizerViolation(
-                kind="mass-conservation",
-                detail=(
-                    f"{function.name}: arriving payload {state.payload!r} "
-                    f"!= ground-truth recomputation {expected!r} over its "
-                    f"{state.covers()} covered vote(s) — tampered in "
-                    f"flight"
-                ),
-                member=member, round=round_number, phase=phase,
-            ))
+            return _violation(
+                ForgedContribution, process, round_number, phase,
+                "mass-conservation",
+                f"{function.name}: arriving payload {state.payload!r} "
+                f"!= ground-truth recomputation {expected!r} over its "
+                f"{state.covers()} covered vote(s) — tampered in "
+                f"flight",
+            )
     return None
 
 
@@ -539,9 +490,7 @@ def _screen_contribution(
     planted = planner.planted_mode(state) if planner is not None else None
     if planted is not None:
         planner.note_reached(state)
-    violation = _screen_violation(
-        process, process.node_id, round_number, phase, key, state
-    )
+    violation = _screen_violation(process, round_number, phase, key, state)
     if violation is None:
         return True
     _DETECTIONS.append(violation)

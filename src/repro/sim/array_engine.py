@@ -25,10 +25,10 @@ calling into one process object per member and message:
   takes the ``w``-th arrival of every receiver at once, so receivers
   are admitted side by side and each one's arrivals in arrival order —
   the order per-message dispatch gives them.  A scalar arrival goes to
-  the stepper one at a time (:meth:`_receive`), and so does every
-  message of a chunk while the stepper asks for ``per_message``
-  delivery (an armed admission screen); the stepper admits it into the
-  receiver's row too.
+  the stepper one at a time (:meth:`_receive`), which admits it into
+  the receiver's row too.  Every adversarial run — the only kind with
+  an admission screen armed — plans per message, so its arrivals are
+  all scalar and the screen sees each one.
 * **Answers** — a receiver may answer an arrival (push-pull gossip).
   The stepper returns a chunk's answers as one more table; they are put
   back into the arrival order of their requests and sent as one more
@@ -57,7 +57,6 @@ The stepper contract::
         # (asked, answering rows, answer table)
     stepper.receive(engine, row, payload)
         # one scalar arrival; returns None or its answer payload
-    stepper.per_message                        # deliver chunks as messages
 
 A payload table has ``sizes`` (wire size per row), ``owner`` (the
 member row each payload came from) and ``payloads(rows)`` (those rows
@@ -272,15 +271,6 @@ class ArraySteppedEngine(SimulationEngine):
     def _deliver_block(
         self, dest_ids: np.ndarray, table_rows: np.ndarray, table: Any,
     ) -> None:
-        if self._stepper.per_message:
-            # Each message on its own, in send order, as per-message
-            # dispatch delivers (and answers) it.
-            for src, dest, payload in zip(
-                self.row_ids[table.owner[table_rows]].tolist(),
-                dest_ids.tolist(), table.payloads(table_rows.tolist()),
-            ):
-                self._dispatch(Message(src=src, dest=dest, payload=payload))
-            return
         rows = self._rows_of(dest_ids)
         mask = self.alive_rows[rows]
         if not mask.all():

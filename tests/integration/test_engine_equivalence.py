@@ -222,11 +222,13 @@ def test_equivalent_across_job_counts():
 def _assert_identical_under_sanitizer(config):
     from repro import sanitize
 
+    was_active = sanitize.ACTIVE
     sanitize.enable()
     try:
         got = _records(config)
     finally:
-        sanitize.disable()
+        if not was_active:
+            sanitize.disable()
     assert got["array"] == got["object"]
 
 
@@ -546,37 +548,56 @@ def test_adversarial_campaign_under_sanitizer_admits_through_process(
     assert received
 
 
-def _assert_screen_armed_block_path(monkeypatch, **params):
-    from repro import sanitize
-    from repro.chaos.adversary import TamperPlanner
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_scalar_answer_shares_the_block_window(cap):
+    # Injected push-pull requests are scalar arrivals on a block-planned
+    # network: under a bandwidth cap, each answer is its receiver's next
+    # send in the window its block-planned sends opened.
+    from repro.core.messages import GossipBatch
+    from repro.sim.network import LossyNetwork, Message
+
+    config = with_params(n=128, push_pull=True, max_sends_per_round=cap,
+                         seed=4)
+
+    def network():
+        lossy = LossyNetwork(ucastl=config.ucastl, max_sends_per_round=cap,
+                             max_message_size=config.max_message_size)
+        for round_number in (1, 2, 3):
+            for member in range(0, 128, 3):
+                lossy.inject(round_number, Message(
+                    src=(member + 1) % 128, dest=member, size=8,
+                    payload=GossipBatch(1, ()),
+                ))
+        return lossy
+
+    runs = {
+        engine: _hand_built_run(config, engine, network())
+        for engine in ("object", "array")
+    }
+    __, (__, network_stats, __) = runs["object"]
+    assert network_stats.rejected_bandwidth > 0
+    assert runs["array"] == runs["object"]
+
+
+def test_adversarial_campaigns_deliver_no_chunks(monkeypatch):
+    # An installed adversary plans every message on its own, so with the
+    # screen armed no chunk reaches wave admission: every arrival is
+    # scalar, and the screen inspects each entry in arrival order.
+    from repro.chaos import get_campaign
     from repro.sim.array_engine import ArraySteppedEngine
 
-    by_message = _counting(monkeypatch, ArraySteppedEngine, "_receive")
-    was_active = sanitize.ACTIVE
-    sanitize.enable()
-    sanitize.set_adversary(TamperPlanner([], [], []))
-    try:
-        got = _records(with_params(n=128, push_pull=True, seed=4, **params))
-    finally:
-        sanitize.clear_adversary()
-        if not was_active:
-            sanitize.disable()
-    assert by_message
-    assert got["array"] == got["object"]
-
-
-def test_screen_armed_on_the_block_path(monkeypatch):
-    # With the screen armed on a block-planned network, every chunk is
-    # dispatched as its messages, answers included.
-    _assert_screen_armed_block_path(monkeypatch)
-
-
-@pytest.mark.parametrize("cap", [1, 2, 3])
-def test_screen_armed_answer_shares_the_block_window(monkeypatch, cap):
-    # Under a bandwidth cap, an answer to a message dispatched from a
-    # chunk is the receiver's next send in the window its block-planned
-    # sends opened.
-    _assert_screen_armed_block_path(monkeypatch, max_sends_per_round=cap)
+    chunks = _counting(monkeypatch, ArraySteppedEngine, "_deliver_block")
+    scalars = _counting(monkeypatch, ArraySteppedEngine, "_receive")
+    adversarial = [
+        name for name in campaign_names() if get_campaign(name).adversarial
+    ]
+    assert adversarial
+    for campaign in adversarial:
+        for push_pull in (False, True):
+            scalars.clear()
+            run_once(with_params(n=128, campaign=campaign, engine="array",
+                                 push_pull=push_pull, seed=1))
+            assert (len(chunks), bool(scalars)) == (0, True), campaign
 
 
 def test_forged_keys_are_refused_on_both_engines(monkeypatch):
@@ -691,8 +712,8 @@ def test_crash_recovery():
 
 @pytest.fixture
 def unsanitized():
-    """The runtime sanitizer off for one test (the suite arms it): a
-    bumping row then composes as columns, not through ``merge_all``."""
+    """The runtime sanitizer off for one test (the suite arms it): the
+    configuration benchmarks and the CLI run."""
     from repro import sanitize
 
     was_active = sanitize.ACTIVE
@@ -700,6 +721,39 @@ def unsanitized():
     yield
     if was_active:
         sanitize.enable()
+
+
+def test_sanitized_array_run_folds_columns(monkeypatch):
+    # The sanitizer checks next to the compose, never in its place: a
+    # fixed-width aggregate's rows fold as columns with it on, and the
+    # stepper calls no ``merge_all``.
+    import sys
+
+    from repro import sanitize
+    from repro.core.aggregates import AggregateFunction
+
+    stepper_merges = []
+    merge_all = AggregateFunction.merge_all
+
+    def counted(self, states):
+        caller = sys._getframe(1).f_globals["__name__"]
+        if caller == "repro.core.array_stepper":
+            stepper_merges.append(caller)
+        return merge_all(self, states)
+
+    monkeypatch.setattr(AggregateFunction, "merge_all", counted)
+    folds = _counting(monkeypatch, AggregateFunction, "fold_columns")
+    held = _counting(monkeypatch, sanitize, "check_held")
+    was_active = sanitize.ACTIVE
+    sanitize.enable()
+    try:
+        run_once(with_params(n=128, aggregate="sum", engine="array",
+                             seed=0))
+    finally:
+        if not was_active:
+            sanitize.disable()
+    assert stepper_merges == []
+    assert folds and len(held) >= 128
 
 
 @pytest.mark.parametrize("name", AGGREGATE_NAMES)

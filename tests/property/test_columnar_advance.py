@@ -9,8 +9,8 @@ coverage in a random insertion order, the phase clock, both deadline
 extensions, deliveries this phase, buffered future values (the own
 child's among them, at more or less coverage than it will compose to) —
 with adaptive deadlines, early bump-up, coverage preference and the
-runtime sanitizer (which composes through ``merge_all`` instead of the
-column fold) each on and off, and advance it both ways: the row seeded
+runtime sanitizer (whose checks run beside the column fold, on the same
+rows) each on and off, and advance it both ways: the row seeded
 from the twin process (``tests/stepper_rows.py``).  The row's phase,
 clock, extensions, ``known`` (keys, order and states, bit for bit) and
 future buffer must match the twin's, and so must the process's result,

@@ -3,21 +3,21 @@
 The headline case plants a deliberate double count inside a live
 protocol run and asserts the sanitizer rejects it with a structured
 report naming the offending member, round and phase.  The rest covers
-each invariant in isolation (count channel, mass conservation, foreign
-members, phase clock), the exception-compatibility contract with
-:class:`~repro.core.aggregates.DoubleCountError`, and that enabling the
-sanitizer never changes results.
+each invariant in isolation (held disjointness, count channel, subtree
+placement, mass conservation, phase clock), the exception-compatibility
+contract with :class:`~repro.core.aggregates.DoubleCountError`, and that
+enabling the sanitizer never changes results.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro import sanitize
-from repro.core import aggregates
 from repro.core.array_stepper import HierarchicalArrayStepper
 from repro.core.aggregates import (
     AggregateState,
@@ -49,25 +49,50 @@ class _StubProcess:
         self.node_id = node_id
         self.function = function if function is not None else SumAggregate()
 
+    def covered_ids(self, mask):
+        return list(mask)  # a vote's slot is its member id
+
 
 @pytest.fixture
 def clean_sanitizer():
-    """Sanitizer on, with no leftover run state, restored afterwards."""
+    """Sanitizer on, with no leftover run state; the state it found is
+    restored afterwards."""
+    was_active = sanitize.ACTIVE
     sanitize.enable()
     sanitize.end_run()
     yield sanitize
+    (sanitize.enable if was_active else sanitize.disable)()
     sanitize.end_run()
-    sanitize.enable()  # the suite default (tests/conftest.py) is on
+
+
+def _member(node_id=3, function=None):
+    """A member of the Figure-1 world, composing ``function`` (sum by
+    default).  Box 0 holds members 3, 7 and 8 at ranks 0, 1 and 2; box
+    1 members 5 and 6 at ranks 3 and 4."""
+    world = TestPlantedDoubleCountInProtocol()._figure1_world()
+    votes, default, assignment = world
+    processes = build_hierarchical_gossip_group(
+        votes, function or default, assignment, GossipParams()
+    )
+    return next(p for p in processes if p.node_id == node_id)
 
 
 class TestEnableDisable:
-    def test_toggle_binds_and_unbinds_the_merge_hook(self, clean_sanitizer):
+    def test_toggle_switches_the_compose_checks(self, clean_sanitizer):
+        # Member 7's vote (rank 1) held under two keys.
+        member = _member()
+        member.known = {7: member.function.lift(1, 7.0),
+                        3: member.function.lift(1, 7.0)}
+        ctx = SimpleNamespace(round=4)
         sanitize.disable()
         assert not sanitize.enabled()
-        assert aggregates._SANITIZE_HOOK is None
+        with pytest.raises(DoubleCountError) as plain:
+            member._compose_known(ctx)
+        assert not isinstance(plain.value, sanitize.SanitizerError)
         sanitize.enable()
         assert sanitize.enabled()
-        assert aggregates._SANITIZE_HOOK is sanitize._on_merge
+        with pytest.raises(sanitize.DoubleCountViolation):
+            member._compose_known(ctx)
 
     def test_environment_variable_enables_at_import(self):
         code = "import repro.sanitize as s; print(s.enabled())"
@@ -86,52 +111,64 @@ class TestEnableDisable:
 
 
 class TestMergeChecks:
+    """:func:`repro.sanitize.check_held` on the values a Figure-1 member
+    is about to merge (see :func:`_member` for its ranks)."""
+
     def test_overlapping_merge_raises_double_count_violation(
         self, clean_sanitizer
     ):
-        function = SumAggregate()
-        a = function.lift(5, 1.0)
-        b = function.merge(function.lift(5, 1.0), function.lift(6, 2.0))
+        member = _member()
+        function = member.function
+        a = function.lift(1, 7.0)
+        b = function.merge(function.lift(1, 7.0), function.lift(2, 8.0))
         with pytest.raises(sanitize.DoubleCountViolation) as caught:
-            function.merge(a, b)
+            sanitize.check_held(member, 0, 1, [a, b])
         violation = caught.value.violation
         assert violation.kind == "double-count"
-        assert "5" in violation.detail
+        assert "members [7]" in violation.detail  # rank 1, by member id
 
     def test_violation_is_also_the_protocols_double_count_error(
         self, clean_sanitizer
     ):
-        function = SumAggregate()
+        member = _member()
+        same = member.function.lift(0, 3.0)
         with pytest.raises(DoubleCountError):
-            function.merge(function.lift(1, 1.0), function.lift(1, 1.0))
+            sanitize.check_held(member, 0, 1, [same, same])
 
     def test_compose_context_attributes_member_round_phase(
         self, clean_sanitizer
     ):
-        function = SumAggregate()
+        member = _member(node_id=8)
+        same = member.function.lift(2, 8.0)
         with pytest.raises(sanitize.DoubleCountViolation) as caught:
-            with sanitize.composing(member=7, round_number=3, phase=2):
-                function.merge(function.lift(1, 1.0), function.lift(1, 1.0))
+            sanitize.check_held(member, 3, 1, [same, same])
         violation = caught.value.violation
         assert (violation.member, violation.round, violation.phase) == (
-            7, 3, 2,
+            8, 3, 1,
         )
         report = violation.report()
-        assert "member 7" in report and "phase 2" in report
+        assert "member 8" in report and "phase 1" in report
 
     def test_count_channel_drift_is_rejected(self, clean_sanitizer):
-        function = AverageAggregate()
+        member = _member(function=AverageAggregate())
         # Payload claims two votes, the mask covers one: a smuggled
         # double count that disjointness alone cannot see.
         drifted = AggregateState(payload=(5.0, 2), members=frozenset({1}))
         with pytest.raises(sanitize.SanitizerError) as caught:
-            function.merge(drifted, function.lift(2, 1.0))
+            sanitize.check_held(
+                member, 0, 1, [member.function.lift(0, 3.0), drifted]
+            )
         assert caught.value.violation.kind == "count-channel"
 
     def test_disjoint_merges_pass(self, clean_sanitizer):
-        function = AverageAggregate()
-        merged = function.merge(function.lift(1, 1.0), function.lift(2, 3.0))
-        assert merged.covers() == 2
+        member = _member(function=AverageAggregate())
+        function = member.function
+        held = [function.lift(rank, 1.0) for rank in (2, 0, 1)]
+        sanitize.check_held(member, 0, 1, held)
+        # Phase 2 holds the two boxes under subtree 0: ranks 0-4.
+        sanitize.check_held(member, 0, 2, [
+            function.merge_all(held), function.lift(4, 6.0),
+        ])
 
 
 class TestComposeChecks:
@@ -210,20 +247,20 @@ class TestComposeChecks:
             )
 
     def test_foreign_member_is_rejected(self, clean_sanitizer):
-        """A Sybil identity sits above every slot in use and names
-        itself, whichever way the genuine votes are numbered."""
-        function = SumAggregate()
-        sanitize.begin_run(self.VOTES, function)
-        for process, slots in self._worlds():
-            foreign = AggregateState(
-                payload=1.0, members=slots({1}) | {999}
-            )
+        """A held value must lie inside the member's phase subtree: a
+        Sybil identity above every rank in use names itself, a member
+        of another box its id."""
+        member = _member()
+        function = member.function
+        for slots, named in (({1, 999}, "ids [999]"), ({1, 3}, "ids [5]")):
+            foreign = AggregateState(payload=1.0, members=frozenset(slots))
             with pytest.raises(sanitize.SanitizerError) as caught:
-                sanitize.check_compose(process(function=function), 0, 1,
-                                       foreign)
+                sanitize.check_held(
+                    member, 0, 1, [function.lift(0, 3.0), foreign]
+                )
             violation = caught.value.violation
             assert violation.kind == "foreign-member"
-            assert "ids [999]" in violation.detail
+            assert named in violation.detail
 
 
 class TestPhaseClock:
