@@ -30,8 +30,8 @@ Canonical workloads:
   assignment, so this workload tracks both the raw hot path and the
   large-N caching.  Same size under ``--quick`` on purpose: shrinking
   it would measure a different regime.  Runs on the array-stepped
-  engine (``engine="auto"``); the checksum pins bit-identity against
-  the object-stepped history.
+  engine (the runner's choice here); the checksum pins bit-identity
+  against the object-stepped history.
 * ``chaos_n1024``       — the four ``make chaos-smoke`` campaigns at
   N=1024, 2 seeded runs per cell, ``jobs=1`` (full bench only): the
   robustness harness with compact telemetry attached, i.e. the path
@@ -313,9 +313,9 @@ def bench_large(quick: bool) -> dict:
     Runs in-process (``jobs=1``) so the second run can reuse the
     memoized ``GridAssignment`` the way ``Sweep``/``ParallelRunner``
     workers do; the checksum pins the numbers against the goldens.
-    Engine selection is ``auto`` — the array-stepped engine on this
-    configuration — and the checksum proves it bit-identical to the
-    object-stepped history records.
+    The runner picks the array-stepped engine for this configuration,
+    and the checksum proves it bit-identical to the object-stepped
+    history records.
     """
     configs = [with_params(n=8192, k=8, seed=0).with_seed(offset)
                for offset in range(2)]

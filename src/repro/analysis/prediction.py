@@ -93,7 +93,7 @@ def predict_completeness(
         raise ValueError("ucastl must be a probability")
     hierarchy = GridBoxHierarchy(n, k)
     if rounds_per_phase is None:
-        rounds_per_phase = rounds_per_phase_for(n, rounds_factor_c, fanout_m)
+        rounds_per_phase = rounds_per_phase_for(n, rounds_factor_c)
     # one round of each phase is spent on delivery latency
     effective_rounds = max(1, rounds_per_phase - 1)
     b = fanout_m * (1.0 - ucastl)

@@ -163,7 +163,7 @@ class ChaosNetwork(Network):
         return self.current_loss
 
     def latency(self, message: Message, rng) -> int:
-        return self.latency_rounds + self.current_extra_latency
+        return 1 + self.current_extra_latency
 
     def _block_crossings(self, src, dest):
         if self.partition is None:
@@ -197,7 +197,7 @@ class ChaosNetwork(Network):
     def block_latency_rounds(self):
         if type(self).latency is not ChaosNetwork.latency:
             return None
-        return self.latency_rounds + self.current_extra_latency
+        return 1 + self.current_extra_latency
 
     def _note_block_losses(self, src, dest, lost) -> None:
         crossings = self._block_crossings(src, dest)

@@ -51,11 +51,6 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="multicast-wave start stagger in rounds")
     parser.add_argument("--n-estimate", type=int, default=None,
                         help="build the hierarchy for this N estimate")
-    parser.add_argument("--engine", default="auto",
-                        choices=("auto", "object", "array"),
-                        help="round engine: 'auto' picks the array-stepped "
-                             "engine when supported (bit-identical results), "
-                             "'object'/'array' force one")
 
 
 def _parse_endpoint(value: str) -> tuple[str, int]:
@@ -359,7 +354,6 @@ def _config_from_args(args: argparse.Namespace):
         view_size=args.view_size,
         start_spread=args.start_spread,
         n_estimate=args.n_estimate,
-        engine=args.engine,
     )
 
 

@@ -108,26 +108,24 @@ class AggregateState:
         """Number of member votes included in this partial aggregate."""
         return self.members.count
 
-    def wire_size(self, float_size: int = 8) -> int:
-        """Abstract byte-size of this state on the wire.
+    def wire_size(self) -> int:
+        """Abstract byte-size of this state on the wire: 8 bytes per
+        flattened payload number.
 
         Counts only the constant-size payload (flattened floats/ints), not
         the coverage mask — matching the paper's assumption that a
         composable function's output is about the size of a vote.
 
-        The default-size result is memoized on the instance: states are
-        immutable and re-sent every gossip round, and the payload walk
-        dominated the simulator's send path before caching.
+        Memoized on the instance: states are immutable and re-sent every
+        gossip round, and the payload walk dominated the simulator's send
+        path before caching.
         """
-        if float_size == 8 and self._wire_size is not None:
+        if self._wire_size is not None:
             return self._wire_size
         payload = self.payload
-        if isinstance(payload, tuple):
-            size = float_size * max(1, _flat_len(payload))
-        else:
-            size = float_size
-        if float_size == 8:
-            object.__setattr__(self, "_wire_size", size)
+        count = _flat_len(payload) if isinstance(payload, tuple) else 1
+        size = 8 * max(1, count)
+        object.__setattr__(self, "_wire_size", size)
         return size
 
 

@@ -37,8 +37,9 @@ phase (Section 6.3) — and a row is exactly that:
   buffer for that phase drained by the wave rule, and a second test in
   the same round (the cascade).  Its phase events leave as columns —
   per level the bumps (:func:`bump_events`), finalizes and entries —
-  and each sink gets one :class:`~repro.core.observe.PhaseBlock` per
-  round: a counting sink never builds a ``PhaseEvent``.
+  and the group's one sink gets one
+  :class:`~repro.core.observe.PhaseBlock` per round: a counting sink
+  never builds a ``PhaseEvent``.
 
 **The row is the member's state.**  A row starts from its process's
 own vote and start round, and nothing is written back: a process keeps
@@ -73,7 +74,7 @@ advance to the process's own.
 
 Supported configurations (:meth:`bind`, :func:`unsupported_reason`):
 batch-mode hierarchical gossip, with any network, failure model, chaos
-campaign, view, start wave, phase sink or hardening knob.
+campaign, view, start wave, hardening knob or (shared) phase sink.
 """
 
 from __future__ import annotations
@@ -234,10 +235,12 @@ class HierarchicalArrayStepper:
                 or proc.assignment is not first.assignment
                 or proc.rounds_per_phase != first.rounds_per_phase
                 or type(proc.function) is not type(first.function)
+                or proc.phase_sink is not first.phase_sink
             ):
                 raise ValueError(
                     "array stepping requires a homogeneous group "
-                    "(shared GossipParams, hierarchy and aggregate)"
+                    "(shared GossipParams, hierarchy, aggregate and "
+                    "phase sink)"
                 )
         n = len(procs)
         params = first.params
@@ -252,7 +255,6 @@ class HierarchicalArrayStepper:
         self._k = hierarchy.k
         self._digits = hierarchy.digits
         self._fanout = params.fanout_m
-        self._cap = params.max_batch or hierarchy.k
         self._prefer = params.prefer_coverage
         self._push_pull = params.push_pull
         self._early_bump = params.early_bump
@@ -262,16 +264,7 @@ class HierarchicalArrayStepper:
         self._adaptive = params.adaptive_deadlines
         self._budget = params.extension_budget(self._rpp)
         self._function = first.function
-        sinks = {
-            id(proc.phase_sink): proc.phase_sink
-            for proc in procs if proc.phase_sink is not None
-        }
-        index = {key: at for at, key in enumerate(sinks)}
-        self._sinks = list(sinks.values())
-        #: Per row the index of its sink in ``_sinks`` (-1: none).
-        self._sink_of = np.array([
-            index.get(id(proc.phase_sink), -1) for proc in procs
-        ]) if sinks else None
+        self._sink = first.phase_sink
         #: Per row: phase, clock, the rounds this phase and all phases
         #: borrowed under adaptive deadlines, this phase's arrivals, and
         #: the first round.
@@ -316,8 +309,6 @@ class HierarchicalArrayStepper:
         self._pool_used = 0
         self._phase_tables: dict[int, tuple] = {}
         width = max(self._k, int(box_sizes.max()))
-        #: Entries a snapshot row can hold (batch cap, bounded by slots).
-        self._cols = min(self._cap, width)
         # The columnar ``known``: per row and slot a state id (0 = not
         # held), slots in insertion order, the count held, and the key
         # base the slots count from.
@@ -738,7 +729,7 @@ class HierarchicalArrayStepper:
             self._recv[row] += 1
             if self._push_pull and request:
                 answer = GossipBatch(
-                    phase, tuple(values.items())[:self._cols], reply=True
+                    phase, tuple(values.items())[:self._k], reply=True
                 )
         proc = self._procs[row]
         screen = sanitize.SCREEN
@@ -818,10 +809,10 @@ class HierarchicalArrayStepper:
     def _pull(self, rows, asked) -> tuple:
         """Push-pull answers: each row's first entries, as they are now
         (every live row holds at least its own value)."""
-        length = np.minimum(self._held[rows], self._cols)
-        slots = self._order[rows, :self._cols]
+        length = np.minimum(self._held[rows], self._k)
+        slots = self._order[rows, :self._k]
         sids = self._sid[rows[:, None], slots]
-        sids[np.arange(self._cols) >= length[:, None]] = 0
+        sids[np.arange(self._k) >= length[:, None]] = 0
         return asked, rows, length, slots, sids
 
     def _wave(self, rows, first, cells, slots, sids, valid,
@@ -913,7 +904,7 @@ class HierarchicalArrayStepper:
         self._touched &= ~stepped
         rows = np.flatnonzero(candidates & stepped)
         # Event columns per chunk, and the missing slots timeouts list.
-        events: list | None = [] if self._sinks else None
+        events: list | None = [] if self._sink is not None else None
         gone: list = []
         while len(rows):
             rows = rows[self._verdict(rows, round_number)]
@@ -1105,26 +1096,19 @@ class HierarchicalArrayStepper:
               missing=index[closes])
 
     def _emit(self, events: list, gone: list, round_number: int) -> None:
-        """Hand every sink its block of this round's events: sorted by
-        row (stably), so each row's stay in cascade order."""
+        """Hand the sink this round's events as one block: sorted by row
+        (stably), so each row's stay in cascade order."""
+        assert self._sink is not None  # events are noted only for a sink
         kinds, rows, phases, coverage, missing = (
             np.concatenate(column) for column in zip(*events)
         )
         order = np.argsort(rows, kind="stable")
-        columns = (
-            kinds[order], self._ids[rows[order]], phases[order],
-            self._box[rows[order]] // self._k ** (phases[order] - 1),
-            coverage[order], missing[order],
-        )
-        resolve = partial(self._resolve, gone)
-        sink_of = self._sink_of[rows[order]]
-        for index, sink in enumerate(self._sinks):
-            mine = sink_of == index
-            if mine.any():
-                sink.emit_block(PhaseBlock(
-                    round_number, *(column[mine] for column in columns),
-                    self._label, resolve,
-                ))
+        rows, phases = rows[order], phases[order]
+        self._sink.emit_block(PhaseBlock(
+            round_number, kinds[order], self._ids[rows], phases,
+            self._box[rows] // self._k ** (phases - 1), coverage[order],
+            missing[order], self._label, partial(self._resolve, gone),
+        ))
 
     def _label(self, phase: int, value: int) -> str:
         """The formatted phase-``phase`` subtree with prefix ``value`` (as
@@ -1148,12 +1132,12 @@ class HierarchicalArrayStepper:
 
     def _snapshot(self, rows: np.ndarray) -> RowSnapshots:
         """The payload table of this round's senders ``rows``."""
-        cols = self._cols
+        cols = self._k
         held = self._held[rows]
         length = np.minimum(held, cols)
         positions = np.empty((len(rows), cols), dtype=np.int64)
         positions[:] = np.arange(cols)
-        over = held > self._cap
+        over = held > cols
         if over.any():
             positions[over] = _floyd(
                 self._bank.draw_matrix(rows[over], cols), held[over], cols

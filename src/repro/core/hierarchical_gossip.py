@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 
-def rounds_per_phase_for(group_size: int, c: float, fanout_m: int = 2) -> int:
+def rounds_per_phase_for(group_size: int, c: float) -> int:
     """Paper Section 7: ``ceil(C * log N)`` gossip rounds per phase.
 
     All logarithms in the paper are natural (base e); the gossip fanout
@@ -81,8 +81,6 @@ def rounds_per_phase_for(group_size: int, c: float, fanout_m: int = 2) -> int:
         raise ValueError("group_size must be positive")
     if c <= 0:
         raise ValueError("C must be positive")
-    if fanout_m < 1:
-        raise ValueError("fanout must be >= 1")
     floor = 2 if group_size > 1 else 1
     return max(floor, math.ceil(c * math.log(group_size)))
 
@@ -125,6 +123,11 @@ def bump_events(complete, missing, final, timed_out) -> tuple:
     return complete, closing
 
 
+#: Adaptive deadlines' per-phase extension budget, as a fraction of the
+#: nominal phase length.
+EXTENSION_FACTOR = 0.5
+
+
 @dataclass(frozen=True)
 class GossipParams:
     """Tunable knobs of the protocol, with the paper's Section 7 defaults.
@@ -136,17 +139,15 @@ class GossipParams:
     ``early_bump`` — step II(b) asynchronous advancement; disable to force
     the full timeout every phase (the analysis Section 6.3 assumption; an
     ablation benchmark compares both).
-    ``batch_values`` — push up to ``max_batch`` of the sender's
+    ``batch_values`` — push up to K (the hierarchy's) of the sender's
     current-phase values per gossip message instead of exactly one.  This
     is the default because single-value push cannot reach the
     incompleteness magnitudes the paper's Figures 6-11 report; ``False``
     is the strict protocol text (one value per message) — the ablation
-    benchmark quantifies the gap.
-    ``max_batch`` — cap on values per message in batch mode; ``None``
-    means "the hierarchy's K", which keeps every message the same
-    constant size the protocol already needs for its phase-``i>1`` state
-    (at most K child aggregates).  Phase-1 boxes holding more than
-    ``max_batch`` votes push a random subset each round.
+    benchmark quantifies the gap.  K keeps every message the constant
+    size the protocol already needs for its phase-``i>1`` state (at most
+    K child aggregates, Section 6.3); phase-1 boxes holding more than K
+    votes push a random subset each round.
     ``independent_values`` — single-value gossip picks *one* known value
     per round and pushes it to all ``M`` gossipees (paper literal);
     setting this picks a fresh random value per gossipee instead
@@ -173,12 +174,10 @@ class GossipParams:
     when a phase times out with child values still missing *and* the
     locally observed delivery rate indicates heavy loss, extend the phase
     one round at a time instead of composing a partial aggregate, up to
-    ``ceil(adaptive_extension_factor * rounds_per_phase)`` extra rounds
-    per phase.  The member's final deadline slides by the rounds it
-    actually borrowed, so the total extension is bounded and the
-    O(log^2 N) round complexity is preserved up to a constant factor.
-    ``adaptive_extension_factor`` — per-phase extension budget as a
-    fraction of the nominal phase length.
+    ``ceil(EXTENSION_FACTOR * rounds_per_phase)`` extra rounds per phase.
+    The member's final deadline slides by the rounds it actually
+    borrowed, so the total extension is bounded and the O(log^2 N) round
+    complexity is preserved up to a constant factor.
     ``final_retransmit`` — hardening extension (0 = paper protocol):
     in the *final* phase, a member that is not an active representative
     (``representative_fraction < 1``) still pushes its state to ``M``
@@ -193,13 +192,11 @@ class GossipParams:
     rounds_per_phase: int | None = None
     early_bump: bool = True
     batch_values: bool = True
-    max_batch: int | None = None
     independent_values: bool = False
     prefer_coverage: bool = True
     push_pull: bool = False
     representative_fraction: float = 1.0
     adaptive_deadlines: bool = False
-    adaptive_extension_factor: float = 0.5
     final_retransmit: int = 0
 
     def __post_init__(self):
@@ -210,15 +207,6 @@ class GossipParams:
         if self.fanout_m < 1:
             raise ValueError(
                 f"gossip fanout M must be >= 1, got {self.fanout_m}"
-            )
-        if self.max_batch is not None and self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be >= 1 when set, got {self.max_batch}"
-            )
-        if self.adaptive_extension_factor < 0.0:
-            raise ValueError(
-                f"adaptive_extension_factor must be >= 0, "
-                f"got {self.adaptive_extension_factor}"
             )
         if self.final_retransmit < 0:
             raise ValueError(
@@ -239,16 +227,14 @@ class GossipParams:
         """Max extra rounds one phase may borrow under adaptive deadlines."""
         if not self.adaptive_deadlines:
             return 0
-        return math.ceil(self.adaptive_extension_factor * rounds_per_phase)
+        return math.ceil(EXTENSION_FACTOR * rounds_per_phase)
 
     def resolve_rounds(self, group_size: int) -> int:
         if self.rounds_per_phase is not None:
             if self.rounds_per_phase < 1:
                 raise ValueError("rounds_per_phase must be >= 1")
             return self.rounds_per_phase
-        return rounds_per_phase_for(
-            group_size, self.rounds_factor_c, self.fanout_m
-        )
+        return rounds_per_phase_for(group_size, self.rounds_factor_c)
 
     def round_budget(
         self, group_size: int, num_phases: int, start_spread: int = 0
@@ -723,13 +709,13 @@ class HierarchicalGossipProcess(AggregationProcess):
     def _batch_entries(
         self, sampler: BlockedSampler | None
     ) -> tuple[tuple[object, AggregateState], ...]:
-        """Up to ``max_batch`` current-phase values for one message.
+        """Up to K current-phase values for one message.
 
         A random subset when over the cap (given a sampler); the first
         ``cap`` entries otherwise (push-pull replies, which need no
         randomness — the requester asked for whatever we have).
         """
-        cap = self.params.max_batch or self.assignment.hierarchy.k
+        cap = self.assignment.hierarchy.k
         entries = list(self.known.items())
         if len(entries) > cap:
             if sampler is not None:
@@ -787,8 +773,8 @@ class HierarchicalGossipProcess(AggregationProcess):
             return memo.push
         payload = GossipBatch(self.phase, self._batch_entries(sampler))
         built = (payload, payload.wire_size())  # invariant across the picks
-        cap = self.params.max_batch or self.assignment.hierarchy.k
-        if len(self.known) <= cap:  # over it: a fresh random subset per round
+        # Over the cap K, a fresh random subset goes out every round.
+        if len(self.known) <= self.assignment.hierarchy.k:
             memo.push = built
         return built
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro import shutdown
 from repro.core.protocol import CompletenessReport
-from repro.experiments.params import RunConfig
+from repro.experiments.params import ConfigError, RunConfig
 from repro.experiments.runner import RunResult, run_once
 
 __all__ = [
@@ -95,12 +95,12 @@ def resolve_jobs(jobs: int | str | None = None) -> int:
             try:
                 jobs = int(text)
             except ValueError:
-                raise ValueError(
+                raise ConfigError(
                     f"invalid job count {jobs!r}: expected an integer or "
                     f"'auto'"
                 ) from None
     if jobs < 0:
-        raise ValueError(f"job count must be >= 0, got {jobs}")
+        raise ConfigError(f"job count must be >= 0, got {jobs}")
     if jobs == 0:
         try:
             cores = len(os.sched_getaffinity(0))

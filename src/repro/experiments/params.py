@@ -83,12 +83,6 @@ class RunConfig:
     #: Never changes results (telemetry draws no randomness) nor engine
     #: selection (the compact shape attaches no tracer).
     collect_telemetry: bool = False
-    #: Round-engine selection: ``"auto"`` uses the array-stepped engine
-    #: when the configuration supports it (bit-identical results, much
-    #: faster at large N) and the object-stepped engine otherwise;
-    #: ``"object"`` / ``"array"`` force one — forcing ``"array"`` on an
-    #: unsupported configuration raises instead of silently degrading.
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -106,6 +100,13 @@ class RunConfig:
                 f"aggregate {self.aggregate!r} cannot be built by name: "
                 f"{error}"
             ) from None
+        if self.campaign is not None:
+            from repro.chaos import get_campaign
+
+            try:
+                get_campaign(self.campaign)
+            except ValueError as error:
+                raise ConfigError(str(error)) from None
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)

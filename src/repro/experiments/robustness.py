@@ -246,7 +246,6 @@ def robustness_matrix(
     ]
     configs: list[RunConfig] = []
     for name, n, k, fanout in grid:
-        get_campaign(name)  # fail fast on unknown names
         for run_index in range(runs):
             configs.append(with_params(
                 n=n, k=k, fanout_m=fanout, campaign=name,
@@ -476,7 +475,6 @@ def robustness_comparison(
     ]
     configs: list[RunConfig] = []
     for name, protocol in grid:
-        get_campaign(name)  # fail fast on unknown names
         for run_index in range(runs):
             configs.append(with_params(
                 n=n, k=k, fanout_m=fanout, campaign=name,

@@ -254,8 +254,8 @@ def _array_engine_reason(
     """Why this run cannot use the array-stepped engine (None = it can).
 
     The array engine is bit-identical to the object engine on supported
-    configurations (the cross-engine golden suite pins it), so "auto"
-    selection never changes results — only speed.  The only telemetry
+    configurations (the cross-engine golden suite pins it), so the
+    choice never changes results — only speed.  The only telemetry
     that matters here is a :class:`~repro.sim.trace.Tracer`: its stored
     per-message events exist only under per-message dispatch.  Compact
     telemetry, round metrics and phase sinks run on either engine.
@@ -278,19 +278,8 @@ def _make_engine(
     rngs: RngRegistry,
     max_rounds: int,
 ) -> SimulationEngine:
-    """Build the configured round engine (see ``RunConfig.engine``)."""
-    choice = config.engine
-    if choice not in ("auto", "object", "array"):
-        raise ValueError(
-            f"unknown engine {choice!r}; known: auto, object, array"
-        )
-    reason = (
-        _array_engine_reason(config, telemetry, processes)
-        if choice != "object"
-        else "engine='object' requested"
-    )
-    if choice == "array" and reason is not None:
-        raise ValueError(f"engine='array' is unsupported here: {reason}")
+    """The array-stepped engine when :func:`_array_engine_reason` finds
+    nothing against it, else the object-stepped one."""
     common = dict(
         network=network,
         failure_model=failure_model,
@@ -298,7 +287,7 @@ def _make_engine(
         max_rounds=max_rounds,
         metrics=telemetry.metrics if telemetry is not None else None,
     )
-    if reason is None:
+    if _array_engine_reason(config, telemetry, processes) is None:
         from repro.core.array_stepper import HierarchicalArrayStepper
         from repro.sim.array_engine import ArraySteppedEngine
 
@@ -344,7 +333,7 @@ def run_once(
     ``registry`` feeds a :class:`~repro.obs.metrics.MetricsRegistry`
     live (phase events) and at the end of the run (totals) without
     touching the per-message hooks: passed alone it wraps the run in
-    :meth:`RunTelemetry.metrics_only`, so engine auto-selection and the
+    :meth:`RunTelemetry.metrics_only`, so the engine choice and the
     returned result are untouched — the registry is pure observation.
     """
     if registry is not None:

@@ -232,26 +232,21 @@ async def _serve(args: argparse.Namespace) -> int:
 
 def run_serve(args: argparse.Namespace) -> int:
     """Entry point for the ``repro serve`` CLI verb."""
-    if args.members < 1:
-        print("--members must be positive", file=sys.stderr)
-        return 2
-    if args.node is not None and not 0 <= args.node < args.members:
-        print(
-            f"--node {args.node} outside the group 0..{args.members - 1}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.node is not None and args.node != 0 and args.seed is None:
-        print(
-            "--node requires --seed HOST:PORT (unless hosting node 0, "
-            "the seed itself)",
-            file=sys.stderr,
-        )
-        return 2
     metrics_port = getattr(args, "metrics_port", None)
-    if metrics_port is not None and not 0 < metrics_port < 65536:
-        print("--metrics-port must be a valid port", file=sys.stderr)
-        return 2
+    for bad, message in (
+        (args.members < 1, "--members must be positive"),
+        (args.node is not None and not 0 <= args.node < args.members,
+         f"--node {args.node} outside the group 0..{args.members - 1}"),
+        (args.node is not None and args.node != 0 and args.seed is None,
+         "--node requires --seed HOST:PORT (unless hosting node 0, the "
+         "seed itself)"),
+        (metrics_port is not None and not 0 < metrics_port < 65536,
+         "--metrics-port must be a valid port"),
+        (not args.tick > 0, f"--tick must be positive, got {args.tick}"),
+    ):
+        if bad:
+            print(f"repro: error: {message}", file=sys.stderr)
+            return 2
     try:
         return asyncio.run(_serve(args))
     finally:

@@ -27,6 +27,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import sys
 
 from repro.obs.export import (
     load_trace,
@@ -83,6 +85,12 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
         "--budgets-json", default=None, metavar="FILE",
         help="also write the repro-budgets/1 record ('-' = stdout)",
     )
+
+
+def _usage_error(message: str) -> int:
+    """Report a bad argument as the other verbs do: exit status 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _validate(path: str) -> int:
@@ -145,6 +153,14 @@ def run_trace(args: argparse.Namespace, make_config, run_once) -> int:
     and must never import it (REP007).  ``--validate``/``--input``/
     ``--diff`` work without either.
     """
+    for path in (args.validate, args.input, *(args.diff or ())):
+        if path is not None and not (os.path.isfile(path)
+                                     and os.access(path, os.R_OK)):
+            return _usage_error(f"cannot read trace file {path!r}")
+    if args.max_events is not None and args.max_events < 0:
+        return _usage_error(
+            f"--max-events must be >= 0, got {args.max_events}"
+        )
     if args.validate is not None:
         return _validate(args.validate)
     if args.diff is not None:

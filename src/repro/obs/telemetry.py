@@ -11,7 +11,7 @@ into a run.  Three shapes:
   (:mod:`repro.obs.export`), reports (:mod:`repro.obs.report`) and the
   ``repro trace`` CLI.
 * **Compact** (``RunTelemetry.compact()``) — phase counters only: no
-  tracer, no round metrics, no event storage, so ``engine='auto'``
+  tracer, no round metrics, no event storage, so the runner
   keeps the array-stepped engine when the protocol knobs allow.  This
   is what ``RunConfig.collect_telemetry=True`` attaches inside
   :class:`~repro.experiments.parallel.ParallelRunner` workers; its
@@ -27,7 +27,7 @@ into a run.  Three shapes:
   record.  Every per-event hook stays detached (an attached phase
   sink still costs every member's phase-1 ``phase_enter`` event from
   ``on_start`` and, on the array engine, one column block per round —
-  more than the bench guard's 3% budget), so ``engine='auto'`` still
+  more than the bench guard's 3% budget), so the runner still
   picks the array-stepped engine and the returned
   :class:`~repro.experiments.runner.RunResult` is
   byte-identical to an uninstrumented run's (``attach_summary`` is
@@ -210,7 +210,7 @@ class RunTelemetry:
     def metrics_only(cls, registry: MetricsRegistry) -> "RunTelemetry":
         """Registry-fed shape with every per-event hook detached.
 
-        No tracer, no round metrics and no phase sink: ``engine='auto'``
+        No tracer, no round metrics and no phase sink: the runner
         still selects the array-stepped engine and the protocol never
         computes event payloads, so this is cheap enough to leave on —
         the bench guard pins the overhead within 3% at n=8192.  The

@@ -157,7 +157,6 @@ class SimulationEngine:
         max_rounds: int = 100_000,
         tracer: Tracer | None = None,
         metrics: RoundMetrics | None = None,
-        round_bus: RoundBus | None = None,
     ):
         self.network = network
         self.failure_model = (
@@ -171,9 +170,7 @@ class SimulationEngine:
         #: first subscriber; chaos campaign controllers (and any other
         #: round-boundary probe) subscribe after it and therefore run
         #: after it, in a fixed, reproducible order.
-        # `is not None`, not `or`: an empty RoundBus has len() 0 and
-        # would be falsy, silently replacing a caller-provided bus.
-        self.round_bus = round_bus if round_bus is not None else RoundBus()
+        self.round_bus = RoundBus()
         self.round_bus.subscribe(network.begin_round)
         self.round = 0
         self.processes: dict[int, Process] = {}

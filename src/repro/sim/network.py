@@ -95,13 +95,9 @@ class Network:
         self,
         max_message_size: int = 64,
         max_sends_per_round: int | None = None,
-        latency_rounds: int = 1,
     ):
-        if latency_rounds < 1:
-            raise ValueError("latency must be at least one round")
         self.max_message_size = max_message_size
         self.max_sends_per_round = max_sends_per_round
-        self.latency_rounds = latency_rounds
         self.stats = NetworkStats()
         self._sends_this_round: Counter = Counter()
         # Per-run caches for the message hot path: the loss stream is
@@ -150,12 +146,12 @@ class Network:
         return 0.0
 
     def latency(self, message: Message, rng) -> int:
-        """Delivery delay in rounds (>= 1)."""
-        return self.latency_rounds
+        """Delivery delay in rounds (>= 1): the next round."""
+        return 1
 
     @property
     def fixed_latency(self) -> int | None:
-        """``latency_rounds`` when delivery delay is deterministic.
+        """1 when delivery delay is deterministic (the next round).
 
         ``None`` for models that override :meth:`latency` (jitter,
         multihop): their delay varies per message.  A fixed latency is
@@ -163,7 +159,7 @@ class Network:
         :meth:`block_latency_rounds`).
         """
         if type(self).latency is Network.latency:
-            return self.latency_rounds
+            return 1
         return None
 
     # -- engine interface -----------------------------------------------

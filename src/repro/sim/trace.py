@@ -6,7 +6,7 @@ deliveries, crashes, recoveries, terminations — as typed events.  Useful
 for debugging protocol behaviour ("why did member 17 miss subtree 0*?")
 and for the round-by-round summaries the examples print.
 
-Tracing is off by default and costs one predicate per event when on;
+Tracing is off by default and costs one append per event when on;
 ``max_events`` caps memory for long runs (counters keep counting after
 the cap).  Run-level totals do not need a tracer: the engine's
 ``EngineStats`` and the network's ``NetworkStats`` already hold them.
@@ -15,7 +15,6 @@ the cap).  Run-level totals do not need a tracer: the engine's
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,21 +39,13 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records with counters and filters.
+    """Collects :class:`TraceEvent` records with counters and queries;
+    every event is counted, the first ``max_events`` are stored."""
 
-    ``predicate`` (if given) decides which events are *stored*; all events
-    are *counted* regardless.
-    """
-
-    def __init__(
-        self,
-        max_events: int = 100_000,
-        predicate: Callable[[TraceEvent], bool] | None = None,
-    ):
+    def __init__(self, max_events: int = 100_000):
         if max_events < 0:
             raise ValueError("max_events must be non-negative")
         self.max_events = max_events
-        self.predicate = predicate
         self.events: list[TraceEvent] = []
         self.counts: Counter = Counter()
         #: Events past the cap.  ``max_events=0`` stores nothing by
@@ -65,8 +56,6 @@ class Tracer:
         if event.kind not in KINDS:
             raise ValueError(f"unknown trace event kind {event.kind!r}")
         self.counts[event.kind] += 1
-        if self.predicate is not None and not self.predicate(event):
-            return
         if len(self.events) < self.max_events:
             self.events.append(event)
         elif self.max_events > 0:

@@ -1,0 +1,36 @@
+"""Run the runner on a chosen round engine.
+
+The runner picks the array-stepped engine whenever
+``runner._array_engine_reason`` finds nothing against it.  Tests that
+compare the two engines (the object engine is the reference) run one
+side under ``forced("object")`` and the other under ``forced("array")``.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from unittest import mock
+
+from repro.experiments import runner
+
+ENGINES = ("object", "array")
+
+
+@contextmanager
+def forced(engine: str):
+    """``run_once`` (and ``_make_engine``) build ``engine`` while inside:
+    ``"object"`` always, ``"array"`` only where the runner would pick it
+    anyway (an ``AssertionError`` names the reason otherwise)."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
+    real = runner._array_engine_reason
+
+    def reason(config, telemetry, processes):
+        if engine == "object":
+            return "object engine forced"
+        found = real(config, telemetry, processes)
+        assert found is None, f"array engine unsupported here: {found}"
+        return None
+
+    with mock.patch.object(runner, "_array_engine_reason", reason):
+        yield

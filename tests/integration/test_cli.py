@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.cli import FIGURE_IDS, build_parser, main
+from tests.engines import forced
 
 
 class TestParser:
@@ -120,6 +121,23 @@ class TestBadRunParameters:
         (["fig6", "--runs", "-2"], "runs must be >= 1, got -2"),
         (["chaos", "--n", "16", "--runs", "0", "--campaign", "crash-storm"],
          "runs must be >= 1, got 0"),
+        (["trace", "--n", "16", "--max-events", "-1"],
+         "--max-events must be >= 0, got -1"),
+        (["fig6", "--jobs", "bogus"], "invalid job count 'bogus'"),
+        (["chaos", "--campaign", "paper-iid", "--n", "16", "--runs", "1",
+          "--jobs", "bogus"], "invalid job count 'bogus'"),
+        (["chaos", "--campaign", "bogus", "--n", "16", "--runs", "1"],
+         "unknown campaign 'bogus'"),
+        (["chaos", "--matrix", "--campaign", "bogus", "--n", "16",
+          "--runs", "1"], "unknown campaign 'bogus'"),
+        (["serve", "--members", "4", "--tick", "0"],
+         "--tick must be positive"),
+        (["serve", "--members", "4", "--tick", "-1"],
+         "--tick must be positive"),
+        (["trace", "--input", "/missing.jsonl"],
+         "cannot read trace file '/missing.jsonl'"),
+        (["trace", "--validate", "/missing.jsonl"],
+         "cannot read trace file '/missing.jsonl'"),
     ])
     def test_reported_as_a_usage_error(self, argv, message, capsys):
         assert main(argv) == 2
@@ -151,5 +169,6 @@ class TestBadRunParameters:
             raise ValueError("not the config's fault")
 
         monkeypatch.setattr(SimulationEngine, "run", broken_run)
-        with pytest.raises(ValueError, match="not the config's fault"):
-            main(["run", "--n", "16", "--engine", "object"])
+        with pytest.raises(ValueError, match="not the config's fault"), \
+                forced("object"):
+            main(["run", "--n", "16"])

@@ -11,6 +11,7 @@ is a bug in the array path, never an accepted drift.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -23,13 +24,15 @@ from repro.experiments.runner import run_once
 from repro.obs.export import run_result_record
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
+from tests.engines import ENGINES, forced
 
 
 def _records(config):
     """(repro-run/1 record, per-member maps) for both engines."""
     out = {}
-    for engine in ("object", "array"):
-        result = run_once(replace(config, engine=engine))
+    for engine in ENGINES:
+        with forced(engine):
+            result = run_once(config)
         out[engine] = (
             run_result_record(result),
             result.report.per_member,
@@ -139,13 +142,45 @@ def test_equivalent_on_basic_configs(config):
     _assert_identical(config)
 
 
+#: Records compared as bytes, as ``repro run --json`` writes them:
+#: push-pull answers from row snapshots across start waves, K=2 boxes
+#: over the batch cap, a three-column payload.
+RECORD_CONFIGS = [
+    pytest.param(with_params(n=256, ucastl=0.4, seed=2), id="n256-lossy"),
+    pytest.param(
+        with_params(n=256, push_pull=True, start_spread=3, seed=1),
+        id="n256-push-pull+start-spread",
+    ),
+    pytest.param(with_params(n=512, k=2, ucastl=0.4, seed=3), id="n512-k2"),
+    pytest.param(
+        with_params(n=256, ucastl=0.4, aggregate="mean_variance", seed=2),
+        id="n256-mean-variance",
+    ),
+]
+
+
+@pytest.mark.parametrize("config", RECORD_CONFIGS)
+def test_run_records_byte_identical(config):
+    import json
+
+    records = set()
+    for engine in ENGINES:
+        with forced(engine):
+            records.add(json.dumps(run_result_record(run_once(config)),
+                                   indent=2, sort_keys=True))
+    assert len(records) == 1
+
+
 @pytest.mark.parametrize("cap", [2, 3])
 def test_push_pull_replies_hit_the_bandwidth_cap(cap):
     # The capped pairs above compare something: replies are rejected.
     capped = with_params(n=128, max_sends_per_round=cap, push_pull=True,
-                         seed=1, engine="array")
-    push_only = run_once(replace(capped, push_pull=False))
-    assert run_once(capped).messages_rejected > push_only.messages_rejected
+                         seed=1)
+    with forced("array"):
+        push_only = run_once(replace(capped, push_pull=False))
+        assert run_once(capped).messages_rejected > (
+            push_only.messages_rejected
+        )
 
 
 def test_campaign_registry_is_covered():
@@ -199,9 +234,10 @@ def test_equivalent_on_campaigns_with_push_pull(campaign):
 )
 def test_round_metrics_samples_identical(config):
     samples, snapshots = {}, {}
-    for engine in ("object", "array"):
+    for engine in ENGINES:
         telemetry = RunTelemetry(tracer=None, registry=MetricsRegistry())
-        run_once(replace(config, engine=engine), telemetry=telemetry)
+        with forced(engine):
+            run_once(config, telemetry=telemetry)
         samples[engine] = telemetry.metrics.samples
         snapshots[engine] = telemetry.registry.snapshot_json()
     assert len(samples["object"]) > 0
@@ -258,33 +294,44 @@ def test_auto_runs_hardened_configs_on_the_array_engine(config, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(runner_mod, "_make_engine", recording)
-    streams = {}
-    for engine in ("auto", "object"):
+    streams = []
+    for choice in (nullcontext(), forced("object")):
         telemetry = RunTelemetry(tracer=None, metrics=None)
-        run_once(replace(config, engine=engine), telemetry=telemetry)
-        streams[engine] = telemetry.phase_trace.events
+        with choice:
+            run_once(config, telemetry=telemetry)
+        streams.append(telemetry.phase_trace.events)
     assert [type(e) for e in built] == [ArraySteppedEngine, SimulationEngine]
-    assert len(streams["object"]) > 0
-    assert streams["auto"] == streams["object"]  # whole phase-event stream
+    auto, reference = streams
+    assert len(reference) > 0
+    assert auto == reference  # whole phase-event stream
 
 
-def test_forced_array_engine_rejects_unsupported():
-    with pytest.raises(ValueError, match="single-value"):
-        run_once(with_params(n=64, engine="array", batch_values=False))
-    with pytest.raises(ValueError, match="protocol"):
-        run_once(with_params(n=64, engine="array", protocol="flood"))
-    with pytest.raises(ValueError, match="stores engine events"):
-        run_once(with_params(n=64, engine="array"), telemetry=RunTelemetry())
+def _reason(config, telemetry=None):
+    from repro.experiments import runner as runner_mod
+    from repro.sim.rng import RngRegistry
+
+    rngs = RngRegistry(seed=config.seed)
+    votes = runner_mod._make_votes(config, rngs)
+    processes, __ = runner_mod._build_processes(config, votes, rngs)
+    return runner_mod._array_engine_reason(config, telemetry, processes)
+
+
+def test_array_engine_reasons():
+    assert _reason(with_params(n=64)) is None
+    assert _reason(with_params(n=64), RunTelemetry.compact()) is None
+    assert "single-value" in _reason(with_params(n=64, batch_values=False))
+    assert "protocol" in _reason(with_params(n=64, protocol="flood"))
+    assert "stores engine events" in _reason(with_params(n=64),
+                                             RunTelemetry())
 
 
 def test_auto_falls_back_silently_on_unsupported():
-    object_result = run_once(
-        with_params(n=64, engine="object", batch_values=False)
+    config = with_params(n=64, batch_values=False)
+    with forced("object"):
+        object_result = run_once(config)
+    assert run_result_record(run_once(config)) == run_result_record(
+        object_result
     )
-    auto_result = run_once(
-        with_params(n=64, engine="auto", batch_values=False)
-    )
-    assert run_result_record(auto_result) == run_result_record(object_result)
 
 
 # -- phase-event byte-identity ------------------------------------------
@@ -321,10 +368,11 @@ def _hand_built_run(config, engine, network=None, failure_model=None,
         network = runner_mod._make_network(config)
     if failure_model is None:
         failure_model = runner_mod._make_failures(config)
-    world = runner_mod._make_engine(
-        replace(config, engine=engine), None, processes, network,
-        failure_model, rngs, max_rounds,
-    )
+    with forced(engine):
+        world = runner_mod._make_engine(
+            config, None, processes, network, failure_model, rngs,
+            max_rounds,
+        )
     world.add_processes(processes)
     world.run()
     if telemetry is not None:
@@ -426,26 +474,16 @@ def test_phase_event_streams_identical_unsanitized(unsanitized):
     )
 
 
-def test_phase_blocks_reach_each_members_sink():
-    # One block per distinct sink: every third member has no sink, the
-    # others alternate between the shared tee and a second trace.
+def test_array_stepper_refuses_members_with_their_own_sinks():
+    # The stepper hands one block per round to the group's one sink: a
+    # member with a sink of its own is refused at bind, as mixed params.
     from repro.obs.phase import PhaseTrace
 
-    config = with_params(n=128, ucastl=0.4, seed=2)
-    seen = {}
-    for engine in ("object", "array"):
-        other = PhaseTrace()
-        events, __ = _hand_built_run(
-            config, engine, sink_of=lambda index, sink: (
-                None if index % 3 == 0 else sink if index % 3 == 1
-                else other
-            ),
+    with pytest.raises(ValueError, match="phase sink"):
+        _hand_built_run(
+            with_params(n=64, seed=2), "array",
+            sink_of=lambda index, sink: PhaseTrace() if index == 5 else sink,
         )
-        seen[engine] = (events, other.events)
-    events, others = seen["object"]
-    assert events and others
-    assert not {e.member for e in events} & {e.member for e in others}
-    assert seen["array"] == seen["object"]
 
 
 def test_compact_array_run_builds_only_the_start_entries(monkeypatch):
@@ -463,8 +501,9 @@ def test_compact_array_run_builds_only_the_start_entries(monkeypatch):
 
     monkeypatch.setattr(PhaseEvent, "__init__", counted)
     telemetry = RunTelemetry.compact()
-    run_once(with_params(n=256, ucastl=0.4, push_pull=True, seed=0,
-                         engine="array"), telemetry=telemetry)
+    with forced("array"):
+        run_once(with_params(n=256, ucastl=0.4, push_pull=True, seed=0),
+                 telemetry=telemetry)
     assert sum(telemetry.phase_trace.counts.values()) > 3 * 256
     assert built == ["phase_enter"] * 256
 
@@ -595,8 +634,9 @@ def test_adversarial_campaigns_deliver_no_chunks(monkeypatch):
     for campaign in adversarial:
         for push_pull in (False, True):
             scalars.clear()
-            run_once(with_params(n=128, campaign=campaign, engine="array",
-                                 push_pull=push_pull, seed=1))
+            with forced("array"):
+                run_once(with_params(n=128, campaign=campaign,
+                                     push_pull=push_pull, seed=1))
             assert (len(chunks), bool(scalars)) == (0, True), campaign
 
 
@@ -694,6 +734,27 @@ def test_k2_boxes_over_the_batch_cap(config):
     _assert_identical(config)
 
 
+@pytest.mark.parametrize("push_pull", [False, True],
+                         ids=["push", "push-pull"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_member_ids(seed, push_pull):
+    # Ids that are not ``range(n)``: the array engine finds a member's
+    # row by search, under crashes and push-pull answers.
+    from repro.experiments.runner import _run_votes
+    from repro.sim.rng import RngRegistry
+
+    votes = {10_000 + 7 * i: float(i) for i in range(300)}
+    config = with_params(n=300, ucastl=0.3, pf=0.004, push_pull=push_pull,
+                         seed=seed)
+    records = {}
+    for engine in ENGINES:
+        with forced(engine):
+            result = _run_votes(config, RngRegistry(seed), votes)
+        records[engine] = run_result_record(result)
+    assert records["object"]["crashes"] > 0
+    assert records["array"] == records["object"]
+
+
 def test_crash_recovery():
     # Recovered members resume with their rows intact.
     from repro.sim.failures import CrashRecovery
@@ -747,8 +808,8 @@ def test_sanitized_array_run_folds_columns(monkeypatch):
     was_active = sanitize.ACTIVE
     sanitize.enable()
     try:
-        run_once(with_params(n=128, aggregate="sum", engine="array",
-                             seed=0))
+        with forced("array"):
+            run_once(with_params(n=128, aggregate="sum", seed=0))
     finally:
         if not was_active:
             sanitize.disable()
@@ -789,9 +850,10 @@ def test_array_run_calls_no_process_protocol_code(monkeypatch, unsanitized):
         assert advanced and absorbed
 
     def records(config):
-        return lambda engine: run_result_record(
-            run_once(replace(config, engine=engine))
-        )
+        def run(engine):
+            with forced(engine):
+                return run_result_record(run_once(config))
+        return run
 
     check(records(with_params(n=512, k=8)))
     check(records(with_params(n=128, campaign="region-outage", seed=1)))

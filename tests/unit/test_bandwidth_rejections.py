@@ -15,30 +15,32 @@ from repro.experiments.params import with_params
 from repro.experiments.runner import run_once
 from repro.obs.export import run_result_record
 from repro.obs.report import render_phase_report
+from tests.engines import forced
 
 CAPPED = dict(
     n=32, seed=7, ucastl=0.0, pf=0.0, max_sends_per_round=1,
 )
 
 
-def _run(**overrides):
-    return run_once(with_params(**{**CAPPED, **overrides}))
+def _run(engine, **overrides):
+    with forced(engine):
+        return run_once(with_params(**{**CAPPED, **overrides}))
 
 
 class TestRejectionAccounting:
     def test_tight_cap_rejects_and_counts(self):
-        result = _run(engine="object")
+        result = _run("object")
         assert result.messages_rejected > 0
         record = run_result_record(result)
         assert record["messages_rejected"] == result.messages_rejected
 
     def test_uncapped_run_rejects_nothing(self):
-        result = _run(engine="object", max_sends_per_round=None)
+        result = _run("object", max_sends_per_round=None)
         assert result.messages_rejected == 0
 
     def test_object_and_array_engines_agree(self):
-        object_result = _run(engine="object")
-        array_result = _run(engine="array")
+        object_result = _run("object")
+        array_result = _run("array")
         assert object_result.messages_rejected > 0
         assert (
             object_result.messages_rejected

@@ -3,7 +3,8 @@
 ``RunConfig`` / ``NodeConfig`` take the mirrored fields' defaults from
 ``GossipParams`` itself and ``GossipParams.from_config`` reads them back
 by name, so there is no copy to drift; what is left to check is that
-every knob a config carries reaches the process.
+every protocol knob is a run knob and that every knob a config carries
+reaches the process.
 """
 
 from dataclasses import replace
@@ -14,6 +15,20 @@ from repro.sim.rng import RngRegistry
 
 
 class TestRunnerForwarding:
+    def test_every_protocol_field_is_a_run_field(self):
+        # A protocol setting that no run can set has one value in
+        # practice: it belongs in the code as that value.
+        from dataclasses import fields
+
+        from repro.core.hierarchical_gossip import GossipParams
+        from repro.experiments.params import RunConfig
+
+        run_fields = {field.name for field in fields(RunConfig)}
+        assert [
+            field.name for field in fields(GossipParams)
+            if field.name not in run_fields
+        ] == []
+
     def test_every_mirrored_field_reaches_the_process(self):
         overrides = {
             "fanout_m": 3,

@@ -1,5 +1,6 @@
 """Unit tests for the round-based simulation engine."""
 
+import contextlib
 import gc
 
 import pytest
@@ -344,9 +345,11 @@ class TestCollectorPause:
         from repro.experiments.params import with_params
         from repro.experiments.runner import run_once
         from repro.obs.telemetry import RunTelemetry
+        from tests.engines import forced
 
         params = dict(self.CONFIGS[name])
         telemetry = RunTelemetry() if params.pop("full_telemetry", 0) else None
+        engine = params.pop("engine", None)
         unreachable = []
         real_run = SimulationEngine.run
 
@@ -357,8 +360,9 @@ class TestCollectorPause:
             return stats
 
         monkeypatch.setattr(SimulationEngine, "run", measured_run)
-        result = run_once(
-            with_params(n=256, seed=1, **params), telemetry=telemetry
-        )
+        with forced(engine) if engine else contextlib.nullcontext():
+            result = run_once(
+                with_params(n=256, seed=1, **params), telemetry=telemetry
+            )
         assert result.rounds > 0
         assert unreachable == [0]

@@ -104,13 +104,14 @@ class TestBatching:
         assert dict(payload.entries).keys() == {7, 3}
 
     def test_batch_capped_at_max_batch(self):
-        process = _process(7, max_batch=1)
+        # Box 0 holds three members; a message carries at most K=2.
+        process = _process(7)
         process.known[3] = _over(3)
         process.known[8] = _over(8)
         ctx = FakeCtx()
         process._gossip(ctx)
         __, payload = ctx.sent[0]
-        assert len(payload.entries) == 1
+        assert len(payload.entries) == 2
 
     def test_single_value_mode_sends_gossip_value(self):
         process = _process(7, batch_values=False)

@@ -49,10 +49,6 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="fanout"):
             GossipParams(fanout_m=0)
 
-    def test_extension_factor_non_negative(self):
-        with pytest.raises(ValueError, match="adaptive_extension_factor"):
-            GossipParams(adaptive_extension_factor=-0.5)
-
     def test_final_retransmit_non_negative(self):
         with pytest.raises(ValueError, match="final_retransmit"):
             GossipParams(final_retransmit=-1)
@@ -77,8 +73,7 @@ class TestExtensionBudget:
         assert GossipParams(adaptive_deadlines=False).extension_budget(6) == 0
 
     def test_ceil_of_factor_times_phase(self):
-        params = GossipParams(adaptive_deadlines=True,
-                              adaptive_extension_factor=0.5)
+        params = GossipParams(adaptive_deadlines=True)
         assert params.extension_budget(5) == math.ceil(2.5)
         assert params.extension_budget(6) == 3
 

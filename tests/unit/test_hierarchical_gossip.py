@@ -90,8 +90,6 @@ class TestRoundsPerPhase:
             rounds_per_phase_for(0, 1.0)
         with pytest.raises(ValueError):
             rounds_per_phase_for(10, 0.0)
-        with pytest.raises(ValueError):
-            rounds_per_phase_for(10, 1.0, fanout_m=0)
 
 
 class TestGossipParams:
@@ -204,7 +202,7 @@ class TestDegenerateGroups:
             hierarchy, votes, StaticHash({m: 0 for m in votes})
         )
         function = AverageAggregate()
-        params = GossipParams(rounds_per_phase=10, max_batch=6)
+        params = GossipParams(rounds_per_phase=10)
         processes, __ = _run(votes, function, assignment, params)
         for process in processes:
             assert process.result.members == frozenset(votes)
@@ -343,15 +341,16 @@ class TestPushPullReplies:
 
     @staticmethod
     def _fresh_answer(process):
-        cap = process.params.max_batch or process.assignment.hierarchy.k
+        cap = process.assignment.hierarchy.k
         return GossipBatch(
             process.phase, tuple(process.known.items())[:cap], reply=True
         )
 
     def test_memoized_answer_equals_a_fresh_one_at_every_request(self):
-        # max_batch=2 puts ``known`` over the cap by the last request:
-        # the reply is then its first ``cap`` entries.
-        process = self._process(max_batch=2)
+        # Box 0 holds three members, one over the cap K=2: by the last
+        # request ``known`` is over it and the reply is its first ``cap``
+        # entries.
+        process = self._process()
         requests = [
             GossipBatch(1, ((3, _lifted(3)),)),
             GossipBatch(1, ((3, _lifted(3)),)),   # nothing new

@@ -118,5 +118,3 @@ class TestSlottedValues:
         assert "_wire_size" not in repr(batch)
         assert pickle.loads(pickle.dumps(batch))._wire_size == 32
         assert dataclasses.replace(batch, reply=True)._wire_size is None
-        assert state.wire_size(float_size=4) == 8  # not memoized
-        assert state._wire_size == 16

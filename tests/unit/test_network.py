@@ -27,14 +27,6 @@ class TestBaseNetwork:
         outcome = _send(network, RngRegistry(0), sent_round=5)
         assert outcome == 6
 
-    def test_latency_configurable(self):
-        network = Network(latency_rounds=3)
-        assert _send(network, RngRegistry(0), sent_round=2) == 5
-
-    def test_latency_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Network(latency_rounds=0)
-
     def test_oversized_message_raises(self):
         network = Network(max_message_size=8)
         with pytest.raises(MessageTooLarge):

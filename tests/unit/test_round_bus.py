@@ -49,13 +49,12 @@ class _Counter(Process):
 
 
 class TestEngineIntegration:
-    def _engine(self, bus=None):
+    def _engine(self):
         engine = SimulationEngine(
             network=LossyNetwork(ucastl=0.0),
             failure_model=NoFailures(),
             rngs=RngRegistry(0),
             max_rounds=10,
-            round_bus=bus,
         )
         engine.add_processes([_Counter(0)])
         return engine
@@ -65,15 +64,9 @@ class TestEngineIntegration:
         assert len(engine.round_bus) == 1
 
     def test_bus_emits_every_round_in_order(self):
-        bus = RoundBus()
         seen = []
-        engine = self._engine(bus)
-        bus.subscribe(seen.append)
+        engine = self._engine()
+        engine.round_bus.subscribe(seen.append)
         engine.run()
         assert seen == sorted(seen)
         assert len(seen) == engine.stats.rounds_executed
-
-    def test_external_bus_instance_is_used(self):
-        bus = RoundBus()
-        engine = self._engine(bus)
-        assert engine.round_bus is bus

@@ -62,12 +62,6 @@ class TestTracer:
         _run(network=Network(max_sends_per_round=0), tracer=tracer)
         assert tracer.counts["send_rejected"] == 6
 
-    def test_predicate_filters_storage_not_counts(self):
-        tracer = Tracer(predicate=lambda e: e.kind == "terminate")
-        _run(tracer=tracer)
-        assert all(e.kind == "terminate" for e in tracer.events)
-        assert tracer.counts["send"] == 6
-
     def test_max_events_cap(self):
         tracer = Tracer(max_events=2)
         _run(tracer=tracer)
