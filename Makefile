@@ -42,7 +42,7 @@ chaos-smoke:      ## small deterministic chaos-campaign matrix + bound check
 		--campaign rack-failure --campaign partition-heal \
 		--n 64 --runs 2 --seed 0 --jobs auto --assert-bound
 
-chaos-adversarial-smoke: ## adversarial campaigns: detection, structural admission, matrix byte-identity
+chaos-adversarial-smoke: ## adversarial campaigns: detection, structural admission, matrix byte-identity and digests
 	REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest -x -q \
 		tests/integration/test_adversarial.py \
 		tests/unit/test_net_codec.py::TestNodeDropsBadFrames \
@@ -59,7 +59,8 @@ chaos-adversarial-smoke: ## adversarial campaigns: detection, structural admissi
 		--json /tmp/repro-matrix-j2.json --csv /tmp/repro-matrix-j2.csv
 	cmp /tmp/repro-matrix-j1.json /tmp/repro-matrix-j2.json
 	cmp /tmp/repro-matrix-j1.csv /tmp/repro-matrix-j2.csv
-	@echo "adversarial smoke ok: detection asserted, matrix byte-identical across --jobs"
+	sha256sum --check tests/integration/adversarial_matrix.sha256
+	@echo "adversarial smoke ok: detection asserted, matrix byte-identical across --jobs and to the committed digests"
 
 serve-smoke:      ## 8 live localhost UDP nodes must converge, then exit clean
 	PYTHONPATH=src python -m repro serve --members 8 --port 9390 \

@@ -2,8 +2,8 @@
 
 :class:`TamperPlanner` is the compiled form of the adversarial fault
 events (:class:`~repro.chaos.events.MessageTampering`,
-:class:`~repro.chaos.events.SybilJoinStorm`).  It sits on the campaign
-network's delivery hook as a passive *snoop* — every planned message is
+:class:`~repro.chaos.events.SybilJoinStorm`).  It sits on the engine's
+send tap as a passive *snoop* — every message a member submits is
 offered to :meth:`observe`, which archives a bounded sample of the
 traffic — and on the begin-round bus as the *injector*: during an active
 tamper window it crafts messages from the archive (corrupted payloads,
@@ -15,8 +15,8 @@ the head of the next round, before that round's genuine traffic.
 
 Determinism: all sampling comes from the run's seeded ``adversary``
 stream, the archive is filled in send order (identical in both engines —
-an installed planner disables block planning so the array engine falls
-back to per-message planning), and proof-of-work admission is a pure
+with a tap set, the array engine builds its send blocks into
+messages), and proof-of-work admission is a pure
 hash function.  The planner also keeps the *ground truth* the detection
 oracle is scored against: every planted state is registered, and
 :mod:`repro.sanitize` reports back which planted states reached a merge
@@ -202,7 +202,7 @@ class TamperPlanner:
 
     # -- snoop -----------------------------------------------------------
     def observe(self, message: Message) -> None:
-        """Archive one planned message (called from the delivery hook)."""
+        """Archive one submitted message (the engine's send tap)."""
         payload = message.payload
         dest = message.dest
         if isinstance(payload, GossipValue):

@@ -43,7 +43,7 @@ from repro.chaos.events import (
     SybilJoinStorm,
 )
 from repro.sim.failures import CrashWithoutRecovery, FailureModel
-from repro.sim.network import Message, Network
+from repro.sim.network import Network
 from repro.topology.regions import RegionMap
 
 __all__ = [
@@ -82,16 +82,26 @@ def _reject_overlapping_partitions(
             )
 
 
+def _regions(region_of: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Region of each member id; -1 for an id the map does not hold
+    (an answer to a forged sender goes to id -1)."""
+    mapped = (ids >= 0) & (ids < len(region_of))
+    return np.where(mapped, region_of[np.where(mapped, ids, 0)], -1)
+
+
 class ChaosNetwork(Network):
     """A lossy network whose fault state is mutated at round boundaries.
 
     The :class:`CampaignController` (via the engine's round bus) sets
-    ``current_loss``, ``current_extra_latency`` and the active partition
-    before each round's sends; between mutations the model behaves like
-    :class:`~repro.sim.network.LossyNetwork` at ``base_loss``.  Latency
-    may vary mid-run, so :attr:`fixed_latency` is ``None``; it is still
-    uniform within a round, so send blocks plan as blocks, and arrival
-    order stays (delivery round, send order) as for every model.
+    ``current_loss``, ``current_extra_latency``, the active partition
+    and the active region partition before each round's sends; between
+    mutations the model behaves like
+    :class:`~repro.sim.network.LossyNetwork` at ``base_loss``.  A
+    message crossing the partition (or two regions) is lost with the
+    larger of its loss floor and ``current_loss``; the drop is counted
+    in ``dropped_cross_partition`` (``dropped_cross_region``).  Latency
+    may vary from round to round but is uniform within one, so a send
+    block shares one delivery round.
     """
 
     def __init__(self, base_loss: float = 0.25, **kwargs):
@@ -104,121 +114,65 @@ class ChaosNetwork(Network):
         self.current_extra_latency = 0
         #: Active partition: (parts, partl), or None when whole.
         self.partition: tuple[int, float] | None = None
-        #: Active WAN region partition, or None:
-        #: (member -> region map, isolated regions, outbound, inbound, wan).
+        #: Active WAN region partition, or None: (region per member id,
+        #: -1 where unmapped; isolated regions; outbound, inbound, wan).
         self.region_state: (
-            tuple[dict[int, int], frozenset[int], float, float, float]
-            | None
+            tuple[np.ndarray, frozenset[int], float, float, float] | None
         ) = None
-        #: Adversarial snoop/injector.  When set, every planned message
-        #: is offered to ``planner.observe`` — which requires per-message
-        #: planning, so block planning is disabled for the whole run
-        #: (stream-identical: the fallback consumes the loss stream in
-        #: send order).
-        self.planner: TamperPlanner | None = None
 
-    def crosses_partition(self, message: Message) -> bool:
-        if self.partition is None:
-            return False
-        parts, __ = self.partition
-        return message.src % parts != message.dest % parts
-
-    def _region_pair(self, message: Message) -> tuple[int, int] | None:
-        """(src region, dest region) when both are mapped and differ."""
-        state = self.region_state
-        if state is None:
-            return None
-        region_of = state[0]
-        src_region = region_of.get(message.src, -1)
-        dest_region = region_of.get(message.dest, -1)
-        if src_region < 0 or dest_region < 0 or src_region == dest_region:
-            return None
-        return src_region, dest_region
-
-    def crosses_region(self, message: Message) -> bool:
-        return self._region_pair(message) is not None
-
-    def _region_loss(self, message: Message) -> float | None:
-        """The WAN loss floor for a cross-region message, else None."""
-        state = self.region_state
-        if state is None:
-            return None
-        pair = self._region_pair(message)
-        if pair is None:
-            return None
-        __, isolated, outbound, inbound, wan = state
-        src_region, dest_region = pair
-        if src_region in isolated:
-            return outbound
-        if dest_region in isolated:
-            return inbound
-        return wan
-
-    def loss_probability(self, message: Message) -> float:
-        if self.partition is not None and self.crosses_partition(message):
-            return max(self.partition[1], self.current_loss)
-        region_loss = self._region_loss(message)
-        if region_loss is not None:
-            return max(region_loss, self.current_loss)
-        return self.current_loss
-
-    def latency(self, message: Message, rng) -> int:
-        return 1 + self.current_extra_latency
-
-    def _block_crossings(self, src, dest):
+    def _crossings(self, src: np.ndarray, dest: np.ndarray):
+        """Which messages cross the partition; None when whole."""
         if self.partition is None:
             return None
         parts, __ = self.partition
         return (src % parts) != (dest % parts)
 
-    def block_loss_probabilities(self, src, dest):
-        if (
-            type(self).loss_probability is not ChaosNetwork.loss_probability
-            or type(self).crosses_partition
-            is not ChaosNetwork.crosses_partition
-        ):
+    def _region_floors(self, src: np.ndarray, dest: np.ndarray):
+        """(crosses two mapped regions, WAN loss floor) per message, or
+        None without a region partition."""
+        if self.region_state is None:
             return None
-        if self.planner is not None or self.region_state is not None:
-            # Per-message planning required (adversarial snoop, or
-            # region-pair loss floors the block path doesn't model).
-            # The scalar fallback consumes the loss stream in the same
-            # send order, so opting out is stream-identical.
-            return None
-        crossings = self._block_crossings(src, dest)
-        if crossings is None:
-            return self.current_loss
-        partl = self.partition[1]
-        return np.where(
-            crossings,
-            max(partl, self.current_loss),
-            self.current_loss,
+        region_of, isolated, outbound, inbound, wan = self.region_state
+        src_region = _regions(region_of, src)
+        dest_region = _regions(region_of, dest)
+        crossing = (
+            (src_region >= 0) & (dest_region >= 0)
+            & (src_region != dest_region)
         )
+        cut = sorted(isolated)
+        floor = np.where(
+            np.isin(src_region, cut), outbound,
+            np.where(np.isin(dest_region, cut), inbound, wan),
+        )
+        return crossing, floor
 
-    def block_latency_rounds(self):
-        if type(self).latency is not ChaosNetwork.latency:
-            return None
+    def block_loss(self, src, dest):
+        loss = self.current_loss
+        probability: np.ndarray | float = loss
+        region = self._region_floors(src, dest)
+        if region is not None:
+            crossing, floor = region
+            probability = np.where(crossing, np.maximum(floor, loss), loss)
+        partition = self.partition
+        if partition is not None:
+            probability = np.where(
+                self._crossings(src, dest), max(partition[1], loss),
+                probability,
+            )
+        return probability
+
+    def block_latency(self, src, dest, rng):
         return 1 + self.current_extra_latency
 
-    def _note_block_losses(self, src, dest, lost) -> None:
-        crossings = self._block_crossings(src, dest)
+    def _count_losses(self, src, dest, lost) -> None:
+        crossings = self._crossings(src, dest)
         if crossings is not None:
             self.stats.dropped_cross_partition += int(
                 (lost & crossings).sum()
             )
-
-    def plan_delivery(self, message: Message, rngs):
-        if self.planner is not None:
-            self.planner.observe(message)
-        crossing = self.crosses_partition(message)
-        region_crossing = self.crosses_region(message)
-        before = self.stats.dropped
-        outcome = super().plan_delivery(message, rngs)
-        if outcome is None and self.stats.dropped == before + 1:
-            if crossing:
-                self.stats.dropped_cross_partition += 1
-            if region_crossing:
-                self.stats.dropped_cross_region += 1
-        return outcome
+        region = self._region_floors(src, dest)
+        if region is not None:
+            self.stats.dropped_cross_region += int((lost & region[0]).sum())
 
 
 class CampaignController:
@@ -239,7 +193,7 @@ class CampaignController:
         partition_windows: Sequence[tuple[int, int, int, float]] = (),
         loss_delta_windows: Sequence[tuple[int, int, float]] = (),
         region_windows: Sequence[
-            tuple[int, int, dict[int, int], frozenset[int], float, float,
+            tuple[int, int, np.ndarray, frozenset[int], float, float,
                   float]
         ] = (),
         planner: TamperPlanner | None = None,
@@ -399,7 +353,8 @@ class CompiledCampaign:
         model — installing onto a different world would silently split
         the timeline in two.  Adversarial campaigns additionally bind
         the tamper planner to the network and the run's seeded
-        ``adversary`` stream here.
+        ``adversary`` stream here, and set it as the engine's send tap:
+        it snoops every message the members submit, in send order.
         """
         if engine.network is not self.network:
             raise ValueError(
@@ -411,6 +366,7 @@ class CompiledCampaign:
             )
         if self.planner is not None:
             self.planner.bind(self.network, engine.rngs.stream("adversary"))
+            engine.send_tap = self.planner.observe
         engine.round_bus.subscribe(self.controller.on_begin_round)
 
 
@@ -553,7 +509,7 @@ class ChaosCampaign:
         )
 
         region_windows: list[
-            tuple[int, int, dict[int, int], frozenset[int], float, float,
+            tuple[int, int, np.ndarray, frozenset[int], float, float,
                   float]
         ] = []
         for start, stop, event in region_events:
@@ -563,12 +519,16 @@ class ChaosCampaign:
                     f"needs box_groups (the member-by-grid-box partition) "
                     f"to derive the WAN region assignment from"
                 )
-            region_map = RegionMap(box_groups, event.num_regions)
+            region_of = RegionMap(
+                box_groups, event.num_regions
+            ).region_of_member
+            regions = np.full(max(region_of) + 1, -1, dtype=np.int64)
+            regions[list(region_of)] = list(region_of.values())
             region_windows.append(
                 (
                     start,
                     stop,
-                    dict(region_map.region_of_member),
+                    regions,
                     frozenset(event.isolated),
                     event.outbound_loss,
                     event.inbound_loss,
@@ -591,7 +551,6 @@ class ChaosCampaign:
             )
 
         network = ChaosNetwork(base_loss=base_loss, **network_kwargs)
-        network.planner = planner
         controller = CampaignController(
             network,
             loss_windows=loss_windows,

@@ -19,9 +19,9 @@ phase (Section 6.3) — and a row is exactly that:
   new key goes last; every arrival counts toward ``_phase_received``; a
   push-pull answer is the row before its wave).  A future-phase arrival
   goes to a columnar buffer — (row, phase, slot, state id) per entry.
-  A scalar arrival (an injection or a per-message-planned send: every
-  message of an adversarial run, whose screen is armed) is admitted
-  entry by entry (:meth:`~HierarchicalArrayStepper.receive`).
+  A scalar arrival (an injection, or any message of an adversarial
+  run, whose send tap and screen are set) is admitted entry by entry
+  (:meth:`~HierarchicalArrayStepper.receive`).
 * **Payloads** (:class:`RowSnapshots`) — a send block carries sender
   row snapshots; a row over the batch cap sends a Floyd subset drawn
   after its target draws.

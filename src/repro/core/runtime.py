@@ -26,9 +26,9 @@ Contract fine print protocols may rely on:
   stream — the same seed must yield the same draw sequence on every
   substrate (the cross-runtime golden suite pins this for the gossip
   stream).
-* ``send`` is fire-and-forget and may lose the message; ``False`` means
-  the send was refused outright by a local bandwidth cap and definitely
-  did not leave the process.
+* ``send`` is fire-and-forget: it returns nothing, and the message may
+  be lost, or refused by a local bandwidth cap (the simulator counts
+  that in ``NetworkStats.rejected_bandwidth``).
 * ``is_alive`` is an **oracle for metrics and experiments only**.  A
   real network cannot answer it, so protocol code must never consult it
   — lint rule REP010 enforces that mechanically.
@@ -60,8 +60,8 @@ class Context(Protocol):
         """The acting process's named deterministic random stream."""
         ...
 
-    def send(self, dest: int, payload: Any, size: int = 1) -> bool:
-        """Fire-and-forget unicast; False = refused by a bandwidth cap."""
+    def send(self, dest: int, payload: Any, size: int = 1) -> None:
+        """Fire-and-forget unicast."""
         ...
 
     def is_alive(self, node_id: int) -> bool:

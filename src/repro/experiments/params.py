@@ -87,6 +87,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"group size n must be >= 1, got {self.n}")
+        if not 0.0 <= self.pf <= 1.0:
+            raise ConfigError(f"pf must be a probability, got {self.pf}")
         if self.start_spread < 0:
             raise ConfigError(
                 f"start_spread must be >= 0 rounds, got {self.start_spread}"

@@ -128,8 +128,7 @@ def _make_network(config: RunConfig) -> LossyNetwork | PartitionedNetwork:
     if config.partl is not None:
         half = config.n // 2
         return PartitionedNetwork(
-            partition_of=lambda node: 0 if node < half else 1,
-            partition_of_block=lambda nodes: nodes >= half,
+            partition_of=lambda nodes: nodes >= half,
             partl=config.partl,
             ucastl=config.ucastl,
             **common,

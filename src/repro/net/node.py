@@ -187,17 +187,16 @@ class NetContext:
             self._rng_cache[names] = generator
         return generator
 
-    def send(self, dest: int, payload: Any, size: int = 1) -> bool:
-        """Frame and transmit one gossip payload.
+    def send(self, dest: int, payload: Any, size: int = 1) -> None:
+        """Frame and transmit one gossip payload, fire-and-forget.
 
-        Always returns True: this runtime imposes no local bandwidth
-        cap, and UDP gives no delivery signal — loss happens on the
-        wire, as the contract allows.  ``size`` (the protocol's
-        abstract byte count) is ignored; real datagram sizes are
-        accounted in :class:`NodeStats`.
+        This runtime imposes no local bandwidth cap, and UDP gives no
+        delivery signal — loss happens on the wire, as the contract
+        allows.  ``size`` (the protocol's abstract byte count) is
+        ignored; real datagram sizes are accounted in
+        :class:`NodeStats`.
         """
         self._node._send_gossip(dest, payload)
-        return True
 
     def is_alive(self, node_id: int) -> bool:
         """Best-effort liveness from the ping view (REP010: metrics and

@@ -11,35 +11,34 @@ calling into one process object per member and message:
   as (member × destination) index blocks and hands them to
   :meth:`submit_block` with a *payload table* of sender row snapshots.
   :meth:`~repro.sim.network.Network.plan_delivery_block` plans it in
-  one vectorized loss/latency/bandwidth decision.  Models that cannot
-  block-plan (per-message latency, loss hooks without a block form) get
-  it through the base engine's scalar ``_submit``, *in send order*, each
-  table row built into its payload object — the loss stream is consumed
-  identically.
+  one vectorized loss/latency/bandwidth decision, right after whatever
+  the base engine's outbox holds, so the loss stream is consumed in
+  send order.
 * **Deliveries** — a planned block is queued in the base engine's one
-  message store as a single record chunk (destination ids, table rows,
-  table), in send order among the scalar messages the store also holds
-  (injections, per-message-planned sends).  :meth:`_deliver_block`
-  masks a chunk's dead receivers, groups the arrivals by receiver with
-  a stable sort, and the stepper admits the chunk in *waves*: wave ``w``
-  takes the ``w``-th arrival of every receiver at once, so receivers
-  are admitted side by side and each one's arrivals in arrival order —
-  the order per-message dispatch gives them.  A scalar arrival goes to
-  the stepper one at a time (:meth:`_receive`), which admits it into
-  the receiver's row too.  Every adversarial run — the only kind with
-  an admission screen armed — plans per message, so its arrivals are
-  all scalar and the screen sees each one.
+  message store as a record chunk per delivery round (destination ids,
+  table rows, table), in send order among the scalar messages the
+  store also holds (injections, answers to them).
+  :meth:`_deliver_block` masks a chunk's dead receivers, groups the
+  arrivals by receiver with a stable sort, and the stepper admits the
+  chunk in *waves*: wave ``w`` takes the ``w``-th arrival of every
+  receiver at once, so receivers are admitted side by side and each
+  one's arrivals in arrival order — the order per-message dispatch
+  gives them.  A scalar arrival goes to the stepper one at a time
+  (:meth:`_receive`), which admits it into the receiver's row too.
+  When a send tap is set (an adversarial run, the only kind with an
+  admission screen armed), a block's rows are built into messages and
+  go through the base engine's outbox instead: the tap snoops each
+  payload, every arrival is scalar, and the screen sees each one.
 * **Answers** — a receiver may answer an arrival (push-pull gossip).
   The stepper returns a chunk's answers as one more table; they are put
   back into the arrival order of their requests and sent as one more
   :meth:`submit_block`, right after the chunk.  That is where
-  per-message dispatch sends them, so the loss stream, the next round's
-  bucket order (answers before the step's sends) and the per-message
-  fallback see the same sequence; under a bandwidth cap they count
-  against the window the previous step's sends opened
-  (``window_sends``), which ``begin_round`` closes only after delivery.
-  A scalar arrival's answer is the receiver's next attempt in that same
-  window, planned and sent as one message.
+  per-message dispatch sends them, so the loss stream and the next
+  round's bucket order (answers before the step's sends) see the same
+  sequence; under a bandwidth cap they count against the window the
+  previous step's sends opened (``window_sends``), which closes only
+  after delivery.  A scalar arrival's answer is the receiver's next
+  send in that same window, through the base engine's outbox.
 
 **Equivalence contract** — for the protocol configurations the stepper
 accepts, a run on this engine is *bit-identical* to the object-stepped
@@ -50,7 +49,7 @@ events.  The cross-engine golden suite pins this.
 
 The stepper contract::
 
-    stepper.bind(engine)                       # once, before round 0
+    stepper.bind(engine)                       # once, after the rows
     stepper.step(engine)                       # one round's sends + advances
     stepper.admit(engine, rows, table_rows, table)
         # one delivered chunk, grouped by receiver; returns None or
@@ -103,13 +102,10 @@ class ArraySteppedEngine(SimulationEngine):
         self._dense_rows = False
         self._sorted_ids: np.ndarray | None = None
         self._id_order: np.ndarray | None = None
-        #: Per row, send attempts since the network's last
-        #: ``begin_round`` — the bandwidth window a reply sent during
-        #: delivery continues (the stepper records each round's sends).
-        self.window_sends = np.zeros(0, dtype=np.int64)
 
     # -- row bookkeeping ------------------------------------------------
-    def _bind_rows(self) -> None:
+    def _bind(self) -> None:
+        super()._bind()
         procs = list(self.processes.values())
         self.row_procs = procs
         n = len(procs)
@@ -127,7 +123,7 @@ class ArraySteppedEngine(SimulationEngine):
         self.terminated_rows = np.fromiter(
             (p.terminated for p in procs), dtype=bool, count=n
         )
-        self.window_sends = np.zeros(n, dtype=np.int64)
+        self._stepper.bind(self)
 
     def _rows_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Member rows for an array of node ids (vectorized)."""
@@ -136,27 +132,21 @@ class ArraySteppedEngine(SimulationEngine):
         positions = np.searchsorted(self._sorted_ids, node_ids)
         return self._id_order[positions]
 
-    def _row_of(self, node_id: int) -> int:
-        if self._dense_rows:
-            return node_id
-        position = int(np.searchsorted(self._sorted_ids, node_id))
-        return int(self._id_order[position])
-
     # -- liveness hooks mirrored into the row masks ---------------------
     def _crash(self, process: Process) -> None:
         super()._crash(process)
         if self.alive_rows is not None:
-            self.alive_rows[self._row_of(process.node_id)] = False
+            self.alive_rows[self._rows[process.node_id]] = False
 
     def _recover(self, process: Process) -> None:
         super()._recover(process)
         if self.alive_rows is not None:
-            self.alive_rows[self._row_of(process.node_id)] = True
+            self.alive_rows[self._rows[process.node_id]] = True
 
     def _note_terminate(self, process: Process) -> None:
         super()._note_terminate(process)
         if self.terminated_rows is not None:
-            self.terminated_rows[self._row_of(process.node_id)] = True
+            self.terminated_rows[self._rows[process.node_id]] = True
 
     def _liveness_ids(self) -> tuple[list[int], list[int]]:
         # Mask selections instead of two scans; ``tolist`` hands the
@@ -183,24 +173,32 @@ class ArraySteppedEngine(SimulationEngine):
         """
         if len(src_ids) == 0:
             return
-        planned = self.network.plan_delivery_block(
+        if self.send_tap is not None:
+            # The tap snoops payload objects: build the rows into
+            # messages and send them through the outbox, in send order.
+            self._outbox.extend(
+                Message(src, dest, payload, size, self.round)
+                for src, dest, size, payload in zip(
+                    src_ids.tolist(), dest_ids.tolist(), sizes.tolist(),
+                    table.payloads(table_rows.tolist()),
+                )
+            )
+            self._slots.extend(slots.tolist())
+            self._flush()
+            return
+        self._flush()  # what the outbox holds was sent first
+        delivered, rounds = self.network.plan_delivery_block(
             src_ids, dest_ids, sizes, slots, self.round, self.rngs
         )
-        if planned is None:
-            # Per-message models (jitter latency, custom loss hooks):
-            # the base engine's scalar path, in send order — the loss
-            # stream is consumed exactly as the object engine would.
-            for src, dest, size, payload in zip(
-                src_ids.tolist(), dest_ids.tolist(),
-                sizes.tolist(), table.payloads(table_rows.tolist()),
-            ):
-                self._submit(src, dest, payload, size)
+        dest_ids, table_rows = dest_ids[delivered], table_rows[delivered]
+        if not isinstance(rounds, np.ndarray):
+            if len(dest_ids):
+                self._enqueue(rounds, (dest_ids, table_rows, table))
             return
-        delivered, delivery_round = planned
-        if delivered.any():
+        for delivery_round in np.unique(rounds).tolist():
+            due = rounds == delivery_round
             self._enqueue(
-                delivery_round,
-                (dest_ids[delivered], table_rows[delivered], table),
+                delivery_round, (dest_ids[due], table_rows[due], table)
             )
 
     def _receive(self, receiver: Process, message: Message) -> None:
@@ -208,24 +206,12 @@ class ArraySteppedEngine(SimulationEngine):
         # receiver's next attempt in the bandwidth window its sends
         # opened, as a chunk's answers are, and goes out as a message —
         # to a forged sender too: planned, then dropped by ``_dispatch``.
-        row = self._row_of(message.dest)
-        answer = self._stepper.receive(self, row, message.payload)
-        if answer is None:
-            return
-        size = answer.wire_size()
-        slot = self.window_sends[row]
-        self.window_sends[row] += 1
-        planned = self.network.plan_delivery_block(
-            np.array([message.dest]), np.array([message.src]),
-            np.array([size]), np.array([slot]), self.round, self.rngs,
+        answer = self._stepper.receive(
+            self, self._rows[message.dest], message.payload
         )
-        if planned is None:  # a per-message network counts the window
-            self._submit(message.dest, message.src, answer, size)
-        elif planned[0][0]:
-            self._enqueue(planned[1], Message(
-                src=message.dest, dest=message.src, payload=answer,
-                size=size, sent_round=self.round,
-            ))
+        if answer is not None:
+            self._submit(message.dest, message.src, answer,
+                         answer.wire_size())
 
     def _answer(
         self, asked: np.ndarray, answering: np.ndarray, answers: Any,
@@ -298,11 +284,4 @@ class ArraySteppedEngine(SimulationEngine):
             )
 
     def _step_processes(self) -> None:
-        self.window_sends[:] = 0  # ``begin_round`` just fired
         self._stepper.step(self)
-
-    # -- run -------------------------------------------------------------
-    def run(self, until=None):
-        self._bind_rows()
-        self._stepper.bind(self)
-        return super().run(until)

@@ -9,6 +9,10 @@ engine reproduces that model:
   messages whose latency expires this round to live processes, and
   (3) lets every live, unterminated process take a step (``on_round``),
   during which it may send messages through the network model.
+* A send goes to an *outbox*; each stage that can send (``on_start``,
+  delivery, the step) ends by planning it as one block
+  (:meth:`~repro.sim.network.Network.plan_delivery_block`), so the
+  loss and latency streams are consumed in send order.
 * Messages in flight live in one store, ``_pending[delivery round]``,
   appended in send order and popped whole when the round begins: under
   every latency model arrivals are ordered by (delivery round, send
@@ -32,7 +36,10 @@ from __future__ import annotations
 import gc
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any
+
+import numpy as np
 
 from repro.sim.events import RoundBus
 from repro.sim.failures import FailureModel, NoFailures
@@ -123,16 +130,16 @@ class Context:
             self._rng_cache[key] = generator
         return generator
 
-    def send(self, dest: int, payload: Any, size: int = 1) -> bool:
-        """Send ``payload`` to process ``dest``.
+    def send(self, dest: int, payload: Any, size: int = 1) -> None:
+        """Send ``payload`` to process ``dest``; fire-and-forget.
 
-        Returns ``True`` if the network accepted the message (it may still
-        be lost in transit); ``False`` if the sender's per-round bandwidth
-        cap rejected it.  ``size`` is the abstract byte-size used for the
-        constant-message-size check.
+        The message may be lost in transit, or refused by the sender's
+        per-round bandwidth cap (counted in
+        ``NetworkStats.rejected_bandwidth``).  ``size`` is the abstract
+        byte-size used for the constant-message-size check.
         """
         assert self.current is not None, "send() outside a process callback"
-        return self._engine._submit(self.current.node_id, dest, payload, size)
+        self._engine._submit(self.current.node_id, dest, payload, size)
 
     def is_alive(self, node_id: int) -> bool:
         """Whether ``node_id`` is currently live (oracle view, for metrics)."""
@@ -191,6 +198,17 @@ class SimulationEngine:
         #: begins, so arrival order is (delivery round, send order) for
         #: every latency model.
         self._pending: dict[int, list] = {}
+        #: This stage's sends with their bandwidth slots and (traced
+        #: runs) the trace positions of their send events.
+        self._outbox: list[Message] = []
+        self._slots: list[int] = []
+        self._traced: list[int] = []
+        #: Per row (registration order), sends since the round boundary
+        #: (which comes after delivery): a send's bandwidth slot.
+        self.window_sends = np.zeros(0, dtype=np.int64)
+        self._rows: dict[int, int] = {}
+        #: Sees every submitted message before it is planned.
+        self.send_tap: Callable[[Message], None] | None = None
         self._ctx = Context(self)
 
     # -- setup ---------------------------------------------------------
@@ -219,30 +237,60 @@ class SimulationEngine:
                 TraceEvent(self.round, kind, node, peer, detail)
             )
 
-    def _submit(self, src: int, dest: int, payload: Any, size: int) -> bool:
-        message = Message(src=src, dest=dest, payload=payload, size=size,
-                          sent_round=self.round)
-        delivery_round = self.network.plan_delivery(message, self.rngs)
-        if delivery_round is Network.REJECTED:
-            # Counted by the network (``NetworkStats.rejected_bandwidth``).
-            self._trace("send_rejected", src, dest)
-            return False
-        if delivery_round is not None:
-            if self.tracer is not None:
-                self._trace("send", src, dest)
-            self._enqueue(delivery_round, message)
-        else:
-            self._trace("send_lost", src, dest)
-        return True
+    def _submit(self, src: int, dest: int, payload: Any, size: int) -> None:
+        """Put one send in the outbox, at its sender's next slot."""
+        window = self.window_sends
+        row = self._rows[src]
+        slot = int(window[row])
+        window[row] = slot + 1
+        self._outbox.append(Message(src, dest, payload, size, self.round))
+        self._slots.append(slot)
+        if self.tracer is not None:
+            # Recorded now, in send order; its kind is fixed at the flush.
+            self._traced.append(len(self.tracer.events))
+            self._trace("send", src, dest)
 
-    def _enqueue(self, delivery_round: int, item: Any) -> None:
-        """Queue ``item`` (in send order) for the start of ``delivery_round``."""
+    def _flush(self) -> None:
+        """Plan the outbox as one block and queue what survives."""
+        outbox = self._outbox
+        if not outbox:
+            return
+        slots = self._slots
+        self._outbox, self._slots = [], []
+        if self.send_tap is not None:
+            for message in outbox:
+                self.send_tap(message)
+        count = len(outbox)
+        delivered, rounds = self.network.plan_delivery_block(
+            np.fromiter((m.src for m in outbox), np.int64, count),
+            np.fromiter((m.dest for m in outbox), np.int64, count),
+            np.fromiter((m.size for m in outbox), np.int64, count),
+            np.array(slots, dtype=np.int64), self.round, self.rngs,
+        )
+        sent = delivered.tolist()
+        if self.tracer is not None:  # fix each send event's kind
+            cap = self.network.max_sends_per_round
+            for position, slot, kept in zip(self._traced, slots, sent):
+                if not kept:
+                    self.tracer.retag(position, "send_lost" if cap is None
+                                      or slot < cap else "send_rejected")
+            self._traced = []
+        survivors = compress(outbox, sent)
+        if isinstance(rounds, np.ndarray):
+            for delivery_round, message in zip(rounds.tolist(), survivors):
+                self._enqueue(delivery_round, message)
+        else:
+            self._enqueue(rounds, *survivors)
+
+    def _enqueue(self, delivery_round: int, *items: Any) -> None:
+        """Queue ``items`` (in send order) for the start of
+        ``delivery_round``."""
         if delivery_round <= self.round:
             raise ValueError(
                 f"delivery round {delivery_round} is not in the future "
                 f"(current round {self.round})"
             )
-        self._pending.setdefault(delivery_round, []).append(item)
+        self._pending.setdefault(delivery_round, []).extend(items)
 
     def _dispatch(self, message: Message) -> None:
         receiver = self.processes.get(message.dest)
@@ -342,6 +390,14 @@ class SimulationEngine:
         """Processes that called :meth:`Context.terminate`."""
         return self._terminated_count
 
+    def _bind(self) -> None:
+        """Per-run setup before any ``on_start``: number the members in
+        registration order (their *rows*), open an empty window."""
+        self._rows = {
+            node_id: row for row, node_id in enumerate(self.processes)
+        }
+        self.window_sends = np.zeros(len(self._rows), dtype=np.int64)
+
     def _step_processes(self) -> None:
         """One ``on_round`` step for every live, unterminated process.
 
@@ -378,18 +434,23 @@ class SimulationEngine:
         collecting = gc.isenabled()
         gc.disable()
         try:
+            self._bind()
             for process in self.processes.values():
                 self._ctx.current = process
                 process.on_start(self._ctx)
                 self._ctx.current = None
+            self._flush()
             while self.round < self.max_rounds:
                 if (until() if until is not None else self._all_done()):
                     break
                 self._apply_failures()
                 self._deliver_due()
+                self._flush()
                 self.round_bus.emit(self.round)
+                self.window_sends[:] = 0
                 self._drain_injected()
                 self._step_processes()
+                self._flush()
                 if self.metrics is not None:
                     self.metrics.snapshot(self)
                 self.round += 1

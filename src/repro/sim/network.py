@@ -15,11 +15,18 @@ All models here also enforce the paper's two scalability constraints
   bound to demonstrate *why* the constraint matters.
 * **Per-member bandwidth cap** — each sender may submit at most
   ``max_sends_per_round`` messages per round; excess submissions are
-  rejected at the sender (returned as ``Network.REJECTED``) and counted.
+  refused at the sender and counted in
+  ``NetworkStats.rejected_bandwidth``.
 
 Latency is expressed in whole rounds (default: sent in round *t*, delivered
 at the start of round *t+1*), matching the synchronous-round abstraction of
 gossip protocol analyses.
+
+Both engines plan every send through one method,
+:meth:`Network.plan_delivery_block`, over a block of messages in send
+order: each message's fate (refused, lost, or delivered in some round)
+is decided once, and a model states its loss and latency once, over
+arrays.
 """
 
 from __future__ import annotations
@@ -80,16 +87,13 @@ class NetworkStats:
 
 
 class Network:
-    """Base unreliable network.
+    """Base unreliable network: lossless, next-round delivery.
 
-    Subclasses override :meth:`loss_probability` (and optionally
-    :meth:`latency`).  ``plan_delivery`` returns the delivery round, ``None``
-    for a lost message, or :data:`Network.REJECTED` when the sender's
-    bandwidth cap rejects the send outright.
+    :meth:`plan_delivery_block` decides every message's fate.  A model
+    states its loss and latency once, over arrays, in :meth:`block_loss`
+    and :meth:`block_latency`; :meth:`_count_losses` lets it attribute
+    drops to a cause (partition, region) in its own counters.
     """
-
-    #: Sentinel distinct from None (= lost in transit).
-    REJECTED = object()
 
     def __init__(
         self,
@@ -99,22 +103,9 @@ class Network:
         self.max_message_size = max_message_size
         self.max_sends_per_round = max_sends_per_round
         self.stats = NetworkStats()
-        self._sends_this_round: Counter = Counter()
-        # Per-run caches for the message hot path: the loss stream is
-        # consumed in pre-drawn blocks (one numpy call per block instead
-        # of one per message — stream-identical, since Generator.random(n)
-        # draws the same doubles in the same order as n scalar calls), and
-        # the stream lookups themselves are resolved once per registry.
-        self._rng_source: RngRegistry | None = None
-        self._loss_draws: Any = None
-        self._loss_next = 0
-        self._latency_stream: Any = None
         # Out-of-band messages placed on the wire by a fault injector
         # (the chaos adversary), pending pickup by the engine.
         self._injected: list[tuple[int, Message]] = []
-
-    #: Messages per pre-drawn block of loss uniforms.
-    LOSS_BLOCK = 512
 
     # -- fault-injection hook -------------------------------------------
     def inject(self, delivery_round: int, message: Message) -> None:
@@ -141,102 +132,30 @@ class Network:
         return drained
 
     # -- model hooks ----------------------------------------------------
-    def loss_probability(self, message: Message) -> float:
-        """Probability this message is lost in transit."""
+    def block_loss(
+        self, src: np.ndarray, dest: np.ndarray
+    ) -> np.ndarray | float:
+        """Loss probability of each accepted message ``src[i] -> dest[i]``
+        (an array, or one float for the whole block)."""
         return 0.0
 
-    def latency(self, message: Message, rng) -> int:
-        """Delivery delay in rounds (>= 1): the next round."""
+    def block_latency(
+        self, src: np.ndarray, dest: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray | int:
+        """Delay in rounds (>= 1) of each message that survived loss (an
+        array, or one int for the whole block); ``rng`` is the run's
+        ``network/latency`` stream."""
         return 1
 
-    @property
-    def fixed_latency(self) -> int | None:
-        """1 when delivery delay is deterministic (the next round).
-
-        ``None`` for models that override :meth:`latency` (jitter,
-        multihop): their delay varies per message.  A fixed latency is
-        what lets a whole send block share one delivery round (see
-        :meth:`block_latency_rounds`).
-        """
-        if type(self).latency is Network.latency:
-            return 1
-        return None
+    def _count_losses(
+        self, src: np.ndarray, dest: np.ndarray, lost: np.ndarray
+    ) -> None:
+        """Attribute this block's drops (``lost`` over the accepted
+        messages) to a cause; the base model has none."""
 
     # -- engine interface -----------------------------------------------
     def begin_round(self, round_number: int) -> None:
-        """Reset per-round bandwidth accounting (called by the engine)."""
-        if self._sends_this_round:
-            self._sends_this_round.clear()
-
-    def _bind_rngs(self, rngs: RngRegistry) -> None:
-        self._rng_source = rngs
-        self._loss_draws = None
-        self._loss_next = 0
-        self._latency_stream = rngs.stream("network", "latency")
-
-    def _loss_draw(self, rngs: RngRegistry) -> float:
-        """Next uniform from the loss stream, served from a block."""
-        draws = self._loss_draws
-        if draws is None or self._loss_next >= len(draws):
-            draws = self._loss_draws = (
-                rngs.stream("network", "loss").random(self.LOSS_BLOCK)
-            )
-            self._loss_next = 0
-        value = draws[self._loss_next]
-        self._loss_next += 1
-        return value
-
-    def _bulk_loss_draws(self, rngs: RngRegistry, count: int) -> np.ndarray:
-        """The next ``count`` uniforms from the loss stream, in order.
-
-        Serves from the same pre-drawn blocks as :meth:`_loss_draw` (and
-        refills them the same way), so a bulk consumer and a scalar
-        consumer see the identical double sequence — the array engine's
-        loss decisions are bit-identical to per-message planning.
-        """
-        out = np.empty(count, dtype=np.float64)
-        filled = 0
-        while filled < count:
-            draws = self._loss_draws
-            if draws is None or self._loss_next >= len(draws):
-                draws = self._loss_draws = (
-                    rngs.stream("network", "loss").random(self.LOSS_BLOCK)
-                )
-                self._loss_next = 0
-            take = min(count - filled, len(draws) - self._loss_next)
-            out[filled:filled + take] = (
-                draws[self._loss_next:self._loss_next + take]
-            )
-            self._loss_next += take
-            filled += take
-        return out
-
-    # -- block-planning hooks (the array-stepped engine's fast path) ----
-    def block_loss_probabilities(
-        self, src: np.ndarray, dest: np.ndarray
-    ) -> np.ndarray | float | None:
-        """Loss probability per (src, dest) pair, vectorized.
-
-        ``None`` means this model cannot plan in blocks (a subclass
-        overrode :meth:`loss_probability` without providing a block
-        form); the caller must fall back to per-message
-        :meth:`plan_delivery`.  The guard checks the *actual* class's
-        ``loss_probability`` so a subclass can never be silently planned
-        with its parent's loss model.
-        """
-        if type(self).loss_probability is not Network.loss_probability:
-            return None
-        return 0.0
-
-    def block_latency_rounds(self) -> int | None:
-        """This round's uniform delivery delay, or ``None`` if per-message.
-
-        Models whose latency varies per *message* (jitter, multihop)
-        return ``None`` and are excluded from block planning; models
-        whose latency is merely per-*round* (chaos latency bursts)
-        override this to return the current value.
-        """
-        return self.fixed_latency
+        """Round-boundary hook (the engine's round bus calls it first)."""
 
     def plan_delivery_block(
         self,
@@ -246,22 +165,22 @@ class Network:
         slots: np.ndarray,
         sent_round: int,
         rngs: RngRegistry,
-    ):
-        """Vectorized :meth:`plan_delivery` over one round's send block.
+    ) -> tuple[np.ndarray, np.ndarray | int]:
+        """Decide the fate of a block of messages, in send order.
 
-        ``src``/``dest``/``sizes`` describe the messages in *send order*
-        (the order the object-stepped engine would have submitted them);
-        ``slots[i]`` is message ``i``'s index among its sender's sends
-        this round (for the bandwidth cap).  Returns
-        ``(delivered_mask, delivery_round)`` — ``delivered_mask[i]``
-        True when message ``i`` survives both the cap and loss — or
-        ``None`` when this model cannot plan in blocks.  Stats, loss
-        draws and raised errors match the scalar path exactly.
+        ``src``/``dest``/``sizes`` describe the messages as their
+        senders submitted them; ``slots[i]`` is message ``i``'s index
+        among its sender's sends in the open bandwidth window.  A
+        message at a slot past ``max_sends_per_round`` is refused (and
+        counted in ``rejected_bandwidth``); the rest are sent and lost
+        with :meth:`block_loss`'s probability, one loss-stream uniform
+        per message whose probability is positive.  Returns
+        ``(delivered, delivery_round)``: ``delivered[i]`` is True when
+        message ``i`` survives both, and ``delivery_round`` is one round
+        for the whole block or one per delivered message (in order).
+        Planning a sequence as one block or as consecutive sub-blocks
+        gives the same outcome, statistics and stream positions.
         """
-        probabilities = self.block_loss_probabilities(src, dest)
-        latency = self.block_latency_rounds()
-        if probabilities is None or latency is None:
-            return None
         oversized = sizes > self.max_message_size
         if oversized.any():
             first = int(np.argmax(oversized))
@@ -273,65 +192,50 @@ class Network:
         if self.max_sends_per_round is not None:
             accepted = slots < self.max_sends_per_round
             stats.rejected_bandwidth += int((~accepted).sum())
+            src, dest = src[accepted], dest[accepted]
+            sizes = sizes[accepted]
         else:
             accepted = np.ones(len(src), dtype=bool)
-        count = int(accepted.sum())
+        count = len(src)
         if count == 0:
-            return accepted, sent_round + latency
-        a_src = src[accepted]
+            return accepted, sent_round + 1
         stats.sent += count
-        stats.bytes_sent += int(sizes[accepted].sum())
-        senders, sent_counts = np.unique(a_src, return_counts=True)
+        stats.bytes_sent += int(sizes.sum())
+        senders, sent_counts = np.unique(src, return_counts=True)
         per_sender = stats.per_sender_sent
         for sender, sends in zip(senders.tolist(), sent_counts.tolist()):
             per_sender[sender] += sends
-        if rngs is not self._rng_source:
-            self._bind_rngs(rngs)
         probabilities = np.broadcast_to(
-            np.asarray(probabilities, dtype=np.float64), (len(src),)
-        )[accepted]
+            np.asarray(self.block_loss(src, dest), dtype=np.float64),
+            (count,),
+        )
         lost = np.zeros(count, dtype=bool)
         drawing = probabilities > 0.0
         draw_count = int(drawing.sum())
         if draw_count:
-            draws = self._bulk_loss_draws(rngs, draw_count)
+            draws = rngs.stream("network", "loss").random(draw_count)
             lost[drawing] = draws < probabilities[drawing]
-        dropped = int(lost.sum())
-        if dropped:
-            stats.dropped += dropped
-            self._note_block_losses(a_src, dest[accepted], lost)
-        delivered = accepted.copy()
-        delivered[accepted] = ~lost
-        return delivered, sent_round + latency
-
-    def _note_block_losses(
-        self, src: np.ndarray, dest: np.ndarray, lost: np.ndarray
-    ) -> None:
-        """Hook for subclass loss accounting (cross-partition counters)."""
+        delivered = accepted
+        if lost.any():
+            stats.dropped += int(lost.sum())
+            self._count_losses(src, dest, lost)
+            kept = ~lost
+            src, dest = src[kept], dest[kept]
+            delivered = accepted.copy()
+            delivered[accepted] = kept
+        return delivered, sent_round + self.block_latency(
+            src, dest, rngs.stream("network", "latency")
+        )
 
     def plan_delivery(self, message: Message, rngs: RngRegistry):
-        """Decide the fate of ``message``; see class docstring."""
-        if message.size > self.max_message_size:
-            raise MessageTooLarge(
-                f"message of size {message.size} exceeds bound "
-                f"{self.max_message_size} (src={message.src})"
-            )
-        if rngs is not self._rng_source:
-            self._bind_rngs(rngs)
-        if self.max_sends_per_round is not None:
-            if self._sends_this_round[message.src] >= self.max_sends_per_round:
-                self.stats.rejected_bandwidth += 1
-                return Network.REJECTED
-            self._sends_this_round[message.src] += 1
-        stats = self.stats
-        stats.sent += 1
-        stats.bytes_sent += message.size
-        stats.per_sender_sent[message.src] += 1
-        probability = self.loss_probability(message)
-        if probability > 0.0 and self._loss_draw(rngs) < probability:
-            stats.dropped += 1
-            return None
-        return message.sent_round + self.latency(message, self._latency_stream)
+        """Plan one message as a block of one, at slot 0: its delivery
+        round, or ``None`` when it is lost or refused."""
+        delivered, rounds = self.plan_delivery_block(
+            np.array([message.src]), np.array([message.dest]),
+            np.array([message.size]), np.zeros(1, dtype=np.int64),
+            message.sent_round, rngs,
+        )
+        return int(np.max(rounds)) if delivered[0] else None
 
 
 class LossyNetwork(Network):
@@ -343,14 +247,9 @@ class LossyNetwork(Network):
         super().__init__(**kwargs)
         self.ucastl = ucastl
 
-    def loss_probability(self, message: Message) -> float:
-        return self.ucastl
-
-    def block_loss_probabilities(
+    def block_loss(
         self, src: np.ndarray, dest: np.ndarray
-    ) -> np.ndarray | float | None:
-        if type(self).loss_probability is not LossyNetwork.loss_probability:
-            return None
+    ) -> np.ndarray | float:
         return self.ucastl
 
 
@@ -362,7 +261,9 @@ class JitterNetwork(LossyNetwork):
     ``max_latency``.  Models asynchronous networks where delivery order
     is not send order — the setting the paper's asynchronous model
     (Section 2) actually allows, beyond the fixed-latency simplification
-    of its simulations.
+    of its simulations.  One geometric draw per delivered message, in
+    send order (``Generator.geometric(p, size=n)`` draws what ``n``
+    scalar calls would).
     """
 
     def __init__(
@@ -380,21 +281,24 @@ class JitterNetwork(LossyNetwork):
         self.mean_extra_latency = mean_extra_latency
         self.max_latency = max_latency
 
-    def latency(self, message: Message, rng) -> int:
+    def block_latency(
+        self, src: np.ndarray, dest: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray | int:
         if self.mean_extra_latency == 0:
             return 1
         p = 1.0 / (1.0 + self.mean_extra_latency)
-        extra = int(rng.geometric(p)) - 1  # >= 0
-        return min(self.max_latency, 1 + extra)
+        extra = rng.geometric(p, size=len(src)) - 1  # >= 0
+        return np.minimum(self.max_latency, 1 + extra)
 
 
 class PartitionedNetwork(LossyNetwork):
     """Two-sided soft partition (Figure 9), optionally healing mid-run.
 
-    ``partition_of`` maps a node id to its partition label.  Messages whose
-    endpoints share a label are dropped with ``ucastl``; messages crossing
-    the partition are dropped with ``partl`` (>= ucastl in the paper's
-    experiment).
+    ``partition_of`` maps an array of node ids to their partition labels
+    (vectorised), or is a mapping from node id to label.  Messages whose
+    endpoints share a label are dropped with ``ucastl``; messages
+    crossing the partition are dropped with ``partl`` (>= ucastl in the
+    paper's experiment).
 
     ``heal_at`` heals the partition at the start of round ``heal_at``'s
     send window: messages submitted from that round on are all dropped
@@ -406,11 +310,10 @@ class PartitionedNetwork(LossyNetwork):
 
     def __init__(
         self,
-        partition_of: Callable[[int], int] | Mapping[int, int],
+        partition_of: Callable[[np.ndarray], np.ndarray] | Mapping[int, int],
         partl: float = 0.5,
         ucastl: float = 0.25,
         heal_at: int | None = None,
-        partition_of_block: Callable[[np.ndarray], np.ndarray] | None = None,
         **kwargs,
     ):
         if not 0.0 <= partl <= 1.0:
@@ -422,18 +325,13 @@ class PartitionedNetwork(LossyNetwork):
         self.partl = partl
         self.heal_at = heal_at
         self._healed = False
-        #: Vectorized ``partition_of`` (node-id array -> label array).
-        #: Optional because ``partition_of`` is an arbitrary callable the
-        #: model cannot vectorize itself; without it the network simply
-        #: opts out of block planning (``block_loss_probabilities`` is
-        #: None) and the engine falls back to per-message planning —
-        #: same results either way.
-        self._partition_of_block = partition_of_block
         if callable(partition_of):
             self._partition_of = partition_of
         else:
             mapping = dict(partition_of)
-            self._partition_of = mapping.__getitem__
+            self._partition_of = lambda nodes: np.array(
+                [mapping[node] for node in nodes.tolist()]
+            )
 
     @property
     def healed(self) -> bool:
@@ -441,63 +339,31 @@ class PartitionedNetwork(LossyNetwork):
         return self._healed
 
     def begin_round(self, round_number: int) -> None:
-        super().begin_round(round_number)
         if self.heal_at is not None and round_number >= self.heal_at:
             self._healed = True
 
-    def crosses_partition(self, message: Message) -> bool:
+    def _crossings(self, src: np.ndarray, dest: np.ndarray):
+        """Which messages cross the partition; None once healed."""
         if self._healed:
-            return False
-        return self._partition_of(message.src) != self._partition_of(message.dest)
-
-    def loss_probability(self, message: Message) -> float:
-        if self.crosses_partition(message):
-            return self.partl
-        return self.ucastl
-
-    def _block_crossings(
-        self, src: np.ndarray, dest: np.ndarray
-    ) -> np.ndarray | None:
-        if (
-            self._partition_of_block is None
-            or type(self).crosses_partition
-            is not PartitionedNetwork.crosses_partition
-        ):
             return None
-        if self._healed:
-            return np.zeros(len(src), dtype=bool)
-        labels = self._partition_of_block
-        return labels(src) != labels(dest)
+        return self._partition_of(src) != self._partition_of(dest)
 
-    def block_loss_probabilities(
+    def block_loss(
         self, src: np.ndarray, dest: np.ndarray
-    ) -> np.ndarray | float | None:
-        if (
-            type(self).loss_probability
-            is not PartitionedNetwork.loss_probability
-        ):
-            return None
-        crossings = self._block_crossings(src, dest)
+    ) -> np.ndarray | float:
+        crossings = self._crossings(src, dest)
         if crossings is None:
-            return None
+            return self.ucastl
         return np.where(crossings, self.partl, self.ucastl)
 
-    def _note_block_losses(
+    def _count_losses(
         self, src: np.ndarray, dest: np.ndarray, lost: np.ndarray
     ) -> None:
-        crossings = self._block_crossings(src, dest)
+        crossings = self._crossings(src, dest)
         if crossings is not None:
             self.stats.dropped_cross_partition += int(
                 (lost & crossings).sum()
             )
-
-    def plan_delivery(self, message: Message, rngs: RngRegistry):
-        crossing = self.crosses_partition(message)
-        before = self.stats.dropped
-        outcome = super().plan_delivery(message, rngs)
-        if crossing and outcome is None and self.stats.dropped == before + 1:
-            self.stats.dropped_cross_partition += 1
-        return outcome
 
 
 class TopologyNetwork(Network):
@@ -522,17 +388,25 @@ class TopologyNetwork(Network):
         self.hops = hops
         self.hop_loss = hop_loss
 
-    def _route_length(self, message: Message) -> int | None:
-        if message.src == message.dest:
-            return 0
-        return self.hops(message.src, message.dest)
+    def _routes(self, src: np.ndarray, dest: np.ndarray) -> list[int | None]:
+        return [
+            0 if a == b else self.hops(a, b)
+            for a, b in zip(src.tolist(), dest.tolist())
+        ]
 
-    def loss_probability(self, message: Message) -> float:
-        route = self._route_length(message)
-        if route is None:
-            return 1.0
-        return 1.0 - (1.0 - self.hop_loss) ** route
+    def block_loss(
+        self, src: np.ndarray, dest: np.ndarray
+    ) -> np.ndarray | float:
+        survive = 1.0 - self.hop_loss
+        return np.array([
+            1.0 if route is None else 1.0 - survive ** route
+            for route in self._routes(src, dest)
+        ])
 
-    def latency(self, message: Message, rng) -> int:
-        route = self._route_length(message)
-        return max(1, route if route is not None else 1)
+    def block_latency(
+        self, src: np.ndarray, dest: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray | int:
+        return np.array(
+            [max(1, route or 1) for route in self._routes(src, dest)],
+            dtype=np.int64,
+        )

@@ -15,7 +15,7 @@ the cap).  Run-level totals do not need a tracer: the engine's
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 __all__ = ["TraceEvent", "Tracer"]
@@ -60,6 +60,16 @@ class Tracer:
             self.events.append(event)
         elif self.max_events > 0:
             self.dropped_events += 1
+
+    def retag(self, position: int, kind: str) -> None:
+        """Change the kind of the ``send`` event recorded at ``position``
+        (counted either way; stored only if it was under the cap)."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown trace event kind {kind!r}")
+        self.counts["send"] -= 1
+        self.counts[kind] += 1
+        if position < len(self.events):
+            self.events[position] = replace(self.events[position], kind=kind)
 
     # -- queries ---------------------------------------------------------
     def of_kind(self, kind: str) -> list[TraceEvent]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.network import Message, Network
+from repro.sim.network import Network
 
 __all__ = ["InternetGroup", "DomainNetwork"]
 
@@ -100,27 +100,35 @@ class DomainNetwork(Network):
         #: WAN messages observed (for hash-awareness comparisons).
         self.wan_messages = 0
 
-    def _relationship(self, message: Message) -> str:
-        src, dest = message.src, message.dest
-        if self.group.site_of(src) != self.group.site_of(dest):
-            return "wan"
-        if self.group.same_subnet(src, dest, self.subnet_bits):
-            return "lan"
-        return "site"
+    def _relationships(
+        self, src: np.ndarray, dest: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(crosses sites, shares a subnet) per message."""
+        site_of = self.group.site_of
+        wan = np.array(
+            [site_of(a) != site_of(b)
+             for a, b in zip(src.tolist(), dest.tolist())],
+            dtype=bool,
+        )
+        lan = ~wan & (
+            (src >> self.subnet_bits) == (dest >> self.subnet_bits)
+        )
+        return wan, lan
 
-    def loss_probability(self, message: Message) -> float:
-        relationship = self._relationship(message)
-        if relationship == "wan":
-            self.wan_messages += 1
-            return self.wan_loss
-        if relationship == "lan":
-            return self.lan_loss
-        return self.site_loss
+    def block_loss(
+        self, src: np.ndarray, dest: np.ndarray
+    ) -> np.ndarray | float:
+        wan, lan = self._relationships(src, dest)
+        self.wan_messages += int(wan.sum())
+        return np.where(
+            wan, self.wan_loss, np.where(lan, self.lan_loss, self.site_loss)
+        )
 
-    def latency(self, message: Message, rng) -> int:
-        relationship = self._relationship(message)
-        if relationship == "wan":
-            return self.wan_latency
-        if relationship == "lan":
-            return self.lan_latency
-        return self.site_latency
+    def block_latency(
+        self, src: np.ndarray, dest: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray | int:
+        wan, lan = self._relationships(src, dest)
+        return np.where(
+            wan, self.wan_latency,
+            np.where(lan, self.lan_latency, self.site_latency),
+        )

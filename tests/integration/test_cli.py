@@ -138,6 +138,10 @@ class TestBadRunParameters:
          "cannot read trace file '/missing.jsonl'"),
         (["trace", "--validate", "/missing.jsonl"],
          "cannot read trace file '/missing.jsonl'"),
+        (["run", "--pf", "-1"], "pf must be a probability, got -1.0"),
+        (["trace", "--pf", "-2"], "pf must be a probability, got -2.0"),
+        (["chaos", "--campaign", "paper-iid", "--pf", "-1"],
+         "pf must be a probability, got -1.0"),
     ])
     def test_reported_as_a_usage_error(self, argv, message, capsys):
         assert main(argv) == 2

@@ -212,9 +212,10 @@ def test_equivalent_on_campaigns_with_compact_telemetry(campaign):
 
 @pytest.mark.parametrize("campaign", campaign_names())
 def test_equivalent_on_campaigns_with_push_pull(campaign):
-    # Tamper and Sybil campaigns plan per message, so every request
-    # there arrives as a scalar ``Message`` and is answered through the
-    # array engine's ``_receive``; the others answer chunk by chunk.
+    # Tamper and Sybil campaigns set the engine's send tap, so every
+    # request there arrives as a scalar ``Message`` and is answered
+    # through the array engine's ``_receive``; the others answer chunk
+    # by chunk.
     _assert_identical_with_telemetry(
         with_params(n=128, campaign=campaign, seed=0, push_pull=True)
     )
@@ -519,10 +520,9 @@ def test_equivalent_on_jitter_network_with_push_pull():
 
 
 def _assert_identical_on_jitter(config):
-    # Per-message latency cannot be block-planned: the array engine
-    # submits its send block (and its block of pull replies) through
-    # the scalar path, message by message, and must still match the
-    # object engine end to end.
+    # Per-message latency: the array engine splits each planned block
+    # (and each block of pull replies) into one chunk per delivery
+    # round, and must still match the object engine end to end.
     from repro.sim.network import JitterNetwork
 
     runs = {
@@ -557,25 +557,27 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
-def test_jitter_fallback_builds_payloads_from_row_snapshots(monkeypatch):
-    # Per-message planning needs a payload object per message: every
-    # snapshot row sent under jitter, pull answers included, is built
-    # into a GossipBatch, over-cap K=2 subsets too.
+def test_jitter_delivers_row_snapshot_chunks(monkeypatch):
+    # Jitter plans in blocks like every model: sends and pull answers,
+    # over-cap K=2 subsets too, arrive as chunks of snapshot rows, and
+    # no row is built into a payload object.
     from repro.core.array_stepper import RowSnapshots
+    from repro.sim.array_engine import ArraySteppedEngine
 
     built = _counting(monkeypatch, RowSnapshots, "payloads")
+    chunks = _counting(monkeypatch, ArraySteppedEngine, "_deliver_block")
     _assert_identical_on_jitter(
         with_params(n=160, k=2, pf=0.004, push_pull=True, seed=6)
     )
-    assert built
+    assert chunks and not built
 
 
 def test_adversarial_campaign_under_sanitizer_admits_through_process(
     monkeypatch,
 ):
     # The sanitizer's screen is armed: every arrival (a scalar message,
-    # since the adversary snoops per message) is admitted into its row
-    # entry by entry, screened in the process's order.
+    # since the adversary's send tap snoops each payload) is admitted
+    # into its row entry by entry, screened in the process's order.
     from repro.core.array_stepper import HierarchicalArrayStepper
 
     received = _counting(monkeypatch, HierarchicalArrayStepper, "receive")
@@ -826,10 +828,10 @@ def test_equivalent_composing_unsanitized(name, unsanitized):
 
 def test_array_run_calls_no_process_protocol_code(monkeypatch, unsanitized):
     # Block delivery, wave admission, the columnar buffer and the
-    # columnar advance — and, for scalar arrivals (per-message jitter
-    # planning, a region outage, adversarial injections with the screen
-    # armed), admission into the row: no member's own admission or
-    # advance runs, and every run equals the object engine's.
+    # columnar advance (under jitter and a region outage too) — and,
+    # for scalar arrivals (adversarial runs with the screen armed),
+    # admission into the row: no member's own admission or advance
+    # runs, and every run equals the object engine's.
     from repro import sanitize
     from repro.core.hierarchical_gossip import HierarchicalGossipProcess
     from repro.sim.network import JitterNetwork

@@ -9,6 +9,9 @@ model does.
 
 from __future__ import annotations
 
+from itertools import count
+
+import numpy as np
 import pytest
 
 from repro.experiments.params import with_params
@@ -44,18 +47,21 @@ class TestArrivalOrder:
         """Arrivals are ordered by (delivery round, send order) — with
         per-message latency reordering sends, and with sends issued
         from inside ``on_message`` interleaved with round-step sends."""
-        planned = []   # (delivery round, send number), in send order
+        sent = []      # send numbers, in send order (the send tap)
+        rounds = []    # delivery rounds, in send order (the planner)
         arrivals = []  # (arrival round, send number), in arrival order
+        numbers = count()
 
         class Recording(JitterNetwork):
-            def plan_delivery(self, message, rngs):
-                outcome = super().plan_delivery(message, rngs)
-                planned.append((outcome, message.payload))
-                return outcome
+            def plan_delivery_block(self, *args):
+                delivered, when = super().plan_delivery_block(*args)
+                assert delivered.all()  # lossless
+                rounds.extend(np.broadcast_to(when, delivered.shape).tolist())
+                return delivered, when
 
         class Chatter(Process):
             def _send(self, ctx):
-                ctx.send(1 - self.node_id, len(planned))
+                ctx.send(1 - self.node_id, next(numbers))
 
             def on_round(self, ctx):
                 if ctx.round < 12:
@@ -74,7 +80,9 @@ class TestArrivalOrder:
             rngs=RngRegistry(seed=4),
         )
         engine.add_processes([Chatter(0), Chatter(1)])
+        engine.send_tap = lambda message: sent.append(message.payload)
         engine.run()
+        planned = list(zip(rounds, sent))
         assert len(arrivals) == len(planned) > 72  # replies happened
         assert arrivals == sorted(planned)
         # ... and jitter really did overtake: not plain send order.

@@ -113,8 +113,7 @@ def _world(params: GossipParams):
         network=Network(max_message_size=1 << 20), rngs=RngRegistry(0),
     )
     engine.add_processes(group)
-    engine._bind_rows()
-    engine._stepper.bind(engine)
+    engine._bind()  # rows, then the stepper
     for proc in group:
         proc.on_start(engine._ctx)
     engine._stepper._begin()

@@ -149,9 +149,8 @@ def _world(params: GossipParams, phase: int, known=None, future=None):
         network=Network(max_message_size=1 << 20), rngs=RngRegistry(0),
     )
     engine.add_processes(group)
-    engine._bind_rows()
+    engine._bind()  # rows, then the stepper
     stepper = engine._stepper
-    stepper.bind(engine)
     for proc in group + [twin]:
         proc.on_start(engine._ctx)
     stepper._begin()

@@ -24,6 +24,7 @@ from repro.core.aggregates import AggregateState
 from repro.core.messages import GossipValue, VoteReport
 from repro.sim.network import Message
 from repro.topology.regions import RegionMap
+from tests.planning import loss_of
 
 BOX_GROUPS = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
 
@@ -326,50 +327,30 @@ class TestAdversarialSummary:
 class TestRegionAwareNetwork:
     def _network(self):
         network = ChaosNetwork(base_loss=0.1)
-        region_of = {m: RegionMap(BOX_GROUPS, 3).region_of(m)
-                     for m in range(12)}
+        region_map = RegionMap(BOX_GROUPS, 3)
+        region_of = np.array([region_map.region_of(m) for m in range(12)])
         network.region_state = (
             region_of, frozenset((0,)), 0.95, 0.7, 0.35
         )
         return network
-
-    def _message(self, src, dest):
-        return Message(src=src, dest=dest, payload=None, size=1,
-                       sent_round=0)
 
     def test_asymmetric_region_loss(self):
         network = self._network()
         isolated = 0      # region 0
         healthy_a = 4     # region 1
         healthy_b = 8     # region 2
-        assert network.loss_probability(
-            self._message(isolated, healthy_a)
-        ) == 0.95  # outbound from the isolated region
-        assert network.loss_probability(
-            self._message(healthy_a, isolated)
-        ) == 0.7   # inbound to the isolated region
-        assert network.loss_probability(
-            self._message(healthy_a, healthy_b)
-        ) == 0.35  # healthy WAN floor
-        assert network.loss_probability(
-            self._message(healthy_a, 5)
-        ) == 0.1   # intra-region traffic sees only the base rate
+        # outbound from the isolated region
+        assert loss_of(network, isolated, healthy_a) == 0.95
+        # inbound to the isolated region
+        assert loss_of(network, healthy_a, isolated) == 0.7
+        # healthy WAN floor
+        assert loss_of(network, healthy_a, healthy_b) == 0.35
+        # intra-region traffic sees only the base rate
+        assert loss_of(network, healthy_a, 5) == 0.1
+        # an id the map does not hold (a forged sender) crosses nothing
+        assert loss_of(network, healthy_a, -1) == 0.1
 
     def test_region_floor_never_lowers_current_loss(self):
         network = self._network()
         network.current_loss = 0.99
-        assert network.loss_probability(self._message(4, 8)) == 0.99
-
-    def test_region_state_disables_block_planning(self):
-        network = self._network()
-        src = np.arange(4, dtype=np.int64)
-        dest = np.arange(4, dtype=np.int64)[::-1].copy()
-        assert network.block_loss_probabilities(src, dest) is None
-        network.region_state = None
-        assert network.block_loss_probabilities(src, dest) is not None
-
-    def test_planner_disables_block_planning(self):
-        network = ChaosNetwork(base_loss=0.1)
-        network.planner = _planner()
-        src = np.arange(4, dtype=np.int64)
-        assert network.block_loss_probabilities(src, src) is None
+        assert loss_of(network, 4, 8) == 0.99

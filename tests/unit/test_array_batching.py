@@ -9,9 +9,9 @@ end-to-end version):
   :class:`~repro.sim.sampling.BlockedSampler` would serve;
 * :meth:`~repro.sim.network.Network.plan_delivery_block` makes the same
   decisions, keeps the same statistics and consumes the loss stream at
-  the same rate as per-message :meth:`plan_delivery` in send order —
-  and models that cannot block-plan say so (``None``) instead of
-  planning wrongly.
+  the same rate whether a block is planned whole or one message at a
+  time, in send order (every model, any cut into sub-blocks:
+  ``tests/property/test_block_planning.py``).
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.network import (
-    JitterNetwork,
-    LossyNetwork,
-    Message,
-    Network,
-    PartitionedNetwork,
-)
+from repro.sim.network import LossyNetwork, PartitionedNetwork
 from repro.sim.rng import RngRegistry
 from repro.sim.sampling import BlockedSampler, SamplerBank
 
@@ -60,15 +54,17 @@ def _send_block(senders, dests, size=1):
 
 
 def _scalar_outcomes(network, rngs, senders, dests, sent_round=0, size=1):
+    """Each message planned on its own, as a block of one at its slot:
+    its delivery round, or None when lost or refused."""
     network.begin_round(sent_round)
+    src, dest, sizes, slots = _send_block(senders, dests, size)
     outcomes = []
-    for sender, dest in zip(senders, dests):
-        outcome = network.plan_delivery(
-            Message(src=sender, dest=dest, payload=None, size=size,
-                    sent_round=sent_round),
-            rngs,
+    for i in range(len(src)):
+        one = slice(i, i + 1)
+        delivered, delivery_round = network.plan_delivery_block(
+            src[one], dest[one], sizes[one], slots[one], sent_round, rngs
         )
-        outcomes.append(outcome)
+        outcomes.append(int(delivery_round) if delivered[0] else None)
     return outcomes
 
 
@@ -86,16 +82,11 @@ class TestPlanDeliveryBlock:
         )
         src, dest, sizes, slots = _send_block(self.SENDERS, self.DESTS)
         block_net.begin_round(0)
-        planned = block_net.plan_delivery_block(
+        delivered, delivery_round = block_net.plan_delivery_block(
             src, dest, sizes, slots, 0, block_rngs
         )
-        assert planned is not None
-        delivered, delivery_round = planned
-        rejected = [o is Network.REJECTED for o in outcomes]
-        assert expect_rejections == any(rejected)
-        assert delivered.tolist() == [
-            isinstance(o, int) for o in outcomes
-        ]
+        assert expect_rejections == (block_net.stats.rejected_bandwidth > 0)
+        assert delivered.tolist() == [o is not None for o in outcomes]
         for outcome in outcomes:
             if isinstance(outcome, int):
                 assert outcome == delivery_round
@@ -110,7 +101,10 @@ class TestPlanDeliveryBlock:
             == scalar_net.stats.per_sender_sent
         )
         # Same stream position: the next loss double must match.
-        assert block_net._loss_next == scalar_net._loss_next
+        assert (
+            block_rngs.stream("network", "loss").random()
+            == scalar_rngs.stream("network", "loss").random()
+        )
 
     def test_lossy_matches_scalar(self):
         self._compare(lambda: LossyNetwork(ucastl=0.4))
@@ -127,8 +121,7 @@ class TestPlanDeliveryBlock:
     def test_partitioned_matches_scalar(self):
         self._compare(
             lambda: PartitionedNetwork(
-                partition_of=lambda node: 0 if node < 5 else 1,
-                partition_of_block=lambda nodes: nodes >= 5,
+                partition_of=lambda nodes: nodes >= 5,
                 partl=0.9,
                 ucastl=0.1,
             )
@@ -137,8 +130,7 @@ class TestPlanDeliveryBlock:
     def test_healed_partition_matches_scalar(self):
         def make():
             network = PartitionedNetwork(
-                partition_of=lambda node: 0 if node < 5 else 1,
-                partition_of_block=lambda nodes: nodes >= 5,
+                partition_of=lambda nodes: nodes >= 5,
                 partl=0.9,
                 ucastl=0.1,
                 heal_at=0,
@@ -146,34 +138,6 @@ class TestPlanDeliveryBlock:
             return network
 
         self._compare(make)
-
-    def test_partitioned_without_block_mapping_opts_out(self):
-        network = PartitionedNetwork(
-            partition_of=lambda node: 0 if node < 5 else 1,
-            partl=0.9,
-        )
-        src, dest, sizes, slots = _send_block(self.SENDERS, self.DESTS)
-        assert network.plan_delivery_block(
-            src, dest, sizes, slots, 0, RngRegistry(seed=1)
-        ) is None
-
-    def test_jitter_latency_opts_out(self):
-        network = JitterNetwork(ucastl=0.1, mean_extra_latency=2.0)
-        src, dest, sizes, slots = _send_block(self.SENDERS, self.DESTS)
-        assert network.plan_delivery_block(
-            src, dest, sizes, slots, 0, RngRegistry(seed=1)
-        ) is None
-
-    def test_subclassed_loss_hook_opts_out(self):
-        class Custom(LossyNetwork):
-            def loss_probability(self, message):
-                return 0.5 if message.dest % 2 else 0.0
-
-        network = Custom(ucastl=0.1)
-        src, dest, sizes, slots = _send_block(self.SENDERS, self.DESTS)
-        assert network.plan_delivery_block(
-            src, dest, sizes, slots, 0, RngRegistry(seed=1)
-        ) is None
 
     def test_oversized_message_raises_like_scalar(self):
         from repro.sim.network import MessageTooLarge

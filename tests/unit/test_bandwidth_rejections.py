@@ -1,7 +1,7 @@
 """Bandwidth-cap rejections are counted, surfaced, and engine-paired.
 
-Regression for the silent-rejection bug: ``Context.send`` returning
-False (per-round bandwidth cap) used to vanish — no engine counter, no
+Regression for the silent-rejection bug: a send refused by the
+per-round bandwidth cap used to vanish — no engine counter, no
 metrics row, no trace report line — so a capped run looked merely
 lossy.  Now the network counts ``rejected_bandwidth`` (the one counter:
 the engine keeps no copy), per-round metrics carry
@@ -52,19 +52,28 @@ class TestRejectionAccounting:
         )
 
     def test_rejections_are_counted_once_by_the_network(self):
-        from repro.sim.engine import SimulationEngine
+        from repro.sim.engine import Process, SimulationEngine
         from repro.sim.network import LossyNetwork
         from repro.sim.rng import RngRegistry
+        from repro.sim.trace import Tracer
+
+        class Burst(Process):
+            def on_round(self, ctx):
+                for dest in (1, 2, 3):
+                    assert ctx.send(dest, "x") is None  # fire-and-forget
+                ctx.terminate()
 
         network = LossyNetwork(ucastl=0.0, max_sends_per_round=1)
-        engine = SimulationEngine(network, rngs=RngRegistry(seed=0))
-        submitted = [
-            engine._submit(0, 1, "a", 1),
-            engine._submit(0, 2, "b", 1),
-            engine._submit(0, 3, "c", 1),
-        ]
-        assert submitted == [True, False, False]
+        tracer = Tracer()
+        engine = SimulationEngine(network, rngs=RngRegistry(seed=0),
+                                  tracer=tracer)
+        engine.add_processes([Burst(0)])
+        engine.run()
         assert network.stats.rejected_bandwidth == 2
+        assert [(e.kind, e.peer) for e in tracer.of_kind("send")] == [
+            ("send", 1)
+        ]
+        assert [e.peer for e in tracer.of_kind("send_rejected")] == [2, 3]
         assert not hasattr(engine.stats, "sends_rejected")
 
 

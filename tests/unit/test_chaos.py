@@ -17,8 +17,8 @@ from repro.chaos import (
     campaign_names,
     get_campaign,
 )
-from repro.sim.network import Message
 from repro.sim.rng import RngRegistry
+from tests.planning import loss_of, plan_one
 
 
 def _rng(seed=0):
@@ -135,42 +135,34 @@ class TestCompile:
 
 
 class TestChaosNetwork:
-    def _message(self, src=0, dest=1):
-        return Message(src=src, dest=dest, payload="x", sent_round=0)
-
     def test_base_loss_validated(self):
         with pytest.raises(ValueError):
             ChaosNetwork(base_loss=1.5)
 
-    def test_heap_scheduling_forced(self):
-        assert ChaosNetwork(base_loss=0.0).fixed_latency is None
-
     def test_loss_tracks_current_state(self):
         network = ChaosNetwork(base_loss=0.1)
-        assert network.loss_probability(self._message()) == 0.1
+        assert loss_of(network, 0, 1) == 0.1
         network.current_loss = 0.7
-        assert network.loss_probability(self._message()) == 0.7
+        assert loss_of(network, 0, 1) == 0.7
 
     def test_partition_raises_cross_side_loss(self):
         network = ChaosNetwork(base_loss=0.1)
         network.partition = (2, 0.9)
-        crossing = self._message(src=0, dest=1)    # 0 % 2 != 1 % 2
-        same_side = self._message(src=0, dest=2)
-        assert network.loss_probability(crossing) == 0.9
-        assert network.loss_probability(same_side) == 0.1
+        assert loss_of(network, 0, 1) == 0.9  # 0 % 2 != 1 % 2: crossing
+        assert loss_of(network, 0, 2) == 0.1  # same side
 
     def test_latency_adds_current_extra(self):
         network = ChaosNetwork(base_loss=0.0)
         rngs = RngRegistry(0)
-        assert network.plan_delivery(self._message(), rngs) == 1
+        assert plan_one(network, rngs) == 1
         network.current_extra_latency = 3
-        assert network.plan_delivery(self._message(), rngs) == 4
+        assert plan_one(network, rngs) == 4
 
     def test_partition_boundary_drops_counted(self):
         network = ChaosNetwork(base_loss=0.0)
         network.partition = (2, 1.0)
         rngs = RngRegistry(0)
-        assert network.plan_delivery(self._message(0, 1), rngs) is None
+        assert plan_one(network, rngs, 0, 1) is None
         assert network.stats.dropped_cross_partition == 1
 
 
@@ -284,3 +276,24 @@ class TestInstallGuards:
         )
         with pytest.raises(ValueError, match="network"):
             compiled.install(engine)
+
+    def test_install_sets_the_planner_as_send_tap(self):
+        from repro.sim.engine import SimulationEngine
+
+        boxes = [(0, 1), (2, 3)]
+        compiled = get_campaign("tamper-forge").compile(
+            horizon=10, box_groups=boxes
+        )
+        engine = SimulationEngine(
+            network=compiled.network, failure_model=compiled.failure_model,
+            rngs=RngRegistry(0), max_rounds=5,
+        )
+        compiled.install(engine)
+        assert engine.send_tap == compiled.planner.observe
+        plain = get_campaign("loss-burst").compile(horizon=10)
+        engine = SimulationEngine(
+            network=plain.network, failure_model=plain.failure_model,
+            rngs=RngRegistry(0), max_rounds=5,
+        )
+        plain.install(engine)
+        assert engine.send_tap is None

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.gridbox import GridAssignment, GridBoxHierarchy
 from repro.core.hashing import CidrHash
-from repro.sim.network import Message
 from repro.sim.rng import RngRegistry
 from repro.topology.internet import DomainNetwork, InternetGroup
+from tests.planning import loss_of, plan_one
 
 
 class TestCidrHash:
@@ -89,21 +89,16 @@ class TestDomainNetwork:
         network = DomainNetwork(
             group, lan_loss=0.0, site_loss=0.5, wan_loss=1.0
         )
-        same_lan = Message(group.addresses[0], group.addresses[1], "x")
-        cross_site = Message(group.addresses[0], group.addresses[4], "x")
-        assert network.loss_probability(same_lan) == 0.0
-        assert network.loss_probability(cross_site) == 1.0
+        addresses = group.addresses
+        assert loss_of(network, addresses[0], addresses[1]) == 0.0  # LAN
+        assert loss_of(network, addresses[0], addresses[4]) == 1.0  # WAN
 
     def test_wan_counter(self):
         group = self._group()
         network = DomainNetwork(group)
         rngs = RngRegistry(0)
-        network.plan_delivery(
-            Message(group.addresses[0], group.addresses[4], "x"), rngs
-        )
-        network.plan_delivery(
-            Message(group.addresses[0], group.addresses[1], "x"), rngs
-        )
+        plan_one(network, rngs, group.addresses[0], group.addresses[4])
+        plan_one(network, rngs, group.addresses[0], group.addresses[1])
         assert network.wan_messages == 1
 
     def test_wan_latency_slower(self):
@@ -111,14 +106,8 @@ class TestDomainNetwork:
         network = DomainNetwork(group, wan_latency=5, lan_loss=0.0,
                                 wan_loss=0.0)
         rngs = RngRegistry(0)
-        lan = network.plan_delivery(
-            Message(group.addresses[0], group.addresses[1], "x",
-                    sent_round=0), rngs
-        )
-        wan = network.plan_delivery(
-            Message(group.addresses[0], group.addresses[4], "x",
-                    sent_round=0), rngs
-        )
+        lan = plan_one(network, rngs, group.addresses[0], group.addresses[1])
+        wan = plan_one(network, rngs, group.addresses[0], group.addresses[4])
         assert lan == 1
         assert wan == 5
 

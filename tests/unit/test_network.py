@@ -2,62 +2,65 @@
 
 import pytest
 
+from repro.sim.engine import Process, SimulationEngine
 from repro.sim.network import (
     LossyNetwork,
-    Message,
     MessageTooLarge,
     Network,
     PartitionedNetwork,
     TopologyNetwork,
 )
 from repro.sim.rng import RngRegistry
-
-
-def _send(network, rngs, src=0, dest=1, size=1, sent_round=0):
-    return network.plan_delivery(
-        Message(src=src, dest=dest, payload="x", size=size,
-                sent_round=sent_round),
-        rngs,
-    )
-
+from tests.planning import loss_of, plan_block, plan_one
 
 class TestBaseNetwork:
     def test_lossless_delivers_next_round(self):
         network = Network()
-        outcome = _send(network, RngRegistry(0), sent_round=5)
+        outcome = plan_one(network, RngRegistry(0), sent_round=5)
         assert outcome == 6
 
     def test_oversized_message_raises(self):
         network = Network(max_message_size=8)
         with pytest.raises(MessageTooLarge):
-            _send(network, RngRegistry(0), size=9)
+            plan_one(network, RngRegistry(0), size=9)
 
     def test_bandwidth_cap_rejects_excess(self):
         network = Network(max_sends_per_round=2)
-        rngs = RngRegistry(0)
-        assert _send(network, rngs) is not Network.REJECTED
-        assert _send(network, rngs) is not Network.REJECTED
-        assert _send(network, rngs) is Network.REJECTED
+        outcomes = plan_block(
+            network, RngRegistry(0), [(0, 1, 0), (0, 1, 1), (0, 1, 2)]
+        )
+        assert outcomes == [1, 1, None]
         assert network.stats.rejected_bandwidth == 1
+        assert network.stats.sent == 2
 
     def test_bandwidth_cap_is_per_sender(self):
         network = Network(max_sends_per_round=1)
-        rngs = RngRegistry(0)
-        assert _send(network, rngs, src=0) is not Network.REJECTED
-        assert _send(network, rngs, src=1) is not Network.REJECTED
+        outcomes = plan_block(network, RngRegistry(0), [(0, 2, 0), (1, 2, 0)])
+        assert outcomes == [1, 1]
+        assert network.stats.rejected_bandwidth == 0
 
     def test_bandwidth_resets_each_round(self):
+        # The engine numbers each sender's sends from 0 again at every
+        # round boundary: two sends a round under a cap of one lose
+        # exactly one a round.
+        class Pair(Process):
+            def on_round(self, ctx):
+                ctx.send(1 - self.node_id, "a")
+                ctx.send(1 - self.node_id, "b")
+                if ctx.round == 4:
+                    ctx.terminate()
+
         network = Network(max_sends_per_round=1)
-        rngs = RngRegistry(0)
-        _send(network, rngs)
-        network.begin_round(1)
-        assert _send(network, rngs, sent_round=1) is not Network.REJECTED
+        engine = SimulationEngine(network, rngs=RngRegistry(0))
+        engine.add_processes([Pair(0), Pair(1)])
+        engine.run()
+        assert network.stats.sent == network.stats.rejected_bandwidth == 10
 
     def test_stats_accumulate(self):
         network = Network()
         rngs = RngRegistry(0)
-        _send(network, rngs, size=4)
-        _send(network, rngs, size=6)
+        plan_one(network, rngs, size=4)
+        plan_one(network, rngs, size=6)
         assert network.stats.sent == 2
         assert network.stats.bytes_sent == 10
         assert network.stats.dropped == 0
@@ -72,19 +75,19 @@ class TestLossyNetwork:
         network = LossyNetwork(ucastl=0.0)
         rngs = RngRegistry(1)
         for __ in range(100):
-            assert _send(network, rngs) is not None
+            assert plan_one(network, rngs) is not None
 
     def test_full_loss_always_drops(self):
         network = LossyNetwork(ucastl=1.0)
         rngs = RngRegistry(1)
         for __ in range(50):
-            assert _send(network, rngs) is None
+            assert plan_one(network, rngs) is None
         assert network.stats.dropped == 50
 
     def test_loss_rate_statistics(self):
         network = LossyNetwork(ucastl=0.3)
         rngs = RngRegistry(2)
-        outcomes = [_send(network, rngs) for __ in range(20_000)]
+        outcomes = [plan_one(network, rngs) for __ in range(20_000)]
         dropped = sum(1 for outcome in outcomes if outcome is None)
         assert 0.27 < dropped / 20_000 < 0.33
 
@@ -100,8 +103,8 @@ class TestPartitionedNetwork:
     def test_cross_partition_uses_partl(self):
         network = self._network(partl=1.0, ucastl=0.0)
         rngs = RngRegistry(0)
-        assert _send(network, rngs, src=1, dest=2) is not None  # same side
-        assert _send(network, rngs, src=1, dest=15) is None     # crossing
+        assert plan_one(network, rngs, src=1, dest=2) is not None  # same side
+        assert plan_one(network, rngs, src=1, dest=15) is None     # crossing
         assert network.stats.dropped_cross_partition == 1
 
     def test_mapping_accepted(self):
@@ -109,7 +112,7 @@ class TestPartitionedNetwork:
             partition_of={0: 0, 1: 1}, partl=1.0, ucastl=0.0
         )
         rngs = RngRegistry(0)
-        assert _send(network, rngs, src=0, dest=1) is None
+        assert plan_one(network, rngs, src=0, dest=1) is None
 
     def test_partl_validated(self):
         with pytest.raises(ValueError):
@@ -120,7 +123,7 @@ class TestPartitionedNetwork:
         rngs = RngRegistry(3)
         drops = sum(
             1 for __ in range(10_000)
-            if _send(network, rngs, src=0, dest=11) is None
+            if plan_one(network, rngs, src=0, dest=11) is None
         )
         assert 0.56 < drops / 10_000 < 0.64
 
@@ -144,33 +147,33 @@ class TestPartitionHealing:
         for round_number in range(100):
             network.begin_round(round_number)
         assert not network.healed
-        assert _send(network, rngs, src=0, dest=11) is None
+        assert plan_one(network, rngs, src=0, dest=11) is None
 
     def test_partition_drops_until_heal_round(self):
         network = self._network(heal_at=5)
         rngs = RngRegistry(0)
         network.begin_round(4)
         assert not network.healed
-        assert _send(network, rngs, src=0, dest=11, sent_round=4) is None
+        assert plan_one(network, rngs, src=0, dest=11, sent_round=4) is None
         network.begin_round(5)
         assert network.healed
-        assert _send(network, rngs, src=0, dest=11, sent_round=5) == 6
+        assert plan_one(network, rngs, src=0, dest=11, sent_round=5) == 6
 
     def test_heal_is_permanent(self):
         network = self._network(heal_at=3)
         rngs = RngRegistry(0)
         for round_number in range(6):
             network.begin_round(round_number)
-        assert _send(network, rngs, src=0, dest=11, sent_round=5) == 6
+        assert plan_one(network, rngs, src=0, dest=11, sent_round=5) == 6
 
     def test_boundary_drop_counter_stops_at_heal(self):
         network = self._network(heal_at=2)
         rngs = RngRegistry(0)
         network.begin_round(0)
-        assert _send(network, rngs, src=0, dest=11, sent_round=0) is None
+        assert plan_one(network, rngs, src=0, dest=11, sent_round=0) is None
         assert network.stats.dropped_cross_partition == 1
         network.begin_round(2)
-        _send(network, rngs, src=0, dest=11, sent_round=2)
+        plan_one(network, rngs, src=0, dest=11, sent_round=2)
         assert network.stats.dropped_cross_partition == 1
 
 
@@ -182,27 +185,22 @@ class TestTopologyNetwork:
     def test_latency_tracks_hops(self):
         network = TopologyNetwork(hops=self._hops, hop_loss=0.0)
         rngs = RngRegistry(0)
-        assert _send(network, rngs, src=0, dest=1, sent_round=0) == 1
-        assert _send(network, rngs, src=0, dest=2, sent_round=0) == 3
+        assert plan_one(network, rngs, src=0, dest=1, sent_round=0) == 1
+        assert plan_one(network, rngs, src=0, dest=2, sent_round=0) == 3
 
     def test_unroutable_always_lost(self):
         network = TopologyNetwork(hops=self._hops, hop_loss=0.0)
         rngs = RngRegistry(0)
-        assert _send(network, rngs, src=0, dest=9) is None
+        assert plan_one(network, rngs, src=0, dest=9) is None
 
     def test_loss_compounds_with_hops(self):
         network = TopologyNetwork(hops=self._hops, hop_loss=0.2)
-        one_hop = Message(src=0, dest=1, payload="x")
-        three_hops = Message(src=0, dest=2, payload="x")
-        assert network.loss_probability(one_hop) == pytest.approx(0.2)
-        assert network.loss_probability(three_hops) == pytest.approx(
-            1 - 0.8**3
-        )
+        assert loss_of(network, 0, 1) == pytest.approx(0.2)
+        assert loss_of(network, 0, 2) == pytest.approx(1 - 0.8**3)
 
     def test_self_message_is_free(self):
         network = TopologyNetwork(hops=self._hops, hop_loss=0.9)
-        message = Message(src=5, dest=5, payload="x")
-        assert network.loss_probability(message) == pytest.approx(0.0)
+        assert loss_of(network, 5, 5) == pytest.approx(0.0)
 
     def test_hop_loss_validated(self):
         with pytest.raises(ValueError):

@@ -94,7 +94,7 @@ class TestNetContextBehaviour:
         draw = node.ctx.rng_for("gossip").random()
         assert draw == expected.random()
 
-    def test_send_reports_accepted_and_terminate_is_idempotent(self):
+    def test_send_fire_and_forget_terminate_once(self):
         from repro.core.aggregates import AggregateState
         from repro.core.messages import GossipValue
 
@@ -106,11 +106,11 @@ class TestNetContextBehaviour:
             phase=1, key=1,
             state=AggregateState(payload=1.0, members=frozenset({1})),
         )
-        assert node.ctx.send(2, payload) is True
+        assert node.ctx.send(2, payload) is None
         assert sent == [("loopback", 2)]
-        # Unknown destination: the datagram is "lost on the wire" —
-        # fire-and-forget still reports acceptance.
-        assert node.ctx.send(3, payload) is True
+        # Unknown destination: the datagram is "lost on the wire",
+        # silently, as for any fire-and-forget send.
+        assert node.ctx.send(3, payload) is None
         assert len(sent) == 1
         node.ctx.terminate()
         node.ctx.terminate()

@@ -99,10 +99,8 @@ class TestAdHocNetwork:
             AdHocNetwork({0: (0.0, 0.0)}, radius=0.0)
 
     def test_plugs_into_topology_network(self):
-        from repro.sim.network import Message, TopologyNetwork
+        from repro.sim.network import TopologyNetwork
+        from tests.planning import loss_of
         adhoc = self._line_network()
         network = TopologyNetwork(hops=adhoc.hops, hop_loss=0.1)
-        message = Message(src=0, dest=4, payload="x")
-        assert network.loss_probability(message) == pytest.approx(
-            1 - 0.9**4
-        )
+        assert loss_of(network, 0, 4) == pytest.approx(1 - 0.9**4)
