@@ -46,7 +46,8 @@ chaos-adversarial-smoke: ## adversarial campaigns: detection, structural admissi
 	REPRO_SANITIZE=1 PYTHONPATH=src python -m pytest -x -q \
 		tests/integration/test_adversarial.py \
 		tests/unit/test_net_codec.py::TestNodeDropsBadFrames \
-		tests/integration/test_engine_equivalence.py::test_forged_keys_are_refused_on_both_engines
+		tests/integration/test_engine_equivalence.py::test_forged_keys_are_refused_by_the_receiver \
+		tests/integration/test_engine_equivalence.py::test_runner_routes_adversarial_campaigns_to_the_object_engine
 	PYTHONPATH=src python -m repro chaos --matrix \
 		--campaign tamper-forge --campaign tamper-replay \
 		--campaign sybil-storm --campaign region-outage \

@@ -597,7 +597,7 @@ def bench_n1m_smoke() -> dict:
     network = runner_mod._make_network(config)
     failure_model = runner_mod._make_failures(config)
     engine = runner_mod._make_engine(
-        config, None, processes, network, failure_model, rngs, max_rounds
+        config, None, network, failure_model, rngs, max_rounds
     )
     engine.add_processes(processes)
     build_seconds = time.perf_counter() - start

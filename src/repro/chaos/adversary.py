@@ -10,14 +10,14 @@ tamper window it crafts messages from the archive (corrupted payloads,
 re-keyed duplicates, stale replays) and at a Sybil storm it mints fake
 identities, runs them through the proof-of-work gate, and has the
 survivors spam contributions.  Crafted messages enter the engine through
-:meth:`repro.sim.network.Network.inject` so both engines deliver them at
-the head of the next round, before that round's genuine traffic.
+:meth:`repro.sim.network.Network.inject`, which delivers them at the
+head of the next round, before that round's genuine traffic.  Both hooks
+need single messages, so adversarial runs take the object engine (the
+array engine refuses a send tap and injections).
 
 Determinism: all sampling comes from the run's seeded ``adversary``
-stream, the archive is filled in send order (identical in both engines —
-with a tap set, the array engine builds its send blocks into
-messages), and proof-of-work admission is a pure
-hash function.  The planner also keeps the *ground truth* the detection
+stream, the archive is filled in send order, and proof-of-work admission
+is a pure hash function.  The planner also keeps the *ground truth* the detection
 oracle is scored against: every planted state is registered, and
 :mod:`repro.sanitize` reports back which planted states reached a merge
 path and which were caught, yielding the per-campaign detection rate.

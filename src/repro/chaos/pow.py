@@ -9,7 +9,7 @@ identity supply becomes linear in compute instead of free.
 The gate here is deliberately simulator-shaped: the "work" is a bounded
 nonce search (``budget`` attempts), so admission is a *deterministic
 pure function* of ``(identity, bits, salt)`` — no RNG streams involved,
-no wall clock, and identical across the object and array engines.  The
+no wall clock.  The
 expected admitted fraction is ``1 - (1 - 2**-bits)**budget``; with the
 defaults (``bits=4``, ``budget=64``) roughly 98% of identities clear the
 gate, and every extra bit halves the per-nonce success probability.

@@ -391,6 +391,7 @@ def _run_single(args: argparse.Namespace) -> int:
 
 def _run_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import CAMPAIGNS, campaign_names
+    from repro.experiments.params import ConfigError
     from repro.experiments.robustness import robustness_matrix
 
     if args.list_campaigns:
@@ -400,6 +401,11 @@ def _run_chaos(args: argparse.Namespace) -> int:
     campaigns = tuple(args.campaign) if args.campaign else None
     if args.matrix:
         return _run_chaos_matrix(args, campaigns)
+    if args.protocol:
+        raise ConfigError(
+            "--protocol needs --matrix; the campaign sweep runs "
+            "hierarchical_gossip"
+        )
     report = robustness_matrix(
         campaigns=campaigns,
         ns=tuple(args.n) if args.n else (64, 256),
@@ -434,11 +440,23 @@ def _run_chaos(args: argparse.Namespace) -> int:
 def _run_chaos_matrix(
     args: argparse.Namespace, campaigns: tuple[str, ...] | None
 ) -> int:
+    from repro.experiments.params import ConfigError
     from repro.experiments.robustness import (
         MATRIX_PROTOCOLS,
         robustness_comparison,
     )
 
+    # The matrix runs one (N, K, fanout) point with the paper protocol.
+    for flag, values in (("--n", args.n), ("--k", args.k),
+                         ("--fanout", args.fanout)):
+        if values and len(values) > 1:
+            raise ConfigError(f"--matrix runs one point; got {flag} "
+                              f"{len(values)} times")
+    for flag, given in (("--adaptive", args.adaptive),
+                        ("--retransmit", args.retransmit),
+                        ("--assert-bound", args.assert_bound)):
+        if given:
+            raise ConfigError(f"{flag} does not apply to --matrix")
     matrix = robustness_comparison(
         campaigns=campaigns,
         protocols=(

@@ -19,12 +19,17 @@ phase (Section 6.3) — and a row is exactly that:
   new key goes last; every arrival counts toward ``_phase_received``; a
   push-pull answer is the row before its wave).  A future-phase arrival
   goes to a columnar buffer — (row, phase, slot, state id) per entry.
-  A scalar arrival (an injection, or any message of an adversarial
-  run, whose send tap and screen are set) is admitted entry by entry
-  (:meth:`~HierarchicalArrayStepper.receive`).
+  Every arrival comes in a chunk: the stepper has no per-message
+  admission, so it screens nothing (adversarial runs take the object
+  engine).
 * **Payloads** (:class:`RowSnapshots`) — a send block carries sender
   row snapshots; a row over the batch cap sends a Floyd subset drawn
-  after its target draws.
+  after its target draws.  Single-value gossip (``batch_values=False``)
+  sends a one-entry row per sender — or per gossipee under
+  ``independent_values`` — holding the value at an insertion-order
+  position drawn after the targets, as ``_gossip`` draws it; such a row
+  stands for a ``GossipValue`` (``2·ID_SIZE`` plus the state on the
+  wire) and never asks for a push-pull answer.
 * **Advance** (step II(b), :meth:`~HierarchicalArrayStepper._advance`)
   — the process's bump-up rule in columns: a row bumps early when
   complete outside the final phase, else at its timeout or the final
@@ -53,8 +58,8 @@ before the compose, the composition and the phase clock after
 
 **Bit-identity argument.**  Per-member gossip streams are independent,
 so batching target draws across members never changes any member's
-values; within a member, targets are drawn before batch-subset doubles,
-as the object engine does.  The stepper claims the streams and keeps
+values; within a member, targets are drawn before batch-subset or value
+doubles, as the object engine does.  The stepper claims the streams and keeps
 them as PCG64 columns (``SamplerBank``), which serve the doubles the
 process's own ``Generator`` would.  Sends are assembled in row order
 with picks in draw order, so the shared loss stream is consumed in the
@@ -72,9 +77,10 @@ row's in cascade order — the object engine's order.  The cross-engine
 suite pins this; ``tests/property/test_columnar_advance.py`` ties the
 advance to the process's own.
 
-Supported configurations (:meth:`bind`, :func:`unsupported_reason`):
-batch-mode hierarchical gossip, with any network, failure model, chaos
-campaign, view, start wave, hardening knob or (shared) phase sink.
+Supported configurations: hierarchical gossip with any
+``GossipParams``, network, failure model, view, start wave or (shared)
+phase sink, and every chaos campaign that neither taps sends nor
+injects messages (the engine refuses both).
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ from repro.core.hierarchical_gossip import (
     is_representative,
 )
 from repro.core.intervals import IntervalMask
-from repro.core.messages import ID_SIZE, GossipBatch, GossipValue
+from repro.core.messages import ID_SIZE
 from repro.core.observe import (
     BUMP_UP_TIMEOUT,
     FINALIZE,
@@ -115,14 +121,7 @@ _NO_SELF = np.iinfo(np.int64).max
 
 
 def unsupported_reason(params: GossipParams) -> str | None:
-    """Why these protocol params cannot run on the array stepper.
-
-    ``None`` means supported.  The one unsupported knob changes what
-    happens *inside* the round step in a way the batched path does not
-    replicate: single-value gossip draws per-destination values.
-    """
-    if not params.batch_values:
-        return "single-value gossip (batch_values=False)"
+    """``None``: the stepper runs every ``GossipParams``."""
     return None
 
 
@@ -170,24 +169,23 @@ def _starts(rows: np.ndarray) -> np.ndarray:
 class RowSnapshots:
     """The payload table of one send block: row ``i`` is one payload.
 
-    A row is a member's current-phase ``known`` when the block was
-    built: its ``phase``, the key ``base`` its slots count from, the
-    first ``length`` of ``(slots, sids)`` (the entries in insertion
-    order; padding is state 0) and the wire size.  ``owner[i]`` is the
-    member row it came from; ``reply`` marks a table of push-pull
-    answers.  :meth:`payloads` returns rows as payload objects, each
-    built from its snapshot on first use.
+    A row is (part of) a member's current-phase ``known`` when the
+    block was built: its ``phase``, the key ``base`` its slots count
+    from, the first ``length`` of ``(slots, sids)`` (the entries in
+    insertion order; padding is state 0) and the wire size.
+    ``owner[i]`` is the member row it came from; ``asks`` marks a table
+    of push-pull requests (pushed batches: never answers or single
+    values).
     """
 
     __slots__ = (
-        "_stepper", "reply", "owner", "phase", "base", "length", "slots",
-        "sids", "sizes", "_objects", "__weakref__",
+        "asks", "owner", "phase", "base", "length", "slots", "sids",
+        "sizes", "__weakref__",
     )
 
-    def __init__(self, stepper, reply, owner, phase, base, length, slots,
-                 sids, sizes):
-        self._stepper = stepper
-        self.reply = reply
+    def __init__(self, asks, owner, phase, base, length, slots, sids,
+                 sizes):
+        self.asks = asks
         self.owner = owner
         self.phase = phase
         self.base = base
@@ -195,15 +193,6 @@ class RowSnapshots:
         self.slots = slots
         self.sids = sids
         self.sizes = sizes
-        self._objects: dict[int, GossipBatch] = {}
-
-    def payloads(self, rows: list[int]) -> list[GossipBatch]:
-        """These rows as ``GossipBatch`` objects (memoized per table)."""
-        objects = self._objects
-        missing = [row for row in dict.fromkeys(rows) if row not in objects]
-        if missing:
-            objects.update(zip(missing, self._stepper._batches(self, missing)))
-        return [objects[row] for row in rows]
 
 
 class HierarchicalArrayStepper:
@@ -226,9 +215,6 @@ class HierarchicalArrayStepper:
                     f"members, got {type(proc).__name__}"
                 )
         first = procs[0]
-        reason = unsupported_reason(first.params)
-        if reason is not None:
-            raise ValueError(f"array engine unsupported: {reason}")
         for proc in procs:
             if (
                 proc.params is not first.params
@@ -257,6 +243,8 @@ class HierarchicalArrayStepper:
         self._fanout = params.fanout_m
         self._prefer = params.prefer_coverage
         self._push_pull = params.push_pull
+        self._batch = params.batch_values
+        self._independent = params.independent_values
         self._early_bump = params.early_bump
         self._rpp = first.rounds_per_phase
         self._num_phases = first.num_phases
@@ -416,7 +404,7 @@ class HierarchicalArrayStepper:
 
     def _table(self, *columns, **kwargs) -> RowSnapshots:
         """A new payload table, tracked until the engine drops it."""
-        table = RowSnapshots(self, *columns, **kwargs)
+        table = RowSnapshots(*columns, **kwargs)
         self._tables.append(weakref.ref(table))
         return table
 
@@ -464,12 +452,6 @@ class HierarchicalArrayStepper:
         """The slot of a placed ``key`` in a row of this phase and base
         (admission placed it in the row's box or subtree)."""
         return (self._rank_of(key) if phase == 1 else key[1]) - base
-
-    def _base_of(self, row: int, phase: int) -> int:
-        """The key base of ``row``'s phase-``phase`` slots."""
-        if phase == 1:
-            return int(self._box_start[row])
-        return int(self._box[row]) // self._k ** (phase - 1) * self._k
 
     def _new_groups(self, count: int) -> int:
         """The first of ``count`` fresh completion groups."""
@@ -552,24 +534,6 @@ class HierarchicalArrayStepper:
                     for member in self._ids[at].tolist()
                 ]
 
-    def _batches(self, table: RowSnapshots, rows: list[int]) -> list:
-        """Snapshot rows as the payload objects they stand for."""
-        index = np.asarray(rows, dtype=np.int64)
-        states = self._states
-        reply = table.reply
-        built = []
-        for count, phase, base, slot_row, sid_row in zip(
-            table.length[index].tolist(), table.phase[index].tolist(),
-            table.base[index].tolist(), table.slots[index].tolist(),
-            table.sids[index].tolist(),
-        ):
-            keys = self._keys(phase, base)
-            built.append(GossipBatch(phase, tuple(
-                (keys[slot], states[sid])
-                for slot, sid in zip(slot_row[:count], sid_row[:count])
-            ), reply=reply))
-        return built
-
     def _sizes(self, length: np.ndarray, sids: np.ndarray) -> np.ndarray:
         """``GossipBatch.wire_size`` of snapshot rows (padding is 0)."""
         return ID_SIZE * (1 + length) + self._ssize[sids].sum(axis=1)
@@ -605,29 +569,6 @@ class HierarchicalArrayStepper:
         self._future_used = len(kept)
         np.subtract.at(self._future_count, taken[:, 0], 1)
         return taken.T
-
-    def _values(self, row: int, phase: int, base: int) -> dict:
-        """What ``row`` holds for ``phase`` as ``absorb_payloads`` keeps
-        it — key -> state: its values in insertion order, or for a
-        future phase what its buffered entries resolve to (the drain's
-        rule, :meth:`_takes` in arrival order)."""
-        keys = self._keys(phase, base)
-        if phase == self._phase[row]:
-            slots = self._order[row, :self._held[row]].tolist()
-            return {
-                keys[slot]: self._states[sid]
-                for slot, sid in zip(slots, self._sid[row, slots].tolist())
-            }
-        resolved: dict = {}
-        if not self._future_count[row]:
-            return resolved
-        log = self._future[:self._future_used]
-        chosen = (log[:, 0] == row) & (log[:, 1] == phase)
-        for slot, sid in log[chosen, 2:].tolist():
-            state = self._states[sid]
-            if self._takes(state, resolved.get(keys[slot])):
-                resolved[keys[slot]] = state
-        return resolved
 
     def _drain(self, rows: np.ndarray) -> None:
         """Admit the buffered entries of the phase ``rows`` just entered,
@@ -679,7 +620,7 @@ class HierarchicalArrayStepper:
         if not len(same):
             return None
         # ``(asked, rows, lengths, slots, sids)`` per wave that pulled.
-        pulled = [] if self._push_pull and not table.reply else None
+        pulled = [] if self._push_pull and table.asks else None
         arrived = table_rows[same]
         self._waves(
             rows[same], table.slots[arrived], table.sids[arrived],
@@ -694,83 +635,10 @@ class HierarchicalArrayStepper:
         rows = rows[by_arrival]
         length, sids = length[by_arrival], sids[by_arrival]
         answers = self._table(
-            True, rows, self._phase[rows], self._base[rows], length,
+            False, rows, self._phase[rows], self._base[rows], length,
             slots[by_arrival], sids, self._sizes(length, sids),
         )
         return asked[by_arrival], rows, answers
-
-    def receive(self, engine, row: int, payload):
-        """Admit one scalar arrival into ``row``; returns its push-pull
-        answer, or None.
-
-        ``absorb_payloads``' rule, entry by entry, over what the row holds
-        for the payload's phase (:meth:`_values`): an identical value is
-        skipped, then come the screen, the take rule and the process's
-        ``_placed``, which counts a refusal in ``refused``.  A request is
-        answered with the row as it stands before the payload.
-        """
-        if not self._ready:
-            self._begin()
-        if isinstance(payload, GossipBatch):
-            entries, request = payload.entries, not payload.reply
-        elif isinstance(payload, GossipValue):
-            entries, request = ((payload.key, payload.state),), False
-        else:
-            return None
-        phase, answer = payload.phase, None
-        row_phase = self._phase[row]
-        if engine.terminated_rows[row] or phase < row_phase:
-            return None
-        values: dict = {}
-        if phase <= self._num_phases:  # no key is placed past the last
-            base = self._base_of(row, phase)
-            values = self._values(row, phase, base)
-        if phase == row_phase:
-            self._recv[row] += 1
-            if self._push_pull and request:
-                answer = GossipBatch(
-                    phase, tuple(values.items())[:self._k], reply=True
-                )
-        proc = self._procs[row]
-        screen = sanitize.SCREEN
-        stored = []
-        for key, state in entries:
-            current = values.get(key)
-            if current is state:
-                continue
-            if screen is not None and not screen(
-                proc, engine.round, phase, key, state
-            ):
-                continue  # quarantined
-            if not self._takes(state, current):
-                continue
-            if not proc._placed(phase, key, state):
-                proc.refused += 1
-                continue
-            values[key] = state
-            stored.append((self._slot_of(phase, base, key), state))
-        if not stored:
-            return answer
-        slots, states = zip(*stored)
-        sids = self._register(list(states))
-        if phase > row_phase:
-            self._buffer(np.full(len(sids), row), np.full(len(sids), phase),
-                         slots, sids)
-            return answer
-        for slot, sid in zip(slots, sids):
-            if not self._sid[row, slot]:  # a new key goes last
-                self._order[row, self._held[row]] = slot
-                self._held[row] += 1
-            self._sid[row, slot] = sid
-        self._touched[row] = True
-        return answer
-
-    def _takes(self, state: AggregateState, current) -> bool:
-        """The take rule: a key not held, or — under
-        ``prefer_coverage`` — strictly more coverage than ``current``."""
-        return current is None or (
-            self._prefer and state.members.count > current.members.count
-        )
 
     def _waves(self, rows, slots, sids, length, asked=None,
                pulled=None) -> None:
@@ -878,17 +746,20 @@ class HierarchicalArrayStepper:
                 rows, ~drawing & (counts == count), int(count),
                 pool_sizes, offsets, dest_flat, draw=False,
             )
-        # Snapshots draw over-cap subsets *after* the target draws —
-        # the object engine's order within a member's stream.
-        table = self._snapshot(rows)
+        # Payloads draw over-cap subsets or values *after* the target
+        # draws — the object engine's order within a member's stream.
         sender = np.repeat(np.arange(len(rows)), counts)
+        if self._batch:
+            table, carried = self._snapshot(rows), sender
+        else:
+            table, carried = self._singles(rows, counts, sender)
         engine.window_sends[rows] = counts
         engine.submit_block(
             engine.row_ids[rows][sender],
             dest_flat,
-            table.sizes[sender],
+            table.sizes[carried],
             np.arange(total) - offsets[sender],
-            sender,
+            carried,
             table,
         )
 
@@ -1146,9 +1017,35 @@ class HierarchicalArrayStepper:
         sids = self._sid[rows[:, None], slots]
         sids[np.arange(cols) >= length[:, None]] = 0
         return self._table(
-            False, rows, self._phase[rows], self._base[rows], length,
+            True, rows, self._phase[rows], self._base[rows], length,
             slots, sids, self._sizes(length, sids),
         )
+
+    def _singles(self, rows: np.ndarray, counts: np.ndarray,
+                 sender: np.ndarray) -> tuple:
+        """Single-value gossip's table and the row each send carries: one
+        held value per sender, or per gossipee under
+        ``independent_values`` — at the insertion-order position its
+        next double picks (``_gossip``'s ``sampler.index``)."""
+        if self._independent:
+            owner, carried = rows[sender], np.arange(len(sender))
+            draws = np.empty(len(sender))
+            for count in np.unique(counts).tolist():
+                chosen = counts == count
+                draws[chosen[sender]] = self._bank.draw_matrix(
+                    rows[chosen], count
+                ).reshape(-1)
+        else:
+            owner, carried = rows, sender
+            draws = self._bank.draw_matrix(rows, 1)[:, 0]
+        position = (draws * self._held[owner]).astype(np.int64)
+        slots = self._order[owner, position]
+        sids = self._sid[owner, slots]
+        return self._table(
+            False, owner, self._phase[owner], self._base[owner],
+            np.ones(len(owner), dtype=np.int64), slots[:, None],
+            sids[:, None], 2 * ID_SIZE + self._ssize[sids].astype(np.int64),
+        ), carried
 
     def _pick_targets(
         self,

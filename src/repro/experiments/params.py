@@ -13,7 +13,7 @@ incompleteness = 1 - completeness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.core.aggregates import get_aggregate
 from repro.core.hierarchical_gossip import GossipParams
@@ -24,6 +24,16 @@ __all__ = ["ConfigError", "RunConfig", "PAPER_DEFAULTS", "with_params"]
 class ConfigError(ValueError):
     """A run was asked for with parameters no world can be built from
     (the CLI reports it as a usage error instead of a traceback)."""
+
+
+#: Knobs only hierarchical gossip reads.  ``fanout_m``,
+#: ``rounds_factor_c``, ``rounds_per_phase`` and ``adaptive_deadlines``
+#: are not among them: they size ``flat_gossip``'s round budget.
+_HIERARCHY_ONLY = (
+    "batch_values", "independent_values", "push_pull", "early_bump",
+    "prefer_coverage", "representative_fraction", "final_retransmit",
+    "start_spread", "view_size",
+)
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,14 @@ class RunConfig:
             raise ConfigError(
                 f"start_spread must be >= 0 rounds, got {self.start_spread}"
             )
+        if self.protocol != "hierarchical_gossip":
+            defaults = {field.name: field.default for field in fields(self)}
+            for name in _HIERARCHY_ONLY:
+                if getattr(self, name) != defaults[name]:
+                    raise ConfigError(
+                        f"{name} applies only to hierarchical_gossip; "
+                        f"protocol {self.protocol!r} would ignore it"
+                    )
         try:
             get_aggregate(self.aggregate)
         except KeyError as error:

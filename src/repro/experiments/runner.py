@@ -248,30 +248,36 @@ def _box_groups(
 
 
 def _array_engine_reason(
-    config: RunConfig, telemetry: RunTelemetry | None, processes,
+    config: RunConfig, telemetry: RunTelemetry | None,
 ) -> str | None:
     """Why this run cannot use the array-stepped engine (None = it can).
 
-    The array engine is bit-identical to the object engine on supported
-    configurations (the cross-engine golden suite pins it), so the
-    choice never changes results — only speed.  The only telemetry
-    that matters here is a :class:`~repro.sim.trace.Tracer`: its stored
-    per-message events exist only under per-message dispatch.  Compact
-    telemetry, round metrics and phase sinks run on either engine.
+    The array engine runs hierarchical gossip under every
+    ``GossipParams`` and is bit-identical to the object engine there
+    (the cross-engine golden suite pins it), so the choice never
+    changes results — only speed.  It delivers blocks, never single
+    messages, so three kinds of run need per-message dispatch: another
+    protocol, a :class:`~repro.sim.trace.Tracer` that stores engine
+    events, and an adversarial campaign, whose tamper planner taps
+    every send and injects messages.  Compact telemetry, round metrics
+    and phase sinks run on either engine.
     """
     if config.protocol != "hierarchical_gossip":
         return f"protocol {config.protocol!r} has no array stepper"
     if telemetry is not None and telemetry.tracer is not None:
         return "a tracer that stores engine events needs per-message dispatch"
-    from repro.core.array_stepper import unsupported_reason
+    if config.campaign is not None:
+        from repro.chaos import get_campaign
 
-    return unsupported_reason(processes[0].params)
+        if get_campaign(config.campaign).adversarial:
+            return (f"adversarial campaign {config.campaign!r} taps sends "
+                    "and injects messages")
+    return None
 
 
 def _make_engine(
     config: RunConfig,
     telemetry: RunTelemetry | None,
-    processes,
     network,
     failure_model,
     rngs: RngRegistry,
@@ -286,7 +292,7 @@ def _make_engine(
         max_rounds=max_rounds,
         metrics=telemetry.metrics if telemetry is not None else None,
     )
-    if _array_engine_reason(config, telemetry, processes) is None:
+    if _array_engine_reason(config, telemetry) is None:
         from repro.core.array_stepper import HierarchicalArrayStepper
         from repro.sim.array_engine import ArraySteppedEngine
 
@@ -426,8 +432,7 @@ def _run_built(
             network = _make_network(config)
             failure_model = _make_failures(config)
         engine = _make_engine(
-            config, telemetry, processes, network, failure_model,
-            rngs, max_rounds,
+            config, telemetry, network, failure_model, rngs, max_rounds,
         )
         engine.add_processes(processes)
         if compiled is not None:

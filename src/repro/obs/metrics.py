@@ -14,8 +14,8 @@ Both substrates feed one vocabulary:
   :class:`MetricsPhaseSink` behind the protocol's ``phase_sink``
   (teed next to :class:`~repro.obs.phase.PhaseTrace` by
   :class:`~repro.obs.telemetry.RunTelemetry`), and
-  :func:`feed_run_record`/:func:`feed_round_samples`/
-  :func:`feed_summary` for end-of-run totals and round samples.  Feeding draws no randomness and mutates no
+  :func:`feed_run_record`/:func:`feed_round_samples` for end-of-run
+  totals and round samples.  Feeding draws no randomness and mutates no
   simulation state, so a registry-enabled run stays byte-identical to
   a disabled one (golden-tested, exactly like traced-vs-untraced);
 * the **live runtime** (:mod:`repro.net.node`) through a collector
@@ -63,7 +63,6 @@ __all__ = [
     "observe_phase_event",
     "observe_round",
     "feed_run_record",
-    "feed_summary",
 ]
 
 METRICS_SCHEMA = "repro-metrics/1"
@@ -573,25 +572,3 @@ def feed_round_samples(
     """Replay collected round samples into the per-round metrics."""
     for sample in samples:
         observe_round(registry, sample)
-
-
-def feed_summary(registry: MetricsRegistry, summary: Any) -> None:
-    """Fold a :class:`~repro.obs.telemetry.TelemetrySummary` in.
-
-    For summaries that crossed a worker boundary (``run_many`` with
-    ``collect_telemetry``) — the live :class:`MetricsPhaseSink` path
-    cannot see those runs.  Do not feed a run both ways: the phase
-    counters would double.
-    """
-    events = _phase_events(registry)
-    for kind in PHASE_EVENT_KINDS:
-        count = getattr(summary, kind, 0)
-        if count:
-            events.labels(kind).inc(count)
-    registry.counter(
-        "repro_sim_incomplete_finalizes_total",
-        "Finalize events with self-assessed coverage < 1",
-    ).inc(summary.incomplete_finalizes)
-    registry.counter(
-        "repro_summarized_runs_total", "Runs folded in via summaries"
-    ).inc(summary.runs)

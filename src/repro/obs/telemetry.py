@@ -109,9 +109,6 @@ class TelemetrySummary:
     def phase_timeout_map(self) -> dict[int, int]:
         return dict(self.phase_timeouts)
 
-    def phase_early_map(self) -> dict[int, int]:
-        return dict(self.phase_early)
-
     def to_record(self) -> dict:
         """JSON-ready dict (the ``summary`` record of ``repro-trace/1``)."""
         record = dataclasses.asdict(self)

@@ -27,7 +27,11 @@ place, so a sanitized run takes the unsanitized code path:
   phase+1`` only, mirroring the bump-up rule II(b).
 
 With an adversary registered the admission screen :data:`SCREEN` also
-inspects every arriving contribution and scores detections.
+inspects every arriving contribution and scores detections.  It runs
+only where arrivals are admitted one message at a time — the object
+engine's processes and the baselines: an adversarial campaign taps
+sends and injects messages, so the runner never puts it on the array
+engine, whose block admission has no screen.
 
 Enabled by ``REPRO_SANITIZE=1`` in the environment (read once at import)
 or :func:`enable`; the test suite turns it on by default (see

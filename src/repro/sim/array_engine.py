@@ -11,24 +11,17 @@ calling into one process object per member and message:
   as (member × destination) index blocks and hands them to
   :meth:`submit_block` with a *payload table* of sender row snapshots.
   :meth:`~repro.sim.network.Network.plan_delivery_block` plans it in
-  one vectorized loss/latency/bandwidth decision, right after whatever
-  the base engine's outbox holds, so the loss stream is consumed in
-  send order.
+  one vectorized loss/latency/bandwidth decision, so the loss stream
+  is consumed in send order.
 * **Deliveries** — a planned block is queued in the base engine's one
   message store as a record chunk per delivery round (destination ids,
-  table rows, table), in send order among the scalar messages the
-  store also holds (injections, answers to them).
+  table rows, table), in send order; the store holds nothing else.
   :meth:`_deliver_block` masks a chunk's dead receivers, groups the
   arrivals by receiver with a stable sort, and the stepper admits the
   chunk in *waves*: wave ``w`` takes the ``w``-th arrival of every
   receiver at once, so receivers are admitted side by side and each
   one's arrivals in arrival order — the order per-message dispatch
-  gives them.  A scalar arrival goes to the stepper one at a time
-  (:meth:`_receive`), which admits it into the receiver's row too.
-  When a send tap is set (an adversarial run, the only kind with an
-  admission screen armed), a block's rows are built into messages and
-  go through the base engine's outbox instead: the tap snoops each
-  payload, every arrival is scalar, and the screen sees each one.
+  gives them.
 * **Answers** — a receiver may answer an arrival (push-pull gossip).
   The stepper returns a chunk's answers as one more table; they are put
   back into the arrival order of their requests and sent as one more
@@ -37,15 +30,19 @@ calling into one process object per member and message:
   round's bucket order (answers before the step's sends) see the same
   sequence; under a bandwidth cap they count against the window the
   previous step's sends opened (``window_sends``), which closes only
-  after delivery.  A scalar arrival's answer is the receiver's next
-  send in that same window, through the base engine's outbox.
+  after delivery.
 
-**Equivalence contract** — for the protocol configurations the stepper
-accepts, a run on this engine is *bit-identical* to the object-stepped
-engine under the same seed: same RNG stream consumption (per-member
-gossip streams are independent, the shared loss stream is consumed in
-send order), same network stats, same protocol decisions, same phase
-events.  The cross-engine golden suite pins this.
+**Refusals** — a block is never a message, so whatever must see single
+messages runs on the object engine: this engine raises ``ValueError``
+on a tracer (at construction), on a send tap (when it is set) and on an
+injected message (when the round would queue it).  Nothing is silently
+untraced, untapped or dropped.
+
+**Equivalence contract** — every run this engine accepts is
+*bit-identical* to the object-stepped engine's under the same seed:
+same RNG stream consumption (per-member gossip streams are independent,
+the shared loss stream is consumed in send order), same network stats,
+same protocol decisions, same phase events.  The cross-engine golden suite pins this.
 
 The stepper contract::
 
@@ -54,13 +51,10 @@ The stepper contract::
     stepper.admit(engine, rows, table_rows, table)
         # one delivered chunk, grouped by receiver; returns None or
         # (asked, answering rows, answer table)
-    stepper.receive(engine, row, payload)
-        # one scalar arrival; returns None or its answer payload
 
-A payload table has ``sizes`` (wire size per row), ``owner`` (the
-member row each payload came from) and ``payloads(rows)`` (those rows
-as payload objects).  A *row* is a process's position in registration
-order (``row_procs``); ``row_ids[row]`` is its node id.
+A payload table has ``sizes`` (wire size per row) and ``owner`` (the
+member row each payload came from).  A *row* is a process's position
+in registration order (``row_procs``); ``row_ids[row]`` is its node id.
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ from typing import Any
 import numpy as np
 
 from repro.sim.engine import Process, SimulationEngine
-from repro.sim.network import Message
 
 __all__ = ["ArraySteppedEngine"]
 
@@ -81,9 +74,9 @@ class ArraySteppedEngine(SimulationEngine):
     ``stepper`` drives the per-round protocol step (sends + phase
     advances) and admission over all members at once; everything else —
     failure application, round bus, termination bookkeeping, ``run()``
-    — is the base engine's, round ``metrics`` included.  Tracing is
-    unsupported (the block paths do not emit per-message trace events);
-    attach a tracer to the object-stepped engine instead.
+    — is the base engine's, round ``metrics`` included.  A tracer, a
+    send tap and injected messages are refused (see the module
+    docstring); they need the object-stepped engine.
     """
 
     def __init__(self, stepper: Any, **kwargs):
@@ -102,6 +95,25 @@ class ArraySteppedEngine(SimulationEngine):
         self._dense_rows = False
         self._sorted_ids: np.ndarray | None = None
         self._id_order: np.ndarray | None = None
+
+    @property
+    def send_tap(self) -> None:
+        return None
+
+    @send_tap.setter
+    def send_tap(self, tap: object) -> None:
+        if tap is not None:
+            raise ValueError(
+                "ArraySteppedEngine sends blocks, not messages, and taps "
+                "none; use the object-stepped SimulationEngine"
+            )
+
+    def _drain_injected(self) -> None:
+        if self.network.take_injected():
+            raise ValueError(
+                "ArraySteppedEngine admits no injected messages; use the "
+                "object-stepped SimulationEngine"
+            )
 
     # -- row bookkeeping ------------------------------------------------
     def _bind(self) -> None:
@@ -167,26 +179,12 @@ class ArraySteppedEngine(SimulationEngine):
         """Plan one block of sends (in send order) and queue survivors.
 
         Message ``i`` carries row ``table_rows[i]`` of the payload
-        ``table``; senders fan one row out to many destinations.  A
+        ``table``; a sender may fan one row out to many destinations.  A
         table is never changed once submitted, so it is queued as it is
         whatever the delivery round.
         """
         if len(src_ids) == 0:
             return
-        if self.send_tap is not None:
-            # The tap snoops payload objects: build the rows into
-            # messages and send them through the outbox, in send order.
-            self._outbox.extend(
-                Message(src, dest, payload, size, self.round)
-                for src, dest, size, payload in zip(
-                    src_ids.tolist(), dest_ids.tolist(), sizes.tolist(),
-                    table.payloads(table_rows.tolist()),
-                )
-            )
-            self._slots.extend(slots.tolist())
-            self._flush()
-            return
-        self._flush()  # what the outbox holds was sent first
         delivered, rounds = self.network.plan_delivery_block(
             src_ids, dest_ids, sizes, slots, self.round, self.rngs
         )
@@ -200,18 +198,6 @@ class ArraySteppedEngine(SimulationEngine):
             self._enqueue(
                 delivery_round, (dest_ids[due], table_rows[due], table)
             )
-
-    def _receive(self, receiver: Process, message: Message) -> None:
-        # A scalar arrival is admitted on its own.  Its answer is the
-        # receiver's next attempt in the bandwidth window its sends
-        # opened, as a chunk's answers are, and goes out as a message —
-        # to a forged sender too: planned, then dropped by ``_dispatch``.
-        answer = self._stepper.receive(
-            self, self._rows[message.dest], message.payload
-        )
-        if answer is not None:
-            self._submit(message.dest, message.src, answer,
-                         answer.wire_size())
 
     def _answer(
         self, asked: np.ndarray, answering: np.ndarray, answers: Any,
@@ -248,11 +234,8 @@ class ArraySteppedEngine(SimulationEngine):
         )
 
     def _deliver_due(self) -> None:
-        for item in self._pending.pop(self.round, ()):
-            if isinstance(item, Message):
-                self._dispatch(item)
-            else:
-                self._deliver_block(*item)
+        for chunk in self._pending.pop(self.round, ()):
+            self._deliver_block(*chunk)
 
     def _deliver_block(
         self, dest_ids: np.ndarray, table_rows: np.ndarray, table: Any,

@@ -299,10 +299,6 @@ class SimulationEngine:
         self.stats.messages_delivered += 1
         if self.tracer is not None:
             self._trace("deliver", message.dest, message.src)
-        self._receive(receiver, message)
-
-    def _receive(self, receiver: Process, message: Message) -> None:
-        """Hand one arrived message to its live receiver."""
         self._ctx.current = receiver
         receiver.on_message(self._ctx, message)
         self._ctx.current = None

@@ -117,8 +117,9 @@ class Network:
         counted in ``stats.injected``, never in ``sent``, so protocol
         message-overhead measurements stay unpolluted.  The engine drains
         them each round via :meth:`take_injected` and delivers them at
-        ``delivery_round`` ahead of that round's genuine traffic — the
-        same relative order on both the object and array engines.
+        ``delivery_round`` ahead of that round's genuine traffic.  Only
+        the object engine delivers them: the array engine delivers
+        blocks and raises on an injected message.
         """
         self.stats.injected += 1
         self._injected.append((delivery_round, message))

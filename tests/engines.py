@@ -25,10 +25,10 @@ def forced(engine: str):
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     real = runner._array_engine_reason
 
-    def reason(config, telemetry, processes):
+    def reason(config, telemetry):
         if engine == "object":
             return "object engine forced"
-        found = real(config, telemetry, processes)
+        found = real(config, telemetry)
         assert found is None, f"array engine unsupported here: {found}"
         return None
 

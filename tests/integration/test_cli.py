@@ -142,6 +142,29 @@ class TestBadRunParameters:
         (["trace", "--pf", "-2"], "pf must be a probability, got -2.0"),
         (["chaos", "--campaign", "paper-iid", "--pf", "-1"],
          "pf must be a probability, got -1.0"),
+        # Flags the chosen mode would ignore.
+        (["run", "--protocol", "flood", "--single-value"],
+         "batch_values applies only to hierarchical_gossip"),
+        (["run", "--protocol", "flood", "--push-pull"],
+         "push_pull applies only to hierarchical_gossip"),
+        (["run", "--protocol", "flood", "--view-size", "8"],
+         "view_size applies only to hierarchical_gossip"),
+        (["run", "--protocol", "flood", "--start-spread", "3"],
+         "start_spread applies only to hierarchical_gossip"),
+        (["chaos", "--protocol", "flood", "--campaign", "paper-iid",
+          "--n", "32", "--runs", "1"], "--protocol needs --matrix"),
+        (["chaos", "--matrix", "--n", "32", "--n", "64", "--runs", "1"],
+         "got --n 2 times"),
+        (["chaos", "--matrix", "--k", "4", "--k", "8", "--runs", "1"],
+         "got --k 2 times"),
+        (["chaos", "--matrix", "--fanout", "2", "--fanout", "3",
+          "--runs", "1"], "got --fanout 2 times"),
+        (["chaos", "--matrix", "--adaptive", "--runs", "1"],
+         "--adaptive does not apply to --matrix"),
+        (["chaos", "--matrix", "--retransmit", "2", "--runs", "1"],
+         "--retransmit does not apply to --matrix"),
+        (["chaos", "--matrix", "--assert-bound", "--runs", "1"],
+         "--assert-bound does not apply to --matrix"),
     ])
     def test_reported_as_a_usage_error(self, argv, message, capsys):
         assert main(argv) == 2

@@ -6,7 +6,9 @@ object-stepped `SimulationEngine` on every configuration it accepts:
 same estimates, same per-member completeness, same network statistics,
 same phase events, same sanitizer outcomes — for every seed, chaos
 campaign and job count.  These tests pin that promise; any divergence
-is a bug in the array path, never an accepted drift.
+is a bug in the array path, never an accepted drift.  Adversarial
+campaigns tap sends and inject messages, which only the object engine
+delivers: their tests pin that the runner routes them there.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import campaign_names
+from repro.chaos import campaign_names, get_campaign
 from repro.core.aggregates import AGGREGATE_NAMES
 from repro.experiments.parallel import run_many
 from repro.experiments.params import with_params
@@ -27,23 +29,63 @@ from repro.obs.telemetry import RunTelemetry
 from tests.engines import ENGINES, forced
 
 
+def _summary(result):
+    """(repro-run/1 record, per-member maps) of one run."""
+    return (
+        run_result_record(result),
+        result.report.per_member,
+        result.report.per_member_initial,
+    )
+
+
 def _records(config):
-    """(repro-run/1 record, per-member maps) for both engines."""
+    """:func:`_summary` of ``config``'s run on both engines."""
     out = {}
     for engine in ENGINES:
         with forced(engine):
-            result = run_once(config)
-        out[engine] = (
-            run_result_record(result),
-            result.report.per_member,
-            result.report.per_member_initial,
-        )
+            out[engine] = _summary(run_once(config))
     return out
 
 
 def _assert_identical(config):
     got = _records(config)
     assert got["array"] == got["object"]
+
+
+def _built_engines(config):
+    """The engine classes ``run_once(config)`` builds, and its result."""
+    from unittest import mock
+
+    from repro.experiments import runner as runner_mod
+
+    built = []
+    make_engine = runner_mod._make_engine
+
+    def recording(*args):
+        engine = make_engine(*args)
+        built.append(type(engine).__name__)
+        return engine
+
+    with mock.patch.object(runner_mod, "_make_engine", recording):
+        result = run_once(config)
+    return built, result
+
+
+def _assert_identical_on_campaign(config):
+    """Array == object for a campaign the array engine runs; for an
+    adversarial one the runner's own choice is the object engine, so
+    its run is the object engine's run.  Returns the object engine's
+    record."""
+    if not get_campaign(config.campaign).adversarial:
+        got = _records(config)
+        assert got["array"] == got["object"]
+        return got["object"][0]
+    built, result = _built_engines(config)
+    with forced("object"):
+        reference = _summary(run_once(config))
+    assert built == ["SimulationEngine"]
+    assert _summary(result) == reference
+    return reference[0]
 
 
 #: The hardening knobs the stepper runs as they are (no per-message
@@ -142,6 +184,97 @@ def test_equivalent_on_basic_configs(config):
     _assert_identical(config)
 
 
+#: Single-value gossip (the protocol text, ``batch_values=False``): a
+#: one-entry snapshot row per sender, or per gossipee under
+#: ``independent_values``, its value drawn after the targets.  A single
+#: value asks for no answer, so push-pull is inert.
+CAPPED_SINGLE_VALUE = with_params(n=128, max_sends_per_round=1,
+                                  batch_values=False,
+                                  independent_values=True, seed=1)
+SINGLE_VALUE_CONFIGS = [
+    pytest.param(
+        with_params(n=128, ucastl=0.3, batch_values=False, seed=0),
+        id="single-value",
+    ),
+    pytest.param(
+        with_params(n=128, ucastl=0.3, batch_values=False,
+                    independent_values=True, seed=1),
+        id="independent-values",
+    ),
+    pytest.param(
+        with_params(n=128, batch_values=False, push_pull=True, seed=2),
+        id="push-pull-inert",
+    ),
+    pytest.param(
+        with_params(n=200, k=2, pf=0.004, batch_values=False,
+                    independent_values=True, seed=6),
+        id="k2-over-cap",
+    ),
+    pytest.param(
+        with_params(n=256, view_size=50, batch_values=False, seed=0),
+        id="partial-views",
+    ),
+    pytest.param(
+        with_params(n=128, start_spread=4, batch_values=False, seed=1),
+        id="start-spread",
+    ),
+    pytest.param(
+        with_params(n=256, representative_fraction=0.5, final_retransmit=2,
+                    batch_values=False, seed=0),
+        id="representatives+final-retransmit",
+    ),
+    pytest.param(
+        with_params(n=128, ucastl=0.6, adaptive_deadlines=True,
+                    batch_values=False, seed=0),
+        id="adaptive",
+    ),
+    pytest.param(CAPPED_SINGLE_VALUE, id="bandwidth-cap"),
+    pytest.param(
+        with_params(n=128, campaign="region-outage", batch_values=False,
+                    seed=1),
+        id="region-outage",
+    ),
+]
+
+
+@pytest.mark.parametrize("config", SINGLE_VALUE_CONFIGS)
+def test_single_value_equivalent(config):
+    # The record, the per-member maps and the whole phase-event stream.
+    got = {}
+    for engine in ENGINES:
+        telemetry = RunTelemetry(tracer=None, metrics=None)
+        with forced(engine):
+            result = run_once(config, telemetry=telemetry)
+        got[engine] = (
+            run_result_record(result), result.report.per_member,
+            result.report.per_member_initial, telemetry.phase_trace.events,
+        )
+    assert len(got["object"][-1]) > 0
+    assert got["array"] == got["object"]
+
+
+def test_single_value_bandwidth_cap_rejects():
+    # The capped pair above compares something: sends are rejected.
+    with forced("array"):
+        assert run_once(CAPPED_SINGLE_VALUE).messages_rejected > 0
+
+
+def test_single_value_equivalent_on_jitter_network():
+    _assert_identical_on_jitter(
+        with_params(n=128, pf=0.002, batch_values=False,
+                    independent_values=True, seed=3)
+    )
+
+
+def test_single_value_phase_event_streams_identical_crash_recovery():
+    from repro.sim.failures import CrashRecovery
+
+    _assert_streams_identical(
+        with_params(n=128, batch_values=False, seed=3),
+        CrashRecovery(pf=0.02, pr=0.3),
+    )
+
+
 #: Records compared as bytes, as ``repro run --json`` writes them:
 #: push-pull answers from row snapshots across start waves, K=2 boxes
 #: over the batch cap, a three-column payload.
@@ -192,33 +325,49 @@ def test_campaign_registry_is_covered():
 
 @pytest.mark.parametrize("campaign", campaign_names())
 def test_equivalent_on_campaigns(campaign):
-    _assert_identical(with_params(n=128, campaign=campaign, seed=0))
-
-
-def _assert_identical_with_telemetry(config):
-    got = _records(replace(config, collect_telemetry=True))
-    assert got["object"][0]["telemetry"] is not None
-    assert got["array"] == got["object"]
+    _assert_identical_on_campaign(
+        with_params(n=128, campaign=campaign, seed=0)
+    )
 
 
 @pytest.mark.parametrize("campaign", campaign_names())
 def test_equivalent_on_campaigns_with_compact_telemetry(campaign):
     # Compact telemetry attaches no tracer, so the array engine takes
     # it; the record compared includes the whole telemetry summary.
-    _assert_identical_with_telemetry(
-        with_params(n=128, campaign=campaign, seed=0)
+    record = _assert_identical_on_campaign(
+        with_params(n=128, campaign=campaign, seed=0, collect_telemetry=True)
     )
+    assert record["telemetry"] is not None
 
 
 @pytest.mark.parametrize("campaign", campaign_names())
 def test_equivalent_on_campaigns_with_push_pull(campaign):
-    # Tamper and Sybil campaigns set the engine's send tap, so every
-    # request there arrives as a scalar ``Message`` and is answered
-    # through the array engine's ``_receive``; the others answer chunk
-    # by chunk.
-    _assert_identical_with_telemetry(
-        with_params(n=128, campaign=campaign, seed=0, push_pull=True)
+    # Answers go out chunk by chunk, as one more block after the chunk
+    # that asked.
+    _assert_identical_on_campaign(
+        with_params(n=128, campaign=campaign, seed=0, push_pull=True,
+                    collect_telemetry=True)
     )
+
+
+def test_runner_routes_adversarial_campaigns_to_the_object_engine():
+    # Every adversarial campaign taps sends and injects messages, which
+    # the array engine refuses: the runner picks the object engine for
+    # it, and the array engine for every other campaign.
+    adversarial = [
+        name for name in campaign_names() if get_campaign(name).adversarial
+    ]
+    assert len(adversarial) >= 5
+    for name in campaign_names():
+        config = with_params(n=48, campaign=name, seed=0)
+        reason = _reason(config)
+        built, __ = _built_engines(config)
+        if name in adversarial:
+            assert "adversarial" in reason
+            assert built == ["SimulationEngine"], name
+        else:
+            assert reason is None
+            assert built == ["ArraySteppedEngine"], name
 
 
 @pytest.mark.parametrize(
@@ -309,25 +458,30 @@ def test_auto_runs_hardened_configs_on_the_array_engine(config, monkeypatch):
 
 def _reason(config, telemetry=None):
     from repro.experiments import runner as runner_mod
-    from repro.sim.rng import RngRegistry
 
-    rngs = RngRegistry(seed=config.seed)
-    votes = runner_mod._make_votes(config, rngs)
-    processes, __ = runner_mod._build_processes(config, votes, rngs)
-    return runner_mod._array_engine_reason(config, telemetry, processes)
+    return runner_mod._array_engine_reason(config, telemetry)
 
 
 def test_array_engine_reasons():
+    # Exactly three reasons: another protocol, a storing tracer and an
+    # adversarial campaign.  Every ``GossipParams`` runs on the array
+    # engine.
     assert _reason(with_params(n=64)) is None
     assert _reason(with_params(n=64), RunTelemetry.compact()) is None
-    assert "single-value" in _reason(with_params(n=64, batch_values=False))
+    assert _reason(with_params(n=64, batch_values=False,
+                               independent_values=True)) is None
+    assert _reason(with_params(n=64, campaign="crash-storm")) is None
     assert "protocol" in _reason(with_params(n=64, protocol="flood"))
     assert "stores engine events" in _reason(with_params(n=64),
                                              RunTelemetry())
+    assert "adversarial" in _reason(with_params(n=64,
+                                                campaign="tamper-forge"))
 
 
 def test_auto_falls_back_silently_on_unsupported():
-    config = with_params(n=64, batch_values=False)
+    # An adversarial campaign: the runner takes the object engine, with
+    # nothing said and the same record.
+    config = with_params(n=64, campaign="tamper-forge", seed=1)
     with forced("object"):
         object_result = run_once(config)
     assert run_result_record(run_once(config)) == run_result_record(
@@ -371,8 +525,7 @@ def _hand_built_run(config, engine, network=None, failure_model=None,
         failure_model = runner_mod._make_failures(config)
     with forced(engine):
         world = runner_mod._make_engine(
-            config, None, processes, network, failure_model, rngs,
-            max_rounds,
+            config, None, network, failure_model, rngs, max_rounds,
         )
     world.add_processes(processes)
     world.run()
@@ -541,8 +694,9 @@ def _assert_identical_on_jitter(config):
 
 # -- boundaries of the columnar stepper ---------------------------------
 # The array stepper keeps member state as rows and admits arrivals in
-# waves; these runs cross each place where it admits one message at a
-# time or has to build payload objects.
+# waves, and the array engine delivers nothing else: these runs cross
+# the places where a run needs single messages instead, which the
+# object engine delivers.
 
 def _counting(monkeypatch, owner, name):
     """Count the calls of ``owner.name`` for the rest of the test."""
@@ -559,51 +713,58 @@ def _counting(monkeypatch, owner, name):
 
 def test_jitter_delivers_row_snapshot_chunks(monkeypatch):
     # Jitter plans in blocks like every model: sends and pull answers,
-    # over-cap K=2 subsets too, arrive as chunks of snapshot rows, and
-    # no row is built into a payload object.
-    from repro.core.array_stepper import RowSnapshots
+    # over-cap K=2 subsets too, arrive as chunks of snapshot rows.
     from repro.sim.array_engine import ArraySteppedEngine
 
-    built = _counting(monkeypatch, RowSnapshots, "payloads")
     chunks = _counting(monkeypatch, ArraySteppedEngine, "_deliver_block")
     _assert_identical_on_jitter(
         with_params(n=160, k=2, pf=0.004, push_pull=True, seed=6)
     )
-    assert chunks and not built
+    assert chunks
 
 
 def test_adversarial_campaign_under_sanitizer_admits_through_process(
     monkeypatch,
 ):
-    # The sanitizer's screen is armed: every arrival (a scalar message,
-    # since the adversary's send tap snoops each payload) is admitted
-    # into its row entry by entry, screened in the process's order.
-    from repro.core.array_stepper import HierarchicalArrayStepper
+    # The runner arms the sanitizer's screen for an adversarial campaign,
+    # whose adversary taps every send: it takes the object engine, where
+    # each arrival is one message the process admits itself, screened
+    # entry by entry.
+    from repro import sanitize
+    from repro.core.hierarchical_gossip import HierarchicalGossipProcess
 
-    received = _counting(monkeypatch, HierarchicalArrayStepper, "receive")
+    absorbed = _counting(
+        monkeypatch, HierarchicalGossipProcess, "absorb_payloads"
+    )
+    screened = _counting(monkeypatch, sanitize, "_screen_contribution")
     for campaign in ("tamper-replay", "sybil-storm"):
-        _assert_identical_under_sanitizer(
+        absorbed.clear()
+        screened.clear()
+        built, __ = _built_engines(
             with_params(n=128, k=2, campaign=campaign, push_pull=True,
                         seed=1)
         )
-    assert received
+        assert built == ["SimulationEngine"]
+        assert absorbed and screened
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_scalar_answer_shares_the_block_window(cap):
-    # Injected push-pull requests are scalar arrivals on a block-planned
-    # network: under a bandwidth cap, each answer is its receiver's next
-    # send in the window its block-planned sends opened.
+    # Injected push-pull requests on the object engine, whose outbox is
+    # planned as one block per stage: under a bandwidth cap, each answer
+    # is its receiver's next send in the window its planned sends
+    # opened, so the answers add rejections.  (The array engine refuses
+    # injected messages.)
     from repro.core.messages import GossipBatch
     from repro.sim.network import LossyNetwork, Message
 
     config = with_params(n=128, push_pull=True, max_sends_per_round=cap,
                          seed=4)
 
-    def network():
+    def network(inject):
         lossy = LossyNetwork(ucastl=config.ucastl, max_sends_per_round=cap,
                              max_message_size=config.max_message_size)
-        for round_number in (1, 2, 3):
+        for round_number in (1, 2, 3) if inject else ():
             for member in range(0, 128, 3):
                 lossy.inject(round_number, Message(
                     src=(member + 1) % 128, dest=member, size=8,
@@ -611,41 +772,41 @@ def test_scalar_answer_shares_the_block_window(cap):
                 ))
         return lossy
 
-    runs = {
-        engine: _hand_built_run(config, engine, network())
-        for engine in ("object", "array")
-    }
-    __, (__, network_stats, __) = runs["object"]
-    assert network_stats.rejected_bandwidth > 0
-    assert runs["array"] == runs["object"]
+    rejected = []
+    for inject in (False, True):
+        __, (__, network_stats, __) = _hand_built_run(
+            config, "object", network(inject)
+        )
+        rejected.append(network_stats.rejected_bandwidth)
+    assert 0 < rejected[0] < rejected[1]
 
 
 def test_adversarial_campaigns_deliver_no_chunks(monkeypatch):
-    # An installed adversary plans every message on its own, so with the
-    # screen armed no chunk reaches wave admission: every arrival is
-    # scalar, and the screen inspects each entry in arrival order.
-    from repro.chaos import get_campaign
+    # An installed adversary snoops and injects single messages, so an
+    # adversarial run delivers no chunk: the runner takes the object
+    # engine, whose every arrival is a message.
     from repro.sim.array_engine import ArraySteppedEngine
+    from repro.sim.engine import SimulationEngine
 
     chunks = _counting(monkeypatch, ArraySteppedEngine, "_deliver_block")
-    scalars = _counting(monkeypatch, ArraySteppedEngine, "_receive")
+    messages = _counting(monkeypatch, SimulationEngine, "_dispatch")
     adversarial = [
         name for name in campaign_names() if get_campaign(name).adversarial
     ]
     assert adversarial
     for campaign in adversarial:
         for push_pull in (False, True):
-            scalars.clear()
-            with forced("array"):
-                run_once(with_params(n=128, campaign=campaign,
-                                     push_pull=push_pull, seed=1))
-            assert (len(chunks), bool(scalars)) == (0, True), campaign
+            messages.clear()
+            run_once(with_params(n=128, campaign=campaign,
+                                 push_pull=push_pull, seed=1))
+            assert (len(chunks), bool(messages)) == (0, True), campaign
 
 
-def test_forged_keys_are_refused_on_both_engines(monkeypatch):
+def test_forged_keys_are_refused_by_the_receiver(monkeypatch):
     # A Sybil identity and a re-keyed duplicate, injected with no
-    # screen armed: the receiver's own admission refuses both, so the
-    # run is the run without them, on either engine.
+    # screen armed (the object engine: the array engine refuses
+    # injected messages): the receiver's own admission refuses both,
+    # so the run is the run without them.
     from repro.core.aggregates import AggregateState
     from repro.core.gridbox import shared_dense_assignment
     from repro.core.hashing import FairHash
@@ -693,20 +854,17 @@ def test_forged_keys_are_refused_on_both_engines(monkeypatch):
         return admitted
 
     monkeypatch.setattr(HierarchicalGossipProcess, "_placed", recording)
-    runs = {}
-    for engine in ("object", "array"):
-        __, (__, __, clean) = _hand_built_run(config, engine, network([]))
-        assert refused == []
-        runs[engine] = _hand_built_run(config, engine, network(forgeries))
-        assert refused == [(victim, sybil), (victim, first)]
-        refused.clear()
-        __, (__, __, members) = runs[engine]
-        assert all(
-            result is None or result.covers() <= 128
-            for __, __, result in members
-        )
-        assert members == clean
-    assert runs["array"] == runs["object"]
+    __, (__, __, clean) = _hand_built_run(config, "object", network([]))
+    assert refused == []
+    __, (__, __, members) = _hand_built_run(
+        config, "object", network(forgeries)
+    )
+    assert refused == [(victim, sybil), (victim, first)]
+    assert all(
+        result is None or result.covers() <= 128
+        for __, __, result in members
+    )
+    assert members == clean
 
 
 @pytest.mark.parametrize("config", [
@@ -828,11 +986,9 @@ def test_equivalent_composing_unsanitized(name, unsanitized):
 
 def test_array_run_calls_no_process_protocol_code(monkeypatch, unsanitized):
     # Block delivery, wave admission, the columnar buffer and the
-    # columnar advance (under jitter and a region outage too) — and,
-    # for scalar arrivals (adversarial runs with the screen armed),
-    # admission into the row: no member's own admission or advance
-    # runs, and every run equals the object engine's.
-    from repro import sanitize
+    # columnar advance (under jitter, a region outage and single-value
+    # gossip too): no member's own admission or advance runs, and every
+    # run equals the object engine's.
     from repro.core.hierarchical_gossip import HierarchicalGossipProcess
     from repro.sim.network import JitterNetwork
 
@@ -859,15 +1015,11 @@ def test_array_run_calls_no_process_protocol_code(monkeypatch, unsanitized):
 
     check(records(with_params(n=512, k=8)))
     check(records(with_params(n=128, campaign="region-outage", seed=1)))
+    check(records(with_params(n=128, ucastl=0.3, batch_values=False,
+                              independent_values=True, seed=1)))
     jitter = with_params(n=128, pf=0.002, push_pull=True, seed=3)
     check(lambda engine: _hand_built_run(
         jitter, engine,
         JitterNetwork(ucastl=0.2, mean_extra_latency=1.5,
                       max_message_size=jitter.max_message_size),
     ))
-    sanitize.enable()
-    try:
-        for campaign in ("tamper-forge", "sybil-storm"):
-            check(records(with_params(n=128, campaign=campaign, seed=1)))
-    finally:
-        sanitize.disable()

@@ -1,18 +1,16 @@
 """The array stepper's admission of a columnar row equals ``absorb_payloads``.
 
 The array stepper admits a delivered chunk in waves over its columnar
-rows, and a scalar arrival entry by entry into its row
-(:mod:`repro.core.array_stepper`); the object engine hands the same
-arrivals to ``HierarchicalGossipProcess.absorb_payloads`` one after the
-other.  These properties feed one member random arrival sequences —
-same, past and future phase (and the phase past the last); repeated,
-new and replaced keys; better, equal and worse coverage;
-``prefer_coverage`` on and off; push-pull requests and replies; for
-scalar arrivals also single values, keys the hierarchy does not place,
-duplicate keys in one batch and a screen that quarantines — through
-both, and require the same keys in the same insertion order holding the
-same state objects, the same changed flag, ``_phase_received``, phase
-buffers, answers, refusals and screen calls.  The row is seeded from
+rows (:mod:`repro.core.array_stepper`); the object engine hands the
+same arrivals to ``HierarchicalGossipProcess.absorb_payloads`` one
+after the other.  These properties feed one member random arrival
+sequences — batches, or single values as one-entry rows cut into
+chunks; same, past and future phase; repeated, new and replaced keys;
+better, equal and worse coverage; ``prefer_coverage`` on and off;
+push-pull requests and replies (a single value asks for none) —
+through both, and require the same keys in the same insertion order
+holding the same state objects, the same changed flag,
+``_phase_received``, phase buffers and answers.  The row is seeded from
 and read back as its twin process (``tests/stepper_rows.py``).
 """
 
@@ -22,10 +20,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sanitize as sanitize
 from repro.core.aggregates import AggregateState, AverageAggregate
 from repro.core.array_stepper import HierarchicalArrayStepper
-from repro.core.gridbox import GridAssignment, GridBoxHierarchy, SubtreeId
+from repro.core.gridbox import GridAssignment, GridBoxHierarchy
 from repro.core.hashing import FairHash
 from repro.core.hierarchical_gossip import (
     GossipParams,
@@ -87,42 +84,6 @@ POOL = {
 }
 
 
-def _unplaced(phase: int) -> list:
-    """Entries the hierarchy does not place under their key for
-    ``MEMBER`` in ``phase``: a key from another box or subtree (or one
-    level too deep), and a placed key over another key's ranks.  Every
-    entry of the phase past the last.  Salts end in 1 or 4."""
-    salt = 1000 * phase + 500
-    if phase > PHASES:
-        return [
-            (SubtreeId(0, 0), _state(range(N), salt + 1)),
-            (_keys(PHASES)[0], POOL[(PHASES, 0)][0]),
-        ]
-    keys = _keys(phase)
-    if phase == 1:
-        stranger = next(m for m in ASSIGNMENT.member_ids if m not in keys)
-        foreign = [(stranger, _state(_ranks(1, stranger), salt + 1))]
-    else:
-        length, value = keys[0]
-        deeper = SubtreeId(length + 1, value * K)
-        foreign = [(deeper, _state(_ranks(phase, keys[0]), salt + 1))]
-        others = [
-            child
-            for member in ASSIGNMENT.member_ids
-            if ASSIGNMENT.subtree_of(member, phase)
-            != ASSIGNMENT.subtree_of(MEMBER, phase)
-            for child in [ASSIGNMENT.subtree_of(member, phase - 1)]
-        ]
-        if others:
-            foreign.append(
-                (others[0], _state(_ranks(phase, others[0]), salt + 11))
-            )
-    # ``keys[0]``'s key over ``keys[1]``'s ranks (a box mate's rank).
-    return foreign + [(keys[0], _state(_ranks(phase, keys[1]), salt + 4))]
-
-
-UNPLACED = {phase: _unplaced(phase) for phase in range(1, PHASES + 2)}
-
 entries = st.lists(
     st.tuples(st.integers(0, 15), st.integers(0, 2)), max_size=6,
 )
@@ -180,10 +141,16 @@ def _payloads(row_phase: int, drawn) -> list[GossipBatch]:
     return payloads
 
 
+def _entries(payload) -> tuple:
+    if isinstance(payload, GossipValue):
+        return ((payload.key, payload.state),)
+    return payload.entries
+
+
 def _table(stepper, payloads):
     """The payloads as a snapshot table, slots from the stepper's own
     key→slot rule (keys are read back through its slot→key rule)."""
-    width = max(1, max(len(p.entries) for p in payloads))
+    width = max(1, max(len(_entries(p)) for p in payloads))
     count = len(payloads)
     slots = np.zeros((count, width), dtype=np.int32)
     sids = np.zeros((count, width), dtype=np.int32)
@@ -196,27 +163,38 @@ def _table(stepper, payloads):
         else:
             base = ASSIGNMENT.subtree_of(MEMBER, payload.phase)[1] * K
         bases.append(base)
-        for column, (key, state) in enumerate(payload.entries):
+        for column, (key, state) in enumerate(_entries(payload)):
             slots[row, column] = stepper._slot_of(payload.phase, base, key)
             sids[row, column] = stepper._register([state])[0]
-    replies = {p.reply for p in payloads}
-    assert len(replies) == 1  # a table is all requests or all answers
+    # A table is all requests or none: batches pushed, or answers and
+    # single values.
+    asks = {isinstance(p, GossipBatch) and not p.reply for p in payloads}
+    assert len(asks) == 1
     return stepper._table(
-        replies.pop(), np.full(count, MEMBER),
+        asks.pop(), np.full(count, MEMBER),
         np.array([p.phase for p in payloads]), np.array(bases),
-        np.array([len(p.entries) for p in payloads]), slots, sids,
+        np.array([len(_entries(p)) for p in payloads]), slots, sids,
         np.array([p.wire_size() for p in payloads]),
     )
 
 
-def _assert_answer(mine, theirs) -> None:
-    """A row's push-pull answer is its twin's: phase, keys in order and
-    the same state objects."""
-    assert (mine.phase, mine.reply) == (theirs.phase, True)
-    assert [k for k, __ in mine.entries] == [k for k, __ in theirs.entries]
-    assert all(
-        a is b for (__, a), (__, b) in zip(mine.entries, theirs.entries)
-    )
+def _assert_answers(stepper, answers, expected) -> None:
+    """A row's push-pull answers are its twin's: phase, keys in order
+    and the same state objects."""
+    for index, (__, theirs) in enumerate(expected):
+        phase = int(answers.phase[index])
+        keys = stepper._keys(phase, int(answers.base[index]))
+        length = int(answers.length[index])
+        assert (phase, answers.asks, theirs.reply) == (theirs.phase, False,
+                                                       True)
+        assert [keys[slot] for slot in answers.slots[index, :length]] == [
+            key for key, __ in theirs.entries
+        ]
+        assert all(
+            stepper._states[sid] is state for sid, (__, state) in zip(
+                answers.sids[index, :length].tolist(), theirs.entries
+            )
+        )
 
 
 def _assert_row_is_twin(stepper, twin) -> None:
@@ -264,27 +242,12 @@ def test_waves_admit_like_absorb_payloads(row_phase, prefer, push_pull,
         else:
             asked, answering, answers = answered
             assert (answering == MEMBER).all()
-            got = answers.payloads(list(range(len(asked))))
             assert [int(a) for a in asked] == [pos for pos, __ in expected]
-            for mine, (__, theirs) in zip(got, expected):
-                _assert_answer(mine, theirs)
+            _assert_answers(stepper, answers, expected)
     assert twin.refused == 0  # the pool holds only placed entries
     _assert_row_is_twin(stepper, twin)
 
 
-#: (key pick, state pick) of one entry: states 0-2 are the pool's, 3 an
-#: unplaced entry of the payload's phase.
-scalar_entries = st.lists(
-    st.tuples(st.integers(0, 15), st.integers(0, 3)), min_size=1,
-    max_size=6,
-)
-scalar_arrivals = st.lists(
-    st.tuples(
-        st.sampled_from(["value", "request", "reply"]),
-        st.integers(-1, 2), scalar_entries,
-    ),
-    min_size=1, max_size=10,
-)
 #: Pool picks (phase shift, key pick, state pick) held or buffered at
 #: the start — enough to fill a phase-1 row past the batch cap.
 held = st.lists(
@@ -294,23 +257,17 @@ held = st.lists(
     ),
     max_size=10,
 )
+#: Single values: (phase shift, key pick, state pick).
+values = st.lists(
+    st.tuples(st.integers(-1, 2), st.integers(0, 15), st.integers(0, 2)),
+    min_size=1, max_size=12,
+)
 
 
 def _entry(phase: int, key_pick: int, state_pick: int) -> tuple:
-    if phase > PHASES or state_pick == 3:
-        unplaced = UNPLACED[phase]
-        return unplaced[key_pick % len(unplaced)]
     keys = _keys(phase)
     index = key_pick % len(keys)
     return keys[index], POOL[(phase, index)][state_pick]
-
-
-def _scalar(row_phase: int, kind: str, shift: int, picks):
-    phase = min(PHASES + 1, max(1, row_phase + shift))
-    chosen = tuple(_entry(phase, *pick) for pick in picks)
-    if kind == "value":
-        return GossipValue(phase, *chosen[0])
-    return GossipBatch(phase, chosen, reply=kind == "reply")
 
 
 @given(
@@ -318,13 +275,15 @@ def _scalar(row_phase: int, kind: str, shift: int, picks):
     prefer=st.booleans(),
     push_pull=st.booleans(),
     start=held,
-    quarantined=st.sets(st.sampled_from([0, 1, 3, 4, 6]), max_size=2),
-    drawn=scalar_arrivals,
+    drawn=values,
+    chunk=st.integers(1, 12),
 )
 @settings(max_examples=300, deadline=None)
 def test_scalar_admission_is_absorb_payloads(
-    row_phase, prefer, push_pull, start, quarantined, drawn,
+    row_phase, prefer, push_pull, start, drawn, chunk,
 ):
+    # Single-value gossip: each ``GossipValue`` is a one-entry table row
+    # that asks for nothing, delivered in chunks of ``chunk`` arrivals.
     known: dict = {}
     future: dict = {}
     for shift, key_pick, state_pick in start:
@@ -335,35 +294,26 @@ def test_scalar_admission_is_absorb_payloads(
                 phase, {}
             )
             bucket.setdefault(key, state)
-    engine, stepper, proc, twin = _world(
-        GossipParams(prefer_coverage=prefer, push_pull=push_pull),
+    engine, stepper, __, twin = _world(
+        GossipParams(batch_values=False, prefer_coverage=prefer,
+                     push_pull=push_pull),
         row_phase, known, future,
     )
-    engine.round = 5
-    calls: dict = {proc: [], twin: []}
-
-    def screen(process, round_number, phase, key, state):
-        calls[process].append((round_number, phase, key, id(state)))
-        return int(state.payload[0]) % 10 not in quarantined
-
-    saved = sanitize.SCREEN
-    sanitize.SCREEN = screen
-    try:
-        for kind, shift, picks in drawn:
-            payload = _scalar(row_phase, kind, shift, picks)
-            stepper._touched[:] = False
-            answer = stepper.receive(engine, MEMBER, payload)
-            expected: list = []
-            changed = twin.absorb_payloads((payload,), engine.round, expected)
-            assert bool(stepper._touched[MEMBER]) == changed
-            if answer is None:
-                assert expected == []
-            else:
-                [(position, theirs)] = expected
-                assert position == 0
-                _assert_answer(answer, theirs)
-            assert proc.refused == twin.refused
-            assert calls[proc] == calls[twin]
-            _assert_row_is_twin(stepper, twin)
-    finally:
-        sanitize.SCREEN = saved
+    payloads = [
+        GossipValue(phase, *_entry(phase, key_pick, state_pick))
+        for shift, key_pick, state_pick in drawn
+        for phase in [min(PHASES, max(1, row_phase + shift))]
+    ]
+    for first in range(0, len(payloads), chunk):
+        share = payloads[first:first + chunk]
+        stepper._touched[:] = False
+        answered = stepper.admit(
+            engine, np.full(len(share), MEMBER), np.arange(len(share)),
+            _table(stepper, share),
+        )
+        expected: list = []
+        changed = twin.absorb_payloads(share, engine.round, expected)
+        assert bool(stepper._touched[MEMBER]) == changed
+        assert (answered, expected) == (None, [])
+        _assert_row_is_twin(stepper, twin)
+    assert twin.refused == 0

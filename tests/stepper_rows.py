@@ -14,6 +14,22 @@ from types import SimpleNamespace
 import numpy as np
 
 
+def _base(stepper, row: int, phase: int) -> int:
+    """The key base of ``row``'s phase-``phase`` slots: its box's first
+    rank in phase 1, later its phase subtree's first child digit."""
+    if phase == 1:
+        return int(stepper._box_start[row])
+    return int(stepper._box[row]) // stepper._k ** (phase - 1) * stepper._k
+
+
+def _takes(stepper, state, current) -> bool:
+    """``absorb_payloads``' take rule: a key not held, or — under
+    ``prefer_coverage`` — strictly more coverage than ``current``."""
+    return current is None or (
+        stepper._prefer and state.members.count > current.members.count
+    )
+
+
 def seed_row(stepper, row: int, process) -> None:
     """Make ``row`` hold what ``process`` holds: phase, clock, both
     extensions, deliveries this phase, ``known`` (in its insertion
@@ -26,7 +42,7 @@ def seed_row(stepper, row: int, process) -> None:
     stepper._dext[row] = process._deadline_extension
     stepper._recv[row] = process._phase_received
     stepper._place(np.array([row]))
-    base = stepper._base_of(row, phase)
+    base = _base(stepper, row, phase)
     slots = [stepper._slot_of(phase, base, key) for key in process.known]
     stepper._sid[row] = 0
     stepper._sid[row, slots] = stepper._register(list(process.known.values()))
@@ -38,7 +54,7 @@ def seed_row(stepper, row: int, process) -> None:
     for later, bucket in process._future.items():
         stepper._buffer(
             np.full(len(bucket), row), np.full(len(bucket), later),
-            [stepper._slot_of(later, stepper._base_of(row, later), key)
+            [stepper._slot_of(later, _base(stepper, row, later), key)
              for key in bucket],
             stepper._register(list(bucket.values())),
         )
@@ -60,10 +76,10 @@ def read_row(stepper, row: int) -> SimpleNamespace:
     future: dict = {}
     log = stepper._future[:stepper._future_used]
     for later, slot, sid in log[log[:, 0] == row, 1:].tolist():
-        key = stepper._keys(later, stepper._base_of(row, later))[slot]
+        key = stepper._keys(later, _base(stepper, row, later))[slot]
         bucket = future.setdefault(later, {})
         state = stepper._states[sid]
-        if stepper._takes(state, bucket.get(key)):
+        if _takes(stepper, state, bucket.get(key)):
             bucket[key] = state
     return SimpleNamespace(
         phase=phase,

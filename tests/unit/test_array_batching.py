@@ -164,19 +164,17 @@ class TestArrayEngineGuards:
             )
 
     def test_unsupported_reasons(self):
+        # A shim kept for callers that still ask: the stepper runs every
+        # ``GossipParams``, single-value gossip included.
         from repro.core.array_stepper import unsupported_reason
         from repro.core.hierarchical_gossip import GossipParams
 
-        assert unsupported_reason(GossipParams()) is None
-        assert "single-value" in unsupported_reason(
-            GossipParams(batch_values=False)
-        )
-        # Single-value gossip is the one clause left: push-pull and the
-        # hardening knobs run on the stepper as they are.
-        assert unsupported_reason(GossipParams(push_pull=True)) is None
-        assert unsupported_reason(
-            GossipParams(adaptive_deadlines=True)
-        ) is None
-        assert unsupported_reason(
-            GossipParams(representative_fraction=0.5, final_retransmit=2)
-        ) is None
+        for params in (
+            GossipParams(),
+            GossipParams(batch_values=False),
+            GossipParams(batch_values=False, independent_values=True,
+                         push_pull=True),
+            GossipParams(adaptive_deadlines=True),
+            GossipParams(representative_fraction=0.5, final_retransmit=2),
+        ):
+            assert unsupported_reason(params) is None
