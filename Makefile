@@ -1,6 +1,6 @@
 # Convenience targets for the DSN 2001 reproduction.
 
-.PHONY: install test lint bench bench-quick bench-smoke bench-layered-check bench-figures chaos-smoke chaos-adversarial-smoke trace-smoke serve-smoke serve-hostile-smoke metrics-smoke figures examples clean
+.PHONY: install test lint bench bench-quick bench-smoke bench-n1m bench-layered-check bench-figures chaos-smoke chaos-adversarial-smoke trace-smoke serve-smoke serve-hostile-smoke metrics-smoke figures examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -28,6 +28,9 @@ bench-smoke:      ## CI perf gate: quick workloads, fail on >20% regression
 	cp BENCH_core.json /tmp/repro-bench-smoke.json
 	PYTHONPATH=src python benchmarks/perf/run_bench.py --quick \
 		--output /tmp/repro-bench-smoke.json --fail-on-regression
+
+bench-n1m:        ## full perf harness plus the 10^6-member smoke -> BENCH_core.json
+	PYTHONPATH=src python benchmarks/perf/run_bench.py --n1m
 
 bench-layered-check: ## the frozen layered benchmark still runs against this tree
 	python3 benchmarks/layered/bench.py --check

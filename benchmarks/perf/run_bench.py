@@ -55,6 +55,7 @@ Canonical workloads:
 Usage::
 
     make bench                                # full run, writes BENCH_core.json
+    make bench-n1m                            # the same plus n1m_smoke
     python benchmarks/perf/run_bench.py --quick   # CI smoke (small sizes)
     python benchmarks/perf/run_bench.py --jobs 8  # force a worker count
 
@@ -572,10 +573,12 @@ def bench_chaos_n1024() -> dict:
 #: Rounds executed by the million-member smoke (enough to exercise the
 #: full send/deliver/advance block path — deliveries land from round 2
 #: — without running the whole protocol horizon).  The cap is no longer
-#: about coverage masks (they are a few integers per state); it stays
-#: because the full horizon is 70 rounds at a minute or more each (a
-#: to-termination attempt was stopped after 2.5 h, at 13.6 GB RSS), and
-#: per-process Python objects, not the masks, set the memory footprint.
+#: about coverage masks (they are a few integers per state) nor about
+#: per-member objects (the array engine builds none: members are the
+#: group's columns, and the smoke builds in ~3 s at ~2.2 kB RSS per
+#: member on a 2-core box, was 13.7 s and 3.4 kB with one process per
+#: member); it stays because the full horizon is 70 rounds at a minute
+#: or more each, untried since members became columns.
 N1M_SMOKE_ROUNDS = 3
 
 

@@ -46,15 +46,19 @@ phase (Section 6.3) — and a row is exactly that:
   :class:`~repro.core.observe.PhaseBlock` per round: a counting sink
   never builds a ``PhaseEvent``.
 
-**The row is the member's state.**  A row starts from its process's
-own vote and start round, and nothing is written back: a process keeps
-its static configuration, phase sink, sanitizer phase clock,
-``refused`` count and — from the round its row finalises — result,
-coverage, phase and termination.  Its ``known``, future buffer and
-clocks stay as ``on_start`` left them.  The runtime sanitizer checks
-each bumping row where the process checks itself: its held values
-before the compose, the composition and the phase clock after
-(:mod:`repro.sanitize`); the row composes as it would unsanitized.
+**The row is the member's state.**  The stepper binds a member group
+(``GossipGroup``): a spec of columns, from which no process is built,
+started or bound.  A row starts from the vote column, lifted at its
+hierarchy rank, and the start-round column; phase 1's entries leave as
+one block.  The group's ``phase`` column is the rows' phase, and
+finalising writes its ``result_ids`` and ``coverage`` columns; the
+group's members are views that read them (a sweep never frees a
+result).  Liveness and termination are the engine's row masks, which
+are the group's ``alive`` and ``terminated`` columns.  The runtime
+sanitizer checks each bumping row where the process checks itself: its
+held values before the compose, the composition and the phase clock
+(keyed by member id) after (:mod:`repro.sanitize`); the row composes
+as it would unsanitized.
 
 **Bit-identity argument.**  Per-member gossip streams are independent,
 so batching target draws across members never changes any member's
@@ -95,9 +99,10 @@ from repro.core.aggregates import AggregateState
 from repro.core.gridbox import SubtreeId
 from repro.core.hierarchical_gossip import (
     GossipParams,
-    HierarchicalGossipProcess,
     bump_events,
     is_representative,
+    partial_view_keys,
+    retransmit_rounds,
 )
 from repro.core.intervals import IntervalMask
 from repro.core.messages import ID_SIZE
@@ -199,40 +204,16 @@ class HierarchicalArrayStepper:
     """One stepper instance drives one engine's member group."""
 
     def __init__(self) -> None:
-        self._procs: list[HierarchicalGossipProcess] = []
         self._bank: SamplerBank | None = None
-        self._ready = False
 
     # -- binding ---------------------------------------------------------
     def bind(self, engine) -> None:
-        procs = engine.row_procs
-        if not procs:
-            raise ValueError("no processes registered")
-        for proc in procs:
-            if not isinstance(proc, HierarchicalGossipProcess):
-                raise TypeError(
-                    f"array stepping requires HierarchicalGossipProcess "
-                    f"members, got {type(proc).__name__}"
-                )
-        first = procs[0]
-        for proc in procs:
-            if (
-                proc.params is not first.params
-                or proc.assignment is not first.assignment
-                or proc.rounds_per_phase != first.rounds_per_phase
-                or type(proc.function) is not type(first.function)
-                or proc.phase_sink is not first.phase_sink
-            ):
-                raise ValueError(
-                    "array stepping requires a homogeneous group "
-                    "(shared GossipParams, hierarchy, aggregate and "
-                    "phase sink)"
-                )
-        n = len(procs)
-        params = first.params
-        assignment = first.assignment
+        """Lay out the columns of ``engine.group`` (a ``GossipGroup``)."""
+        group = self._spec = engine.group
+        n = len(group)
+        params = group.params
+        assignment = group.assignment
         hierarchy = assignment.hierarchy
-        self._procs = procs
         self._ids = engine.row_ids
         self._members = max(1, len(assignment.member_ids))
         self._hierarchy = hierarchy
@@ -246,26 +227,29 @@ class HierarchicalArrayStepper:
         self._batch = params.batch_values
         self._independent = params.independent_values
         self._early_bump = params.early_bump
-        self._rpp = first.rounds_per_phase
-        self._num_phases = first.num_phases
+        self._rpp = group.rounds_per_phase
+        self._num_phases = hierarchy.num_phases
         self._deadline = self._num_phases * self._rpp
         self._adaptive = params.adaptive_deadlines
         self._budget = params.extension_budget(self._rpp)
-        self._function = first.function
-        self._sink = first.phase_sink
-        #: Per row: phase, clock, the rounds this phase and all phases
-        #: borrowed under adaptive deadlines, this phase's arrivals, and
-        #: the first round.
-        (self._phase, self._phase_rounds, self._pext, self._dext,
-         self._recv, self._start_round) = np.zeros((6, n), dtype=np.int64)
-        self._phase += 1
-        self._spread = False
+        self._function = group.function
+        self._sink = group.phase_sink
+        #: Per row: phase (the group's column), clock, the rounds this
+        #: phase and all phases borrowed under adaptive deadlines, and
+        #: this phase's arrivals.
+        self._phase = group.phase
+        (self._phase_rounds, self._pext, self._dext,
+         self._recv) = np.zeros((4, n), dtype=np.int64)
+        self._start_round = group.start_rounds
+        self._spread = bool((self._start_round > 0).any())
         #: Per-row ``_is_representative()`` of the current phase, and the
         #: final-phase rounds at which sidelined members send anyway.
         self._fraction = params.representative_fraction
         self._all_rep = self._fraction >= 1.0
         self._is_rep = np.ones(n, dtype=bool)
-        self._retransmit_rounds = sorted(first._retransmit_rounds)
+        self._retransmit_rounds = sorted(
+            retransmit_rounds(params.final_retransmit)
+        )
         # The hierarchy as arrays: every member's box in the assignment's
         # member order (its subtree pools list members in that order),
         # each row's place in it, and the first rank of every box.
@@ -284,9 +268,7 @@ class HierarchicalArrayStepper:
         )
         self._rank_start = np.concatenate(([0], np.cumsum(box_sizes)))
         self._box_start = self._rank_start[self._box]
-        self._whole_view = np.fromiter(
-            (proc._complete_view for proc in procs), dtype=bool, count=n
-        )
+        self._whole_view = group.complete_views()
         # Flattened gossipee pools: a complete view's pool is a segment
         # of its phase's table (every subtree's members in assignment
         # order); a partial view's is copied in at each phase entry.
@@ -306,10 +288,10 @@ class HierarchicalArrayStepper:
         self._base = np.zeros(n, dtype=np.int64)
         #: The row changed since its last completion test.
         self._touched = np.zeros(n, dtype=bool)
-        # The run-wide state table; id 0 is "no state".  A state stays
-        # until a sweep (:meth:`_sweep`) finds no row, buffer entry or
-        # queued table naming its id.
-        self._states: list = [None]
+        # The run-wide state table (the group's); id 0 is "no state".  A
+        # state stays until a sweep (:meth:`_sweep`) finds no row, result,
+        # buffer entry or queued table naming its id.
+        self._states: list = group.states
         self._scount = np.zeros(max(1024, 2 * n), dtype=np.int32)
         self._ssize = np.zeros(max(1024, 2 * n), dtype=np.int32)
         self._pay = [
@@ -339,23 +321,38 @@ class HierarchicalArrayStepper:
             engine.rngs.claim(self._ids, "gossip")
         )
 
-    def _begin(self) -> None:
-        """Seed every row with its own vote — the state ``on_start``
-        lifted — from its start round."""
-        self._ready = True
-        procs = self._procs
-        self._start_round[:] = [proc.start_round for proc in procs]
-        self._spread = bool((self._start_round > 0).any())
-        rows = np.arange(len(procs))
+    def begin(self, engine) -> None:
+        """Round 0: every row holds its own vote — lifted from the vote
+        column at its hierarchy rank — and enters phase 1 (one block of
+        ``phase_enter`` events)."""
+        group = self._spec
+        rows = np.arange(len(self._ids))
         self._place(rows)
-        own = [self._rank_of(member) for member in self._ids.tolist()]
-        own = np.asarray(own, dtype=np.int64) - self._box_start
-        self._sid[rows, own] = self._register(
-            [proc.known[proc.node_id] for proc in procs]
+        # Ranks are (box address, member id) order.
+        ranks = np.empty(len(self._member_ids), dtype=np.int64)
+        ranks[np.lexsort((self._member_ids, self._member_boxes))] = (
+            np.arange(len(ranks))
         )
+        ranks = ranks[self._member_index]
+        lift = self._function.lift
+        own = ranks - self._box_start
+        self._sid[rows, own] = self._register([
+            AggregateState(
+                lift(member, vote).payload, IntervalMask.single(rank)
+            )
+            for member, rank, vote in zip(
+                group.member_ids, ranks.tolist(), group.votes
+            )
+        ])
         self._order[rows, 0] = own
         self._held[:] = 1
         self._touched[:] = True
+        if sanitize.ACTIVE:
+            sanitize.start_clock(group.member_ids)
+        if self._sink is not None:
+            events: list = []
+            _note(events, PHASE_ENTER, rows, 1)
+            self._emit(events, [], engine.round)
 
     # -- rows and the state table ---------------------------------------
     def _add_pool(self, members) -> int:
@@ -419,6 +416,7 @@ class HierarchicalArrayStepper:
         states = self._states
         live = np.zeros(len(states), dtype=bool)
         live[self._sid[~engine.terminated_rows]] = True
+        live[self._spec.result_ids] = True
         live[self._future[:self._future_used, 3]] = True
         tables = []
         for ref in self._tables:
@@ -431,7 +429,7 @@ class HierarchicalArrayStepper:
         self._free = np.flatnonzero(~live).tolist()
         for sid in self._free:
             states[sid] = None
-        self._sweep_in = max(1024, len(self._procs) // 2)
+        self._sweep_in = max(1024, len(self._ids) // 2)
 
     def _keys(self, phase: int, base: int) -> tuple:
         """The keys of slots ``0, 1, ...`` for a phase and key base."""
@@ -514,19 +512,23 @@ class HierarchicalArrayStepper:
                 self._pool_size[rows_in] = sizes[subtree] - 1
                 self._own_index[rows_in] = position[rows_in]
                 self._group[rows_in] = first + subtree
+            assignment = self._spec.assignment
             for row, base in zip(
                 at[~whole].tolist(), self._base[at[~whole]].tolist()
             ):
                 # A partial view: its own pool (without itself) and
                 # expected keys — box members or child subtrees, slotted.
-                proc = self._procs[row]
-                pool, __ = proc._peers_for_phase(phase)
+                member = int(self._ids[row])
+                view = self._spec.view_of(row)
+                pool = assignment.peers_in_subtree(member, phase, view)
                 self._pool_offset[row] = self._add_pool(pool)
                 self._pool_size[row] = len(pool)
                 group = self._group[row] = self._new_groups(1)
                 self._need[group][[
                     self._slot_of(phase, base, key)
-                    for key in proc._expected_keys(phase)
+                    for key in partial_view_keys(
+                        assignment, member, view, phase
+                    )
                 ]] = 1
             if not self._all_rep:
                 self._is_rep[at] = [
@@ -577,7 +579,7 @@ class HierarchicalArrayStepper:
         rows = rows[self._future_count[rows] > 0]
         if not len(rows):
             return
-        entering = np.zeros(len(self._procs), dtype=bool)
+        entering = np.zeros(len(self._ids), dtype=bool)
         entering[rows] = True
         log = self._future[:self._future_used]
         row, __, slot, sid = self._take(
@@ -601,8 +603,6 @@ class HierarchicalArrayStepper:
         rows, answers)``: ``asked`` indexes the request each answer
         row of the ``answers`` table replies to, ascending.
         """
-        if not self._ready:
-            self._begin()
         live = ~engine.terminated_rows[rows]
         arrival_phase = table.phase[table_rows]
         row_phase = self._phase[rows]
@@ -707,8 +707,6 @@ class HierarchicalArrayStepper:
 
     # -- one round -------------------------------------------------------
     def step(self, engine) -> None:
-        if not self._ready:
-            self._begin()
         if self._sweep_in <= 0:
             self._sweep(engine)
         stepped = engine.alive_rows & ~engine.terminated_rows
@@ -838,13 +836,13 @@ class HierarchicalArrayStepper:
         ids = self._sid[rows[:, None], self._order[rows, :int(held.max())]]
         sanitized = sanitize.ACTIVE
         if sanitized:
-            procs = [self._procs[row] for row in rows.tolist()]
+            members = [self._spec[row] for row in rows.tolist()]
             phases = self._phase[rows].tolist()
-            for proc, phase, sids, count in zip(
-                procs, phases, ids.tolist(), held.tolist()
+            for member, phase, sids, count in zip(
+                members, phases, ids.tolist(), held.tolist()
             ):
                 sanitize.check_held(
-                    proc, round_number, phase,
+                    member, round_number, phase,
                     [self._states[sid] for sid in sids[:count]],
                 )
         composed = ids[:, 0].astype(np.int64)
@@ -852,10 +850,12 @@ class HierarchicalArrayStepper:
         if len(many):
             composed[many] = self._fold(rows[many], ids[many], held[many])
         if sanitized:
-            for proc, phase, sid in zip(procs, phases, composed.tolist()):
-                sanitize.check_compose(proc, round_number, phase,
+            for member, phase, sid in zip(
+                members, phases, composed.tolist()
+            ):
+                sanitize.check_compose(member, round_number, phase,
                                        self._states[sid])
-                sanitize.check_phase_bump(proc, round_number, phase,
+                sanitize.check_phase_bump(member, round_number, phase,
                                           phase + 1)
         return composed
 
@@ -883,20 +883,24 @@ class HierarchicalArrayStepper:
     def _masks(self, rows: np.ndarray, total: np.ndarray) -> list:
         """The composed coverage of ``rows`` (``total`` ranks each): the
         held masks in slot order, adjacent ranges merged, or — for a row
-        covering its whole subtree — that subtree's one range, shared."""
+        covering its whole subtree — that subtree's one range, shared.
+        Rows that compose equal masks share one: a round's finalizes
+        mostly miss the same crashed votes."""
         width = self._k ** (self._phase[rows] - 1)
         first_box = self._box[rows] // width * width
         start = self._rank_start[first_box]
         stop = self._rank_start[first_box + width]
         masks = []
+        shared: dict[tuple, IntervalMask] = {}
         for bounds, whole, sid_row in zip(
             zip(start.tolist(), stop.tolist()),
             (total == stop - start).tolist(), self._sid[rows].tolist(),
         ):
             if not whole:
-                masks.append(IntervalMask.concat(
+                mask = IntervalMask.concat(
                     self._states[sid].members for sid in sid_row if sid
-                ))
+                )
+                masks.append(shared.setdefault(mask.bounds, mask))
                 continue
             if bounds not in self._full_masks:
                 self._full_masks[bounds] = IntervalMask(range(*bounds))
@@ -904,19 +908,13 @@ class HierarchicalArrayStepper:
         return masks
 
     def _finalize(self, engine, rows, composed, events) -> None:
-        """The final phase composed: the process gets its result,
-        coverage, the phase past the last, and terminates."""
-        states = self._states
+        """The final phase composed: the rows' result and coverage
+        columns are written, they pass the last phase and terminate."""
         coverage = self._scount[composed] / self._members
-        for row, sid, covered in zip(
-            rows.tolist(), composed.tolist(), coverage.tolist()
-        ):
-            proc = self._procs[row]
-            proc.phase = self._num_phases + 1
-            proc.result = states[sid]
-            proc.coverage_fraction = covered
-            proc.terminated = True
-            engine._note_terminate(proc)
+        self._spec.result_ids[rows] = composed
+        self._spec.coverage[rows] = coverage
+        self._phase[rows] = self._num_phases + 1
+        engine.terminate_rows(rows)
         if events is not None:
             _note(events, FINALIZE, rows, self._num_phases, coverage)
 

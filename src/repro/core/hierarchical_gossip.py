@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -56,13 +57,15 @@ from repro.core.observe import (
     format_key,
     format_subtree,
 )
-from repro.core.protocol import AggregationProcess
+from repro.core.protocol import AggregationProcess, MemberColumns
 from repro.core.runtime import Context
 from repro.sim.network import Message
 from repro.sim.sampling import BlockedSampler
 
 __all__ = [
+    "GossipGroup",
     "GossipParams",
+    "GroupMember",
     "HierarchicalGossipProcess",
     "build_hierarchical_gossip_group",
     "rounds_per_phase_for",
@@ -93,6 +96,59 @@ def is_representative(member: int, phase: int, fraction: float) -> bool:
         return True
     digest = hashlib.sha256(f"rep:{member}:{phase}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64) < fraction
+
+
+@cache
+def retransmit_rounds(count: int) -> frozenset[int]:
+    """Final-phase retransmission checkpoints: phase rounds 1, 2, 4, ...
+    (exponential backoff), ``count`` of them (``final_retransmit``)."""
+    return frozenset(2 ** j for j in range(count))
+
+
+def partial_view_keys(
+    assignment: GridAssignment, member: int, view: Iterable[int], phase: int,
+) -> frozenset:
+    """The keys a member with a partial ``view`` needs to compose
+    ``phase``: the votes of view members sharing its grid box (its own
+    included) in phase 1, later the occupied child subtrees its view
+    reaches (its own included)."""
+    if phase == 1:
+        my_box = assignment.box_of(member)
+        keys = {
+            peer
+            for peer in view
+            if assignment.has_member(peer)
+            and assignment.box_of(peer) == my_box
+        }
+        keys.add(member)
+        return frozenset(keys)
+    subtree = assignment.subtree_of(member, phase)
+    hierarchy = assignment.hierarchy
+    keys = {
+        child
+        for child in hierarchy.child_subtrees(subtree)
+        if any(
+            assignment.has_member(peer)
+            and hierarchy.contains(child, assignment.box_of(peer))
+            for peer in view
+        )
+    }
+    keys.add(assignment.subtree_of(member, phase - 1))
+    return frozenset(keys)
+
+
+def covered_ids(assignment: GridAssignment, mask: IntervalMask) -> list[int]:
+    """Member ids behind ``mask``'s ranks, in rank order.
+
+    A slot past the last rank is no member of this run (a Sybil identity
+    minted above the membership); it is reported as itself.
+    """
+    by_rank = assignment.members_by_rank()
+    ids: list[int] = []
+    for lo, hi in mask.intervals():
+        ids.extend(by_rank[lo:hi + 1])
+        ids.extend(range(max(lo, len(by_rank)), hi + 1))
+    return ids
 
 
 # -- phase events: the process and the array stepper decide the bump
@@ -342,11 +398,6 @@ class HierarchicalGossipProcess(AggregationProcess):
         #: Arrived entries refused because the hierarchy does not place
         #: them under their key (see :meth:`_placed`).
         self.refused = 0
-        #: Final-phase retransmission checkpoints: phase rounds 1, 2, 4,
-        #: ... (exponential backoff), at most ``final_retransmit`` of them.
-        self._retransmit_rounds = frozenset(
-            2 ** j for j in range(params.final_retransmit)
-        )
 
     # -- structure helpers ------------------------------------------------
     @property
@@ -360,17 +411,8 @@ class HierarchicalGossipProcess(AggregationProcess):
         return self.assignment.rank_of(self.node_id)
 
     def covered_ids(self, mask: IntervalMask) -> list[int]:
-        """Member ids behind ``mask``'s ranks, in rank order.
-
-        A slot past the last rank is no member of this run (a Sybil
-        identity minted above the membership); it is reported as itself.
-        """
-        by_rank = self.assignment.members_by_rank()
-        ids: list[int] = []
-        for lo, hi in mask.intervals():
-            ids.extend(by_rank[lo:hi + 1])
-            ids.extend(range(max(lo, len(by_rank)), hi + 1))
-        return ids
+        """Member ids behind ``mask``'s ranks (:func:`covered_ids`)."""
+        return covered_ids(self.assignment, mask)
 
     def _expected_keys(self, phase: int) -> frozenset:
         """Keys whose values this member needs to compose phase ``phase``.
@@ -403,29 +445,7 @@ class HierarchicalGossipProcess(AggregationProcess):
                 )
             self._expected_cache[phase] = result
             return result
-        if phase == 1:
-            my_box = assignment.box_of(self.node_id)
-            keys = {
-                peer
-                for peer in self.view
-                if assignment.has_member(peer)
-                and assignment.box_of(peer) == my_box
-            }
-            keys.add(self.node_id)
-        else:
-            subtree = assignment.subtree_of(self.node_id, phase)
-            hierarchy = assignment.hierarchy
-            keys = {
-                child
-                for child in hierarchy.child_subtrees(subtree)
-                if any(
-                    assignment.has_member(peer)
-                    and hierarchy.contains(child, assignment.box_of(peer))
-                    for peer in self.view
-                )
-            }
-            keys.add(assignment.subtree_of(self.node_id, phase - 1))
-        result = frozenset(keys)
+        result = partial_view_keys(assignment, self.node_id, self.view, phase)
         self._expected_cache[phase] = result
         return result
 
@@ -510,6 +530,8 @@ class HierarchicalGossipProcess(AggregationProcess):
         self.known = {self.node_id: self.own_state()}
         self._known_version += 1
         self.start_round = max(ctx.round, self.start_round)
+        if sanitize.ACTIVE:
+            sanitize.start_clock((self.node_id,))
         self._emit_phase_enter(ctx)
 
     def on_message(self, ctx: Context, message: Message) -> None:
@@ -755,7 +777,9 @@ class HierarchicalGossipProcess(AggregationProcess):
         """
         if self.phase < self.num_phases:
             return False
-        return self.phase_rounds in self._retransmit_rounds
+        return self.phase_rounds in retransmit_rounds(
+            self.params.final_retransmit
+        )
 
     def _round_payload(
         self, sampler: BlockedSampler
@@ -940,6 +964,185 @@ class HierarchicalGossipProcess(AggregationProcess):
             self._emit_phase_enter(ctx)
 
 
+class GroupMember:
+    """One member of a :class:`GossipGroup`, read off the group's columns.
+
+    ``node_id``, ``function`` and ``assignment`` come from the spec;
+    ``result``, ``coverage_fraction``, ``phase``, ``alive`` and
+    ``terminated`` from the columns the array engine writes (their
+    start values until a run binds them).  The array engine admits by
+    structure alone and refuses nothing, so ``refused`` is 0.
+    """
+
+    __slots__ = ("group", "row")
+
+    refused = 0
+
+    def __init__(self, group: GossipGroup, row: int):
+        self.group = group
+        self.row = row
+
+    @property
+    def node_id(self) -> int:
+        return self.group.member_ids[self.row]
+
+    @property
+    def function(self) -> AggregateFunction:
+        return self.group.function
+
+    @property
+    def assignment(self) -> GridAssignment:
+        return self.group.assignment
+
+    @property
+    def result(self) -> AggregateState | None:
+        state = int(self.group.result_ids[self.row])
+        return self.group.states[state] if state else None
+
+    @property
+    def coverage_fraction(self) -> float | None:
+        coverage = float(self.group.coverage[self.row])
+        return None if math.isnan(coverage) else coverage
+
+    @property
+    def phase(self) -> int:
+        return int(self.group.phase[self.row])
+
+    @property
+    def alive(self) -> bool:
+        return bool(self.group.alive[self.row])
+
+    @property
+    def terminated(self) -> bool:
+        return bool(self.group.terminated[self.row])
+
+    def covered_ids(self, mask: IntervalMask) -> list[int]:
+        """Member ids behind ``mask``'s ranks (:func:`covered_ids`)."""
+        return covered_ids(self.group.assignment, mask)
+
+
+class GossipGroup(Sequence):
+    """One hierarchical-gossip group as a spec of columns.
+
+    The spec is what every member's process would be built from: the
+    member ids and a vote column (registration order), the start-round
+    column, the views (``views``, one tuple per member, or ``None``
+    when every member sees the whole group: one shared tuple, ``view``)
+    and the shared params, assignment, aggregate and phase sink.  Next
+    to it are the columns a run writes — ``alive``, ``terminated``,
+    ``phase``, ``result_ids`` (into the state table ``states``; 0 = no
+    result) and ``coverage`` (NaN until finalized).  The array engine
+    binds them directly and builds no process.  The object engine
+    materialises one :class:`HierarchicalGossipProcess` per member
+    (:meth:`materialize`), and the group's items are then those
+    processes.  Until then an item is a :class:`GroupMember` view.
+    """
+
+    def __init__(
+        self,
+        votes: dict[int, float],
+        function: AggregateFunction,
+        assignment: GridAssignment,
+        params: GossipParams,
+        views: list[tuple[int, ...]] | None,
+        start_rounds: np.ndarray,
+        phase_sink: PhaseSink | None,
+    ):
+        self.member_ids = tuple(votes)
+        self.votes = tuple(votes.values())
+        self.function = function
+        self.assignment = assignment
+        self.params = params
+        self.phase_sink = phase_sink
+        self.rounds_per_phase = params.resolve_rounds(
+            assignment.hierarchy.group_size
+        )
+        self.view = self.member_ids
+        self.views = views
+        self.start_rounds = start_rounds
+        count = len(self.member_ids)
+        self.alive = np.ones(count, dtype=bool)
+        self.terminated = np.zeros(count, dtype=bool)
+        self.phase = np.ones(count, dtype=np.int64)
+        self.result_ids = np.zeros(count, dtype=np.int64)
+        self.coverage = np.full(count, np.nan)
+        self.states: list = [None]
+        self.processes: list[HierarchicalGossipProcess] | None = None
+
+    @property
+    def num_phases(self) -> int:
+        return self.assignment.hierarchy.num_phases
+
+    def __len__(self) -> int:
+        return len(self.member_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[row] for row in range(*index.indices(len(self)))]
+        row = range(len(self))[index]
+        if self.processes is not None:
+            return self.processes[row]
+        return GroupMember(self, row)
+
+    def __iter__(self) -> Iterator:
+        if self.processes is not None:
+            return iter(self.processes)
+        return (GroupMember(self, row) for row in range(len(self)))
+
+    def view_of(self, row: int) -> tuple[int, ...]:
+        return self.view if self.views is None else self.views[row]
+
+    def complete_views(self) -> np.ndarray:
+        """Per member: whether its view is the whole membership (views
+        are subsets of it, so a view as large is complete)."""
+        members = len(self.assignment.member_ids)
+        if self.views is None:
+            return np.full(len(self), len(self.view) >= members)
+        return np.fromiter(
+            (len(view) >= members for view in self.views),
+            dtype=bool, count=len(self),
+        )
+
+    def materialize(self) -> list[HierarchicalGossipProcess]:
+        """One process per member, built from the spec once; the group's
+        items are these processes from then on."""
+        if self.processes is None:
+            self.processes = [
+                HierarchicalGossipProcess(
+                    node_id=member_id,
+                    vote=vote,
+                    function=self.function,
+                    assignment=self.assignment,
+                    view=self.view_of(row),
+                    params=self.params,
+                    start_round=start,
+                    phase_sink=self.phase_sink,
+                )
+                for row, (member_id, vote, start) in enumerate(zip(
+                    self.member_ids, self.votes, self.start_rounds.tolist()
+                ))
+            ]
+        return self.processes
+
+    def columns(self) -> MemberColumns:
+        """The members as the measurements read them: the processes'
+        attributes once materialised, else the group's own columns."""
+        if self.processes is not None:
+            return MemberColumns.of(self.processes)
+        return MemberColumns(
+            ids=self.member_ids,
+            slots=np.fromiter(
+                map(self.assignment.rank_of, self.member_ids),
+                dtype=np.int64, count=len(self),
+            ),
+            alive=self.alive,
+            result=self.result_ids,
+            states=self.states,
+            coverage=self.coverage,
+            function=self.function,
+        )
+
+
 def build_hierarchical_gossip_group(
     votes: dict[int, float],
     function: AggregateFunction,
@@ -948,8 +1151,8 @@ def build_hierarchical_gossip_group(
     view_of: Callable[[int], Iterable[int]] | None = None,
     start_round_of: Callable[[int], int] | None = None,
     phase_sink: PhaseSink | None = None,
-) -> list[HierarchicalGossipProcess]:
-    """Create one protocol process per member.
+) -> GossipGroup:
+    """The group's spec (:class:`GossipGroup`); no process is built.
 
     ``view_of`` defaults to complete views (every member sees the whole
     vote map's ids), the paper's simulation setting.  ``start_round_of``
@@ -967,20 +1170,12 @@ def build_hierarchical_gossip_group(
             f"distinct gossipees than exist — lower fanout_m or grow the "
             f"group"
         )
-    if view_of is None:
-        view_of = lambda __: member_ids  # noqa: E731 - trivial default
-    if start_round_of is None:
-        start_round_of = lambda __: 0  # noqa: E731 - trivial default
-    return [
-        HierarchicalGossipProcess(
-            node_id=member_id,
-            vote=vote,
-            function=function,
-            assignment=assignment,
-            view=view_of(member_id),
-            params=params,
-            start_round=start_round_of(member_id),
-            phase_sink=phase_sink,
-        )
-        for member_id, vote in votes.items()
-    ]
+    views = None
+    if view_of is not None:
+        views = [tuple(view_of(member)) for member in member_ids]
+    starts = np.zeros(len(member_ids), dtype=np.int64)
+    if start_round_of is not None:
+        starts[:] = [start_round_of(member) for member in member_ids]
+    return GossipGroup(
+        votes, function, assignment, params, views, starts, phase_sink
+    )

@@ -10,9 +10,11 @@ it covers (Section 2's metric).
 
 from __future__ import annotations
 
+import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from typing import Any
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from repro.sim.rng import RngRegistry
 __all__ = [
     "AggregationProcess",
     "CompletenessReport",
+    "MemberColumns",
     "draw_votes",
     "vote_block",
     "measure_completeness",
@@ -170,46 +173,109 @@ class CompletenessReport:
         return min(self.per_member.values(), default=0.0)
 
 
-def measure_completeness(
-    processes: list[AggregationProcess], group_size: int
-) -> CompletenessReport:
+@dataclass(frozen=True)
+class MemberColumns:
+    """A finished group's members as columns — what the measurements read.
+
+    Row ``i`` is one member: its id, the slot its vote occupies in
+    coverage masks, whether it is alive, its result (an index into
+    ``states``; 0 = none) and its self-assessed coverage (NaN = not
+    assessed).  A group runs one aggregate ``function``.
+    """
+
+    ids: Sequence[int]
+    slots: np.ndarray
+    alive: np.ndarray
+    result: np.ndarray
+    states: Sequence
+    coverage: np.ndarray
+    function: Any
+
+    @classmethod
+    def of(cls, processes) -> "MemberColumns":
+        """The columns of a group of processes (anything that has no
+        ``columns()`` of its own): one row per process, in order."""
+        processes = list(processes)
+        count = len(processes)
+        results = [process.result for process in processes]
+        return cls(
+            ids=[process.node_id for process in processes],
+            slots=np.fromiter((process.slot for process in processes),
+                              dtype=np.int64, count=count),
+            alive=np.fromiter((process.alive for process in processes),
+                              dtype=bool, count=count),
+            result=np.fromiter(
+                (0 if result is None else row
+                 for row, result in enumerate(results, 1)),
+                dtype=np.int64, count=count,
+            ),
+            states=[None, *results],
+            coverage=np.fromiter(
+                (np.nan if process.coverage_fraction is None
+                 else process.coverage_fraction for process in processes),
+                dtype=np.float64, count=count,
+            ),
+            function=processes[0].function if processes else None,
+        )
+
+
+def _columns(processes) -> MemberColumns:
+    columns = getattr(processes, "columns", None)
+    return columns() if columns is not None else MemberColumns.of(processes)
+
+
+def measure_completeness(processes, group_size: int) -> CompletenessReport:
     """Collect the completeness report for a finished run.
 
-    Surviving members are counted per coverage interval from one prefix
-    sum over slot space — O(N * intervals), not O(N * covered members).
+    ``processes`` is a group with ``columns()`` (a
+    :class:`~repro.core.hierarchical_gossip.GossipGroup`) or any list of
+    processes.  Surviving members are counted per coverage interval from
+    one prefix sum over slot space, once per distinct result mask —
+    O(distinct masks * intervals), not O(N * covered members).
     """
+    columns = _columns(processes)
     report = CompletenessReport(group_size=group_size)
-    alive_slots = [process.slot for process in processes if process.alive]
-    report.survivors = len(alive_slots)
+    alive = columns.alive
+    alive_slots = columns.slots[alive]
+    survivors = report.survivors = len(alive_slots)
     # alive_below[s] = surviving members whose slot is < s; coverage past
     # the last survivor's slot (crashed members, foreign slots) adds none.
-    width = max(alive_slots, default=-1) + 1
-    flags = [0] * width
-    for slot in alive_slots:
-        flags[slot] = 1
-    alive_below = [0, *accumulate(flags)]
-    for process in processes:
-        if not process.alive:
-            report.crashed += 1
-            continue
-        if process.result is None:
-            report.unfinished += 1
-            continue
-        report.per_member_initial[process.node_id] = (
-            process.result.covers() / group_size
-        )
-        included_survivors = sum(
-            alive_below[min(hi + 1, width)] - alive_below[min(lo, width)]
-            for lo, hi in process.result.members.intervals()
-        )
-        report.per_member[process.node_id] = (
-            included_survivors / len(alive_slots) if alive_slots else 0.0
-        )
+    width = int(alive_slots.max()) + 1 if survivors else 0
+    alive_below = [0, *np.cumsum(
+        np.bincount(alive_slots, minlength=width)
+    ).tolist()]
+    rows = np.flatnonzero(alive & (columns.result > 0))
+    report.crashed = len(alive) - survivors
+    report.unfinished = survivors - len(rows)
+    indexes = columns.result[rows].tolist()
+    covers: dict[int, int] = {}
+    included: dict[int, int] = {}
+    by_mask: dict[tuple, int] = {}
+    for index in dict.fromkeys(indexes):
+        mask = columns.states[index].members
+        count = by_mask.get(mask.bounds)
+        if count is None:
+            count = by_mask[mask.bounds] = sum(
+                alive_below[min(hi + 1, width)] - alive_below[min(lo, width)]
+                for lo, hi in mask.intervals()
+            )
+        covers[index] = mask.count
+        included[index] = count
+    ids = columns.ids
+    members = [ids[row] for row in rows.tolist()]
+    report.per_member_initial = {
+        member: covers[index] / group_size
+        for member, index in zip(members, indexes)
+    }
+    report.per_member = {
+        member: included[index] / survivors
+        for member, index in zip(members, indexes)
+    }
     return report
 
 
 def measure_estimates(
-    processes: list[AggregationProcess],
+    processes,
     report: CompletenessReport,
     true_value: float,
 ) -> tuple[float, float, dict[int, float]]:
@@ -221,21 +287,30 @@ def measure_estimates(
     self-assessed :attr:`~AggregationProcess.coverage_fraction`, falling
     back to ``result.covers() / group_size`` for protocols that do not
     self-assess.  Both means are ``nan`` when no member qualifies.
+    ``processes`` is what :func:`measure_completeness` took.
     """
-    estimates: dict[int, float] = {}
-    coverages = []
-    for process in processes:
-        if process.node_id not in report.per_member:
-            continue
-        estimates[process.node_id] = process.function.finalize(
-            process.result
-        )
-        coverage = process.coverage_fraction
-        if coverage is None:
-            coverage = process.completeness(report.group_size)
-        coverages.append(coverage)
-    if not estimates:
-        return float("nan"), float("nan"), estimates
+    columns = _columns(processes)
+    measured = report.per_member
+    rows = [
+        row for row, member in enumerate(columns.ids) if member in measured
+    ]
+    if not rows:
+        return float("nan"), float("nan"), {}
+    indexes = columns.result[rows].tolist()
+    finalize = columns.function.finalize
+    values = {
+        index: finalize(columns.states[index])
+        for index in dict.fromkeys(indexes)
+    }
+    ids = columns.ids
+    estimates = {
+        ids[row]: values[index] for row, index in zip(rows, indexes)
+    }
+    coverages = [
+        columns.states[index].covers() / report.group_size
+        if math.isnan(coverage) else coverage
+        for index, coverage in zip(indexes, columns.coverage[rows].tolist())
+    ]
     errors = [abs(value - true_value) for value in estimates.values()]
     count = len(estimates)
     return sum(errors) / count, sum(coverages) / count, estimates

@@ -4,13 +4,14 @@ This is the glue between the substrate (:mod:`repro.sim`), the hierarchy
 and protocols (:mod:`repro.core`, :mod:`repro.baselines`) and the
 experiment definitions (:mod:`repro.experiments.figures`).  One
 :func:`run_once` builds the whole world — votes, hash, hierarchy, network,
-failure model, one process per member — runs it to completion and returns
+failure model, the member group — runs it to completion and returns
 the measurements the paper reports.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from repro.core.gridbox import (
 )
 from repro.core.hashing import FairHash
 from repro.core.hierarchical_gossip import (
+    GossipGroup,
     GossipParams,
     build_hierarchical_gossip_group,
 )
@@ -150,8 +152,10 @@ def _hierarchy_size(config: RunConfig) -> int:
 def _build_processes(
     config: RunConfig, votes: dict[int, float], rngs: RngRegistry,
     phase_sink: PhaseSink | None = None,
-) -> tuple[list[AggregationProcess], int]:
-    """Instantiate the configured protocol; returns (processes, max_rounds)."""
+) -> tuple[Sequence[AggregationProcess] | GossipGroup, int]:
+    """Instantiate the configured protocol; returns (members, max_rounds):
+    hierarchical gossip's :class:`GossipGroup` spec, else one process
+    per member."""
     function = get_aggregate(config.aggregate)
     slack = _HORIZON_SLACK
     if config.protocol in ("hierarchical_gossip", "leader_election"):
@@ -186,7 +190,7 @@ def _build_processes(
                 for member in votes
             }
             start_round_of = starts.__getitem__
-        processes = build_hierarchical_gossip_group(
+        group = build_hierarchical_gossip_group(
             votes, function, assignment, params,
             view_of=view_of, start_round_of=start_round_of,
             phase_sink=phase_sink,
@@ -194,7 +198,7 @@ def _build_processes(
         budget = params.round_budget(
             hierarchy.group_size, hierarchy.num_phases, config.start_spread
         )
-        return processes, budget + slack
+        return group, budget + slack
     if config.protocol == "flood":
         processes = build_flood_group(votes, function, fanout=config.fanout_m)
         return processes, math.ceil(config.n / config.fanout_m) + slack
@@ -312,8 +316,7 @@ def _campaign_horizon(
     (for the hierarchy: its phases alone, without start spread or
     deadline extensions)."""
     if config.protocol == "hierarchical_gossip":
-        first = processes[0]
-        return first.rounds_per_phase * first.num_phases
+        return processes.rounds_per_phase * processes.num_phases
     return max(1, max_rounds - _HORIZON_SLACK)
 
 

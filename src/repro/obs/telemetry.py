@@ -25,9 +25,9 @@ into a run.  Three shapes:
   tracer, no round metrics and no phase sink, just a
   :class:`~repro.obs.metrics.MetricsRegistry` fed from the end-of-run
   record.  Every per-event hook stays detached (an attached phase
-  sink still costs every member's phase-1 ``phase_enter`` event from
-  ``on_start`` and, on the array engine, one column block per round —
-  more than the bench guard's 3% budget), so the runner still
+  sink still costs one column block per round on the array engine,
+  and every event on the object engine — more than the bench guard's
+  3% budget), so the runner still
   picks the array-stepped engine and the returned
   :class:`~repro.experiments.runner.RunResult` is
   byte-identical to an uninstrumented run's (``attach_summary`` is

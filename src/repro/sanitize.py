@@ -24,7 +24,9 @@ place, so a sanitized run takes the unsanitized code path:
   float-fold tolerance means votes were altered, duplicated or
   fabricated in flight.
 * :func:`check_phase_bump` — the **phase clock** steps ``phase ->
-  phase+1`` only, mirroring the bump-up rule II(b).
+  phase+1`` only, mirroring the bump-up rule II(b).  The clock is a
+  per-run map keyed by member id: a member's start
+  (:func:`start_clock`) clears its entry, and its first bump sets it.
 
 With an adversary registered the admission screen :data:`SCREEN` also
 inspects every arriving contribution and scores detections.  It runs
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -69,6 +71,7 @@ __all__ = [
     "check_held",
     "check_compose",
     "check_phase_bump",
+    "start_clock",
     "set_adversary",
     "clear_adversary",
     "detections",
@@ -148,6 +151,8 @@ _GROUND_TRUTH: tuple[Mapping[int, float], AggregateFunction] | None = None
 _ADVERSARY: Any = None
 #: Attributed detections of the current run, in arrival order.
 _DETECTIONS: list[SanitizerError] = []
+#: The phase clock: member id -> the phase its last bump entered.
+_PHASE_CLOCK: dict[int, int] = {}
 
 #: The admission-screening hook protocol processes consult before
 #: accepting an arriving contribution:
@@ -234,11 +239,23 @@ def begin_run(
     """
     global _GROUND_TRUTH
     _GROUND_TRUTH = (dict(votes), function)
+    start_clock()
 
 
 def end_run() -> None:
     global _GROUND_TRUTH
     _GROUND_TRUTH = None
+    start_clock()
+
+
+def start_clock(members: Iterable[int] | None = None) -> None:
+    """The ``members`` (default: every member) start (again): their
+    phase clocks restart, so each one's next bump may leave any phase."""
+    if members is None:
+        _PHASE_CLOCK.clear()
+        return
+    for member in members:
+        _PHASE_CLOCK.pop(member, None)
 
 
 # -- compose/phase checks (called by both engines at every bump) --------
@@ -386,7 +403,7 @@ def check_phase_bump(
     process, round_number: int, from_phase: int, to_phase: int
 ) -> None:
     """Assert the member's phase clock only ever steps forward by one."""
-    last = getattr(process, "_sanitize_phase_clock", from_phase)
+    last = _PHASE_CLOCK.get(process.node_id, from_phase)
     if to_phase != from_phase + 1 or from_phase != last:
         raise _violation(
             SanitizerError, process, round_number, from_phase,
@@ -394,7 +411,7 @@ def check_phase_bump(
             f"phase clock must step monotonically by one (last composed "
             f"phase {last}, now bumping {from_phase} -> {to_phase})",
         )
-    process._sanitize_phase_clock = to_phase
+    _PHASE_CLOCK[process.node_id] = to_phase
 
 
 # -- adversarial admission screening (the detection oracle) --------------

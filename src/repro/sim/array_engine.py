@@ -44,17 +44,24 @@ same RNG stream consumption (per-member gossip streams are independent,
 the shared loss stream is consumed in send order), same network stats,
 same protocol decisions, same phase events.  The cross-engine golden suite pins this.
 
+**Members as columns** — the engine takes one member *group* (a spec
+such as ``repro.core.hierarchical_gossip.GossipGroup``) and builds no
+per-member object: :meth:`add_processes` binds the group's ``alive`` and
+``terminated`` columns as the row masks, and crash, recovery and
+termination update those masks only.  A *row* is a member's position
+in the group; ``row_ids[row]`` is its node id.
+
 The stepper contract::
 
-    stepper.bind(engine)                       # once, after the rows
+    stepper.bind(engine)                       # once, per run
+    stepper.begin(engine)                      # round 0: every row starts
     stepper.step(engine)                       # one round's sends + advances
     stepper.admit(engine, rows, table_rows, table)
         # one delivered chunk, grouped by receiver; returns None or
         # (asked, answering rows, answer table)
 
 A payload table has ``sizes`` (wire size per row) and ``owner`` (the
-member row each payload came from).  A *row* is a process's position
-in registration order (``row_procs``); ``row_ids[row]`` is its node id.
+member row each payload came from).
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ class ArraySteppedEngine(SimulationEngine):
     failure application, round bus, termination bookkeeping, ``run()``
     — is the base engine's, round ``metrics`` included.  A tracer, a
     send tap and injected messages are refused (see the module
-    docstring); they need the object-stepped engine.
+    docstring); they need the object-stepped engine.  ``processes`` is
+    the bound group.
     """
 
     def __init__(self, stepper: Any, **kwargs):
@@ -86,15 +94,17 @@ class ArraySteppedEngine(SimulationEngine):
                 "use the object-stepped SimulationEngine for traced runs"
             )
         super().__init__(**kwargs)
+        # No process ever acts here: dropping the shared Context also
+        # drops its engine <-> context cycle, so a finished run is freed
+        # by reference counting, not left to the cyclic collector.
+        self._ctx = None  # type: ignore[assignment]
         self._stepper = stepper
-        #: Members in registration order; ``row`` indexes these arrays.
-        self.row_procs: list[Process] = []
-        self.row_ids: np.ndarray | None = None
-        self.alive_rows: np.ndarray | None = None
-        self.terminated_rows: np.ndarray | None = None
-        self._dense_rows = False
-        self._sorted_ids: np.ndarray | None = None
-        self._id_order: np.ndarray | None = None
+        self.group: Any = None
+        self.row_ids = np.zeros(0, dtype=np.int64)
+        self.alive_rows = np.zeros(0, dtype=bool)
+        self.terminated_rows = np.zeros(0, dtype=bool)
+        self._dense_rows = True
+        self._sorted_ids = self._id_order = self.row_ids
 
     @property
     def send_tap(self) -> None:
@@ -115,27 +125,43 @@ class ArraySteppedEngine(SimulationEngine):
                 "object-stepped SimulationEngine"
             )
 
-    # -- row bookkeeping ------------------------------------------------
-    def _bind(self) -> None:
-        super()._bind()
-        procs = list(self.processes.values())
-        self.row_procs = procs
-        n = len(procs)
-        ids = np.fromiter(
-            (p.node_id for p in procs), dtype=np.int64, count=n
+    # -- the member group -----------------------------------------------
+    def add_process(self, process: Process) -> None:
+        raise TypeError(
+            "ArraySteppedEngine takes one member group (add_processes), "
+            "not processes"
         )
+
+    def add_processes(self, processes: Any) -> None:
+        """Bind the member group ``processes``' columns: its members are
+        this run's rows."""
+        group = processes
+        if self.group is not None:
+            raise ValueError("ArraySteppedEngine runs one member group")
+        if not len(group):
+            raise ValueError("no members in the group")
+        self.group = self.processes = group
+        self.alive_rows = group.alive
+        self.terminated_rows = group.terminated
+        self._alive_count = int(group.alive.sum())
+        self._terminated_count = int(group.terminated.sum())
+        self._active_count = int((group.alive & ~group.terminated).sum())
+
+    def _bind(self) -> None:
+        if self.group is None:
+            raise ValueError("no member group: add_processes(group) first")
+        n = len(self.group)
+        ids = np.fromiter(self.group.member_ids, dtype=np.int64, count=n)
         self.row_ids = ids
-        self._dense_rows = bool(n == 0 or bool((ids == np.arange(n)).all()))
+        self._dense_rows = bool((ids == np.arange(n)).all())
         if not self._dense_rows:
             self._id_order = np.argsort(ids, kind="stable")
             self._sorted_ids = ids[self._id_order]
-        self.alive_rows = np.fromiter(
-            (p.alive for p in procs), dtype=bool, count=n
-        )
-        self.terminated_rows = np.fromiter(
-            (p.terminated for p in procs), dtype=bool, count=n
-        )
+        self.window_sends = np.zeros(n, dtype=np.int64)
         self._stepper.bind(self)
+
+    def _start(self) -> None:
+        self._stepper.begin(self)
 
     def _rows_of(self, node_ids: np.ndarray) -> np.ndarray:
         """Member rows for an array of node ids (vectorized)."""
@@ -144,27 +170,40 @@ class ArraySteppedEngine(SimulationEngine):
         positions = np.searchsorted(self._sorted_ids, node_ids)
         return self._id_order[positions]
 
-    # -- liveness hooks mirrored into the row masks ---------------------
-    def _crash(self, process: Process) -> None:
-        super()._crash(process)
-        if self.alive_rows is not None:
-            self.alive_rows[self._rows[process.node_id]] = False
-
-    def _recover(self, process: Process) -> None:
-        super()._recover(process)
-        if self.alive_rows is not None:
-            self.alive_rows[self._rows[process.node_id]] = True
-
-    def _note_terminate(self, process: Process) -> None:
-        super()._note_terminate(process)
-        if self.terminated_rows is not None:
-            self.terminated_rows[self._rows[process.node_id]] = True
-
+    # -- liveness on the row masks --------------------------------------
     def _liveness_ids(self) -> tuple[list[int], list[int]]:
         # Mask selections instead of two scans; ``tolist`` hands the
         # failure model plain Python ints (campaign models hash them).
         alive = self.alive_rows
         return self.row_ids[alive].tolist(), self.row_ids[~alive].tolist()
+
+    def _apply_failures(self) -> None:
+        if self.failure_model.is_null:
+            return  # draws nothing, crashes nobody: skip the scans
+        crashed, recovered = self.failure_model.step(
+            self.round, *self._liveness_ids(), self.rngs.stream("failures"),
+        )
+        alive, terminated = self.alive_rows, self.terminated_rows
+        if crashed:
+            rows = self._rows_of(np.fromiter(crashed, dtype=np.int64))
+            rows = rows[alive[rows]]
+            alive[rows] = False
+            self._alive_count -= len(rows)
+            self._active_count -= int((~terminated[rows]).sum())
+            self.stats.crashes += len(rows)
+        if recovered:
+            rows = self._rows_of(np.fromiter(recovered, dtype=np.int64))
+            rows = rows[~alive[rows]]
+            alive[rows] = True
+            self._alive_count += len(rows)
+            self._active_count += int((~terminated[rows]).sum())
+            self.stats.recoveries += len(rows)
+
+    def terminate_rows(self, rows: np.ndarray) -> None:
+        """``rows`` (live, not yet terminated) finished their protocol."""
+        self.terminated_rows[rows] = True
+        self._terminated_count += len(rows)
+        self._active_count -= len(rows)
 
     # -- batched transport ----------------------------------------------
     def submit_block(

@@ -226,7 +226,11 @@ class SimulationEngine:
         self._round_order = None
 
     def add_processes(self, processes: Iterable[Process]) -> None:
-        for process in processes:
+        """Register processes in order.  A member spec that only describes
+        its processes (one with ``materialize()``, e.g. a
+        ``GossipGroup``) registers the processes it builds."""
+        materialize = getattr(processes, "materialize", None)
+        for process in materialize() if materialize else processes:
             self.add_process(process)
 
     # -- internals -----------------------------------------------------
@@ -394,6 +398,13 @@ class SimulationEngine:
         }
         self.window_sends = np.zeros(len(self._rows), dtype=np.int64)
 
+    def _start(self) -> None:
+        """Round 0's ``on_start`` for every process, in registration order."""
+        for process in self.processes.values():
+            self._ctx.current = process
+            process.on_start(self._ctx)
+            self._ctx.current = None
+
     def _step_processes(self) -> None:
         """One ``on_round`` step for every live, unterminated process.
 
@@ -431,10 +442,7 @@ class SimulationEngine:
         gc.disable()
         try:
             self._bind()
-            for process in self.processes.values():
-                self._ctx.current = process
-                process.on_start(self._ctx)
-                self._ctx.current = None
+            self._start()
             self._flush()
             while self.round < self.max_rounds:
                 if (until() if until is not None else self._all_done()):

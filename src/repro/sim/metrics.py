@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.network import SenderCounts
+
 __all__ = ["RoundSample", "RoundMetrics"]
 
 
@@ -43,16 +45,12 @@ class RoundMetrics:
     _last_bytes: int = 0
     _last_dropped: int = 0
     _last_rejected: int = 0
-    _last_per_sender: dict[int, int] = field(default_factory=dict)
+    _last_per_sender: SenderCounts = field(default_factory=SenderCounts)
 
     def snapshot(self, engine) -> None:
         """Record the round that just executed (engine callback)."""
         stats = engine.network.stats
         per_sender = stats.per_sender_sent
-        deltas = {
-            sender: count - self._last_per_sender.get(sender, 0)
-            for sender, count in per_sender.items()
-        }
         self.samples.append(RoundSample(
             round=engine.round,
             messages_sent=stats.sent - self._last_sent,
@@ -62,7 +60,7 @@ class RoundMetrics:
             # membership scans — a large-N hot path when attached).
             live_members=engine.live_count,
             active_members=engine.active_count,
-            max_sends_by_member=max(deltas.values(), default=0),
+            max_sends_by_member=per_sender.most_since(self._last_per_sender),
             messages_rejected=(
                 stats.rejected_bandwidth - self._last_rejected
             ),
@@ -71,7 +69,7 @@ class RoundMetrics:
         self._last_bytes = stats.bytes_sent
         self._last_dropped = stats.dropped
         self._last_rejected = stats.rejected_bandwidth
-        self._last_per_sender = dict(per_sender)
+        self._last_per_sender = per_sender.copy()
 
     # -- queries ----------------------------------------------------------
     def peak_member_rate(self) -> int:

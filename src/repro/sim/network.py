@@ -31,7 +31,6 @@ arrays.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -44,6 +43,7 @@ __all__ = [
     "Message",
     "MessageTooLarge",
     "NetworkStats",
+    "SenderCounts",
     "Network",
     "LossyNetwork",
     "JitterNetwork",
@@ -67,6 +67,52 @@ class MessageTooLarge(Exception):
     """Raised when a protocol violates the constant-message-size bound."""
 
 
+class SenderCounts:
+    """Messages sent per sender, as columns: ``ids`` (every sender that
+    has sent, ascending) and ``counts``.  A block is counted with array
+    operations; senders are only ever added."""
+
+    __slots__ = ("ids", "counts")
+
+    def __init__(self, ids=(), counts=()):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.counts = np.asarray(counts, dtype=np.int64)
+
+    def add(self, senders: np.ndarray, sends: np.ndarray) -> None:
+        """Count ``sends[i]`` more messages from ``senders[i]`` (unique,
+        ascending)."""
+        at = np.searchsorted(self.ids, senders)
+        known = at < len(self.ids)
+        known[known] = self.ids[at[known]] == senders[known]
+        if not known.all():
+            ids = np.union1d(self.ids, senders)
+            counts = np.zeros(len(ids), dtype=np.int64)
+            counts[np.searchsorted(ids, self.ids)] = self.counts
+            self.ids, self.counts = ids, counts
+            at = np.searchsorted(ids, senders)
+        self.counts[at] += sends
+
+    def copy(self) -> "SenderCounts":
+        return SenderCounts(self.ids.copy(), self.counts.copy())
+
+    def most_since(self, earlier: "SenderCounts") -> int:
+        """The most messages one sender sent since ``earlier`` (a copy of
+        these counts taken then); 0 when nobody sent."""
+        before = np.zeros(len(self.counts), dtype=np.int64)
+        before[np.searchsorted(self.ids, earlier.ids)] = earlier.counts
+        return int((self.counts - before).max(initial=0))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SenderCounts):
+            return NotImplemented
+        return (np.array_equal(self.ids, other.ids)
+                and np.array_equal(self.counts, other.counts))
+
+    def __repr__(self) -> str:
+        counts = dict(zip(self.ids.tolist(), self.counts.tolist()))
+        return f"SenderCounts({counts})"
+
+
 @dataclass
 class NetworkStats:
     """Counters kept by every network model."""
@@ -78,7 +124,7 @@ class NetworkStats:
     dropped_cross_partition: int = 0
     dropped_cross_region: int = 0
     injected: int = 0
-    per_sender_sent: Counter = field(default_factory=Counter)
+    per_sender_sent: SenderCounts = field(default_factory=SenderCounts)
 
     @property
     def delivered_planned(self) -> int:
@@ -202,10 +248,7 @@ class Network:
             return accepted, sent_round + 1
         stats.sent += count
         stats.bytes_sent += int(sizes.sum())
-        senders, sent_counts = np.unique(src, return_counts=True)
-        per_sender = stats.per_sender_sent
-        for sender, sends in zip(senders.tolist(), sent_counts.tolist()):
-            per_sender[sender] += sends
+        stats.per_sender_sent.add(*np.unique(src, return_counts=True))
         probabilities = np.broadcast_to(
             np.asarray(self.block_loss(src, dest), dtype=np.float64),
             (count,),

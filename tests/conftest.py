@@ -36,6 +36,8 @@ def sanitizer_left_as_found():
                 "ground truth": sanitize._GROUND_TRUTH}
 
     found = state()
+    # The phase clock is per run, keyed by member id: each test is a run.
+    sanitize.start_clock()
     yield
     changed = [name for name, value in state().items()
                if value is not found[name]]

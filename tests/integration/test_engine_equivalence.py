@@ -492,12 +492,11 @@ def test_auto_falls_back_silently_on_unsupported():
 # -- phase-event byte-identity ------------------------------------------
 
 def _hand_built_run(config, engine, network=None, failure_model=None,
-                    sinks=(), telemetry=None, sink_of=None):
+                    sinks=(), telemetry=None):
     """Run a manually assembled world; returns (phase events, books).
 
-    Every member's phase sink tees an emit-only recorder (whose events
-    are returned) and ``sinks``; ``sink_of(index, sink)`` may give
-    member ``index`` another.  ``telemetry`` reads the finished engine.
+    The group's phase sink tees an emit-only recorder (whose events are
+    returned) and ``sinks``.  ``telemetry`` reads the finished engine.
     """
     from repro.core.observe import PhaseSink
     from repro.experiments import runner as runner_mod
@@ -516,9 +515,6 @@ def _hand_built_run(config, engine, network=None, failure_model=None,
     processes, max_rounds = runner_mod._build_processes(
         config, votes, rngs, phase_sink=sink
     )
-    if sink_of is not None:
-        for index, proc in enumerate(processes):
-            proc.phase_sink = sink_of(index, proc.phase_sink)
     if network is None:
         network = runner_mod._make_network(config)
     if failure_model is None:
@@ -628,22 +624,9 @@ def test_phase_event_streams_identical_unsanitized(unsanitized):
     )
 
 
-def test_array_stepper_refuses_members_with_their_own_sinks():
-    # The stepper hands one block per round to the group's one sink: a
-    # member with a sink of its own is refused at bind, as mixed params.
-    from repro.obs.phase import PhaseTrace
-
-    with pytest.raises(ValueError, match="phase sink"):
-        _hand_built_run(
-            with_params(n=64, seed=2), "array",
-            sink_of=lambda index, sink: PhaseTrace() if index == 5 else sink,
-        )
-
-
-def test_compact_array_run_builds_only_the_start_entries(monkeypatch):
-    # A counting sink takes the stepper's blocks as columns: the only
-    # PhaseEvents built are the phase-1 entries each process's on_start
-    # emits, one per member.
+def test_compact_array_run_builds_no_phase_event(monkeypatch):
+    # A counting sink takes the stepper's blocks as columns, the phase-1
+    # entries of round 0 included: no PhaseEvent is ever built.
     from repro.core.observe import PhaseEvent
 
     built = []
@@ -659,7 +642,7 @@ def test_compact_array_run_builds_only_the_start_entries(monkeypatch):
         run_once(with_params(n=256, ucastl=0.4, push_pull=True, seed=0),
                  telemetry=telemetry)
     assert sum(telemetry.phase_trace.counts.values()) > 3 * 256
-    assert built == ["phase_enter"] * 256
+    assert built == []
 
 
 def test_equivalent_on_jitter_network():

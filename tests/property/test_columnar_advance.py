@@ -13,9 +13,9 @@ runtime sanitizer (whose checks run beside the column fold, on the same
 rows) each on and off, and advance it both ways: the row seeded
 from the twin process (``tests/stepper_rows.py``).  The row's phase,
 clock, extensions, ``known`` (keys, order and states, bit for bit) and
-future buffer must match the twin's, and so must the process's result,
-coverage, termination and emitted events.  A finalised row keeps its
-last phase and clock; its process gets the phase past the last.
+future buffer must match the twin's, and so must the member's result,
+coverage, termination and emitted events.  A finalised row passes the
+last phase, as the twin does.
 """
 
 from __future__ import annotations
@@ -107,16 +107,14 @@ def _world(params: GossipParams):
     )
     twin = build_hierarchical_gossip_group(
         VOTES, function, ASSIGNMENT, params, phase_sink=twin_sink
-    )[MEMBER]
+    ).materialize()[MEMBER]
     engine = ArraySteppedEngine(
         stepper=HierarchicalArrayStepper(),
         network=Network(max_message_size=1 << 20), rngs=RngRegistry(0),
     )
     engine.add_processes(group)
     engine._bind()  # rows, then the stepper
-    for proc in group:
-        proc.on_start(engine._ctx)
-    engine._stepper._begin()
+    engine._start()  # round 0: every row holds its own vote
     group_sink.events.clear()
     return engine, group[MEMBER], twin, group_sink, twin_sink
 
@@ -150,7 +148,7 @@ def _check_advance(phase, early_bump, adaptive, prefer, fraction, data):
         prefer_coverage=prefer, representative_fraction=fraction,
     )
     engine, proc, twin, sink, twin_sink = _world(params)
-    rounds = proc.rounds_per_phase
+    rounds = twin.rounds_per_phase
     budget = params.extension_budget(rounds)
     coverage = st.one_of(st.just(0), st.integers(1, 3))  # 0: all ranks
     keys = _keys(phase)
@@ -203,6 +201,9 @@ def _check_advance(phase, early_bump, adaptive, prefer, fraction, data):
     stepped = np.zeros(N, dtype=bool)
     stepped[MEMBER] = True
     stepper._advance(engine, stepped)
+    # The twin is a second member under the row's id: its phase clock
+    # starts where the row's did.
+    sanitize.start_clock([MEMBER])
     twin._maybe_advance(Context(twin, engine.round))
 
     row = read_row(stepper, MEMBER)

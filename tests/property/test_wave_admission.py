@@ -16,6 +16,8 @@ and read back as its twin process (``tests/stepper_rows.py``).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,17 +106,16 @@ def _world(params: GossipParams, phase: int, known=None, future=None):
     )
     twin = build_hierarchical_gossip_group(
         votes, function, ASSIGNMENT, params
-    )[MEMBER]
+    ).materialize()[MEMBER]
     engine = ArraySteppedEngine(
         stepper=HierarchicalArrayStepper(),
         network=Network(max_message_size=1 << 20), rngs=RngRegistry(0),
     )
     engine.add_processes(group)
     engine._bind()  # rows, then the stepper
+    engine._start()  # round 0: every row holds its own vote
     stepper = engine._stepper
-    for proc in group + [twin]:
-        proc.on_start(engine._ctx)
-    stepper._begin()
+    twin.on_start(SimpleNamespace(round=engine.round))
     twin.phase = phase
     if phase > 1:
         own = ASSIGNMENT.subtree_of(MEMBER, phase - 1)

@@ -1,7 +1,7 @@
 """One member row of a ``HierarchicalArrayStepper``, in its process's terms.
 
-The array stepper keeps a member's protocol state as columns and never
-writes it into the member's process.  Twin tests put a row into a
+The array stepper keeps a member's protocol state as columns and builds
+no process.  Twin tests put a row into a
 chosen state by copying a process's (:func:`seed_row`) and compare the
 row with a twin process by reading it back as that process would hold
 it (:func:`read_row`).
@@ -12,6 +12,8 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
+
+import repro.sanitize as sanitize
 
 
 def _base(stepper, row: int, phase: int) -> int:
@@ -34,8 +36,10 @@ def seed_row(stepper, row: int, process) -> None:
     """Make ``row`` hold what ``process`` holds: phase, clock, both
     extensions, deliveries this phase, ``known`` (in its insertion
     order) and the future buffer.  Keys must have slots; states need
-    not be placed under them."""
+    not be placed under them.  The member's sanitizer phase clock
+    restarts at the phase it is put in."""
     phase = process.phase
+    sanitize.start_clock([int(stepper._ids[row])])
     stepper._phase[row] = phase
     stepper._phase_rounds[row] = process.phase_rounds
     stepper._pext[row] = process._phase_extension
@@ -68,7 +72,10 @@ def read_row(stepper, row: int) -> SimpleNamespace:
     order, the value its entries resolve to."""
     phase = int(stepper._phase[row])
     held = int(stepper._held[row])
-    keys = stepper._keys(phase, int(stepper._base[row]))
+    # A finalised row is past the last phase and holds that phase's keys.
+    keys = stepper._keys(
+        min(phase, stepper._num_phases), int(stepper._base[row])
+    )
     known = {
         keys[slot]: stepper._states[stepper._sid[row, slot]]
         for slot in stepper._order[row, :held].tolist()

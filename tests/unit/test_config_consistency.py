@@ -45,8 +45,9 @@ class TestRunnerForwarding:
         }
         config = with_params(n=16, **overrides)
         votes = {i: 1.0 for i in range(16)}
-        processes, __ = _build_processes(config, votes, RngRegistry(0))
-        params = processes[0].params
+        group, __ = _build_processes(config, votes, RngRegistry(0))
+        params = group.materialize()[0].params
+        assert params is group.params
         for field, value in overrides.items():
             assert getattr(params, field) == value, field
 

@@ -29,7 +29,7 @@ def _world(n=16, k=4, **params):
     return build_hierarchical_gossip_group(
         votes, get_aggregate("average"), assignment,
         GossipParams(**params),
-    )
+    ).materialize()
 
 
 def _run(processes, ucastl=0.0, failure_model=None, max_rounds=200):

@@ -55,7 +55,7 @@ class TestRepresentatives:
         processes = build_hierarchical_gossip_group(
             votes, get_aggregate("average"), assignment,
             GossipParams(representative_fraction=0.01),
-        )
+        ).materialize()
         for process in processes:
             process.phase = 1
             assert process._is_representative()
@@ -68,10 +68,10 @@ class TestRepresentatives:
         params = GossipParams(representative_fraction=0.5)
         group_a = build_hierarchical_gossip_group(
             votes, get_aggregate("average"), assignment, params
-        )
+        ).materialize()
         group_b = build_hierarchical_gossip_group(
             votes, get_aggregate("average"), assignment, params
-        )
+        ).materialize()
         for a, b in zip(group_a, group_b):
             a.phase = b.phase = 2
             assert a._is_representative() == b._is_representative()

@@ -75,7 +75,7 @@ class TestProcessConformance:
         assignment = shared_dense_assignment(8, 4, 8, FairHash(salt=0))
         processes = build_hierarchical_gossip_group(
             votes, get_aggregate("average"), assignment
-        )
+        ).materialize()
         assert all(isinstance(p, GroupProcess) for p in processes)
 
     def test_baseline_process_matches_group_process(self):

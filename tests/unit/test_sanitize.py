@@ -73,7 +73,7 @@ def _member(node_id=3, function=None):
     votes, default, assignment = world
     processes = build_hierarchical_gossip_group(
         votes, function or default, assignment, GossipParams()
-    )
+    ).materialize()
     return next(p for p in processes if p.node_id == node_id)
 
 
@@ -268,7 +268,20 @@ class TestPhaseClock:
         process = _StubProcess(node_id=4)
         sanitize.check_phase_bump(process, 0, 1, 2)
         sanitize.check_phase_bump(process, 3, 2, 3)
-        assert process._sanitize_phase_clock == 3
+        sanitize.check_phase_bump(process, 5, 3, 4)
+
+    def test_the_clock_is_keyed_by_member_and_restarts_at_a_start(
+        self, clean_sanitizer
+    ):
+        sanitize.check_phase_bump(_StubProcess(node_id=4), 0, 1, 2)
+        # Another object for member 4 is the same member: its clock.
+        with pytest.raises(sanitize.SanitizerError):
+            sanitize.check_phase_bump(_StubProcess(node_id=4), 1, 1, 2)
+        sanitize.check_phase_bump(_StubProcess(node_id=5), 1, 1, 2)
+        sanitize.start_clock([4])
+        sanitize.check_phase_bump(_StubProcess(node_id=4), 2, 1, 2)
+        sanitize.end_run()  # a run's end forgets every clock
+        sanitize.check_phase_bump(_StubProcess(node_id=5), 3, 1, 2)
 
     def test_phase_skip_is_rejected(self, clean_sanitizer):
         process = _StubProcess(node_id=4)
@@ -305,10 +318,17 @@ class TestPlantedDoubleCountInProtocol:
         self, clean_sanitizer, array
     ):
         votes, function, assignment = self._figure1_world()
-        processes = build_hierarchical_gossip_group(
+        group = build_hierarchical_gossip_group(
             votes, function, assignment, GossipParams()
         )
-        target = next(p for p in processes if p.node_id == 7)
+        row = group.member_ids.index(7)
+        # A process for member 7: the group's own on the object engine,
+        # a twin whose state is copied into the row on the array engine.
+        target = (
+            build_hierarchical_gossip_group(
+                votes, function, assignment, GossipParams()
+            ) if array else group
+        ).materialize()[row]
         original_on_start = target.on_start
 
         def planted_on_start(ctx):
@@ -327,17 +347,18 @@ class TestPlantedDoubleCountInProtocol:
             # Rows start from each member's own vote: the same bug,
             # planted in the target's row.
             stepper = HierarchicalArrayStepper()
-            begin = stepper._begin
+            begin = stepper.begin
 
-            def planted_begin():
-                begin()
-                seed_row(stepper, processes.index(target), target)
+            def planted_begin(engine):
+                begin(engine)
+                target.on_start(SimpleNamespace(round=engine.round))
+                seed_row(stepper, row, target)
 
-            stepper._begin = planted_begin
+            stepper.begin = planted_begin
             engine = ArraySteppedEngine(stepper=stepper, **world)
         else:
             engine = SimulationEngine(**world)
-        engine.add_processes(processes)
+        engine.add_processes(group)
         with pytest.raises(sanitize.DoubleCountViolation) as caught:
             engine.run()
         violation = caught.value.violation
