@@ -22,9 +22,9 @@ def test_fig10_member_failures(benchmark, record_figure):
 
     # Our protocol (batched gossip) is *more* crash-robust than the
     # paper's simulator: on the survivor-relative metric crashes barely
-    # register at N=200 (values at the measurement floor), so the steep
-    # fall is checked on the initial-votes metric whose crash-dominated
-    # dependence is resolvable (see EXPERIMENTS.md).
+    # register at N=200 (1e-6 to 1e-4), so the steep fall is checked on
+    # the initial-votes metric whose crash-dominated dependence is
+    # resolved in every run (see EXPERIMENTS.md).
     assert is_monotone(initial.ys, increasing=True, tolerance=0.25)
     assert initial.ys[0] <= initial.ys[-1] / 2
     # Survivor-relative: stays tiny across the whole sweep — the votes

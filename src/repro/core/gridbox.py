@@ -368,20 +368,6 @@ class GridAssignment:
             self._child_key_sets[subtree] = keys
         return keys
 
-    def occupied_child_keys(
-        self, member_id: int, phase: int
-    ) -> tuple[SubtreeId, ...] | tuple[int, ...]:
-        """Keys of the child values needed to compose the phase aggregate.
-
-        Phase 1: the member ids inside the member's own grid box (votes are
-        the child values).  Phase i > 1: the child subtrees of the member's
-        height-i subtree that contain at least one member (empty subtrees
-        can never produce an aggregate and must not be waited on).
-        """
-        if phase == 1:
-            return self.members_of_box(self.box_of(member_id))
-        return self.occupied_children(self.subtree_of(member_id, phase))
-
 
 #: Memoized dense assignments: repeated seeded runs of the same config
 #: (``Sweep`` points, ``ParallelRunner`` chunks, benchmark repetitions)

@@ -2,7 +2,7 @@
 
 Each tick a node pings one peer, chosen round-robin over the address
 book, and records the tick it last heard anything (ping, pong, or
-gossip) from each peer.  A peer silent for ``miss_threshold`` probe
+gossip) from each peer.  A peer silent for :data:`MISS_THRESHOLD` probe
 intervals is *suspected*.
 
 The suspicion list feeds ``repro serve`` status output and the
@@ -28,18 +28,16 @@ __all__ = ["LivenessView"]
 #: Ping→pong round trips in ticks; loopback is 2 (one tick each way).
 RTT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
+#: Ticks of silence after which a peer is suspected.
+MISS_THRESHOLD = 8
+
 
 class LivenessView:
     """Last-heard bookkeeping for one node over its peer set."""
 
-    def __init__(
-        self, node_id: int, group_size: int, miss_threshold: int = 8
-    ):
-        if miss_threshold < 1:
-            raise ValueError("miss_threshold must be positive")
+    def __init__(self, node_id: int, group_size: int):
         self.node_id = node_id
         self.group_size = group_size
-        self.miss_threshold = miss_threshold
         #: peer id -> tick we last heard any datagram from it.
         self._last_heard: dict[int, int] = {}
         self._probe_cursor = 0
@@ -104,14 +102,14 @@ class LivenessView:
         return target
 
     def is_suspected(self, peer: int, tick: int) -> bool:
-        """Silent for ``miss_threshold`` ticks since last heard (or never
-        heard at all once the threshold has elapsed)."""
+        """Silent for :data:`MISS_THRESHOLD` ticks since last heard (or
+        never heard at all once the threshold has elapsed)."""
         if peer == self.node_id:
             return False
         last = self._last_heard.get(peer)
         if last is None:
-            return tick >= self.miss_threshold
-        return tick - last >= self.miss_threshold
+            return tick >= MISS_THRESHOLD
+        return tick - last >= MISS_THRESHOLD
 
     def suspected(self, tick: int) -> list[int]:
         """All currently-suspected peers, ascending."""

@@ -121,17 +121,12 @@ def run_loopback_group(
     group_size: int,
     k: int = 4,
     seed: int = 0,
-    aggregate: str = "average",
-    fanout_m: int = 2,
     rounds_factor_c: float = 1.0,
-    hash_salt: int = 0,
-    vote_low: float = 0.0,
-    vote_high: float = 100.0,
     bootstrap: bool = False,
-    max_ticks: int | None = None,
     registry: MetricsRegistry | None = None,
 ) -> NetRunReport:
-    """Run one whole group to convergence over the in-memory router."""
+    """Run one whole group to convergence over the in-memory router
+    (the other :class:`NodeConfig` fields at their defaults)."""
     router = LoopbackRouter()
     nodes: list[NetNode] = []
     for node_id in range(group_size):
@@ -140,12 +135,7 @@ def run_loopback_group(
             group_size=group_size,
             k=k,
             seed=seed,
-            aggregate=aggregate,
-            fanout_m=fanout_m,
             rounds_factor_c=rounds_factor_c,
-            hash_salt=hash_salt,
-            vote_low=vote_low,
-            vote_high=vote_high,
         )
         address = loopback_address(node_id)
         node = NetNode(
@@ -161,7 +151,7 @@ def run_loopback_group(
                 node.book.record(peer, loopback_address(peer))
         nodes.append(node)
     by_address = {loopback_address(n.config.node_id): n for n in nodes}
-    horizon = max_ticks if max_ticks is not None else nodes[0].max_ticks
+    horizon = nodes[0].max_ticks
     if bootstrap:
         # Join/welcome round trips delay the staggered starts; two extra
         # book-convergence rounds per member of slack is generous.

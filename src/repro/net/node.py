@@ -26,10 +26,17 @@ seed, exactly like the simulator's context, and votes come from the
 same block draw as the experiment runner — so a net node's gossip
 decisions under lossless transport are bit-identical to the simulated
 member's (the cross-runtime golden suite pins this).
+
+Metrics: given a registry, a node publishes its ledger (:data:`_LEDGER`)
+through a collector that runs on every read, and counts its process's
+phase events in a counters-only :class:`~repro.obs.phase.PhaseTrace`.
+All nodes of a group share one ``repro_phase_events_total`` family, so
+the collector adds the events counted since its last read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -40,7 +47,6 @@ from repro.core.hierarchical_gossip import (
     GossipParams,
     HierarchicalGossipProcess,
 )
-from repro.core.observe import PhaseSink
 from repro.core.protocol import draw_votes, vote_block
 from repro.net.bootstrap import Address, AddressBook
 from repro.net.codec import (
@@ -57,11 +63,8 @@ from repro.net.codec import (
     _gossip_frame,
 )
 from repro.net.liveness import RTT_BUCKETS, LivenessView
-from repro.obs.metrics import (
-    MetricsPhaseSink,
-    MetricsRegistry,
-    TeePhaseSink,
-)
+from repro.obs.metrics import MetricsRegistry, feed_phase_counts
+from repro.obs.phase import PhaseTrace
 from repro.sim.network import Message
 from repro.sim.rng import RngRegistry
 
@@ -220,24 +223,18 @@ class NetNode:
         config: NodeConfig,
         transport_send: Callable[[bytes, Address], None],
         seeds: tuple[Address, ...] = (),
-        phase_sink: PhaseSink | None = None,
-        miss_threshold: int = 8,
         registry: MetricsRegistry | None = None,
     ):
         self.config = config
         self.transport_send = transport_send
         self.seeds = tuple(seeds)
         self.stats = NodeStats()
-        if registry is not None:
-            # Phase events stream into the registry alongside whatever
-            # sink the caller installed (TeePhaseSink drops Nones).
-            phase_sink = TeePhaseSink(
-                phase_sink, MetricsPhaseSink(registry)
-            )
-        self.book = AddressBook(config.group_size)
-        self.liveness = LivenessView(
-            config.node_id, config.group_size, miss_threshold=miss_threshold
+        #: The process's phase events, counted for the registry.
+        self.phase_trace = (
+            PhaseTrace(store_events=False) if registry is not None else None
         )
+        self.book = AddressBook(config.group_size)
+        self.liveness = LivenessView(config.node_id, config.group_size)
         self.started = False
         self.tick_count = 0
         #: The last gossip payload framed: ``(payload, its body, the
@@ -265,7 +262,7 @@ class NetNode:
             assignment=assignment,
             view=assignment.member_ids,
             params=GossipParams.from_config(config),
-            phase_sink=phase_sink,
+            phase_sink=self.phase_trace,
         )
         self.ctx = NetContext(self)
         if registry is not None:
@@ -273,7 +270,8 @@ class NetNode:
 
     def _publish_ledger(self, registry: MetricsRegistry) -> None:
         """Register this node's series (zero-valued from tick 0) and a
-        collector that copies the ledger into them on every read."""
+        collector that copies the ledger into them on every read and
+        adds the phase events counted since the last one."""
         node = str(self.config.node_id)
         series: list[tuple[Callable, Any]] = []
         for name, help, kind, labels, read, __ in _LEDGER:
@@ -288,6 +286,11 @@ class NetNode:
             _PER_NODE,
             buckets=RTT_BUCKETS,
         ).labels(node)
+        # The group's nodes share one phase family: each read adds what
+        # this node's trace counted since the last one, and never sets.
+        trace = self.phase_trace
+        assert trace is not None
+        fed: Counter[str] = Counter()
 
         def collect() -> None:
             for read, child in series:
@@ -301,6 +304,9 @@ class NetNode:
             rtt.counts[:] = liveness.rtt_counts
             rtt.sum = liveness.rtt_total
             rtt.count = liveness.rtt_count
+            arrived = trace.counts - fed
+            feed_phase_counts(registry, arrived)
+            fed.update(arrived)
 
         registry.add_collector(collect)
 

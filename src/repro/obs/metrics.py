@@ -8,28 +8,24 @@ names and sorted label tuples, no timestamps — so two registries fed
 the same events serialize byte-identically (the determinism suite
 pins this).
 
-Both substrates feed one vocabulary:
+Both substrates feed one vocabulary, and neither counts an event the
+run does not already count:
 
-* the **simulator** through its existing hook points — a
-  :class:`MetricsPhaseSink` behind the protocol's ``phase_sink``
-  (teed next to :class:`~repro.obs.phase.PhaseTrace` by
-  :class:`~repro.obs.telemetry.RunTelemetry`), and
-  :func:`feed_run_record`/:func:`feed_round_samples` for end-of-run
-  totals and round samples.  Feeding draws no randomness and mutates no
-  simulation state, so a registry-enabled run stays byte-identical to
-  a disabled one (golden-tested, exactly like traced-vs-untraced);
+* the **simulator** at the end of a run —
+  :meth:`~repro.obs.telemetry.RunTelemetry.finish` adds the run's
+  :class:`~repro.obs.phase.PhaseTrace` counts with
+  :func:`feed_phase_counts`, and :func:`feed_run_record` /
+  :func:`feed_round_samples` fold in the run totals and round samples.
+  Feeding draws no randomness and mutates no simulation state, so a
+  registry-enabled run stays byte-identical to a disabled one
+  (golden-tested, exactly like traced-vs-untraced); and since the
+  counts come from the trace, both engines feed the same values;
 * the **live runtime** (:mod:`repro.net.node`) through a collector
   (:meth:`MetricsRegistry.add_collector`) that copies each node's own
   ledger — datagram counts, liveness RTT tallies, round and state —
-  into its families on every read, exposed over HTTP by
+  into its families on every read, and adds the phase events its
+  trace counted since the last read; exposed over HTTP by
   :mod:`repro.net.exposition` and read by ``repro top``.
-
-Both simulation engines must reach the phase and round families
-(through the ``phase_sink``/``RoundMetrics`` fan-out) or neither may — a
-registry that saw different events under the array engine would
-silently invalidate the parity guarantee.  The array engine's phase
-events arrive as one block per round
-(:meth:`MetricsPhaseSink.emit_block`: one increment per kind).
 
 The registry itself never reads a clock: every number it holds is an
 event count or a value handed to it.
@@ -37,18 +33,11 @@ event count or a value handed to it.
 
 from __future__ import annotations
 
-import collections
 import json
 import math
 from bisect import bisect_left
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.observe import (
-    PHASE_EVENT_KINDS,
-    PhaseBlock,
-    PhaseEvent,
-    PhaseSink,
-)
 from repro.sim.metrics import RoundSample
 
 __all__ = [
@@ -58,10 +47,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsPhaseSink",
-    "TeePhaseSink",
-    "observe_phase_event",
     "observe_round",
+    "feed_phase_counts",
     "feed_run_record",
 ]
 
@@ -452,26 +439,11 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-# -- the shared hook-point vocabulary ---------------------------------
-
-
-def _phase_events(registry: MetricsRegistry) -> Counter:
-    return registry.counter(
-        "repro_phase_events_total",
-        "Protocol phase events by kind",
-        labelnames=("kind",),
-    )
-
-
-def observe_phase_event(
-    registry: MetricsRegistry, event: PhaseEvent
-) -> None:
-    """Count one protocol phase event."""
-    _phase_events(registry).labels(event.kind).inc()
+# -- feeds -----------------------------------------------------------
 
 
 def observe_round(registry: MetricsRegistry, sample: RoundSample) -> None:
-    """Fold one engine round sample in (a REP009 metric site)."""
+    """Fold one engine round sample in."""
     registry.gauge(
         "repro_sim_round", "Last executed simulation round"
     ).set(sample.round)
@@ -488,40 +460,6 @@ def observe_round(registry: MetricsRegistry, sample: RoundSample) -> None:
         buckets=(8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0, 32768.0),
     ).observe(sample.messages_sent)
 
-
-class MetricsPhaseSink(PhaseSink):
-    """A :class:`PhaseSink` that counts events into a registry."""
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-
-    def emit(self, event: PhaseEvent) -> None:
-        observe_phase_event(self.registry, event)
-
-    def emit_block(self, block: PhaseBlock) -> None:
-        """One increment per kind the block holds, no event built."""
-        events = _phase_events(self.registry)
-        counts = collections.Counter(block.kinds.tolist())
-        for code, count in sorted(counts.items()):
-            events.labels(PHASE_EVENT_KINDS[code]).inc(count)
-
-
-class TeePhaseSink(PhaseSink):
-    """Fan one phase-event stream out to several sinks, in order."""
-
-    def __init__(self, *sinks: PhaseSink | None):
-        self.sinks = tuple(sink for sink in sinks if sink is not None)
-
-    def emit(self, event: PhaseEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def emit_block(self, block: PhaseBlock) -> None:
-        for sink in self.sinks:
-            sink.emit_block(block)
-
-
-# -- end-of-run feeds --------------------------------------------------
 
 #: ``repro-run/1`` counter keys folded in by :func:`feed_run_record`.
 _RECORD_COUNTERS = (
@@ -546,6 +484,23 @@ _RECORD_GAUGES = (
     ("mean_estimate_error", "repro_run_mean_estimate_error",
      "Mean absolute estimate error of the last fed run"),
 )
+
+
+def feed_phase_counts(
+    registry: MetricsRegistry, counts: Mapping[str, int]
+) -> None:
+    """Add per-kind phase-event counts to ``repro_phase_events_total``.
+
+    Adds, never sets: every run or node fed into one registry sums.  A
+    kind with no events gets no series.
+    """
+    for kind, count in counts.items():
+        if count:
+            registry.counter(
+                "repro_phase_events_total",
+                "Protocol phase events by kind",
+                labelnames=("kind",),
+            ).labels(kind).inc(count)
 
 
 def feed_run_record(registry: MetricsRegistry, record: dict) -> None:

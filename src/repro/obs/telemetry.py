@@ -31,9 +31,11 @@ into a run.  Three shapes:
   picks the array-stepped engine and the returned
   :class:`~repro.experiments.runner.RunResult` is
   byte-identical to an uninstrumented run's (``attach_summary`` is
-  off, so even the ``telemetry`` field stays ``None``).  A *full*
-  telemetry with ``registry`` set streams phase events into the
-  registry live through the teed sink.
+  off, so even the ``telemetry`` field stays ``None``).
+
+Any shape with ``registry`` set feeds it once, at
+:meth:`RunTelemetry.finish`: the phase trace's per-kind counts (the one
+count of the run's phase events) and the run record's totals.
 
 The summary's engine totals (sends, deliveries, crashes, ...) are not
 counted by telemetry at all: :meth:`RunTelemetry.finish` reads them from
@@ -51,11 +53,10 @@ import dataclasses
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 
-from repro.core.observe import PHASE_EVENT_KINDS, PhaseSink
+from repro.core.observe import PHASE_EVENT_KINDS
 from repro.obs.metrics import (
-    MetricsPhaseSink,
     MetricsRegistry,
-    TeePhaseSink,
+    feed_phase_counts,
     feed_round_samples,
     feed_run_record,
 )
@@ -105,9 +106,6 @@ class TelemetrySummary:
     #: sanitizer that let the run complete certifies the invariants held
     #: (it raises on the first violation).
     sanitizer_active: bool = False
-
-    def phase_timeout_map(self) -> dict[int, int]:
-        return dict(self.phase_timeouts)
 
     def to_record(self) -> dict:
         """JSON-ready dict (the ``summary`` record of ``repro-trace/1``)."""
@@ -164,8 +162,8 @@ class RunTelemetry:
     phase_trace: PhaseTrace = field(default_factory=PhaseTrace)
     #: Opt-in wall-clock section profiler (never part of exports).
     profiler: SectionProfiler | None = None
-    #: Opt-in live metrics registry: phase events stream in through a
-    #: teed :class:`MetricsPhaseSink`, run totals at :meth:`finish`.
+    #: Opt-in metrics registry, fed the phase trace's counts and the
+    #: run totals at :meth:`finish`.
     registry: MetricsRegistry | None = None
     #: Whether the runner should put :meth:`summary` on the returned
     #: ``RunResult``; the metrics-only shape turns this off so a
@@ -222,20 +220,11 @@ class RunTelemetry:
             attach_phase_sink=False,
         )
 
-    def phase_sink(self) -> PhaseSink | None:
-        """The sink the runner wires into the protocol processes.
-
-        ``None`` when detached (metrics-only shape); otherwise the
-        :class:`PhaseTrace` alone, or a tee that also streams every
-        event into the attached registry.
-        """
-        if not self.attach_phase_sink:
-            return None
-        if self.registry is None:
-            return self.phase_trace
-        return TeePhaseSink(
-            self.phase_trace, MetricsPhaseSink(self.registry)
-        )
+    def phase_sink(self) -> PhaseTrace | None:
+        """The sink the runner wires into the protocol processes: the
+        :class:`PhaseTrace`, or ``None`` when detached (metrics-only
+        shape)."""
+        return self.phase_trace if self.attach_phase_sink else None
 
     def profile(self, section: str) -> AbstractContextManager[None]:
         """Context manager timing ``section`` (no-op without a profiler)."""
@@ -272,6 +261,7 @@ class RunTelemetry:
             if self.registry is not None:
                 # Pure observation: the record is already final, so the
                 # feed can never change results (golden-tested).
+                feed_phase_counts(self.registry, self.phase_trace.counts)
                 feed_run_record(self.registry, result_record)
                 if self.metrics is not None:
                     feed_round_samples(

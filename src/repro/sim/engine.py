@@ -349,8 +349,7 @@ class SimulationEngine:
         return ([p.node_id for p in processes if p.alive],
                 [p.node_id for p in processes if not p.alive])
 
-    # -- liveness transition hooks (subclasses mirror them into their
-    # own bookkeeping, e.g. the array engine's per-member masks) --------
+    # -- liveness transitions --------------------------------------------
     def _crash(self, process: Process) -> None:
         process.alive = False
         self._alive_count -= 1

@@ -392,8 +392,8 @@ def test_round_metrics_samples_identical(config):
         snapshots[engine] = telemetry.registry.snapshot_json()
     assert len(samples["object"]) > 0
     assert samples["array"] == samples["object"]
-    # Every registry feed point (live phase events, round samples, the
-    # end-of-run record) fires the same on both engine paths.
+    # Every registry feed (the phase trace's counts, round samples, the
+    # end-of-run record) is the same on both engine paths.
     assert "repro_phase_events_total" in snapshots["object"]
     assert snapshots["array"] == snapshots["object"]
 
@@ -495,12 +495,12 @@ def _hand_built_run(config, engine, network=None, failure_model=None,
                     sinks=(), telemetry=None):
     """Run a manually assembled world; returns (phase events, books).
 
-    The group's phase sink tees an emit-only recorder (whose events are
-    returned) and ``sinks``.  ``telemetry`` reads the finished engine.
+    The group's phase sink records every event (returned) and passes
+    each event or block on to ``sinks`` as it came.  ``telemetry`` reads
+    the finished engine.
     """
     from repro.core.observe import PhaseSink
     from repro.experiments import runner as runner_mod
-    from repro.obs.metrics import TeePhaseSink
     from repro.sim.rng import RngRegistry
 
     events = []
@@ -508,12 +508,18 @@ def _hand_built_run(config, engine, network=None, failure_model=None,
     class Recorder(PhaseSink):
         def emit(self, event):
             events.append(event)
+            for sink in sinks:
+                sink.emit(event)
+
+        def emit_block(self, block):
+            events.extend(block.events())
+            for sink in sinks:
+                sink.emit_block(block)
 
     rngs = RngRegistry(seed=config.seed)
     votes = runner_mod._make_votes(config, rngs)
-    sink = TeePhaseSink(Recorder(), *sinks) if sinks else Recorder()
     processes, max_rounds = runner_mod._build_processes(
-        config, votes, rngs, phase_sink=sink
+        config, votes, rngs, phase_sink=Recorder()
     )
     if network is None:
         network = runner_mod._make_network(config)
@@ -557,10 +563,10 @@ STREAM_CONFIGS = [
 
 
 def _observed(config, engine, failure_model=None):
-    """One hand-built run seen by four sinks: an emit-only recorder, a
+    """One hand-built run seen by three sinks: a recorder, a telemetry's
     storing ``PhaseTrace`` capped a few events into the stepper's first
-    block, a compact one, and a telemetry's tee into a registry.  What
-    each of them saw, as comparable values."""
+    block, and a compact one.  What each of them saw, as comparable
+    values."""
     import json
 
     from repro.obs.phase import PhaseTrace
@@ -568,7 +574,6 @@ def _observed(config, engine, failure_model=None):
     telemetry = RunTelemetry(
         tracer=None, metrics=None,
         phase_trace=PhaseTrace(max_events=config.n + 7),
-        registry=MetricsRegistry(),
     )
     compact = PhaseTrace(store_events=False)
     events, books = _hand_built_run(
@@ -584,7 +589,6 @@ def _observed(config, engine, failure_model=None):
     return (
         events, books, traces,
         json.dumps(telemetry.summary().to_record(), sort_keys=True),
-        telemetry.registry.snapshot_json(),
     )
 
 
@@ -593,9 +597,7 @@ def _assert_streams_identical(config, failure_model=None):
         engine: _observed(config, engine, failure_model)
         for engine in ("object", "array")
     }
-    events, __, ((counts, *__, dropped, stored), __), __, __ = (
-        got["object"]
-    )
+    events, __, ((counts, *__, dropped, stored), __), __ = got["object"]
     assert len(events) > 0 and dropped > 0
     assert len(stored) == config.n + 7
     assert sum(counts.values()) == len(events)

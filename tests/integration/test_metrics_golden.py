@@ -58,7 +58,7 @@ class TestRegistryIsPureObservation:
             telemetry=RunTelemetry(registry=registry),
         )
         assert _record_bytes(plain) == _record_bytes(fed)
-        # Full telemetry streams phase events into the registry live.
+        # The run's phase trace feeds the registry at finish.
         assert registry.counter(
             "repro_phase_events_total", labelnames=("kind",)
         ).labels("finalize").value > 0

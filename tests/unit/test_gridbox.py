@@ -171,10 +171,6 @@ class TestAssignment:
         assert a.occupied_children(left) == (SubtreeId(2, 0),)
         assert a.occupied_children(right) == (SubtreeId(2, 3),)
 
-    def test_occupied_child_keys_phase1_is_box_members(self):
-        __, a = self._figure1_assignment()
-        assert set(a.occupied_child_keys(7, 1)) == {7, 3, 8}
-
     def test_fair_hash_assignment_covers_all_members(self):
         h = GridBoxHierarchy(128, 4)
         members = range(1000, 1128)

@@ -9,21 +9,23 @@ identically regardless of creation or feed order.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
-from repro.core.observe import PhaseEvent
+from repro.experiments.params import with_params
+from repro.experiments.runner import run_once
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     METRICS_SCHEMA,
-    MetricsPhaseSink,
     MetricsRegistry,
-    TeePhaseSink,
+    feed_phase_counts,
     feed_run_record,
-    observe_phase_event,
     observe_round,
 )
+from repro.obs.telemetry import RunTelemetry
 from repro.sim.metrics import RoundSample
+from tests.engines import ENGINES, forced
 
 
 def _sample(round=0, messages=10):
@@ -34,8 +36,13 @@ def _sample(round=0, messages=10):
     )
 
 
-def _event(kind="phase_enter", phase=1):
-    return PhaseEvent(kind=kind, member=0, round=0, phase=phase)
+def _phase_family(registry):
+    """``{kind: value}`` of ``repro_phase_events_total`` ({} if absent)."""
+    family = registry.snapshot()["metrics"].get("repro_phase_events_total")
+    return {
+        sample["labels"][0]: sample["value"]
+        for sample in (family["samples"] if family else ())
+    }
 
 
 class TestCounter:
@@ -227,16 +234,13 @@ class TestPrometheusRendering:
 
 
 class TestHookPoints:
-    def test_observe_phase_event_counts_by_kind(self):
+    def test_feed_phase_counts_adds_by_kind(self):
         registry = MetricsRegistry()
-        observe_phase_event(registry, _event("phase_enter"))
-        observe_phase_event(registry, _event("phase_enter"))
-        observe_phase_event(registry, _event("finalize"))
-        counter = registry.counter(
-            "repro_phase_events_total", labelnames=("kind",)
-        )
-        assert counter.labels("phase_enter").value == 2
-        assert counter.labels("finalize").value == 1
+        feed_phase_counts(registry, Counter(finalize=0))
+        assert registry.families() == []  # no events, no family
+        feed_phase_counts(registry, Counter(phase_enter=2, finalize=1))
+        feed_phase_counts(registry, Counter(phase_enter=1, finalize=0))
+        assert _phase_family(registry) == {"phase_enter": 3, "finalize": 1}
 
     def test_observe_round_sets_gauges_and_histogram(self):
         registry = MetricsRegistry()
@@ -248,23 +252,20 @@ class TestHookPoints:
         ]
         assert messages["samples"][0]["count"] == 1
 
-    def test_metrics_phase_sink_feeds_the_registry(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_registry_reads_the_phase_trace(self, engine):
+        # The family is the run's PhaseTrace counts, fed at finish, on
+        # either engine; a second run into the same registry adds.
         registry = MetricsRegistry()
-        MetricsPhaseSink(registry).emit(_event("finalize"))
-        assert registry.counter(
-            "repro_phase_events_total", labelnames=("kind",)
-        ).labels("finalize").value == 1
-
-    def test_tee_fans_out_and_skips_none(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        tee = TeePhaseSink(
-            MetricsPhaseSink(left), None, MetricsPhaseSink(right)
-        )
-        tee.emit(_event())
-        for registry in (left, right):
-            assert registry.counter(
-                "repro_phase_events_total", labelnames=("kind",)
-            ).labels("phase_enter").value == 1
+        counts = Counter()
+        for seed in (1, 2):
+            telemetry = RunTelemetry(tracer=None, registry=registry)
+            with forced(engine):
+                run_once(with_params(n=64, ucastl=0.4, seed=seed),
+                         telemetry=telemetry)
+            counts += telemetry.phase_trace.counts
+            assert _phase_family(registry) == dict(counts)
+        assert counts["bump_up_timeout"] > 0
 
     def test_feed_run_record_accumulates_counters(self):
         registry = MetricsRegistry()

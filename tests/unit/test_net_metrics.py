@@ -9,10 +9,17 @@ ping answered immediately comes back exactly two ticks later, which
 makes the histogram's contents deterministic and assertable.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.net.liveness import LivenessView
-from repro.net.loopback import run_loopback_group
+from repro.net.loopback import (
+    LoopbackRouter,
+    loopback_address,
+    run_loopback_group,
+)
+from repro.net.node import NetNode, NodeConfig
 from repro.obs.metrics import MetricsRegistry
 
 #: Every family a live node registers, pinned by name.  Renaming any of
@@ -62,14 +69,54 @@ class TestPinnedFamilies:
 
     def test_phase_events_flow_through_the_node_sink(self, loopback):
         registry, __ = loopback
-        # Every NetNode tees its phase sink into the registry, so the
-        # same repro_phase_events_total vocabulary the simulator uses
-        # shows up on the live side too.
-        counter = registry.counter(
-            "repro_phase_events_total", labelnames=("kind",)
+        # Every NetNode counts its phase events and its collector adds
+        # them to the same repro_phase_events_total vocabulary the
+        # simulator uses.  Collector values are as fresh as the last
+        # read, so read through a snapshot.
+        events = {
+            kind: value for (kind,), value in _samples(
+                registry, "repro_phase_events_total"
+            ).items()
+        }
+        assert events["phase_enter"] > 0
+        assert events["finalize"] == 16
+
+    def test_shared_phase_family_adds_new_events(self):
+        # A snapshot after every tick: each read must add only what a
+        # node counted since its last read.  Setting a node's total, or
+        # adding totals again, breaks the sum over the group.
+        registry = MetricsRegistry()
+        router = LoopbackRouter()
+        nodes = {}
+        for node_id in range(16):
+            address = loopback_address(node_id)
+            node = NetNode(
+                NodeConfig(node_id=node_id, group_size=16, seed=3),
+                router.sender_for(address), registry=registry,
+            )
+            node.register_self(address)
+            for peer in range(16):
+                node.book.record(peer, loopback_address(peer))
+            nodes[address] = node
+        reads = 0
+        while not all(node.terminated for node in nodes.values()):
+            for data, dest, src in router.take():
+                nodes[dest].datagram_received(data, src)
+            for node in nodes.values():
+                node.tick()
+            registry.snapshot()
+            reads += 1
+        assert reads > 2
+        total = sum(
+            (node.phase_trace.counts for node in nodes.values()), Counter()
         )
-        assert counter.labels("phase_enter").value > 0
-        assert counter.labels("finalize").value == 16
+        events = {
+            kind: value for (kind,), value in _samples(
+                registry, "repro_phase_events_total"
+            ).items()
+        }
+        assert events == dict(total)
+        assert events["finalize"] == 16
 
 
 class TestLoopbackFeed:
@@ -309,7 +356,7 @@ class TestLivenessRtt:
         assert view.mean_rtt() is None
 
     def test_pong_is_a_sign_of_life(self):
-        view = LivenessView(node_id=0, group_size=4, miss_threshold=8)
+        view = LivenessView(node_id=0, group_size=4)
         view.record_pong(1, tick=5)
         assert not view.is_suspected(1, tick=7)
 

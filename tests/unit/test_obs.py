@@ -77,16 +77,6 @@ class TestPhaseTrace:
         trace.emit(_event(kind="finalize", coverage=None))
         assert trace.incomplete_finalizes == 1
 
-    def test_member_queries(self):
-        trace = PhaseTrace()
-        trace.emit(_event(member=1, kind="bump_up_timeout", phase=1))
-        trace.emit(_event(member=1, kind="finalize", coverage=0.9))
-        trace.emit(_event(member=2, kind="finalize", coverage=1.0))
-        assert len(trace.for_member(1)) == 2
-        assert trace.finalize_of(1).coverage == 0.9
-        assert trace.timeouts_of(1)[0].phase == 1
-        assert trace.timeouts_of(2) == []
-
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
             PhaseTrace(max_events=-1)
@@ -135,6 +125,24 @@ class TestPhaseReport:
         assert Counter(timeout) == trace.phase_timeouts
 
 
+@pytest.mark.parametrize("make, take, event", [
+    pytest.param(Tracer, Tracer.record, TraceEvent(0, "send", 0),
+                 id="Tracer"),
+    pytest.param(PhaseTrace, PhaseTrace.emit, _event(), id="PhaseTrace"),
+])
+@pytest.mark.parametrize("cap", [0, 3])
+def test_a_cap_drops_what_it_cannot_store(make, take, event, cap):
+    # One rule for both logs: every event counted, the first ``cap``
+    # stored, the rest dropped; a zero cap is a cap like any other.
+    log = make(max_events=cap)
+    for __ in range(5):
+        take(log, event)
+    assert len(log.events) == cap
+    assert log.dropped_events == 5 - cap
+    assert sum(log.counts.values()) == 5
+    assert ("beyond cap" in log.summary()) == (cap < 5)
+
+
 class TestTracerCapAndPredicate:
     """The Tracer's storage cap against its exact counters."""
 
@@ -147,12 +155,18 @@ class TestTracerCapAndPredicate:
         assert tracer.counts["send"] == 10
 
     def test_counters_only_shape_has_no_drops(self):
-        tracer = Tracer(max_events=0)
-        for index in range(5):
-            tracer.record(TraceEvent(0, "send", index))
-        assert tracer.events == []
-        assert tracer.dropped_events == 0
-        assert tracer.counts["send"] == 5
+        # The engine's counters-only shape is no tracer at all (a zero
+        # cap is a cap, see above): the summary reads the engine's own
+        # books and reports no drop.
+        from repro.experiments.params import with_params
+        from repro.experiments.runner import run_once
+
+        summary = run_once(
+            with_params(n=64, seed=1, collect_telemetry=True)
+        ).telemetry
+        assert summary.sends > 0
+        assert (summary.dropped_engine_events,
+                summary.dropped_phase_events) == (0, 0)
 
 
 class TestTelemetrySummary:
@@ -168,7 +182,7 @@ class TestTelemetrySummary:
         merged = merge_summaries([first, second])
         assert merged.runs == 2
         assert merged.bump_up_timeout == 4
-        assert merged.phase_timeout_map() == {1: 2, 2: 5}
+        assert dict(merged.phase_timeouts) == {1: 2, 2: 5}
         assert merged.sanitizer_active
 
     def test_merge_sanitizer_is_conjunction(self):
@@ -224,7 +238,7 @@ class TestRunTelemetry:
         ))
         summary = telemetry.summary()
         assert summary.bump_up_timeout == 1
-        assert summary.phase_timeout_map() == {2: 1}
+        assert dict(summary.phase_timeouts) == {2: 1}
         assert summary.rounds == 7
         assert (summary.sends, summary.sends_lost, summary.sends_rejected,
                 summary.delivers, summary.crashes, summary.recoveries,

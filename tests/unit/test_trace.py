@@ -69,12 +69,6 @@ class TestTracer:
         assert tracer.dropped_events > 0
         assert "beyond cap" in tracer.summary()
 
-    def test_queries(self):
-        tracer = Tracer()
-        _run(tracer=tracer)
-        assert tracer.for_node(0)
-        assert tracer.rounds_of("terminate") == [2, 2]
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Tracer().record(TraceEvent(0, "explode", 0))

@@ -5,7 +5,9 @@ Starts a 4-node ``repro serve`` group with ``--metrics-port`` and
 ``--linger``, then, while the group lingers after convergence:
 
 1. scrapes every node's ``/metrics`` (Prometheus text 0.0.4) and
-   ``/metrics.json`` (``repro-metrics/1``) and validates both formats;
+   ``/metrics.json`` (``repro-metrics/1``), validates both formats,
+   and asserts each node's registry counts exactly one ``finalize``
+   phase event (added from the node's phase trace);
 2. runs ``repro top --once --json`` against all endpoints and asserts
    every node is up, converged, and has nonzero gossip counters;
 3. SIGTERMs the group and asserts the clean-stop contract (exit 0)
@@ -98,6 +100,18 @@ def check_json_snapshot(port: int) -> dict:
     )
     if gossip_tx <= 0:
         fail("node sent no gossip according to its own registry")
+    # Read after convergence, and after the text scrape already ran the
+    # collectors once: a collector that adds more than the events that
+    # arrived since its last read would show more than one.
+    finalizes = [
+        sample["value"]
+        for sample in snapshot["metrics"]["repro_phase_events_total"][
+            "samples"
+        ]
+        if sample["labels"] == ["finalize"]
+    ]
+    if finalizes != [1]:
+        fail(f"node counts finalize events {finalizes}, not [1]")
     return snapshot
 
 
