@@ -28,8 +28,10 @@ A fixed-width payload also has a *column form* (:attr:`AggregateFunction
 .columns`): one numpy array per payload scalar, many states side by
 side, combined by :meth:`AggregateFunction.combine_columns` with exactly
 the scalar operations of the combiner, so a column fold is bit-identical
-to :meth:`AggregateFunction.merge_all`'s.  The array stepper composes
-that way.
+to :meth:`AggregateFunction.merge_all`'s.  A :class:`StateTable` keeps
+many states as such columns, their coverage as rank intervals, and
+builds an :class:`AggregateState` only when one is read; the array
+stepper composes in it.
 """
 
 from __future__ import annotations
@@ -37,17 +39,19 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
 from typing import Any
 
 import numpy as np
 
-from repro.core.intervals import IntervalMask
+from repro.core.intervals import IntervalMask, _make
 
 __all__ = [
     "DoubleCountError",
     "AggregateState",
     "AggregateFunction",
+    "StateTable",
     "SumAggregate",
     "CountAggregate",
     "AverageAggregate",
@@ -120,13 +124,14 @@ class AggregateState:
         gossip round, and the payload walk dominated the simulator's send
         path before caching.
         """
-        if self._wire_size is not None:
-            return self._wire_size
-        payload = self.payload
-        count = _flat_len(payload) if isinstance(payload, tuple) else 1
-        size = 8 * max(1, count)
-        object.__setattr__(self, "_wire_size", size)
-        return size
+        if self._wire_size is None:
+            object.__setattr__(self, "_wire_size", _size(self.payload))
+        return self._wire_size
+
+
+def _size(payload: Any) -> int:
+    """:meth:`AggregateState.wire_size` of ``payload``."""
+    return 8 * max(1, _flat_len(payload) if isinstance(payload, tuple) else 1)
 
 
 def _flat_len(value: Any) -> int:
@@ -138,9 +143,10 @@ def _flat_len(value: Any) -> int:
 class AggregateFunction:
     """Base class for a composable aggregate.
 
-    Subclasses implement the payload algebra (`_lift`, `_combine`,
-    `_finalize`); this base class wraps it with the coverage-mask tracking
-    and the no-double-counting guard.
+    Subclasses implement the payload algebra (`_lift`, or `lift_payload`
+    when the payload depends on the member id, `_combine`, `_finalize`);
+    this base class wraps it with the coverage-mask tracking and the
+    no-double-counting guard.
     """
 
     #: Registry name; subclasses override.
@@ -162,9 +168,15 @@ class AggregateFunction:
         raise NotImplementedError
 
     # -- public API -------------------------------------------------------
+    def lift_payload(self, member_id: int, vote: float) -> Any:
+        """The payload of the single-vote set ``{member_id: vote}``."""
+        return self._lift(vote)
+
     def lift(self, member_id: int, vote: float) -> AggregateState:
         """The aggregate of the single-vote set ``{member_id: vote}``."""
-        return AggregateState(self._lift(vote), IntervalMask.single(member_id))
+        return AggregateState(
+            self.lift_payload(member_id, vote), IntervalMask.single(member_id)
+        )
 
     def merge(self, a: AggregateState, b: AggregateState) -> AggregateState:
         """Combine two partial aggregates over *disjoint* vote sets.
@@ -218,16 +230,6 @@ class AggregateFunction:
         if len(a) == 1:
             return [self._combine(a[0], b[0])]
         return list(self._combine(tuple(a), tuple(b)))
-
-    def payload_columns(self, payloads: list) -> list:
-        """The payloads' scalars, one sequence per column."""
-        return [payloads] if len(self.columns) == 1 else list(zip(*payloads))
-
-    def column_payloads(self, columns: list) -> list:
-        """Column rows back as payloads of Python scalars."""
-        if len(columns) == 1:
-            return columns[0].tolist()
-        return list(zip(*(column.tolist() for column in columns)))
 
     def fold_columns(self, table: list, ids, lengths) -> list:
         """Fold row ``i``'s payloads — ids ``ids[i, :lengths[i]]`` into
@@ -497,15 +499,12 @@ class DistinctCountAggregate(AggregateFunction):
         value = int.from_bytes(digest[:8], "big") | (1 << 63)
         return (value & -value).bit_length() - 1  # lowest set bit index
 
-    def _lift(self, vote):
-        raise NotImplementedError  # sketches the member id, not the vote
-
-    def lift(self, member_id: int, vote: float) -> AggregateState:
-        bitmaps = tuple(
+    def lift_payload(self, member_id: int, vote: float) -> Any:
+        # Sketches the member id, not the vote.
+        return tuple(
             1 << self._rho(member_id, bucket)
             for bucket in range(self.buckets)
         )
-        return AggregateState(bitmaps, IntervalMask.single(member_id))
 
     def _combine(self, a, b):
         return tuple(x | y for x, y in zip(a, b))
@@ -547,15 +546,8 @@ class TopKAggregate(AggregateFunction):
             raise ValueError("k must be at least 1")
         self.k = int(k)
 
-    def _lift(self, vote):
-        # member id is attached in lift(); _lift only sees the vote, so
-        # the public lift() is overridden below instead.
-        raise NotImplementedError
-
-    def lift(self, member_id: int, vote: float) -> AggregateState:
-        return AggregateState(
-            ((float(vote), int(member_id)),), IntervalMask.single(member_id)
-        )
+    def lift_payload(self, member_id: int, vote: float) -> Any:
+        return ((float(vote), int(member_id)),)
 
     def _combine(self, a, b):
         merged = sorted((*a, *b), key=lambda pair: (-pair[0], pair[1]))
@@ -597,10 +589,7 @@ class ProductAggregate(AggregateFunction):
             raise ValueError("need at least one component function")
         self.functions = list(functions)
 
-    def _lift(self, vote):
-        raise NotImplementedError  # lift() is overridden below
-
-    def lift(self, member_id: int, vote) -> AggregateState:
+    def lift_payload(self, member_id: int, vote) -> Any:
         votes = list(vote) if isinstance(vote, (tuple, list)) else [
             vote
         ] * len(self.functions)
@@ -609,11 +598,10 @@ class ProductAggregate(AggregateFunction):
                 f"vote has {len(votes)} components, product has "
                 f"{len(self.functions)}"
             )
-        payload = tuple(
-            function.lift(member_id, component).payload
+        return tuple(
+            function.lift_payload(member_id, component)
             for function, component in zip(self.functions, votes)
         )
-        return AggregateState(payload, IntervalMask.single(member_id))
 
     def _combine(self, a, b):
         return tuple(
@@ -714,3 +702,188 @@ def get_aggregate(name: str, **kwargs) -> AggregateFunction:
         known = ", ".join(AGGREGATE_NAMES)
         raise KeyError(f"unknown aggregate {name!r}; known: {known}") from None
     return cls(**kwargs)
+
+
+def _room(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` with room for at least ``rows`` rows: at least doubled,
+    the new rows zero (pages never written take no memory)."""
+    if len(array) >= rows:
+        return array
+    grown = np.zeros((max(rows, 2 * len(array)), *array.shape[1:]),
+                     dtype=array.dtype)
+    grown[:len(array)] = array
+    return grown
+
+
+def _segments(first: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indexes ``first[i]`` .. ``first[i] + length[i] - 1`` of every
+    ``i``, concatenated in order."""
+    offsets = np.cumsum(length) - length
+    return np.arange(np.sum(length)) + np.repeat(first - offsets, length)
+
+
+class StateTable:
+    """Many aggregate states as columns; an id names one (0: no state).
+
+    Per id: the coverage ``count``, the wire ``size``
+    (:meth:`AggregateState.wire_size`), the payload — one ``payload``
+    column per scalar of a fixed-width aggregate, else one object column
+    — and the coverage as ``spans`` closed ranges from row ``first`` of
+    ``ranges`` (columns lo and hi, ascending, adjacent ones merged; ranks
+    and ids below 2**31), which ids of equal coverage may share.
+    ``table[sid]`` builds that id's :class:`AggregateState`; nothing
+    else does.  Ids :meth:`sweep` frees are handed out again.
+    """
+
+    def __init__(self, function: AggregateFunction | None):
+        self.function = function
+        capacity = 1024  # rows; every column grows on demand (_room)
+        self.fixed = function is not None and bool(function.columns)
+        self.count, self.size = np.zeros((2, capacity), dtype=np.int32)
+        self.first, self.spans = np.zeros((2, capacity), dtype=np.int64)
+        self.payload = [
+            np.zeros(capacity, dtype=dtype)
+            for dtype in (function.columns if self.fixed else (object,))
+        ]
+        self.ranges = np.zeros((capacity, 2), dtype=np.int32)
+        self._ids = 1  # ids handed out so far, 0 included
+        self._used = 0  # rows of ``ranges`` in use
+        self._free = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self._ids
+
+    def __getitem__(self, sid) -> AggregateState:
+        first = self.first.item(sid)
+        bounds = self.ranges[first:first + self.spans.item(sid)].ravel()
+        values = tuple(column.item(sid) for column in self.payload)
+        return AggregateState(
+            values if len(values) > 1 else values[0],
+            _make(IntervalMask, tuple(bounds.tolist()), self.count.item(sid)),
+        )
+
+    def payloads(self, sids) -> list:
+        """The payloads of ``sids``, as Python values."""
+        columns = [column[sids].tolist() for column in self.payload]
+        return columns[0] if len(columns) == 1 else list(zip(*columns))
+
+    def finalize(self, sids) -> list[float]:
+        """:meth:`AggregateFunction.finalize` of every id in ``sids``."""
+        return list(map(self.function._finalize, self.payloads(sids)))
+
+    def intervals(self, sids) -> tuple:
+        """The coverage ranges of ``sids``, concatenated: per range the
+        position of its id in ``sids``, lo and hi."""
+        spans = self.spans[sids]
+        lo, hi = self.ranges[_segments(self.first[sids], spans)].T
+        return np.repeat(np.arange(len(spans)), spans), lo, hi
+
+    # -- adding states ----------------------------------------------------
+    def add(self, counts, lo, hi, spans, payloads=None, columns=None,
+            first=None) -> np.ndarray:
+        """Ids for new states: coverage counts, ``spans`` ranges each —
+        from row ``first`` of ``lo``/``hi`` (default: concatenated in
+        order) — and the payloads: a list, or the payload ``columns``."""
+        reused = self._free[max(0, len(self._free) - len(spans)):]
+        self._free = self._free[:len(self._free) - len(reused)]
+        fresh = np.arange(self._ids, self._ids + len(spans) - len(reused))
+        self._ids += len(fresh)
+        sids = np.concatenate((reused, fresh))
+        for name in ("count", "size", "first", "spans"):
+            setattr(self, name, _room(getattr(self, name), self._ids))
+        self.payload = [_room(column, self._ids) for column in self.payload]
+        self.count[sids] = counts
+        self.spans[sids] = spans
+        self.first[sids] = self._used + (
+            np.cumsum(spans) - spans if first is None else first
+        )
+        used, self._used = self._used, self._used + len(lo)
+        self.ranges = _room(self.ranges, self._used)
+        self.ranges[used:self._used, 0] = lo
+        self.ranges[used:self._used, 1] = hi
+        if columns is None:
+            columns = [np.fromiter(values, dtype=column.dtype, count=len(sids))
+                       for column, values in zip(self.payload, (
+                           zip(*payloads) if len(self.payload) > 1
+                           else (payloads,)))]
+        for column, values in zip(self.payload, columns):
+            column[sids] = values
+        self.size[sids] = (8 * len(self.payload) if self.fixed
+                           else list(map(_size, payloads)))
+        return sids
+
+    def extend(self, states) -> np.ndarray:
+        """Ids for ``AggregateState`` objects, one new id each."""
+        masks = [state.members for state in states]
+        bounds = np.array([b for mask in masks for b in mask.bounds],
+                          dtype=np.int32)
+        return self.add(
+            [mask.count for mask in masks], bounds[0::2], bounds[1::2],
+            [len(mask.bounds) // 2 for mask in masks],
+            [state.payload for state in states],
+        )
+
+    def compose(self, order: np.ndarray, held: np.ndarray,
+                slots: np.ndarray) -> np.ndarray:
+        """Ids for ``len(held)`` compositions at once.  Row ``i`` folds
+        the payloads of ids ``order[i, :held[i]]`` left to right, as
+        :meth:`AggregateFunction.merge_all` does, and joins the coverage
+        of the nonzero ids of ``slots[i]`` — disjoint and ascending (the
+        caller's guarantee; nothing tests overlap) — merging adjacent
+        ranges."""
+        if len(held) > 1024:  # a block of rows at a time: small temporaries
+            return np.concatenate([self.compose(
+                order[at:at + 1024], held[at:at + 1024], slots[at:at + 1024]
+            ) for at in range(0, len(held), 1024)])
+        row, column = np.nonzero(slots)
+        owner, lo, hi = self.intervals(slots[row, column])
+        owner = row[owner]
+        # A range that continues its row's previous one extends it.
+        starts = np.flatnonzero(np.r_[
+            True, (owner[1:] != owner[:-1]) | (lo[1:] != hi[:-1] + 1)
+        ])
+        ends = np.r_[starts[1:], len(lo)] - 1
+        owner, lo, hi = owner[starts], lo[starts], hi[ends]
+        spans = np.bincount(owner, minlength=len(held))
+        # Rows composing equal coverage share one copy of its ranges: a
+        # round's finalizes mostly miss the same crashed votes.
+        at = np.arange(len(lo)) - np.repeat(np.cumsum(spans) - spans, spans)
+        padded = np.full((len(held), spans.max()), -1)
+        padded[owner, at] = lo.astype(np.int64) << 32 | hi
+        __, first, back = np.unique(  # a row's bytes, as one key
+            padded.view(f"V{8 * padded.shape[1]}").ravel(),
+            return_index=True, return_inverse=True,
+        )
+        kept = np.zeros_like(spans)
+        kept[first] = spans[first]
+        payloads = columns = None
+        if self.fixed:
+            columns = self.function.fold_columns(self.payload, order, held)
+        else:
+            payloads = [
+                reduce(self.function._combine, self.payload[0][ids[:length]])
+                for ids, length in zip(order, held.tolist())
+            ]
+        return self.add(
+            self.count[slots].sum(axis=1), lo[kept[owner] > 0],
+            hi[kept[owner] > 0], spans, payloads, columns,
+            (np.cumsum(kept) - kept)[first[back]],
+        )
+
+    def sweep(self, live: np.ndarray) -> None:
+        """Free the ids ``live`` (a mask over ids) leaves out, and pack
+        the ranges of the others."""
+        live[0] = True
+        kept = np.flatnonzero(live)
+        # Ids sharing their ranges keep sharing one copy.
+        first, back = np.unique(self.first[kept], return_inverse=True)
+        spans = np.zeros(len(first), dtype=np.int64)
+        np.maximum.at(spans, back, self.spans[kept])
+        index = _segments(first, spans)
+        self.ranges[:len(index)] = self.ranges[index]
+        self._used = len(index)
+        self.first[kept] = (np.cumsum(spans) - spans)[back]
+        self._free = np.flatnonzero(~live)
+        self.count[self._free] = self.spans[self._free] = 0
+        if not self.fixed:
+            self.payload[0][self._free] = None

@@ -8,10 +8,11 @@ phase (Section 6.3) — and a row is exactly that:
 
 * **Known values** — per value a key *slot* (phase 1: hierarchy rank
   minus the box's first rank; phase ``i > 1``: the child's digit), the
-  id of the value in one run-wide table of ``AggregateState`` objects
-  (coverage count, wire size and, for a fixed-width aggregate, the
-  payload scalars are columns of it), and the slots in insertion order.
-  Counts and ranges travel upward, never member objects.
+  id of the value in the group's columnar state table
+  (:class:`~repro.core.aggregates.StateTable`: coverage count, wire
+  size, payload columns and coverage as rank intervals per id), and the
+  slots in insertion order.  Counts and ranges travel upward, never
+  member or state objects.
 * **Admission** (:meth:`~HierarchicalArrayStepper.admit`) — wave ``w``
   of a delivered chunk takes every receiver's ``w``-th same-phase
   arrival: ``absorb_payloads``' rule side by side (strictly greater
@@ -33,9 +34,10 @@ phase (Section 6.3) — and a row is exactly that:
 * **Advance** (step II(b), :meth:`~HierarchicalArrayStepper._advance`)
   — the process's bump-up rule in columns: a row bumps early when
   complete outside the final phase, else at its timeout or the final
-  deadline unless adaptive deadlines extend it a round.  It composes — a
-  fixed-width aggregate as a column fold in insertion order, any other
-  by ``merge_all`` — with the held masks concatenated in slot order
+  deadline unless adaptive deadlines extend it a round.  It composes in
+  the table, every bumping row at once: payloads fold in insertion order
+  (a fixed-width aggregate as columns, any other by its combiner) and
+  the held intervals join in slot order, adjacent ranges merged
   (structural admission keeps children disjoint: no splice), then
   finalises or enters the next phase: ``{own child: composed}``, pool,
   key base and completion group from per-(phase, subtree) tables, its
@@ -48,13 +50,14 @@ phase (Section 6.3) — and a row is exactly that:
 
 **The row is the member's state.**  The stepper binds a member group
 (``GossipGroup``): a spec of columns, from which no process is built,
-started or bound.  A row starts from the vote column, lifted at its
-hierarchy rank, and the start-round column; phase 1's entries leave as
-one block.  The group's ``phase`` column is the rows' phase, and
-finalising writes its ``result_ids`` and ``coverage`` columns; the
-group's members are views that read them (a sweep never frees a
-result).  Liveness and termination are the engine's row masks, which
-are the group's ``alive`` and ``terminated`` columns.  The runtime
+started or bound.  A row starts from the vote column, lifted into the
+table at its hierarchy rank, and the start-round column; phase 1's
+entries leave as one block.  The group's ``phase`` column is the rows'
+phase, and finalising writes its ``result_ids`` and ``coverage``
+columns; the group's members are views that read them (a sweep never
+frees a result; ``result`` builds its ``AggregateState`` on read).
+Liveness and termination are the engine's row masks, which are the
+group's ``alive`` and ``terminated`` columns.  The runtime
 sanitizer checks each bumping row where the process checks itself: its
 held values before the compose, the composition and the phase clock
 (keyed by member id) after (:mod:`repro.sanitize`); the row composes
@@ -95,7 +98,7 @@ from functools import partial
 import numpy as np
 
 import repro.sanitize as sanitize
-from repro.core.aggregates import AggregateState
+from repro.core.aggregates import _room
 from repro.core.gridbox import SubtreeId
 from repro.core.hierarchical_gossip import (
     GossipParams,
@@ -104,7 +107,6 @@ from repro.core.hierarchical_gossip import (
     partial_view_keys,
     retransmit_rounds,
 )
-from repro.core.intervals import IntervalMask
 from repro.core.messages import ID_SIZE
 from repro.core.observe import (
     BUMP_UP_TIMEOUT,
@@ -147,13 +149,6 @@ def _floyd(uniforms: np.ndarray, sizes: np.ndarray, count: int) -> np.ndarray:
         else:
             picks[:, 0] = t
     return picks
-
-
-def _room(array: np.ndarray, rows: int) -> np.ndarray:
-    """``array``, doubled until it has at least ``rows`` rows."""
-    while len(array) < rows:
-        array = np.concatenate((array, array))
-    return array
 
 
 def _note(events: list, kinds, rows, phases, coverage=np.nan,
@@ -232,7 +227,6 @@ class HierarchicalArrayStepper:
         self._deadline = self._num_phases * self._rpp
         self._adaptive = params.adaptive_deadlines
         self._budget = params.extension_budget(self._rpp)
-        self._function = group.function
         self._sink = group.phase_sink
         #: Per row: phase (the group's column), clock, the rounds this
         #: phase and all phases borrowed under adaptive deadlines, and
@@ -266,8 +260,8 @@ class HierarchicalArrayStepper:
         box_sizes = np.bincount(
             self._member_boxes, minlength=hierarchy.num_boxes
         )
-        self._rank_start = np.concatenate(([0], np.cumsum(box_sizes)))
-        self._box_start = self._rank_start[self._box]
+        rank_start = np.concatenate(([0], np.cumsum(box_sizes)))
+        self._box_start = rank_start[self._box]
         self._whole_view = group.complete_views()
         # Flattened gossipee pools: a complete view's pool is a segment
         # of its phase's table (every subtree's members in assignment
@@ -291,14 +285,7 @@ class HierarchicalArrayStepper:
         # The run-wide state table (the group's); id 0 is "no state".  A
         # state stays until a sweep (:meth:`_sweep`) finds no row, result,
         # buffer entry or queued table naming its id.
-        self._states: list = group.states
-        self._scount = np.zeros(max(1024, 2 * n), dtype=np.int32)
-        self._ssize = np.zeros(max(1024, 2 * n), dtype=np.int32)
-        self._pay = [
-            np.zeros(max(1024, 2 * n), dtype=dtype)
-            for dtype in self._function.columns
-        ]
-        self._free: list[int] = []
+        self._states = group.states
         #: Payload tables built and not yet dropped by the engine.
         self._tables: list[weakref.ref] = []
         #: Registrations left before the next sweep.
@@ -309,7 +296,6 @@ class HierarchicalArrayStepper:
         self._future_used = 0
         self._future_count = np.zeros(n, dtype=np.int64)
         self._key_cache: dict[tuple[int, int], tuple] = {}
-        self._full_masks: dict[tuple[int, int], IntervalMask] = {}
         self._labels: dict[tuple[int, int], str] = {}
         # Completion groups: one per complete-view (phase, subtree) and
         # per partial-view phase entry, as the coverage each slot needs —
@@ -334,16 +320,12 @@ class HierarchicalArrayStepper:
             np.arange(len(ranks))
         )
         ranks = ranks[self._member_index]
-        lift = self._function.lift
         own = ranks - self._box_start
-        self._sid[rows, own] = self._register([
-            AggregateState(
-                lift(member, vote).payload, IntervalMask.single(rank)
-            )
-            for member, rank, vote in zip(
-                group.member_ids, ranks.tolist(), group.votes
-            )
-        ])
+        ones = np.ones(len(rows), dtype=np.int64)
+        self._sid[rows, own] = self._states.add(ones, ranks, ranks, ones, list(
+            map(group.function.lift_payload, group.member_ids, group.votes)
+        ))
+        self._sweep_in -= len(rows)
         self._order[rows, 0] = own
         self._held[:] = 1
         self._touched[:] = True
@@ -363,42 +345,6 @@ class HierarchicalArrayStepper:
         self._pool_data[used:self._pool_used] = members
         return used
 
-    def _register(self, states: list, columns=None) -> list[int]:
-        """Table ids for ``states`` (one new id each, freed ids first).
-
-        A state registered twice gets two ids: admission compares
-        coverage counts, and both ids read back as the same object.
-        ``columns`` are the payload columns of states the stepper
-        composed.
-        """
-        if not states:
-            return []
-        table = self._states
-        free = self._free
-        reused = free[max(0, len(free) - len(states)):]
-        del free[len(free) - len(reused):]
-        for sid, state in zip(reused, states):
-            table[sid] = state
-        start = len(table)
-        table.extend(states[len(reused):])
-        sids = reused + list(range(start, len(table)))
-        self._scount = _room(self._scount, len(table))
-        self._ssize = _room(self._ssize, len(table))
-        self._scount[sids] = [state.members.count for state in states]
-        if columns is None:
-            self._ssize[sids] = [state.wire_size() for state in states]
-            if self._pay:
-                columns = self._function.payload_columns(
-                    [state.payload for state in states]
-                )
-        else:
-            self._ssize[sids] = states[0].wire_size()  # fixed width
-        for index, values in enumerate(columns or ()):
-            self._pay[index] = _room(self._pay[index], len(table))
-            self._pay[index][sids] = values
-        self._sweep_in -= len(states)
-        return sids
-
     def _table(self, *columns, **kwargs) -> RowSnapshots:
         """A new payload table, tracked until the engine drops it."""
         table = RowSnapshots(*columns, **kwargs)
@@ -413,8 +359,7 @@ class HierarchicalArrayStepper:
         delivered); every other id is dropped, so the table holds about
         what the object engine's ``known`` dicts and payloads would.
         """
-        states = self._states
-        live = np.zeros(len(states), dtype=bool)
+        live = np.zeros(len(self._states), dtype=bool)
         live[self._sid[~engine.terminated_rows]] = True
         live[self._spec.result_ids] = True
         live[self._future[:self._future_used, 3]] = True
@@ -425,10 +370,7 @@ class HierarchicalArrayStepper:
                 live[table.sids] = True
                 tables.append(ref)
         self._tables = tables
-        live[0] = True
-        self._free = np.flatnonzero(~live).tolist()
-        for sid in self._free:
-            states[sid] = None
+        self._states.sweep(live)
         self._sweep_in = max(1024, len(self._ids) // 2)
 
     def _keys(self, phase: int, base: int) -> tuple:
@@ -538,15 +480,15 @@ class HierarchicalArrayStepper:
 
     def _sizes(self, length: np.ndarray, sids: np.ndarray) -> np.ndarray:
         """``GossipBatch.wire_size`` of snapshot rows (padding is 0)."""
-        return ID_SIZE * (1 + length) + self._ssize[sids].sum(axis=1)
+        return ID_SIZE * (1 + length) + self._states.size[sids].sum(axis=1)
 
     def _complete(self, rows: np.ndarray) -> np.ndarray:
         """``_phase_complete``'s early-bump test, for columnar rows."""
         sids = self._sid[rows]
         need = self._need[self._group[rows]]
-        return ~np.where(sids != 0, self._scount[sids] < need, need > 0).any(
-            axis=1
-        )
+        return ~np.where(
+            sids != 0, self._states.count[sids] < need, need > 0
+        ).any(axis=1)
 
     def _missing(self, rows: np.ndarray) -> np.ndarray:
         """Per row and slot: expected but not held."""
@@ -654,7 +596,7 @@ class HierarchicalArrayStepper:
         by_wave = np.argsort(wave, kind="stable")
         rows, slots, sids = rows[by_wave], slots[by_wave], sids[by_wave]
         valid = np.arange(slots.shape[1]) < length[by_wave][:, None]
-        counts = self._scount[sids]
+        counts = self._states.count[sids]
         # Rows are addressed as cells of the flattened columns.
         first = rows * self._sid.shape[1]
         cells = first[:, None] + slots
@@ -692,7 +634,7 @@ class HierarchicalArrayStepper:
         empty = valid & (current == 0)
         take = empty
         if self._prefer:
-            take = empty | (valid & (counts > self._scount[current]))
+            take = empty | (valid & (counts > self._states.count[current]))
         changed = take.any(axis=1)
         if not changed.any():
             return changed
@@ -827,9 +769,9 @@ class HierarchicalArrayStepper:
 
     def _compose(self, rows: np.ndarray, round_number: int) -> np.ndarray:
         """Each row's values composed (``_compose_known``); their ids.  A
-        lone value is its own composition; a fixed-width aggregate folds
-        its payload columns in insertion order; any other goes through
-        ``merge_all``.  Under the runtime sanitizer each row's held
+        lone value is its own composition; the others compose in the
+        state table (:meth:`~repro.core.aggregates.StateTable.compose`),
+        all at once.  Under the runtime sanitizer each row's held
         values are checked before and its composition after — next to
         the compose, never in its place."""
         held = self._held[rows]
@@ -848,7 +790,10 @@ class HierarchicalArrayStepper:
         composed = ids[:, 0].astype(np.int64)
         many = np.flatnonzero(held > 1)
         if len(many):
-            composed[many] = self._fold(rows[many], ids[many], held[many])
+            composed[many] = self._states.compose(
+                ids[many], held[many], self._sid[rows[many]]
+            )
+            self._sweep_in -= len(many)
         if sanitized:
             for member, phase, sid in zip(
                 members, phases, composed.tolist()
@@ -859,58 +804,10 @@ class HierarchicalArrayStepper:
                                           phase + 1)
         return composed
 
-    def _fold(self, rows: np.ndarray, ids: np.ndarray,
-              held: np.ndarray) -> list:
-        """Compose rows holding several values: ``ids[i, :held[i]]``."""
-        if not self._pay:
-            return self._register([
-                self._function.merge_all(
-                    [self._states[sid] for sid in sids[:count]]
-                )
-                for sids, count in zip(ids.tolist(), held.tolist())
-            ])
-        total = (self._scount[ids]
-                 * (np.arange(ids.shape[1]) < held[:, None])).sum(axis=1)
-        columns = self._function.fold_columns(self._pay, ids, held)
-        built = [
-            AggregateState(payload, mask) for payload, mask in zip(
-                self._function.column_payloads(columns),
-                self._masks(rows, total),
-            )
-        ]
-        return self._register(built, columns)
-
-    def _masks(self, rows: np.ndarray, total: np.ndarray) -> list:
-        """The composed coverage of ``rows`` (``total`` ranks each): the
-        held masks in slot order, adjacent ranges merged, or — for a row
-        covering its whole subtree — that subtree's one range, shared.
-        Rows that compose equal masks share one: a round's finalizes
-        mostly miss the same crashed votes."""
-        width = self._k ** (self._phase[rows] - 1)
-        first_box = self._box[rows] // width * width
-        start = self._rank_start[first_box]
-        stop = self._rank_start[first_box + width]
-        masks = []
-        shared: dict[tuple, IntervalMask] = {}
-        for bounds, whole, sid_row in zip(
-            zip(start.tolist(), stop.tolist()),
-            (total == stop - start).tolist(), self._sid[rows].tolist(),
-        ):
-            if not whole:
-                mask = IntervalMask.concat(
-                    self._states[sid].members for sid in sid_row if sid
-                )
-                masks.append(shared.setdefault(mask.bounds, mask))
-                continue
-            if bounds not in self._full_masks:
-                self._full_masks[bounds] = IntervalMask(range(*bounds))
-            masks.append(self._full_masks[bounds])
-        return masks
-
     def _finalize(self, engine, rows, composed, events) -> None:
         """The final phase composed: the rows' result and coverage
         columns are written, they pass the last phase and terminate."""
-        coverage = self._scount[composed] / self._members
+        coverage = self._states.count[composed] / self._members
         self._spec.result_ids[rows] = composed
         self._spec.coverage[rows] = coverage
         self._phase[rows] = self._num_phases + 1
@@ -1042,7 +939,8 @@ class HierarchicalArrayStepper:
         return self._table(
             False, owner, self._phase[owner], self._base[owner],
             np.ones(len(owner), dtype=np.int64), slots[:, None],
-            sids[:, None], 2 * ID_SIZE + self._ssize[sids].astype(np.int64),
+            sids[:, None],
+            2 * ID_SIZE + self._states.size[sids].astype(np.int64),
         ), carried
 
     def _pick_targets(

@@ -45,7 +45,7 @@ from functools import cache
 import numpy as np
 
 import repro.sanitize as sanitize
-from repro.core.aggregates import AggregateFunction, AggregateState
+from repro.core.aggregates import AggregateFunction, AggregateState, StateTable
 from repro.core.gridbox import GridAssignment, SubtreeId
 from repro.core.intervals import IntervalMask
 from repro.core.messages import GossipBatch, GossipValue
@@ -1030,7 +1030,8 @@ class GossipGroup(Sequence):
     when every member sees the whole group: one shared tuple, ``view``)
     and the shared params, assignment, aggregate and phase sink.  Next
     to it are the columns a run writes — ``alive``, ``terminated``,
-    ``phase``, ``result_ids`` (into the state table ``states``; 0 = no
+    ``phase``, ``result_ids`` (ids into the columnar state table
+    ``states``, a :class:`~repro.core.aggregates.StateTable`; 0 = no
     result) and ``coverage`` (NaN until finalized).  The array engine
     binds them directly and builds no process.  The object engine
     materialises one :class:`HierarchicalGossipProcess` per member
@@ -1066,7 +1067,7 @@ class GossipGroup(Sequence):
         self.phase = np.ones(count, dtype=np.int64)
         self.result_ids = np.zeros(count, dtype=np.int64)
         self.coverage = np.full(count, np.nan)
-        self.states: list = [None]
+        self.states = StateTable(function)
         self.processes: list[HierarchicalGossipProcess] | None = None
 
     @property

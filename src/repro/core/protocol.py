@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.aggregates import AggregateFunction, AggregateState
+from repro.core.aggregates import AggregateFunction, AggregateState, StateTable
 from repro.core.intervals import IntervalMask
 from repro.sim.engine import Process
 from repro.sim.rng import RngRegistry
@@ -105,11 +105,10 @@ class AggregationProcess(Process):
 
     def own_state(self) -> AggregateState:
         """This member's vote as a single-member aggregate at its slot."""
-        state = self.function.lift(self.node_id, self.vote)
-        slot = self.slot
-        if slot == self.node_id:
-            return state
-        return AggregateState(state.payload, IntervalMask.single(slot))
+        return AggregateState(
+            self.function.lift_payload(self.node_id, self.vote),
+            IntervalMask.single(self.slot),
+        )
 
     def covered_ids(self, mask: IntervalMask) -> list[int]:
         """Ids of the members whose votes ``mask`` covers, in slot order."""
@@ -178,16 +177,17 @@ class MemberColumns:
     """A finished group's members as columns — what the measurements read.
 
     Row ``i`` is one member: its id, the slot its vote occupies in
-    coverage masks, whether it is alive, its result (an index into
-    ``states``; 0 = none) and its self-assessed coverage (NaN = not
-    assessed).  A group runs one aggregate ``function``.
+    coverage masks, whether it is alive, its result (an id into the
+    :class:`~repro.core.aggregates.StateTable` ``states``; 0 = none) and
+    its self-assessed coverage (NaN = not assessed).  A group runs one
+    aggregate ``function``.
     """
 
     ids: Sequence[int]
     slots: np.ndarray
     alive: np.ndarray
     result: np.ndarray
-    states: Sequence
+    states: StateTable
     coverage: np.ndarray
     function: Any
 
@@ -197,25 +197,26 @@ class MemberColumns:
         ``columns()`` of its own): one row per process, in order."""
         processes = list(processes)
         count = len(processes)
-        results = [process.result for process in processes]
+        function = processes[0].function if processes else None
+        rows = [row for row, process in enumerate(processes)
+                if process.result is not None]
+        states = StateTable(function)
+        result = np.zeros(count, dtype=np.int64)
+        result[rows] = states.extend([processes[row].result for row in rows])
         return cls(
             ids=[process.node_id for process in processes],
             slots=np.fromiter((process.slot for process in processes),
                               dtype=np.int64, count=count),
             alive=np.fromiter((process.alive for process in processes),
                               dtype=bool, count=count),
-            result=np.fromiter(
-                (0 if result is None else row
-                 for row, result in enumerate(results, 1)),
-                dtype=np.int64, count=count,
-            ),
-            states=[None, *results],
+            result=result,
+            states=states,
             coverage=np.fromiter(
                 (np.nan if process.coverage_fraction is None
                  else process.coverage_fraction for process in processes),
                 dtype=np.float64, count=count,
             ),
-            function=processes[0].function if processes else None,
+            function=function,
         )
 
 
@@ -230,8 +231,8 @@ def measure_completeness(processes, group_size: int) -> CompletenessReport:
     ``processes`` is a group with ``columns()`` (a
     :class:`~repro.core.hierarchical_gossip.GossipGroup`) or any list of
     processes.  Surviving members are counted per coverage interval from
-    one prefix sum over slot space, once per distinct result mask —
-    O(distinct masks * intervals), not O(N * covered members).
+    one prefix sum over slot space, in one pass over the distinct
+    results' ranges — O(ranges), not O(N * covered members).
     """
     columns = _columns(processes)
     report = CompletenessReport(group_size=group_size)
@@ -241,35 +242,32 @@ def measure_completeness(processes, group_size: int) -> CompletenessReport:
     # alive_below[s] = surviving members whose slot is < s; coverage past
     # the last survivor's slot (crashed members, foreign slots) adds none.
     width = int(alive_slots.max()) + 1 if survivors else 0
-    alive_below = [0, *np.cumsum(
-        np.bincount(alive_slots, minlength=width)
-    ).tolist()]
+    alive_below = np.concatenate((
+        [0], np.cumsum(np.bincount(alive_slots, minlength=width))
+    ))
     rows = np.flatnonzero(alive & (columns.result > 0))
     report.crashed = len(alive) - survivors
     report.unfinished = survivors - len(rows)
-    indexes = columns.result[rows].tolist()
-    covers: dict[int, int] = {}
-    included: dict[int, int] = {}
-    by_mask: dict[tuple, int] = {}
-    for index in dict.fromkeys(indexes):
-        mask = columns.states[index].members
-        count = by_mask.get(mask.bounds)
-        if count is None:
-            count = by_mask[mask.bounds] = sum(
-                alive_below[min(hi + 1, width)] - alive_below[min(lo, width)]
-                for lo, hi in mask.intervals()
-            )
-        covers[index] = mask.count
-        included[index] = count
-    ids = columns.ids
-    members = [ids[row] for row in rows.tolist()]
+    sids = columns.result[rows]
+    # Results that share their ranges (the table's) are counted once.
+    __, first, index = np.unique(columns.states.first[sids],
+                                 return_index=True, return_inverse=True)
+    owner, lo, hi = columns.states.intervals(sids[first])
+    included = np.bincount(
+        owner, minlength=len(first), weights=(
+            alive_below[np.minimum(hi + 1, width)]
+            - alive_below[np.minimum(lo, width)]
+        ),
+    ).astype(np.int64)[index]
+    members = [columns.ids[row] for row in rows.tolist()]
     report.per_member_initial = {
-        member: covers[index] / group_size
-        for member, index in zip(members, indexes)
+        member: covers / group_size for member, covers in zip(
+            members, columns.states.count[sids].tolist()
+        )
     }
     report.per_member = {
-        member: included[index] / survivors
-        for member, index in zip(members, indexes)
+        member: count / survivors
+        for member, count in zip(members, included.tolist())
     }
     return report
 
@@ -296,20 +294,13 @@ def measure_estimates(
     ]
     if not rows:
         return float("nan"), float("nan"), {}
-    indexes = columns.result[rows].tolist()
-    finalize = columns.function.finalize
-    values = {
-        index: finalize(columns.states[index])
-        for index in dict.fromkeys(indexes)
-    }
-    ids = columns.ids
-    estimates = {
-        ids[row]: values[index] for row, index in zip(rows, indexes)
-    }
+    sids = columns.result[rows]
+    estimates = dict(zip([columns.ids[row] for row in rows],
+                         columns.states.finalize(sids)))
     coverages = [
-        columns.states[index].covers() / report.group_size
-        if math.isnan(coverage) else coverage
-        for index, coverage in zip(indexes, columns.coverage[rows].tolist())
+        covers / report.group_size if math.isnan(coverage) else coverage
+        for covers, coverage in zip(columns.states.count[sids].tolist(),
+                                    columns.coverage[rows].tolist())
     ]
     errors = [abs(value - true_value) for value in estimates.values()]
     count = len(estimates)

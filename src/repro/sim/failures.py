@@ -50,6 +50,11 @@ class FailureModel:
         return set(), set()
 
 
+def _drawn(ids: Sequence[int], draws: np.ndarray, p: float) -> set[int]:
+    """The ids whose draw (``draws[i]`` is ``ids[i]``'s) is below ``p``."""
+    return {ids[i] for i in np.flatnonzero(draws < p).tolist()}
+
+
 class NoFailures(FailureModel):
     """Fail-free group (used for correctness tests and Figure 11)."""
 
@@ -67,9 +72,7 @@ class CrashWithoutRecovery(FailureModel):
     def step(self, round_number, alive_ids, crashed_ids, rng):
         if self.pf == 0.0 or not alive_ids:
             return set(), set()
-        draws = rng.random(len(alive_ids))
-        to_crash = {nid for nid, draw in zip(alive_ids, draws) if draw < self.pf}
-        return to_crash, set()
+        return _drawn(alive_ids, rng.random(len(alive_ids)), self.pf), set()
 
 
 class CrashRecovery(CrashWithoutRecovery):
@@ -90,10 +93,9 @@ class CrashRecovery(CrashWithoutRecovery):
         to_crash, __ = super().step(round_number, alive_ids, crashed_ids, rng)
         to_recover: set[int] = set()
         if self.pr > 0.0 and crashed_ids:
-            draws = rng.random(len(crashed_ids))
-            to_recover = {
-                nid for nid, draw in zip(crashed_ids, draws) if draw < self.pr
-            }
+            to_recover = _drawn(
+                crashed_ids, rng.random(len(crashed_ids)), self.pr
+            )
         return to_crash, to_recover
 
 

@@ -930,24 +930,28 @@ def unsanitized():
 
 
 def test_sanitized_array_run_folds_columns(monkeypatch):
-    # The sanitizer checks next to the compose, never in its place: a
-    # fixed-width aggregate's rows fold as columns with it on, and the
-    # stepper calls no ``merge_all``.
+    # The sanitizer checks next to the compose, never in its place: with
+    # it on, a fixed-width aggregate's rows compose in the state table,
+    # one column fold per compose, and neither the stepper nor the table
+    # calls ``merge_all``.
     import sys
 
     from repro import sanitize
-    from repro.core.aggregates import AggregateFunction
+    from repro.core.aggregates import AggregateFunction, StateTable
 
-    stepper_merges = []
+    composing = []
     merge_all = AggregateFunction.merge_all
+    compose_code = StateTable.compose.__code__
 
     def counted(self, states):
-        caller = sys._getframe(1).f_globals["__name__"]
-        if caller == "repro.core.array_stepper":
-            stepper_merges.append(caller)
+        frame = sys._getframe(1)
+        if (frame.f_globals["__name__"] == "repro.core.array_stepper"
+                or frame.f_code is compose_code):
+            composing.append(frame.f_code.co_name)
         return merge_all(self, states)
 
     monkeypatch.setattr(AggregateFunction, "merge_all", counted)
+    composes = _counting(monkeypatch, StateTable, "compose")
     folds = _counting(monkeypatch, AggregateFunction, "fold_columns")
     held = _counting(monkeypatch, sanitize, "check_held")
     was_active = sanitize.ACTIVE
@@ -958,14 +962,15 @@ def test_sanitized_array_run_folds_columns(monkeypatch):
     finally:
         if not was_active:
             sanitize.disable()
-    assert stepper_merges == []
-    assert folds and len(held) >= 128
+    assert composing == []
+    assert composes and len(folds) == len(composes)
+    assert len(held) >= 128
 
 
 @pytest.mark.parametrize("name", AGGREGATE_NAMES)
 def test_equivalent_composing_unsanitized(name, unsanitized):
     # A fixed-width aggregate folds payload columns; top_k and
-    # distinct_count fold their states with ``merge_all``.
+    # distinct_count fold their object payloads with the combiner.
     _assert_identical(with_params(n=128, ucastl=0.4, aggregate=name, seed=2))
 
 

@@ -19,6 +19,7 @@ from repro.core.aggregates import (
     AGGREGATE_NAMES,
     AGGREGATE_REGISTRY,
     DoubleCountError,
+    StateTable,
     get_aggregate,
 )
 
@@ -175,24 +176,21 @@ def _bits(value):
 ))
 @settings(max_examples=150)
 def test_column_fold_is_merge_all_bit_for_bit(name, rows):
-    """Each row's states folded as columns (left to right, the combiner's
-    own scalar operations) give ``merge_all``'s payload exactly."""
+    """Each row's states folded as columns in a state table (left to
+    right, the combiner's own scalar operations) give ``merge_all``'s
+    payload exactly."""
     f = get_aggregate(name)
     states = [
         [f.lift(10 * row + column, vote) for column, vote in enumerate(votes)]
         for row, votes in enumerate(rows)
     ]
-    flat = [state for row in states for state in row]
-    table = [
-        np.array(values, dtype=dtype) for values, dtype in zip(
-            f.payload_columns([state.payload for state in flat]), f.columns
-        )
-    ]
+    table = StateTable(f)
+    sids = table.extend([state for row in states for state in row])
     lengths = np.array([len(row) for row in states])
     ids = np.zeros((len(states), int(lengths.max())), dtype=np.int64)
     first = np.cumsum(lengths) - lengths
     for row, length in enumerate(lengths.tolist()):
-        ids[row, :length] = first[row] + np.arange(length)
-    folded = f.column_payloads(f.fold_columns(table, ids, lengths))
+        ids[row, :length] = sids[first[row]:first[row] + length]
+    folded = table.payloads(table.compose(ids, lengths, ids))
     for payload, row in zip(folded, states):
         assert _bits(payload) == _bits(f.merge_all(row).payload)

@@ -9,7 +9,7 @@ chunks; same, past and future phase; repeated, new and replaced keys;
 better, equal and worse coverage; ``prefer_coverage`` on and off;
 push-pull requests and replies (a single value asks for none) —
 through both, and require the same keys in the same insertion order
-holding the same state objects, the same changed flag,
+holding equal states, the same changed flag,
 ``_phase_received``, phase buffers and answers.  The row is seeded from
 and read back as its twin process (``tests/stepper_rows.py``).
 """
@@ -166,7 +166,7 @@ def _table(stepper, payloads):
         bases.append(base)
         for column, (key, state) in enumerate(_entries(payload)):
             slots[row, column] = stepper._slot_of(payload.phase, base, key)
-            sids[row, column] = stepper._register([state])[0]
+            sids[row, column] = stepper._states.extend([state])[0]
     # A table is all requests or none: batches pushed, or answers and
     # single values.
     asks = {isinstance(p, GossipBatch) and not p.reply for p in payloads}
@@ -181,7 +181,7 @@ def _table(stepper, payloads):
 
 def _assert_answers(stepper, answers, expected) -> None:
     """A row's push-pull answers are its twin's: phase, keys in order
-    and the same state objects."""
+    and equal states (the table builds a state on read)."""
     for index, (__, theirs) in enumerate(expected):
         phase = int(answers.phase[index])
         keys = stepper._keys(phase, int(answers.base[index]))
@@ -192,7 +192,7 @@ def _assert_answers(stepper, answers, expected) -> None:
             key for key, __ in theirs.entries
         ]
         assert all(
-            stepper._states[sid] is state for sid, (__, state) in zip(
+            stepper._states[sid] == state for sid, (__, state) in zip(
                 answers.sids[index, :length].tolist(), theirs.entries
             )
         )
@@ -201,13 +201,13 @@ def _assert_answers(stepper, answers, expected) -> None:
 def _assert_row_is_twin(stepper, twin) -> None:
     row = read_row(stepper, MEMBER)
     assert list(row.known) == list(twin.known)
-    assert all(row.known[key] is twin.known[key] for key in twin.known)
+    assert all(row.known[key] == twin.known[key] for key in twin.known)
     assert row._phase_received == twin._phase_received
     assert list(row._future) == list(twin._future)
     for phase, buffered in twin._future.items():
         assert list(row._future[phase]) == list(buffered)
         assert all(
-            row._future[phase][key] is state
+            row._future[phase][key] == state
             for key, state in buffered.items()
         )
 

@@ -4,7 +4,9 @@ The array stepper keeps a member's protocol state as columns and builds
 no process.  Twin tests put a row into a
 chosen state by copying a process's (:func:`seed_row`) and compare the
 row with a twin process by reading it back as that process would hold
-it (:func:`read_row`).
+it (:func:`read_row`).  Values go through the group's state table: a
+seeded state gets a new id, and a read builds a new ``AggregateState``
+equal to it (never the same object).
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ def seed_row(stepper, row: int, process) -> None:
     base = _base(stepper, row, phase)
     slots = [stepper._slot_of(phase, base, key) for key in process.known]
     stepper._sid[row] = 0
-    stepper._sid[row, slots] = stepper._register(list(process.known.values()))
+    stepper._sid[row, slots] = stepper._states.extend(
+        list(process.known.values())
+    )
     stepper._order[row, :len(slots)] = slots
     stepper._held[row] = len(slots)
     stepper._touched[row] = True
@@ -60,7 +64,7 @@ def seed_row(stepper, row: int, process) -> None:
             np.full(len(bucket), row), np.full(len(bucket), later),
             [stepper._slot_of(later, _base(stepper, row, later), key)
              for key in bucket],
-            stepper._register(list(bucket.values())),
+            stepper._states.extend(list(bucket.values())),
         )
 
 

@@ -153,3 +153,31 @@ class TestComposedFailures:
         first, second = Spy(), Spy()
         ComposedFailures(first, second).step(0, [1, 2], [3], _rng())
         assert first.seen == second.seen == [([1, 2], [3])]
+
+
+class TestDrawsSelectByIndex:
+    """Both models map the indices of the draws below the probability to
+    ids; the old per-id comprehension over the same draws is the
+    oracle."""
+
+    @staticmethod
+    def _oracle(ids, draws, p):
+        return {nid for nid, draw in zip(ids, draws) if draw < p}
+
+    @pytest.mark.parametrize("p", [0.001, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_same_sets_as_the_comprehension(self, p, seed):
+        ids_rng = np.random.default_rng(100 + seed)
+        alive = ids_rng.choice(10_000, size=2_000, replace=False).tolist()
+        crashed = ids_rng.choice(10_000, size=500, replace=False).tolist()
+        oracle = _rng(seed)
+        expected_crash = self._oracle(alive, oracle.random(len(alive)), p)
+        expected_recover = self._oracle(
+            crashed, oracle.random(len(crashed)), p
+        )
+        assert CrashWithoutRecovery(pf=p).step(
+            0, alive, crashed, _rng(seed)
+        ) == (expected_crash, set())
+        assert CrashRecovery(pf=p, pr=p).step(
+            0, alive, crashed, _rng(seed)
+        ) == (expected_crash, expected_recover)
