@@ -839,10 +839,12 @@ class StateTable:
         owner, lo, hi = self.intervals(slots[row, column])
         owner = row[owner]
         # A range that continues its row's previous one extends it.
-        starts = np.flatnonzero(np.r_[
-            True, (owner[1:] != owner[:-1]) | (lo[1:] != hi[:-1] + 1)
-        ])
-        ends = np.r_[starts[1:], len(lo)] - 1
+        begins = np.empty(len(lo), dtype=bool)
+        begins[:1] = True
+        np.not_equal(owner[1:], owner[:-1], out=begins[1:])
+        begins[1:] |= lo[1:] != hi[:-1] + 1
+        starts = np.flatnonzero(begins)
+        ends = np.concatenate((starts[1:], [len(lo)])) - 1
         owner, lo, hi = owner[starts], lo[starts], hi[ends]
         spans = np.bincount(owner, minlength=len(held))
         # Rows composing equal coverage share one copy of its ranges: a

@@ -13,13 +13,16 @@ phase (Section 6.3) — and a row is exactly that:
   size, payload columns and coverage as rank intervals per id), and the
   slots in insertion order.  Counts and ranges travel upward, never
   member or state objects.
-* **Admission** (:meth:`~HierarchicalArrayStepper.admit`) — wave ``w``
-  of a delivered chunk takes every receiver's ``w``-th same-phase
-  arrival: ``absorb_payloads``' rule side by side (strictly greater
-  coverage replaces, or first wins under ``prefer_coverage=False``; a
-  new key goes last; every arrival counts toward ``_phase_received``; a
-  push-pull answer is the row before its wave).  A future-phase arrival
-  goes to a columnar buffer — (row, phase, slot, state id) per entry.
+* **Admission** (:meth:`~HierarchicalArrayStepper.admit`) — one pass
+  over a delivered chunk's same-phase entries, keyed by (row, slot)
+  cell: ``absorb_payloads``' rule is a selection, so per cell the first
+  entry of greatest coverage (the first, under
+  ``prefer_coverage=False``) is found by one scatter-max and replaces an
+  empty cell or, under prefer, a held value of strictly lower coverage;
+  new keys go last, in first-arrival order; every arrival counts toward
+  ``_phase_received``; a push-pull answer is the row before its
+  arrival, from the same pass.  A future-phase arrival goes to a
+  columnar buffer — (row, phase, slot, state id) per entry.
   Every arrival comes in a chunk: the stepper has no per-message
   admission, so it screens nothing (adversarial runs take the object
   engine).
@@ -41,7 +44,7 @@ phase (Section 6.3) — and a row is exactly that:
   (structural admission keeps children disjoint: no splice), then
   finalises or enters the next phase: ``{own child: composed}``, pool,
   key base and completion group from per-(phase, subtree) tables, its
-  buffer for that phase drained by the wave rule, and a second test in
+  buffer for that phase drained in one pass, and a second test in
   the same round (the cascade).  Its phase events leave as columns —
   per level the bumps (:func:`bump_events`), finalizes and entries —
   and the group's one sink gets one
@@ -71,13 +74,16 @@ them as PCG64 columns (``SamplerBank``), which serve the doubles the
 process's own ``Generator`` would.  Sends are assembled in row order
 with picks in draw order, so the shared loss stream is consumed in the
 object engine's send order.  Receivers never touch each other's state during
-delivery, so waves are admission one receiver after the other.  An
+delivery, and a cell ends holding a selection — the first value of
+greatest coverage (or the first) among its held value and its arrivals
+— so one pass over every receiver's cells selects what admission one
+arrival after the other would.  An
 advance mutates only its own row and sends nothing (a push-pull reply
 is planned during delivery, on both engines), so advancing after all
 sends, and level by level — every row's first bump, then every
 cascading row's next — equals member by member.  The column fold runs
 the combiner's own scalar operations in fold order.  A buffer drained
-by the wave rule keeps per key the first value of greatest coverage, in
+in one pass keeps per key the first value of greatest coverage, in
 first-arrival order: the process's buffer dict admitted over ``{own
 child: composed}``.  A block's events are sorted by row (stably), each
 row's in cascade order — the object engine's order.  The cross-engine
@@ -122,6 +128,9 @@ from repro.sim.sampling import SamplerBank
 
 __all__ = ["HierarchicalArrayStepper", "RowSnapshots", "unsupported_reason"]
 
+#: Receivers admitted per pass: bounds the pass's temporaries.
+_BLOCK = 1024
+
 #: Own-index sentinel for members whose pool already excludes them
 #: (partial views): no pick ever reaches it, so no shift is applied.
 _NO_SELF = np.iinfo(np.int64).max
@@ -161,9 +170,12 @@ def _note(events: list, kinds, rows, phases, coverage=np.nan,
         ))
 
 
-def _starts(rows: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in ``rows`` begins."""
-    return np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+def _runs(rows: np.ndarray) -> np.ndarray:
+    """A mask of where each run of equal values in ``rows`` begins."""
+    begins = np.empty(len(rows), dtype=bool)
+    begins[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=begins[1:])
+    return begins
 
 
 class RowSnapshots:
@@ -500,9 +512,8 @@ class HierarchicalArrayStepper:
         used = self._future_used
         self._future_used += len(rows)
         self._future = _room(self._future, self._future_used)
-        self._future[used:self._future_used] = np.column_stack(
-            (rows, phases, slots, sids)
-        )
+        for column, values in enumerate((rows, phases, slots, sids)):
+            self._future[used:self._future_used, column] = values
         np.add.at(self._future_count, rows, 1)
 
     def _take(self, chosen: np.ndarray) -> np.ndarray:
@@ -516,8 +527,8 @@ class HierarchicalArrayStepper:
 
     def _drain(self, rows: np.ndarray) -> None:
         """Admit the buffered entries of the phase ``rows`` just entered,
-        in arrival order, one entry per wave — the wave rule, so the own
-        child's composed value yields only to strictly more coverage."""
+        in arrival order, one entry per arrival — so the own child's
+        composed value yields only to strictly more coverage."""
         rows = rows[self._future_count[rows] > 0]
         if not len(rows):
             return
@@ -529,7 +540,7 @@ class HierarchicalArrayStepper:
         )
         if len(row):
             by_row = np.argsort(row, kind="stable")
-            self._waves(
+            self._absorb(
                 row[by_row], slot[by_row, None], sid[by_row, None],
                 np.ones(len(row), dtype=np.int64),
             )
@@ -539,7 +550,7 @@ class HierarchicalArrayStepper:
               table: RowSnapshots):
         """Admit one delivered chunk; returns its push-pull answers.
 
-        ``rows`` are the live receivers grouped by receiver (arrival
+        ``rows`` are the live receivers in ascending order (arrival
         order kept within each), ``table_rows`` the payload rows of
         ``table`` that arrived.  Returns ``None`` or ``(asked, answering
         rows, answers)``: ``asked`` indexes the request each answer
@@ -561,91 +572,146 @@ class HierarchicalArrayStepper:
         same = np.flatnonzero(live & (arrival_phase == row_phase))
         if not len(same):
             return None
-        # ``(asked, rows, lengths, slots, sids)`` per wave that pulled.
-        pulled = [] if self._push_pull and table.asks else None
         arrived = table_rows[same]
-        self._waves(
+        pull = self._push_pull and table.asks
+        answers = self._absorb(
             rows[same], table.slots[arrived], table.sids[arrived],
-            table.length[arrived], same, pulled,
+            table.length[arrived], pull,
         )
-        if not pulled:
+        if not pull:
             return None
-        asked, rows, length, slots, sids = (
-            np.concatenate(column) for column in zip(*pulled)
-        )
-        by_arrival = np.argsort(asked, kind="stable")
-        rows = rows[by_arrival]
-        length, sids = length[by_arrival], sids[by_arrival]
-        answers = self._table(
+        rows, length, slots, sids = answers
+        return same, rows, self._table(
             False, rows, self._phase[rows], self._base[rows], length,
-            slots[by_arrival], sids, self._sizes(length, sids),
+            slots, sids, self._sizes(length, sids),
         )
-        return asked[by_arrival], rows, answers
 
-    def _waves(self, rows, slots, sids, length, asked=None,
-               pulled=None) -> None:
-        """Admit arrivals — receivers ``rows`` grouped, in arrival order;
-        the first ``length`` of each one's ``(slots, sids)`` — in waves:
-        wave ``w`` is every receiver's ``w``-th.  ``pulled`` collects the
-        push-pull answers to them (``asked``: their chunk indices)."""
-        count = len(rows)
-        starts = _starts(rows)
-        spans = np.diff(starts, append=count)
-        self._recv[rows[starts]] += spans
-        wave = np.arange(count) - np.repeat(starts, spans)
-        by_wave = np.argsort(wave, kind="stable")
-        rows, slots, sids = rows[by_wave], slots[by_wave], sids[by_wave]
-        valid = np.arange(slots.shape[1]) < length[by_wave][:, None]
-        counts = self._states.count[sids]
-        # Rows are addressed as cells of the flattened columns.
-        first = rows * self._sid.shape[1]
-        cells = first[:, None] + slots
-        changed = np.zeros(count, dtype=bool)
-        start = 0
-        for stop in np.cumsum(np.bincount(wave)).tolist():
-            if pulled is not None:
-                pulled.append(self._pull(
-                    rows[start:stop], asked[by_wave[start:stop]]
-                ))
-            changed[start:stop] = self._wave(
-                rows[start:stop], first[start:stop], cells[start:stop],
-                slots[start:stop], sids[start:stop], valid[start:stop],
-                counts[start:stop],
-            )
-            start = stop
-        changed = rows[changed]
-        self._touched[changed] = True
+    def _absorb(self, rows, slots, sids, length, pull=False):
+        """Admit arrivals in one pass — receivers ``rows`` ascending, each
+        one's in arrival order; the first ``length`` of each arrival's
+        ``(slots, sids)`` — a block of whole receivers at a time.  With
+        ``pull``, returns every arrival's push-pull answer: ``(rows,
+        lengths, slots, sids)``."""
+        np.add.at(self._recv, rows, 1)
+        cuts = [len(rows)]
+        if len(rows) > _BLOCK:  # every _BLOCK-th receiver starts a block
+            cuts[:0] = np.flatnonzero(_runs(rows))[_BLOCK::_BLOCK].tolist()
+        answers = []
+        low = 0
+        for high in cuts:
+            answers.append(self._absorb_block(
+                rows[low:high], slots[low:high], sids[low:high],
+                length[low:high], pull,
+            ))
+            low = high
+        if not pull:
+            return None
+        return tuple(np.concatenate(column) for column in zip(*answers))
 
-    def _pull(self, rows, asked) -> tuple:
-        """Push-pull answers: each row's first entries, as they are now
-        (every live row holds at least its own value)."""
-        length = np.minimum(self._held[rows], self._k)
-        slots = self._order[rows, :self._k]
-        sids = self._sid[rows[:, None], slots]
-        sids[np.arange(self._k) >= length[:, None]] = 0
-        return asked, rows, length, slots, sids
-
-    def _wave(self, rows, first, cells, slots, sids, valid,
-              counts) -> np.ndarray:
-        """One arrival per row (rows distinct; ``first`` is each row's
-        first cell, ``cells`` its entries' cells); which rows changed."""
+    def _absorb_block(self, rows, slots, sids, length, pull):
+        """One pass over the entries of a block of receivers.  Per
+        (row, slot) cell the winner is the first entry of greatest
+        coverage (the first under ``prefer_coverage=False``); it
+        replaces an empty cell, or under prefer a held value of strictly
+        lower coverage.  New keys go after the held ones, in the order
+        of their first arrival."""
+        width = self._sid.shape[1]
+        counts = self._states.count
+        columns = slots.shape[1]
+        entries = np.flatnonzero(np.arange(columns) < length[:, None])
+        arrival = entries // columns  # entries in chunk order
+        slot = slots.reshape(-1)[entries]
+        sid = sids.reshape(-1)[entries]
+        total = len(sid)
+        firsts = _runs(rows)
+        receiver = np.searchsorted(rows[firsts], rows)  # per arrival
+        cell = receiver[arrival] * width + slot  # in the block
+        # A cell's winner has the greatest key: (count, earliness).
+        early = np.arange(total, 0, -1)
+        key = early
+        if self._prefer:
+            key = np.multiply(counts[sid], total + 1, dtype=np.int64)
+            key += early
+        best = np.zeros((receiver[-1] + 1) * width, dtype=np.int64)
+        np.maximum.at(best, cell, key)
+        won = np.flatnonzero(best[cell] == key)  # one per cell, in order
+        owner = rows[arrival[won]]
         flat = self._sid.reshape(-1)
-        current = flat[cells]
-        empty = valid & (current == 0)
+        at = owner * width + slot[won]
+        current = flat[at]
+        empty = current == 0
         take = empty
         if self._prefer:
-            take = empty | (valid & (counts > self._states.count[current]))
-        changed = take.any(axis=1)
-        if not changed.any():
-            return changed
-        flat[cells[take]] = sids[take]
-        if empty.any():
+            take = empty | (counts[sid[won]] > counts[current])
+        held = self._held[rows] if pull else None
+        fresh = won[empty]
+        if len(fresh):
+            if self._prefer:  # a new key is placed by its first arrival
+                best[:] = 0
+                np.maximum.at(best, cell, early)
+                fresh = np.sort(total - best[cell[fresh]])
             # A new key goes after every key the row held, in entry order.
-            held = self._held[rows]
-            position = (first + held)[:, None] + empty.cumsum(axis=1) - 1
-            self._order.reshape(-1)[position[empty]] = slots[empty]
-            self._held[rows] = held + empty.sum(axis=1)
-        return changed
+            new_rows = rows[arrival[fresh]]
+            place = np.arange(len(fresh)) - np.searchsorted(
+                new_rows, new_rows
+            )
+            self._order.reshape(-1)[
+                new_rows * width + self._held[new_rows] + place
+            ] = slot[fresh]
+            # An int32 one keeps ufunc.at on its fast path.
+            np.add.at(self._held, new_rows, np.int32(1))
+        answers = None
+        if pull:
+            answers = self._answers(
+                rows, held, arrival * width + slot, sid, key, fresh,
+                receiver, firsts, length,
+            )
+        flat[at[take]] = sid[won[take]]
+        self._touched[owner[take]] = True
+        return answers
+
+    def _answers(self, rows, held, spot, sid, key, fresh, receiver, firsts,
+                 length) -> tuple:
+        """Each arrival's push-pull answer: its receiver's first entries
+        as they stood before it.  Called after the pass has placed its
+        new keys and before it writes its values: ``held`` is the rows'
+        count before, ``spot`` each entry's (arrival, slot) cell and
+        ``key`` its winner key."""
+        width, k = self._sid.shape[1], self._k
+        counts = self._states.count
+        total = len(key)
+        begins = np.cumsum(length) - length  # each arrival's first entry
+        since = begins[firsts][receiver]  # its receiver's first arrival's
+        # The new keys first seen at earlier arrivals of the receiver.
+        held = held + np.searchsorted(fresh, begins) - np.searchsorted(
+            fresh, since
+        )
+        answered = np.minimum(held, k)
+        slots = self._order[rows, :k]
+        # The held values, replaced below where an earlier entry won.
+        answer = self._sid.reshape(-1)[(rows * width)[:, None] + slots]
+        # Keys per (arrival, slot) from row 1 on, raised per receiver so
+        # that a running max down the arrivals never crosses into the
+        # next receiver: row ``i`` is then each cell's winner before
+        # arrival ``i`` (below 0 at a receiver's first, once lowered).
+        span = int(key.max()) + 1 if total else 1
+        lift = (receiver * span)[:, None]
+        keys = np.zeros((len(rows) + 1, width), dtype=np.int64)
+        keys.reshape(-1)[width + spot] = key
+        keys[1:] += lift
+        np.maximum.accumulate(keys, axis=0, out=keys)
+        earlier = keys.reshape(-1)[
+            (np.arange(len(rows)) * width)[:, None] + slots
+        ] - lift
+        # The held value's own key: it beats an equal count (prefer) or
+        # every arrival (first wins); an empty cell's loses to any.
+        beaten = (answer != 0) * (total + 1) * (
+            1 + self._prefer * counts[answer].astype(np.int64)
+        )
+        take = earlier > beaten
+        answer[take] = sid[total - earlier[take] % (total + 1)]
+        answer[np.arange(k) >= answered[:, None]] = 0
+        return rows, answered, slots, answer
 
     # -- one round -------------------------------------------------------
     def step(self, engine) -> None:

@@ -18,10 +18,9 @@ calling into one process object per member and message:
   table rows, table), in send order; the store holds nothing else.
   :meth:`_deliver_block` masks a chunk's dead receivers, groups the
   arrivals by receiver with a stable sort, and the stepper admits the
-  chunk in *waves*: wave ``w`` takes the ``w``-th arrival of every
-  receiver at once, so receivers are admitted side by side and each
-  one's arrivals in arrival order — the order per-message dispatch
-  gives them.
+  chunk in *one pass*: every receiver side by side, each one's arrivals
+  taken as in arrival order — the order per-message dispatch gives
+  them.
 * **Answers** — a receiver may answer an arrival (push-pull gossip).
   The stepper returns a chunk's answers as one more table; they are put
   back into the arrival order of their requests and sent as one more
@@ -253,9 +252,10 @@ class ArraySteppedEngine(SimulationEngine):
         sends them.
         """
         total = len(asked)
-        firsts = np.flatnonzero(
-            np.r_[True, answering[1:] != answering[:-1]]
-        )
+        begins = np.empty(total, dtype=bool)
+        begins[:1] = True
+        np.not_equal(answering[1:], answering[:-1], out=begins[1:])
+        firsts = np.flatnonzero(begins)
         counts = np.diff(np.append(firsts, total))
         # A receiver's k-th answer here is its k-th attempt on top of
         # what it already sent in the open bandwidth window.

@@ -679,7 +679,7 @@ def _assert_identical_on_jitter(config):
 
 # -- boundaries of the columnar stepper ---------------------------------
 # The array stepper keeps member state as rows and admits arrivals in
-# waves, and the array engine delivers nothing else: these runs cross
+# one pass, and the array engine delivers nothing else: these runs cross
 # the places where a run needs single messages instead, which the
 # object engine delivers.
 
@@ -975,7 +975,7 @@ def test_equivalent_composing_unsanitized(name, unsanitized):
 
 
 def test_array_run_calls_no_process_protocol_code(monkeypatch, unsanitized):
-    # Block delivery, wave admission, the columnar buffer and the
+    # Block delivery, one-pass admission, the columnar buffer and the
     # columnar advance (under jitter, a region outage and single-value
     # gossip too): no member's own admission or advance runs, and every
     # run equals the object engine's.

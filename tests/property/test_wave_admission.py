@@ -1,7 +1,8 @@
 """The array stepper's admission of a columnar row equals ``absorb_payloads``.
 
-The array stepper admits a delivered chunk in waves over its columnar
-rows (:mod:`repro.core.array_stepper`); the object engine hands the
+The array stepper admits a delivered chunk in one pass over the
+(row, slot) cells of its columnar rows
+(:mod:`repro.core.array_stepper`); the object engine hands the
 same arrivals to ``HierarchicalGossipProcess.absorb_payloads`` one
 after the other.  These properties feed one member random arrival
 sequences — batches, or single values as one-entry rows cut into
