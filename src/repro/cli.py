@@ -308,30 +308,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_figure(figure_id: str, args: argparse.Namespace) -> int:
+    import inspect
+
     from repro.experiments.figures import ALL_FIGURES
     from repro.experiments.params import ConfigError
 
     figure_fn = ALL_FIGURES[figure_id]
-    kwargs = {}
-    if args.runs is not None:
-        if args.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {args.runs}")
-        kwargs["runs"] = args.runs
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
-        kwargs["jobs"] = args.jobs
-    try:
-        result = figure_fn(**kwargs)
-    except TypeError:
-        # Analytic figures take no runs/seed/jobs.
-        result = figure_fn()
+    if args.runs is not None and args.runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {args.runs}")
+    # Analytic figures take no runs/seed/jobs: pass what the figure takes.
+    accepted = inspect.signature(figure_fn).parameters
+    given = {"runs": args.runs, "seed": args.seed, "jobs": args.jobs}
+    result = figure_fn(**{
+        name: value for name, value in given.items()
+        if value is not None and name in accepted
+    })
     print(result.render())
     if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(result.to_csv())
-        print(f"wrote {args.csv}")
+        _write_output(args.csv, result.to_csv())
     return 0
+
+
+def _write_output(target: str, text: str) -> None:
+    """Write ``text`` to stdout (``-``) or to the file ``target``."""
+    if target == "-":
+        print(text, end="")
+        return
+    with open(target, "w") as handle:
+        handle.write(text)
+    print(f"wrote {target}")
 
 
 def _config_from_args(args: argparse.Namespace):
@@ -377,15 +382,9 @@ def _run_single(args: argparse.Namespace) -> int:
 
         from repro.obs.export import run_result_record
 
-        text = json.dumps(
+        _write_output(args.json, json.dumps(
             run_result_record(result), indent=2, sort_keys=True
-        ) + "\n"
-        if args.json == "-":
-            print(text, end="")
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(text)
-            print(f"wrote {args.json}")
+        ) + "\n")
     return 0
 
 
@@ -421,16 +420,9 @@ def _run_chaos(args: argparse.Namespace) -> int:
     )
     print(report.render())
     if args.json:
-        if args.json == "-":
-            print(report.to_json(), end="")
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(report.to_json())
-            print(f"wrote {args.json}")
+        _write_output(args.json, report.to_json())
     if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(report.to_csv())
-        print(f"wrote {args.csv}")
+        _write_output(args.csv, report.to_csv())
     if args.assert_bound and report.violations:
         print(f"BOUND VIOLATED in {len(report.violations)} cell(s)")
         return 1
@@ -473,16 +465,9 @@ def _run_chaos_matrix(
     )
     print(matrix.render())
     if args.json:
-        if args.json == "-":
-            print(matrix.to_json(), end="")
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(matrix.to_json())
-            print(f"wrote {args.json}")
+        _write_output(args.json, matrix.to_json())
     if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(matrix.to_csv())
-        print(f"wrote {args.csv}")
+        _write_output(args.csv, matrix.to_csv())
     return 0
 
 

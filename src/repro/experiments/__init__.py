@@ -6,6 +6,7 @@ from repro.experiments.parallel import (
     close_shared_runners,
     resolve_jobs,
     run_many,
+    run_seeds,
     shared_runner,
 )
 from repro.experiments.params import PAPER_DEFAULTS, RunConfig, with_params
@@ -18,6 +19,7 @@ __all__ = [
     "close_shared_runners",
     "resolve_jobs",
     "run_many",
+    "run_seeds",
     "shared_runner",
     "PAPER_DEFAULTS",
     "RunConfig",

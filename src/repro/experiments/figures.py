@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 from repro.analysis.epidemic import phase1_completeness
 from repro.analysis.stats import summarize
-from repro.experiments.parallel import run_many
+from repro.experiments.parallel import run_seeds
 from repro.experiments.params import RunConfig, with_params
 from repro.experiments.reporting import FigureResult, Series, TableResult
 
@@ -51,26 +51,12 @@ def _simulated_series(
     """Average incompleteness over seeded runs at each swept config.
 
     ``runs`` may be a single count or one count per point (large-N points
-    cost much more wall time per run, so sweeps taper the repetitions).
-    The seeded runs of *all* points are flattened into one parallel map
-    (``jobs`` workers), so the sweep scales with cores even when each
-    point only repeats a few times; ordering keeps results bit-identical
-    to the serial loop.
+    cost much more wall time per run, so sweeps taper the repetitions);
+    :func:`~repro.experiments.parallel.run_seeds` fans them out.
     """
-    if isinstance(runs, int):
-        runs = [runs] * len(xs)
-    per_point = [
-        [config.with_seed(config.seed + offset) for offset in range(count)]
-        for config, count in zip(configs, runs)
-    ]
-    flat = [config for group in per_point for config in group]
-    results = run_many(flat, jobs=jobs)
     series = Series(label)
-    cursor = 0
-    for x, group in zip(xs, per_point):
-        chunk = results[cursor:cursor + len(group)]
-        cursor += len(group)
-        summary = summarize([r.incompleteness for r in chunk])
+    for x, results in zip(xs, run_seeds(configs, runs, jobs=jobs)):
+        summary = summarize([r.incompleteness for r in results])
         series.add(float(x), summary.mean, summary.mean - summary.low)
     return series
 
@@ -249,14 +235,8 @@ def fig10_member_failures(
     """
     survivor = Series("incompleteness (survivor-relative)")
     initial = Series("incompleteness (vs initial votes)")
-    flat = [
-        with_params(pf=pf, seed=seed).with_seed(seed + offset)
-        for pf in pf_values
-        for offset in range(runs)
-    ]
-    all_results = run_many(flat, jobs=jobs)
-    for index, pf in enumerate(pf_values):
-        results = all_results[index * runs:(index + 1) * runs]
+    cells = [with_params(pf=pf, seed=seed) for pf in pf_values]
+    for pf, results in zip(pf_values, run_seeds(cells, runs, jobs=jobs)):
         s = summarize([r.incompleteness for r in results])
         survivor.add(pf, s.mean, s.mean - s.low)
         s = summarize([r.incompleteness_initial for r in results])
@@ -332,17 +312,15 @@ def baseline_comparison(
         headers=["protocol", "completeness", "incompleteness", "messages",
                  "bytes", "rounds"],
     )
-    flat = [
+    cells = [
         with_params(
             n=n, protocol=protocol, ucastl=ucastl, pf=pf,
             committee_size=committee_size, seed=seed,
-        ).with_seed(seed + offset)
+        )
         for protocol in protocols
-        for offset in range(runs)
     ]
-    all_results = run_many(flat, jobs=jobs)
-    for index, protocol in enumerate(protocols):
-        results = all_results[index * runs:(index + 1) * runs]
+    for protocol, results in zip(protocols,
+                                 run_seeds(cells, runs, jobs=jobs)):
         table.rows.append([
             protocol,
             summarize([r.completeness for r in results]).mean,
@@ -372,14 +350,8 @@ def complexity_scaling(
         headers=["N", "messages", "rounds", "messages/(N ln^2 N)",
                  "rounds/ln^2 N"],
     )
-    flat = [
-        with_params(n=n, seed=seed).with_seed(seed + offset)
-        for n in n_values
-        for offset in range(runs)
-    ]
-    all_results = run_many(flat, jobs=jobs)
-    for index, n in enumerate(n_values):
-        results = all_results[index * runs:(index + 1) * runs]
+    cells = [with_params(n=n, seed=seed) for n in n_values]
+    for n, results in zip(n_values, run_seeds(cells, runs, jobs=jobs)):
         messages = summarize([r.messages_sent for r in results]).mean
         rounds = summarize([float(r.rounds) for r in results]).mean
         log_sq = math.log(n) ** 2

@@ -7,6 +7,8 @@ average over many *independently seeded* :func:`~repro.experiments.runner
 own :class:`~repro.sim.rng.RngRegistry` from its config's seed), so they
 are embarrassingly parallel: running them across processes produces
 bit-identical numbers to running them serially, just faster.
+:func:`run_seeds` is the one way a sweep expands its cells into those
+seeded runs.
 
 :class:`ParallelRunner` is the single fan-out point.  It preserves the
 input order of results (so tables and series are byte-identical however
@@ -20,7 +22,7 @@ permitted in the sandbox, broken pool).  The job count resolves as:
 3. serial execution (the default — small figure calls and unit tests
    should not pay pool startup).
 
-Two transport optimizations keep the fan-out cheap at large N:
+Two transport choices:
 
 * **One pool per process.**  A runner's :class:`~concurrent.futures.
   ProcessPoolExecutor` is created lazily and *reused across map calls*
@@ -29,12 +31,9 @@ Two transport optimizations keep the fan-out cheap at large N:
   registry keyed by job count — a figure sweep's hundreds of cells, or
   one CLI invocation's several figures, all share a single pool instead
   of forking a fresh one per cell.
-* **Array-packed results.**  A ``RunResult`` carries two per-member
-  float maps (``report.per_member`` / ``per_member_initial``) that
-  dominate pickle time at N >= 8192.  Workers return results with those
-  maps packed into numpy id/value columns (raw-buffer pickling), and
-  the parent rehydrates the dicts — byte-identical contents, a fraction
-  of the IPC cost.  The serial path skips packing entirely.
+* **Plain results.**  A worker returns :func:`run_once`'s result as
+  is: packing its per-member maps into numpy columns measured neither
+  smaller nor faster to pickle at N = 8192 and 65536.
 
 The determinism regression tests
 (``tests/integration/test_parallel_determinism.py``) pin the
@@ -46,16 +45,13 @@ from __future__ import annotations
 import atexit
 import os
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from itertools import islice
 from typing import TYPE_CHECKING, TypeVar
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from repro import shutdown
-from repro.core.protocol import CompletenessReport
 from repro.experiments.params import ConfigError, RunConfig
 from repro.experiments.runner import RunResult, run_once
 
@@ -65,6 +61,7 @@ __all__ = [
     "close_shared_runners",
     "resolve_jobs",
     "run_many",
+    "run_seeds",
     "shared_runner",
 ]
 
@@ -130,21 +127,10 @@ class ParallelRunner:
     interpreter exit.
     """
 
-    def __init__(self, jobs: int | str | None = None,
-                 chunk_size: int | None = None) -> None:
+    def __init__(self, jobs: int | str | None = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        self.chunk_size = chunk_size
         self._pool: ProcessPoolExecutor | None = None
         self._pool_unavailable = False
-
-    def _chunk_size_for(self, items: int, workers: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        # Aim for a few chunks per worker so stragglers rebalance, while
-        # keeping per-chunk IPC overhead amortized over several runs.
-        return max(1, items // (workers * 4))
 
     def _acquire_pool(self) -> ProcessPoolExecutor | None:
         """The persistent pool, created on first use (None = no pool)."""
@@ -181,14 +167,12 @@ class ParallelRunner:
         pool = self._acquire_pool()
         if pool is None:
             return [fn(item) for item in items]
+        # Aim for a few chunks per worker so stragglers rebalance, while
+        # keeping per-chunk IPC overhead amortized over several runs.
         workers = min(self.jobs, len(items))
+        per_chunk = max(1, len(items) // (workers * 4))
         try:
-            return list(
-                pool.map(
-                    fn, items,
-                    chunksize=self._chunk_size_for(len(items), workers),
-                )
-            )
+            return list(pool.map(fn, items, chunksize=per_chunk))
         except (BrokenProcessPool, OSError, PermissionError, ImportError):
             # Pool infrastructure died (killed workers, fork refused
             # mid-run): the work itself is still fine — drop the pool
@@ -247,89 +231,6 @@ atexit.register(close_shared_runners)
 shutdown.on_shutdown(close_shared_runners)
 
 
-# -- array-packed result transport --------------------------------------
-
-@dataclass
-class _PackedReport:
-    """A :class:`CompletenessReport` with its per-member float maps
-    flattened into numpy columns for cheap worker->parent pickling.
-
-    ``members_initial`` is ``None`` when ``per_member_initial`` has the
-    same keys in the same order as ``per_member`` (the common case: the
-    two maps are built over the same survivor set), sharing one id
-    column.
-    """
-
-    group_size: int
-    survivors: int
-    crashed: int
-    unfinished: int
-    members: np.ndarray
-    completeness: np.ndarray
-    members_initial: np.ndarray | None
-    completeness_initial: np.ndarray
-
-
-def _pack_column(mapping: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    count = len(mapping)
-    keys = np.fromiter(mapping, dtype=np.int64, count=count)
-    values = np.fromiter(mapping.values(), dtype=np.float64, count=count)
-    return keys, values
-
-
-def _pack_result(result: RunResult) -> RunResult:
-    """``result`` with its report swapped for a :class:`_PackedReport`."""
-    report = result.report
-    members, completeness = _pack_column(report.per_member)
-    members_initial, completeness_initial = _pack_column(
-        report.per_member_initial
-    )
-    if (
-        members_initial.shape == members.shape
-        and bool((members_initial == members).all())
-    ):
-        members_initial = None
-    packed = _PackedReport(
-        group_size=report.group_size,
-        survivors=report.survivors,
-        crashed=report.crashed,
-        unfinished=report.unfinished,
-        members=members,
-        completeness=completeness,
-        members_initial=members_initial,
-        completeness_initial=completeness_initial,
-    )
-    return replace(result, report=packed)
-
-
-def _unpack_result(result: RunResult) -> RunResult:
-    """Rehydrate a packed report into dicts with identical contents."""
-    packed = result.report
-    if not isinstance(packed, _PackedReport):
-        return result
-    members = packed.members.tolist()
-    keys_initial = (
-        members if packed.members_initial is None
-        else packed.members_initial.tolist()
-    )
-    report = CompletenessReport(
-        group_size=packed.group_size,
-        survivors=packed.survivors,
-        per_member=dict(zip(members, packed.completeness.tolist())),
-        per_member_initial=dict(
-            zip(keys_initial, packed.completeness_initial.tolist())
-        ),
-        crashed=packed.crashed,
-        unfinished=packed.unfinished,
-    )
-    return replace(result, report=report)
-
-
-def _run_once_packed(config: RunConfig) -> RunResult:
-    """Worker-side entry point: run, then pack for the trip home."""
-    return _pack_result(run_once(config))
-
-
 def run_many(
     configs: Sequence[RunConfig],
     jobs: int | str | None = None,
@@ -341,16 +242,31 @@ def run_many(
     to ``[run_once(c) for c in configs]`` for any job count, because each
     run derives all randomness from its own config's seed.  Parallel
     calls draw their runner from the :func:`shared_runner` registry (one
-    persistent pool per job count and process) and move results over the
-    array-packed transport; the serial path runs :func:`run_once`
-    directly.
+    persistent pool per job count and process).
     """
-    configs = list(configs)
     if runner is None:
         runner = shared_runner(jobs)
-    if runner.jobs <= 1 or len(configs) <= 1:
-        return [run_once(config) for config in configs]
-    return [
-        _unpack_result(result)
-        for result in runner.map(_run_once_packed, configs)
+    return runner.map(run_once, configs)
+
+
+def run_seeds(
+    cells: Sequence[RunConfig],
+    runs: int | Sequence[int],
+    jobs: int | str | None = None,
+) -> list[list[RunResult]]:
+    """Run cell ``i`` at seeds ``cells[i].seed`` .. ``+ runs_i - 1``.
+
+    ``runs`` is one count for every cell or one count per cell (a sweep
+    may taper repetitions where a point costs more wall time).  The
+    seeded runs of *all* cells go through one :func:`run_many` map, so a
+    sweep scales with cores even when each cell repeats only a few
+    times; the results come back grouped per cell, in order.
+    """
+    counts = [runs] * len(cells) if isinstance(runs, int) else list(runs)
+    seeded = [
+        cell.with_seed(cell.seed + offset)
+        for cell, count in zip(cells, counts, strict=True)
+        for offset in range(count)
     ]
+    results = iter(run_many(seeded, jobs=jobs))
+    return [list(islice(results, count)) for count in counts]

@@ -34,8 +34,8 @@ from dataclasses import asdict, dataclass
 from repro.analysis.epidemic import effective_contact_rate
 from repro.chaos import campaign_names, get_campaign
 from repro.chaos.adversary import AdversarialSummary, merge_adversarial
-from repro.experiments.parallel import run_many
-from repro.experiments.params import ConfigError, RunConfig, with_params
+from repro.experiments.parallel import run_seeds
+from repro.experiments.params import ConfigError, with_params
 from repro.obs.telemetry import TelemetrySummary, merge_summaries
 
 __all__ = [
@@ -229,7 +229,7 @@ def robustness_matrix(
     """Sweep campaigns × (N, K, fanout), averaging ``runs`` seeds per cell.
 
     All runs across all cells are fanned out in one
-    :func:`~repro.experiments.parallel.run_many` call, so the harness
+    :func:`~repro.experiments.parallel.run_seeds` call, so the harness
     parallelizes across the whole matrix, not just within a cell, while
     staying bit-identical to serial execution.
     """
@@ -244,24 +244,24 @@ def robustness_matrix(
         for k in ks
         for fanout in fanouts
     ]
-    configs: list[RunConfig] = []
-    for name, n, k, fanout in grid:
-        for run_index in range(runs):
-            configs.append(with_params(
-                n=n, k=k, fanout_m=fanout, campaign=name,
-                ucastl=ucastl, pf=pf,
-                adaptive_deadlines=adaptive_deadlines,
-                final_retransmit=final_retransmit,
-                seed=seed + run_index,
-                # Compact counters collected in the workers; merged per
-                # cell below so the report can attribute degradation to
-                # phase timeouts, not just final completeness.
-                collect_telemetry=True,
-            ))
-    results = run_many(configs, jobs=jobs)
+    configs = [
+        with_params(
+            n=n, k=k, fanout_m=fanout, campaign=name,
+            ucastl=ucastl, pf=pf,
+            adaptive_deadlines=adaptive_deadlines,
+            final_retransmit=final_retransmit,
+            seed=seed,
+            # Compact counters collected in the workers; merged per
+            # cell below so the report can attribute degradation to
+            # phase timeouts, not just final completeness.
+            collect_telemetry=True,
+        )
+        for name, n, k, fanout in grid
+    ]
     cells = []
-    for index, (name, n, k, fanout) in enumerate(grid):
-        cell_results = results[index * runs:(index + 1) * runs]
+    for (name, n, k, fanout), cell_results in zip(
+        grid, run_seeds(configs, runs, jobs=jobs)
+    ):
         b = effective_contact_rate(fanout, ucastl=ucastl, pf=pf)
         campaign = get_campaign(name)
         cells.append(RobustnessCell(
@@ -461,7 +461,7 @@ def robustness_comparison(
     gossip against the flood / centralized / leader-election baselines —
     under the full campaign library, reporting completeness, message
     overhead and (for adversarial campaigns) the detection-oracle score.
-    All runs fan out in a single :func:`run_many` call and the rendered
+    All runs fan out in a single :func:`run_seeds` call and the rendered
     table, CSV and JSON are byte-identical for any ``jobs`` value.
     """
     if campaigns is None:
@@ -473,18 +473,17 @@ def robustness_comparison(
         for name in campaigns
         for protocol in protocols
     ]
-    configs: list[RunConfig] = []
-    for name, protocol in grid:
-        for run_index in range(runs):
-            configs.append(with_params(
-                n=n, k=k, fanout_m=fanout, campaign=name,
-                protocol=protocol, ucastl=ucastl, pf=pf,
-                seed=seed + run_index,
-            ))
-    results = run_many(configs, jobs=jobs)
+    configs = [
+        with_params(
+            n=n, k=k, fanout_m=fanout, campaign=name,
+            protocol=protocol, ucastl=ucastl, pf=pf, seed=seed,
+        )
+        for name, protocol in grid
+    ]
     cells = []
-    for index, (name, protocol) in enumerate(grid):
-        cell_results = results[index * runs:(index + 1) * runs]
+    for (name, protocol), cell_results in zip(
+        grid, run_seeds(configs, runs, jobs=jobs)
+    ):
         cells.append(MatrixCell(
             campaign=name,
             protocol=protocol,

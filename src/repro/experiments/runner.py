@@ -503,8 +503,7 @@ def incompleteness_samples(
     :mod:`repro.experiments.parallel`); results are bit-identical to the
     serial loop for any job count.
     """
-    from repro.experiments.parallel import run_many
+    from repro.experiments.parallel import run_seeds
 
-    configs = [config.with_seed(config.seed + offset)
-               for offset in range(runs)]
-    return [result.incompleteness for result in run_many(configs, jobs=jobs)]
+    [results] = run_seeds([config], runs, jobs=jobs)
+    return [result.incompleteness for result in results]

@@ -16,8 +16,8 @@ incompleteness, its confidence half-width, message count and rounds.
 Cells are independent seeded runs, so a sweep parallelizes perfectly:
 ``jobs`` (or the ``REPRO_JOBS`` environment variable) fans the full
 ``cells x runs`` run list across worker processes via
-:class:`~repro.experiments.parallel.ParallelRunner` while keeping the
-table bit-identical to a serial sweep.
+:func:`~repro.experiments.parallel.run_seeds` while keeping the table
+bit-identical to a serial sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from repro.analysis.stats import summarize
 from repro.experiments.params import RunConfig
-from repro.experiments.parallel import run_many
+from repro.experiments.parallel import run_seeds
 from repro.experiments.reporting import TableResult
 from repro.experiments.runner import RunResult
 from repro.obs.telemetry import merge_summaries
@@ -66,11 +66,12 @@ class Sweep:
             for values in itertools.product(*(axes[name] for name in names))
         ]
 
-    def _cell_configs(self, overrides: Mapping) -> list[RunConfig]:
-        """The ``runs`` seeded configs behind one grid cell."""
-        config = dataclasses.replace(self.base, **overrides)
-        return [config.with_seed(config.seed + offset)
-                for offset in range(self.runs)]
+    def _run_cells(
+        self, cells: Sequence[Mapping], jobs: int | str | None
+    ) -> list[list[RunResult]]:
+        """``runs`` seeded executions of each cell, grouped per cell."""
+        configs = [dataclasses.replace(self.base, **cell) for cell in cells]
+        return run_seeds(configs, self.runs, jobs=jobs)
 
     def _summarize_cell(
         self, overrides: Mapping, results: Sequence[RunResult]
@@ -99,7 +100,7 @@ class Sweep:
 
     def run_cell(self, overrides: Mapping) -> dict:
         """Average ``runs`` seeded executions of one configuration."""
-        results = run_many(self._cell_configs(overrides), jobs=self.jobs)
+        [results] = self._run_cells([overrides], self.jobs)
         return self._summarize_cell(overrides, results)
 
     def run(self, cells: Iterable[Mapping], title: str = "sweep",
@@ -126,9 +127,7 @@ class Sweep:
                     f"cells must share the same axis keys for the table "
                     f"columns to align"
                 )
-        per_cell = [self._cell_configs(cell) for cell in cells]
-        flat = [config for configs in per_cell for config in configs]
-        results = run_many(flat, jobs=self.jobs if jobs is None else jobs)
+        per_cell = self._run_cells(cells, self.jobs if jobs is None else jobs)
         metric_names = ["incompleteness", "ci_half_width", "messages",
                         "rounds"]
         if self._telemetered():
@@ -137,10 +136,7 @@ class Sweep:
             title=title,
             headers=axis_names + metric_names,
         )
-        cursor = 0
-        for cell, configs in zip(cells, per_cell):
-            chunk = results[cursor:cursor + len(configs)]
-            cursor += len(configs)
-            row = self._summarize_cell(cell, chunk)
+        for cell, results in zip(cells, per_cell):
+            row = self._summarize_cell(cell, results)
             table.rows.append([row[name] for name in table.headers])
         return table

@@ -98,6 +98,26 @@ class TestMain:
         out = capsys.readouterr().out
         assert "rounds/phase" in out
 
+    def test_analytic_figure_ignores_the_run_options(self, capsys):
+        assert main(["fig4", "--runs", "3", "--seed", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "fig4" in out
+        assert "1/N" in out
+
+    def test_a_type_error_inside_a_figure_surfaces(self, monkeypatch):
+        from repro.experiments import figures
+
+        calls = []
+
+        def broken(runs=10, seed=0, jobs=None):
+            calls.append((runs, seed, jobs))
+            raise TypeError("raised inside the figure")
+
+        monkeypatch.setitem(figures.ALL_FIGURES, "fig6", broken)
+        with pytest.raises(TypeError, match="raised inside the figure"):
+            main(["fig6", "--runs", "2", "--seed", "5"])
+        assert calls == [(2, 5, None)]
+
 
 class TestBadRunParameters:
     """Parameters no world can be built from: one ``repro: error:`` line
@@ -181,6 +201,7 @@ class TestBadRunParameters:
             env={
                 "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
                 "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+                "PYTHONDONTWRITEBYTECODE": "1",
             },
         )
         assert completed.returncode == 2

@@ -203,7 +203,8 @@ class TestAcceptanceGate:
         completed = subprocess.run(
             [sys.executable, "-m", "repro.lint.cli", "--list-rules"],
             capture_output=True, text=True,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin",
+                 "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert completed.returncode == 0
         assert "REP001" in completed.stdout

@@ -14,9 +14,11 @@ from itertools import count
 import numpy as np
 import pytest
 
+from repro.experiments.parallel import run_many, run_seeds
 from repro.experiments.params import with_params
 from repro.experiments.runner import incompleteness_samples
 from repro.experiments.sweep import Sweep
+from repro.obs.export import run_result_record
 from repro.sim.engine import Process, SimulationEngine
 from repro.sim.network import JitterNetwork
 from repro.sim.rng import RngRegistry
@@ -36,6 +38,45 @@ class TestParallelMatchesSerial:
         parallel = Sweep(BASE, runs=4).run(cells, jobs=4)
         assert parallel.headers == serial.headers
         assert parallel.rows == serial.rows  # bit-identical table
+
+    def test_results_cross_the_pipe_unchanged(self):
+        """A worker's result arrives as ``run_once`` built it: the
+        record and both per-member maps, key order included."""
+        configs = [
+            with_params(n=64, pf=0.01, seed=3),
+            with_params(n=48, protocol="flood", seed=4),
+            with_params(n=64, campaign="tamper-forge", seed=5),
+            with_params(n=64, collect_telemetry=True, seed=6),
+        ]
+
+        def contents(results):
+            return [
+                (run_result_record(r), list(r.report.per_member.items()),
+                 list(r.report.per_member_initial.items()))
+                for r in results
+            ]
+
+        serial = contents(run_many(configs, jobs=1))
+        assert contents(run_many(configs, jobs=2)) == serial
+        assert serial[2][0]["adversarial"] is not None
+        assert serial[3][0]["telemetry"] is not None
+
+    def test_run_seeds_groups_each_cell_in_order(self):
+        cells = [with_params(n=32, ucastl=loss, seed=seed)
+                 for loss, seed in ((0.1, 0), (0.3, 10), (0.5, 20))]
+        flat = run_many(
+            [cell.with_seed(cell.seed + offset)
+             for cell, runs in zip(cells, (1, 3, 2))
+             for offset in range(runs)],
+            jobs=1,
+        )
+        expected = [flat[0:1], flat[1:4], flat[4:6]]
+        grouped = run_seeds(cells, (1, 3, 2), jobs=2)
+        assert [[run_result_record(r) for r in group] for group in grouped] \
+            == [[run_result_record(r) for r in group] for group in expected]
+        assert [[r.config.seed for r in group] for group in grouped] == [
+            [0], [10, 11, 12], [20, 21],
+        ]
 
     def test_sweep_rejects_heterogeneous_cells(self):
         with pytest.raises(ValueError, match="cell 1"):

@@ -79,7 +79,8 @@ class TestSignals:
                 "--rounds-factor-c", "50",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={"PYTHONPATH": str(REPO / "src")},
+            env={"PYTHONPATH": str(REPO / "src"),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
         )
         try:
             time.sleep(1.5)
@@ -123,7 +124,8 @@ class TestMetricsEndpoint:
                 "--json",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={"PYTHONPATH": str(REPO / "src")},
+            env={"PYTHONPATH": str(REPO / "src"),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
         )
 
         def fetch(path, node):

@@ -61,6 +61,7 @@ class TestImportCost:
             env={
                 "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
                 "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+                "PYTHONDONTWRITEBYTECODE": "1",
             },
         )
         assert completed.returncode == 0, completed.stderr

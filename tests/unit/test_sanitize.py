@@ -104,6 +104,7 @@ class TestEnableDisable:
                     "PYTHONPATH": str(SRC),
                     "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
                     "REPRO_SANITIZE": value,
+                    "PYTHONDONTWRITEBYTECODE": "1",
                 },
             )
             assert completed.returncode == 0, completed.stderr

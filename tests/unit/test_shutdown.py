@@ -66,7 +66,8 @@ class TestSignalExit:
         child = subprocess.Popen(
             [sys.executable, "-c", script],
             stdout=subprocess.PIPE,
-            env={"PYTHONPATH": str(REPO / "src")},
+            env={"PYTHONPATH": str(REPO / "src"),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
         )
         try:
             assert child.stdout.readline().strip() == b"ready"
@@ -94,7 +95,8 @@ class TestSignalExit:
         child = subprocess.Popen(
             [sys.executable, "-c", script],
             stdout=subprocess.PIPE,
-            env={"PYTHONPATH": str(REPO / "src")},
+            env={"PYTHONPATH": str(REPO / "src"),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
         )
         try:
             assert child.stdout.readline().strip() == b"ready"
