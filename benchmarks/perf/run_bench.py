@@ -10,9 +10,11 @@ serial/parallel split, the speedup, and a checksum proving the parallel
 numbers are bit-identical to serial.
 
 Each new run is compared against the most recent comparable record
-(same ``--quick`` flag): any workload more than 20% slower is flagged
-as a wall-clock regression in the output, and ``--fail-on-regression``
-turns the flag into a nonzero exit for CI gating on stable hardware.
+(same ``--quick`` flag): any workload more than 20% slower, or whose
+``checksum`` / ``frames_sha256`` digest differs, is flagged as a
+regression in the output, and ``--fail-on-regression`` turns the flag
+into a nonzero exit for CI gating (the wall-clock rule on stable
+hardware; a digest is exact anywhere).
 Legacy single-document ``BENCH_core.json`` files (schema
 ``repro-bench/1``) are converted to the first history record in place.
 
@@ -92,6 +94,9 @@ from repro.experiments.runner import run_once  # noqa: E402
 #: factor (the ROADMAP's ">20% regression" check).
 REGRESSION_FACTOR = 1.20
 
+#: Exact per-entry digests: one that differs from the baseline's is
+#: flagged whatever the wall clock says.
+DIGESTS = ("checksum", "frames_sha256")
 #: History records kept in BENCH_core.json (oldest dropped first).
 HISTORY_LIMIT = 100
 
@@ -113,7 +118,10 @@ def _load_history(path: pathlib.Path) -> list:
 
 
 def _find_regressions(record: dict, history: list) -> list[str]:
-    """Workloads >20% slower than the latest comparable history record."""
+    """Workloads >20% slower than the latest comparable history record,
+    or whose ``checksum`` / ``frames_sha256`` differs from its: digests
+    are exact, so any change is a change in what a run computes or puts
+    on the wire."""
     baseline = next(
         (past for past in reversed(history)
          if past.get("quick") == record["quick"]),
@@ -127,20 +135,23 @@ def _find_regressions(record: dict, history: list) -> list[str]:
         return (entry["workload"],
                 json.dumps(entry.get("config"), sort_keys=True))
 
-    past_seconds = {
-        series(entry): entry["seconds"]
-        for entry in baseline.get("entries", [])
-        if entry.get("seconds")
-    }
+    past = {series(entry): entry for entry in baseline.get("entries", [])}
+    revision = baseline.get("git_revision", "unknown")[:12]
     flags = []
     for entry in record["entries"]:
-        old = past_seconds.get(series(entry))
+        before = past.get(series(entry), {})
+        for digest in DIGESTS:
+            if before.get(digest) and entry.get(digest) != before[digest]:
+                flags.append(
+                    f"{entry['workload']}: {digest} {entry.get(digest)} vs "
+                    f"{before[digest]} at {revision}"
+                )
+        old = before.get("seconds")
         if old and entry["seconds"] > old * REGRESSION_FACTOR:
             slowdown = (entry["seconds"] / old - 1.0) * 100.0
             flags.append(
                 f"{entry['workload']}: {entry['seconds']}s vs {old}s at "
-                f"{baseline.get('git_revision', 'unknown')[:12]} "
-                f"(+{slowdown:.0f}%)"
+                f"{revision} (+{slowdown:.0f}%)"
             )
     return flags
 
@@ -639,8 +650,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--fail-on-regression", action="store_true",
-        help="exit nonzero when any workload regresses >20% against the "
-             "latest comparable history record (use on stable hardware)",
+        help="exit nonzero when any workload changes a digest, or "
+             "regresses >20%% (use on stable hardware), against the latest "
+             "comparable history record",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -656,7 +668,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--registry-guard", action="store_true",
         help="only run the metrics-registry overhead guard (n8192 with "
-             "vs without a registry: bit-identical and within 3%) and "
+             "vs without a registry: bit-identical and within 3%%) and "
              "exit — no BENCH_core.json update",
     )
     args = parser.parse_args(argv)
@@ -747,8 +759,8 @@ def main(argv=None) -> int:
     for flag in regressions:
         print(f"[bench] REGRESSION {flag}", flush=True)
     if not regressions and history:
-        print("[bench] no >20% wall-clock regressions vs latest "
-              "comparable record", flush=True)
+        print("[bench] no >20% wall-clock regressions or changed "
+              "digests vs latest comparable record", flush=True)
     history.append(record)
     document = {
         "schema": "repro-bench/2",

@@ -49,6 +49,17 @@ parsed from each ``src`` (:data:`_SLOTS`) and answers a byte-equal one
 with the very payload it decoded to, parsing (:func:`_gossip_payload`)
 only a body that differs and holding it only if the parse succeeds.
 
+Under the slots, each direction interns entries (Section 6.3's K
+child aggregates are re-sent round after round by every member of a
+subtree).  :func:`_entry_bytes` spells a state it spelled before under
+the same key from :data:`_SPELLED`; :func:`_interned_entry` finds an
+entry's end with a scan that builds nothing and answers bytes parsed
+before from :data:`_PARSED` — one :class:`AggregateState` for a
+repeat from any sender — parsing only new bytes, and interning them
+only if the parse ends where the scan did and the whole body decodes,
+so hostile bytes can only hit an entry an earlier frame spelled
+validly.  Each table holds at most :data:`_ENTRY_BUDGET` bytes.
+
 Versions: 1 shipped coverage as a sorted id list in a JSON body, 2 as a
 JSON interval list.  Neither is decoded; any version byte but 3 is
 rejected there.
@@ -107,6 +118,18 @@ _SLOT_BUDGET = 1 << 18
 #: receivers share them as simulated ones do); ``_slot_bytes`` sums bodies.
 _SLOTS: dict[int, tuple[bytes, Any]] = {}
 _slot_bytes = 0
+#: Byte budget of each entry table below (an honest N=512 run spells
+#: 41 kB of distinct entries and parses 13 kB); an insert that would
+#: pass it empties that table first.
+_ENTRY_BUDGET = 1 << 15
+#: ``id(state) -> (state, key, entry bytes)``: the spelling of every
+#: entry encoded lately; holding ``state`` keeps its id from reuse.
+_SPELLED: dict[int, tuple[AggregateState, Any, bytes]] = {}
+_spelled_bytes = 0
+#: ``entry bytes -> (key, state)``: every entry decoded lately, so that
+#: a repeat from any sender is the very state an earlier parse built.
+_PARSED: dict[bytes, tuple[Any, AggregateState]] = {}
+_parsed_bytes = 0
 
 
 class CodecError(Exception):
@@ -227,6 +250,37 @@ def _put_entry(out: bytearray, key: Any, state: AggregateState) -> None:
         hi = next_hi
 
 
+def _bounded(table: dict, key: Any, value: Any, size: int, used: int,
+             budget: int) -> int:
+    """``table[key] = value``, ``size`` bytes more than the ``used`` it
+    holds of ``budget``: empties the table first if the insert would pass
+    the budget, and holds nothing bigger.  Returns the bytes now held."""
+    if used + size > budget:
+        table.clear()
+        used = 0
+    if size <= budget:
+        table[key] = value
+        used += size
+    return used
+
+
+def _entry_bytes(key: Any, state: AggregateState) -> bytes:
+    """The spelling of one entry, from :data:`_SPELLED` when this
+    ``state`` was last spelled under this very ``key`` object (an equal
+    key is not enough: ``True == 1``, and only the int is encodable)."""
+    global _spelled_bytes
+    held = _SPELLED.get(id(state))
+    if held is not None and held[0] is state and held[1] is key:
+        return held[2]
+    out = bytearray()
+    _put_entry(out, key, state)
+    raw = bytes(out)
+    _spelled_bytes -= len(_SPELLED.pop(id(state), (None, None, b""))[2])
+    _spelled_bytes = _bounded(_SPELLED, id(state), (state, key, raw),
+                              len(raw), _spelled_bytes, _ENTRY_BUDGET)
+    return raw
+
+
 def _gossip_body(payload: GossipValue | GossipBatch) -> bytes:
     """The sender-independent tail of a gossip frame: flags, phase and
     entries."""
@@ -234,13 +288,13 @@ def _gossip_body(payload: GossipValue | GossipBatch) -> bytes:
     if isinstance(payload, GossipValue):
         out.append(0)
         _put_uv(out, payload.phase)
-        _put_entry(out, payload.key, payload.state)
+        out += _entry_bytes(payload.key, payload.state)
     elif isinstance(payload, GossipBatch) and type(payload.reply) is bool:
         out.append(3 if payload.reply else 1)
         _put_uv(out, payload.phase)
         _put_uv(out, len(payload.entries))
         for key, state in payload.entries:
-            _put_entry(out, key, state)
+            out += _entry_bytes(key, state)
     else:
         raise CodecError(f"unencodable gossip payload {payload!r}")
     return bytes(out)
@@ -375,25 +429,85 @@ def _entry(data: bytes, pos: int) -> tuple[Any, AggregateState, int]:
     return key, AggregateState(payload, members), pos
 
 
+def _skip_uv(data: bytes, pos: int) -> int:
+    while data[pos] > 0x7F:
+        pos += 1
+    return pos + 1
+
+
+def _tree_end(data: bytes, pos: int, depth: int) -> int:
+    """Where the tree at ``pos`` ends, by :func:`_tree`'s grammar."""
+    tag = data[pos]
+    pos += 1
+    if tag == 0:
+        return pos + 8
+    if tag == 1 or tag == 2:
+        return _skip_uv(data, pos)
+    if tag == 3 or tag == 4:
+        return pos
+    if tag != 5 or depth == _MAX_DEPTH:
+        raise CodecError("not a payload tree")
+    count, pos = _count(data, pos, "tuple")
+    for __ in range(count):
+        pos = _tree_end(data, pos, depth + 1)
+    return pos
+
+
+def _entry_end(data: bytes, pos: int) -> int:
+    """Where the entry at ``pos`` ends, by :func:`_entry`'s grammar but
+    building nothing; raises on bytes that grammar refuses."""
+    pos = _tree_end(data, _skip_uv(data, _skip_uv(data, pos)), 0)
+    ranges, pos = _count(data, pos, "coverage", each=2)
+    for __ in range(2 * ranges):
+        pos = _skip_uv(data, pos)
+    return pos
+
+
+def _interned_entry(
+    body: bytes, pos: int, new: dict[bytes, tuple[Any, AggregateState]]
+) -> tuple[Any, AggregateState, int]:
+    """:func:`_entry`, answered from :data:`_PARSED` (or ``new``, this
+    body's) when the entry's bytes were parsed before; a new entry that
+    parses to exactly the scanned bytes goes in ``new``."""
+    try:
+        end = _entry_end(body, pos)
+    except (IndexError, CodecError):
+        return _entry(body, pos)  # malformed: the parse says how
+    raw = body[pos:end]
+    held = _PARSED.get(raw) or new.get(raw)
+    if held is not None:
+        return held[0], held[1], end
+    key, state, pos = _entry(body, pos)
+    if pos == end:
+        new[raw] = key, state
+    return key, state, pos
+
+
 def _gossip_payload(body: bytes) -> GossipValue | GossipBatch:
-    """The inverse of :func:`_gossip_body`."""
+    """The inverse of :func:`_gossip_body`; the new entries of a body
+    that decodes join :data:`_PARSED`."""
+    global _parsed_bytes
     flags = body[0]
     phase, pos = _uv(body, 1)
+    new: dict[bytes, tuple[Any, AggregateState]] = {}
     payload: GossipValue | GossipBatch
     if flags == 0:
-        key, state, pos = _entry(body, pos)
+        key, state, pos = _interned_entry(body, pos, new)
         payload = GossipValue(phase, key, state)
     elif flags == 1 or flags == 3:
         count, pos = _count(body, pos, "batch")
         entries = []
         for __ in range(count):
-            key, state, pos = _entry(body, pos)
+            key, state, pos = _interned_entry(body, pos, new)
             entries.append((key, state))
         payload = GossipBatch(phase, tuple(entries), flags == 3)
     else:
         raise CodecError(f"unknown gossip flags {flags}")
     if pos != len(body):
         raise CodecError(f"{len(body) - pos} trailing bytes")
+    for raw, held in new.items():
+        _parsed_bytes = _bounded(_PARSED, raw, held, len(raw), _parsed_bytes,
+                                 _ENTRY_BUDGET)
     return payload
 
 
@@ -401,13 +515,8 @@ def _hold(src: int, held: tuple[bytes, Any]) -> None:
     """Make ``held`` the slot of ``src``, inside :data:`_SLOT_BUDGET`."""
     global _slot_bytes
     _slot_bytes -= len(_SLOTS.pop(src, (b"",))[0])
-    size = len(held[0])
-    if _slot_bytes + size > _SLOT_BUDGET:
-        _SLOTS.clear()
-        _slot_bytes = 0
-    if size <= _SLOT_BUDGET:
-        _SLOTS[src] = held
-        _slot_bytes += size
+    _slot_bytes = _bounded(_SLOTS, src, held, len(held[0]), _slot_bytes,
+                           _SLOT_BUDGET)
 
 
 def _truncated(data: bytes) -> CodecError:

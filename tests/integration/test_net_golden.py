@@ -13,12 +13,14 @@ repro-run/1 schema compatibility of net reports, and bootstrap-mode
 convergence (staggered starts via the join handshake).
 """
 
+import hashlib
 import math
 
 import pytest
 
 from repro.experiments.params import with_params
 from repro.experiments.runner import run_once
+from repro.net import loopback
 from repro.net.loopback import run_loopback_group
 from repro.obs.export import RUN_SCHEMA, run_result_record
 
@@ -146,3 +148,27 @@ class TestDeterminism:
         a = run_loopback_group(24, seed=1)
         b = run_loopback_group(24, seed=2)
         assert a.true_value != b.true_value
+
+    def test_the_n128_k8_wire_bytes_are_pinned(self, monkeypatch):
+        """Every frame of a seed-0 N=128/K=8 run in send order, each
+        behind a four-byte length, digested as ``run_bench.py --quick``
+        digests ``net_loopback_n128``: a change that moves one byte on
+        the wire, or the order of the frames, fails here."""
+        frames = []
+
+        class Recording(loopback.LoopbackRouter):
+            def sender_for(self, address):
+                send = super().sender_for(address)
+
+                def transport_send(data, dest):
+                    frames.append(data)
+                    send(data, dest)
+                return transport_send
+
+        monkeypatch.setattr(loopback, "LoopbackRouter", Recording)
+        report = run_loopback_group(128, k=8, seed=0)
+        digest = hashlib.sha256()
+        for frame in frames:
+            digest.update(len(frame).to_bytes(4, "big") + frame)
+        assert report.bytes_sent == sum(map(len, frames))
+        assert digest.hexdigest()[:16] == "3ceaa173211e9faa"

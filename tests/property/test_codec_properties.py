@@ -10,8 +10,9 @@ Three statements, over generated inputs rather than hand-picked frames:
   wire or an adversary can — ``decode`` either raises ``CodecError`` and
   nothing else, or returns a message that re-encodes to exactly those
   bytes (one accepted spelling per message);
-* the per-sender body slots change no decoded message, only which
-  object carries it, and never hold more than their byte budget.
+* the per-sender body slots and the two entry tables change no decoded
+  message or encoded byte, only which object carries an entry, and
+  never hold more than their byte budgets.
 """
 
 import contextlib
@@ -256,26 +257,35 @@ def test_a_padded_varint_is_rejected_wherever_one_is_read(value):
 
 # -- the per-sender body slots ------------------------------------------------
 
+#: Every table the codec keeps, with its byte count.
+TABLES = ("_SLOTS", "_slot_bytes", "_SPELLED", "_spelled_bytes",
+          "_PARSED", "_parsed_bytes")
+
+
 @contextlib.contextmanager
-def empty_slots():
-    """Decode against an empty slot table; the live one is put back."""
-    live, held = codec._SLOTS, codec._slot_bytes
-    codec._SLOTS, codec._slot_bytes = {}, 0
+def empty_tables():
+    """Encode and decode against empty codec tables (yields the slots);
+    the live ones are put back."""
+    live = {name: getattr(codec, name) for name in TABLES}
+    for name in TABLES:
+        setattr(codec, name, type(live[name])())  # {} or 0
     try:
         yield codec._SLOTS
     finally:
-        codec._SLOTS, codec._slot_bytes = live, held
+        for name, table in live.items():
+            setattr(codec, name, table)
 
 
 def table_free(frame: bytes):
-    """What a decoder without slots returns: ``decode``'s result for any
-    other frame, a full :func:`_gossip_payload` parse for gossip."""
+    """What a decoder without tables returns: ``decode``'s result for
+    any other frame, a cold :func:`_gossip_payload` parse for gossip."""
     if frame[:4] != b"RA\x03\x05":
         return decode(frame)
     try:
         src, pos = _uv(frame, 4)
         sent_round, pos = _uv(frame, pos)
-        return Gossip(src, sent_round, _gossip_payload(frame[pos:]))
+        with empty_tables():
+            return Gossip(src, sent_round, _gossip_payload(frame[pos:]))
     except (IndexError, struct.error):
         raise CodecError("truncated") from None
 
@@ -304,7 +314,7 @@ frame_steps = st.one_of(
        steps=st.lists(frame_steps, max_size=40))
 def test_slots_change_no_message_and_survive_a_bad_frame(pool, steps):
     sent: list[bytes] = []
-    with empty_slots() as slots:
+    with empty_tables() as slots:
         for step in steps:
             if step[0] == "send":
                 __, src, sent_round, which = step
@@ -350,7 +360,7 @@ def test_slots_change_no_message_and_survive_a_bad_frame(pool, steps):
 @given(sizes=st.lists(st.integers(1, 7_000), max_size=40))
 def test_a_flood_of_forged_senders_never_holds_past_the_budget(sizes):
     flood = sizes + [7_000] * 8  # 63 kB bodies: twice the budget at least
-    with empty_slots() as slots:
+    with empty_tables() as slots:
         for src, size in enumerate(flood):
             # A valid value whose payload is ``size`` floats: 9 bytes each.
             value = GossipValue(1, 0, AggregateState(
@@ -368,9 +378,120 @@ def test_a_body_past_the_budget_decodes_but_is_not_held():
     big = GossipValue(1, 0, AggregateState(
         (0.5,) * (codec._SLOT_BUDGET // 9 + 1), IntervalMask.single(0)))
     frame = encode(Gossip(7, 0, big))
-    with empty_slots() as slots:
+    with empty_tables() as slots:
         decode(encode(Gossip(7, 0, GossipValue(1, 0, AggregateState(
             1.0, IntervalMask.single(0))))))
         assert 7 in slots
         assert decode(frame).payload == big
         assert slots == {} and codec._slot_bytes == 0
+
+
+# -- the entry tables ---------------------------------------------------------
+
+def entries_of(payload):
+    if isinstance(payload, GossipValue):
+        return ((payload.key, payload.state),)
+    return payload.entries
+
+
+def cold_body(payload) -> bytes:
+    """The spelling of ``payload`` with no entry spelled before."""
+    with empty_tables():
+        return _gossip_body(payload)
+
+
+@settings(max_examples=120)
+@given(pool=st.lists(payloads, min_size=1, max_size=4),
+       order=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+def test_warm_tables_spell_and_decode_as_cold_ones_and_share_repeats(
+    pool, order
+):
+    with empty_tables():
+        for src, which in enumerate(order):
+            payload = pool[which % len(pool)]
+            body = _gossip_body(payload)
+            assert body == cold_body(payload)
+            frame = _gossip_frame(src, 0, body)  # a new sender: no slot hit
+            got = decode(frame)
+            assert identical(got, table_free(frame))
+            for key, state in entries_of(got.payload):
+                # The entry alone, from yet another sender, is the very
+                # state the batch decoded to.
+                again = decode(encode(Gossip(
+                    (1 << 40) + src, 0, GossipValue(0, key, state))))
+                assert again.payload.state is state
+                assert again.payload.key == key
+            assert codec._parsed_bytes == sum(map(len, codec._PARSED))
+            assert codec._spelled_bytes == sum(
+                len(raw) for __, __, raw in codec._SPELLED.values())
+
+
+@settings(max_examples=60)
+@given(payload=payloads, data=st.data())
+def test_damage_to_a_warm_entrys_bytes_is_caught_and_interns_nothing(
+    payload, data
+):
+    """A frame that begins as one whose entries are all interned but is
+    cut short, has bytes appended, or has a bit flipped, decodes as a
+    cold decoder would — a cut or an appended byte always fails — and a
+    frame that fails leaves the entry table as it was."""
+    frame = _gossip_frame(1, 0, _gossip_body(payload))
+    with empty_tables():
+        decode(frame)
+        warm = dict(codec._PARSED)
+        cuts = [data.draw(st.integers(6, len(frame) - 1)) for __ in range(4)]
+        flips = [data.draw(st.integers(6 * 8, 8 * len(frame) - 1))
+                 for __ in range(8)]
+        damaged = [(frame[:cut], True) for cut in cuts]
+        damaged += [(frame + extra, True) for extra in (b"\x00", b"\x80")]
+        for bit in flips:
+            flipped = bytearray(frame)
+            flipped[bit // 8] ^= 1 << bit % 8
+            damaged.append((bytes(flipped), False))
+        for src, (bad, fails) in enumerate(damaged, start=2):
+            bad = bad[:4] + bytes([src]) + bad[5:]  # a sender with no slot
+            expected = outcome(table_free, bad)
+            got = outcome(decode, bad)
+            if fails or expected is CodecError:
+                assert got is expected is CodecError
+                assert codec._PARSED == warm
+                assert all(codec._PARSED[raw] is warm[raw] for raw in warm)
+            else:
+                assert identical(got, expected)
+                assert encode(got) == bad
+                warm = dict(codec._PARSED)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3_000), max_size=40))
+def test_a_flood_of_forged_entries_never_holds_past_the_budget(sizes):
+    flood = sizes + [3_000] * 8  # 27 kB entries: past the budget at least
+    with empty_tables():
+        for src, size in enumerate(flood):
+            # A valid value whose payload is ``size`` floats: 9 bytes
+            # each, and a distinct entry every time.
+            value = GossipValue(1, src, AggregateState(
+                (0.5,) * size, IntervalMask.single(0)))
+            frame = encode(Gossip((1 << 40) + src, 0, value))
+            assert decode(frame).payload == value
+            spelled = [raw for __, __, raw in codec._SPELLED.values()]
+            for held, raws in ((codec._parsed_bytes, list(codec._PARSED)),
+                               (codec._spelled_bytes, spelled)):
+                assert held == sum(map(len, raws)) <= codec._ENTRY_BUDGET
+            # The newest entry is held both ways.
+            __, __, raw = codec._SPELLED[id(value.state)]
+            assert raw in codec._PARSED
+        assert len(codec._PARSED) < len(flood)  # emptied on the way
+
+
+def test_an_entry_past_the_budget_is_coded_but_not_held():
+    big = GossipValue(1, 0, AggregateState(
+        (0.5,) * (codec._ENTRY_BUDGET // 9 + 1), IntervalMask.single(0)))
+    with empty_tables():
+        decode(encode(Gossip(7, 0, GossipValue(1, 0, AggregateState(
+            1.0, IntervalMask.single(0))))))
+        assert len(codec._PARSED) == len(codec._SPELLED) == 1
+        frame = encode(Gossip(8, 0, big))
+        assert decode(frame).payload == big
+        assert codec._PARSED == codec._SPELLED == {}
+        assert codec._parsed_bytes == codec._spelled_bytes == 0

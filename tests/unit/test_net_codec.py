@@ -729,6 +729,80 @@ class TestNodeKeepsNoPayload:
         assert decode(frame[:5] + b"\x07" + frame[6:]).payload is held
 
 
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """The codec with empty slots and entry tables, put back after."""
+    from repro.net import codec
+
+    for name in ("_SLOTS", "_SPELLED", "_PARSED"):
+        monkeypatch.setattr(codec, name, {})
+    for name in ("_slot_bytes", "_spelled_bytes", "_parsed_bytes"):
+        monkeypatch.setattr(codec, name, 0)
+    return codec
+
+
+class TestEntryTables:
+    """Under the slots, the codec spells a state under one key object
+    once and parses an entry's bytes once per process: a repeat from any
+    sender is the same state object, spelled and parsed as if new."""
+
+    def test_one_state_under_two_keys_spells_each_keys_bytes(
+        self, fresh_tables
+    ):
+        codec = fresh_tables
+        state = _state((3.5, 2), {0, 1})
+        messages = [Gossip(0, 0, GossipValue(2, key, state))
+                    for key in (1, SubtreeId(1, 0), 1, SubtreeId(1, 0))]
+        cold = []
+        for message in messages:
+            codec._SPELLED.clear()
+            codec._spelled_bytes = 0
+            cold.append(encode(message))
+        assert cold[0] != cold[1]
+        assert [encode(message) for message in messages] == cold
+        assert encode(messages[0]) == cold[0]  # spelled under 1 last
+        with pytest.raises(CodecError, match="not an unsigned integer"):
+            encode(Gossip(0, 0, GossipValue(2, True, state)))  # == 1
+
+    def test_a_repeat_from_any_sender_decodes_to_the_same_state(
+        self, fresh_tables
+    ):
+        state = _state((3.5, 2), {0, 1})
+        batch = GossipBatch(2, ((SubtreeId(1, 0), state),
+                                (SubtreeId(1, 1), _state(1.0, {2}))))
+        first = decode(encode(Gossip(1, 0, batch))).payload
+        again = decode(encode(Gossip(2, 0, GossipValue(
+            2, SubtreeId(1, 0), state)))).payload
+        assert first == batch and again.state is first.entries[0][1]
+        assert again.key is first.entries[0][0]
+
+    def test_damage_after_a_parsed_entry_raises_and_interns_nothing(
+        self, fresh_tables
+    ):
+        codec = fresh_tables
+        held = _state((3.5, 2), {0, 1})
+        decode(encode(Gossip(1, 0, GossipValue(2, 4, held))))
+        parsed = dict(codec._PARSED)
+        (entry,) = parsed
+        # A batch from a new sender: the interned entry, then a new one.
+        frame = encode(Gossip(2, 0, GossipBatch(
+            2, ((4, held), (5, _state(1.0, {5}))))))
+        tag = frame.index(entry) + len(entry) + 2  # the new entry's tree
+        assert frame[tag] == 0  # a float
+        for bad in (
+            frame[:-1],                                   # truncated
+            frame[:tag] + b"\x06" + frame[tag + 1:],      # unknown tag
+            frame[:-1] + bytes([frame[-1] | 0x80]),       # runs off the end
+            frame + b"\x00",                              # trailing
+        ):
+            with pytest.raises(CodecError):
+                decode(bad)
+            assert codec._PARSED == parsed
+            assert codec._PARSED[entry] is parsed[entry]
+        assert decode(frame).payload.entries[0][1] is parsed[entry][1]
+        assert len(codec._PARSED) == 2
+
+
 class TestDatagramLimit:
     def test_oversize_frame_is_dropped_unsent_and_counted(self):
         from repro.net.node import NetNode, NodeConfig, net_stats_record
