@@ -47,6 +47,10 @@ Canonical workloads:
   substrate's wall time plus what it put on the wire — frames by kind,
   bytes per member per round, gossip frame sizes, and a sha256 over the
   frames in send order (so a codec change shows as a new digest).
+* ``net_loopback_n2048`` — a 2048-node loopback group, K=8, to
+  termination (full bench only), in a fresh interpreter so its
+  ``peak_rss_mb`` is its own: every node's address book holds the whole
+  group, so memory grows as N².  Records ``peak_rss_kb_per_node``.
 * ``n65536``            — one N=65536/K=8 run *to convergence* (full
   bench only): wall time, rounds, completeness and peak RSS of the
   regime the array-stepped engine and the interval masks exist for.
@@ -157,13 +161,19 @@ def _find_regressions(record: dict, history: list) -> list[str]:
 
 
 def _git_revision() -> str:
-    try:
+    """HEAD's revision, with ``+dirty`` when the tree measured differs
+    from it (uncommitted changes), so a row names the tree it measured."""
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=REPO_ROOT, capture_output=True, text=True, check=True,
         ).stdout.strip()
+    try:
+        revision = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return revision + "+dirty" if dirty else revision
 
 
 def _source_loc() -> dict[str, int]:
@@ -516,6 +526,44 @@ def bench_net_loopback(quick: bool) -> dict:
     }
 
 
+#: The ``net_loopback_n2048`` run, for a fresh interpreter: one JSON line.
+NET_LOOPBACK_N2048 = """
+import json, resource, time
+from repro.net.loopback import run_loopback_group
+start = time.perf_counter()
+report = run_loopback_group(2048, k=8, seed=0)
+seconds = time.perf_counter() - start
+print(json.dumps({
+    "rounds": report.rounds, "completeness": report.completeness,
+    "seconds": seconds,
+    "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+
+def bench_net_loopback_n2048() -> dict:
+    """A 2048-node lossless loopback group to termination, alone in a
+    fresh interpreter: its peak RSS, not an earlier entry's, is the
+    N² address-book cost of a large in-process group (full bench only).
+    """
+    completed = subprocess.run(
+        [sys.executable, "-c", NET_LOOPBACK_N2048], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    run = json.loads(completed.stdout.splitlines()[-1])
+    return {
+        "workload": "net_loopback_n2048",
+        "config": {"n": 2048, "k": 8, "seed": 0, "fanout_m": 2,
+                   "ucastl": 0.0, "pf": 0.0, "router": "loopback"},
+        "seconds": round(run["seconds"], 3),
+        "rounds": run["rounds"],
+        "completeness": run["completeness"],
+        "peak_rss_mb": round(run["peak_kb"] / 1024.0, 1),
+        "peak_rss_kb_per_node": round(run["peak_kb"] / 2048, 1),
+    }
+
+
 def bench_pushpull_n2048() -> dict:
     """The layered benchmark's ``sim_slowpath`` config, through ``run_once``.
 
@@ -710,6 +758,14 @@ def main(argv=None) -> int:
           flush=True)
     entries.append(entry)
     if not args.quick:
+        print("[bench] net loopback group of 2048, fresh process ...",
+              flush=True)
+        entry = bench_net_loopback_n2048()
+        print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "
+              f"{entry['rounds']} rounds to completeness "
+              f"{entry['completeness']}, peak RSS {entry['peak_rss_mb']} MB "
+              f"({entry['peak_rss_kb_per_node']} kB/node)", flush=True)
+        entries.append(entry)
         # Both before n65536: run after it in the same process
         # chaos_n1024 measured 12 s instead of 5-6 s (the heap that run
         # leaves behind is billed to whatever follows).

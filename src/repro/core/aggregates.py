@@ -27,11 +27,12 @@ network models still charge for the payload only (see
 A fixed-width payload also has a *column form* (:attr:`AggregateFunction
 .columns`): one numpy array per payload scalar, many states side by
 side, combined by :meth:`AggregateFunction.combine_columns` with exactly
-the scalar operations of the combiner, so a column fold is bit-identical
-to :meth:`AggregateFunction.merge_all`'s.  A :class:`StateTable` keeps
-many states as such columns, their coverage as rank intervals, and
-builds an :class:`AggregateState` only when one is read; the array
-stepper composes in it.
+the scalar operations of the combiner (or accumulated by the one ufunc
+per column in :attr:`AggregateFunction.folds`), so a column fold is
+bit-identical to :meth:`AggregateFunction.merge_all`'s.  A
+:class:`StateTable` keeps many states as such columns, their coverage
+as rank intervals, and builds an :class:`AggregateState` only when one
+is read; the array stepper composes in it.
 """
 
 from __future__ import annotations
@@ -157,6 +158,11 @@ class AggregateFunction:
     #: for no fixed width — states then compose as objects.
     columns: tuple[str, ...] = ()
 
+    #: One ufunc per column when the combiner is exactly that ufunc on
+    #: each column: :meth:`fold_columns` then accumulates, and never
+    #: calls :meth:`combine_columns`.
+    folds: tuple[np.ufunc, ...] = ()
+
     # -- payload algebra (subclass responsibility) -----------------------
     def _lift(self, vote: float) -> Any:
         raise NotImplementedError
@@ -233,12 +239,19 @@ class AggregateFunction:
 
     def fold_columns(self, table: list, ids, lengths) -> list:
         """Fold row ``i``'s payloads — ids ``ids[i, :lengths[i]]`` into
-        the ``table`` columns — left to right, as :meth:`merge_all` does:
-        step ``j`` combines the running value of every row longer than
-        ``j`` with its ``j``-th payload.  No reassociation, so the bits
-        are the scalar fold's."""
-        folded = [column[ids[:, 0]] for column in table]
+        the ``table`` columns, every length at least 1 — left to right,
+        as :meth:`merge_all` does: step ``j`` combines the running value
+        of every row longer than ``j`` with its ``j``-th payload (or,
+        with :attr:`folds`, one ``accumulate`` per column — a strict left
+        fold too).  No reassociation, so the bits are the scalar fold's."""
         with np.errstate(all="ignore"):  # float arithmetic never warns
+            if self.folds:
+                rows = np.arange(len(ids))
+                return [
+                    fold.accumulate(column[ids], axis=1)[rows, lengths - 1]
+                    for fold, column in zip(self.folds, table)
+                ]
+            folded = [column[ids[:, 0]] for column in table]
             for step in range(1, int(lengths.max(initial=1))):
                 rows = np.flatnonzero(lengths > step)
                 values = self.combine_columns(
@@ -264,6 +277,7 @@ class SumAggregate(AggregateFunction):
 
     name = "sum"
     columns = ("f8",)
+    folds = (np.add,)
 
     def _lift(self, vote):
         return float(vote)
@@ -280,6 +294,7 @@ class CountAggregate(AggregateFunction):
 
     name = "count"
     columns = ("i8",)
+    folds = (np.add,)
 
     def _lift(self, vote):
         return 1
@@ -296,6 +311,7 @@ class AverageAggregate(AggregateFunction):
 
     name = "average"
     columns = ("f8", "i8")
+    folds = (np.add, np.add)
 
     def _lift(self, vote):
         return (float(vote), 1)
@@ -633,15 +649,13 @@ class AnyAggregate(AggregateFunction):
 
     name = "any"
     columns = ("?",)
+    folds = (np.bitwise_or,)
 
     def _lift(self, vote):
         return bool(vote)
 
     def _combine(self, a, b):
         return a or b
-
-    def combine_columns(self, a, b):
-        return [a[0] | b[0]]
 
     def _finalize(self, payload):
         return 1.0 if payload else 0.0
@@ -652,15 +666,13 @@ class AllAggregate(AggregateFunction):
 
     name = "all"
     columns = ("?",)
+    folds = (np.bitwise_and,)
 
     def _lift(self, vote):
         return bool(vote)
 
     def _combine(self, a, b):
         return a and b
-
-    def combine_columns(self, a, b):
-        return [a[0] & b[0]]
 
     def _finalize(self, payload):
         return 1.0 if payload else 0.0
@@ -789,9 +801,11 @@ class StateTable:
         fresh = np.arange(self._ids, self._ids + len(spans) - len(reused))
         self._ids += len(fresh)
         sids = np.concatenate((reused, fresh))
-        for name in ("count", "size", "first", "spans"):
-            setattr(self, name, _room(getattr(self, name), self._ids))
-        self.payload = [_room(column, self._ids) for column in self.payload]
+        if self._ids > len(self.count):  # every id column grows together
+            for name in ("count", "size", "first", "spans"):
+                setattr(self, name, _room(getattr(self, name), self._ids))
+            self.payload = [_room(column, self._ids)
+                            for column in self.payload]
         self.count[sids] = counts
         self.spans[sids] = spans
         self.first[sids] = self._used + (

@@ -7,7 +7,8 @@ second substrate implementing it, next to the discrete-event simulator:
 * :mod:`repro.net.codec` — versioned, canonical binary wire framing
   for the protocol payloads and the control plane (join/welcome,
   ping/pong).
-* :mod:`repro.net.bootstrap` — the address book and seed-based join.
+* :mod:`repro.net.bootstrap` — the address book (one pointer per
+  peer: a list indexed by member id) and seed-based join.
 * :mod:`repro.net.liveness` — ping-based peer liveness, **metrics
   only** (protocol code never consults it; lint rule REP010).
 * :mod:`repro.net.node` — the transport-agnostic :class:`NetNode` +
@@ -20,6 +21,8 @@ second substrate implementing it, next to the discrete-event simulator:
 * :mod:`repro.net.exposition` — the ``--metrics-port`` HTTP listener
   over one node's :class:`~repro.obs.metrics.MetricsRegistry`
   (``/metrics`` Prometheus text, ``/metrics.json``, ``/healthz``).
+  Import it from there: this package does not, so importing it, a
+  node or the loopback router pulls in no asyncio, ssl or socket.
 * :mod:`repro.net.top` — the ``repro top`` CLI verb: polls exposition
   endpoints and renders a live per-node table or a ``repro-top/1``
   JSON snapshot.
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 from repro.net.bootstrap import AddressBook
 from repro.net.codec import CodecError, decode, encode
-from repro.net.exposition import MetricsServer, start_metrics_server
 from repro.net.liveness import LivenessView
 from repro.net.loopback import NetRunReport, run_loopback_group
 from repro.net.node import (
@@ -51,7 +53,6 @@ __all__ = [
     "AddressBook",
     "CodecError",
     "LivenessView",
-    "MetricsServer",
     "NetContext",
     "NetNode",
     "NetRunReport",
@@ -60,5 +61,4 @@ __all__ = [
     "encode",
     "net_stats_record",
     "run_loopback_group",
-    "start_metrics_server",
 ]

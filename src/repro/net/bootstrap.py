@@ -29,14 +29,18 @@ class AddressBook:
 
     An address, once learned, is never unlearned; a later Join or
     Welcome for a known id overwrites the address (a member that
-    restarts on a new port keeps its id).
+    restarts on a new port keeps its id).  Membership is the dense
+    range ``0..N-1``, so the book is a list indexed by id: one pointer
+    per peer (``None`` until learned).
     """
+
+    __slots__ = ("group_size", "_addresses")
 
     def __init__(self, group_size: int):
         if group_size < 1:
             raise ValueError("group_size must be positive")
         self.group_size = group_size
-        self._addresses: dict[int, Address] = {}
+        self._addresses: list[Address | None] = [None] * group_size
 
     def record(self, node_id: int, address: Address) -> None:
         """Learn (or refresh) one member's address."""
@@ -54,18 +58,24 @@ class AddressBook:
                 self._addresses[node_id] = address
 
     def address_of(self, node_id: int) -> Address | None:
-        return self._addresses.get(node_id)
+        if 0 <= node_id < self.group_size:
+            return self._addresses[node_id]
+        return None
 
     @property
     def known(self) -> int:
         """How many members have a recorded address."""
-        return len(self._addresses)
+        return self.group_size - self._addresses.count(None)
 
     @property
     def complete(self) -> bool:
         """Every member of the group has a recorded address."""
-        return len(self._addresses) == self.group_size
+        return None not in self._addresses
 
     def as_dict(self) -> dict[int, Address]:
         """A snapshot copy, for building a Welcome."""
-        return dict(self._addresses)
+        return {
+            node_id: address
+            for node_id, address in enumerate(self._addresses)
+            if address is not None
+        }

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -108,6 +109,57 @@ def test_compose_is_merge_all(name, rows):
         assert got.members.bounds == state.members.bounds
         assert table.count[sid] == state.members.count
         assert table.size[sid] == state.wire_size()
+
+
+#: Floats that stress a fold: infinities, the largest and the smallest
+#: magnitudes, and signed zeros.
+edge_floats = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([math.inf, -math.inf, 1.7976931348623157e308,
+                     -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     0.0, -0.0]),
+)
+scalars = {"f8": edge_floats, "i8": st.integers(-2**40, 2**40),
+           "?": st.booleans()}
+
+
+@pytest.mark.parametrize("name", [
+    name for name in AGGREGATE_NAMES if get_aggregate(name).folds
+])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_accumulate_fold_is_the_left_fold(name, data):
+    """An aggregate whose column combiner is one ufunc per column folds
+    by ``ufunc.accumulate``: bit for bit ``reduce(_combine)`` over each
+    row's first ``length`` payloads, lengths 1..width."""
+    function = get_aggregate(name)
+    size = data.draw(st.integers(1, 12))
+    width = data.draw(st.integers(1, 8))
+    rows = data.draw(st.integers(1, 6))
+    table = [
+        np.array(data.draw(st.lists(scalars[dtype], min_size=size,
+                                    max_size=size)), dtype=dtype)
+        for dtype in function.columns
+    ]
+    ids = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, size - 1), min_size=width, max_size=width),
+        min_size=rows, max_size=rows,
+    )))
+    lengths = np.array(data.draw(st.lists(
+        st.integers(1, width), min_size=rows, max_size=rows,
+    )))
+    folded = function.fold_columns(table, ids, lengths)
+    payloads = [tuple(column.item(sid) for column in table)
+                for sid in range(size)]
+    if len(table) == 1:
+        payloads = [payload[0] for payload in payloads]
+    for row in range(rows):
+        expected = reduce(
+            function._combine,
+            [payloads[sid] for sid in ids[row, :lengths[row]].tolist()],
+        )
+        got = tuple(column.item(row) for column in folded)
+        assert _bits(got if len(got) > 1 else got[0]) == _bits(expected)
 
 
 def test_compose_in_blocks_of_rows():

@@ -67,6 +67,29 @@ class TestImportCost:
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "[]"
 
+    def test_an_in_process_group_loads_no_transport_stack(self):
+        """asyncio, ssl and socket serve only the live transports
+        (``serve``, the exposition listener, ``top``): a simulation or a
+        loopback group loads none of them, nor does a star import of
+        the package."""
+        code = (
+            "import sys, repro, repro.net.node, repro.net.loopback\n"
+            "repro.run_once(repro.with_params(n=32, seed=1))\n"
+            "repro.net.loopback.run_loopback_group(16)\n"
+            "from repro.net import *\n"
+            "print(sorted({'asyncio', 'ssl', 'socket'} & set(sys.modules)))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={
+                "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+                "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
 
 class TestAggregateOnce:
     def test_returns_run_result(self):
