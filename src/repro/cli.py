@@ -208,12 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the determinism/invariant static-analysis rules",
         description=(
             "Repo-specific static analysis.  Per-file AST rules "
-            "(REP001-REP006, REP010): raw RNG outside RngRegistry, "
+            "(REP001-REP006): raw RNG outside RngRegistry, "
             "wall-clock calls in any unit a simulated run executes, "
             "unordered set iteration, truthiness-vs-is-None on "
-            "containers, mutable shared state, float sort keys "
-            "without a stable tie-break, and is_alive oracle calls in "
-            "protocol code.  One rule over the import graph (REP007): "
+            "containers, mutable shared state, and float sort keys "
+            "without a stable tie-break.  One rule over the import "
+            "graph (REP007): "
             "a unit imports only what the layering spec allows, which "
             "is also what bounds the wall-clock rule's scope.  Exit "
             "0 = clean, 1 = violations, 2 = usage error.  See "

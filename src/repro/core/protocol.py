@@ -114,12 +114,6 @@ class AggregationProcess(Process):
         """Ids of the members whose votes ``mask`` covers, in slot order."""
         return list(mask)
 
-    def completeness(self, group_size: int) -> float | None:
-        """Fraction of the initial votes covered by :attr:`result`."""
-        if self.result is None:
-            return None
-        return self.result.covers() / group_size
-
 
 @dataclass
 class CompletenessReport:

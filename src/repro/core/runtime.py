@@ -1,7 +1,7 @@
 """The runtime contract between protocols and the substrate hosting them.
 
 Every aggregation protocol in this repository — Hierarchical Gossiping
-and the baselines — is written against exactly five runtime services
+and the baselines — is written against exactly four runtime services
 plus three lifecycle callbacks.  This module names that contract
 explicitly, as :class:`typing.Protocol` interfaces, so the *same*
 protocol object can run on either substrate:
@@ -29,9 +29,6 @@ Contract fine print protocols may rely on:
 * ``send`` is fire-and-forget: it returns nothing, and the message may
   be lost, or refused by a local bandwidth cap (the simulator counts
   that in ``NetworkStats.rejected_bandwidth``).
-* ``is_alive`` is an **oracle for metrics and experiments only**.  A
-  real network cannot answer it, so protocol code must never consult it
-  — lint rule REP010 enforces that mechanically.
 * ``terminate`` is idempotent and marks only the acting process.
 """
 
@@ -62,10 +59,6 @@ class Context(Protocol):
 
     def send(self, dest: int, payload: Any, size: int = 1) -> None:
         """Fire-and-forget unicast."""
-        ...
-
-    def is_alive(self, node_id: int) -> bool:
-        """Oracle liveness view — metrics/experiments only (REP010)."""
         ...
 
     def terminate(self) -> None:

@@ -4,7 +4,7 @@
 guard the codebase's two load-bearing properties — byte-determinism
 across ``--jobs`` counts and the paper's no-double-counting constraint —
 at commit time instead of leaving them to end-to-end golden tests.
-The per-file AST rules (REP001-REP006 and REP010,
+The per-file AST rules (REP001-REP006,
 :mod:`repro.lint.rules`) are joined by one whole-program rule, the
 import-layering spec (REP007, :mod:`repro.lint.graph_rules`), whose
 ``LAYERS`` table also decides which units REP002 holds to determinism.

@@ -3,7 +3,7 @@
 The engine runs in two layers:
 
 * **Per-file** — parse each module once, run the AST rules
-  (REP001-REP006, REP010) and collect the module's imports.  All of
+  (REP001-REP006) and collect the module's imports.  All of
   this is pure in the file's content, so with ``--cache FILE`` it is
   kept on disk keyed by content hash
   (:class:`repro.lint.project.LintCache`).  Raw (pre-pragma) violations

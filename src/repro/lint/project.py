@@ -194,7 +194,7 @@ class LintCache:
 
     # Bumped whenever the rule set or an entry's shape changes: an
     # entry written by another version must not satisfy this run.
-    SCHEMA = "repro-lint-cache/4"
+    SCHEMA = "repro-lint-cache/5"
 
     def __init__(self, path: Path | None):
         self.path = path

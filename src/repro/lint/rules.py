@@ -1,5 +1,5 @@
 """Repo-specific determinism and invariant lint rules, one file at a time
-(REP001-REP006, REP010).
+(REP001-REP006).
 
 Each rule is a small, self-contained AST pass.  They encode the two
 load-bearing guarantees of this reproduction — byte-determinism across
@@ -36,9 +36,6 @@ end-to-end golden tests:
   order — which is exactly the history/hash-order dependence REP003
   guards against, smuggled in through a tie.  A tuple key with a stable
   secondary component breaks ties deterministically and is exempt.
-* **REP010** — ``Context.is_alive`` is the simulator's omniscient
-  process table; a real group member has no such oracle, so only the
-  measurement layers (:data:`ORACLE_CONSUMER_UNITS`) may call it.
 
 Every rule supports the ``# repro-lint: ok`` / ``# repro-lint: ok[CODE]``
 inline pragma (see :mod:`repro.lint.engine`).
@@ -731,50 +728,6 @@ class FloatKeySortRule(Rule):
         return False
 
 
-#: Units whose job is *measuring* runs; only they may consult the
-#: simulator's ``is_alive`` liveness oracle (REP010).
-ORACLE_CONSUMER_UNITS = frozenset({"obs", "sanitize", "experiments"})
-
-
-class OracleLivenessRule(Rule):
-    """REP010: protocol code must not consult the liveness oracle.
-
-    ``Context.is_alive`` answers from the simulator's global process
-    table — knowledge no real group member has (the UDP runtime can
-    only return its ping-based *guess*).  A protocol that branches on
-    it simulates an impossible algorithm: its measured completeness
-    stops being evidence about the paper's failure-detector-free
-    design.  Only the measurement layers (:data:`ORACLE_CONSUMER_UNITS`)
-    may call it; everything else gets flagged, whichever object the
-    call is made on.
-    """
-
-    code = "REP010"
-    summary = (
-        "liveness-oracle call (is_alive) outside the measurement layers"
-    )
-
-    def applies_to(self, path: str) -> bool:
-        return not ORACLE_CONSUMER_UNITS & _path_units(path)
-
-    def check(self, tree, path):
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "is_alive"
-            ):
-                yield self.violation(
-                    node, path,
-                    f"call to the is_alive liveness oracle; only the "
-                    f"measurement layers "
-                    f"({', '.join(sorted(ORACLE_CONSUMER_UNITS))}) may "
-                    f"— a real process group has no such oracle, so "
-                    f"protocol behaviour must not depend on it. Derive "
-                    f"the decision from received messages instead",
-                )
-
-
 ALL_RULES: tuple[Rule, ...] = (
     RawRngRule(),
     WallClockRule(),
@@ -782,7 +735,6 @@ ALL_RULES: tuple[Rule, ...] = (
     TruthinessOnOptionalRule(),
     MutableSharedStateRule(),
     FloatKeySortRule(),
-    OracleLivenessRule(),
 )
 
 

@@ -9,8 +9,9 @@ second substrate implementing it, next to the discrete-event simulator:
   ping/pong).
 * :mod:`repro.net.bootstrap` — the address book (one pointer per
   peer: a list indexed by member id) and seed-based join.
-* :mod:`repro.net.liveness` — ping-based peer liveness, **metrics
-  only** (protocol code never consults it; lint rule REP010).
+* :mod:`repro.net.liveness` — ping-based peer liveness for status
+  output and metrics only; no runtime context exposes it to the
+  protocol.
 * :mod:`repro.net.node` — the transport-agnostic :class:`NetNode` +
   :class:`NetContext` pair hosting one protocol process.
 * :mod:`repro.net.loopback` — an in-memory datagram router driving a

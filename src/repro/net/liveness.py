@@ -5,12 +5,12 @@ book, and records the tick it last heard anything (ping, pong, or
 gossip) from each peer.  A peer silent for :data:`MISS_THRESHOLD` probe
 intervals is *suspected*.
 
-The suspicion list feeds ``repro serve`` status output and the
-``is_alive`` answer of :class:`repro.net.NetContext` — which protocol
-code is forbidden to call (lint rule REP010).  Hierarchical Gossiping
-needs no failure detector (the paper's central point); this module
-exists so an operator watching a live group can see who went quiet,
-not so the protocol can react to it.
+The suspicion list feeds ``repro serve`` status output, the
+``repro_net_suspected_peers`` gauge and ``repro top``, and nothing
+else: no runtime context offers it to the protocol.  Hierarchical
+Gossiping needs no failure detector (the paper's central point); this
+module exists so an operator watching a live group can see who went
+quiet, not so the protocol can react to it.
 
 Probe targets are drawn round-robin rather than from a random stream on
 purpose: the protocol's deterministic per-process streams must see

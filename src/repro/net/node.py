@@ -172,7 +172,6 @@ class NetContext:
 
     def __init__(self, node: "NetNode"):
         self._node = node
-        self._rng_cache: dict[tuple, Any] = {}
         self._rngs = RngRegistry(node.config.seed)
 
     @property
@@ -182,13 +181,7 @@ class NetContext:
 
     def rng_for(self, *names: str | int):
         """The simulator-identical per-process named stream."""
-        generator = self._rng_cache.get(names)
-        if generator is None:
-            generator = self._rngs.stream(
-                "process", self._node.config.node_id, *names
-            )
-            self._rng_cache[names] = generator
-        return generator
+        return self._rngs.stream("process", self._node.config.node_id, *names)
 
     def send(self, dest: int, payload: Any, size: int = 1) -> None:
         """Frame and transmit one gossip payload, fire-and-forget.
@@ -200,13 +193,6 @@ class NetContext:
         :class:`NodeStats`.
         """
         self._node._send_gossip(dest, payload)
-
-    def is_alive(self, node_id: int) -> bool:
-        """Best-effort liveness from the ping view (REP010: metrics and
-        experiments only — protocol code must never call this, and on a
-        real network the answer is necessarily a guess)."""
-        node = self._node
-        return not node.liveness.is_suspected(node_id, node.tick_count)
 
     def terminate(self) -> None:
         """Mark the hosted process as finished with its protocol."""

@@ -102,33 +102,19 @@ class Context:
     def __init__(self, engine: "SimulationEngine"):
         self._engine = engine
         self.current: Process | None = None
-        self._rng_cache: dict[tuple, Any] = {}
 
     @property
     def round(self) -> int:
         """The current round number."""
         return self._engine.round
 
-    @property
-    def rngs(self) -> RngRegistry:
-        """The run's random stream registry."""
-        return self._engine.rngs
-
     def rng_for(self, *names: str | int):
-        """Shorthand for a per-process random stream.
-
-        Generators are memoized here (on top of the registry's own
-        cache) so the per-round hot path skips re-deriving the stream
-        key; the returned generator is the registry's, so stream state
-        is shared with direct :meth:`RngRegistry.stream` lookups.
-        """
+        """The acting process's named stream: the registry's own
+        generator for ``("process", node_id, *names)``."""
         assert self.current is not None
-        key = (self.current.node_id, names)
-        generator = self._rng_cache.get(key)
-        if generator is None:
-            generator = self._engine.rngs.stream("process", key[0], *names)
-            self._rng_cache[key] = generator
-        return generator
+        return self._engine.rngs.stream(
+            "process", self.current.node_id, *names
+        )
 
     def send(self, dest: int, payload: Any, size: int = 1) -> None:
         """Send ``payload`` to process ``dest``; fire-and-forget.
@@ -140,10 +126,6 @@ class Context:
         """
         assert self.current is not None, "send() outside a process callback"
         self._engine._submit(self.current.node_id, dest, payload, size)
-
-    def is_alive(self, node_id: int) -> bool:
-        """Whether ``node_id`` is currently live (oracle view, for metrics)."""
-        return self._engine.processes[node_id].alive
 
     def terminate(self) -> None:
         """Mark the acting process as finished with its protocol."""

@@ -210,7 +210,8 @@ class TestCache:
     def test_unknown_schema_is_discarded(self, tmp_path):
         cache_file = tmp_path / "cache.json"
         cache_file.write_text(
-            json.dumps({"schema": "something-else/9", "files": {}})
+            json.dumps({"schema": "something-else/9",
+                        "files": {"a.py": {"hash": "sha256:abc"}}})
         )
         cache = LintCache(cache_file)
         assert cache.get("a.py", "sha256:abc") is None

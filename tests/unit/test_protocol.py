@@ -28,13 +28,6 @@ class TestAggregationProcess:
         assert state.members == frozenset({3})
         assert F.finalize(state) == 2.5
 
-    def test_completeness_none_before_result(self):
-        assert _process(0).completeness(10) is None
-
-    def test_completeness_fraction(self):
-        process = _process(0, result_members=[0, 1, 2, 3])
-        assert process.completeness(8) == 0.5
-
 
 class TestMeasureCompleteness:
     def test_survivor_relative_headline(self):

@@ -5,7 +5,8 @@ per-node NetContext — must conform *structurally* to the Protocol
 interfaces the protocols are written against, and every protocol
 process class must match the GroupProcess shape.  Conformance is
 checked with isinstance (the Protocols are runtime_checkable), which
-pins method presence; behavioural fine print (deterministic rng_for,
+pins method presence; a public-name comparison pins that a context
+offers nothing beyond the contract; behavioural fine print (deterministic rng_for,
 monotone rounds) is pinned by the cross-runtime golden suite.
 """
 
@@ -52,6 +53,45 @@ class TestContextConformance:
                 return True
 
         assert not isinstance(Half(), Context)
+
+
+def _public_names(obj) -> set[str]:
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+class TestContextIsExactlyTheContract:
+    """A context offers the protocol the four contract calls and
+    nothing else: no liveness oracle, no handle on the run's registry."""
+
+    CONTRACT = {"round", "rng_for", "send", "terminate"}
+
+    def test_protocol_members_are_the_four_calls(self):
+        assert {
+            name for name in vars(Context) if not name.startswith("_")
+        } == self.CONTRACT
+
+    def test_simulator_context_has_no_extra_public_member(self):
+        # ``current`` is the engine's slot for the acting process.
+        assert _public_names(_sim_context()) - {"current"} == self.CONTRACT
+
+    def test_net_context_has_no_extra_public_member(self):
+        assert _public_names(_net_node().ctx) == self.CONTRACT
+
+    def test_simulator_stream_is_the_registry_object(self):
+        ctx = _sim_context()
+        ctx.current = FlatGossipProcess(
+            node_id=2, vote=1.0, function=get_aggregate("average"),
+            view=(0, 1, 2, 3), total_rounds=4,
+        )
+        stream = ctx.rng_for("gossip")
+        assert stream is ctx._engine.rngs.stream("process", 2, "gossip")
+        assert ctx.rng_for("gossip") is stream
+
+    def test_net_stream_is_the_registry_object(self):
+        ctx = _net_node().ctx
+        stream = ctx.rng_for("gossip")
+        assert stream is ctx._rngs.stream("process", 0, "gossip")
+        assert ctx.rng_for("gossip") is stream
 
 
 class TestNetNodeInputs:
