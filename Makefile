@@ -81,12 +81,10 @@ metrics-smoke:    ## live group exposes both metric formats; repro top reads the
 	python benchmarks/perf/run_bench.py --registry-guard
 	@echo "metrics smoke ok: exposition + repro top + registry overhead guard"
 
-trace-smoke:      ## run one traced aggregation, validate the JSONL, check layering
+trace-smoke:      ## run one traced aggregation and validate the JSONL (layering: make lint)
 	PYTHONPATH=src python -m repro trace --n 64 --ucastl 0.4 --seed 1 \
 		--out /tmp/repro-trace-smoke.jsonl --explain 0
 	PYTHONPATH=src python -m repro trace --validate /tmp/repro-trace-smoke.jsonl
-	PYTHONPATH=src python -m repro lint --select REP007 src/
-	@echo "layering ok: REP007 found no forbidden cross-unit imports"
 
 figures:          ## quick CLI pass over the analytic figures
 	python -m repro fig4

@@ -10,10 +10,11 @@ tamper window it crafts messages from the archive (corrupted payloads,
 re-keyed duplicates, stale replays) and at a Sybil storm it mints fake
 identities, runs them through the proof-of-work gate, and has the
 survivors spam contributions.  Crafted messages enter the engine through
-:meth:`repro.sim.network.Network.inject`, which delivers them at the
-head of the next round, before that round's genuine traffic.  Both hooks
-need single messages, so adversarial runs take the object engine (the
-array engine refuses a send tap and injections).
+:meth:`repro.sim.engine.SimulationEngine.inject`, from the round bus:
+they arrive next round behind this round's delivery-time answers and
+ahead of this round's step sends.  Both hooks need single messages, so
+adversarial runs take the object engine (the array engine refuses a
+send tap and injections).
 
 Determinism: all sampling comes from the run's seeded ``adversary``
 stream, the archive is filled in send order, and proof-of-work admission
@@ -155,8 +156,8 @@ class TamperPlanner:
     """Snooping archive + per-round crafting for the adversarial events.
 
     Built by campaign compilation with the events already resolved to
-    simulator rounds; bound to the run's network, seeded ``adversary``
-    stream, and membership layout at install time.
+    simulator rounds, with the membership layout; bound to the run's
+    engine and seeded ``adversary`` stream at install time.
     """
 
     def __init__(
@@ -170,7 +171,7 @@ class TamperPlanner:
         self.tamper_windows = tuple(tamper_windows)
         #: ``(round, count, pow_bits, pow_budget)``.
         self.sybil_storms = tuple(sybil_storms)
-        self._network: Any = None
+        self._engine: Any = None
         self._rng: Any = None
         self._box_groups = tuple(tuple(group) for group in box_groups)
         members: list[int] = []
@@ -195,9 +196,9 @@ class TamperPlanner:
         self.summary = AdversarialSummary()
 
     # -- wiring ----------------------------------------------------------
-    def bind(self, network: Any, rng: Any) -> None:
-        """Attach the run's network and seeded ``adversary`` stream."""
-        self._network = network
+    def bind(self, engine: Any, rng: Any) -> None:
+        """Attach the run's engine and seeded ``adversary`` stream."""
+        self._engine = engine
         self._rng = rng
 
     # -- snoop -----------------------------------------------------------
@@ -233,7 +234,7 @@ class TamperPlanner:
             self._archive_int.append(sample)
 
     # -- injection -------------------------------------------------------
-    def on_begin_round(self, round_number: int) -> None:
+    def on_round_start(self, round_number: int) -> None:
         """Craft and inject this round's adversarial traffic."""
         for start, stop, rate, mode in self.tamper_windows:
             if not start <= round_number < stop:
@@ -271,7 +272,7 @@ class TamperPlanner:
             src=-1, dest=dest, payload=payload,
             size=payload.wire_size(), sent_round=round_number,
         )
-        self._network.inject(round_number + 1, message)
+        self._engine.inject(round_number + 1, message)
 
     def _rewrap(self, sample: tuple, state: AggregateState) -> Any:
         kind, key, __, __ = sample

@@ -6,14 +6,15 @@ lowers it onto the three extension points the simulator already has:
 
 * crash processes (storms, rack wipes, churn) become a
   :class:`CampaignFailureModel` — a
-  :class:`~repro.sim.failures.FailureModel` layered over the paper's
-  independent per-round crash process via
-  :class:`~repro.sim.failures.ComposedFailures` semantics;
+  :class:`~repro.sim.failures.FailureModel` that steps the paper's
+  independent per-round crash process and the correlated events
+  together;
 * loss / latency / partition processes become a mutable
   :class:`ChaosNetwork` driven by a :class:`CampaignController`
   subscribed to the engine's begin-round bus
   (:class:`~repro.sim.events.RoundBus`), so network state changes land
-  on exact round boundaries;
+  on exact round boundaries; the adversary's crafted messages enter
+  there too (:meth:`~repro.sim.engine.SimulationEngine.inject`);
 * all sampling uses the run's seeded ``failures`` stream, keeping every
   campaign bit-for-bit reproducible and safe to fan out across worker
   processes.
@@ -24,7 +25,7 @@ resolves them to absolute rounds (see :mod:`repro.chaos.events`).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ from repro.chaos.events import (
     SybilJoinStorm,
 )
 from repro.sim.failures import CrashWithoutRecovery, FailureModel
-from repro.sim.network import Network
+from repro.sim.network import PartitionedNetwork
 from repro.topology.regions import RegionMap
 
 __all__ = [
@@ -82,6 +83,15 @@ def _reject_overlapping_partitions(
             )
 
 
+#: Partition labels of an array of member ids (``PartitionedNetwork``).
+_Labels = Callable[[np.ndarray], np.ndarray]
+
+
+def _residues(parts: int) -> _Labels:
+    """Partition labels: each id's residue modulo ``parts``."""
+    return lambda ids: ids % parts
+
+
 def _regions(region_of: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Region of each member id; -1 for an id the map does not hold
     (an answer to a forged sender goes to id -1)."""
@@ -89,14 +99,16 @@ def _regions(region_of: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.where(mapped, region_of[np.where(mapped, ids, 0)], -1)
 
 
-class ChaosNetwork(Network):
+class ChaosNetwork(PartitionedNetwork):
     """A lossy network whose fault state is mutated at round boundaries.
 
     The :class:`CampaignController` (via the engine's round bus) sets
-    ``current_loss``, ``current_extra_latency``, the active partition
-    and the active region partition before each round's sends; between
-    mutations the model behaves like
-    :class:`~repro.sim.network.LossyNetwork` at ``base_loss``.  A
+    ``current_loss``, ``current_extra_latency``, the active
+    ``partition`` (``(labels, partl)``, as on
+    :class:`~repro.sim.network.PartitionedNetwork`) and the active
+    region partition before each round's sends; between mutations the
+    model behaves like :class:`~repro.sim.network.LossyNetwork` at its
+    loss floor ``ucastl`` (the ``base_loss`` it was built with).  A
     message crossing the partition (or two regions) is lost with the
     larger of its loss floor and ``current_loss``; the drop is counted
     in ``dropped_cross_partition`` (``dropped_cross_region``).  Latency
@@ -105,27 +117,14 @@ class ChaosNetwork(Network):
     """
 
     def __init__(self, base_loss: float = 0.25, **kwargs):
-        if not 0.0 <= base_loss <= 1.0:
-            raise ValueError(f"base_loss must be a probability, "
-                             f"got {base_loss}")
-        super().__init__(**kwargs)
-        self.base_loss = base_loss
+        super().__init__(ucastl=base_loss, **kwargs)
         self.current_loss = base_loss
         self.current_extra_latency = 0
-        #: Active partition: (parts, partl), or None when whole.
-        self.partition: tuple[int, float] | None = None
         #: Active WAN region partition, or None: (region per member id,
         #: -1 where unmapped; isolated regions; outbound, inbound, wan).
         self.region_state: (
             tuple[np.ndarray, frozenset[int], float, float, float] | None
         ) = None
-
-    def _crossings(self, src: np.ndarray, dest: np.ndarray):
-        """Which messages cross the partition; None when whole."""
-        if self.partition is None:
-            return None
-        parts, __ = self.partition
-        return (src % parts) != (dest % parts)
 
     def _region_floors(self, src: np.ndarray, dest: np.ndarray):
         """(crosses two mapped regions, WAN loss floor) per message, or
@@ -165,11 +164,7 @@ class ChaosNetwork(Network):
         return 1 + self.current_extra_latency
 
     def _count_losses(self, src, dest, lost) -> None:
-        crossings = self._crossings(src, dest)
-        if crossings is not None:
-            self.stats.dropped_cross_partition += int(
-                (lost & crossings).sum()
-            )
+        super()._count_losses(src, dest, lost)
         region = self._region_floors(src, dest)
         if region is not None:
             self.stats.dropped_cross_region += int((lost & region[0]).sum())
@@ -190,7 +185,7 @@ class CampaignController:
         network: ChaosNetwork,
         loss_windows: Sequence[tuple[int, int, float]] = (),
         latency_windows: Sequence[tuple[int, int, int]] = (),
-        partition_windows: Sequence[tuple[int, int, int, float]] = (),
+        partition_windows: Sequence[tuple[int, int, _Labels, float]] = (),
         loss_delta_windows: Sequence[tuple[int, int, float]] = (),
         region_windows: Sequence[
             tuple[int, int, np.ndarray, frozenset[int], float, float,
@@ -208,9 +203,9 @@ class CampaignController:
         #: Rounds during which any window was active (telemetry).
         self.degraded_rounds = 0
 
-    def on_begin_round(self, round_number: int) -> None:
+    def on_round_start(self, round_number: int) -> None:
         network = self.network
-        loss = network.base_loss
+        loss = network.ucastl
         for start, stop, value in self.loss_windows:
             if start <= round_number < stop:
                 loss = max(loss, value)
@@ -227,17 +222,17 @@ class CampaignController:
         for start, stop, extra in self.latency_windows:
             if start <= round_number < stop:
                 extra_latency = max(extra_latency, extra)
-        partition: tuple[int, float] | None = None
-        for start, stop, parts, partl in self.partition_windows:
+        partition: tuple[_Labels, float] | None = None
+        for start, stop, labels, partl in self.partition_windows:
             if start <= round_number < stop:
-                partition = (parts, partl)
+                partition = (labels, partl)
         region_state = None
         for (start, stop, region_of, isolated, outbound, inbound,
              wan) in self.region_windows:
             if start <= round_number < stop:
                 region_state = (region_of, isolated, outbound, inbound, wan)
         degraded = (
-            loss != network.base_loss
+            loss != network.ucastl
             or extra_latency > 0
             or partition is not None
             or region_state is not None
@@ -251,7 +246,7 @@ class CampaignController:
         if self.planner is not None:
             # Last: injections for this round are crafted after the
             # network state above is in place.
-            self.planner.on_begin_round(round_number)
+            self.planner.on_round_start(round_number)
 
 
 class CampaignFailureModel(FailureModel):
@@ -352,9 +347,11 @@ class CompiledCampaign:
         The engine must be driving this campaign's network and failure
         model — installing onto a different world would silently split
         the timeline in two.  Adversarial campaigns additionally bind
-        the tamper planner to the network and the run's seeded
-        ``adversary`` stream here, and set it as the engine's send tap:
-        it snoops every message the members submit, in send order.
+        the tamper planner to the engine (it injects through
+        :meth:`~repro.sim.engine.SimulationEngine.inject`) and the run's
+        seeded ``adversary`` stream here, and set it as the engine's
+        send tap: it snoops every message the members submit, in send
+        order.
         """
         if engine.network is not self.network:
             raise ValueError(
@@ -365,9 +362,9 @@ class CompiledCampaign:
                 "engine.failure_model is not this campaign's compiled model"
             )
         if self.planner is not None:
-            self.planner.bind(self.network, engine.rngs.stream("adversary"))
+            self.planner.bind(engine, engine.rngs.stream("adversary"))
             engine.send_tap = self.planner.observe
-        engine.round_bus.subscribe(self.controller.on_begin_round)
+        engine.round_bus.subscribe(self.controller.on_round_start)
 
 
 @dataclass(frozen=True)
@@ -435,7 +432,7 @@ class ChaosCampaign:
         loss_windows: list[tuple[int, int, float]] = []
         loss_delta_windows: list[tuple[int, int, float]] = []
         latency_windows: list[tuple[int, int, int]] = []
-        partition_windows: list[tuple[int, int, int, float]] = []
+        partition_windows: list[tuple[int, int, _Labels, float]] = []
         tamper_windows: list[tuple[int, int, float, str]] = []
         sybil_storms: list[tuple[int, int, int, int]] = []
         region_events: list[tuple[int, int, RegionPartition]] = []
@@ -467,7 +464,7 @@ class ChaosCampaign:
             elif isinstance(event, PartitionWindow):
                 start, stop = window(event.start, event.stop)
                 partition_windows.append(
-                    (start, stop, event.parts, event.partl)
+                    (start, stop, _residues(event.parts), event.partl)
                 )
             elif isinstance(event, RegionPartition):
                 start, stop = window(event.start, event.stop)

@@ -45,7 +45,7 @@ from repro.obs.export import run_result_record
 from repro.obs.telemetry import RunTelemetry, TelemetrySummary
 from repro.sim.engine import SimulationEngine
 from repro.sim.failures import CrashWithoutRecovery, NoFailures
-from repro.sim.group import GroupMembership, PartialViews
+from repro.sim.group import PartialViews
 from repro.sim.network import LossyNetwork, PartitionedNetwork
 from repro.sim.rng import RngRegistry
 
@@ -179,8 +179,7 @@ def _build_processes(
         params = GossipParams.from_config(config)
         view_of = None
         if config.view_size is not None:
-            membership = GroupMembership(tuple(votes))
-            views = PartialViews(membership, config.view_size, rngs)
+            views = PartialViews(tuple(votes), config.view_size, rngs)
             view_of = views.view_of
         start_round_of = None
         if config.start_spread > 0:

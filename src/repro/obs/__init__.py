@@ -1,8 +1,8 @@
 """Run observability: phase tracing, telemetry, exports, profiling.
 
 This package is a *pure consumer* of the simulation and protocol layers:
-``repro/sim``, ``repro/core`` and ``repro/chaos`` never import it (CI
-greps for that), and attaching any of its collectors never changes a
+``repro/sim``, ``repro/core`` and ``repro/chaos`` never import it (lint
+rule REP007), and attaching any of its collectors never changes a
 run's results — telemetry draws no randomness and mutates no simulation
 state, so a traced run is byte-identical to an untraced one.
 

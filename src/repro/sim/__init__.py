@@ -1,4 +1,4 @@
-"""Simulation substrate: engine, unreliable network, failures, membership.
+"""Simulation substrate: engine, unreliable network, failures, member views.
 
 This package knows nothing about aggregation — it is the generic
 round-based discrete-event world that the protocols in
@@ -8,14 +8,13 @@ round-based discrete-event world that the protocols in
 from repro.sim.engine import Context, EngineStats, Process, SimulationEngine
 from repro.sim.events import RoundBus
 from repro.sim.failures import (
-    ComposedFailures,
     CrashRecovery,
     CrashWithoutRecovery,
     FailureModel,
     NoFailures,
     ScheduledFailures,
 )
-from repro.sim.group import GroupMembership, PartialViews
+from repro.sim.group import PartialViews
 from repro.sim.metrics import RoundMetrics, RoundSample
 from repro.sim.network import (
     JitterNetwork,
@@ -41,8 +40,6 @@ __all__ = [
     "CrashWithoutRecovery",
     "CrashRecovery",
     "ScheduledFailures",
-    "ComposedFailures",
-    "GroupMembership",
     "PartialViews",
     "Network",
     "JitterNetwork",

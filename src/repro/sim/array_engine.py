@@ -34,7 +34,7 @@ calling into one process object per member and message:
 **Refusals** — a block is never a message, so whatever must see single
 messages runs on the object engine: this engine raises ``ValueError``
 on a tracer (at construction), on a send tap (when it is set) and on an
-injected message (when the round would queue it).  Nothing is silently
+injected message (:meth:`inject`).  Nothing is silently
 untraced, untapped or dropped.
 
 **Equivalence contract** — every run this engine accepts is
@@ -117,12 +117,11 @@ class ArraySteppedEngine(SimulationEngine):
                 "none; use the object-stepped SimulationEngine"
             )
 
-    def _drain_injected(self) -> None:
-        if self.network.take_injected():
-            raise ValueError(
-                "ArraySteppedEngine admits no injected messages; use the "
-                "object-stepped SimulationEngine"
-            )
+    def inject(self, delivery_round: int, message: Any) -> None:
+        raise ValueError(
+            "ArraySteppedEngine admits no injected messages; use the "
+            "object-stepped SimulationEngine"
+        )
 
     # -- the member group -----------------------------------------------
     def add_process(self, process: Process) -> None:

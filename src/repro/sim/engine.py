@@ -17,8 +17,11 @@ engine reproduces that model:
   appended in send order and popped whole when the round begins: under
   every latency model arrivals are ordered by (delivery round, send
   order).  Both round engines use it.
+* Between delivery and the step the engine emits its round bus, where
+  every fault that changes over time (a chaos campaign) rewrites the
+  network's state and injects messages (:meth:`SimulationEngine.inject`).
 * Message loss, latency, partitions and per-sender bandwidth caps are
-  delegated to the :class:`~repro.sim.network.Network`.
+  planned by the :class:`~repro.sim.network.Network`, which does no more.
 * Crash injection is delegated to a
   :class:`~repro.sim.failures.FailureModel`.
 
@@ -155,12 +158,10 @@ class SimulationEngine:
         self.max_rounds = max_rounds
         self.tracer = tracer
         self.metrics = metrics
-        #: Begin-round event bus.  The network's per-round reset is the
-        #: first subscriber; chaos campaign controllers (and any other
-        #: round-boundary probe) subscribe after it and therefore run
-        #: after it, in a fixed, reproducible order.
+        #: Begin-round event bus, empty until a chaos campaign
+        #: controller (or another round-boundary probe) subscribes;
+        #: subscribers run in subscription order.
         self.round_bus = RoundBus()
-        self.round_bus.subscribe(network.begin_round)
         self.round = 0
         self.processes: dict[int, Process] = {}
         self.stats = EngineStats()
@@ -278,6 +279,15 @@ class SimulationEngine:
             )
         self._pending.setdefault(delivery_round, []).extend(items)
 
+    def inject(self, delivery_round: int, message: Message) -> None:
+        """Queue an out-of-band message for ``delivery_round``, behind
+        what that round already holds (fault injection: an adversary
+        writing onto the medium, past loss, latency and bandwidth, and
+        never counted by the network).  Injected from round ``r``'s
+        round bus for ``r + 1``, it arrives after ``r``'s delivery-time
+        sends and before its step's sends."""
+        self._enqueue(delivery_round, message)
+
     def _dispatch(self, message: Message) -> None:
         receiver = self.processes.get(message.dest)
         if receiver is None or not receiver.alive:
@@ -288,18 +298,6 @@ class SimulationEngine:
         self._ctx.current = receiver
         receiver.on_message(self._ctx, message)
         self._ctx.current = None
-
-    def _drain_injected(self) -> None:
-        """Queue messages a fault injector placed on the wire.
-
-        Runs right after the round bus (where chaos controllers craft
-        their injections), so a message injected for ``round + 1`` is
-        enqueued *before* this round's protocol step submits genuine
-        traffic — injected messages deliver at the head of their round,
-        in both engines.
-        """
-        for delivery_round, message in self.network.take_injected():
-            self._enqueue(delivery_round, message)
 
     def _deliver_due(self) -> None:
         # A send from inside on_message lands in a later round's bucket
@@ -433,7 +431,6 @@ class SimulationEngine:
                 self._flush()
                 self.round_bus.emit(self.round)
                 self.window_sends[:] = 0
-                self._drain_injected()
                 self._step_processes()
                 self._flush()
                 if self.metrics is not None:

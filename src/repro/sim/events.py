@@ -1,17 +1,18 @@
 """Deterministic begin-round event bus.
 
 The engine owns one :class:`RoundBus` and emits it exactly once per round,
-at the point where per-round state resets happen (after this round's
-deliveries, before any process sends).  Subscribers run in subscription
-order, so a run is reproducible however many listeners are attached: the
-network's bandwidth-accounting reset is always the first subscriber, and
-anything registered afterwards (chaos campaign controllers, probes) sees
-the same round numbers in the same order on every run.
+after this round's deliveries and before any process takes its step.
+Subscribers run in subscription order, so a run is reproducible however
+many listeners are attached: each sees the same round numbers in the
+same order on every run.  The bus starts empty; the engine's own
+per-round reset (the bandwidth window, ``window_sends``) runs right
+after it, not on it.
 
-This is the hook point the chaos subsystem compiles to: a campaign
-controller subscribes once and mutates loss / latency / partition state
-at exact round boundaries, keeping fault timelines deterministic under a
-fixed seed.
+This is the one way in for a fault that changes over time: a chaos
+campaign controller subscribes once, rewrites loss / latency /
+partition state at exact round boundaries and injects its crafted
+messages there, keeping fault timelines deterministic under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class RoundBus:
                             f"{callback!r}")
         self._subscribers.append(callback)
         return callback
-
-    def unsubscribe(self, callback: Callable[[int], None]) -> None:
-        """Remove a previously subscribed callback (ValueError if absent)."""
-        self._subscribers.remove(callback)
 
     def __len__(self) -> int:
         return len(self._subscribers)

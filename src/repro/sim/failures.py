@@ -6,7 +6,10 @@ The paper's simulations crash each member independently with probability
 model is provided as well for the extension experiments.
 
 A failure model is stepped once per round by the engine and returns the
-sets of node ids to crash and to recover this round.
+sets of node ids to crash and to recover this round.  Correlated crash
+processes (storms, rack wipes, churn) are chaos campaign events:
+:class:`repro.chaos.campaign.CampaignFailureModel` layers them over the
+paper's independent process in one model.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ __all__ = [
     "CrashWithoutRecovery",
     "CrashRecovery",
     "ScheduledFailures",
-    "ComposedFailures",
 ]
 
 
@@ -145,33 +147,3 @@ class ScheduledFailures(FailureModel):
             set(self.crash_at.get(round_number, ())),
             set(self.recover_at.get(round_number, ())),
         )
-
-
-class ComposedFailures(FailureModel):
-    """Union of several failure models stepped together.
-
-    The chaos campaign compiler uses this to layer correlated fault
-    events (storms, rack failures, churn) on top of the paper's
-    independent per-round crash process.  Sub-models are stepped in the
-    order given, against the same ``(alive, crashed)`` snapshot, and
-    their crash / recovery sets are unioned; a node both crashed and
-    recovered in the same round crashes first and recovers immediately
-    (the engine applies crashes before recoveries).
-    """
-
-    def __init__(self, *models: FailureModel):
-        if not models:
-            raise ValueError("ComposedFailures needs at least one model")
-        self.models = tuple(models)
-        self.may_recover = any(model.may_recover for model in self.models)
-
-    def step(self, round_number, alive_ids, crashed_ids, rng):
-        to_crash: set[int] = set()
-        to_recover: set[int] = set()
-        for model in self.models:
-            crashed, recovered = model.step(
-                round_number, alive_ids, crashed_ids, rng
-            )
-            to_crash |= crashed
-            to_recover |= recovered
-        return to_crash, to_recover

@@ -26,7 +26,10 @@ Both engines plan every send through one method,
 :meth:`Network.plan_delivery_block`, over a block of messages in send
 order: each message's fate (refused, lost, or delivered in some round)
 is decided once, and a model states its loss and latency once, over
-arrays.
+arrays.  That is all a network does: a fault that changes over time
+(a partition that heals, a loss burst) is a round-bus subscriber that
+rewrites a model's attributes (:mod:`repro.chaos.campaign`), and
+out-of-band traffic enters through ``SimulationEngine.inject``.
 """
 
 from __future__ import annotations
@@ -123,7 +126,6 @@ class NetworkStats:
     bytes_sent: int = 0
     dropped_cross_partition: int = 0
     dropped_cross_region: int = 0
-    injected: int = 0
     per_sender_sent: SenderCounts = field(default_factory=SenderCounts)
 
     @property
@@ -149,34 +151,6 @@ class Network:
         self.max_message_size = max_message_size
         self.max_sends_per_round = max_sends_per_round
         self.stats = NetworkStats()
-        # Out-of-band messages placed on the wire by a fault injector
-        # (the chaos adversary), pending pickup by the engine.
-        self._injected: list[tuple[int, Message]] = []
-
-    # -- fault-injection hook -------------------------------------------
-    def inject(self, delivery_round: int, message: Message) -> None:
-        """Place an out-of-band message on the wire (fault injection).
-
-        Injected messages bypass loss, latency, and bandwidth planning —
-        they model an adversary (or a buggy lower layer) writing straight
-        onto the medium, not a member spending its send budget.  They are
-        counted in ``stats.injected``, never in ``sent``, so protocol
-        message-overhead measurements stay unpolluted.  The engine drains
-        them each round via :meth:`take_injected` and delivers them at
-        ``delivery_round`` ahead of that round's genuine traffic.  Only
-        the object engine delivers them: the array engine delivers
-        blocks and raises on an injected message.
-        """
-        self.stats.injected += 1
-        self._injected.append((delivery_round, message))
-
-    def take_injected(self) -> list[tuple[int, Message]]:
-        """Drain pending injected messages (engine interface)."""
-        if not self._injected:
-            return []
-        drained = self._injected
-        self._injected = []
-        return drained
 
     # -- model hooks ----------------------------------------------------
     def block_loss(
@@ -201,9 +175,6 @@ class Network:
         messages) to a cause; the base model has none."""
 
     # -- engine interface -----------------------------------------------
-    def begin_round(self, round_number: int) -> None:
-        """Round-boundary hook (the engine's round bus calls it first)."""
-
     def plan_delivery_block(
         self,
         src: np.ndarray,
@@ -336,69 +307,56 @@ class JitterNetwork(LossyNetwork):
 
 
 class PartitionedNetwork(LossyNetwork):
-    """Two-sided soft partition (Figure 9), optionally healing mid-run.
+    """Two-sided soft partition (Figure 9).
 
-    ``partition_of`` maps an array of node ids to their partition labels
-    (vectorised), or is a mapping from node id to label.  Messages whose
-    endpoints share a label are dropped with ``ucastl``; messages
-    crossing the partition are dropped with ``partl`` (>= ucastl in the
-    paper's experiment).
-
-    ``heal_at`` heals the partition at the start of round ``heal_at``'s
-    send window: messages submitted from that round on are all dropped
-    with the background ``ucastl``, whatever their endpoints.  ``None``
-    (the default, the paper's Figure 9 setting) keeps the partition up
-    for the whole run.  Drops caused by the partition are counted in
-    ``stats.dropped_cross_partition``.
+    ``partition`` is ``(labels, partl)``, or ``None`` while the network
+    is whole: ``labels`` maps an array of node ids to their partition
+    labels (vectorised).  Messages whose endpoints share a label are
+    dropped with ``ucastl``; messages crossing the partition are dropped
+    with ``partl`` (>= ucastl in the paper's experiment), and those
+    drops are counted in ``stats.dropped_cross_partition``.
+    ``partition_of`` may also be a mapping from node id to label.  The
+    paper's partition stays up for the whole run; a campaign that heals
+    one rewrites ``partition`` from the round bus (``ChaosNetwork``).
     """
 
     def __init__(
         self,
-        partition_of: Callable[[np.ndarray], np.ndarray] | Mapping[int, int],
+        partition_of: (
+            Callable[[np.ndarray], np.ndarray] | Mapping[int, int] | None
+        ) = None,
         partl: float = 0.5,
         ucastl: float = 0.25,
-        heal_at: int | None = None,
         **kwargs,
     ):
         if not 0.0 <= partl <= 1.0:
             raise ValueError(f"partl must be a probability, got {partl}")
-        if heal_at is not None and heal_at < 0:
-            raise ValueError(f"heal_at must be a round number >= 0, "
-                             f"got {heal_at}")
         super().__init__(ucastl=ucastl, **kwargs)
-        self.partl = partl
-        self.heal_at = heal_at
-        self._healed = False
-        if callable(partition_of):
-            self._partition_of = partition_of
-        else:
+        self.partition: tuple[
+            Callable[[np.ndarray], np.ndarray], float
+        ] | None = None
+        if isinstance(partition_of, Mapping):
             mapping = dict(partition_of)
-            self._partition_of = lambda nodes: np.array(
+            self.partition = (lambda nodes: np.array(
                 [mapping[node] for node in nodes.tolist()]
-            )
-
-    @property
-    def healed(self) -> bool:
-        """Whether the partition has healed (always False without heal_at)."""
-        return self._healed
-
-    def begin_round(self, round_number: int) -> None:
-        if self.heal_at is not None and round_number >= self.heal_at:
-            self._healed = True
+            ), partl)
+        elif partition_of is not None:
+            self.partition = (partition_of, partl)
 
     def _crossings(self, src: np.ndarray, dest: np.ndarray):
-        """Which messages cross the partition; None once healed."""
-        if self._healed:
+        """Which messages cross the partition; None while whole."""
+        if self.partition is None:
             return None
-        return self._partition_of(src) != self._partition_of(dest)
+        labels, __ = self.partition
+        return labels(src) != labels(dest)
 
     def block_loss(
         self, src: np.ndarray, dest: np.ndarray
     ) -> np.ndarray | float:
-        crossings = self._crossings(src, dest)
-        if crossings is None:
+        if self.partition is None:
             return self.ucastl
-        return np.where(crossings, self.partl, self.ucastl)
+        labels, partl = self.partition
+        return np.where(labels(src) != labels(dest), partl, self.ucastl)
 
     def _count_losses(
         self, src: np.ndarray, dest: np.ndarray, lost: np.ndarray

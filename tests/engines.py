@@ -1,9 +1,11 @@
-"""Run the runner on a chosen round engine.
+"""Run the runner on a chosen round engine; inject from the round bus.
 
 The runner picks the array-stepped engine whenever
 ``runner._array_engine_reason`` finds nothing against it.  Tests that
 compare the two engines (the object engine is the reference) run one
 side under ``forced("object")`` and the other under ``forced("array")``.
+:func:`inject_at` puts out-of-band messages on an engine's wire the way
+a campaign's adversary does.
 """
 
 from __future__ import annotations
@@ -34,3 +36,16 @@ def forced(engine: str):
 
     with mock.patch.object(runner, "_array_engine_reason", reason):
         yield
+
+
+def inject_at(engine, round_number: int, messages) -> None:
+    """Inject ``(delivery_round, message)`` pairs from a round-bus
+    subscriber in ``round_number``: where a campaign's adversary
+    injects (after that round's deliveries, before its step)."""
+
+    def inject(now: int) -> None:
+        if now == round_number:
+            for delivery_round, message in messages:
+                engine.inject(delivery_round, message)
+
+    engine.round_bus.subscribe(inject)

@@ -227,15 +227,15 @@ class TestCampaignCompilation:
         compiled = campaign.compile(horizon=100, base_loss=0.6)
         controller = compiled.controller
         network = compiled.network
-        controller.on_begin_round(10)   # no burst active
+        controller.on_round_start(10)   # no burst active
         assert network.current_loss == 0.6
-        controller.on_begin_round(30)   # one delta: 0.6 + 0.3
+        controller.on_round_start(30)   # one delta: 0.6 + 0.3
         assert network.current_loss == pytest.approx(0.9)
-        controller.on_begin_round(50)   # both deltas: clamped
+        controller.on_round_start(50)   # both deltas: clamped
         assert network.current_loss == 1.0
-        controller.on_begin_round(70)   # second delta only: 0.6 + 0.5
+        controller.on_round_start(70)   # second delta only: 0.6 + 0.5
         assert network.current_loss == 1.0
-        controller.on_begin_round(90)   # bursts over
+        controller.on_round_start(90)   # bursts over
         assert network.current_loss == 0.6
 
     def test_absolute_and_delta_bursts_compose(self):
@@ -248,7 +248,7 @@ class TestCampaignCompilation:
             ),
         )
         compiled = campaign.compile(horizon=100, base_loss=0.25)
-        compiled.controller.on_begin_round(30)
+        compiled.controller.on_round_start(30)
         # max(base, absolute) + delta = 0.5 + 0.2
         assert compiled.network.current_loss == pytest.approx(0.7)
 

@@ -26,7 +26,7 @@ from repro.experiments.runner import run_once
 from repro.obs.export import run_result_record
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import RunTelemetry
-from tests.engines import ENGINES, forced
+from tests.engines import ENGINES, forced, inject_at
 
 
 def _summary(result):
@@ -134,7 +134,7 @@ PUSH_PULL_CONFIGS = [
     ),
 ] + [
     # A reply is charged to the window the previous step's sends
-    # opened (``begin_round`` fires after delivery).
+    # opened (the window resets after the round bus, after delivery).
     pytest.param(
         with_params(n=128, max_sends_per_round=cap, push_pull=True, seed=1),
         id=f"push-pull+bandwidth-cap-{cap}",
@@ -492,12 +492,13 @@ def test_auto_falls_back_silently_on_unsupported():
 # -- phase-event byte-identity ------------------------------------------
 
 def _hand_built_run(config, engine, network=None, failure_model=None,
-                    sinks=(), telemetry=None):
+                    sinks=(), telemetry=None, injected=()):
     """Run a manually assembled world; returns (phase events, books).
 
     The group's phase sink records every event (returned) and passes
     each event or block on to ``sinks`` as it came.  ``telemetry`` reads
-    the finished engine.
+    the finished engine.  ``injected`` ``(delivery_round, message)``
+    pairs are injected from a round-0 subscriber.
     """
     from repro.core.observe import PhaseSink
     from repro.experiments import runner as runner_mod
@@ -530,6 +531,8 @@ def _hand_built_run(config, engine, network=None, failure_model=None,
             config, None, network, failure_model, rngs, max_rounds,
         )
     world.add_processes(processes)
+    if injected:
+        inject_at(world, 0, injected)
     world.run()
     if telemetry is not None:
         telemetry.finish(engine=world)
@@ -746,21 +749,22 @@ def test_scalar_answer_shares_the_block_window(cap):
     config = with_params(n=128, push_pull=True, max_sends_per_round=cap,
                          seed=4)
 
-    def network(inject):
-        lossy = LossyNetwork(ucastl=config.ucastl, max_sends_per_round=cap,
-                             max_message_size=config.max_message_size)
-        for round_number in (1, 2, 3) if inject else ():
-            for member in range(0, 128, 3):
-                lossy.inject(round_number, Message(
-                    src=(member + 1) % 128, dest=member, size=8,
-                    payload=GossipBatch(1, ()),
-                ))
-        return lossy
+    def injected(inject):
+        return [
+            (round_number, Message(
+                src=(member + 1) % 128, dest=member, size=8,
+                payload=GossipBatch(1, ()),
+            ))
+            for round_number in ((1, 2, 3) if inject else ())
+            for member in range(0, 128, 3)
+        ]
 
     rejected = []
     for inject in (False, True):
+        lossy = LossyNetwork(ucastl=config.ucastl, max_sends_per_round=cap,
+                             max_message_size=config.max_message_size)
         __, (__, network_stats, __) = _hand_built_run(
-            config, "object", network(inject)
+            config, "object", lossy, injected=injected(inject)
         )
         rejected.append(network_stats.rejected_bandwidth)
     assert 0 < rejected[0] < rejected[1]
@@ -819,15 +823,15 @@ def test_forged_keys_are_refused_by_the_receiver(monkeypatch):
             (50.0, 1), IntervalMask.single(assignment.rank_of(second)))),
     ]
 
-    def network(injected):
+    def run(payloads):
+        # Delivered in round 1: the victim holds only its own vote.
         lossy = LossyNetwork(ucastl=config.ucastl,
                              max_message_size=config.max_message_size)
-        for payload in injected:
-            # At the head of round 1: the victim holds only its own vote.
-            lossy.inject(1, Message(
-                src=payload.key, dest=victim, payload=payload, size=24,
-            ))
-        return lossy
+        return _hand_built_run(config, "object", lossy, injected=[
+            (1, Message(src=payload.key, dest=victim, payload=payload,
+                        size=24))
+            for payload in payloads
+        ])
 
     refused = []
     placed = HierarchicalGossipProcess._placed
@@ -839,11 +843,9 @@ def test_forged_keys_are_refused_by_the_receiver(monkeypatch):
         return admitted
 
     monkeypatch.setattr(HierarchicalGossipProcess, "_placed", recording)
-    __, (__, __, clean) = _hand_built_run(config, "object", network([]))
+    __, (__, __, clean) = run([])
     assert refused == []
-    __, (__, __, members) = _hand_built_run(
-        config, "object", network(forgeries)
-    )
+    __, (__, __, members) = run(forgeries)
     assert refused == [(victim, sybil), (victim, first)]
     assert all(
         result is None or result.covers() <= 128

@@ -41,9 +41,28 @@ def _chaos(**kwargs) -> ChaosNetwork:
     return ChaosNetwork(base_loss=0.2, **kwargs)
 
 
+def _halves(nodes: np.ndarray) -> np.ndarray:
+    return nodes >= MEMBERS // 2
+
+
+def _partitioned(**kwargs) -> PartitionedNetwork:
+    return PartitionedNetwork(
+        partition_of=_halves, partl=0.8, ucastl=0.2, **kwargs
+    )
+
+
+def _heal(network: PartitionedNetwork, round_number: int) -> None:
+    """The partition holds for rounds 0 and 1, then heals."""
+    if round_number == 2:
+        network.partition = None
+
+
 def _chaos_round(network: ChaosNetwork, round_number: int) -> None:
-    """A partition, a region outage and a latency burst, by turns."""
-    network.partition = (2, 0.9) if round_number % 3 == 0 else None
+    """A partition, a region outage and a latency burst, by turns: the
+    partition switches on and off, as a campaign's windows do."""
+    network.partition = (
+        (lambda ids: ids % 2, 0.9) if round_number % 3 == 0 else None
+    )
     regions = np.arange(MEMBERS) // 4  # three regions of four members
     network.region_state = (
         (regions, frozenset({0}), 0.95, 0.7, 0.35)
@@ -55,13 +74,7 @@ def _chaos_round(network: ChaosNetwork, round_number: int) -> None:
 
 MODELS = {
     "lossy": (lambda **kw: LossyNetwork(ucastl=0.3, **kw), None),
-    "partitioned": (
-        lambda **kw: PartitionedNetwork(
-            partition_of=lambda nodes: nodes >= MEMBERS // 2,
-            partl=0.8, ucastl=0.2, heal_at=2, **kw,
-        ),
-        None,
-    ),
+    "partitioned": (_partitioned, _heal),
     "jitter": (
         lambda **kw: JitterNetwork(
             ucastl=0.2, mean_extra_latency=1.5, max_latency=4, **kw
@@ -94,7 +107,6 @@ def _plan(make, begin, cap, rounds, split):
     rngs = RngRegistry(seed=5)
     delivered, delivery_rounds = [], []
     for round_number, round_sends in enumerate(rounds):
-        network.begin_round(round_number)
         if begin is not None:
             begin(network, round_number)
         window: dict[int, int] = {}

@@ -148,7 +148,7 @@ def _planner(**kwargs) -> TamperPlanner:
 
 
 class _InjectLog:
-    """Minimal network stand-in recording planner injections."""
+    """Minimal engine stand-in recording planner injections."""
 
     def __init__(self):
         self.injected = []
@@ -177,7 +177,7 @@ class TestTamperPlanner:
             tamper_windows=[(0, 10, 2.0, "forge")]
         )
         self._snoop(planner)
-        planner.on_begin_round(3)
+        planner.on_round_start(3)
         assert len(log.injected) == 2
         assert planner.summary.injected_forge == 2
         for delivery_round, message in log.injected:
@@ -190,7 +190,7 @@ class TestTamperPlanner:
             tamper_windows=[(0, 10, 1.0, "duplicate")]
         )
         self._snoop(planner)
-        planner.on_begin_round(0)
+        planner.on_round_start(0)
         ((_, message),) = log.injected
         payload = message.payload
         # The planted state claims the victim's membership under a
@@ -203,7 +203,7 @@ class TestTamperPlanner:
             tamper_windows=[(0, 10, 1.0, "replay")]
         )
         self._snoop(planner)
-        planner.on_begin_round(0)
+        planner.on_round_start(0)
         ((_, message),) = log.injected
         assert planner.planted_mode(message.payload.state) is None
         assert planner.summary.injected_replay == 1
@@ -212,14 +212,14 @@ class TestTamperPlanner:
         planner, log = self._bound(
             tamper_windows=[(0, 10, 3.0, "forge")]
         )
-        planner.on_begin_round(0)
+        planner.on_round_start(0)
         assert log.injected == []
         assert planner.summary.injected_total == 0
 
     def test_sybil_identities_are_foreign(self):
         planner, log = self._bound(sybil_storms=[(0, 10, 0, 64)])
         self._snoop(planner)
-        planner.on_begin_round(0)
+        planner.on_round_start(0)
         assert len(log.injected) == 10
         assert planner.summary.sybil_minted == 10
         assert planner.summary.sybil_admitted == 10
@@ -229,12 +229,12 @@ class TestTamperPlanner:
 
     def test_sybil_storm_defers_until_traffic_exists(self):
         planner, log = self._bound(sybil_storms=[(0, 5, 0, 64)])
-        planner.on_begin_round(0)  # nothing snooped yet
+        planner.on_round_start(0)  # nothing snooped yet
         assert log.injected == []
         self._snoop(planner)
-        planner.on_begin_round(1)  # fires late, exactly once
+        planner.on_round_start(1)  # fires late, exactly once
         assert len(log.injected) == 5
-        planner.on_begin_round(2)
+        planner.on_round_start(2)
         assert len(log.injected) == 5
 
     def test_pow_gate_throttles_the_storm(self):
@@ -246,7 +246,7 @@ class TestTamperPlanner:
         )
         for planner in (open_planner, gated_planner):
             self._snoop(planner)
-            planner.on_begin_round(0)
+            planner.on_round_start(0)
         assert len(open_log.injected) == 40
         assert 0 < len(gated_log.injected) < 40
         assert gated_planner.summary.sybil_minted == 40
@@ -264,7 +264,7 @@ class TestTamperPlanner:
             planner.bind(log, np.random.default_rng(99))
             self._snoop(planner)
             for round_number in range(5):
-                planner.on_begin_round(round_number)
+                planner.on_round_start(round_number)
             return [
                 (r, m.dest, m.payload.state.payload)
                 for r, m in log.injected
@@ -281,7 +281,7 @@ class TestTamperPlanner:
         )
         self._snoop(planner)
         for round_number in range(1000):
-            planner.on_begin_round(round_number)
+            planner.on_round_start(round_number)
         assert 400 < len(log.injected) < 600
 
     def test_mutate_payload_disturbs_every_channel(self):

@@ -56,7 +56,6 @@ def _send_block(senders, dests, size=1):
 def _scalar_outcomes(network, rngs, senders, dests, sent_round=0, size=1):
     """Each message planned on its own, as a block of one at its slot:
     its delivery round, or None when lost or refused."""
-    network.begin_round(sent_round)
     src, dest, sizes, slots = _send_block(senders, dests, size)
     outcomes = []
     for i in range(len(src)):
@@ -81,7 +80,6 @@ class TestPlanDeliveryBlock:
             scalar_net, scalar_rngs, self.SENDERS, self.DESTS
         )
         src, dest, sizes, slots = _send_block(self.SENDERS, self.DESTS)
-        block_net.begin_round(0)
         delivered, delivery_round = block_net.plan_delivery_block(
             src, dest, sizes, slots, 0, block_rngs
         )
@@ -126,18 +124,6 @@ class TestPlanDeliveryBlock:
                 ucastl=0.1,
             )
         )
-
-    def test_healed_partition_matches_scalar(self):
-        def make():
-            network = PartitionedNetwork(
-                partition_of=lambda nodes: nodes >= 5,
-                partl=0.9,
-                ucastl=0.1,
-                heal_at=0,
-            )
-            return network
-
-        self._compare(make)
 
     def test_oversized_message_raises_like_scalar(self):
         from repro.sim.network import MessageTooLarge

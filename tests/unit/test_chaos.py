@@ -145,9 +145,13 @@ class TestChaosNetwork:
         network.current_loss = 0.7
         assert loss_of(network, 0, 1) == 0.7
 
+    def test_base_loss_is_the_loss_floor(self):
+        network = ChaosNetwork(base_loss=0.1)
+        assert network.ucastl == network.current_loss == 0.1
+
     def test_partition_raises_cross_side_loss(self):
         network = ChaosNetwork(base_loss=0.1)
-        network.partition = (2, 0.9)
+        network.partition = (lambda ids: ids % 2, 0.9)
         assert loss_of(network, 0, 1) == 0.9  # 0 % 2 != 1 % 2: crossing
         assert loss_of(network, 0, 2) == 0.1  # same side
 
@@ -160,7 +164,7 @@ class TestChaosNetwork:
 
     def test_partition_boundary_drops_counted(self):
         network = ChaosNetwork(base_loss=0.0)
-        network.partition = (2, 1.0)
+        network.partition = (lambda ids: ids % 2, 1.0)
         rngs = RngRegistry(0)
         assert plan_one(network, rngs, 0, 1) is None
         assert network.stats.dropped_cross_partition == 1
@@ -177,11 +181,11 @@ class TestController:
             [LossBurst(start=0.2, stop=0.6, loss=0.8)]
         )
         controller, network = compiled.controller, compiled.network
-        controller.on_begin_round(0)
+        controller.on_round_start(0)
         assert network.current_loss == 0.1
-        controller.on_begin_round(3)
+        controller.on_round_start(3)
         assert network.current_loss == 0.8
-        controller.on_begin_round(7)
+        controller.on_round_start(7)
         assert network.current_loss == 0.1
 
     def test_overlapping_bursts_take_max(self):
@@ -189,7 +193,7 @@ class TestController:
             LossBurst(start=0.0, stop=1.0, loss=0.4),
             LossBurst(start=0.2, stop=0.6, loss=0.7),
         ])
-        compiled.controller.on_begin_round(3)
+        compiled.controller.on_round_start(3)
         assert compiled.network.current_loss == 0.7
 
     def test_partition_window_sets_and_clears(self):
@@ -197,17 +201,32 @@ class TestController:
             [PartitionWindow(start=0.2, stop=0.6, partl=0.9, parts=2)]
         )
         controller, network = compiled.controller, compiled.network
-        controller.on_begin_round(3)
-        assert network.partition == (2, 0.9)
-        controller.on_begin_round(6)
+        controller.on_round_start(3)
+        labels, partl = network.partition
+        assert partl == 0.9
+        assert labels(np.arange(4)).tolist() == [0, 1, 0, 1]
+        controller.on_round_start(6)
         assert network.partition is None
+
+    def test_partition_window_drops_until_it_closes(self):
+        # The partition-heal path: a window, not the network, heals it.
+        campaign = ChaosCampaign(name="t", description="x", events=(
+            PartitionWindow(start=0.2, stop=0.6, partl=1.0, parts=2),
+        ))
+        compiled = campaign.compile(horizon=10, base_loss=0.0, base_pf=0.0)
+        controller, network = compiled.controller, compiled.network
+        rngs = RngRegistry(0)
+        controller.on_round_start(3)
+        assert plan_one(network, rngs, 0, 1, sent_round=3) is None
+        controller.on_round_start(6)
+        assert plan_one(network, rngs, 0, 1, sent_round=6) == 7
 
     def test_degraded_rounds_counted(self):
         compiled = self._compiled(
             [LatencyBurst(start=0.0, stop=0.5, extra_rounds=2)]
         )
         for round_number in range(10):
-            compiled.controller.on_begin_round(round_number)
+            compiled.controller.on_round_start(round_number)
         assert compiled.controller.degraded_rounds == 5
 
 

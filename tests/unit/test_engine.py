@@ -133,12 +133,15 @@ class TestMessaging:
 
     def test_injected_unknown_destination_vanishes(self):
         from repro.sim.network import Message
+        from tests.engines import inject_at
 
         def delivered(inject):
             network = LossyNetwork(ucastl=0.2, max_message_size=1 << 20)
             engine, __ = _gossip_world(network, array=False)
             if inject:
-                network.inject(2, Message(src=0, dest=1_000_000, payload=None))
+                inject_at(engine, 0, [
+                    (2, Message(src=0, dest=1_000_000, payload=None)),
+                ])
             return engine.run().messages_delivered
 
         baseline = delivered(inject=False)
@@ -149,22 +152,56 @@ class TestMessaging:
         # It delivers blocks, never single messages: a tap would see
         # nothing and an injection would be dropped, so both raise.
         from repro.sim.network import Message
+        from tests.engines import inject_at
 
         network = LossyNetwork(ucastl=0.2, max_message_size=1 << 20)
         engine, __ = _gossip_world(network, array=True)
         with pytest.raises(ValueError, match="taps"):
             engine.send_tap = lambda message: None
         assert engine.send_tap is None
-        network.inject(2, Message(src=0, dest=1, payload=None))
+        message = Message(src=0, dest=1, payload=None)
+        with pytest.raises(ValueError, match="injected"):
+            engine.inject(2, message)
+        inject_at(engine, 0, [(2, message)])
         with pytest.raises(ValueError, match="injected"):
             engine.run()
-        assert engine.round == 0  # raised as round 0 would queue it
+        assert engine.round == 0  # raised by round 0's subscriber
+
+    def test_injection_lands_between_delivery_and_step_sends(self):
+        # A round-1 subscriber injects for round 2.  The message is
+        # queued after round 1's delivery-time sends (the reply) and
+        # before its step's sends, so it arrives between them.
+        from repro.sim.network import Message
+        from tests.engines import inject_at
+
+        class Pinger(Process):
+            def on_start(self, ctx):
+                ctx.send(1, "ping")
+
+        class Replier(Process):
+            def on_message(self, ctx, message):
+                ctx.send(2, "reply")
+
+            def on_round(self, ctx):
+                if ctx.round == 1:
+                    ctx.send(2, "step")
+
+        engine = _engine(max_rounds=4)
+        recorder = Echo(2, rounds=10)
+        engine.add_processes([Pinger(0), Replier(1), recorder])
+        inject_at(engine, 1, [(2, Message(src=-1, dest=2,
+                                          payload="injected"))])
+        engine.run()
+        assert recorder.received == [
+            (2, 1, "reply"), (2, -1, "injected"), (2, 1, "step"),
+        ]
 
     def test_pull_request_from_a_forged_sender_is_answered_to_nobody(self):
         # The reply is planned like any send (it is in ``sent``) and
         # then finds no receiver.
         from repro.core.messages import GossipBatch
         from repro.sim.network import Message
+        from tests.engines import inject_at
 
         def books(array, inject):
             network = Network(max_message_size=1 << 20)  # lossless
@@ -176,10 +213,10 @@ class TestMessaging:
                     if len(assignment.members_of_box(assignment.box_of(m)))
                     > 1
                 )
-                network.inject(1, Message(
+                inject_at(engine, 0, [(1, Message(
                     src=1_000_000, dest=victim, payload=GossipBatch(1, ()),
                     size=8,
-                ))
+                ))])
             stats = engine.run()
             return stats.messages_delivered, network.stats.sent
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.sim.failures import (
-    ComposedFailures,
     CrashRecovery,
     CrashWithoutRecovery,
     NoFailures,
@@ -115,44 +114,6 @@ class TestScheduledFailures:
     def test_may_recover_tracks_schedule(self):
         assert not ScheduledFailures(crash_at={1: [0]}).may_recover
         assert ScheduledFailures(recover_at={2: [0]}).may_recover
-
-
-class TestComposedFailures:
-    def test_needs_at_least_one_model(self):
-        with pytest.raises(ValueError):
-            ComposedFailures()
-
-    def test_unions_crash_and_recovery_sets(self):
-        model = ComposedFailures(
-            ScheduledFailures(crash_at={1: [0]}),
-            ScheduledFailures(crash_at={1: [2]}, recover_at={1: [5]}),
-        )
-        crash, recover = model.step(1, [0, 2], [5], _rng())
-        assert crash == {0, 2}
-        assert recover == {5}
-
-    def test_may_recover_is_any(self):
-        no_recovery = ComposedFailures(
-            NoFailures(), CrashWithoutRecovery(pf=0.1)
-        )
-        assert not no_recovery.may_recover
-        with_recovery = ComposedFailures(
-            NoFailures(), ScheduledFailures(recover_at={3: [1]})
-        )
-        assert with_recovery.may_recover
-
-    def test_sub_models_see_same_snapshot(self):
-        class Spy(NoFailures):
-            def __init__(self):
-                self.seen = []
-
-            def step(self, round_number, alive_ids, crashed_ids, rng):
-                self.seen.append((list(alive_ids), list(crashed_ids)))
-                return {alive_ids[0]}, set()
-
-        first, second = Spy(), Spy()
-        ComposedFailures(first, second).step(0, [1, 2], [3], _rng())
-        assert first.seen == second.seen == [([1, 2], [3])]
 
 
 class TestDrawsSelectByIndex:

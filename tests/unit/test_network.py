@@ -114,6 +114,12 @@ class TestPartitionedNetwork:
         rngs = RngRegistry(0)
         assert plan_one(network, rngs, src=0, dest=1) is None
 
+    def test_whole_without_a_partition(self):
+        network = PartitionedNetwork(ucastl=0.0)
+        assert network.partition is None
+        assert plan_one(network, RngRegistry(0), src=0, dest=11) == 1
+        assert network.stats.dropped_cross_partition == 0
+
     def test_partl_validated(self):
         with pytest.raises(ValueError):
             self._network(partl=-0.1)
@@ -129,50 +135,57 @@ class TestPartitionedNetwork:
 
 
 class TestPartitionHealing:
-    def _network(self, heal_at):
+    """The network never heals itself: a round-bus subscriber heals it by
+    clearing ``partition`` (a campaign's ``PartitionWindow`` does)."""
+
+    def _network(self):
         return PartitionedNetwork(
             partition_of=lambda node: 0 if node < 10 else 1,
             partl=1.0,
             ucastl=0.0,
-            heal_at=heal_at,
         )
 
-    def test_heal_at_validated(self):
-        with pytest.raises(ValueError):
-            self._network(heal_at=-1)
+    @staticmethod
+    def _healing_from(network, first_round):
+        def on_round(round_number):
+            if round_number >= first_round:
+                network.partition = None
+        return on_round
 
     def test_never_heals_by_default(self):
-        network = self._network(heal_at=None)
+        network = self._network()
         rngs = RngRegistry(0)
-        for round_number in range(100):
-            network.begin_round(round_number)
-        assert not network.healed
-        assert plan_one(network, rngs, src=0, dest=11) is None
+        for sent_round in (0, 5, 100):
+            assert plan_one(network, rngs, src=0, dest=11,
+                            sent_round=sent_round) is None
+        assert network.partition is not None
 
     def test_partition_drops_until_heal_round(self):
-        network = self._network(heal_at=5)
+        network = self._network()
+        heal = self._healing_from(network, 5)
         rngs = RngRegistry(0)
-        network.begin_round(4)
-        assert not network.healed
+        heal(4)
         assert plan_one(network, rngs, src=0, dest=11, sent_round=4) is None
-        network.begin_round(5)
-        assert network.healed
+        heal(5)
+        assert network.partition is None
         assert plan_one(network, rngs, src=0, dest=11, sent_round=5) == 6
 
     def test_heal_is_permanent(self):
-        network = self._network(heal_at=3)
+        network = self._network()
+        heal = self._healing_from(network, 3)
         rngs = RngRegistry(0)
         for round_number in range(6):
-            network.begin_round(round_number)
+            heal(round_number)
         assert plan_one(network, rngs, src=0, dest=11, sent_round=5) == 6
 
     def test_boundary_drop_counter_stops_at_heal(self):
-        network = self._network(heal_at=2)
+        network = self._network()
+        heal = self._healing_from(network, 2)
         rngs = RngRegistry(0)
-        network.begin_round(0)
+        heal(0)
         assert plan_one(network, rngs, src=0, dest=11, sent_round=0) is None
         assert network.stats.dropped_cross_partition == 1
-        network.begin_round(2)
+        heal(2)
         plan_one(network, rngs, src=0, dest=11, sent_round=2)
         assert network.stats.dropped_cross_partition == 1
 
