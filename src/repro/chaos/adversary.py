@@ -27,6 +27,7 @@ path and which were caught, yielding the per-campaign detection rate.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -197,8 +198,10 @@ class TamperPlanner:
 
     # -- wiring ----------------------------------------------------------
     def bind(self, engine: Any, rng: Any) -> None:
-        """Attach the run's engine and seeded ``adversary`` stream."""
-        self._engine = engine
+        """Attach the run's engine and seeded ``adversary`` stream.  The
+        engine holds the planner (its send tap), so the planner holds the
+        engine weakly: a finished run has no cycle to collect."""
+        self._engine = weakref.proxy(engine)
         self._rng = rng
 
     # -- snoop -----------------------------------------------------------

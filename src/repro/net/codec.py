@@ -4,7 +4,7 @@ One datagram is one frame: a four-byte header, then unsigned LEB128
 varints (``uv``: seven bits per byte, low group first, high bit set on
 every byte but the last) and raw bytes where noted::
 
-    header   "R" "A"  version (3)  kind
+    header   "R" "A"  version (4)  kind
     join     kind 1   uv id, address
     welcome  kind 2   uv n, n x (uv id delta, address)
     ping     kind 3   uv src
@@ -18,9 +18,13 @@ every byte but the last) and raw bytes where noted::
     entry    key, payload tree, coverage
     key      uv 0, uv member id   or   uv prefix_length + 1, uv prefix_value
     tree     one tag byte, then
-             0 float (8 bytes, IEEE-754 little-endian)  3 False
-             1 int >= 0 (uv n)                          4 True
-             2 int < 0  (uv -1 - n)                     5 tuple (uv n, n trees)
+             0x00      float (8 bytes, IEEE-754 little-endian)
+             0x01      int >= 128 (uv n)
+             0x02      int < 0 (uv -1 - n)
+             0x03 0x04 False, True
+             0x05      tuple of n >= 16 (uv n, n trees)
+             0x10 | n  tuple of n < 16 (n trees)
+             0x80 | n  int 0 <= n < 128
     coverage uv n, n x (uv gap, uv span)
 
 Canonical by construction where it can be: a coverage range is ``lo =
@@ -29,7 +33,8 @@ previous hi + 2 + gap``, ``hi = lo + span`` (the first ``lo`` is its
 unsorted, overlapping, uncoalesced, negative or repeated spelling does
 not exist.  What bytes can still spell twice or wrongly :func:`decode`
 rejects — a zero-padded varint or one past :data:`_MAX_UV_BITS`, an
-unknown kind/flags/tag, a count or length past the end, nesting beyond
+unknown kind/flags/tag, an int or tuple length its tag byte could
+carry spelled long, a count or length past the end, nesting beyond
 :data:`_MAX_DEPTH`, truncation, trailing bytes, an address no socket
 takes — so every message has one spelling
 (``encode(decode(f)) == f``; ``decode(encode(m)) == m`` with exact
@@ -61,8 +66,9 @@ so hostile bytes can only hit an entry an earlier frame spelled
 validly.  Each table holds at most :data:`_ENTRY_BUDGET` bytes.
 
 Versions: 1 shipped coverage as a sorted id list in a JSON body, 2 as a
-JSON interval list.  Neither is decoded; any version byte but 3 is
-rejected there.
+JSON interval list, 3 spelled every int and tuple length as a tag byte
+and a varint.  None is decoded; any version byte but 4 is rejected
+there.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ __all__ = [
 #: Frame magic: every datagram of this runtime starts with these bytes.
 MAGIC = b"RA"
 #: Current wire version; a frame with any other version byte is rejected.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 #: Largest UDP payload over IPv4 (65535 - 8 UDP - 20 IP header bytes): a
 #: frame beyond it cannot be one datagram, so senders must not emit it.
 MAX_DATAGRAM_BYTES = 65507
@@ -110,8 +116,8 @@ _F64 = struct.Struct("<d")
 #: asyncio closes a transport whose ``sendto`` passes it (or a NUL host).
 _MAX_PORT = 0xFFFF
 #: Byte budget of the bodies in :data:`_SLOTS` (honest N=512 peaks at
-#: 78 kB); an insert that would pass it empties the table first.  Their
-#: objects weigh 24x their bytes honest, 47x at worst (12 MiB).
+#: 70 kB); an insert that would pass it empties the table first.  Their
+#: objects weigh 26x their bytes honest, 55x at worst (14 MiB).
 _SLOT_BUDGET = 1 << 18
 #: ``src -> (body, payload)``: the last gossip body decoded from each
 #: sender, one table for all nodes of a process (payloads are frozen, so
@@ -119,7 +125,7 @@ _SLOT_BUDGET = 1 << 18
 _SLOTS: dict[int, tuple[bytes, Any]] = {}
 _slot_bytes = 0
 #: Byte budget of each entry table below (an honest N=512 run spells
-#: 41 kB of distinct entries and parses 13 kB); an insert that would
+#: 37 kB of distinct entries and parses 12 kB); an insert that would
 #: pass it empties that table first.
 _ENTRY_BUDGET = 1 << 15
 #: ``id(state) -> (state, key, entry bytes)``: the spelling of every
@@ -216,13 +222,19 @@ def _put_tree(out: bytearray, value: Any, depth: int = 0) -> None:
         out.append(0)
         out += _F64.pack(value)
     elif type(value) is int:
-        out.append(1 if value >= 0 else 2)
-        _put_uv(out, value if value >= 0 else -1 - value)
+        if 0 <= value < 0x80:
+            out.append(0x80 | value)
+        else:
+            out.append(1 if value >= 0 else 2)
+            _put_uv(out, value if value >= 0 else -1 - value)
     elif type(value) is bool:
         out.append(4 if value else 3)
     elif type(value) is tuple and depth < _MAX_DEPTH:
-        out.append(5)
-        _put_uv(out, len(value))
+        if len(value) < 16:
+            out.append(0x10 | len(value))
+        else:
+            out.append(5)
+            _put_uv(out, len(value))
         for item in value:
             _put_tree(out, item, depth + 1)
     else:
@@ -384,20 +396,29 @@ def _address(data: bytes, pos: int) -> tuple[tuple[str, int], int]:
 def _tree(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
     tag = data[pos]
     pos += 1
+    if tag > 0x7F:
+        return tag & 0x7F, pos
     if tag == 0:
         return _F64.unpack_from(data, pos)[0], pos + 8
     if tag == 1:
-        return _uv(data, pos)
+        value, pos = _uv(data, pos)
+        if value < 0x80:
+            raise CodecError(f"int {value} is not in its tag byte")
+        return value, pos
     if tag == 2:
         value, pos = _uv(data, pos)
         return -1 - value, pos
     if tag == 3 or tag == 4:
         return tag == 4, pos
-    if tag != 5:
+    if tag != 5 and tag >> 4 != 1:
         raise CodecError(f"unknown payload tag {tag}")
     if depth == _MAX_DEPTH:
         raise CodecError(f"payload nests deeper than {_MAX_DEPTH}")
-    count, pos = _count(data, pos, "tuple")
+    count = tag & 0x0F
+    if tag == 5:
+        count, pos = _count(data, pos, "tuple")
+        if count < 16:
+            raise CodecError(f"tuple of {count} is not in its tag byte")
     items = []
     for __ in range(count):
         item, pos = _tree(data, pos, depth + 1)
@@ -439,15 +460,17 @@ def _tree_end(data: bytes, pos: int, depth: int) -> int:
     """Where the tree at ``pos`` ends, by :func:`_tree`'s grammar."""
     tag = data[pos]
     pos += 1
+    if tag > 0x7F or tag == 3 or tag == 4:
+        return pos
     if tag == 0:
         return pos + 8
     if tag == 1 or tag == 2:
         return _skip_uv(data, pos)
-    if tag == 3 or tag == 4:
-        return pos
-    if tag != 5 or depth == _MAX_DEPTH:
+    if (tag != 5 and tag >> 4 != 1) or depth == _MAX_DEPTH:
         raise CodecError("not a payload tree")
-    count, pos = _count(data, pos, "tuple")
+    count = tag & 0x0F
+    if tag == 5:
+        count, pos = _count(data, pos, "tuple")
     for __ in range(count):
         pos = _tree_end(data, pos, depth + 1)
     return pos

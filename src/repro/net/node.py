@@ -36,6 +36,7 @@ the collector adds the events counted since its last read.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -171,7 +172,10 @@ class NetContext:
     """
 
     def __init__(self, node: "NetNode"):
-        self._node = node
+        # The node holds its context, so the context holds it weakly: a
+        # dropped node is freed by reference counting.
+        self._node = weakref.proxy(node)
+        self._node_id = node.config.node_id
         self._rngs = RngRegistry(node.config.seed)
 
     @property
@@ -181,7 +185,7 @@ class NetContext:
 
     def rng_for(self, *names: str | int):
         """The simulator-identical per-process named stream."""
-        return self._rngs.stream("process", self._node.config.node_id, *names)
+        return self._rngs.stream("process", self._node_id, *names)
 
     def send(self, dest: int, payload: Any, size: int = 1) -> None:
         """Frame and transmit one gossip payload, fire-and-forget.

@@ -93,10 +93,6 @@ class ArraySteppedEngine(SimulationEngine):
                 "use the object-stepped SimulationEngine for traced runs"
             )
         super().__init__(**kwargs)
-        # No process ever acts here: dropping the shared Context also
-        # drops its engine <-> context cycle, so a finished run is freed
-        # by reference counting, not left to the cyclic collector.
-        self._ctx = None  # type: ignore[assignment]
         self._stepper = stepper
         self.group: Any = None
         self.row_ids = np.zeros(0, dtype=np.int64)

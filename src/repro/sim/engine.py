@@ -141,6 +141,11 @@ class Context:
 class SimulationEngine:
     """Drives processes, network and failures through synchronous rounds."""
 
+    #: The processes' shared context, only for the length of a run: it
+    #: points back at the engine, so a finished run drops it and is freed
+    #: by reference counting, not left to the cyclic collector.
+    _ctx: Context
+
     def __init__(
         self,
         network: Network,
@@ -192,7 +197,6 @@ class SimulationEngine:
         self._rows: dict[int, int] = {}
         #: Sees every submitted message before it is planned.
         self.send_tap: Callable[[Message], None] | None = None
-        self._ctx = Context(self)
 
     # -- setup ---------------------------------------------------------
     def add_process(self, process: Process) -> None:
@@ -419,6 +423,7 @@ class SimulationEngine:
         """
         collecting = gc.isenabled()
         gc.disable()
+        self._ctx = Context(self)
         try:
             self._bind()
             self._start()
@@ -438,6 +443,7 @@ class SimulationEngine:
                 self.round += 1
                 self.stats.rounds_executed = self.round
         finally:
+            del self._ctx
             if collecting:
                 gc.enable()
         return self.stats

@@ -171,4 +171,4 @@ class TestDeterminism:
         for frame in frames:
             digest.update(len(frame).to_bytes(4, "big") + frame)
         assert report.bytes_sent == sum(map(len, frames))
-        assert digest.hexdigest()[:16] == "3ceaa173211e9faa"
+        assert digest.hexdigest()[:16] == "5c16c553831cde4f"

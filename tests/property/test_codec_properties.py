@@ -1,4 +1,4 @@
-"""The wire codec's contract as properties (repro.net.codec, version 3).
+"""The wire codec's contract as properties (repro.net.codec, version 4).
 
 Three statements, over generated inputs rather than hand-picked frames:
 

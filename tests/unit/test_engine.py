@@ -5,7 +5,7 @@ import gc
 
 import pytest
 
-from repro.sim.engine import Process, SimulationEngine
+from repro.sim.engine import Context, Process, SimulationEngine
 from repro.sim.failures import ScheduledFailures
 from repro.sim.network import LossyNetwork, Network
 from repro.sim.rng import RngRegistry
@@ -236,7 +236,7 @@ class TestMessaging:
         engine = _engine()
         engine.add_process(Echo(0))
         with pytest.raises(AssertionError):
-            engine._ctx.send(0, "nope")
+            Context(engine).send(0, "nope")
 
 
 class TestFailures:

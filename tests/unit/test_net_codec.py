@@ -9,18 +9,21 @@ from killing a group member.  The generated half of the contract is in
 frames, byte by byte.
 
 Several parametrized cases keep the id of the version-2 (JSON) spelling
-they descend from: the same hostile idea, spelled in version-3 bytes.
+they descend from: the same hostile idea, spelled in version-4 bytes.
 """
 
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregates import AggregateState
 from repro.core.gridbox import SubtreeId
 from repro.core.intervals import IntervalMask
 from repro.core.intervals import _make as _unchecked_mask
 from repro.core.messages import GossipBatch, GossipValue
+from repro.net import codec
 from repro.net.codec import (
     MAGIC,
     MAX_DATAGRAM_BYTES,
@@ -115,7 +118,7 @@ class TestRoundTrip:
     def test_frame_header(self):
         data = encode(Ping(src=0))
         assert data[:2] == MAGIC
-        assert data[2] == WIRE_VERSION == 3
+        assert data[2] == WIRE_VERSION == 4
         assert data == HEADER + b"\x03\x00"  # kind 3 = ping, src 0
         kinds = [encode(message)[3] for message in ROUND_TRIP_MESSAGES]
         assert kinds == [1, 2, 3, 4, 5, 5, 5]
@@ -151,7 +154,7 @@ class TestRoundTrip:
             + b"\x03" + b"\x01"         # batch + reply, phase 1
             + b"\x01"                   # one entry
             + b"\x00\x05"               # member-id key 5
-            + b"\x05\x03"               # payload: a 3-tuple of
+            + b"\x13"                   # payload: a 3-tuple (0x10 | 3) of
             + b"\x00" + struct.pack("<d", 2.5)
             + b"\x02\x02"               # the negative int -3 (-1 - 2)
             + b"\x04"                   # True
@@ -184,12 +187,13 @@ class TestConstantSizeFrames:
         sizes = {2 ** e: len(encode(_subtree_batch(2 ** e)))
                  for e in range(0, 21)}
         # Eight keys, eight (sum, count) payloads, eight one-range
-        # masks: only the varints of count, gap and span may lengthen
-        # (by two, three and two bytes at 2**20 members), never the
-        # field count.
-        assert max(sizes.values()) <= 256
-        assert sizes[64] <= 160 and sizes[1024] <= 176
-        assert sizes[2 ** 20] - sizes[1] <= 8 * (2 + 3 + 2)
+        # masks: only count, gap and span may lengthen (by three, three
+        # and two bytes at 2**20 members: a count of 1 is its tag byte,
+        # one of 2**20 a tag and a three-byte varint), never the field
+        # count.
+        assert max(sizes.values()) <= 197
+        assert sizes[64] <= 143 and sizes[1024] <= 168
+        assert sizes[2 ** 20] - sizes[1] <= 8 * (3 + 3 + 2)
         assert list(sizes.values()) == sorted(sizes.values())
 
     def test_frame_grows_linearly_in_the_exception_count_only(self):
@@ -261,7 +265,7 @@ class TestHostileInput:
             b'{"payload":{"k":"value","key":{"m":6},"phase":1,'
             b'"state":{"p":42.5,"v":[6]}},"round":4,"src":1,"t":"gossip"}'
         )
-        with pytest.raises(CodecError, match="wire version 1 is not 3"):
+        with pytest.raises(CodecError, match="wire version 1 is not 4"):
             decode(v1)
 
     def test_version_2_frame_rejects_at_the_version_byte(self):
@@ -272,7 +276,7 @@ class TestHostileInput:
             b'{"p":42.5,"v":[6,6]}},"round":4,"src":1,"t":"gossip"}',
             b'RA\x02{"src":5,"t":"ping"}',
         ):
-            with pytest.raises(CodecError, match="wire version 2 is not 3"):
+            with pytest.raises(CodecError, match="wire version 2 is not 4"):
                 decode(v2)
 
     @pytest.mark.parametrize("coverage, complaint", [
@@ -423,7 +427,7 @@ class TestHostileInput:
                     assert encode(message) == bytes(corrupted)
 
     def test_deep_garbage_json_rejects_not_crashes(self):
-        """Version-2 bodies under a version-3 header are garbage like
+        """Version-2 bodies under a version-4 header are garbage like
         any other — however deep their brackets go."""
         for body in (
             b'{"t":"gossip","src":1,"round":2,"payload":{"k":"batch",'
@@ -446,13 +450,19 @@ class TestHostileInput:
         assert decode(frame) == nested(16)
         with pytest.raises(CodecError, match="unencodable .* at depth 16"):
             encode(nested(17))
-        # The same tree one level deeper, spelled by hand: 17 one-tuples.
-        cut = frame.index(b"\x05\x01")
-        deeper = frame[:cut] + b"\x05\x01" + frame[cut:]
+        # The same tree one level deeper, spelled by hand: 17 one-tuples
+        # (tag 0x11 each).
+        cut = frame.index(b"\x11")
+        deeper = frame[:cut] + b"\x11" + frame[cut:]
         with pytest.raises(CodecError, match="deeper than 16"):
             decode(deeper)
+        # The scan that interns entries stops at the bound too: the entry
+        # starts at its two-byte key.
+        assert codec._entry_end(frame, cut - 2) == len(frame)
+        with pytest.raises(CodecError, match="not a payload tree"):
+            codec._entry_end(deeper, cut - 2)
         with pytest.raises(CodecError):  # and no recursion error far past it
-            decode(frame[:cut] + b"\x05\x01" * 60000)
+            decode(frame[:cut] + b"\x11" * 60000)
 
     def test_a_varint_past_147_groups_is_refused_not_assembled(self):
         widest = 2 ** 1029 - 1  # 147 groups of seven bits
@@ -484,6 +494,110 @@ class TestHostileInput:
         ):
             with pytest.raises(CodecError):
                 encode(message)
+
+
+#: A payload tree between ``VALUE``'s key and a coverage of rank 0.
+TREE_AT = GOSSIP + b"\x00\x02" + b"\x02\x00"
+RANK_0 = b"\x01\x00\x00"
+
+
+def _tree_bytes(value):
+    """The wire bytes of ``value`` as a payload tree."""
+    frame = encode(Gossip(1, 0, GossipValue(2, SubtreeId(1, 0),
+                                            _state(value, {0}))))
+    assert frame.startswith(TREE_AT) and frame.endswith(RANK_0)
+    return frame[len(TREE_AT):-len(RANK_0)]
+
+
+def _v3_tree_length(value):
+    """Bytes of ``value`` as the version-3 tree: a tag byte, then a
+    varint for every int and every tuple length."""
+    def uv(n):
+        return max(1, -(-n.bit_length() // 7))
+    if isinstance(value, float):
+        return 9
+    if type(value) is bool:
+        return 1
+    if type(value) is int:
+        return 1 + uv(value if value >= 0 else -1 - value)
+    return 1 + uv(len(value)) + sum(map(_v3_tree_length, value))
+
+
+#: Trees with every tag: ints on both sides of 128 and of 0, tuples on
+#: both sides of 16 items.
+_trees = st.recursive(
+    st.one_of(st.floats(allow_nan=False), st.booleans(),
+              st.integers(-300, 300), st.integers(-(1 << 80), 1 << 80)),
+    lambda inner: st.lists(inner, max_size=20).map(tuple),
+    max_leaves=60,
+)
+
+
+class TestPayloadTreeTagByte:
+    """Version 4: a tag byte carries an int under 128 (``0x80 | n``) or
+    a tuple's length under 16 (``0x10 | n``); nothing else moved."""
+
+    @pytest.mark.parametrize("value, spelled", [
+        (0, b"\x80"),
+        (127, b"\xff"),
+        (128, b"\x01\x80\x01"),
+        (129, b"\x01\x81\x01"),
+        (-1, b"\x02\x00"),
+        (2 ** 1029 - 1, b"\x01" + b"\xff" * 146 + b"\x7f"),
+        (-(2 ** 1029 - 1), b"\x02" + b"\xfe" + b"\xff" * 145 + b"\x7f"),
+        ((), b"\x10"),
+        ((0,) * 15, b"\x1f" + b"\x80" * 15),
+        ((0,) * 16, b"\x05\x10" + b"\x80" * 16),
+        ((0,) * 17, b"\x05\x11" + b"\x80" * 17),
+        ((1.0, 7), b"\x12\x00" + struct.pack("<d", 1.0) + b"\x87"),
+    ])
+    def test_spelling(self, value, spelled):
+        assert _tree_bytes(value) == spelled
+        decoded = decode(TREE_AT + spelled + RANK_0).payload.state.payload
+        assert decoded == value and type(decoded) is type(value)
+
+    def test_a_bool_is_never_its_int(self):
+        assert _tree_bytes(True) == b"\x04" and _tree_bytes(False) == b"\x03"
+        assert _tree_bytes(1) == b"\x81" and _tree_bytes(0) == b"\x80"
+        for tag, value in ((0x81, 1), (0x80, 0)):
+            decoded = decode(TREE_AT + bytes([tag]) + RANK_0)
+            assert type(decoded.payload.state.payload) is int
+            assert decoded.payload.state.payload == value
+
+    @pytest.mark.parametrize("spelled, complaint", [
+        (b"\x01\x00", "int 0 is not in its tag byte"),
+        (b"\x01\x7f", "int 127 is not in its tag byte"),
+        (b"\x05\x00", "tuple of 0 is not in its tag byte"),
+        (b"\x05\x0f" + b"\x80" * 15, "tuple of 15 is not in its tag byte"),
+    ])
+    def test_a_long_spelling_of_a_short_value_rejects(self, spelled, complaint):
+        with pytest.raises(CodecError, match=complaint):
+            decode(TREE_AT + spelled + RANK_0)
+
+    @pytest.mark.parametrize(
+        "tag", [*range(0x06, 0x10), *range(0x20, 0x80)], ids=hex
+    )
+    def test_every_unassigned_tag_rejects(self, tag):
+        with pytest.raises(CodecError, match=f"unknown payload tag {tag}"):
+            decode(TREE_AT + bytes([tag]) + RANK_0)
+        with pytest.raises(CodecError, match="not a payload tree"):
+            codec._entry_end(b"\x02\x00" + bytes([tag]) + RANK_0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    def test_the_skip_scan_ends_where_the_parse_does(self, value):
+        out = bytearray()
+        codec._put_entry(out, SubtreeId(1, 0), _state(value, {0}))
+        raw = bytes(out) + b"\x00\xff"  # what follows is not scanned
+        end = codec._entry_end(raw, 0)
+        key, state, pos = codec._entry(raw, 0)
+        assert end == pos == len(out)
+        assert state.payload == value and key == SubtreeId(1, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    def test_no_tree_is_longer_than_its_version_3_spelling(self, value):
+        assert len(_tree_bytes(value)) <= _v3_tree_length(value)
 
 
 class TestNodeDropsBadFrames:
@@ -843,7 +957,7 @@ class TestDatagramLimit:
         """One Welcome of this 6 000-entry book is ~200 kB: as a single
         frame it was counted oversize and never sent, stranding every
         joiner of a large group (from ~2 500 members of four-byte-dotted
-        hosts under wire v2, ~4 700 under v3)."""
+        hosts under wire v2, ~4 700 under v3 and v4)."""
         from repro.net.node import NetNode, NodeConfig
 
         size = 6_000

@@ -10,6 +10,8 @@ offers nothing beyond the contract; behavioural fine print (deterministic rng_fo
 monotone rounds) is pinned by the cross-runtime golden suite.
 """
 
+import gc
+
 from repro.baselines.flat_gossip import FlatGossipProcess
 from repro.core.aggregates import get_aggregate
 from repro.core.gridbox import shared_dense_assignment
@@ -155,3 +157,36 @@ class TestNetContextBehaviour:
         node.ctx.terminate()
         node.ctx.terminate()
         assert node.process.terminated
+
+
+class TestADroppedRunIsFreedByReferenceCounting:
+    """A context points back at what hosts it, yet once nothing holds a
+    finished run, reference counting alone frees all of it: the object
+    engine under a forging campaign (its planner is the engine's send
+    tap), and a loopback group of NetNodes."""
+
+    @staticmethod
+    def _cyclic_garbage_after(run) -> int:
+        run()  # imports and first-use caches
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            run()
+            return gc.collect()
+        finally:
+            (gc.enable if collecting else gc.disable)()
+
+    def test_simulator_run(self):
+        from repro.experiments.params import with_params
+        from repro.experiments.runner import run_once
+
+        params = with_params(n=256, seed=1, campaign="tamper-forge")
+        assert self._cyclic_garbage_after(lambda: run_once(params)) == 0
+
+    def test_loopback_group(self):
+        from repro.net.loopback import run_loopback_group
+
+        assert self._cyclic_garbage_after(
+            lambda: run_loopback_group(64, k=4, seed=0)
+        ) == 0
