@@ -48,9 +48,8 @@ Canonical workloads:
   bytes per member per round, gossip frame sizes, and a sha256 over the
   frames in send order (so a codec change shows as a new digest).
 * ``net_loopback_n2048`` — a 2048-node loopback group, K=8, to
-  termination (full bench only), in a fresh interpreter so its
-  ``peak_rss_mb`` is its own: every node's address book holds the whole
-  group, so memory grows as N².  Records ``peak_rss_kb_per_node``.
+  termination (full bench only): every node's address book holds the
+  whole group, so memory grows as N².  Records ``peak_rss_kb_per_node``.
 * ``n65536``            — one N=65536/K=8 run *to convergence* (full
   bench only): wall time, rounds, completeness and peak RSS of the
   regime the array-stepped engine and the interval masks exist for.
@@ -64,6 +63,11 @@ Usage::
     make bench-n1m                            # the same plus n1m_smoke
     python benchmarks/perf/run_bench.py --quick   # CI smoke (small sizes)
     python benchmarks/perf/run_bench.py --jobs 8  # force a worker count
+
+The net loopback, ``pushpull_n2048`` and ``chaos_n1024`` entries each
+run alone in a fresh interpreter (``_fresh``), so their ``peak_rss_mb``
+and ``seconds`` are their own, not the high-water mark or the heap an
+earlier entry left behind.
 
 Every record also carries ``loc``: non-blank source lines per package
 under ``src/repro`` and in total, so the size trajectory sits beside
@@ -86,7 +90,8 @@ import subprocess
 import sys
 import time
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+HERE = pathlib.Path(__file__).resolve().parent
+REPO_ROOT = HERE.parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.parallel import resolve_jobs, run_many  # noqa: E402
@@ -214,17 +219,35 @@ def _collections() -> list[int]:
     return [generation["collections"] for generation in gc.get_stats()]
 
 
+def _peak_rss_kb() -> int:
+    """This process's peak resident set, in kB.
+
+    ``VmHWM`` where ``/proc`` has it: the high-water mark of the
+    process's own address space.  ``ru_maxrss`` (the fallback) also
+    counts the parent's resident set at the fork and exec that started
+    the process, so a child of a large bench process reads at least
+    its parent's size.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _footprint(collections_before: list[int]) -> dict:
     """Memory fields of an entry, read right after its timed region.
 
     ``peak_rss_mb`` is the process high-water mark so far (entries run
     in one process, smallest first, so each large workload sets its
-    own); ``gc_collections`` the collector passes per generation since
-    ``collections_before``.
+    own, unless ``_fresh`` runs it alone); ``gc_collections`` the
+    collector passes per generation since ``collections_before``.
     """
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
-        "peak_rss_mb": round(peak_kb / 1024.0, 1),
+        "peak_rss_mb": round(_peak_rss_kb() / 1024.0, 1),
         "gc_collections": [
             after - before for before, after
             in zip(collections_before, _collections())
@@ -235,6 +258,17 @@ def _footprint(collections_before: list[int]) -> dict:
 def _footprint_text(entry: dict) -> str:
     return (f"peak RSS {entry['peak_rss_mb']} MB, collections "
             f"{'/'.join(map(str, entry['gc_collections']))}")
+
+
+def _fresh(name: str, *args) -> dict:
+    """The entry ``name(*args)`` returns, ``name`` one of this module's
+    ``bench_*`` functions, run alone in a fresh interpreter."""
+    code = (f"import json, sys; sys.path.insert(0, {str(HERE)!r}); "
+            f"import run_bench; "
+            f"print(json.dumps(run_bench.{name}(*{args!r})))")
+    completed = subprocess.run([sys.executable, "-c", code], check=True,
+                               stdout=subprocess.PIPE, text=True)
+    return json.loads(completed.stdout.splitlines()[-1])
 
 
 def _sweep_configs(kind: str, quick: bool):
@@ -526,41 +560,27 @@ def bench_net_loopback(quick: bool) -> dict:
     }
 
 
-#: The ``net_loopback_n2048`` run, for a fresh interpreter: one JSON line.
-NET_LOOPBACK_N2048 = """
-import json, resource, time
-from repro.net.loopback import run_loopback_group
-start = time.perf_counter()
-report = run_loopback_group(2048, k=8, seed=0)
-seconds = time.perf_counter() - start
-print(json.dumps({
-    "rounds": report.rounds, "completeness": report.completeness,
-    "seconds": seconds,
-    "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-}))
-"""
-
-
 def bench_net_loopback_n2048() -> dict:
-    """A 2048-node lossless loopback group to termination, alone in a
-    fresh interpreter: its peak RSS, not an earlier entry's, is the
-    N² address-book cost of a large in-process group (full bench only).
+    """A 2048-node lossless loopback group to termination (full bench
+    only): run alone, its peak RSS is the N² address-book cost of a
+    large in-process group.
     """
-    completed = subprocess.run(
-        [sys.executable, "-c", NET_LOOPBACK_N2048], check=True,
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-    )
-    run = json.loads(completed.stdout.splitlines()[-1])
+    from repro.net.loopback import run_loopback_group
+
+    collections = _collections()
+    start = time.perf_counter()
+    report = run_loopback_group(2048, k=8, seed=0)
+    seconds = time.perf_counter() - start
+    peak_kb = _peak_rss_kb()
     return {
         "workload": "net_loopback_n2048",
         "config": {"n": 2048, "k": 8, "seed": 0, "fanout_m": 2,
                    "ucastl": 0.0, "pf": 0.0, "router": "loopback"},
-        "seconds": round(run["seconds"], 3),
-        "rounds": run["rounds"],
-        "completeness": run["completeness"],
-        "peak_rss_mb": round(run["peak_kb"] / 1024.0, 1),
-        "peak_rss_kb_per_node": round(run["peak_kb"] / 2048, 1),
+        "seconds": round(seconds, 3),
+        "rounds": report.rounds,
+        "completeness": report.completeness,
+        **_footprint(collections),
+        "peak_rss_kb_per_node": round(peak_kb / 2048, 1),
     }
 
 
@@ -747,8 +767,8 @@ def main(argv=None) -> int:
           f"checksum {entry['checksum']}), {_footprint_text(entry)}",
           flush=True)
     entries.append(entry)
-    print("[bench] net loopback group ...", flush=True)
-    entry = bench_net_loopback(args.quick)
+    print("[bench] net loopback group, fresh process ...", flush=True)
+    entry = _fresh("bench_net_loopback", args.quick)
     print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "
           f"{entry['rounds']} rounds, "
           f"{entry['bytes_per_member_round']} B/member/round, gossip "
@@ -760,24 +780,23 @@ def main(argv=None) -> int:
     if not args.quick:
         print("[bench] net loopback group of 2048, fresh process ...",
               flush=True)
-        entry = bench_net_loopback_n2048()
+        entry = _fresh("bench_net_loopback_n2048")
         print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "
               f"{entry['rounds']} rounds to completeness "
               f"{entry['completeness']}, peak RSS {entry['peak_rss_mb']} MB "
               f"({entry['peak_rss_kb_per_node']} kB/node)", flush=True)
         entries.append(entry)
-        # Both before n65536: run after it in the same process
-        # chaos_n1024 measured 12 s instead of 5-6 s (the heap that run
-        # leaves behind is billed to whatever follows).
-        print("[bench] pushpull_n2048 request/reply run ...", flush=True)
-        entry = bench_pushpull_n2048()
+        print("[bench] pushpull_n2048 request/reply run, fresh process "
+              "...", flush=True)
+        entry = _fresh("bench_pushpull_n2048")
         print(f"[bench]   {entry['workload']}: {entry['seconds']}s "
               f"({entry['messages_sent']} messages, "
               f"checksum {entry['checksum']}), {_footprint_text(entry)}",
               flush=True)
         entries.append(entry)
-        print("[bench] chaos_n1024 robustness matrix ...", flush=True)
-        entry = bench_chaos_n1024()
+        print("[bench] chaos_n1024 robustness matrix, fresh process ...",
+              flush=True)
+        entry = _fresh("bench_chaos_n1024")
         print(f"[bench]   {entry['workload']}: {entry['seconds']}s, "
               f"{entry['bound_violations']} bound violation(s) "
               f"(checksum {entry['checksum']}), {_footprint_text(entry)}",

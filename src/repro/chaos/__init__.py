@@ -4,12 +4,13 @@ The paper's simulations inject exactly two *independent* fault processes
 (per-message loss, per-round crashes).  This package expresses the
 correlated failure structures that actually break gossip aggregation in
 deployment — crash storms, rack-correlated wipes, membership churn,
-healing partitions, loss and latency bursts — as declarative, named
-campaigns that compile down to the simulator's existing
-:class:`~repro.sim.failures.FailureModel` and
-:class:`~repro.sim.network.Network` hook points plus the engine's
-begin-round bus.  Campaigns are deterministic under a seed and are swept
-against the Theorem 1 completeness bound by
+healing partitions, loss and latency bursts, tampering and Sybil
+storms — as declarative, named campaigns of events.  A campaign compiles
+to one timeline of its events resolved to rounds, which a
+:class:`~repro.sim.failures.FailureModel`, a begin-round controller of a
+:class:`~repro.sim.network.Network` and a tamper planner each apply from
+the events' own fields.  Campaigns are deterministic under a seed and
+are swept against the Theorem 1 completeness bound by
 :mod:`repro.experiments.robustness` (CLI: ``repro chaos``).
 """
 

@@ -33,6 +33,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.chaos.events import MessageTampering, SybilJoinStorm, Timeline
 from repro.chaos.pow import pow_admitted
 from repro.core.aggregates import AggregateState
 from repro.core.gridbox import SubtreeId
@@ -156,22 +157,18 @@ def merge_adversarial(
 class TamperPlanner:
     """Snooping archive + per-round crafting for the adversarial events.
 
-    Built by campaign compilation with the events already resolved to
-    simulator rounds, with the membership layout; bound to the run's
-    engine and seeded ``adversary`` stream at install time.
+    Built by campaign compilation with the campaign's timeline (events
+    resolved to simulator rounds, of which it applies the
+    :class:`~repro.chaos.events.MessageTampering` windows and
+    :class:`~repro.chaos.events.SybilJoinStorm` bursts) and the
+    membership layout; bound to the run's engine and seeded
+    ``adversary`` stream at install time.
     """
 
     def __init__(
-        self,
-        tamper_windows: list[tuple[int, int, float, str]],
-        sybil_storms: list[tuple[int, int, int, int]],
-        box_groups: Sequence[Sequence[int]],
+        self, timeline: Timeline, box_groups: Sequence[Sequence[int]]
     ):
-        #: ``(start_round, stop_round, rate, mode)`` — active while
-        #: ``start <= round < stop``.
-        self.tamper_windows = tuple(tamper_windows)
-        #: ``(round, count, pow_bits, pow_budget)``.
-        self.sybil_storms = tuple(sybil_storms)
+        self.timeline = tuple(timeline)
         self._engine: Any = None
         self._rng: Any = None
         self._box_groups = tuple(tuple(group) for group in box_groups)
@@ -239,25 +236,25 @@ class TamperPlanner:
     # -- injection -------------------------------------------------------
     def on_round_start(self, round_number: int) -> None:
         """Craft and inject this round's adversarial traffic."""
-        for start, stop, rate, mode in self.tamper_windows:
-            if not start <= round_number < stop:
+        timeline = self.timeline
+        for start, stop, event in timeline:
+            if (not isinstance(event, MessageTampering)
+                    or not start <= round_number < stop):
                 continue
-            count = int(rate)
-            fraction = rate - count
+            count = int(event.rate)
+            fraction = event.rate - count
             if fraction > 0.0 and self._rng.random() < fraction:
                 count += 1
             for _ in range(count):
-                self._inject_tampered(mode, round_number)
-        for index, (at, count, pow_bits, pow_budget) in enumerate(
-            self.sybil_storms
-        ):
+                self._inject_tampered(event.mode, round_number)
+        for index, (at, __, event) in enumerate(timeline):
             # A storm scheduled before any traffic was snooped (short
             # horizons put ``at`` in round 0) defers to the first round
             # with archive samples to impersonate — deterministically.
-            if (round_number >= at and index not in self._fired_storms
-                    and self._archive):
+            if (isinstance(event, SybilJoinStorm) and round_number >= at
+                    and index not in self._fired_storms and self._archive):
                 self._fired_storms.add(index)
-                self._sybil_storm(count, pow_bits, pow_budget, round_number)
+                self._sybil_storm(event, round_number)
 
     def _pick(self, archive: deque) -> tuple | None:
         if not archive:
@@ -330,14 +327,13 @@ class TamperPlanner:
             index = (index + 1) % len(members)
         return members[index]
 
-    def _sybil_storm(
-        self, count: int, pow_bits: int, pow_budget: int, round_number: int
-    ) -> None:
+    def _sybil_storm(self, storm: SybilJoinStorm, round_number: int) -> None:
         base = self._max_member_id + 1 + self._minted
-        self._minted += count
-        self.summary.sybil_minted += count
-        for identity in range(base, base + count):
-            if not pow_admitted(identity, pow_bits, budget=pow_budget):
+        self._minted += storm.count
+        self.summary.sybil_minted += storm.count
+        for identity in range(base, base + storm.count):
+            if not pow_admitted(identity, storm.pow_bits,
+                                budget=storm.pow_budget):
                 continue
             sample = self._pick(self._archive)
             if sample is None:

@@ -2,31 +2,37 @@
 
 A :class:`ChaosCampaign` is a named, seeded timeline of
 :mod:`repro.chaos.events` fault events.  :meth:`ChaosCampaign.compile`
-lowers it onto the three extension points the simulator already has:
+resolves each event's fractions of the run's protocol horizon to
+absolute rounds, once, into a timeline of ``(start, stop, event)``
+entries in campaign order (see :func:`_schedule`), and hands that one
+timeline to the three interpreters that apply it on the simulator's
+extension points:
 
-* crash processes (storms, rack wipes, churn) become a
+* crash processes (storms, rack wipes, churn): a
   :class:`CampaignFailureModel` — a
   :class:`~repro.sim.failures.FailureModel` that steps the paper's
   independent per-round crash process and the correlated events
   together;
-* loss / latency / partition processes become a mutable
-  :class:`ChaosNetwork` driven by a :class:`CampaignController`
+* loss / latency / partition processes: a :class:`CampaignController`
   subscribed to the engine's begin-round bus
-  (:class:`~repro.sim.events.RoundBus`), so network state changes land
-  on exact round boundaries; the adversary's crafted messages enter
-  there too (:meth:`~repro.sim.engine.SimulationEngine.inject`);
-* all sampling uses the run's seeded ``failures`` stream, keeping every
-  campaign bit-for-bit reproducible and safe to fan out across worker
-  processes.
+  (:class:`~repro.sim.events.RoundBus`) rewrites a mutable
+  :class:`ChaosNetwork`, so network state changes land on exact round
+  boundaries;
+* tampering and Sybil storms: a
+  :class:`~repro.chaos.adversary.TamperPlanner`, whose crafted messages
+  enter there too (:meth:`~repro.sim.engine.SimulationEngine.inject`).
 
-Event times are fractions of the run's protocol horizon; ``compile``
-resolves them to absolute rounds (see :mod:`repro.chaos.events`).
+Each interpreter reads the events' own fields.  All sampling uses the
+run's seeded ``failures`` (and ``adversary``) streams, keeping every
+campaign bit-for-bit reproducible and safe to fan out across worker
+processes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -42,6 +48,7 @@ from repro.chaos.events import (
     PartitionWindow,
     RegionPartition,
     SybilJoinStorm,
+    Timeline,
 )
 from repro.sim.failures import CrashWithoutRecovery, FailureModel
 from repro.sim.network import PartitionedNetwork
@@ -55,23 +62,47 @@ __all__ = [
     "CampaignController",
 ]
 
+#: Partition labels of an array of member ids (``PartitionedNetwork``).
+_Labels = Callable[[np.ndarray], np.ndarray]
+
 
 def _to_round(fraction: float, horizon: int) -> int:
     """Resolve a [0, 1] timeline fraction to an absolute round number."""
     return min(max(0, int(fraction * horizon)), max(0, horizon - 1))
 
 
+def _schedule(event: Any, horizon: int) -> tuple[int, int, FaultEvent]:
+    """An event with its rounds, as ``(start, stop, event)``.
+
+    A window event (``start``/``stop`` fields) is active in rounds
+    ``[start, stop)``, at least one round long.  An instant event
+    (``at``) fires in round ``start``, and ``stop`` is the round after,
+    except for a :class:`CorrelatedCrash` that recovers: its ``stop`` is
+    the recovery round, after the wipe.
+    """
+    if not hasattr(event, "at"):
+        start = _to_round(event.start, horizon)
+        return start, max(start + 1, int(event.stop * horizon)), event
+    start = _to_round(event.at, horizon)
+    recover_at = getattr(event, "recover_at", None)
+    if recover_at is None:
+        return start, start + 1, event
+    return start, max(start + 1, _to_round(recover_at, horizon)), event
+
+
 def _reject_overlapping_partitions(
-    campaign_name: str,
-    windows: Sequence[tuple[int, int, str]],
+    campaign_name: str, timeline: Timeline
 ) -> None:
     """Raise if two partition windows (of any kind) are ever concurrent.
 
     The network holds exactly one partition state at a time, so two
-    active windows would silently last-write-win.  ``windows`` are
-    resolved ``(start_round, stop_round, kind)`` triples.
+    active windows would silently last-write-win.
     """
-    ordered = sorted(windows)
+    ordered = sorted(
+        (start, stop, type(event).__name__)
+        for start, stop, event in timeline
+        if isinstance(event, (PartitionWindow, RegionPartition))
+    )
     for first, second in zip(ordered, ordered[1:]):
         if second[0] < first[1]:
             raise ValueError(
@@ -83,166 +114,141 @@ def _reject_overlapping_partitions(
             )
 
 
-#: Partition labels of an array of member ids (``PartitionedNetwork``).
-_Labels = Callable[[np.ndarray], np.ndarray]
+def _partition(
+    event: PartitionWindow | RegionPartition,
+    box_groups: Sequence[Sequence[int]],
+) -> tuple[_Labels, float | np.ndarray]:
+    """The ``ChaosNetwork.partition`` a partition event sets.
 
+    A :class:`PartitionWindow` labels each id by its residue modulo
+    ``parts`` and drops every crossing with ``partl``.  A
+    :class:`RegionPartition` labels each id by its WAN region (-1 where
+    the region map does not hold it) and drops a crossing with the
+    floor of its (source, destination) region pair: outbound from an
+    isolated region, else inbound to one, else the WAN floor.
+    """
+    if isinstance(event, PartitionWindow):
+        parts = event.parts
+        return (lambda ids: ids % parts), event.partl
+    region_of = RegionMap(box_groups, event.num_regions).region_of_member
+    regions = np.full(max(region_of) + 1, -1, dtype=np.int64)
+    regions[list(region_of)] = list(region_of.values())
 
-def _residues(parts: int) -> _Labels:
-    """Partition labels: each id's residue modulo ``parts``."""
-    return lambda ids: ids % parts
+    def labels(ids: np.ndarray) -> np.ndarray:
+        mapped = (ids >= 0) & (ids < len(regions))
+        return np.where(mapped, regions[np.where(mapped, ids, 0)], -1)
 
-
-def _regions(region_of: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Region of each member id; -1 for an id the map does not hold
-    (an answer to a forged sender goes to id -1)."""
-    mapped = (ids >= 0) & (ids < len(region_of))
-    return np.where(mapped, region_of[np.where(mapped, ids, 0)], -1)
+    isolated = list(event.isolated)
+    floors = np.full((event.num_regions,) * 2, event.wan_loss, dtype=float)
+    floors[:, isolated] = event.inbound_loss
+    floors[isolated, :] = event.outbound_loss
+    return labels, floors
 
 
 class ChaosNetwork(PartitionedNetwork):
     """A lossy network whose fault state is mutated at round boundaries.
 
     The :class:`CampaignController` (via the engine's round bus) sets
-    ``current_loss``, ``current_extra_latency``, the active
-    ``partition`` (``(labels, partl)``, as on
-    :class:`~repro.sim.network.PartitionedNetwork`) and the active
-    region partition before each round's sends; between mutations the
-    model behaves like :class:`~repro.sim.network.LossyNetwork` at its
-    loss floor ``ucastl`` (the ``base_loss`` it was built with).  A
-    message crossing the partition (or two regions) is lost with the
-    larger of its loss floor and ``current_loss``; the drop is counted
-    in ``dropped_cross_partition`` (``dropped_cross_region``).  Latency
-    may vary from round to round but is uniform within one, so a send
-    block shares one delivery round.
+    ``current_loss``, ``current_extra_latency`` and the active
+    ``partition`` before each round's sends; between mutations the model
+    behaves like :class:`~repro.sim.network.LossyNetwork` at its loss
+    floor ``ucastl`` (the ``base_loss`` it was built with).
+    ``partition`` is ``(labels, partl)``, as on
+    :class:`~repro.sim.network.PartitionedNetwork`, where ``partl`` may
+    also be a matrix of loss floors by (source label, destination
+    label), and an id labelled negative crosses nothing.  A message
+    crossing the partition is lost with the larger of its floor and
+    ``current_loss``; the drop is counted in ``dropped_cross_partition``.
+    Latency may vary from round to round but is uniform within one, so
+    a send block shares one delivery round.
     """
 
     def __init__(self, base_loss: float = 0.25, **kwargs):
         super().__init__(ucastl=base_loss, **kwargs)
         self.current_loss = base_loss
         self.current_extra_latency = 0
-        #: Active WAN region partition, or None: (region per member id,
-        #: -1 where unmapped; isolated regions; outbound, inbound, wan).
-        self.region_state: (
-            tuple[np.ndarray, frozenset[int], float, float, float] | None
-        ) = None
 
-    def _region_floors(self, src: np.ndarray, dest: np.ndarray):
-        """(crosses two mapped regions, WAN loss floor) per message, or
-        None without a region partition."""
-        if self.region_state is None:
+    def _cut(self, src: np.ndarray, dest: np.ndarray):
+        """Which messages cross the partition, and the loss floor of each;
+        None while whole."""
+        if self.partition is None:
             return None
-        region_of, isolated, outbound, inbound, wan = self.region_state
-        src_region = _regions(region_of, src)
-        dest_region = _regions(region_of, dest)
-        crossing = (
-            (src_region >= 0) & (dest_region >= 0)
-            & (src_region != dest_region)
-        )
-        cut = sorted(isolated)
-        floor = np.where(
-            np.isin(src_region, cut), outbound,
-            np.where(np.isin(dest_region, cut), inbound, wan),
-        )
-        return crossing, floor
+        labels, partl = self.partition
+        source, target = labels(src), labels(dest)
+        if isinstance(partl, np.ndarray):
+            partl = partl[source, target]
+        return (source != target) & (source >= 0) & (target >= 0), partl
+
+    def _crossings(self, src, dest):
+        cut = self._cut(src, dest)
+        return None if cut is None else cut[0]
 
     def block_loss(self, src, dest):
         loss = self.current_loss
-        probability: np.ndarray | float = loss
-        region = self._region_floors(src, dest)
-        if region is not None:
-            crossing, floor = region
-            probability = np.where(crossing, np.maximum(floor, loss), loss)
-        partition = self.partition
-        if partition is not None:
-            probability = np.where(
-                self._crossings(src, dest), max(partition[1], loss),
-                probability,
-            )
-        return probability
+        cut = self._cut(src, dest)
+        if cut is None:
+            return loss
+        crossings, partl = cut
+        return np.where(crossings, np.maximum(partl, loss), loss)
 
     def block_latency(self, src, dest, rng):
         return 1 + self.current_extra_latency
 
-    def _count_losses(self, src, dest, lost) -> None:
-        super()._count_losses(src, dest, lost)
-        region = self._region_floors(src, dest)
-        if region is not None:
-            self.stats.dropped_cross_region += int((lost & region[0]).sum())
-
 
 class CampaignController:
-    """Begin-round subscriber that applies the compiled network timeline.
+    """Begin-round subscriber that applies the network events.
 
-    Holds the resolved (absolute-round) loss / latency / partition
-    windows and rewrites the :class:`ChaosNetwork`'s mutable state every
-    round.  Stateless across rounds — each round's state is recomputed
-    from the timeline, so the controller is trivially deterministic and
-    restart-safe.
+    Rewrites the :class:`ChaosNetwork`'s mutable state every round from
+    the loss bursts, latency bursts and partitions active in it, then
+    lets the tamper planner (if any) inject.  Stateless across rounds —
+    each round's state is recomputed from the timeline, so the
+    controller is trivially deterministic and restart-safe.
     """
 
     def __init__(
         self,
         network: ChaosNetwork,
-        loss_windows: Sequence[tuple[int, int, float]] = (),
-        latency_windows: Sequence[tuple[int, int, int]] = (),
-        partition_windows: Sequence[tuple[int, int, _Labels, float]] = (),
-        loss_delta_windows: Sequence[tuple[int, int, float]] = (),
-        region_windows: Sequence[
-            tuple[int, int, np.ndarray, frozenset[int], float, float,
-                  float]
-        ] = (),
+        timeline: Timeline = (),
+        box_groups: Sequence[Sequence[int]] = (),
         planner: TamperPlanner | None = None,
     ):
         self.network = network
-        self.loss_windows = tuple(loss_windows)
-        self.latency_windows = tuple(latency_windows)
-        self.partition_windows = tuple(partition_windows)
-        self.loss_delta_windows = tuple(loss_delta_windows)
-        self.region_windows = tuple(region_windows)
+        self.timeline = tuple(timeline)
         self.planner = planner
-        #: Rounds during which any window was active (telemetry).
-        self.degraded_rounds = 0
+        #: The partition each partition event sets, by timeline index.
+        self._partitions = {
+            index: _partition(event, box_groups)
+            for index, (__, __, event) in enumerate(self.timeline)
+            if isinstance(event, (PartitionWindow, RegionPartition))
+        }
 
     def on_round_start(self, round_number: int) -> None:
         network = self.network
         loss = network.ucastl
-        for start, stop, value in self.loss_windows:
-            if start <= round_number < stop:
-                loss = max(loss, value)
+        delta_sum = 0.0
+        extra_latency = 0
+        partition: tuple[_Labels, float | np.ndarray] | None = None
+        for index, (start, stop, event) in enumerate(self.timeline):
+            if not start <= round_number < stop:
+                continue
+            if isinstance(event, LossBurst):
+                if event.loss is not None:
+                    loss = max(loss, event.loss)
+                else:
+                    assert event.delta is not None
+                    delta_sum += event.delta
+            elif isinstance(event, LatencyBurst):
+                extra_latency = max(extra_latency, event.extra_rounds)
+            elif index in self._partitions:
+                partition = self._partitions[index]
         # Additive bursts stack on top of the absolute floor; the sum is
         # clamped so overlapping deltas on a nonzero base stay a valid
         # probability.
-        delta_sum = 0.0
-        for start, stop, delta in self.loss_delta_windows:
-            if start <= round_number < stop:
-                delta_sum += delta
         if delta_sum > 0.0:
             loss = min(1.0, loss + delta_sum)
-        extra_latency = 0
-        for start, stop, extra in self.latency_windows:
-            if start <= round_number < stop:
-                extra_latency = max(extra_latency, extra)
-        partition: tuple[_Labels, float] | None = None
-        for start, stop, labels, partl in self.partition_windows:
-            if start <= round_number < stop:
-                partition = (labels, partl)
-        region_state = None
-        for (start, stop, region_of, isolated, outbound, inbound,
-             wan) in self.region_windows:
-            if start <= round_number < stop:
-                region_state = (region_of, isolated, outbound, inbound, wan)
-        degraded = (
-            loss != network.ucastl
-            or extra_latency > 0
-            or partition is not None
-            or region_state is not None
-        )
-        if degraded:
-            self.degraded_rounds += 1
         network.current_loss = loss
         network.current_extra_latency = extra_latency
         network.partition = partition
-        network.region_state = region_state
         if self.planner is not None:
             # Last: injections for this round are crafted after the
             # network state above is in place.
@@ -254,80 +260,84 @@ class CampaignFailureModel(FailureModel):
 
     Stepped once per round by the engine with the seeded ``failures``
     stream; all victim sampling happens here, in a fixed order (base iid
-    draws, then storms, then rack wipes, then churn), so adding an event
-    type never perturbs the draws of another.
+    draws, then storms, then rack wipes, then churn, each kind in
+    campaign order), so adding an event type never perturbs the draws
+    of another.
     """
 
     def __init__(
         self,
         base_pf: float = 0.0,
-        storms: Sequence[tuple[int, float]] = (),
-        rack_wipes: Sequence[tuple[int, float, int | None]] = (),
-        churn_windows: Sequence[tuple[int, int, float, int, int]] = (),
+        timeline: Timeline = (),
         box_groups: Sequence[Sequence[int]] = (),
     ):
         self.base = CrashWithoutRecovery(pf=base_pf) if base_pf > 0 else None
-        self.storms = tuple(storms)
-        self.rack_wipes = tuple(rack_wipes)
-        self.churn_windows = tuple(churn_windows)
+        self.timeline = tuple(timeline)
         self.box_groups = tuple(tuple(group) for group in box_groups)
-        for __, boxes, __rec in self.rack_wipes:
-            if boxes > 0 and not self.box_groups:
-                raise ValueError(
-                    "a CorrelatedCrash event needs box_groups (the "
-                    "member-by-grid-box partition) to sample victims from"
-                )
+        wipes = [event for __, __, event in self.timeline
+                 if isinstance(event, CorrelatedCrash)]
+        if not self.box_groups and any(wipe.boxes > 0 for wipe in wipes):
+            raise ValueError(
+                "a CorrelatedCrash event needs box_groups (the "
+                "member-by-grid-box partition) to sample victims from"
+            )
         self._pending_recovery: dict[int, set[int]] = {}
-        self.may_recover = bool(self.churn_windows) or any(
-            recover is not None for __, __b, recover in self.rack_wipes
-        )
+        self.may_recover = any(
+            isinstance(event, ChurnWindow) for __, __, event in self.timeline
+        ) or any(wipe.recover_at is not None for wipe in wipes)
 
     def step(self, round_number, alive_ids, crashed_ids, rng):
         to_crash: set[int] = set()
-        to_recover: set[int] = set()
         if self.base is not None:
             crashed, __ = self.base.step(
                 round_number, alive_ids, crashed_ids, rng
             )
             to_crash |= crashed
-        for at, fraction in self.storms:
-            if at != round_number or not alive_ids:
+        timeline = self.timeline
+        for at, __, event in timeline:
+            if (not isinstance(event, CrashStorm) or at != round_number
+                    or not alive_ids):
                 continue
-            count = int(round(fraction * len(alive_ids)))
+            count = int(round(event.fraction * len(alive_ids)))
             if count >= len(alive_ids):
                 to_crash |= set(alive_ids)
             elif count > 0:
                 picks = rng.choice(len(alive_ids), size=count, replace=False)
                 to_crash |= {alive_ids[int(i)] for i in picks}
-        for at, boxes, recover_round in self.rack_wipes:
-            if at != round_number or not self.box_groups:
+        groups = self.box_groups
+        for at, recover_round, event in timeline:
+            if (not isinstance(event, CorrelatedCrash) or at != round_number
+                    or not groups):
                 continue
-            count = max(1, int(round(boxes * len(self.box_groups))))
-            count = min(count, len(self.box_groups))
-            picks = rng.choice(len(self.box_groups), size=count, replace=False)
+            count = max(1, int(round(event.boxes * len(groups))))
+            picks = rng.choice(
+                len(groups), size=min(count, len(groups)), replace=False
+            )
             victims = {
                 member
                 for i in sorted(int(p) for p in picks)
-                for member in self.box_groups[i]
+                for member in groups[i]
             }
             to_crash |= victims
-            if recover_round is not None:
+            if event.recover_at is not None:
                 self._pending_recovery.setdefault(
                     recover_round, set()
                 ).update(victims)
-        for start, stop, rate, delay_low, delay_high in self.churn_windows:
-            if not start <= round_number < stop or not alive_ids or rate <= 0:
+        for start, stop, event in timeline:
+            if (not isinstance(event, ChurnWindow)
+                    or not start <= round_number < stop
+                    or not alive_ids or event.crash_rate <= 0):
                 continue
+            delay_low, delay_high = event.recovery_delay
             draws = rng.random(len(alive_ids))
             for node_id, draw in zip(alive_ids, draws):
-                if draw < rate:
+                if draw < event.crash_rate:
                     to_crash.add(node_id)
                     delay = int(rng.integers(delay_low, delay_high + 1))
                     self._pending_recovery.setdefault(
                         round_number + delay, set()
                     ).add(node_id)
-        to_recover |= self._pending_recovery.pop(round_number, set())
-        return to_crash, to_recover
+        return to_crash, self._pending_recovery.pop(round_number, set())
 
 
 @dataclass
@@ -426,149 +436,37 @@ class ChaosCampaign:
         """
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1 round, got {horizon}")
-        storms: list[tuple[int, float]] = []
-        rack_wipes: list[tuple[int, float, int | None]] = []
-        churn: list[tuple[int, int, float, int, int]] = []
-        loss_windows: list[tuple[int, int, float]] = []
-        loss_delta_windows: list[tuple[int, int, float]] = []
-        latency_windows: list[tuple[int, int, int]] = []
-        partition_windows: list[tuple[int, int, _Labels, float]] = []
-        tamper_windows: list[tuple[int, int, float, str]] = []
-        sybil_storms: list[tuple[int, int, int, int]] = []
-        region_events: list[tuple[int, int, RegionPartition]] = []
-
-        def window(start: float, stop: float) -> tuple[int, int]:
-            start_round = _to_round(start, horizon)
-            stop_round = max(start_round + 1, int(stop * horizon))
-            return start_round, stop_round
-
-        for event in self.events:
-            if isinstance(event, CrashStorm):
-                storms.append((_to_round(event.at, horizon), event.fraction))
-            elif isinstance(event, CorrelatedCrash):
-                recover = (
-                    None
-                    if event.recover_at is None
-                    else max(
-                        _to_round(event.at, horizon) + 1,
-                        _to_round(event.recover_at, horizon),
-                    )
-                )
-                rack_wipes.append(
-                    (_to_round(event.at, horizon), event.boxes, recover)
-                )
-            elif isinstance(event, ChurnWindow):
-                start, stop = window(event.start, event.stop)
-                low, high = event.recovery_delay
-                churn.append((start, stop, event.crash_rate, low, high))
-            elif isinstance(event, PartitionWindow):
-                start, stop = window(event.start, event.stop)
-                partition_windows.append(
-                    (start, stop, _residues(event.parts), event.partl)
-                )
-            elif isinstance(event, RegionPartition):
-                start, stop = window(event.start, event.stop)
-                region_events.append((start, stop, event))
-            elif isinstance(event, LossBurst):
-                start, stop = window(event.start, event.stop)
-                if event.loss is not None:
-                    loss_windows.append((start, stop, event.loss))
-                else:
-                    assert event.delta is not None
-                    loss_delta_windows.append((start, stop, event.delta))
-            elif isinstance(event, LatencyBurst):
-                start, stop = window(event.start, event.stop)
-                latency_windows.append((start, stop, event.extra_rounds))
-            elif isinstance(event, MessageTampering):
-                start, stop = window(event.start, event.stop)
-                tamper_windows.append((start, stop, event.rate, event.mode))
-            elif isinstance(event, SybilJoinStorm):
-                sybil_storms.append(
-                    (
-                        _to_round(event.at, horizon),
-                        event.count,
-                        event.pow_bits,
-                        event.pow_budget,
-                    )
-                )
-            else:  # pragma: no cover - guarded by __post_init__
-                raise TypeError(f"unknown event type {type(event).__name__}")
-
+        timeline = tuple(_schedule(event, horizon) for event in self.events)
         # Two partitions (modulo-class or region) active at once would
         # silently last-write-win inside the controller — reject at
         # compile time instead.
-        _reject_overlapping_partitions(
-            self.name,
-            [(start, stop, "PartitionWindow")
-             for start, stop, *__ in partition_windows]
-            + [(start, stop, "RegionPartition")
-               for start, stop, __ in region_events],
-        )
-
-        region_windows: list[
-            tuple[int, int, np.ndarray, frozenset[int], float, float,
-                  float]
-        ] = []
-        for start, stop, event in region_events:
-            if not box_groups:
-                raise ValueError(
-                    f"campaign {self.name!r}: a RegionPartition event "
-                    f"needs box_groups (the member-by-grid-box partition) "
-                    f"to derive the WAN region assignment from"
-                )
-            region_of = RegionMap(
-                box_groups, event.num_regions
-            ).region_of_member
-            regions = np.full(max(region_of) + 1, -1, dtype=np.int64)
-            regions[list(region_of)] = list(region_of.values())
-            region_windows.append(
-                (
-                    start,
-                    stop,
-                    regions,
-                    frozenset(event.isolated),
-                    event.outbound_loss,
-                    event.inbound_loss,
-                    event.wan_loss,
-                )
+        _reject_overlapping_partitions(self.name, timeline)
+        if not box_groups and any(
+            isinstance(event, RegionPartition) for event in self.events
+        ):
+            raise ValueError(
+                f"campaign {self.name!r}: a RegionPartition event "
+                f"needs box_groups (the member-by-grid-box partition) "
+                f"to derive the WAN region assignment from"
             )
-
         planner: TamperPlanner | None = None
-        if tamper_windows or sybil_storms:
+        if self.adversarial:
             if not box_groups:
                 raise ValueError(
                     f"campaign {self.name!r}: adversarial events "
                     f"(MessageTampering / SybilJoinStorm) need box_groups "
                     f"to know the genuine membership they impersonate"
                 )
-            planner = TamperPlanner(
-                tamper_windows=tamper_windows,
-                sybil_storms=sybil_storms,
-                box_groups=box_groups,
-            )
-
+            planner = TamperPlanner(timeline, box_groups)
         network = ChaosNetwork(base_loss=base_loss, **network_kwargs)
         controller = CampaignController(
-            network,
-            loss_windows=loss_windows,
-            latency_windows=latency_windows,
-            partition_windows=partition_windows,
-            loss_delta_windows=loss_delta_windows,
-            region_windows=region_windows,
-            planner=planner,
-        )
-        failure_model = CampaignFailureModel(
-            base_pf=base_pf,
-            storms=storms,
-            rack_wipes=rack_wipes,
-            churn_windows=churn,
-            box_groups=box_groups,
+            network, timeline, box_groups, planner
         )
         return CompiledCampaign(
             campaign=self,
             horizon=horizon,
             network=network,
-            failure_model=failure_model,
+            failure_model=CampaignFailureModel(base_pf, timeline, box_groups),
             controller=controller,
             planner=planner,
         )

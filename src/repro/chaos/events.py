@@ -8,18 +8,21 @@ budget), so the same named campaign scales meaningfully across the
 the way in" hits phase 2 of a 200-member run and phase 4 of an
 8192-member run alike.
 
-Events are pure data; :mod:`repro.chaos.campaign` compiles them down to
-the simulator's existing hook points (a
-:class:`~repro.sim.failures.FailureModel` for crash processes, a
-:class:`~repro.sim.network.Network` plus a begin-round controller for
-loss / latency / partition state).  All sampling the compiled forms do is
-drawn from the run's seeded ``failures`` stream, so a campaign is exactly
-as deterministic as the two independent fault processes the paper's own
-simulations use.
+Events are pure data, and their fields are all a campaign applies:
+:mod:`repro.chaos.campaign` resolves each event's times to rounds once,
+into a :data:`Timeline` in campaign order, and its interpreters read the
+events' own fields from it (a :class:`~repro.sim.failures.FailureModel`
+for crash processes, a begin-round controller rewriting a
+:class:`~repro.sim.network.Network` for loss / latency / partition
+state, a tamper planner for the adversary).  All sampling is drawn from
+the run's seeded ``failures`` and ``adversary`` streams, so a campaign
+is exactly as deterministic as the two independent fault processes the
+paper's own simulations use.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 __all__ = [
@@ -56,6 +59,11 @@ class FaultEvent:
     """Marker base class for campaign timeline events."""
 
     __slots__ = ()
+
+
+#: A compiled campaign's events in campaign order, each as
+#: ``(start_round, stop_round, event)``.
+Timeline = Sequence[tuple[int, int, FaultEvent]]
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,6 @@ class NetworkStats:
     rejected_bandwidth: int = 0
     bytes_sent: int = 0
     dropped_cross_partition: int = 0
-    dropped_cross_region: int = 0
     per_sender_sent: SenderCounts = field(default_factory=SenderCounts)
 
     @property
@@ -140,7 +139,7 @@ class Network:
     :meth:`plan_delivery_block` decides every message's fate.  A model
     states its loss and latency once, over arrays, in :meth:`block_loss`
     and :meth:`block_latency`; :meth:`_count_losses` lets it attribute
-    drops to a cause (partition, region) in its own counters.
+    drops to a cause (a partition) in its own counters.
     """
 
     def __init__(
@@ -317,7 +316,8 @@ class PartitionedNetwork(LossyNetwork):
     drops are counted in ``stats.dropped_cross_partition``.
     ``partition_of`` may also be a mapping from node id to label.  The
     paper's partition stays up for the whole run; a campaign that heals
-    one rewrites ``partition`` from the round bus (``ChaosNetwork``).
+    one rewrites ``partition`` from the round bus (``ChaosNetwork``,
+    whose ``partl`` may also be a matrix of floors by label pair).
     """
 
     def __init__(
@@ -333,7 +333,7 @@ class PartitionedNetwork(LossyNetwork):
             raise ValueError(f"partl must be a probability, got {partl}")
         super().__init__(ucastl=ucastl, **kwargs)
         self.partition: tuple[
-            Callable[[np.ndarray], np.ndarray], float
+            Callable[[np.ndarray], np.ndarray], float | np.ndarray
         ] | None = None
         if isinstance(partition_of, Mapping):
             mapping = dict(partition_of)

@@ -44,6 +44,17 @@ def sanitizer_left_as_found():
     assert not changed, f"the test left the sanitizer's {changed} changed"
 
 
+@pytest.fixture
+def unsanitized():
+    """The runtime sanitizer off for one test (the suite arms it): the
+    configuration benchmarks and the CLI run."""
+    was_active = sanitize.ACTIVE
+    sanitize.disable()
+    yield
+    if was_active:
+        sanitize.enable()
+
+
 settings.register_profile(
     "repro",
     deadline=None,

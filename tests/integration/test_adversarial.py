@@ -186,7 +186,10 @@ class TestCampaignCompilation:
         compiled = campaign.compile(
             horizon=100, box_groups=[(i, i + 1) for i in range(0, 12, 2)]
         )
-        assert len(compiled.controller.region_windows) == 1
+        assert [
+            (start, stop, type(event))
+            for start, stop, event in compiled.controller.timeline
+        ] == [(10, 40, PartitionWindow), (40, 70, RegionPartition)]
 
     def test_adversarial_events_need_box_groups(self):
         campaign = ChaosCampaign(

@@ -918,19 +918,6 @@ def test_crash_recovery():
     assert runs["array"] == runs["object"]
 
 
-@pytest.fixture
-def unsanitized():
-    """The runtime sanitizer off for one test (the suite arms it): the
-    configuration benchmarks and the CLI run."""
-    from repro import sanitize
-
-    was_active = sanitize.ACTIVE
-    sanitize.disable()
-    yield
-    if was_active:
-        sanitize.enable()
-
-
 def test_sanitized_array_run_folds_columns(monkeypatch):
     # The sanitizer checks next to the compose, never in its place: with
     # it on, a fixed-width aggregate's rows compose in the state table,

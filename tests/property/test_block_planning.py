@@ -57,17 +57,23 @@ def _heal(network: PartitionedNetwork, round_number: int) -> None:
         network.partition = None
 
 
+#: A region outage's floors by (source, destination) region: three
+#: regions of four members, region 0 cut off (0.95 out, 0.7 in), 0.35
+#: between the other two.
+REGION_FLOORS = np.array([
+    [0.95, 0.95, 0.95],
+    [0.7, 0.35, 0.35],
+    [0.7, 0.35, 0.35],
+])
+
+
 def _chaos_round(network: ChaosNetwork, round_number: int) -> None:
     """A partition, a region outage and a latency burst, by turns: the
     partition switches on and off, as a campaign's windows do."""
-    network.partition = (
-        (lambda ids: ids % 2, 0.9) if round_number % 3 == 0 else None
-    )
-    regions = np.arange(MEMBERS) // 4  # three regions of four members
-    network.region_state = (
-        (regions, frozenset({0}), 0.95, 0.7, 0.35)
-        if round_number % 3 == 1 else None
-    )
+    network.partition = {
+        0: (lambda ids: ids % 2, 0.9),
+        1: (lambda ids: ids // 4, REGION_FLOORS),
+    }.get(round_number % 3)
     network.current_extra_latency = 2 if round_number % 3 == 2 else 0
     network.current_loss = 0.1 + 0.1 * (round_number % 2)
 

@@ -12,7 +12,7 @@ from repro.chaos.adversary import (
     _mutate_payload,
     merge_adversarial,
 )
-from repro.chaos.campaign import ChaosNetwork
+from repro.chaos.campaign import ChaosCampaign
 from repro.chaos.events import (
     LossBurst,
     MessageTampering,
@@ -140,11 +140,20 @@ def _aggregate_state(member: int) -> AggregateState:
     return AggregateState(float(member), frozenset((member,)))
 
 
-def _planner(**kwargs) -> TamperPlanner:
-    defaults = dict(tamper_windows=[], sybil_storms=[],
-                    box_groups=BOX_GROUPS)
-    defaults.update(kwargs)
-    return TamperPlanner(**defaults)
+def _planner(*timeline) -> TamperPlanner:
+    return TamperPlanner(timeline, BOX_GROUPS)
+
+
+def _tampering(rate, mode="forge", rounds=10):
+    """A tampering window over rounds [0, rounds), as compiled."""
+    return (0, rounds, MessageTampering(start=0.0, stop=1.0, rate=rate,
+                                        mode=mode))
+
+
+def _sybils(count, at=0, pow_bits=0):
+    """A Sybil storm in round ``at`` of a 10-round horizon, as compiled."""
+    return (at, at + 1, SybilJoinStorm(at=at / 10, count=count,
+                                       pow_bits=pow_bits))
 
 
 class _InjectLog:
@@ -158,8 +167,8 @@ class _InjectLog:
 
 
 class TestTamperPlanner:
-    def _bound(self, **kwargs):
-        planner = _planner(**kwargs)
+    def _bound(self, *timeline):
+        planner = _planner(*timeline)
         log = _InjectLog()
         planner.bind(log, np.random.default_rng(1234))
         return planner, log
@@ -173,9 +182,7 @@ class TestTamperPlanner:
             ))
 
     def test_forge_injects_registered_mutants(self):
-        planner, log = self._bound(
-            tamper_windows=[(0, 10, 2.0, "forge")]
-        )
+        planner, log = self._bound(_tampering(2.0))
         self._snoop(planner)
         planner.on_round_start(3)
         assert len(log.injected) == 2
@@ -186,9 +193,7 @@ class TestTamperPlanner:
             assert planner.planted_mode(message.payload.state) == "forge"
 
     def test_duplicate_rekeys_to_another_member(self):
-        planner, log = self._bound(
-            tamper_windows=[(0, 10, 1.0, "duplicate")]
-        )
+        planner, log = self._bound(_tampering(1.0, "duplicate"))
         self._snoop(planner)
         planner.on_round_start(0)
         ((_, message),) = log.injected
@@ -199,9 +204,7 @@ class TestTamperPlanner:
         assert planner.planted_mode(payload.state) == "duplicate"
 
     def test_replay_is_not_registered(self):
-        planner, log = self._bound(
-            tamper_windows=[(0, 10, 1.0, "replay")]
-        )
+        planner, log = self._bound(_tampering(1.0, "replay"))
         self._snoop(planner)
         planner.on_round_start(0)
         ((_, message),) = log.injected
@@ -209,15 +212,13 @@ class TestTamperPlanner:
         assert planner.summary.injected_replay == 1
 
     def test_empty_archive_injects_nothing(self):
-        planner, log = self._bound(
-            tamper_windows=[(0, 10, 3.0, "forge")]
-        )
+        planner, log = self._bound(_tampering(3.0))
         planner.on_round_start(0)
         assert log.injected == []
         assert planner.summary.injected_total == 0
 
     def test_sybil_identities_are_foreign(self):
-        planner, log = self._bound(sybil_storms=[(0, 10, 0, 64)])
+        planner, log = self._bound(_sybils(10))
         self._snoop(planner)
         planner.on_round_start(0)
         assert len(log.injected) == 10
@@ -228,7 +229,7 @@ class TestTamperPlanner:
             assert identity > 11  # beyond every genuine member id
 
     def test_sybil_storm_defers_until_traffic_exists(self):
-        planner, log = self._bound(sybil_storms=[(0, 5, 0, 64)])
+        planner, log = self._bound(_sybils(5))
         planner.on_round_start(0)  # nothing snooped yet
         assert log.injected == []
         self._snoop(planner)
@@ -238,12 +239,8 @@ class TestTamperPlanner:
         assert len(log.injected) == 5
 
     def test_pow_gate_throttles_the_storm(self):
-        open_planner, open_log = self._bound(
-            sybil_storms=[(0, 40, 0, 64)]
-        )
-        gated_planner, gated_log = self._bound(
-            sybil_storms=[(0, 40, 8, 64)]
-        )
+        open_planner, open_log = self._bound(_sybils(40))
+        gated_planner, gated_log = self._bound(_sybils(40, pow_bits=8))
         for planner in (open_planner, gated_planner):
             self._snoop(planner)
             planner.on_round_start(0)
@@ -256,10 +253,7 @@ class TestTamperPlanner:
 
     def test_same_seed_same_injections(self):
         def run():
-            planner = _planner(
-                tamper_windows=[(0, 10, 1.5, "forge")],
-                sybil_storms=[(2, 7, 0, 64)],
-            )
+            planner = _planner(_tampering(1.5), _sybils(7, at=2))
             log = _InjectLog()
             planner.bind(log, np.random.default_rng(99))
             self._snoop(planner)
@@ -276,9 +270,7 @@ class TestTamperPlanner:
         assert first_summary == second_summary
 
     def test_fractional_rate_is_bernoulli(self):
-        planner, log = self._bound(
-            tamper_windows=[(0, 1000, 0.5, "forge")]
-        )
+        planner, log = self._bound(_tampering(0.5, rounds=1000))
         self._snoop(planner)
         for round_number in range(1000):
             planner.on_round_start(round_number)
@@ -326,13 +318,16 @@ class TestAdversarialSummary:
 
 class TestRegionAwareNetwork:
     def _network(self):
-        network = ChaosNetwork(base_loss=0.1)
-        region_map = RegionMap(BOX_GROUPS, 3)
-        region_of = np.array([region_map.region_of(m) for m in range(12)])
-        network.region_state = (
-            region_of, frozenset((0,)), 0.95, 0.7, 0.35
-        )
-        return network
+        # Regions of four members each; region 0 is cut off.
+        campaign = ChaosCampaign(name="t", description="x", events=(
+            RegionPartition(start=0.0, stop=1.0, num_regions=3,
+                            isolated=(0,), outbound_loss=0.95,
+                            inbound_loss=0.7, wan_loss=0.35),
+        ))
+        compiled = campaign.compile(horizon=10, base_loss=0.1,
+                                    base_pf=0.0, box_groups=BOX_GROUPS)
+        compiled.controller.on_round_start(0)
+        return compiled.network
 
     def test_asymmetric_region_loss(self):
         network = self._network()

@@ -99,14 +99,22 @@ class TestCompile:
             get_campaign("paper-iid").compile(horizon=0)
 
     def test_fractions_resolve_to_rounds(self):
+        storm = CrashStorm(at=0.5, fraction=0.2)
+        burst = LossBurst(start=0.25, stop=0.75, loss=0.6)
         campaign = ChaosCampaign(
-            name="t", description="x",
-            events=(CrashStorm(at=0.5, fraction=0.2),
-                    LossBurst(start=0.25, stop=0.75, loss=0.6)),
+            name="t", description="x", events=(storm, burst),
         )
         compiled = campaign.compile(horizon=20, base_pf=0.0)
-        assert compiled.failure_model.storms == ((10, 0.2),)
-        assert compiled.controller.loss_windows == ((5, 15, 0.6),)
+        timeline = ((10, 11, storm), (5, 15, burst))
+        assert compiled.failure_model.timeline == timeline
+        assert compiled.controller.timeline == timeline
+
+    def test_recovery_round_follows_the_wipe(self):
+        wipe = CorrelatedCrash(at=0.5, boxes=0.5, recover_at=0.55)
+        campaign = ChaosCampaign(name="t", description="x", events=(wipe,))
+        compiled = campaign.compile(horizon=4, base_pf=0.0,
+                                    box_groups=[(0, 1), (2, 3)])
+        assert compiled.failure_model.timeline == ((2, 3, wipe),)
 
     def test_degenerate_window_spans_one_round(self):
         campaign = ChaosCampaign(
@@ -114,7 +122,7 @@ class TestCompile:
             events=(LossBurst(start=0.5, stop=0.55, loss=0.9),),
         )
         compiled = campaign.compile(horizon=4, base_pf=0.0)
-        ((start, stop, __),) = compiled.controller.loss_windows
+        ((start, stop, __),) = compiled.controller.timeline
         assert stop == start + 1
 
     def test_rack_wipe_requires_box_groups(self):
@@ -221,18 +229,19 @@ class TestController:
         controller.on_round_start(6)
         assert plan_one(network, rngs, 0, 1, sent_round=6) == 7
 
-    def test_degraded_rounds_counted(self):
-        compiled = self._compiled(
-            [LatencyBurst(start=0.0, stop=0.5, extra_rounds=2)]
-        )
-        for round_number in range(10):
-            compiled.controller.on_round_start(round_number)
-        assert compiled.controller.degraded_rounds == 5
+
+def _failure_model(*events, box_groups=()):
+    """A campaign's failure model over a 10-round horizon, without the
+    background iid crashes."""
+    campaign = ChaosCampaign(name="t", description="x", events=events)
+    return campaign.compile(
+        horizon=10, base_pf=0.0, box_groups=box_groups
+    ).failure_model
 
 
 class TestCampaignFailureModel:
     def test_storm_crashes_requested_fraction(self):
-        model = CampaignFailureModel(storms=[(5, 0.25)])
+        model = _failure_model(CrashStorm(at=0.5, fraction=0.25))
         alive = list(range(100))
         assert model.step(4, alive, [], _rng()) == (set(), set())
         crash, __ = model.step(5, alive, [], _rng())
@@ -240,8 +249,8 @@ class TestCampaignFailureModel:
         assert crash <= set(alive)
 
     def test_storm_is_deterministic_under_seed(self):
-        model_a = CampaignFailureModel(storms=[(5, 0.3)])
-        model_b = CampaignFailureModel(storms=[(5, 0.3)])
+        model_a = _failure_model(CrashStorm(at=0.5, fraction=0.3))
+        model_b = _failure_model(CrashStorm(at=0.5, fraction=0.3))
         alive = list(range(64))
         crash_a, __ = model_a.step(5, alive, [], _rng(7))
         crash_b, __ = model_b.step(5, alive, [], _rng(7))
@@ -249,8 +258,8 @@ class TestCampaignFailureModel:
 
     def test_rack_wipe_takes_whole_boxes(self):
         groups = [(0, 1), (2, 3), (4, 5), (6, 7)]
-        model = CampaignFailureModel(
-            rack_wipes=[(3, 0.5, None)], box_groups=groups
+        model = _failure_model(
+            CorrelatedCrash(at=0.3, boxes=0.5), box_groups=groups
         )
         crash, __ = model.step(3, list(range(8)), [], _rng())
         assert len(crash) == 4
@@ -258,8 +267,9 @@ class TestCampaignFailureModel:
             assert crash >= set(group) or not (crash & set(group))
 
     def test_rack_wipe_group_recovery(self):
-        model = CampaignFailureModel(
-            rack_wipes=[(2, 0.5, 6)], box_groups=[(0, 1), (2, 3)]
+        model = _failure_model(
+            CorrelatedCrash(at=0.2, boxes=0.5, recover_at=0.6),
+            box_groups=[(0, 1), (2, 3)],
         )
         assert model.may_recover
         crash, __ = model.step(2, [0, 1, 2, 3], [], _rng())
@@ -267,8 +277,9 @@ class TestCampaignFailureModel:
         assert recovered == crash
 
     def test_churn_recovers_after_delay(self):
-        model = CampaignFailureModel(
-            churn_windows=[(0, 5, 1.0, 2, 2)]  # everyone, fixed delay 2
+        model = _failure_model(  # everyone, fixed delay 2
+            ChurnWindow(start=0.0, stop=0.5, crash_rate=1.0,
+                        recovery_delay=(2, 2))
         )
         crash, __ = model.step(0, [0, 1], [], _rng())
         assert crash == {0, 1}
@@ -281,7 +292,8 @@ class TestCampaignFailureModel:
         assert crash == {1, 2, 3}
 
     def test_no_recovery_without_recovering_events(self):
-        assert not CampaignFailureModel(storms=[(1, 0.5)]).may_recover
+        model = _failure_model(CrashStorm(at=0.1, fraction=0.5))
+        assert not model.may_recover
 
 
 class TestInstallGuards:
